@@ -318,9 +318,7 @@ let executor cfg ~sim ~m ~ptm ~store ~subs ~positions ~arrival ~garrival ~offset
     else if is_write subs.(p).op then begin
       (* Debt-driven admission: past the line limit, writes are let in
          one at a time until the WPQ has drained. *)
-      let debt = Sim.Debt.sample sim in
-      let pending = debt.Sim.Debt.wpq_lines + debt.Sim.Debt.armed_log_lines in
-      let clamped = pending >= cfg.debt_line_limit in
+      let clamped = Sim.Debt.pending_lines sim >= cfg.debt_line_limit in
       let cap = if clamped then 1 else cfg.max_batch in
       let j = ref !i in
       while

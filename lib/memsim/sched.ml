@@ -124,7 +124,8 @@ let run ?crash_at t =
     let th = match t.current with Some th -> th | None -> assert false in
     th.time <- th.time + t.pending_ns;
     th.state <- Suspended k;
-    t.max_time <- max t.max_time th.time;
+    (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
+    if th.time > t.max_time then t.max_time <- th.time;
     Repro_util.Int_heap.push t.ready ~key:th.time th.thread_id
   in
   let some_on_wait = Some on_wait in
@@ -136,7 +137,7 @@ let run ?crash_at t =
           | None -> assert false
           | Some th ->
             th.state <- Finished;
-            t.max_time <- max t.max_time th.time);
+            if th.time > t.max_time then t.max_time <- th.time);
       exnc = (fun exn -> raise exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->

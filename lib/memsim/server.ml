@@ -33,7 +33,9 @@ let create ~service_ns ~capacity =
 
 let acquire_sync t ~now ~latency_ns =
   t.requests <- t.requests + 1;
-  let start = max now t.next_free in
+  (* Int comparisons, not [max]: on ints that is a call to the
+     polymorphic [Stdlib.max], once per memory event. *)
+  let start = if now >= t.next_free then now else t.next_free in
   t.next_free <- start + t.service_ns;
   t.queue_ns <- t.queue_ns + (start - now);
   start + latency_ns
@@ -65,7 +67,7 @@ let enqueue_fast t ~now =
       if c > !ready then ready := c
     done
   end;
-  let start = max !ready t.next_free in
+  let start = if !ready >= t.next_free then !ready else t.next_free in
   let completion = start + t.service_ns in
   t.next_free <- completion;
   if t.capacity > 0 then begin

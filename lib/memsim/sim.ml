@@ -705,8 +705,30 @@ module Debt = struct
     armed_log_lines : int;
   }
 
-  let sample (sim : sim) =
+  let wpq_lines (sim : sim) =
     let now = Sched.now sim.sched in
+    Array.fold_left (fun acc s -> acc + Server.inflight_at s ~now) 0 sim.wpq_nvm
+
+  let armed_log_lines (sim : sim) =
+    if sim.cfg.model.log_in_dram then
+      (* Battery-backed log pages: on failure, armed entries must be
+         written to NVM.  Count lines up to each active log's
+         sentinel. *)
+      List.fold_left
+        (fun acc (lo, hi) ->
+          let lines = ref 0 in
+          let pos = ref lo in
+          while !pos < hi && Pheap.get sim.heap !pos <> 0 do
+            incr lines;
+            pos := !pos + Layout.words_per_line
+          done;
+          acc + !lines)
+        0 sim.log_ranges
+    else 0
+
+  let pending_lines sim = wpq_lines sim + armed_log_lines sim
+
+  let sample (sim : sim) =
     let persistent = sim.cfg.model.data_media = Config.Nvm in
     let dirty_l3_lines = if persistent then List.length (Cache.dirty_lines sim.l3) else 0 in
     let dirty_dram_pages =
@@ -714,29 +736,11 @@ module Debt = struct
       | Some pc when sim.cfg.model.battery -> List.length (Repro_util.Lru.dirty_keys pc)
       | Some _ | None -> 0
     in
-    let armed_log_lines =
-      if sim.cfg.model.log_in_dram then
-        (* Battery-backed log pages: on failure, armed entries must be
-           written to NVM.  Count lines up to each active log's
-           sentinel. *)
-        List.fold_left
-          (fun acc (lo, hi) ->
-            let lines = ref 0 in
-            let pos = ref lo in
-            while !pos < hi && Pheap.get sim.heap !pos <> 0 do
-              incr lines;
-              pos := !pos + Layout.words_per_line
-            done;
-            acc + !lines)
-          0 sim.log_ranges
-      else 0
-    in
     {
-      wpq_lines =
-        Array.fold_left (fun acc s -> acc + Server.inflight_at s ~now) 0 sim.wpq_nvm;
+      wpq_lines = wpq_lines sim;
       dirty_l3_lines;
       dirty_dram_pages;
-      armed_log_lines;
+      armed_log_lines = armed_log_lines sim;
     }
 
   (* Per-line energy estimates (nJ): an Optane line write is the

@@ -118,6 +118,10 @@ module Debt : sig
   val sample : sim -> t
   (** Instantaneous debt (callable from a monitor thread mid-run). *)
 
+  val pending_lines : sim -> int
+  (** [wpq_lines + armed_log_lines] of {!sample}, computed without the
+      L3 and page-cache scans: the cheap admission probe. *)
+
   val reserve_energy_nj : sim -> t -> float
   (** Energy to retire the debt under this machine's durability
       domain, using per-line NVM-write and DRAM-read costs documented

@@ -79,21 +79,21 @@ type tx = {
   mutable attempts : int;
   (* Redo: write-set index (volatile, the "DRAM half" of the split log):
      addr -> entry index.  Undo: addr -> 0 marker of already-logged words. *)
-  wmap : (int, int) Hashtbl.t;
+  wmap : Repro_util.Int_table.t;
   vaddrs : Repro_util.Int_vec.t; (* redo: addr per entry *)
   vvals : Repro_util.Int_vec.t; (* redo: volatile copy of the latest value *)
   uvec : Repro_util.Int_vec.t; (* undo: (addr, old) pairs in append order *)
   reads : Repro_util.Int_vec.t; (* (oidx, observed version) pairs *)
   acquired : Repro_util.Int_vec.t; (* oidxs I hold locked *)
-  amap : (int, int) Hashtbl.t; (* oidx -> version before I locked it *)
-  flushed : (int, unit) Hashtbl.t; (* line dedup for bulk flushes *)
+  amap : Repro_util.Int_table.t; (* oidx -> version before I locked it *)
+  flushed : Repro_util.Int_table.t; (* line dedup for bulk flushes (set) *)
   mutable lscratch : int array; (* line addresses for vectored sweeps *)
   mutable commit_hooks : (unit -> unit) list;
   mutable abort_hooks : (unit -> unit) list;
   mutable undo_status_written : bool;
   mutable log_flushed_upto : int; (* Incremental policy: first unflushed line *)
   mutable mode : algorithm; (* effective algorithm for this attempt (HTM falls back) *)
-  wlines : (int, unit) Hashtbl.t; (* HTM: distinct written lines (capacity model) *)
+  wlines : Repro_util.Int_table.t; (* HTM: distinct written lines (capacity model; set) *)
   (* MOD: [lo, hi) word ranges allocated by this transaction — writes
      inside them are shadow-class (unreachable until the root swap). *)
   fresh : Repro_util.Int_vec.t;
@@ -199,21 +199,21 @@ let fresh_tx t tid =
     depth = 0;
     rv = 0;
     attempts = 0;
-    wmap = Hashtbl.create 64;
+    wmap = Repro_util.Int_table.create 64;
     vaddrs = Repro_util.Int_vec.create ();
     vvals = Repro_util.Int_vec.create ();
     uvec = Repro_util.Int_vec.create ();
     reads = Repro_util.Int_vec.create ~capacity:64 ();
     acquired = Repro_util.Int_vec.create ();
-    amap = Hashtbl.create 16;
-    flushed = Hashtbl.create 64;
+    amap = Repro_util.Int_table.create 16;
+    flushed = Repro_util.Int_table.create 64;
     lscratch = Array.make 16 0;
     commit_hooks = [];
     abort_hooks = [];
     undo_status_written = false;
     log_flushed_upto = 0;
     mode = t.alg;
-    wlines = Hashtbl.create 64;
+    wlines = Repro_util.Int_table.create 64;
     fresh = Repro_util.Int_vec.create ();
     pub_addr = -1;
     in_alloc = false;
@@ -367,27 +367,31 @@ let tx_for t =
 let log_base tx = Pmem.Region.log_base tx.ptm.reg ~tid:tx.tid
 
 let reset_tx tx =
-  Hashtbl.reset tx.wmap;
+  Repro_util.Int_table.clear tx.wmap;
   Repro_util.Int_vec.clear tx.vaddrs;
   Repro_util.Int_vec.clear tx.vvals;
   Repro_util.Int_vec.clear tx.uvec;
   Repro_util.Int_vec.clear tx.reads;
   Repro_util.Int_vec.clear tx.acquired;
-  Hashtbl.reset tx.amap;
-  Hashtbl.reset tx.flushed;
+  Repro_util.Int_table.clear tx.amap;
+  Repro_util.Int_table.clear tx.flushed;
   tx.commit_hooks <- [];
   tx.abort_hooks <- [];
   tx.undo_status_written <- false;
   tx.log_flushed_upto <- Layout.line_of_addr (log_base tx + 2);
-  Hashtbl.reset tx.wlines;
+  Repro_util.Int_table.clear tx.wlines;
   Repro_util.Int_vec.clear tx.fresh;
   tx.pub_addr <- -1;
   tx.in_alloc <- false
 
+(* Lookup sentinel for the per-transaction tables: they only ever hold
+   entry indices and unlocked version words, both >= 0. *)
+let absent = -1
+
 (* Release every orec I hold, restoring pre-lock versions. *)
 let release_acquired_to_previous tx =
   Repro_util.Int_vec.iter
-    (fun oidx -> orec_set tx.ptm oidx (Hashtbl.find tx.amap oidx))
+    (fun oidx -> orec_set tx.ptm oidx (Repro_util.Int_table.find tx.amap oidx ~absent))
     tx.acquired
 
 let release_acquired_to tx version_word_value =
@@ -406,9 +410,8 @@ let validate_reads tx =
       let cur = orec_get t oidx in
       if cur = seen then go (i + 2)
       else if locked_by cur tx.tid then
-        match Hashtbl.find tx.amap oidx with
-        | prev -> prev = seen && go (i + 2)
-        | exception Not_found -> false
+        (* [seen] is unlocked, so it never equals [absent]. *)
+        Repro_util.Int_table.find tx.amap oidx ~absent = seen && go (i + 2)
       else false
     end
   in
@@ -477,12 +480,12 @@ let ensure_scratch tx k =
 (* Collect the distinct cache lines of a write set into [tx.lscratch]
    in first-touch order (deterministic sweeps); returns the count. *)
 let gather_lines tx iter_addrs =
-  Hashtbl.reset tx.flushed;
+  Repro_util.Int_table.clear tx.flushed;
   let k = ref 0 in
   iter_addrs (fun addr ->
       let line = Layout.line_of_addr addr in
-      if not (Hashtbl.mem tx.flushed line) then begin
-        Hashtbl.add tx.flushed line ();
+      if not (Repro_util.Int_table.mem tx.flushed line) then begin
+        Repro_util.Int_table.replace tx.flushed line 0;
         ensure_scratch tx (!k + 1);
         tx.lscratch.(!k) <- Layout.addr_of_line line;
         incr k
@@ -539,30 +542,34 @@ let write_status tx status =
 
 (* ---------- redo (orec-lazy) ---------- *)
 
-(* Write-set lookups run on every transactional op: the
-   [match ... with exception Not_found] form keeps the hit path free of
-   the [Some] cell [Hashtbl.find_opt] would box per call. *)
+(* Write-set lookups run on every transactional op: [Int_table.find]
+   returns the [absent] sentinel on a miss, so neither path raises or
+   boxes.  A read-only prefix (the common case) skips the probe. *)
 let redo_read tx addr =
-  match Hashtbl.find tx.wmap addr with
-  | idx ->
-    (* Read-own-write: the index lives in DRAM, the value in the
-       persistent log — model the log lookup as a real load. *)
-    ignore (tx.ptm.m.Machine.load (log_base tx + 2 + (2 * idx) + 1));
-    Repro_util.Int_vec.get tx.vvals idx
-  | exception Not_found -> read_shared tx addr
+  if Repro_util.Int_table.length tx.wmap = 0 then read_shared tx addr
+  else
+    let idx = Repro_util.Int_table.find tx.wmap addr ~absent in
+    if idx = absent then read_shared tx addr
+    else begin
+      (* Read-own-write: the index lives in DRAM, the value in the
+         persistent log — model the log lookup as a real load. *)
+      ignore (tx.ptm.m.Machine.load (log_base tx + 2 + (2 * idx) + 1));
+      Repro_util.Int_vec.get tx.vvals idx
+    end
 
 let redo_write tx addr value =
   assert (addr > 0);
   let t = tx.ptm in
-  match Hashtbl.find tx.wmap addr with
-  | idx ->
+  let idx = Repro_util.Int_table.find tx.wmap addr ~absent in
+  if idx <> absent then begin
     (* Update the log entry in place (hash-table log, §I). *)
     Repro_util.Int_vec.set tx.vvals idx value;
     t.m.Machine.store (log_base tx + 2 + (2 * idx) + 1) value
-  | exception Not_found ->
+  end
+  else begin
     let idx = Repro_util.Int_vec.length tx.vaddrs in
     if idx >= t.log_capacity then raise Log_overflow;
-    Hashtbl.add tx.wmap addr idx;
+    Repro_util.Int_table.replace tx.wmap addr idx;
     Repro_util.Int_vec.push tx.vaddrs addr;
     Repro_util.Int_vec.push tx.vvals value;
     let pos = log_base tx + 2 + (2 * idx) in
@@ -577,6 +584,7 @@ let redo_write tx addr value =
         tx.log_flushed_upto <- tx.log_flushed_upto + 1
       done
     end
+  end
 
 (* Commit-time acquisition of every orec covering the write set, then
    read-set validation.  Returns the write version, or -1 when
@@ -586,12 +594,12 @@ let redo_acquire_validate tx =
   Repro_util.Int_vec.iter
     (fun addr ->
       let oidx = orec_of t addr in
-      if not (Hashtbl.mem tx.amap oidx) then begin
+      if not (Repro_util.Int_table.mem tx.amap oidx) then begin
         let v = orec_get t oidx in
         if locked v then conflict tx "acquire-locked" addr;
         if version_of v > tx.rv && not (extend tx) then conflict tx "acquire-stale" addr;
         if not (orec_cas t oidx v (lock_word tx.tid)) then conflict tx "acquire-cas" addr;
-        Hashtbl.add tx.amap oidx v;
+        Repro_util.Int_table.replace tx.amap oidx v;
         Repro_util.Int_vec.push tx.acquired oidx
       end)
     tx.vaddrs;
@@ -729,10 +737,10 @@ let undo_write tx addr value =
     if locked v then conflict tx "write-locked" addr;
     if version_of v > tx.rv && not (extend tx) then conflict tx "write-stale" addr;
     if not (orec_cas t oidx v (lock_word tx.tid)) then conflict tx "write-cas" addr;
-    Hashtbl.add tx.amap oidx v;
+    Repro_util.Int_table.replace tx.amap oidx v;
     Repro_util.Int_vec.push tx.acquired oidx
   end;
-  if not (Hashtbl.mem tx.wmap addr) then begin
+  if not (Repro_util.Int_table.mem tx.wmap addr) then begin
     (* First write to this word: persist (addr, old) before updating in
        place — the per-write flush + fence that makes undo O(W). *)
     if not tx.undo_status_written then begin
@@ -750,7 +758,7 @@ let undo_write tx addr value =
     let idx = Repro_util.Int_vec.length tx.uvec / 2 in
     if idx >= t.log_capacity then raise Log_overflow;
     let old = t.m.Machine.load addr in
-    Hashtbl.add tx.wmap addr 0;
+    Repro_util.Int_table.replace tx.wmap addr 0;
     Repro_util.Int_vec.push tx.uvec addr;
     Repro_util.Int_vec.push tx.uvec old;
     let pos = log_base tx + 2 + (2 * idx) in
@@ -868,26 +876,29 @@ let htm_read_cap = 1024
 let htm_fallback_attempts = 4
 
 let htm_read tx addr =
-  match Hashtbl.find tx.wmap addr with
-  | idx -> Repro_util.Int_vec.get tx.vvals idx
-  | exception Not_found ->
+  let idx = Repro_util.Int_table.find tx.wmap addr ~absent in
+  if idx <> absent then Repro_util.Int_vec.get tx.vvals idx
+  else begin
     if Repro_util.Int_vec.length tx.reads >= 2 * htm_read_cap then conflict tx "htm-read-cap" addr;
     read_shared tx addr
+  end
 
 let htm_write tx addr value =
   assert (addr > 0);
-  match Hashtbl.find tx.wmap addr with
-  | idx -> Repro_util.Int_vec.set tx.vvals idx value
-  | exception Not_found ->
+  let idx = Repro_util.Int_table.find tx.wmap addr ~absent in
+  if idx <> absent then Repro_util.Int_vec.set tx.vvals idx value
+  else begin
     let line = Layout.line_of_addr addr in
-    if not (Hashtbl.mem tx.wlines line) then begin
-      if Hashtbl.length tx.wlines >= htm_write_line_cap then conflict tx "htm-write-cap" addr;
-      Hashtbl.add tx.wlines line ()
+    if not (Repro_util.Int_table.mem tx.wlines line) then begin
+      if Repro_util.Int_table.length tx.wlines >= htm_write_line_cap then
+        conflict tx "htm-write-cap" addr;
+      Repro_util.Int_table.replace tx.wlines line 0
     end;
     let idx = Repro_util.Int_vec.length tx.vaddrs in
-    Hashtbl.add tx.wmap addr idx;
+    Repro_util.Int_table.replace tx.wmap addr idx;
     Repro_util.Int_vec.push tx.vaddrs addr;
     Repro_util.Int_vec.push tx.vvals value
+  end
 
 (* As [redo_acquire_validate], but conflicts abort the hardware
    transaction directly (no named-site hook). *)
@@ -896,12 +907,12 @@ let htm_acquire_validate tx =
   Repro_util.Int_vec.iter
     (fun addr ->
       let oidx = orec_of t addr in
-      if not (Hashtbl.mem tx.amap oidx) then begin
+      if not (Repro_util.Int_table.mem tx.amap oidx) then begin
         let v = orec_get t oidx in
         if locked v then raise Conflict;
         if version_of v > tx.rv && not (extend tx) then raise Conflict;
         if not (orec_cas t oidx v (lock_word tx.tid)) then raise Conflict;
-        Hashtbl.add tx.amap oidx v;
+        Repro_util.Int_table.replace tx.amap oidx v;
         Repro_util.Int_vec.push tx.acquired oidx
       end)
     tx.vaddrs;
@@ -988,9 +999,8 @@ let mod_is_fresh tx addr =
   go 0
 
 let mod_read tx addr =
-  match Hashtbl.find tx.wmap addr with
-  | idx -> Repro_util.Int_vec.get tx.vvals idx
-  | exception Not_found -> read_shared tx addr
+  let idx = Repro_util.Int_table.find tx.wmap addr ~absent in
+  if idx <> absent then Repro_util.Int_vec.get tx.vvals idx else read_shared tx addr
 
 (* Materialize the volatile write buffer into the persistent redo log
    and continue this attempt as a redo transaction.  The volatile index
@@ -1018,9 +1028,9 @@ let mod_fallback tx =
 
 let mod_write tx addr value =
   assert (addr > 0);
-  match Hashtbl.find tx.wmap addr with
-  | idx -> Repro_util.Int_vec.set tx.vvals idx value
-  | exception Not_found ->
+  let idx = Repro_util.Int_table.find tx.wmap addr ~absent in
+  if idx <> absent then Repro_util.Int_vec.set tx.vvals idx value
+  else begin
     let fresh = mod_is_fresh tx addr in
     if (not fresh) && tx.pub_addr >= 0 && tx.pub_addr <> addr then begin
       (* Second distinct home-location word: not a single-root-swap
@@ -1031,10 +1041,11 @@ let mod_write tx addr value =
     else begin
       if not fresh then tx.pub_addr <- addr;
       let idx = Repro_util.Int_vec.length tx.vaddrs in
-      Hashtbl.add tx.wmap addr idx;
+      Repro_util.Int_table.replace tx.wmap addr idx;
       Repro_util.Int_vec.push tx.vaddrs addr;
       Repro_util.Int_vec.push tx.vvals value
     end
+  end
 
 (* Only the publish word needs an ownership record: shadow nodes are
    private until the swap and immutable after.  Returns the write
@@ -1048,7 +1059,7 @@ let mod_acquire_validate tx =
     if locked v then conflict tx "acquire-locked" addr;
     if version_of v > tx.rv && not (extend tx) then conflict tx "acquire-stale" addr;
     if not (orec_cas t oidx v (lock_word tx.tid)) then conflict tx "acquire-cas" addr;
-    Hashtbl.add tx.amap oidx v;
+    Repro_util.Int_table.replace tx.amap oidx v;
     Repro_util.Int_vec.push tx.acquired oidx
   end;
   let wv = clock_next t in
@@ -1140,7 +1151,7 @@ let mod_try_commit tx =
         let publish () =
           if tx.pub_addr >= 0 then begin
             let a = tx.pub_addr in
-            let pv = Repro_util.Int_vec.get tx.vvals (Hashtbl.find tx.wmap a) in
+            let pv = Repro_util.Int_vec.get tx.vvals (Repro_util.Int_table.find tx.wmap a ~absent) in
             match t.inject with
             | Some Tear_write ->
               (* Injected torn root swap: a byte-granular root write

@@ -95,6 +95,41 @@ let test_log_overflow alg =
             Ptm.write tx (base + i) i
           done))
 
+(* A write set far past the per-transaction tables' initial capacities:
+   600 distinct words, every third written twice, read back inside the
+   transaction; then the next transaction on the same thread reads them
+   through the shared path; then an aborted transaction of the same
+   shape must leave every word as committed. *)
+let test_large_write_set alg =
+  let _, _, ptm = Helpers.ptm_fixture ~algorithm:alg ~log_words_per_thread:2048 () in
+  let n = 600 in
+  let base = Ptm.atomic ptm (fun tx -> Ptm.alloc tx n) in
+  let expected i = if i mod 3 = 0 then (2 * i) + 1 else i + 1000 in
+  let check_all tx what =
+    for i = 0 to n - 1 do
+      Helpers.check_int what (expected i) (Ptm.read tx (base + i))
+    done
+  in
+  Ptm.Stats.reset ptm;
+  Ptm.atomic ptm (fun tx ->
+      for i = 0 to n - 1 do
+        Ptm.write tx (base + i) (i + 1000)
+      done;
+      for i = 0 to n - 1 do
+        if i mod 3 = 0 then Ptm.write tx (base + i) ((2 * i) + 1)
+      done;
+      check_all tx "read own write");
+  Helpers.check_int "distinct words logged" n (Ptm.Stats.get ptm).Ptm.Stats.max_write_set;
+  Ptm.atomic ptm (fun tx -> check_all tx "committed value");
+  (try
+     Ptm.atomic ptm (fun tx ->
+         for i = 0 to n - 1 do
+           Ptm.write tx (base + i) (-i)
+         done;
+         failwith "boom")
+   with Failure _ -> ());
+  Ptm.atomic ptm (fun tx -> check_all tx "abort left the heap unchanged")
+
 let test_stats_commits_counted alg =
   let _, _, ptm = fixture ~algorithm:alg () in
   let addr = Ptm.atomic ptm (fun tx -> Ptm.alloc tx 1) in
@@ -331,6 +366,7 @@ let suite =
       both "free recycles" test_free_recycles_after_commit;
       both "nested flattening" test_nested_atomic_flattens;
       both "on_commit once" test_on_commit_runs_once;
+      both "large write set" test_large_write_set;
       both "stats" test_stats_commits_counted;
       both "parallel counter" test_parallel_counter;
       both "disjoint counters" test_parallel_disjoint_counters;

@@ -203,6 +203,62 @@ let test_int_vec_rev_pairs () =
   Alcotest.(check (list (pair int int)))
     "reverse pair order" [ (1, 10); (2, 20); (3, 30) ] !seen
 
+(* Int_table against Stdlib.Hashtbl (with [replace] semantics) on one
+   long-lived table per trace: it starts at 2 slots, so the distinct
+   keys inserted between clears force several growths, and every clear
+   must hide every key bound before it.  Keys include negatives and
+   arbitrary ints; [min_int] is never a value, so it is a safe sentinel. *)
+type int_table_op = Replace of int * int | Find of int | Mem of int | Clear
+
+let prop_int_table_matches_hashtbl =
+  let open QCheck2.Gen in
+  let key = frequency [ (9, int_range (-64) 512); (1, int) ] in
+  let op =
+    frequency
+      [
+        (10, map2 (fun k v -> Replace (k, v)) key small_int);
+        (4, map (fun k -> Find k) key);
+        (3, map (fun k -> Mem k) key);
+        (1, return Clear);
+      ]
+  in
+  Helpers.qtest ~count:100 "int_table differentially equals Hashtbl"
+    (list_size (int_range 200 2000) op)
+    (fun ops ->
+      let subject = Int_table.create 2 in
+      let oracle = Hashtbl.create 16 in
+      let absent = min_int in
+      let step = function
+        | Replace (k, v) ->
+          Int_table.replace subject k v;
+          Hashtbl.replace oracle k v;
+          true
+        | Find k ->
+          Int_table.find subject k ~absent
+          = (match Hashtbl.find_opt oracle k with Some v -> v | None -> absent)
+        | Mem k -> Int_table.mem subject k = Hashtbl.mem oracle k
+        | Clear ->
+          let stale = List.of_seq (Hashtbl.to_seq_keys oracle) in
+          Int_table.clear subject;
+          Hashtbl.reset oracle;
+          List.for_all
+            (fun k -> (not (Int_table.mem subject k)) && Int_table.find subject k ~absent = absent)
+            stale
+      in
+      List.for_all (fun o -> step o && Int_table.length subject = Hashtbl.length oracle) ops)
+
+let test_int_table_clear_many () =
+  let t = Int_table.create 4 in
+  for round = 1 to 500 do
+    for k = 0 to (round mod 97) + 3 do
+      Int_table.replace t ((k * 7919) + round) round
+    done;
+    Helpers.check_int "length" ((round mod 97) + 4) (Int_table.length t);
+    Int_table.clear t;
+    Helpers.check_int "cleared" 0 (Int_table.length t);
+    Helpers.check_bool "no stale key" false (Int_table.mem t round)
+  done
+
 let test_histogram_percentiles () =
   let h = Histogram.create () in
   for v = 1 to 1000 do
@@ -397,6 +453,8 @@ let suite =
     prop_lru_capacity_respected;
     Alcotest.test_case "int_vec: push/get/clear" `Quick test_int_vec_push_get;
     Alcotest.test_case "int_vec: rev pairs" `Quick test_int_vec_rev_pairs;
+    prop_int_table_matches_hashtbl;
+    Alcotest.test_case "int_table: hundreds of clears" `Quick test_int_table_clear_many;
     Alcotest.test_case "histogram: percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "histogram: bounded error" `Quick test_histogram_bounded_error;
     Alcotest.test_case "histogram: merge" `Quick test_histogram_merge;
