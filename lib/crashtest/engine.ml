@@ -60,18 +60,6 @@ let pp_report ppf r =
         | None -> ())
       fs
 
-(* ---------- env knobs ---------- *)
-
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( try int_of_string (String.trim s) with _ -> default)
-  | None -> default
-
-let exhaustive_from_env () =
-  match Sys.getenv_opt "CRASHTEST_EXHAUSTIVE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* ---------- one execution ---------- *)
 
 let make_config ~nvm_channels scenario model =
@@ -243,13 +231,8 @@ let shrink ~probe ~budget t0 =
   done;
   !best
 
-let explore ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
-    ~model ~algorithm scenario =
-  let exhaustive =
-    match exhaustive with Some b -> b | None -> exhaustive_from_env ()
-  in
-  let points = match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64 in
-  let seed = match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1 in
+let explore ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24)
+    ?(nvm_channels = 4) ?inject ~model ~algorithm scenario =
   let cfg = make_config ~nvm_channels scenario model in
   let image = prepare_image cfg scenario ~algorithm in
   Fun.protect
@@ -594,11 +577,8 @@ let fams_replay_command ?inject scenario_name model_name granularity seed crash_
     seed crash_at
     (match inject with None -> "" | Some i -> ":" ^ Fams.inject_name i)
 
-let explore_fams ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
-    ~model ~granularity scenario =
-  let exhaustive = match exhaustive with Some b -> b | None -> exhaustive_from_env () in
-  let points = match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64 in
-  let seed = match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1 in
+let explore_fams ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24)
+    ?(nvm_channels = 4) ?inject ~model ~granularity scenario =
   let cfg = make_fams_config ~nvm_channels scenario model in
   let image = prepare_fams_image cfg scenario ~granularity in
   Fun.protect

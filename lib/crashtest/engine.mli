@@ -20,13 +20,9 @@
 
     Sampling is driven by a seeded RNG, so every run — including which
     crash points were probed — is reproducible from the printed seed.
-
-    Environment knobs (read by {!explore} when the corresponding
-    argument is omitted):
-    - [CRASHTEST_EXHAUSTIVE=1] — probe {e every} candidate instant
-      instead of a sample;
-    - [CRASHTEST_POINTS=n] — sample size per cell (default 64);
-    - [CRASHTEST_SEED=n] — base RNG seed (default 1). *)
+    The engine reads no environment: callers pass every knob (the
+    [@crashtest] gate maps its [CRASHTEST_*] variables onto these
+    arguments). *)
 
 (** A failed oracle or validator check.  [counterexample], when present,
     is a replayable JSONL dump (see {!Dlin.counterexample}) written as
@@ -112,7 +108,9 @@ val explore :
   algorithm:Pstm.Ptm.algorithm ->
   scenario ->
   report
-(** Run the full exploration for one matrix cell.  Interleaved
+(** Run the full exploration for one matrix cell: a seeded sample of
+    [points] candidate instants (default 64, [seed] default 1), or every
+    candidate when [exhaustive] (default [false]).  Interleaved
     [nvm_channels] default to 4 so WPQ completions can reorder relative
     to issue order — the hazard window missing fences open.
     [inject] arms a deliberate PTM ordering bug for mutation-testing the
@@ -197,11 +195,13 @@ val explore_fams :
   granularity:Fams.granularity ->
   fams_scenario ->
   report
-(** {!explore} for a FAMS matrix cell.  The crash sweep hits instants
-    inside the journal sweep, inside the apply phase, and in the window
-    between sync publication and journal durability.  [inject] arms a
-    deliberate FAMS protocol bug ({!Fams.inject}) for mutation-testing
-    the oracle.
+(** {!explore} for a FAMS matrix cell, with the same defaults.  The
+    crash sweep hits instants inside the journal sweep, inside the apply
+    phase, and in the window between sync publication and journal
+    durability.  [inject] arms a deliberate FAMS protocol bug
+    ({!Fams.inject}) for mutation-testing the oracle; its names
+    ([skip-publish-fence], [torn-journal-entry]) appear only in FAMS
+    replay lines (see {!parse_fams_replay}).
     @raise Failure if the crash-free reference run already violates the
     scenario's model. *)
 

@@ -411,37 +411,49 @@ let test_trace_accounting () =
      whole latency window — exactly, for the single-key generated
      fleet — on every durability domain, clean and crashed. *)
   let fleet = small_fleet () in
-  List.iter
-    (fun (model, crash_at) ->
-      let cfg = { (small_config ~model ()) with Service.trace = true } in
-      let r = Service.run ~jobs:1 ?crash_at cfg fleet in
-      let tr =
-        match r.Service.trace with
-        | Some tr -> tr
-        | None -> Alcotest.fail "tracing enabled but result carries no trace"
-      in
-      let rows = Trace.accounting tr in
-      Helpers.check_int
-        (Printf.sprintf "%s: one accounting row per request" r.Service.model)
-        fleet.Client.requests (List.length rows);
-      List.iter
-        (fun (trace, latency, attributed) ->
-          if latency <> attributed then
-            Alcotest.failf "%s: trace %d attributed %dns of %dns latency" r.Service.model
-              trace attributed latency)
-        rows;
-      (* Digests are stable across reruns and pool sizes. *)
-      let again = Service.run ~jobs:2 ?crash_at cfg fleet in
-      match again.Service.trace with
-      | Some tr2 ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s: digest stable across jobs" r.Service.model)
-          (Trace.digest tr) (Trace.digest tr2)
-      | None -> Alcotest.fail "rerun lost its trace")
-    [
-      (Config.optane_adr, None); (Config.optane_eadr, None); (Config.dram_adr, None);
-      (Config.pdram_lite, None); (Config.optane_adr, Some 15_000);
-    ]
+  let digests =
+    List.map
+      (fun (model, crash_at) ->
+        let cfg = { (small_config ~model ()) with Service.trace = true } in
+        let r = Service.run ~jobs:1 ?crash_at cfg fleet in
+        let tr =
+          match r.Service.trace with
+          | Some tr -> tr
+          | None -> Alcotest.fail "tracing enabled but result carries no trace"
+        in
+        let rows = Trace.accounting tr in
+        Helpers.check_int
+          (Printf.sprintf "%s: one accounting row per request" r.Service.model)
+          fleet.Client.requests (List.length rows);
+        List.iter
+          (fun (trace, latency, attributed) ->
+            if latency <> attributed then
+              Alcotest.failf "%s: trace %d attributed %dns of %dns latency" r.Service.model
+                trace attributed latency)
+          rows;
+        (* The p95–100 tail blame attributes exactly its band. *)
+        let b = Trace.blame tr ~lo_pct:95.0 ~hi_pct:100.0 in
+        Helpers.check_bool
+          (Printf.sprintf "%s: tail blame attributes its band" r.Service.model)
+          true
+          (b.Trace.brequests > 0 && b.Trace.battributed_ns = b.Trace.btotal_latency_ns);
+        (* Digests are stable across reruns and pool sizes. *)
+        let again = Service.run ~jobs:2 ?crash_at cfg fleet in
+        (match again.Service.trace with
+        | Some tr2 ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: digest stable across jobs" r.Service.model)
+            (Trace.digest tr) (Trace.digest tr2)
+        | None -> Alcotest.fail "rerun lost its trace");
+        ((r.Service.model, crash_at <> None), Trace.digest tr))
+      [
+        (Config.optane_adr, None); (Config.optane_eadr, None); (Config.dram_adr, None);
+        (Config.pdram_lite, None); (Config.optane_adr, Some 15_000);
+      ]
+  in
+  let adr = Config.optane_adr.Config.model_name in
+  Helpers.check_bool "a crash changes the span digest" true
+    (List.assoc (adr, false) digests <> List.assoc (adr, true) digests)
 
 let test_trace_multiget_overlap () =
   (* A multi-key get fans out to several shards whose spans overlap in
