@@ -10,9 +10,6 @@ type t = {
   mutable writebacks : int;
 }
 
-type evicted = { line : int; dirty : bool }
-type access = Hit | Miss of evicted option
-
 let floor_pow2 n =
   let rec go p = if p * 2 <= n then go (p * 2) else p in
   if n <= 1 then 1 else go 1
@@ -34,55 +31,8 @@ let create ?(line_bytes = 64) ~bytes ~ways () =
 
 let set_of t line = line land (t.sets - 1)
 
-(* Index of [line] within its set, or the victim way (invalid first,
-   else LRU) when absent. *)
-let find t line =
-  let base = set_of t line * t.ways in
-  let found = ref (-1) in
-  let victim = ref base in
-  let oldest = ref max_int in
-  for w = 0 to t.ways - 1 do
-    let i = base + w in
-    if t.tags.(i) = line then found := i
-    else if t.tags.(i) = -1 && !oldest > -1 then begin
-      (* Prefer an invalid way; mark preference with oldest = -1. *)
-      victim := i;
-      oldest := -1
-    end
-    else if !oldest >= 0 && t.stamp.(i) < !oldest then begin
-      victim := i;
-      oldest := t.stamp.(i)
-    end
-  done;
-  (!found, !victim)
-
-let access t ~line ~write =
-  t.tick <- t.tick + 1;
-  let found, victim = find t line in
-  if found >= 0 then begin
-    t.hits <- t.hits + 1;
-    t.stamp.(found) <- t.tick;
-    if write then t.dirty.(found) <- true;
-    Hit
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    let ev =
-      if t.tags.(victim) = -1 then None
-      else begin
-        let d = t.dirty.(victim) in
-        if d then t.writebacks <- t.writebacks + 1;
-        Some { line = t.tags.(victim); dirty = d }
-      end
-    in
-    t.tags.(victim) <- line;
-    t.dirty.(victim) <- write;
-    t.stamp.(victim) <- t.tick;
-    Miss ev
-  end
-
-(* Way index of a resident [line], or -1.  Early-exit scan: the victim
-   bookkeeping [find] also carries is only needed on a miss. *)
+(* Way index of a resident [line], or -1.  Early-exit scan: victim
+   choice is only needed on a miss. *)
 let find_hit t line =
   let base = set_of t line * t.ways in
   let limit = base + t.ways in
@@ -94,12 +44,12 @@ let find_hit t line =
 let hit = -1
 let miss_clean = -2
 
-(* Allocation-free twin of [access] for the simulator hot path: same
-   state transitions and counters, but the result is a packed int
-   ([hit] / [miss_clean] / the dirty victim's line number) instead of a
-   [Miss (Some {line; dirty})] record chain.  Clean victims need no
-   action from the caller (data lives in the heap), so only dirty
-   evictions are distinguished.  Any edit here must mirror [access]. *)
+(* The result is a packed int ([hit] / [miss_clean] / the dirty
+   victim's line number), so a lookup allocates nothing.  Clean victims
+   need no action from the caller (data lives in the heap), so only
+   dirty evictions are distinguished.  The variant-returning reference
+   model in [test/test_memsim.ml] pins these transitions down; an edit
+   here must keep them equal. *)
 let access_fast t ~line ~write =
   t.tick <- t.tick + 1;
   let f = find_hit t line in
@@ -111,8 +61,8 @@ let access_fast t ~line ~write =
   end
   else begin
     t.misses <- t.misses + 1;
-    (* Victim choice exactly as [find]: first invalid way, else least
-       recent stamp (first minimum). *)
+    (* Victim: the first invalid way, else the least recent stamp
+       (first minimum). *)
     let base = set_of t line * t.ways in
     let victim = ref base in
     let oldest = ref max_int in

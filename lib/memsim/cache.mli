@@ -6,26 +6,19 @@
 
 type t
 
-type evicted = { line : int; dirty : bool }
-
-type access = Hit | Miss of evicted option
-(** On a miss the requested line is installed; [Miss (Some e)] reports
-    the victim that had to leave. *)
-
 val create : ?line_bytes:int -> bytes:int -> ways:int -> unit -> t
 (** [bytes] total capacity; [ways] associativity.  The number of sets
     is rounded down to a power of two (at least one). *)
-
-val access : t -> line:int -> write:bool -> access
-(** Look up [line]; install on miss; set the dirty bit when [write]. *)
 
 val hit : int
 val miss_clean : int
 
 val access_fast : t -> line:int -> write:bool -> int
-(** Allocation-free [access]: returns [hit] (-1), [miss_clean] (-2:
-    miss with no dirty victim), or the evicted dirty line's number
-    (>= 0, write-back required).  Identical state/counter updates. *)
+(** Look up [line]; install it on a miss, evicting the first invalid
+    way else the set's least recently used line; set the dirty bit when
+    [write].  Returns [hit] (-1), [miss_clean] (-2: miss with no dirty
+    victim), or the evicted dirty line's number (>= 0, write-back
+    required).  Allocates nothing. *)
 
 val clean : t -> line:int -> bool
 (** [clwb] behaviour: clear the line's dirty bit, keeping it resident

@@ -7,24 +7,50 @@ exception Crashed = Machine.Crashed
    on every suspension — measurable on the DES hot loop.) *)
 type _ Effect.t += Wait : unit Effect.t
 
-type state =
-  | Not_started of (unit -> unit)
-  | Suspended of (unit, unit) Effect.Deep.continuation
-  | Running
-  | Finished
+(* Thread status codes.  Ints, not a variant carrying the continuation:
+   suspending then boxes nothing, and the run loop tests a status with
+   one integer compare. *)
+let not_started = 0
+let suspended = 1
+let in_progress = 2
+let finished = 3
 
-type thread = {
-  thread_id : int;
-  mutable time : int;
-  mutable state : state;
-  self : thread option; (* pre-allocated [Some this] for [current] *)
-}
+(* Placeholder for a continuation slot whose thread is not [suspended]:
+   a continuation captured once at start-up and never resumed.  Only a
+   [suspended] thread's slot is ever read. *)
+type _ Effect.t += Park : unit Effect.t
 
+let parked : (unit, unit) Effect.Deep.continuation =
+  let slot : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Park
+    {
+      Effect.Deep.retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Park -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> slot := Some k)
+          | _ -> None);
+    };
+  match !slot with Some k -> k | None -> assert false
+
+(* Per-thread state lives in parallel arrays indexed by thread id, not
+   in a record per thread: the fast path reads and bumps a clock with no
+   pointer chase, and a suspension stores its continuation into an
+   array [create] allocated up front.  Usually that array is already
+   promoted when threads start, so the minor GC paces itself on
+   suspensions from the first one (a young per-thread record would
+   leave the first minor-heap cycle unbounded, which shows up as peak
+   RSS on short runs). *)
 type t = {
-  mutable table : thread array; (* index = thread_id; padded with [dummy] *)
+  mutable times : int array; (* virtual clock *)
+  mutable status : int array;
+  mutable conts : (unit, unit) Effect.Deep.continuation array; (* valid iff [suspended] *)
+  mutable bodies : (unit -> unit) array;
   mutable count : int;
   ready : Repro_util.Int_heap.t; (* key = wake time, payload = thread id *)
-  mutable current : thread option;
+  mutable current : int; (* running thread id; -1 outside a thread *)
+  mutable next : int; (* id the last Wait picked to run next; -1 = none *)
   mutable pending_ns : int; (* delay of the in-flight Wait perform *)
   mutable crash_limit : int; (* armed crash time; [max_int] = none *)
   mutable crashed : bool;
@@ -32,14 +58,18 @@ type t = {
   mutable started : bool;
 }
 
-let rec dummy = { thread_id = -1; time = 0; state = Finished; self = Some dummy }
+let initial_capacity = 8
 
 let create () =
   {
-    table = [||];
+    times = Array.make initial_capacity 0;
+    status = Array.make initial_capacity finished;
+    conts = Array.make initial_capacity parked;
+    bodies = Array.make initial_capacity ignore;
     count = 0;
     ready = Repro_util.Int_heap.create ();
-    current = None;
+    current = -1;
+    next = -1;
     pending_ns = 0;
     crash_limit = max_int;
     crashed = false;
@@ -49,95 +79,121 @@ let create () =
 
 let spawn t f =
   if t.started then invalid_arg "Sched.spawn: scheduler already running";
-  let rec th = { thread_id = t.count; time = 0; state = Not_started f; self = Some th } in
-  if t.count = Array.length t.table then begin
-    let bigger = Array.make (max 8 (2 * (t.count + 1))) dummy in
-    Array.blit t.table 0 bigger 0 t.count;
-    t.table <- bigger
+  let id = t.count in
+  if id = Array.length t.times then begin
+    let grow a fill =
+      let bigger = Array.make (2 * id) fill in
+      Array.blit a 0 bigger 0 id;
+      bigger
+    in
+    t.times <- grow t.times 0;
+    t.status <- grow t.status finished;
+    t.conts <- grow t.conts parked;
+    t.bodies <- grow t.bodies ignore
   end;
-  t.table.(t.count) <- th;
-  t.count <- t.count + 1;
-  Repro_util.Int_heap.push t.ready ~key:0 th.thread_id;
-  th.thread_id
+  t.status.(id) <- not_started;
+  t.bodies.(id) <- f;
+  t.count <- id + 1;
+  Repro_util.Int_heap.push t.ready ~key:0 id;
+  id
 
-let now t = match t.current with Some th -> th.time | None -> t.max_time
+(* [now] and the fast path of [wait] run on every machine operation, so
+   they index [times] unchecked: [current] is -1 or a spawned id, and
+   every spawned id is below the arrays' length. *)
+let now t = if t.current >= 0 then Array.unsafe_get t.times t.current else t.max_time
 
 (* Machine operations may also run outside [run] (untimed setup and
    recovery phases): time simply does not advance there, and thread id
    defaults to 0. *)
-let tid t = match t.current with Some th -> th.thread_id | None -> 0
+let tid t = if t.current >= 0 then t.current else 0
 
 (* Fast path: when the current thread, after advancing by [ns], is
    still strictly ahead of every pending wake-up, suspending it would
-   only have the scheduler pop it right back — no other thread can
+   only have the scheduler pick it right back — no other thread can
    interpose (FIFO tie-break means an *equal* wake time would run
    first, hence the strict [<]).  Advancing the clock inline is then
-   observably identical to the full perform/reschedule cycle, and skips
-   the continuation capture, the heap round-trip and the handler
-   dispatch.  A wake time at or past the armed crash limit must take
-   the slow path so the crash machinery sees the event. *)
+   observably identical to the full perform/reschedule cycle and costs
+   no continuation, heap operation or handler dispatch.  A wake time at
+   or past the armed crash limit must take the slow path so the crash
+   machinery sees the event. *)
 let wait t ns =
   assert (ns >= 0);
-  match t.current with
-  | None -> ()
-  | Some th ->
-    let nt = th.time + ns in
+  let cur = t.current in
+  if cur >= 0 then begin
+    let nt = Array.unsafe_get t.times cur + ns in
     if nt < t.crash_limit && nt < Repro_util.Int_heap.min_key t.ready then begin
-      th.time <- nt;
+      Array.unsafe_set t.times cur nt;
       if nt > t.max_time then t.max_time <- nt
     end
     else begin
       t.pending_ns <- ns;
       Effect.perform Wait
     end
+  end
 
 let wait_until t target =
-  match t.current with
-  | None -> ()
-  | Some th -> if target > th.time then wait t (target - th.time)
+  if t.current >= 0 then begin
+    let time = t.times.(t.current) in
+    if target > time then wait t (target - time)
+  end
 
 let crashed t = t.crashed
 
 let time_limit t = if t.crash_limit = max_int then None else Some t.crash_limit
 
-let running t = t.current <> None
+let running t = t.current >= 0
 
-let kill t th =
-  match th.state with
-  | Suspended k ->
-    th.state <- Finished;
-    t.current <- th.self;
+(* The id of the thread to run next: the one the last Wait already
+   chose, else the heap minimum.  [Int_heap.last_key] is its wake time
+   either way. *)
+let take_next t =
+  let id = t.next in
+  if id >= 0 then begin
+    t.next <- -1;
+    id
+  end
+  else Repro_util.Int_heap.pop t.ready
+
+let kill t id =
+  if t.status.(id) = suspended then begin
+    let k = t.conts.(id) in
+    t.conts.(id) <- parked;
+    t.status.(id) <- finished;
+    t.current <- id;
     (* The handler's exnc re-raises, so an uncaught Crashed surfaces
        here; a thread that swallows it instead terminates via retc. *)
     (try Effect.Deep.discontinue k Crashed with Crashed -> ());
-    t.current <- None
-  | Not_started _ | Running | Finished -> th.state <- Finished
+    t.current <- -1
+  end
+  else t.status.(id) <- finished
 
 let run ?crash_at t =
   if t.started then invalid_arg "Sched.run: scheduler already ran";
   t.started <- true;
   (match crash_at with Some c -> t.crash_limit <- c | None -> ());
-  (* The Wait arm of the handler is allocated once here, not per
-     perform: [effc] returns the same [Some on_wait] every time.  The
-     cast is safe because [Wait : unit Effect.t] fixes [a = unit]. *)
+  (* One context switch: park the caller and pick its successor with a
+     single fused heap operation, then return to the run loop below,
+     which resumes [t.next].  The Wait arm is allocated once here, not
+     per perform: [effc] returns the same [Some on_wait] every time.
+     The cast is safe because [Wait : unit Effect.t] fixes [a = unit]. *)
   let on_wait (k : (unit, unit) Effect.Deep.continuation) =
-    let th = match t.current with Some th -> th | None -> assert false in
-    th.time <- th.time + t.pending_ns;
-    th.state <- Suspended k;
+    let id = t.current in
+    let time = t.times.(id) + t.pending_ns in
+    t.times.(id) <- time;
+    t.status.(id) <- suspended;
+    t.conts.(id) <- k;
     (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
-    if th.time > t.max_time then t.max_time <- th.time;
-    Repro_util.Int_heap.push t.ready ~key:th.time th.thread_id
+    if time > t.max_time then t.max_time <- time;
+    t.next <- Repro_util.Int_heap.push_pop t.ready ~key:time id
   in
   let some_on_wait = Some on_wait in
   let handler =
     {
       Effect.Deep.retc =
         (fun () ->
-          match t.current with
-          | None -> assert false
-          | Some th ->
-            th.state <- Finished;
-            if th.time > t.max_time then t.max_time <- th.time);
+          let id = t.current in
+          t.status.(id) <- finished;
+          if t.times.(id) > t.max_time then t.max_time <- t.times.(id));
       exnc = (fun exn -> raise exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -146,42 +202,34 @@ let run ?crash_at t =
           | _ -> None);
     }
   in
-  let continue_loop = ref true in
-  while !continue_loop do
-    let id = Repro_util.Int_heap.pop t.ready in
-    if id < 0 then continue_loop := false
+  let id = ref (take_next t) in
+  while !id >= 0 do
+    let status = t.status.(!id) in
+    if status = finished then id := take_next t
+    else if Repro_util.Int_heap.last_key t.ready >= t.crash_limit then begin
+      t.crashed <- true;
+      kill t !id;
+      (* Power is gone: kill everything else too.  A killed thread that
+         waits in its cleanup is re-queued, and killed again here. *)
+      let other = ref (take_next t) in
+      while !other >= 0 do
+        kill t !other;
+        other := take_next t
+      done;
+      id := -1
+    end
     else begin
-      let th = t.table.(id) in
-      if th.state <> Finished then begin
-        let time = Repro_util.Int_heap.last_key t.ready in
-        if time >= t.crash_limit then begin
-          t.crashed <- true;
-          kill t th;
-          (* Power is gone: kill everything else too. *)
-          let rec drain () =
-            let other = Repro_util.Int_heap.pop t.ready in
-            if other >= 0 then begin
-              kill t t.table.(other);
-              drain ()
-            end
-          in
-          drain ();
-          continue_loop := false
-        end
-        else begin
-          t.current <- th.self;
-          (match th.state with
-          | Not_started f ->
-            th.state <- Running;
-            Effect.Deep.match_with f () handler
-          | Suspended k ->
-            th.state <- Running;
-            Effect.Deep.continue k ()
-          | Running | Finished -> assert false);
-          t.current <- None
-        end
-      end
+      t.current <- !id;
+      t.status.(!id) <- in_progress;
+      if status = not_started then Effect.Deep.match_with t.bodies.(!id) () handler
+      else begin
+        assert (status = suspended);
+        let k = t.conts.(!id) in
+        t.conts.(!id) <- parked;
+        Effect.Deep.continue k ()
+      end;
+      t.current <- -1;
+      id := take_next t
     end
   done;
-  t.current <- None;
   if t.crashed && t.crash_limit < t.max_time then t.max_time <- t.crash_limit

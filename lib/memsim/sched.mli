@@ -11,7 +11,13 @@
     whose next event would occur at or after that instant is
     discontinued with the {!Crashed} exception instead of being
     resumed.  Threads must let [Crashed] propagate (cleanup via
-    [Fun.protect] is fine). *)
+    [Fun.protect] is fine).
+
+    Cost: a {!wait} whose new wake time is strictly below every queued
+    wake time (and the crash time) advances the clock inline and
+    allocates nothing.  Any other wait is one context switch: the
+    runtime's continuation capture (its only allocation), one fused
+    requeue-and-pick on the event heap, and a resume. *)
 
 type t
 

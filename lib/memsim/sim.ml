@@ -610,8 +610,8 @@ let publish t addrs values n =
      whole commit.  Stale in-flight WPQ entries for the same lines are
      dropped (the hardened content supersedes whatever an earlier
      eviction captured).  The thread pays one NVM drain slot per line. *)
-  let touched = Hashtbl.create 16 in
   if t.cfg.model.durable_publish then begin
+    let touched = Hashtbl.create 16 in
     for i = 0 to n - 1 do
       Hashtbl.replace touched (Layout.line_of_addr addrs.(i)) ()
     done;

@@ -1,103 +1,123 @@
-(* Three parallel arrays per slot: key, insertion sequence (FIFO
-   tie-break, mirroring Min_heap), payload.  All sifting moves ints
-   only. *)
+(* One flat int array, three ints per slot: key, insertion sequence
+   (the FIFO tie-break) and payload.  Loops index slots by offset
+   [p = 3 * slot], so the children of [p] sit at [2p + 3] and [2p + 6]
+   and the parent at [(p - 3) / 6 * 3].  Sifts move a hole instead of
+   swapping: each level copies one slot, and the moving entry is
+   written once where it comes to rest.  The comparisons are spelled
+   out inline and the sift loops skip bounds checks, because this is
+   the scheduler's innermost loop: every offset they touch is below
+   [3 * size], and [size] never exceeds the array's capacity. *)
 
 type t = {
-  mutable keys : int array;
-  mutable seqs : int array;
-  mutable vals : int array;
+  mutable slots : int array;
   mutable size : int;
   mutable next_seq : int;
   mutable popped_key : int;
 }
 
-let create () =
-  {
-    keys = [||];
-    seqs = [||];
-    vals = [||];
-    size = 0;
-    next_seq = 0;
-    popped_key = max_int;
-  }
+external get : int array -> int -> int = "%array_unsafe_get"
+external set : int array -> int -> int -> unit = "%array_unsafe_set"
+
+let create () = { slots = [||]; size = 0; next_seq = 0; popped_key = max_int }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-(* Slot [a] precedes slot [b] in heap order. *)
-let before t a b =
-  t.keys.(a) < t.keys.(b) || (t.keys.(a) = t.keys.(b) && t.seqs.(a) < t.seqs.(b))
-
-let swap t a b =
-  let k = t.keys.(a) in
-  t.keys.(a) <- t.keys.(b);
-  t.keys.(b) <- k;
-  let s = t.seqs.(a) in
-  t.seqs.(a) <- t.seqs.(b);
-  t.seqs.(b) <- s;
-  let v = t.vals.(a) in
-  t.vals.(a) <- t.vals.(b);
-  t.vals.(b) <- v
-
-let grow t =
-  let cap = Array.length t.keys in
-  if t.size = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let extend src = Array.append src (Array.make (ncap - cap) 0) in
-    t.keys <- extend t.keys;
-    t.seqs <- extend t.seqs;
-    t.vals <- extend t.vals
-  end
+(* Place ([key], [seq], [value]) by moving the hole at offset [p] down. *)
+let sift_down t p key seq value =
+  let a = t.slots and limit = 3 * t.size in
+  let p = ref p and continue = ref true in
+  while !continue do
+    let l = (2 * !p) + 3 in
+    if l >= limit then continue := false
+    else begin
+      (* [c]: the child that comes first. *)
+      let r = l + 3 in
+      let c =
+        if r < limit && (get a r < get a l || (get a r = get a l && get a (r + 1) < get a (l + 1)))
+        then r
+        else l
+      in
+      let ck = get a c in
+      if ck < key || (ck = key && get a (c + 1) < seq) then begin
+        set a !p ck;
+        set a (!p + 1) (get a (c + 1));
+        set a (!p + 2) (get a (c + 2));
+        p := c
+      end
+      else continue := false
+    end
+  done;
+  set a !p key;
+  set a (!p + 1) seq;
+  set a (!p + 2) value
 
 let push t ~key value =
-  grow t;
-  let i = ref t.size in
-  t.keys.(!i) <- key;
-  t.seqs.(!i) <- t.next_seq;
-  t.vals.(!i) <- value;
-  t.next_seq <- t.next_seq + 1;
+  let cap = Array.length t.slots / 3 in
+  if t.size = cap then begin
+    let bigger = Array.make (3 * max 16 (2 * cap)) 0 in
+    Array.blit t.slots 0 bigger 0 (3 * cap);
+    t.slots <- bigger
+  end;
+  let a = t.slots and seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let p = ref (3 * t.size) in
   t.size <- t.size + 1;
+  (* The new entry has the newest sequence number, so it moves above a
+     parent only on a strictly smaller key. *)
   let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before t !i parent then begin
-      swap t !i parent;
-      i := parent
+  while !continue && !p > 0 do
+    let q = (!p - 3) / 6 * 3 in
+    if key < get a q then begin
+      set a !p (get a q);
+      set a (!p + 1) (get a (q + 1));
+      set a (!p + 2) (get a (q + 2));
+      p := q
     end
     else continue := false
-  done
+  done;
+  set a !p key;
+  set a (!p + 1) seq;
+  set a (!p + 2) value
 
 let pop t =
   if t.size = 0 then -1
   else begin
-    let top = t.vals.(0) in
-    t.popped_key <- t.keys.(0);
+    let a = t.slots in
+    let top = a.(2) in
+    t.popped_key <- a.(0);
     t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.seqs.(0) <- t.seqs.(t.size);
-      t.vals.(0) <- t.vals.(t.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && before t l !smallest then smallest := l;
-        if r < t.size && before t r !smallest then smallest := r;
-        if !smallest <> !i then begin
-          swap t !smallest !i;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
+    let last = 3 * t.size in
+    if last > 0 then sift_down t 0 a.(last) a.(last + 1) a.(last + 2);
+    top
+  end
+
+(* The pushed entry takes the newest sequence number, so it precedes
+   the root only on a strictly smaller key (an equal key queues behind
+   the root, FIFO).  It is then its own answer and the heap is
+   untouched; otherwise it takes the root's place and one sift-down
+   restores the order.  The slots may end up arranged differently from
+   [push] then [pop], but (key, seq) is a total order, so every later
+   pop returns the same entry. *)
+let push_pop t ~key value =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if t.size = 0 || key < t.slots.(0) then begin
+    t.popped_key <- key;
+    value
+  end
+  else begin
+    let a = t.slots in
+    let top = a.(2) in
+    t.popped_key <- a.(0);
+    sift_down t 0 key seq value;
     top
   end
 
 let last_key t = t.popped_key
 
-let min_key t = if t.size = 0 then max_int else t.keys.(0)
+let min_key t = if t.size = 0 then max_int else t.slots.(0)
 
 let clear t =
   t.size <- 0;

@@ -68,6 +68,68 @@ let test_sched_crash_time_bound () =
   Sched.run ~crash_at:100 s;
   Helpers.check_bool "final time within crash bound" true (Sched.now s <= 100)
 
+(* Reference interleaver over per-thread wait scripts: every wait
+   re-queues its thread with a fresh sequence number, the lowest
+   (wake time, sequence) entry runs next, and the first pick at or after
+   [crash_at] kills every thread left.  A thread logs (tid, now) when it
+   starts and after each wait.  Returns the log, whether it crashed and
+   the final clock. *)
+let sched_reference ?crash_at scripts =
+  let ready = ref (List.mapi (fun tid script -> (0, tid, tid, script)) scripts) in
+  let seq = ref (List.length scripts) in
+  let log = ref [] and max_time = ref 0 and crashed = ref false in
+  let rec loop () =
+    match List.sort compare !ready with
+    | [] -> ()
+    | (time, _, tid, script) :: rest ->
+      ready := rest;
+      if Option.fold ~none:false ~some:(fun c -> time >= c) crash_at then crashed := true
+      else begin
+        log := (tid, time) :: !log;
+        (match script with
+        | [] -> ()
+        | cost :: more ->
+          max_time := max !max_time (time + cost);
+          ready := (time + cost, !seq, tid, more) :: !ready;
+          incr seq);
+        loop ()
+      end
+  in
+  loop ();
+  let now = match crash_at with Some c when !crashed -> min c !max_time | _ -> !max_time in
+  (List.rev !log, !crashed, now)
+
+let sched_actual ?crash_at scripts =
+  let s = Sched.create () in
+  let log = ref [] in
+  let note () = log := (Sched.tid s, Sched.now s) :: !log in
+  List.iter
+    (fun script ->
+      ignore
+        (Sched.spawn s (fun () ->
+             note ();
+             List.iter
+               (fun cost ->
+                 Sched.wait s cost;
+                 note ())
+               script)))
+    scripts;
+  Sched.run ?crash_at s;
+  (List.rev !log, Sched.crashed s, Sched.now s)
+
+(* 2–9 threads with costs from a small set that includes 0 and repeats,
+   so equal wake times — including ties re-queued after a suspension —
+   are common; most cases arm a crash between 0 and 30 ns, often
+   inside the run. *)
+let test_sched_differential =
+  let gen =
+    QCheck2.Gen.(
+      let script = list_size (int_range 0 8) (oneofl [ 0; 0; 1; 1; 2; 3; 5 ]) in
+      pair (int_range 2 9 >>= fun n -> list_repeat n script) (opt (int_range 0 30)))
+  in
+  Helpers.qtest ~count:500 "sched: differential vs reference interleaver" gen
+    (fun (scripts, crash_at) -> sched_actual ?crash_at scripts = sched_reference ?crash_at scripts)
+
 (* ---------- bandwidth server ---------- *)
 
 let test_server_sync_queueing () =
@@ -106,55 +168,187 @@ let test_server_async_throughput_bound () =
 
 (* ---------- cache model ---------- *)
 
+(* Reference model for [Cache.access_fast]: the same set-associative
+   LRU cache written plainly, reporting each access as a variant with
+   the victim spelled out.  The tests drive it in lockstep with the
+   real cache. *)
+module Cache_ref = struct
+  type t = {
+    ways : int;
+    sets : int;
+    tags : int array; (* sets*ways; -1 = invalid *)
+    dirty : bool array;
+    stamp : int array;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable writebacks : int;
+  }
+
+  type evicted = { line : int; dirty : bool }
+  type access = Hit | Miss of evicted option
+
+  (* Same geometry as [Cache.create]: sets rounded down to a power of
+     two, at least one. *)
+  let create ~bytes ~ways =
+    let n = bytes / (64 * ways) in
+    let rec floor_pow2 p = if p * 2 <= n then floor_pow2 (p * 2) else p in
+    let sets = floor_pow2 1 in
+    {
+      ways;
+      sets;
+      tags = Array.make (sets * ways) (-1);
+      dirty = Array.make (sets * ways) false;
+      stamp = Array.make (sets * ways) 0;
+      tick = 0;
+      hits = 0;
+      misses = 0;
+      writebacks = 0;
+    }
+
+  (* Index of [line] within its set, or the victim way (invalid first,
+     else LRU) when absent. *)
+  let find (t : t) line =
+    let base = (line land (t.sets - 1)) * t.ways in
+    let found = ref (-1) in
+    let victim = ref base in
+    let oldest = ref max_int in
+    for w = 0 to t.ways - 1 do
+      let i = base + w in
+      if t.tags.(i) = line then found := i
+      else if t.tags.(i) = -1 && !oldest > -1 then begin
+        (* Prefer an invalid way; mark preference with oldest = -1. *)
+        victim := i;
+        oldest := -1
+      end
+      else if !oldest >= 0 && t.stamp.(i) < !oldest then begin
+        victim := i;
+        oldest := t.stamp.(i)
+      end
+    done;
+    (!found, !victim)
+
+  let access (t : t) ~line ~write =
+    t.tick <- t.tick + 1;
+    let found, victim = find t line in
+    if found >= 0 then begin
+      t.hits <- t.hits + 1;
+      t.stamp.(found) <- t.tick;
+      if write then t.dirty.(found) <- true;
+      Hit
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let ev =
+        if t.tags.(victim) = -1 then None
+        else begin
+          let d = t.dirty.(victim) in
+          if d then t.writebacks <- t.writebacks + 1;
+          Some { line = t.tags.(victim); dirty = d }
+        end
+      in
+      t.tags.(victim) <- line;
+      t.dirty.(victim) <- write;
+      t.stamp.(victim) <- t.tick;
+      Miss ev
+    end
+
+  let clean (t : t) ~line =
+    let found, _ = find t line in
+    let was_dirty = found >= 0 && t.dirty.(found) in
+    if was_dirty then t.dirty.(found) <- false;
+    was_dirty
+
+  (* Sorted by line number. *)
+  let dirty_lines (t : t) =
+    List.sort compare
+      (List.filteri (fun i tag -> tag >= 0 && t.dirty.(i)) (Array.to_list t.tags))
+end
+
+(* [access_fast]'s packed answer for a reference outcome. *)
+let packed = function
+  | Cache_ref.Hit -> Cache.hit
+  | Cache_ref.Miss (Some { Cache_ref.line; dirty = true }) -> line
+  | Cache_ref.Miss _ -> Cache.miss_clean
+
+(* 2-way, line 64B: sets = 1024/128 = 8.  Lines 0, 8, 16 collide in set 0. *)
+let cache_pair () = (Cache.create ~bytes:1024 ~ways:2 (), Cache_ref.create ~bytes:1024 ~ways:2)
+
+(* One access on both caches; the real cache must give the packed form
+   of the reference's answer, which is returned for the test to check. *)
+let access (c, r) ~line ~write =
+  let want = Cache_ref.access r ~line ~write in
+  Helpers.check_int (Printf.sprintf "access_fast agrees on line %d" line) (packed want)
+    (Cache.access_fast c ~line ~write);
+  want
+
 let test_cache_hit_after_install () =
-  let c = Cache.create ~bytes:1024 ~ways:2 () in
-  (match Cache.access c ~line:1 ~write:false with
-  | Cache.Miss None -> ()
-  | Cache.Miss (Some _) | Cache.Hit -> Alcotest.fail "expected cold miss");
-  match Cache.access c ~line:1 ~write:false with
-  | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "expected hit"
+  let cr = cache_pair () in
+  (match access cr ~line:1 ~write:false with
+  | Cache_ref.Miss None -> ()
+  | Cache_ref.Miss (Some _) | Cache_ref.Hit -> Alcotest.fail "expected cold miss");
+  match access cr ~line:1 ~write:false with
+  | Cache_ref.Hit -> ()
+  | Cache_ref.Miss _ -> Alcotest.fail "expected hit"
 
 let test_cache_dirty_eviction () =
-  (* 2-way, line 64B: sets = 1024/128 = 8.  Lines 0, 8, 16 collide in set 0. *)
-  let c = Cache.create ~bytes:1024 ~ways:2 () in
-  ignore (Cache.access c ~line:0 ~write:true);
-  ignore (Cache.access c ~line:8 ~write:false);
-  match Cache.access c ~line:16 ~write:false with
-  | Cache.Miss (Some { Cache.line = 0; dirty = true }) -> ()
-  | Cache.Miss _ | Cache.Hit -> Alcotest.fail "expected dirty eviction of line 0"
+  let cr = cache_pair () in
+  ignore (access cr ~line:0 ~write:true);
+  ignore (access cr ~line:8 ~write:false);
+  match access cr ~line:16 ~write:false with
+  | Cache_ref.Miss (Some { Cache_ref.line = 0; dirty = true }) -> ()
+  | Cache_ref.Miss _ | Cache_ref.Hit -> Alcotest.fail "expected dirty eviction of line 0"
 
 let test_cache_lru_within_set () =
-  let c = Cache.create ~bytes:1024 ~ways:2 () in
-  ignore (Cache.access c ~line:0 ~write:false);
-  ignore (Cache.access c ~line:8 ~write:false);
-  ignore (Cache.access c ~line:0 ~write:false);
+  let cr = cache_pair () in
+  ignore (access cr ~line:0 ~write:false);
+  ignore (access cr ~line:8 ~write:false);
+  ignore (access cr ~line:0 ~write:false);
   (* 8 is now LRU *)
-  (match Cache.access c ~line:16 ~write:false with
-  | Cache.Miss (Some { Cache.line = 8; _ }) -> ()
-  | Cache.Miss _ | Cache.Hit -> Alcotest.fail "expected eviction of line 8");
-  match Cache.access c ~line:0 ~write:false with
-  | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "line 0 should have been retained"
+  (match access cr ~line:16 ~write:false with
+  | Cache_ref.Miss (Some { Cache_ref.line = 8; _ }) -> ()
+  | Cache_ref.Miss _ | Cache_ref.Hit -> Alcotest.fail "expected eviction of line 8");
+  match access cr ~line:0 ~write:false with
+  | Cache_ref.Hit -> ()
+  | Cache_ref.Miss _ -> Alcotest.fail "line 0 should have been retained"
 
 let test_cache_clwb_keeps_line () =
-  let c = Cache.create ~bytes:1024 ~ways:2 () in
-  ignore (Cache.access c ~line:3 ~write:true);
+  let ((c, r) as cr) = cache_pair () in
+  ignore (access cr ~line:3 ~write:true);
   Helpers.check_bool "dirty before clwb" true (Cache.resident_dirty c ~line:3);
-  Helpers.check_bool "clwb reports dirty" true (Cache.clean c ~line:3);
+  Helpers.check_bool "clwb reports dirty" true (Cache.clean c ~line:3 && Cache_ref.clean r ~line:3);
   Helpers.check_bool "clean after clwb" false (Cache.resident_dirty c ~line:3);
-  (match Cache.access c ~line:3 ~write:false with
-  | Cache.Hit -> ()
-  | Cache.Miss _ -> Alcotest.fail "clwb must retain the line");
+  (match access cr ~line:3 ~write:false with
+  | Cache_ref.Hit -> ()
+  | Cache_ref.Miss _ -> Alcotest.fail "clwb must retain the line");
   Helpers.check_bool "second clwb is a no-op" false (Cache.clean c ~line:3)
 
 let test_cache_dirty_lines_listing () =
-  let c = Cache.create ~bytes:1024 ~ways:2 () in
-  ignore (Cache.access c ~line:1 ~write:true);
-  ignore (Cache.access c ~line:2 ~write:false);
-  ignore (Cache.access c ~line:3 ~write:true);
+  let ((c, r) as cr) = cache_pair () in
+  ignore (access cr ~line:1 ~write:true);
+  ignore (access cr ~line:2 ~write:false);
+  ignore (access cr ~line:3 ~write:true);
   let dirty = List.sort compare (Cache.dirty_lines c) in
-  Alcotest.(check (list int)) "dirty lines" [ 1; 3 ] dirty
+  Alcotest.(check (list int)) "dirty lines" [ 1; 3 ] dirty;
+  Alcotest.(check (list int)) "reference agrees" dirty (Cache_ref.dirty_lines r)
+
+(* Random accesses and clwbs over 48 lines in a 4-set, 4-way cache, so
+   most accesses collide and evict.  After every step the answer, the
+   three counters and the dirty set must match the reference. *)
+let test_cache_differential =
+  let op = QCheck2.Gen.(triple (int_range 0 3) (int_range 0 47) bool) in
+  Helpers.qtest ~count:300 "cache: access_fast equals reference model" (QCheck2.Gen.list op)
+    (fun ops ->
+      let c = Cache.create ~bytes:1024 ~ways:4 () and r = Cache_ref.create ~bytes:1024 ~ways:4 in
+      List.for_all
+        (fun (kind, line, write) ->
+          (if kind = 0 then Cache.clean c ~line = Cache_ref.clean r ~line
+           else Cache.access_fast c ~line ~write = packed (Cache_ref.access r ~line ~write))
+          && Cache.hits c = r.Cache_ref.hits
+          && Cache.misses c = r.Cache_ref.misses
+          && Cache.writebacks c = r.Cache_ref.writebacks
+          && List.sort compare (Cache.dirty_lines c) = Cache_ref.dirty_lines r)
+        ops)
 
 (* ---------- the simulated machine ---------- *)
 
@@ -681,6 +875,7 @@ let suite =
     Alcotest.test_case "sched: crash kills threads" `Quick test_sched_crash_kills;
     Alcotest.test_case "sched: ops outside threads" `Quick test_sched_wait_outside_thread_noop;
     Alcotest.test_case "sched: crash bounds time" `Quick test_sched_crash_time_bound;
+    test_sched_differential;
     Alcotest.test_case "server: sync queueing" `Quick test_server_sync_queueing;
     Alcotest.test_case "server: idle reset" `Quick test_server_sync_idle_resets;
     Alcotest.test_case "server: WPQ backpressure" `Quick test_server_async_backpressure;
@@ -690,6 +885,7 @@ let suite =
     Alcotest.test_case "cache: LRU within set" `Quick test_cache_lru_within_set;
     Alcotest.test_case "cache: clwb retains line" `Quick test_cache_clwb_keeps_line;
     Alcotest.test_case "cache: dirty listing" `Quick test_cache_dirty_lines_listing;
+    test_cache_differential;
     Alcotest.test_case "sim: load/store roundtrip" `Quick test_sim_load_store_roundtrip;
     Alcotest.test_case "sim: NVM ~3x DRAM" `Quick test_sim_nvm_slower_than_dram;
     Alcotest.test_case "sim: ADR dearer than eADR" `Quick test_sim_clwb_fence_cost;

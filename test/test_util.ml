@@ -114,38 +114,52 @@ let prop_min_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
-(* Min_heap's only remaining job: differential oracle for the
-   scheduler's Int_heap.  Drive both with the same interleaved
-   push/pop sequence and require identical (key, payload) pop orders —
-   including the FIFO tie-break determinism rests on. *)
+(* Min_heap is the differential oracle for the scheduler's Int_heap.
+   Drive both with the same interleaved push / pop / push_pop sequence
+   (the oracle runs push then pop for the fused call) and require
+   identical (key, payload) answers at every step — including the FIFO
+   tie-break determinism rests on.  Keys come from a narrow range so a
+   push_pop often ties the root, and pops often empty the heap. *)
+type heap_op = Push of int | Pop | Push_pop of int
+
 let prop_int_heap_matches_min_heap =
-  let op_gen = QCheck2.Gen.(oneof [ map (fun k -> Some k) (int_range 0 50); return None ]) in
+  let key = QCheck2.Gen.int_range 0 8 in
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [ (3, map (fun k -> Push k) key); (2, return Pop); (3, map (fun k -> Push_pop k) key) ])
+  in
   Helpers.qtest "int_heap differentially equals min_heap (oracle)"
     QCheck2.Gen.(list op_gen)
     (fun ops ->
       let oracle = Min_heap.create () in
       let subject = Int_heap.create () in
       let payload = ref 0 in
+      let popped_agree got =
+        match Min_heap.pop oracle with
+        | None -> got = -1
+        | Some (k, v) -> got = v && Int_heap.last_key subject = k
+      in
       List.for_all
         (fun op ->
           match op with
-          | Some key ->
+          | Push key ->
             incr payload;
             Min_heap.push oracle ~key !payload;
             Int_heap.push subject ~key !payload;
             true
-          | None -> (
-            match (Min_heap.pop oracle, Int_heap.pop subject) with
-            | None, got -> got = -1
-            | Some (k, v), got -> got = v && Int_heap.last_key subject = k))
+          | Pop -> popped_agree (Int_heap.pop subject)
+          | Push_pop key ->
+            incr payload;
+            Min_heap.push oracle ~key !payload;
+            popped_agree (Int_heap.push_pop subject ~key !payload)
+            && Int_heap.length subject = Min_heap.length oracle)
         ops
       && begin
            (* Drain whatever is left; orders must agree to the end. *)
            let rec drain () =
-             match (Min_heap.pop oracle, Int_heap.pop subject) with
-             | None, got -> got = -1
-             | Some (k, v), got ->
-               got = v && Int_heap.last_key subject = k && drain ()
+             let got = Int_heap.pop subject in
+             popped_agree got && (got < 0 || drain ())
            in
            drain ()
          end)
