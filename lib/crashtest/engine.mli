@@ -13,8 +13,8 @@
     + for each chosen instant re-runs the {e identical} workload with
       [Sim.run ~crash_at], then [Sim.reboot]s, checks region integrity
       with {!Pmem.Check.run} both before and after {!Pstm.Ptm.recover},
-      and validates the recovered state against the scenario's
-      application-level model (shadow state + invariants);
+      and judges the recovered state with the scenario's
+      durable-linearizability oracle ({!Dlin});
     + on a failure, automatically shrinks to a smaller failing crash
       time and reports a one-command replay line.
 
@@ -29,24 +29,23 @@
     [dlin.jsonl] into the failure's telemetry directory. *)
 type oracle_failure = { fail_reason : string; counterexample : string option }
 
-(** One run of a scenario: volatile shadow state (what the workload
-    believes committed) plus the validator that checks it against the
-    recovered persistent state. *)
+(** One run of a scenario: the workers, which record their operation
+    history, and the checks run on the recovered state.  The dlin
+    [oracle] judges; [validate] holds only what dlin cannot express
+    (a buffered lag budget, allocator accounting) and is a no-op for
+    most scenarios. *)
 type instance = {
   worker : tid:int -> Pstm.Ptm.t -> unit;
-      (** body of simulated thread [tid]; runs transactions and records
-          durable commits via [on_commit] hooks into the instance's
-          shadow state *)
+      (** body of simulated thread [tid]; wraps each logical operation
+          in [Dlin.History.run] *)
   validate : crashed:bool -> Memsim.Sim.t -> Pstm.Ptm.t -> (unit, string) result;
-      (** called untimed on the recovered (or cleanly finished) machine;
-          checks every invariant the scenario promises *)
+      (** called untimed on the recovered (or cleanly finished) machine,
+          after [oracle] passed *)
   oracle :
     (crashed:bool -> Memsim.Sim.t -> Pstm.Ptm.t -> (unit, oracle_failure) result) option;
       (** the durable-linearizability oracle: replays the recorded
-          operation history (see {!Dlin}) against the recovered state.
-          Runs {e before} [validate], so a linearizability violation —
-          which carries a replayable counterexample — takes precedence
-          over the coarser invariant check's message.  [None] for
+          operation history (see {!Dlin}) against the recovered state;
+          a failure carries a replayable counterexample.  [None] for
           scenarios without a history recorder. *)
 }
 
@@ -114,7 +113,7 @@ val explore :
     [nvm_channels] default to 4 so WPQ completions can reorder relative
     to issue order — the hazard window missing fences open.
     [inject] arms a deliberate PTM ordering bug for mutation-testing the
-    oracles; the prepared image is always populated without injection.
+    oracle; the prepared image is always populated without injection.
     @raise Failure if the crash-free reference run already violates the
     scenario's model (harness bug, not a crash-consistency bug — the
     injected bugs weaken durability only, never the cache-visible
@@ -146,8 +145,8 @@ val recovery_convergence :
     persistent writes, for each sampled budget [k] (default: up to 8
     seeded samples of the reference recovery's write count) — recover
     again, and require the final heap image to be word-for-word
-    identical to an uninterrupted recovery's, and the scenario model to
-    validate.  [Ok ()] when the workload ran to completion before
+    identical to an uninterrupted recovery's, and the scenario's oracle
+    to accept it.  [Ok ()] when the workload ran to completion before
     [crash_at]. *)
 
 (** {1 FAMS: crash-testing the snapshot API}
@@ -164,11 +163,15 @@ type fams_instance = {
       (** body of the single mutator (FAMS is single-writer); the [Sim]
           is passed for the virtual clock *)
   f_validate : crashed:bool -> Memsim.Sim.t -> Fams.t -> (unit, string) result;
+      (** runs after [f_oracle] passed; holds only what dlin cannot
+          express (for {!Scenarios.fams_bank}: the recovered state
+          reaches the last {e completed} sync) *)
   f_oracle :
     (crashed:bool -> Memsim.Sim.t -> Fams.t -> (unit, oracle_failure) result) option;
-      (** durable-linearizability oracle; FAMS scenarios check with
-          [`Buffered] durability — recovery restores the last completed
-          sync, so any real-time-closed cut is legal *)
+      (** durable-linearizability oracle; after a crash FAMS scenarios
+          check with [`Buffered] durability — recovery restores the last
+          completed sync, so any real-time-closed cut is legal — and a
+          crash-free run is judged [`Strict] *)
 }
 
 type fams_scenario = {

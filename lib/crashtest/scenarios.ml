@@ -40,6 +40,10 @@ let extraction_fail spec h reason =
 
 let hash_int_array a = Array.fold_left (fun h v -> (h * 31) + v + 1) 17 a
 
+(* Strict durable linearizability already implies every invariant these
+   scenarios promise, so dlin judges them alone. *)
+let no_validate ~crashed:_ _sim _ptm = Ok ()
+
 (* ---------- bank: money conservation + per-thread sequence cells ---------- *)
 
 type bank_op = { btid : int; bop : int; src : int; dst : int; amount : int }
@@ -98,8 +102,6 @@ let bank ?(accounts = 32) ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
     }
   in
   let fresh ~seed =
-    let committed = Array.make threads 0 in
-    let attempted = Array.make threads 0 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let rng = Rng.create (seed + (7919 * tid)) in
@@ -109,10 +111,9 @@ let bank ?(accounts = 32) ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
         let src = Rng.int rng accounts in
         (* Never [src = dst]: both reads precede both writes in the
            transaction body, so an aliased transfer would net +amount
-           and break the conservation invariant for unlucky seeds. *)
+           and money would no longer be conserved. *)
         let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
         let amount = 1 + Rng.int rng 5 in
-        attempted.(tid) <- op;
         let o = { btid = tid; bop = op; src; dst; amount } in
         ignore
           (Dlin.History.run h ~tid ~now o (fun () ->
@@ -126,8 +127,7 @@ let bank ?(accounts = 32) ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
                    (* The sequence cell makes lost/partial transactions
                       visible even when the transfer itself happens to
                       conserve money. *)
-                   Ptm.write tx (base + accounts + tid) op;
-                   Ptm.on_commit tx (fun () -> committed.(tid) <- op));
+                   Ptm.write tx (base + accounts + tid) op);
                !res)
             : int * int)
       done
@@ -143,39 +143,7 @@ let bank ?(accounts = 32) ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
       in
       run_dlin spec h ~recovered
     in
-    let validate ~crashed:_ _sim ptm =
-      let base = Ptm.root_get ptm root_slot in
-      let sum =
-        Ptm.atomic ptm (fun tx ->
-            let s = ref 0 in
-            for i = 0 to accounts - 1 do
-              s := !s + Ptm.read tx (base + i)
-            done;
-            !s)
-      in
-      if sum <> accounts * initial then
-        Error (Printf.sprintf "bank: balance sum %d, expected %d" sum (accounts * initial))
-      else begin
-        let bad = ref None in
-        for j = 0 to threads - 1 do
-          if !bad = None then begin
-            let cell = Ptm.atomic ptm (fun tx -> Ptm.read tx (base + accounts + j)) in
-            if cell < committed.(j) then
-              bad :=
-                Some
-                  (Printf.sprintf "bank: thread %d lost committed op %d (cell holds %d)" j
-                     committed.(j) cell)
-            else if cell > attempted.(j) then
-              bad :=
-                Some
-                  (Printf.sprintf "bank: thread %d cell %d beyond last attempted op %d" j cell
-                     attempted.(j))
-          end
-        done;
-        match !bad with None -> Ok () | Some e -> Error e
-      end
-    in
-    { Engine.worker; validate; oracle = Some oracle }
+    { Engine.worker; validate = no_validate; oracle = Some oracle }
   in
   {
     Engine.name = mode_name "bank" ~coalesce;
@@ -220,7 +188,6 @@ let counters ?(slots = 8) ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
     }
   in
   let fresh ~seed:_ =
-    let committed = ref 0 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let base = Ptm.root_get ptm root_slot in
@@ -234,8 +201,7 @@ let counters ?(slots = 8) ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
                    res := v;
                    for i = 0 to slots - 1 do
                      Ptm.write tx (base + i) v
-                   done;
-                   Ptm.on_commit tx (fun () -> committed := max !committed v));
+                   done);
                !res)
             : int)
       done
@@ -252,23 +218,7 @@ let counters ?(slots = 8) ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
              (String.concat "; " (List.map string_of_int values)))
       else run_dlin spec h ~recovered:v0
     in
-    let validate ~crashed:_ _sim ptm =
-      let base = Ptm.root_get ptm root_slot in
-      let values =
-        Ptm.atomic ptm (fun tx -> List.init slots (fun i -> Ptm.read tx (base + i)))
-      in
-      let v0 = List.hd values in
-      if List.exists (fun v -> v <> v0) values then
-        Error
-          (Printf.sprintf "counters: slots diverge after recovery: [%s]"
-             (String.concat "; " (List.map string_of_int values)))
-      else if v0 < !committed then
-        Error (Printf.sprintf "counters: committed value %d lost (slots hold %d)" !committed v0)
-      else if v0 > threads * ops then
-        Error (Printf.sprintf "counters: value %d exceeds %d attempts" v0 (threads * ops))
-      else Ok ()
-    in
-    { Engine.worker; validate; oracle = Some oracle }
+    { Engine.worker; validate = no_validate; oracle = Some oracle }
   in
   {
     Engine.name = mode_name "counters" ~coalesce;
@@ -311,22 +261,18 @@ let btree ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
     }
   in
   let fresh ~seed:_ =
-    let committed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let attempted : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let t = Pstructs.Bptree.attach ptm (Ptm.root_get ptm root_slot) in
       let now = vclock ptm in
       for i = 1 to ops do
         let key = ((tid + 1) * 1000) + i in
-        Hashtbl.replace attempted key ();
         ignore
           (Dlin.History.run h ~tid ~now { ttid = tid; tkey = key; tvalue = value_of key }
              (fun () ->
                let res = ref false in
                Ptm.atomic ptm (fun tx ->
-                   res := Pstructs.Bptree.insert tx t ~key ~value:(value_of key);
-                   Ptm.on_commit tx (fun () -> Hashtbl.replace committed key ()));
+                   res := Pstructs.Bptree.insert tx t ~key ~value:(value_of key));
                !res)
             : bool)
       done
@@ -343,33 +289,7 @@ let btree ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
         in
         run_dlin spec h ~recovered
     in
-    let validate ~crashed:_ _sim ptm =
-      let t = Pstructs.Bptree.attach ptm (Ptm.root_get ptm root_slot) in
-      match Pstructs.Bptree.check_invariants t with
-      | exception Failure e -> Error ("btree: structural violation: " ^ e)
-      | () ->
-        let alist = Pstructs.Bptree.to_alist t in
-        let present : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        List.iter (fun (k, v) -> Hashtbl.replace present k v) alist;
-        let bad = ref None in
-        Hashtbl.iter
-          (fun key () ->
-            if !bad = None then
-              match Hashtbl.find_opt present key with
-              | None -> bad := Some (Printf.sprintf "btree: committed key %d missing" key)
-              | Some v when v <> value_of key ->
-                bad := Some (Printf.sprintf "btree: key %d has value %d, expected %d" key v
-                               (value_of key))
-              | Some _ -> ())
-          committed;
-        List.iter
-          (fun (k, _) ->
-            if !bad = None && not (Hashtbl.mem attempted k) then
-              bad := Some (Printf.sprintf "btree: phantom key %d was never inserted" k))
-          alist;
-        (match !bad with None -> Ok () | Some e -> Error e)
-    in
-    { Engine.worker; validate; oracle = Some oracle }
+    { Engine.worker; validate = no_validate; oracle = Some oracle }
   in
   {
     Engine.name = mode_name "btree" ~coalesce;
@@ -392,20 +312,14 @@ let btree ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
    Durability is the interesting part: under algorithm [Mod] the root
    swap is published with an {e unfenced} flush, so a crash may lose a
    committed suffix of the serialized history.  The oracle therefore
-   runs {!Dlin.check} with [`Buffered] durability when the recovered PTM
-   runs MOD (strict otherwise — the same structures are legal
-   strict-durable under redo/undo logging), and the validate replaces
-   the usual "every committed key is present" rule with:
-
-   - each thread's recovered bindings must equal its state after {e
-     some} prefix of its script (snapshot consistency);
-   - without a crash, that prefix covers every attempted op;
-   - under strict algorithms, it covers every committed op;
-   - under MOD with a crash, the committed-but-lost total across
-     threads is bounded by the write-pending-queue lag — the commits
-     after the durable snapshot all raced their root flush against the
-     crash, one unfenced flush deep per thread;
-   - nothing outside any thread's key range exists (no phantoms). *)
+   runs {!Dlin.check} with [`Buffered] durability on a crashed MOD run
+   and strict otherwise (the same structures are legal strict-durable
+   under redo/undo logging, and a crash-free run loses nothing).  A
+   buffered cut may be any real-time-closed prefix, so the validate
+   bounds how much it lost: the committed-but-lost total across threads
+   stays within the write-pending-queue lag — the commits after the
+   durable snapshot all raced their root flush against the crash, one
+   unfenced flush deep per thread. *)
 
 type mod_op = { mtid : int; mseq : int; mkey : int; minsert : bool; mvalue : int }
 
@@ -473,14 +387,12 @@ let mod_scenario (ms : _ mod_struct) ~name ?(threads = 3) ?(ops = 8) ?(coalesce 
   in
   let fresh ~seed:_ =
     let committed = Array.make threads 0 in
-    let attempted = Array.make threads 0 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let t = ms.ms_attach ptm (Ptm.root_get ptm root_slot) in
       let now = vclock ptm in
       for i = 1 to ops do
         let o = mod_op_of ~tid ~i in
-        attempted.(tid) <- i;
         ignore
           (Dlin.History.run h ~tid ~now o (fun () ->
                let res = ref false in
@@ -499,78 +411,50 @@ let mod_scenario (ms : _ mod_struct) ~name ?(threads = 3) ?(ops = 8) ?(coalesce 
       | exception Failure e -> Error (name ^ ": structural violation: " ^ e)
       | () -> Ok (ms.ms_alist t)
     in
-    let oracle ~crashed:_ _sim ptm =
+    let buffered ~crashed ptm = crashed && Ptm.algorithm ptm = Ptm.Mod in
+    let oracle ~crashed _sim ptm =
       match extract ptm with
       | Error reason -> extraction_fail spec h reason
       | Ok alist ->
         let recovered =
           List.fold_left (fun m (k, v) -> IntMap.add k v m) IntMap.empty alist
         in
-        let durability = if Ptm.algorithm ptm = Ptm.Mod then `Buffered else `Strict in
+        let durability = if buffered ~crashed ptm then `Buffered else `Strict in
         run_dlin ~durability spec h ~recovered
     in
     let validate ~crashed _sim ptm =
-      match extract ptm with
-      | Error e -> Error e
-      | Ok alist -> (
-        let buffered = Ptm.algorithm ptm = Ptm.Mod in
-        let per_tid = Array.make threads IntMap.empty in
-        let phantom = ref None in
-        List.iter
-          (fun (k, v) ->
-            let tid = (k / 1000) - 1 in
-            if tid < 0 || tid >= threads || k mod 1000 > ops then (
-              if !phantom = None then
-                phantom := Some (Printf.sprintf "%s: phantom key %d" name k))
-            else per_tid.(tid) <- IntMap.add k v per_tid.(tid))
-          alist;
-        match !phantom with
-        | Some e -> Error e
-        | None -> (
-          let err = ref None and lost = ref 0 in
+      if not (buffered ~crashed ptm) then Ok ()
+      else
+        match extract ptm with
+        | Error e -> Error e
+        | Ok alist ->
+          let per_tid = Array.make threads IntMap.empty in
+          List.iter
+            (fun (k, v) ->
+              let tid = (k / 1000) - 1 in
+              if tid >= 0 && tid < threads then per_tid.(tid) <- IntMap.add k v per_tid.(tid))
+            alist;
+          let lost = ref 0 in
           for tid = 0 to threads - 1 do
-            if !err = None then begin
-              let states = mod_prefix_states ~tid ~ops in
-              (* Most charitable consistent prefix: states can repeat
-                 (insert x; remove x), so scan from the deepest. *)
-              let j = ref (-1) in
-              for cand = ops downto 0 do
-                if !j < 0 && IntMap.equal Int.equal states.(cand) per_tid.(tid) then
-                  j := cand
-              done;
-              if !j < 0 then
-                err :=
-                  Some
-                    (Printf.sprintf "%s: thread %d's recovered keys match no script prefix"
-                       name tid)
-              else if (not crashed) && !j < attempted.(tid) then
-                err :=
-                  Some
-                    (Printf.sprintf "%s: no crash, but thread %d stopped at prefix %d of %d"
-                       name tid !j attempted.(tid))
-              else if crashed && (not buffered) && !j < committed.(tid) then
-                err :=
-                  Some
-                    (Printf.sprintf
-                       "%s: committed op %d of thread %d lost under strict durability \
-                        (deepest prefix %d)"
-                       name committed.(tid) tid !j)
-              else if crashed && buffered then lost := !lost + max 0 (committed.(tid) - !j)
-            end
+            let states = mod_prefix_states ~tid ~ops in
+            (* Most charitable consistent prefix: states can repeat
+               (insert x; remove x), so scan from the deepest. *)
+            let rec deepest j =
+              if j < 0 || IntMap.equal Int.equal states.(j) per_tid.(tid) then j
+              else deepest (j - 1)
+            in
+            lost := !lost + max 0 (committed.(tid) - deepest ops)
           done;
-          match !err with
-          | Some e -> Error e
-          | None ->
-            (* Buffered durability may lose commits whose root flush was
-               still in the write-pending queue at the crash — a race
-               one unfenced flush deep per thread plus scheduling slack,
-               nowhere near "everything". *)
-            let budget = threads + 2 in
-            if !lost > budget then
-              Error
-                (Printf.sprintf "%s: %d committed ops lost (buffered lag budget %d)" name
-                   !lost budget)
-            else Ok ()))
+          (* Buffered durability may lose commits whose root flush was
+             still in the write-pending queue at the crash — a race one
+             unfenced flush deep per thread plus scheduling slack, nowhere
+             near "everything". *)
+          let budget = threads + 2 in
+          if !lost > budget then
+            Error
+              (Printf.sprintf "%s: %d committed ops lost (buffered lag budget %d)" name !lost
+                 budget)
+          else Ok ()
     in
     { Engine.worker; validate; oracle = Some oracle }
   in
@@ -786,6 +670,16 @@ let kv_key ~tid ~b ~k = Printf.sprintf "t%d.b%d.%d" tid b k
    [Pblob.set] — one store, no realloc. *)
 let kv_marker v = Printf.sprintf "%03d" v
 
+(* A torn or overwritten marker is recovered data no abstract state can
+   hold: report it through [fail] (the oracle's extraction failure)
+   rather than raising out of the transaction. *)
+let kv_marker_value ~fail m =
+  match int_of_string_opt m with
+  | Some v -> v
+  | None ->
+    fail (Printf.sprintf "marker %S is not a number" m);
+    0
+
 type kv_batch_op = { ktid : int; kb : int; kn : int }
 
 (* Key triples packed into one int for the abstract key set. *)
@@ -829,21 +723,18 @@ let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
   in
   let fresh ~seed =
     (* Seeded per-batch jitter so crash candidates land at distinct
-       phases of different threads' batches; precomputed so worker,
-       validator and oracle agree on every batch's width. *)
+       phases of different threads' batches; precomputed so worker and
+       oracle agree on every batch's width. *)
     let widths =
       Array.init threads (fun tid ->
           let rng = Rng.create (seed + (7919 * tid)) in
           Array.init ops (fun _ -> batch + Rng.int rng 2))
     in
-    let committed = Array.make threads 0 in
-    let attempted = Array.make threads 0 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let store = Kvserve.Store.attach ptm in
       let now = vclock ptm in
       for b = 1 to ops do
-        attempted.(tid) <- b;
         let n = widths.(tid).(b - 1) in
         Dlin.History.run h ~tid ~now { ktid = tid; kb = b; kn = n } (fun () ->
             Ptm.atomic ptm (fun tx ->
@@ -852,8 +743,7 @@ let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
                     (kv_value ~tid ~b ~k)
                 done;
                 Kvserve.Store.set tx store ~key:(Printf.sprintf "m%d" tid) ~flags:0
-                  (kv_marker b);
-                Ptm.on_commit tx (fun () -> committed.(tid) <- b)))
+                  (kv_marker b)))
       done
     in
     let oracle ~crashed:_ _sim ptm =
@@ -868,7 +758,7 @@ let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
                   | None ->
                     fail "kv-batch: thread %d marker key missing" tid;
                     0
-                  | Some (_, m) -> int_of_string m)
+                  | Some (_, m) -> kv_marker_value ~fail:(fail "kv-batch: thread %d %s" tid) m)
             in
             let keys = ref IntSet.empty in
             for tid = 0 to threads - 1 do
@@ -889,39 +779,7 @@ let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
       | Some reason -> extraction_fail spec h reason
       | None -> run_dlin spec h ~recovered
     in
-    let validate ~crashed:_ _sim ptm =
-      let store = Kvserve.Store.attach ptm in
-      Ptm.atomic ptm (fun tx ->
-          let err = ref None in
-          let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-          for tid = 0 to threads - 1 do
-            match Kvserve.Store.get tx store (Printf.sprintf "m%d" tid) with
-            | None -> fail "kv-batch: thread %d marker key missing" tid
-            | Some (_, m) ->
-              let d = int_of_string m in
-              if d < committed.(tid) then
-                fail "kv-batch: thread %d lost committed batch %d (marker %d)" tid
-                  committed.(tid) d
-              else if d > attempted.(tid) then
-                fail "kv-batch: thread %d marker %d beyond last attempted batch %d" tid d
-                  attempted.(tid);
-              for b = 1 to ops do
-                for k = 0 to widths.(tid).(b - 1) - 1 do
-                  let key = kv_key ~tid ~b ~k in
-                  match (Kvserve.Store.get tx store key, b <= d) with
-                  | None, true -> fail "kv-batch: durable batch %d lost key %s" b key
-                  | Some (flags, v), true ->
-                    if flags <> tid || not (String.equal v (kv_value ~tid ~b ~k)) then
-                      fail "kv-batch: key %s holds %S flags %d" key v flags
-                  | Some _, false ->
-                    fail "kv-batch: key %s from batch %d survived past marker %d" key b d
-                  | None, false -> ()
-                done
-              done
-          done;
-          match !err with None -> Ok () | Some e -> Error e)
-    in
-    { Engine.worker; validate; oracle = Some oracle }
+    { Engine.worker; validate = no_validate; oracle = Some oracle }
   in
   {
     Engine.name = mode_name "kv-batch" ~coalesce;
@@ -998,28 +856,22 @@ let kv_xshard ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
   (* No per-seed randomness: the interleaving the engine explores comes
      entirely from the crash instant. *)
   let fresh ~seed:_ =
-    let committed_a = Array.make threads 0 in
-    let committed_b = Array.make threads 0 in
-    let attempted = Array.make threads 0 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let a = Kvserve.Store.attach ~root_base:base_a ptm in
       let b = Kvserve.Store.attach ~root_base:base_b ptm in
       let now = vclock ptm in
       for o = 1 to ops do
-        attempted.(tid) <- o;
         Dlin.History.run h ~tid ~now (XSetA { xtid = tid; xo = o }) (fun () ->
             Ptm.atomic ptm (fun tx ->
                 Kvserve.Store.set tx a ~key:(Printf.sprintf "a.t%d.%d" tid o) ~flags:o
                   (kv_value ~tid ~b:o ~k:0);
-                Kvserve.Store.set tx a ~key:(Printf.sprintf "ma%d" tid) ~flags:0 (kv_marker o);
-                Ptm.on_commit tx (fun () -> committed_a.(tid) <- o)));
+                Kvserve.Store.set tx a ~key:(Printf.sprintf "ma%d" tid) ~flags:0 (kv_marker o)));
         Dlin.History.run h ~tid ~now (XSetB { xtid = tid; xo = o }) (fun () ->
             Ptm.atomic ptm (fun tx ->
                 Kvserve.Store.set tx b ~key:(Printf.sprintf "b.t%d.%d" tid o) ~flags:o
                   (kv_value ~tid ~b:o ~k:1);
-                Kvserve.Store.set tx b ~key:(Printf.sprintf "mb%d" tid) ~flags:0 (kv_marker o);
-                Ptm.on_commit tx (fun () -> committed_b.(tid) <- o)))
+                Kvserve.Store.set tx b ~key:(Printf.sprintf "mb%d" tid) ~flags:0 (kv_marker o)))
       done
     in
     let oracle ~crashed:_ _sim ptm =
@@ -1034,7 +886,8 @@ let kv_xshard ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
               | None ->
                 fail "kv-xshard: thread %d %s marker missing" tid name;
                 0
-              | Some (_, m) -> int_of_string m
+              | Some (_, m) ->
+                kv_marker_value ~fail:(fail "kv-xshard: thread %d %s %s" tid name) m
             in
             let ma = Array.init threads (marker a "ma") in
             let mb = Array.init threads (marker b "mb") in
@@ -1061,52 +914,7 @@ let kv_xshard ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
       | Some reason -> extraction_fail spec h reason
       | None -> run_dlin spec h ~recovered
     in
-    let validate ~crashed:_ _sim ptm =
-      let a = Kvserve.Store.attach ~root_base:base_a ptm in
-      let b = Kvserve.Store.attach ~root_base:base_b ptm in
-      Ptm.atomic ptm (fun tx ->
-          let err = ref None in
-          let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-          let marker store name tid =
-            match Kvserve.Store.get tx store (Printf.sprintf "%s%d" name tid) with
-            | None ->
-              fail "kv-xshard: thread %d %s marker missing" tid name;
-              0
-            | Some (_, m) -> int_of_string m
-          in
-          let check_content store prefix tid upto =
-            for o = 1 to ops do
-              let key = Printf.sprintf "%s.t%d.%d" prefix tid o in
-              match (Kvserve.Store.get tx store key, o <= upto) with
-              | None, true -> fail "kv-xshard: durable op %d lost key %s" o key
-              | Some _, false ->
-                fail "kv-xshard: key %s survived past marker %d" key upto
-              | _ -> ()
-            done
-          in
-          for tid = 0 to threads - 1 do
-            let ma = marker a "ma" tid in
-            let mb = marker b "mb" tid in
-            if ma < committed_a.(tid) then
-              fail "kv-xshard: thread %d lost committed A op %d (marker %d)" tid
-                committed_a.(tid) ma;
-            if mb < committed_b.(tid) then
-              fail "kv-xshard: thread %d lost committed B op %d (marker %d)" tid
-                committed_b.(tid) mb;
-            if ma > attempted.(tid) || mb > attempted.(tid) then
-              fail "kv-xshard: thread %d markers (%d,%d) beyond attempted %d" tid ma mb
-                attempted.(tid);
-            (* A commits strictly before B within an op: B may trail A
-               by at most the one in-flight op, and never lead it. *)
-            if mb > ma || ma > mb + 1 then
-              fail "kv-xshard: thread %d shard markers A=%d B=%d violate commit order" tid ma
-                mb;
-            check_content a "a" tid ma;
-            check_content b "b" tid mb
-          done;
-          match !err with None -> Ok () | Some e -> Error e)
-    in
-    { Engine.worker; validate; oracle = Some oracle }
+    { Engine.worker; validate = no_validate; oracle = Some oracle }
   in
   {
     Engine.name = mode_name "kv-xshard" ~coalesce;
@@ -1149,7 +957,6 @@ let kv_incr ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
     }
   in
   let fresh ~seed:_ =
-    let committed = ref 0 in
     let h = Dlin.History.create ~threads in
     let worker ~tid ptm =
       let store = Kvserve.Store.attach ptm in
@@ -1160,9 +967,7 @@ let kv_incr ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
                let res = ref 0 in
                Ptm.atomic ptm (fun tx ->
                    match Kvserve.Store.incr tx store kv_incr_key 1 with
-                   | Kvserve.Store.New_value v ->
-                     res := v;
-                     Ptm.on_commit tx (fun () -> committed := max !committed v)
+                   | Kvserve.Store.New_value v -> res := v
                    | Missing | Not_numeric -> failwith "kv-incr: counter unreadable");
                !res)
             : int)
@@ -1183,53 +988,12 @@ let kv_incr ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
       | Error reason -> extraction_fail spec h reason
       | Ok n -> run_dlin spec h ~recovered:n
     in
-    let validate ~crashed:_ _sim ptm =
-      match read_counter ptm with
-      | Error e -> Error e
-      | Ok n ->
-        if n < !committed then
-          Error (Printf.sprintf "kv-incr: committed value %d lost (counter %d)" !committed n)
-        else if n > threads * ops then
-          Error (Printf.sprintf "kv-incr: value %d exceeds %d attempts" n (threads * ops))
-        else Ok ()
-    in
-    { Engine.worker; validate; oracle = Some oracle }
+    { Engine.worker; validate = no_validate; oracle = Some oracle }
   in
   {
     Engine.name = mode_name "kv-incr" ~coalesce;
     threads;
     heap_words = 1 lsl 16;
-    log_words_per_thread = 4096;
-    coalesce;
-    prepare;
-    fresh;
-  }
-
-(* ---------- adapter over the paper's workloads ---------- *)
-
-let of_spec ?(threads = 2) ?(ops = 50) ?(coalesce = true) (spec : Workloads.Driver.spec) =
-  let prepare ptm = spec.Workloads.Driver.setup ptm in
-  let fresh ~seed =
-    let worker ~tid ptm =
-      let rng = Rng.create (seed lxor (31 * (tid + 1))) in
-      let op = spec.Workloads.Driver.make_op ptm ~tid ~rng in
-      for _ = 1 to ops do
-        op ()
-      done
-    in
-    (* Structural oracle only: the workload's own state model stays
-       opaque, but region metadata and recovery must stay clean. *)
-    let validate ~crashed:_ _sim ptm =
-      let rep = Pmem.Check.run (Ptm.region ptm) in
-      if Pmem.Check.is_clean rep then Ok ()
-      else Error (Format.asprintf "workload %s: %a" spec.Workloads.Driver.name Pmem.Check.pp rep)
-    in
-    { Engine.worker; validate; oracle = None }
-  in
-  {
-    Engine.name = mode_name ("wl-" ^ spec.Workloads.Driver.name) ~coalesce;
-    threads;
-    heap_words = spec.Workloads.Driver.heap_words;
     log_words_per_thread = 4096;
     coalesce;
     prepare;
@@ -1243,12 +1007,12 @@ type fams_bank_state = { fbal : int array; fseq : int }
 
 (* The msync twin of {!bank}: one mutator transfers between scattered
    one-word accounts in the FAMS working area and calls [msync_atomic]
-   every [sync_every] operations.  The dlin oracle runs with [`Buffered]
-   durability — recovery restores the last completed sync, so any
-   per-thread prefix cut is legal — and the validate closes the gap
-   buffered cuts leave open: a sync that {e completed} before the crash
-   is FAMS's durability point, so the recovered op counter must reach
-   it. *)
+   every [sync_every] operations.  After a crash the dlin oracle runs
+   with [`Buffered] durability — recovery restores the last completed
+   sync, so any per-thread prefix cut is legal — and the validate closes
+   the gap buffered cuts leave open: a sync that {e completed} before
+   the crash is FAMS's durability point, so the recovered op counter
+   must reach it.  A crash-free run is judged strict. *)
 let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
   let initial = 100 in
   let spread = 4 in
@@ -1289,7 +1053,6 @@ let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
     Fams.raw_write fams seq_addr 0
   in
   let f_fresh ~seed =
-    let attempted = ref 0 in
     let synced = ref 0 in
     let h = Dlin.History.create ~threads:1 in
     let f_worker sim fams =
@@ -1300,7 +1063,6 @@ let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
         (* Never [src = dst]: both reads precede both writes. *)
         let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
         let amount = 1 + Rng.int rng 5 in
-        attempted := op;
         let o = { fop = op; fsrc = src; fdst = dst; famount = amount } in
         ignore
           (Dlin.History.run h ~tid:0 ~now o (fun () ->
@@ -1317,33 +1079,21 @@ let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
             : int * int)
       done
     in
-    let f_oracle ~crashed:_ _sim fams =
+    let f_oracle ~crashed _sim fams =
       let recovered =
         {
           fbal = Array.init accounts (fun i -> Fams.raw_read fams (i * spread));
           fseq = Fams.raw_read fams seq_addr;
         }
       in
-      run_dlin ~durability:`Buffered spec h ~recovered
+      run_dlin ~durability:(if crashed then `Buffered else `Strict) spec h ~recovered
     in
-    let f_validate ~crashed _sim fams =
-      let sum = ref 0 in
-      for i = 0 to accounts - 1 do
-        sum := !sum + Fams.raw_read fams (i * spread)
-      done;
+    let f_validate ~crashed:_ _sim fams =
       let seqv = Fams.raw_read fams seq_addr in
-      if !sum <> accounts * initial then
-        Error (Printf.sprintf "fams-bank: balance sum %d, expected %d" !sum (accounts * initial))
-      else if seqv < !synced then
+      if seqv < !synced then
         Error
           (Printf.sprintf "fams-bank: lost completed sync (op counter %d, last synced op %d)"
              seqv !synced)
-      else if seqv > !attempted then
-        Error
-          (Printf.sprintf "fams-bank: op counter %d beyond last attempted op %d" seqv
-             !attempted)
-      else if (not crashed) && seqv <> ops then
-        Error (Printf.sprintf "fams-bank: clean run retained %d/%d ops" seqv ops)
       else Ok ()
     in
     { Engine.f_worker; f_validate; f_oracle = Some f_oracle }

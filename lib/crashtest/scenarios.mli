@@ -1,46 +1,47 @@
-(** Ready-made crash-test scenarios with application-level oracles.
+(** Ready-made crash-test scenarios, judged by durable linearizability.
 
-    Every application scenario carries {e two} oracles.  The primary is
-    a durable-linearizability check ({!Dlin}): each worker wraps every
-    logical operation in [Dlin.History.run] against the machine's
-    virtual clock, and after recovery the instance's [oracle] extracts
-    the recovered abstract state and searches for a legal durable
+    Each worker wraps every logical operation in [Dlin.History.run]
+    against the machine's virtual clock.  After recovery (or a
+    crash-free run) the instance's [oracle] extracts the recovered
+    abstract state and asks {!Dlin.check} for a legal durable
     linearization explaining it.  A failure carries a replayable JSONL
     counterexample (the recorded history plus the recovered state),
-    written as [dlin.jsonl] into the failure telemetry directory.  The
-    secondary [validate] keeps the original coarse shadow-state
-    invariants as a cross-check:
+    written as [dlin.jsonl] into the failure telemetry directory.
+    Recovered data no abstract state can hold (a torn payload, a
+    non-numeric marker, a broken tree) fails the extraction with the
+    same dump.
 
-    - {!bank}: money conservation plus per-thread operation-sequence
-      cells — a committed transfer that vanishes, or an in-flight one
-      that half-appears, is caught; the dlin responses are the two
-      account values each transfer read;
+    dlin is the only judge wherever it can express the property.  An
+    instance's [validate] holds only what it cannot: the buffered lag
+    budget of the MOD scenarios and allocator accounting in
+    {!alloc_churn}; everywhere else it is a no-op.
+
+    - {!bank}: transfers between accounts plus per-thread
+      operation-sequence cells; the dlin responses are the two account
+      values each transfer read, so a lost or half-applied transfer has
+      no explaining linearization;
     - {!counters}: every transaction rewrites all slots, so recovered
       slots must be equal (atomicity) and the single abstract value
       must be explained by an increment order consistent with the
       returned new-values;
-    - {!btree}: B+Tree structural invariants plus key-set bounds — the
-      recovered key set contains every durably committed insert and
-      nothing that was never attempted;
-    - {!alloc_churn}: allocator accounting over a persistent slot
-      directory — each thread acquires stamped, signature-filled
-      blocks into its own directory slots or releases them, and the
-      recovered stamp-per-slot vector must match a durable prefix;
-      {!Pmem.Check} cross-checks live-block counts;
+    - {!btree}: B+Tree structural invariants, then the recovered key
+      set as a durable prefix of the inserts;
+    - {!alloc_churn}: each thread acquires stamped, signature-filled
+      blocks into its own slots of a persistent directory or releases
+      them, and the recovered stamp-per-slot vector must match a
+      durable prefix; the validate cross-checks {!Pmem.Check}'s
+      live-block count against the committed blocks;
     - {!kv_batch}: the KV service's coalesced write path — each thread
       commits batches of sets plus its batch-marker key in one
       transaction, so a crash mid-batch must leave all of the batch or
       none, with the marker naming the durable prefix;
     - {!kv_xshard}: two {!Kvserve.Store}s standing in for two shards —
-      every operation commits to A then B in separate transactions;
-      under the dlin oracle the [B <= A <= B+1] marker bound is just
-      "durable sets are per-thread prefixes";
+      every operation commits to A then B in separate transactions, so
+      the [B <= A <= B+1] marker bound is just "durable sets are
+      per-thread prefixes";
     - {!kv_incr}: a single shared counter bumped through
       [Kvserve.Store.incr]; the returned new-values make the dlin
-      search an exactly-once oracle;
-    - {!of_spec}: wraps any {!Workloads.Driver.spec} with a structural
-      (region-integrity only) oracle, so the paper's full workloads can
-      ride the @crashtest sweep.
+      search an exactly-once oracle.
 
     All scenarios derive their randomness from the instance seed, so a
     (scenario, seed) pair fully determines the workload.
@@ -59,16 +60,15 @@ val btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenari
 val mod_btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 (** {!Pstructs.Mod_bptree} under a deterministic per-thread
     insert/remove script.  The oracle runs {!Dlin.check} with
-    [`Buffered] durability when the recovered PTM uses the [Mod]
-    algorithm (the root swap's flush is unfenced, so a committed suffix
-    may be lost) and strict durability otherwise; the validate checks
-    snapshot consistency (each thread's recovered bindings are a script
-    prefix), a WPQ-lag bound on committed-but-lost ops, and phantom
-    freedom. *)
+    [`Buffered] durability after a crash under the [Mod] algorithm (the
+    root swap's flush is unfenced, so a committed suffix may be lost)
+    and strict durability otherwise, crash-free runs included; the
+    validate bounds the committed-but-lost ops of a buffered cut by the
+    WPQ lag. *)
 
 val mod_hash : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 (** {!Pstructs.Mod_phashtable} under the same script, oracle and
-    validates as {!mod_btree}. *)
+    validate as {!mod_btree}. *)
 
 val alloc_churn : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
@@ -79,19 +79,16 @@ val kv_xshard : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.sce
 
 val kv_incr : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
-val of_spec :
-  ?threads:int -> ?ops:int -> ?coalesce:bool -> Workloads.Driver.spec -> Engine.scenario
-
 val fams_bank :
   ?accounts:int -> ?ops:int -> ?sync_every:int -> unit -> Engine.fams_scenario
 (** The msync twin of {!bank}: a single mutator transfers between
     scattered one-word accounts in the FAMS working area (two pages, so
     line and page sweeps journal different unit sets) and calls
     [msync_atomic] every [sync_every] operations.  The dlin oracle runs
-    with [`Buffered] durability; the validate additionally requires
-    conservation, and that the recovered op counter reaches the last
-    {e completed} sync (FAMS's durability point) and never exceeds the
-    last attempted op. *)
+    with [`Buffered] durability after a crash and strict durability on
+    a crash-free run; the validate adds the one thing a buffered cut
+    leaves open: the recovered op counter reaches the last
+    {e completed} sync (FAMS's durability point). *)
 
 val fams_all : unit -> Engine.fams_scenario list
 

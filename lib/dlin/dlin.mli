@@ -131,5 +131,7 @@ val check :
       at every search node and the commuting-leader rule is disabled —
       a completed operation need not be in the cut, so bubbling it
       first is unsound for prefix cuts.  Responses of operations
-      {e outside} the cut are not revalidated here; scenario validates
-      cover them. *)
+      {e outside} the cut are not revalidated, and any cut is legal
+      however short: a bound on how much a crash may lose (a lag
+      budget, a completed-sync point) is the caller's to check.  Judge
+      a crash-free run [`Strict] — it lost nothing. *)

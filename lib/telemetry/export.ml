@@ -117,7 +117,7 @@ let trace_kind_name = function
   | Memsim.Trace.Publish n -> Printf.sprintf "publish %d" n
   | Memsim.Trace.Crash -> "crash"
 
-let chrome_trace ?machine_trace ?request_trace meta (p : Profile.t) =
+let chrome_trace ?machine_trace meta (p : Profile.t) =
   let buf = Buffer.create 16384 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   let first = ref true in
@@ -161,10 +161,5 @@ let chrome_trace ?machine_trace ?request_trace meta (p : Profile.t) =
              (json_escape (trace_kind_name e.Memsim.Trace.kind))
              (us e.Memsim.Trace.at_ns)))
       (Memsim.Trace.tail tr));
-  (match request_trace with
-  | None -> ()
-  | Some rt ->
-    emit "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"requests\"}}";
-    List.iter emit (Trace.chrome_events rt));
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -28,13 +28,11 @@ val profile_jsonl : ?extra_thread_fields:(int -> (string * int) list) -> run_met
       commits/aborts, transaction-latency stats, plus any
       [extra_thread_fields] (e.g. machine-attributed stall counters). *)
 
-val chrome_trace :
-  ?machine_trace:Memsim.Trace.t -> ?request_trace:Trace.t -> run_meta -> Pstm.Profile.t -> string
+val chrome_trace : ?machine_trace:Memsim.Trace.t -> run_meta -> Pstm.Profile.t -> string
 (** Chrome trace_event JSON (load in Perfetto or about://tracing):
     phase spans and transaction envelopes as complete (["X"]) events on
     per-thread tracks, plus instant events for retained machine trace
     events (loads/stores/clwbs/fences) when [machine_trace] is given.
-    With [request_trace], whole-request spans (and the PTM phase slices
-    nested under their commits) are appended on a second process. *)
+    Request spans have their own writer, {!Trace.chrome_trace}. *)
 
 val json_escape : string -> string

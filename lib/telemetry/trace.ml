@@ -274,33 +274,22 @@ let us ns = float_of_int ns /. 1000.0
    per trace so backlogged requests on one connection never produce
    mis-nested slices; service-level spans (trace -1) get a per-shard
    service track. *)
-let chrome_events t =
-  let acc = ref [] in
+let chrome_trace t =
+  let buf = Buffer.create 16384 in
+  Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  Buffer.add_string buf
+    "\n{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"kvserve requests\"}}";
   iter
     (fun _ s ->
       let tid, cat =
         if s.s_trace >= 0 then (s.s_trace, if s.s_kind = "request" then "request" else "span")
         else (1_000_000 + s.s_tid, "service")
       in
-      acc :=
-        Printf.sprintf
-          "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace\":%d,\"tid\":%d}}"
-          tid s.s_kind cat (us s.s_start_ns)
-          (us (s.s_stop_ns - s.s_start_ns))
-          s.s_trace s.s_tid
-        :: !acc)
+      Printf.bprintf buf
+        ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace\":%d,\"tid\":%d}}"
+        tid s.s_kind cat (us s.s_start_ns)
+        (us (s.s_stop_ns - s.s_start_ns))
+        s.s_trace s.s_tid)
     t;
-  List.rev !acc
-
-let chrome_trace t =
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  Buffer.add_string buf
-    "\n{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"kvserve requests\"}}";
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf ",\n";
-      Buffer.add_string buf ev)
-    (chrome_events t);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

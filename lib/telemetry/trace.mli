@@ -92,10 +92,8 @@ val blame : t -> lo_pct:float -> hi_pct:float -> blame
 
 (** {1 Perfetto export} *)
 
-val chrome_events : t -> string list
-(** Chrome trace_event JSON objects, one per span, on pid 1 with one
-    track per trace (so whole-request spans nest their children
-    cleanly).  For embedding into a larger trace file. *)
-
 val chrome_trace : t -> string
-(** Standalone Perfetto-loadable JSON wrapping {!chrome_events}. *)
+(** Perfetto-loadable Chrome trace_event JSON: one complete (["X"])
+    event per span, on pid 1 with one track per trace (so whole-request
+    spans nest their children cleanly) and a per-shard track for
+    service-level spans. *)

@@ -11,9 +11,10 @@
    replay line.
 
    gate          alias          runtest  budget  checks
-   crashtest     @crashtest     no       600 s   every scenario x durability domain x
-                                                 algorithm cell, judged by the dlin oracle
-                                                 first (knobs below)
+   crashtest     @crashtest     no       600 s   every PTM scenario x durability domain x
+                                                 algorithm cell, then every FAMS scenario x
+                                                 five domains x {fams-line, fams-page},
+                                                 each judged by the dlin oracle (knobs below)
    differential  @differential  yes       60 s   12 Difftest seeds leave the identical heap
                                                  under every configuration; a 4-thread ADR
                                                  bank run spends strictly fewer fences and
@@ -50,7 +51,8 @@
                                             matching no cell exits 2
      CRASHTEST_INJECT=skip-fence|reorder-log-apply|tear-write
                                             arm a PTM ordering bug for the
-                                            whole sweep (expect failures)
+                                            whole sweep (expect failures);
+                                            the FAMS cells are skipped
      CRASHTEST_REPLAY='scenario:model:alg:seed:t[:inject]'
                                             re-run one printed crash point.
                                             FAMS lines replay too: their alg
@@ -146,6 +148,16 @@ let crash_models =
     Config.htm_commit;
   ]
 
+(* FAMS needs no hardware transaction, so HTM-commit adds nothing. *)
+let fams_models =
+  [
+    Config.optane_adr;
+    Config.optane_eadr;
+    Config.transient_cache;
+    Config.pdram;
+    Config.pdram_lite;
+  ]
+
 (* Undo's eager in-place stores are pointless inside a hardware
    transaction; the HTM-commit domain sweeps the Htm algorithm
    instead.  The MOD structure scenarios sweep the Mod algorithm
@@ -212,29 +224,47 @@ let crashtest ~full:_ =
   | Some spec when String.trim spec <> "" -> replay spec
   | Some _ | None ->
     let ran = ref 0 in
+    let cell scenario model algorithm explore =
+      if
+        wanted "CRASHTEST_SCENARIO" scenario
+        && wanted "CRASHTEST_MODEL" model.Config.model_name
+        && wanted "CRASHTEST_ALG" algorithm
+      then begin
+        let report = explore ~model in
+        Format.printf "%a@." Engine.pp_report report;
+        incr ran;
+        check
+          (Printf.sprintf "cell %s/%s/%s" report.Engine.scenario report.Engine.model
+             report.Engine.algorithm)
+          (Engine.ok report)
+      end
+    in
     List.iter
       (fun scenario ->
-        if wanted "CRASHTEST_SCENARIO" scenario.Engine.name then
+        List.iter
+          (fun model ->
+            List.iter
+              (fun algorithm ->
+                cell scenario.Engine.name model (Ptm.algorithm_name algorithm)
+                  (Engine.explore ~points ~seed ~exhaustive ?inject ~algorithm scenario))
+              (algorithms_for model scenario))
+          crash_models)
+      (Scenarios.all ());
+    (* The PTM injects mean nothing to FAMS, whose own mutations are
+       armed through replay lines and the tier-1 suite. *)
+    if inject = None then
+      List.iter
+        (fun scenario ->
           List.iter
             (fun model ->
-              if wanted "CRASHTEST_MODEL" model.Config.model_name then
-                List.iter
-                  (fun algorithm ->
-                    if wanted "CRASHTEST_ALG" (Ptm.algorithm_name algorithm) then begin
-                      let report =
-                        Engine.explore ~points ~seed ~exhaustive ?inject ~model ~algorithm
-                          scenario
-                      in
-                      Format.printf "%a@." Engine.pp_report report;
-                      incr ran;
-                      check
-                        (Printf.sprintf "cell %s/%s/%s" report.Engine.scenario
-                           report.Engine.model report.Engine.algorithm)
-                        (Engine.ok report)
-                    end)
-                  (algorithms_for model scenario))
-            crash_models)
-      (Scenarios.all ());
+              List.iter
+                (fun granularity ->
+                  cell scenario.Engine.f_name model
+                    (Engine.fams_algorithm_name granularity)
+                    (Engine.explore_fams ~points ~seed ~exhaustive ~granularity scenario))
+                [ Fams.Line; Fams.Page ])
+            fams_models)
+        (Scenarios.fams_all ());
     (* A typo'd filter must not read as a clean bill of health. *)
     if !ran = 0 then usage_error "no cells matched the CRASHTEST_SCENARIO/MODEL/ALG filters";
     if !failures = 0 then Printf.printf "all %d cells passed\n%!" !ran

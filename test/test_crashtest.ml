@@ -348,9 +348,61 @@ let test_crash_leak_is_warning () =
   in
   hunt 1
 
+(* ---------- the oracle alone judges ---------- *)
+
+let scenario_fixture ?algorithm scenario =
+  let sim, _m, ptm =
+    Helpers.ptm_fixture ?algorithm ~heap_words:scenario.Engine.heap_words
+      ~max_threads:scenario.Engine.threads
+      ~log_words_per_thread:scenario.Engine.log_words_per_thread ()
+  in
+  scenario.Engine.prepare ptm;
+  let inst = scenario.Engine.fresh ~seed in
+  match inst.Engine.oracle with
+  | None -> Alcotest.fail (scenario.Engine.name ^ " has no oracle")
+  | Some oracle -> (sim, ptm, inst, oracle)
+
+(* A marker no abstract state can hold is recovered data the oracle
+   must reject with a replayable dump, not an exception escaping
+   [Ptm.atomic] and aborting the sweep. *)
+let test_torn_marker scenario marker () =
+  let sim, ptm, _inst, oracle = scenario_fixture scenario in
+  let store = Kvserve.Store.attach ptm in
+  Ptm.atomic ptm (fun tx -> Kvserve.Store.set tx store ~key:marker ~flags:0 "x1y");
+  match oracle ~crashed:true sim ptm with
+  | Ok () -> Alcotest.fail "torn marker accepted"
+  | Error f ->
+    Helpers.check_bool "failure explains itself" true (String.length f.Engine.fail_reason > 0);
+    Helpers.check_bool "failure carries a counterexample dump" true
+      (Option.is_some f.Engine.counterexample)
+
+(* A crash-free run lost nothing, so its oracle must demand every
+   operation, while after a crash a MOD run may stop at any
+   real-time-closed cut.  One thread makes its last script op the last
+   operation of the whole history; op 7 inserts key 1007. *)
+let test_mod_clean_run_is_strict () =
+  let scenario = Scenarios.mod_btree ~threads:1 ~ops:7 () in
+  let sim, ptm, inst, oracle = scenario_fixture ~algorithm:Ptm.Mod scenario in
+  Helpers.run_workers sim 1 (fun tid -> inst.Engine.worker ~tid ptm);
+  let t = Pstructs.Mod_bptree.attach ptm (Ptm.root_get ptm 0) in
+  Ptm.atomic ptm (fun tx -> ignore (Pstructs.Mod_bptree.remove tx t 1007 : bool));
+  Helpers.check_bool "crash-free run missing its last op is rejected" true
+    (Result.is_error (oracle ~crashed:false sim ptm));
+  Helpers.check_bool "the same state is a buffered prefix after a crash" true
+    (Result.is_ok (oracle ~crashed:true sim ptm))
+
+let oracle_cases =
+  [
+    Alcotest.test_case "torn kv-batch marker fails typed" `Quick
+      (test_torn_marker (Scenarios.kv_batch ()) "m0");
+    Alcotest.test_case "torn kv-xshard marker fails typed" `Quick
+      (test_torn_marker (Scenarios.kv_xshard ()) "ma0");
+    Alcotest.test_case "mod crash-free run is judged strict" `Quick test_mod_clean_run_is_strict;
+  ]
+
 let suite =
   matrix_cases @ coalescing_cases @ mod_cases @ kvserve_cases @ extension_domain_cases
-  @ mutation_cases
+  @ mutation_cases @ oracle_cases
   @ [
       Alcotest.test_case "nofence-adr is caught (redo)" `Slow (test_nofence Ptm.Redo);
       Alcotest.test_case "nofence-adr is caught (undo)" `Slow (test_nofence Ptm.Undo);

@@ -271,6 +271,37 @@ let mutation_cases =
          ~model:Config.optane_adr);
   ]
 
+(* ---------- crash-free runs are judged strict ---------- *)
+
+let finished_bank ~ops =
+  let scenario = Scenarios.fams_bank ~ops () in
+  let sim, fams = fams_fixture ~granularity:Fams.Line ~words:scenario.Engine.f_words () in
+  scenario.Engine.f_prepare fams;
+  Fams.checkpoint_raw fams;
+  let inst = scenario.Engine.f_fresh ~seed in
+  ignore (Sim.spawn sim (fun () -> inst.Engine.f_worker sim fams));
+  Sim.run sim;
+  (scenario, sim, fams, inst)
+
+(* A crash-free run lost nothing, so its oracle must demand every
+   transfer.  Copying in the working area of a run one transfer shorter
+   (same seed, so the same transfers) undoes the last one: rejected
+   without a crash, a legal buffered cut after one. *)
+let test_clean_run_is_strict () =
+  let ops = 80 in
+  let scenario, sim, fams, inst = finished_bank ~ops in
+  let _, _, shorter, _ = finished_bank ~ops:(ops - 1) in
+  for a = 0 to scenario.Engine.f_words - 1 do
+    Fams.raw_write fams a (Fams.raw_read shorter a)
+  done;
+  match inst.Engine.f_oracle with
+  | None -> Alcotest.fail "fams-bank has no oracle"
+  | Some oracle ->
+    Helpers.check_bool "crash-free run missing its last transfer is rejected" true
+      (Result.is_error (oracle ~crashed:false sim fams));
+    Helpers.check_bool "the same state is a buffered prefix after a crash" true
+      (Result.is_ok (oracle ~crashed:true sim fams))
+
 (* ---------- demand-paged sparse heap images ---------- *)
 
 (* A 8 MiB heap with three touched words must serialize far below the
@@ -318,5 +349,6 @@ let suite =
       dirty_matches_model;
     Alcotest.test_case "snap phases partition sync time" `Quick test_phase_exactness;
     Alcotest.test_case "sparse heap image roundtrip" `Quick test_sparse_image;
+    Alcotest.test_case "crash-free run is judged strict" `Quick test_clean_run_is_strict;
   ]
   @ matrix_cases @ mutation_cases
