@@ -49,12 +49,10 @@ let model_conv =
   Arg.conv (parse, fun ppf m -> Format.fprintf ppf "%s" m.Memsim.Config.model_name)
 
 let algorithm_conv =
-  let parse = function
-    | "redo" -> Ok Pstm.Ptm.Redo
-    | "undo" -> Ok Pstm.Ptm.Undo
-    | "htm" -> Ok Pstm.Ptm.Htm
-    | "mod" -> Ok Pstm.Ptm.Mod
-    | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S (redo|undo|htm|mod)" s))
+  let parse s =
+    match Pstm.Ptm.algorithm_of_name s with
+    | Some a -> Ok a
+    | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S (redo|undo|htm|mod)" s))
   in
   Arg.conv (parse, fun ppf a -> Format.fprintf ppf "%s" (Pstm.Ptm.algorithm_name a))
 

@@ -571,12 +571,7 @@ let parse_fields ~algorithm ~inject spec =
 
 let parse_replay =
   parse_fields ~inject:Ptm.inject_of_name ~algorithm:(fun alg ->
-      match String.lowercase_ascii alg with
-      | "redo" -> Some Ptm.Redo
-      | "undo" -> Some Ptm.Undo
-      | "htm" -> Some Ptm.Htm
-      | "mod" -> Some Ptm.Mod
-      | _ -> None)
+      Ptm.algorithm_of_name (String.lowercase_ascii alg))
 
 let parse_fams_replay =
   parse_fields ~inject:Fams.inject_of_name ~algorithm:(function

@@ -1,20 +1,24 @@
 (** Persistent transactional memory: the paper's core subject.
 
-    Two algorithms from the LLVM PTM suite the paper benchmarks
-    (Zardoshti et al., PACT'19), both built on a table of versioned
-    ownership records (orecs) and a TL2-style global version clock:
+    One shared transaction core ([Ptm_core]: versioned ownership records
+    (orecs), a TL2-style global clock with timestamp extension, read-set
+    validation, the flush/fence helpers, the coalesced write-set sweep
+    and the commit bookkeeping) and one private module per commit
+    protocol, each implementing [Ptm_core.ALGORITHM] ([read], [write],
+    [try_commit], [abort]):
 
-    - {!Redo} ("orec-lazy"): writes are buffered in a per-thread
-      persistent redo log (volatile index, persistent payload — the
-      split-log tuning of §III-A); orecs are acquired at commit time;
-      the durable commit point is the flushed log-status word, after
-      which values are written back in place.  O(1) fences per
+    - {!Redo} ([Redo_alg], "orec-lazy" from the LLVM PTM suite the paper
+      benchmarks, Zardoshti et al., PACT'19): writes are buffered in a
+      per-thread persistent redo log (volatile index, persistent payload
+      — the split-log tuning of §III-A); orecs are acquired at commit
+      time; the durable commit point is the flushed log-status word,
+      after which values are written back in place.  O(1) fences per
       transaction.
-
-    - {!Undo} ("orec-eager"): orecs are acquired at first write; the
-      old value is appended to a persistent undo log and {e fenced}
-      before each in-place store, giving O(W) fences — the cost the
-      paper blames for undo logging losing to redo logging.
+    - {!Undo} ([Undo_alg], "orec-eager"): orecs are acquired at first
+      write; the old value is appended to a persistent undo log and
+      {e fenced} before each in-place store, giving O(W) fences — the
+      cost the paper blames for undo logging losing to redo logging.
+    - {!Htm} ([Htm_alg]) and {!Mod} ([Mod_alg]): see their constructors.
 
     Durability-domain instrumentation is taken from the machine:
     [needs_flush]/[needs_fence] decide which [clwb]/[sfence] are
@@ -40,25 +44,23 @@ type algorithm =
           clwb would abort the hardware transaction. *)
   | Mod
       (** MOD, minimally ordered durable structures (Haria et al.,
-          arXiv 1908.11850): the paper's "fences are the cost" thesis
-          pushed to its endpoint.  Writes are buffered volatile; the
-          transaction must fit the functional shadow-update shape —
-          every written word is either freshly allocated this
-          transaction (a shadow node, unreachable until publication)
-          or the {e one} home-location word that swings the
-          structure's root.  Commit then orders exactly once: shadow
-          stores, one vectored clwb sweep, {e one fence}, then the
-          8-byte atomic root swap whose own write-back is left
-          unfenced — recovery reads whichever root reached media, so
-          durability is {e buffered} (at most the final operation per
-          structure is lost; everything behind a swept root survives).
-          A transaction that writes a second distinct non-fresh word
-          transparently falls back to the redo path for that attempt,
-          so arbitrary workloads stay correct — only MOD-shaped ones
-          get the single-fence bill.  Conflict detection rides the
-          root word's orec; shadow nodes need none. *)
+          arXiv 1908.11850): writes are buffered volatile, and a
+          transaction of the functional shadow-update shape (fresh
+          shadow nodes plus the {e one} home word that swings the
+          structure's root) commits with shadow stores, one vectored
+          clwb sweep, {e one fence} and an unfenced 8-byte root swap.
+          Durability is {e buffered}: at most the final operation per
+          structure is lost.  A transaction writing a second home word
+          falls back to the redo path for that attempt. *)
+
+val algorithms : algorithm list
+(** Every algorithm, in declaration order. *)
 
 val algorithm_name : algorithm -> string
+(** Stable names: ["redo"], ["undo"], ["htm"], ["mod"]. *)
+
+val algorithm_of_name : string -> algorithm option
+(** Inverse of {!algorithm_name}; [None] for any other string. *)
 
 type flush_timing =
   | At_commit  (** flush all redo-log lines in a tight pre-commit loop *)
@@ -73,7 +75,7 @@ type inject =
           sweep (clwbs or fence) before the root swap, so the root can
           reach media while the nodes it points at are still
           cache-only (the lone sfence is timing-redundant in this
-          machine model; see the commit pipeline comment) *)
+          machine model; see [Mod_alg.sweep]) *)
   | Reorder_log_apply
       (** redo: the durable commit status is raised {e before} the log
           entries persist, so recovery can replay a stale log; undo:
@@ -137,7 +139,11 @@ val create :
     discipline — a clwb and an ordering fence per log entry and per
     written word — for A/B measurement of what coalescing saves.
     Both modes produce identical heap states; only flush/fence traffic
-    and timing differ. *)
+    and timing differ.
+
+    Raises [Invalid_argument], before writing anything, for [Htm] on a
+    flush-requiring domain or an orec table larger than the machine's
+    metadata space. *)
 
 (** What one pass of crash recovery did: how many per-thread logs were
     scanned, how many log words were examined, and how many entries
@@ -170,7 +176,9 @@ val recover :
     logs, clear log statuses and rebuild the allocator's free lists.
     Idempotent (a crash during recovery is handled by recovering
     again).  When [profiler] is given, recovery is recorded as a
-    {!Profile.Recovery} phase and the profiler stays installed. *)
+    {!Profile.Recovery} phase and the profiler stays installed.
+    Rejects the configurations {!create} rejects, before touching the
+    image. *)
 
 val region : t -> Pmem.Region.t
 val machine : t -> Machine.t
@@ -264,15 +272,3 @@ val profiler : t -> Profile.t option
 val last_recovery : t -> Recovery_report.t option
 (** Report of the recovery pass that produced this runtime; [None] for
     a runtime built by {!create}. *)
-
-val set_conflict_hook : t -> (string -> int -> unit) option -> unit
-(** Install a callback on this instance, invoked on every conflict with
-    the site name ("read-stale", "acquire-locked", "commit-validate",
-    ...) and the heap address involved (0 for whole-read-set validation
-    failures).  For contention debugging; [None] disables.  Per
-    instance, so concurrent simulations on other domains are never
-    observed. *)
-
-val set_inject : t -> inject option -> unit
-(** Arm (or disarm) an injected ordering bug on this instance.  Strictly
-    for mutation tests of the crash oracles; see {!inject}. *)

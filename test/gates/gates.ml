@@ -36,6 +36,10 @@
                                                  Chrome trace) under {ADR, eADR} x {redo,
                                                  undo}: schema, exact phase sums, repeat run
                                                  byte-identical
+   results       @results       yes      120 s   every table of the quick-size experiments
+                                                 below byte-identical to the committed
+                                                 results/quick/<experiment>-<i>.csv; a
+                                                 missing or extra table fails
 
    `--full` changes only fams and mod: the full measurement window.
    The committed baselines are quick-sized, so full mode skips the
@@ -627,6 +631,50 @@ let telemetry ~full:_ =
         files again)
     telemetry_cells
 
+(* ---------- results ---------- *)
+
+(* The quick-size experiment tables are the refactor bar: simulation
+   is deterministic, so any byte that moves is a behaviour change.
+   recovery-time is left out (it measures host wall-clock), and so are
+   the experiments too slow for runtest.  After a deliberate behaviour
+   change, regenerate the reference files from the repository root with
+
+     dune exec bench/main.exe -- --quick --jobs 1 --csv results/quick \
+       table1 table2 table3 fig7 logsize flush-timing orec-size htm scaling \
+       latency dimm-interleave reserve-energy algorithms fams
+
+   and explain the diff in the commit. *)
+let results_dir = "results/quick"
+
+let results_experiments =
+  [
+    "table1"; "table2"; "table3"; "fig7"; "logsize"; "flush-timing"; "orec-size"; "htm";
+    "scaling"; "latency"; "dimm-interleave"; "reserve-energy"; "algorithms"; "fams";
+  ]
+
+let results ~full:_ =
+  let rendered =
+    List.concat_map
+      (fun name ->
+        let outcome = (List.assoc name Experiments.all) ~quick:true ~jobs:1 () in
+        List.mapi
+          (fun i table -> (Printf.sprintf "%s-%d.csv" name i, Repro_util.Table.to_csv table))
+          outcome.Experiments.tables)
+      results_experiments
+  in
+  List.iter
+    (fun (file, csv) ->
+      let path = Filename.concat results_dir file in
+      match In_channel.with_open_bin path In_channel.input_all with
+      | reference -> same_bytes path ~reference csv
+      | exception Sys_error _ -> check (Printf.sprintf "%s: table rendered, file missing" path) false)
+    rendered;
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".csv" && not (List.mem_assoc file rendered) then
+        check (Printf.sprintf "%s/%s: file committed, table not rendered" results_dir file) false)
+    (Sys.readdir results_dir)
+
 (* ---------- the table ---------- *)
 
 type gate = { name : string; budget_s : float; run : full:bool -> unit }
@@ -641,6 +689,7 @@ let gates =
     { name = "kvserve"; budget_s = 60.0; run = kvserve };
     { name = "trace"; budget_s = 60.0; run = trace };
     { name = "telemetry"; budget_s = 60.0; run = telemetry };
+    { name = "results"; budget_s = 120.0; run = results };
   ]
 
 let () =

@@ -7,6 +7,7 @@ let () =
       ("pmem", Test_pmem.suite);
       ("pstm", Test_pstm.suite);
       ("pstm2", Test_pstm2.suite);
+      ("ptm-commit", Test_ptm_commit.suite);
       ("pstructs", Test_pstructs.suite);
       ("pstructs2", Test_pstructs2.suite);
       ("mod", Test_mod.suite);
