@@ -1,13 +1,18 @@
-(* Command-line front end for single experiments and custom runs.
+(* Command-line front end: the paper's experiments and custom runs.
 
      ptm_bench list
      ptm_bench run --workload tpcc-hash --model optane-adr --algorithm undo \
                    --threads 8 --duration-ms 3
      ptm_bench sweep --workload tatp --model pdram
-     ptm_bench experiment fig4 --quick --csv out/
+     ptm_bench experiment all                       # every table and figure
+     ptm_bench experiment --quick --csv out/ fig4 table1
+     ptm_bench experiment --jobs 4 --json fig3
+     ptm_bench regress -b BENCH_fams.json -c out/BENCH_fams.json
 
-   [bench/main.exe] regenerates the full paper; this tool is for
-   poking at individual configurations. *)
+   [experiment] is the one driver over [Workloads.Experiments.all]:
+   tables print to stdout, [--csv DIR] also writes DIR/<name>-<i>.csv,
+   and [--json] writes BENCH_<name>.json next to the CSVs (or in the
+   current directory). *)
 
 open Cmdliner
 
@@ -224,23 +229,42 @@ let sweep_cmd =
     Term.(const sweep $ workload_arg $ model_arg $ algorithm_arg $ duration_arg $ no_coalesce_arg)
 
 let experiment_cmd =
-  let names = List.map fst Workloads.Experiments.all in
-  let name_arg =
+  let module E = Workloads.Experiments in
+  let names_arg =
+    let choices = List.map (fun (n, _) -> (n, [ n ])) E.all @ [ ("all", List.map fst E.all) ] in
     Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
-      & info [] ~docv:"EXPERIMENT")
+      non_empty
+      & pos_all (enum choices) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiments to run, in order (see $(b,list)); $(b,all) runs every one.")
   in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Short measurement window.") in
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let jobs_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the sweep's independent simulation cells (default: the \
              available cores).  Tables are byte-identical for every value; only wall time \
              changes.")
+  in
+  let csv_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:
+            "Also write each table to $(i,DIR)/$(i,EXPERIMENT)-$(i,I).csv, $(i,I) counting the \
+             experiment's tables from 0.")
   in
   let json_arg =
     Arg.(
@@ -248,33 +272,44 @@ let experiment_cmd =
       & flag
       & info [ "json" ]
           ~doc:
-            "Also write BENCH_$(i,EXPERIMENT).json in the current directory: per-cell \
-             throughput/abort/fence metrics plus run totals and wall time.")
+            "Also write BENCH_$(i,EXPERIMENT).json, next to the CSVs or in the current \
+             directory: per-cell throughput/abort/fence metrics plus run totals and wall time.")
   in
-  let exp name quick jobs json =
-    (match jobs with
-    | Some j when j < 1 -> failwith "--jobs expects a positive integer"
-    | Some _ | None -> ());
-    let f = List.assoc name Workloads.Experiments.all in
-    let t0 = Unix.gettimeofday () in
-    let outcome = f ~quick ?jobs () in
-    let wall_s = Unix.gettimeofday () -. t0 in
+  let exp names quick jobs csv json =
+    let write_csv name (table : Repro_util.Table.t) =
+      Option.iter
+        (fun dir ->
+          (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+          let path = Filename.concat dir (name ^ ".csv") in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (Repro_util.Table.to_csv table));
+          Format.printf "  (csv written to %s)@." path)
+        csv
+    in
     List.iter
-      (fun table -> Format.printf "%a" Repro_util.Table.print table)
-      outcome.Workloads.Experiments.tables;
-    if json then begin
-      let jobs = match jobs with Some j -> j | None -> Parallel.Pool.default_jobs () in
-      let path =
-        Workloads.Bench_json.write ~experiment:name ~quick ~jobs ~wall_s
-          ~extra:outcome.Workloads.Experiments.extra outcome.Workloads.Experiments.results
-      in
-      Format.printf "json       : wrote %s@." path
-    end
+      (fun name ->
+        let t0 = Unix.gettimeofday () in
+        let outcome = (List.assoc name E.all) ~quick ?jobs () in
+        let wall_s = Unix.gettimeofday () -. t0 in
+        List.iteri
+          (fun i table ->
+            Format.printf "%a" Repro_util.Table.print table;
+            write_csv (Printf.sprintf "%s-%d" name i) table)
+          outcome.E.tables;
+        if json then begin
+          let path =
+            Workloads.Bench_json.write ?dir:csv ~experiment:name ~quick
+              ~jobs:(Option.value jobs ~default:(Parallel.Pool.default_jobs ()))
+              ~wall_s ~extra:outcome.E.extra outcome.E.results
+          in
+          Format.printf "  (json written to %s)@." path
+        end;
+        Format.printf "  [%s: %d data points, %.1fs]@." name (List.length outcome.E.results) wall_s)
+      (List.concat names)
   in
   Cmd.v
-    (Cmd.info "experiment"
-       ~doc:"Regenerate one of the paper's tables/figures (fig3 fig4 table1 ... fig8).")
-    Term.(const exp $ name_arg $ quick_arg $ jobs_arg $ json_arg)
+    (Cmd.info "experiment" ~doc:"Regenerate the paper's tables and figures (fig3 table1 ... all).")
+    Term.(const exp $ names_arg $ quick_arg $ jobs_arg $ csv_arg $ json_arg)
 
 let regress_cmd =
   let module J = Workloads.Bench_json in

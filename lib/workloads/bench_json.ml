@@ -305,8 +305,7 @@ let wall_metric name =
   || contains name "events_per_sec"
 
 let higher_better name =
-  contains name "per_sec" || contains name "per_abort" || contains name "speedup"
-  || name = "commits" || contains name "hit"
+  contains name "per_sec" || contains name "per_abort" || name = "commits" || contains name "hit"
 
 let lower_better name =
   String.ends_with ~suffix:"_ns" name

@@ -2,6 +2,10 @@ module Table = Repro_util.Table
 module Config = Memsim.Config
 module Ptm = Pstm.Ptm
 module Pool = Parallel.Pool
+module Histogram = Repro_util.Histogram
+module Service = Kvserve.Service
+module Client = Kvserve.Client
+module Trace = Telemetry.Trace
 
 type outcome = {
   tables : Table.t list;
@@ -694,6 +698,17 @@ let scaling ?(quick = false) ?jobs () =
     series;
   { tables = [ tput; economy ]; results = List.rev !all_results; extra = [] }
 
+(* The five durability domains the algorithms and FAMS grids span, one
+   table column each. *)
+let domain_columns =
+  [
+    ("ADR", Config.optane_adr);
+    ("eADR", Config.optane_eadr);
+    ("transient", Config.transient_cache);
+    ("PDRAM", Config.pdram);
+    ("PDRAM-Lite", Config.pdram_lite);
+  ]
+
 (* Extension: the MOD algorithm column.  The same mixed btree/hash op
    stream runs under redo, undo and MOD across every durability domain
    (Mod_bench routes to the shadow structures under [Mod]), with
@@ -708,22 +723,13 @@ let algorithms ?(quick = false) ?jobs () =
   let dur = duration quick in
   let threads = if quick then 2 else 4 in
   let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
-  let models =
-    [
-      ("ADR", Config.optane_adr);
-      ("eADR", Config.optane_eadr);
-      ("transient", Config.transient_cache);
-      ("PDRAM", Config.pdram);
-      ("PDRAM-Lite", Config.pdram_lite);
-    ]
-  in
-  let algs = [ ("redo", Ptm.Redo); ("undo", Ptm.Undo); ("mod", Ptm.Mod) ] in
+  let algs = [ Ptm.Redo; Ptm.Undo; Ptm.Mod ] in
   let specs = [ Mod_bench.btree; Mod_bench.hash ] in
   let tput =
     Table.create
       ~title:
         (Printf.sprintf "Algorithms — mixed btree/hash throughput, %d threads (M tx/s)" threads)
-      ~header:("workload/algorithm" :: List.map fst models)
+      ~header:("workload/algorithm" :: List.map fst domain_columns)
   in
   let economy =
     Table.create ~title:"Algorithms — ordering economy per commit (profiler counters)"
@@ -737,11 +743,11 @@ let algorithms ?(quick = false) ?jobs () =
     List.concat_map
       (fun spec ->
         List.concat_map
-          (fun (_, algorithm) ->
+          (fun algorithm ->
             List.map
               (fun (_, model) () ->
                 Driver.run ~duration_ns:dur ~telemetry:passive ~model ~algorithm ~threads spec)
-              models)
+              domain_columns)
           algs)
       specs
   in
@@ -750,7 +756,8 @@ let algorithms ?(quick = false) ?jobs () =
   List.iter
     (fun spec ->
       List.iter
-        (fun (alg_name, _) ->
+        (fun algorithm ->
+          let alg_name = Ptm.algorithm_name algorithm in
           let row =
             List.map
               (fun (model_name, _) ->
@@ -780,7 +787,7 @@ let algorithms ?(quick = false) ?jobs () =
                       per (sum (Pstm.Profile.flushes_saved p));
                     ]);
                 Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-              models
+              domain_columns
           in
           Table.add_row tput ((spec.Driver.name ^ "/" ^ alg_name) :: row))
         algs)
@@ -867,15 +874,6 @@ let fams_cell_json c =
 
 let fams_run ?(quick = false) ?jobs () =
   let dur = duration quick in
-  let models =
-    [
-      ("ADR", Config.optane_adr);
-      ("eADR", Config.optane_eadr);
-      ("transient", Config.transient_cache);
-      ("PDRAM", Config.pdram);
-      ("PDRAM-Lite", Config.pdram_lite);
-    ]
-  in
   let series =
     [
       ("ptm-redo", None);
@@ -893,7 +891,7 @@ let fams_run ?(quick = false) ?jobs () =
   in
   let tput =
     Table.create ~title:"FAMS — PTM redo vs failure-atomic msync, 1 thread (M ops/s)"
-      ~header:("workload/series" :: List.map fst models)
+      ~header:("workload/series" :: List.map fst domain_columns)
   in
   let economy =
     Table.create ~title:"FAMS — snapshot economy per sync (line vs page granularity)"
@@ -917,7 +915,7 @@ let fams_run ?(quick = false) ?jobs () =
                 | Some granularity ->
                   let r = Fams_bench.run ~duration_ns:dur ~model ~granularity fspec in
                   (r.Fams_bench.driver, Some r.Fams_bench.fams))
-              models)
+              domain_columns)
           series)
       pairs
   in
@@ -965,7 +963,7 @@ let fams_run ?(quick = false) ?jobs () =
                       Table.cell_f (float_of_int cell.fc_bytes_dirtied /. 1024.);
                     ]);
                 Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-              models
+              domain_columns
           in
           Table.add_row tput ((fspec.Fams_bench.name ^ "/" ^ series_name) :: row))
         series)
@@ -981,6 +979,344 @@ let fams_run ?(quick = false) ?jobs () =
   (outcome, cells)
 
 let fams ?quick ?jobs () = fst (fams_run ?quick ?jobs ())
+
+(* kvserve: the Fig 8 working-set sweep through the full service path
+   (memcached codec -> shard router -> write batch -> commit), plus a
+   per-domain restart-recovery table from a mid-run crash.  Unlike
+   [fig8], which drives the PTM directly, protocol parsing, batching
+   and backpressure are on the measured path.  The per-run metrics,
+   including the wall-clock recovery time the tables leave out, land
+   in [extra]. *)
+
+(* Working-set sizes: below the L3, around it, and well past it (the
+   paper's Fig 8 story at simulation scale — value_bytes is fixed at
+   64, so size sweeps the item count and with it the hit rate of the
+   Zipf-skewed key stream). *)
+let kv_sizes = [ ("32KB", 32 * 1024); ("512KB", 512 * 1024); ("4MB", 4 * 1024 * 1024) ]
+
+let kv_series =
+  [
+    ("DRAM", Config.dram_eadr);
+    ("ADR", Config.optane_adr);
+    ("eADR", Config.optane_eadr);
+    ("PDRAM-Lite", Config.pdram_lite);
+  ]
+
+let kv_recovery_series =
+  [
+    ("ADR", Config.optane_adr);
+    ("eADR", Config.optane_eadr);
+    ("PDRAM-Lite", Config.pdram_lite);
+  ]
+
+let kv_value_bytes = 64
+
+let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
+
+let kv_config model ~items =
+  let shards = 4 in
+  let per_shard = (items / shards) + 1 in
+  let base = Service.default_config model in
+  {
+    base with
+    Service.shards;
+    model;
+    prepopulate_items = items;
+    value_bytes = kv_value_bytes;
+    buckets_per_shard = max 256 (next_pow2 per_shard 1);
+    heap_words_per_shard = max (1 lsl 16) (next_pow2 (per_shard * 48) 1);
+  }
+
+let kv_fleet ~quick ~seed ~items =
+  Client.generate ~seed ~conns:8
+    ~requests_per_conn:(if quick then 60 else 240)
+    ~items ~value_bytes:kv_value_bytes ~set_ratio:0.20 ~delete_ratio:0.02 ~incr_ratio:0.05
+    ~mean_gap_ns:2_000 ~theta:0.8 ()
+
+let kvserve ?(quick = false) ?jobs () =
+  let sizes = if quick then [ List.nth kv_sizes 0; List.nth kv_sizes 1 ] else kv_sizes in
+  let seed = 0x5EED in
+  (* -- throughput sweep ------------------------------------------- *)
+  let sweep =
+    Table.create
+      ~title:"kvserve — sharded KV service, 4 shards (k ops/s by working set)"
+      ~header:("series" :: List.map fst sizes)
+  in
+  let sweep_json = ref [] in
+  List.iter
+    (fun (label, model) ->
+      let cells =
+        List.map
+          (fun (size_label, bytes) ->
+            let items = bytes / kv_value_bytes in
+            let cfg = kv_config model ~items in
+            let r = Service.run ?jobs cfg (kv_fleet ~quick ~seed ~items) in
+            sweep_json :=
+              Bench_json.Obj
+                [
+                  ("series", Bench_json.String label);
+                  ("working_set", Bench_json.String size_label);
+                  ("kv_ops", Bench_json.Int r.Service.kv_ops);
+                  ("elapsed_ns", Bench_json.Int r.Service.elapsed_ns);
+                  ("ops_per_sec", Bench_json.Float r.Service.ops_per_sec);
+                  ("get_hits", Bench_json.Int r.Service.get_hits);
+                  ("get_misses", Bench_json.Int r.Service.get_misses);
+                  ("imbalance", Bench_json.Float r.Service.imbalance);
+                ]
+              :: !sweep_json;
+            Table.cell_f (r.Service.ops_per_sec /. 1e3))
+          sizes
+      in
+      Table.add_row sweep (label :: cells))
+    kv_series;
+  (* -- recovery after a mid-run crash, per durability domain ------- *)
+  let recovery =
+    Table.create
+      ~title:"kvserve — full-service restart recovery (crash mid-run)"
+      ~header:
+        [
+          "domain"; "recovery us"; "words scanned"; "replayed"; "rolled back";
+          "durable batches"; "re-run ops";
+        ]
+  in
+  let recovery_json = ref [] in
+  let crash_items = (256 * 1024) / kv_value_bytes in
+  List.iter
+    (fun (label, model) ->
+      let cfg = kv_config model ~items:crash_items in
+      (* Mid-run for either fleet size: the quick fleet's arrival
+         horizon is ~120 us, the full one ~480 us. *)
+      let crash_at = if quick then 60_000 else 150_000 in
+      let r = Service.run ?jobs ~crash_at cfg (kv_fleet ~quick ~seed ~items:crash_items) in
+      let recs = r.Service.recoveries in
+      let sum f = List.fold_left (fun acc rc -> acc + f rc) 0 recs in
+      (* Shards recover in parallel on restart: the service is back
+         when the slowest shard is. *)
+      let modeled =
+        List.fold_left (fun acc rc -> max acc rc.Service.r_modeled_ns) 0 recs
+      in
+      let wall = sum (fun rc -> rc.Service.r_wall_ns) in
+      Table.add_row recovery
+        [
+          label;
+          Table.cell_f (float_of_int modeled /. 1e3);
+          string_of_int (sum (fun rc -> rc.Service.r_words_scanned));
+          string_of_int (sum (fun rc -> rc.Service.r_entries_replayed));
+          string_of_int (sum (fun rc -> rc.Service.r_entries_rolled_back));
+          string_of_int (sum (fun rc -> rc.Service.r_durable_marker));
+          string_of_int (sum (fun rc -> rc.Service.r_replayed_ops));
+        ];
+      recovery_json :=
+        Bench_json.Obj
+          [
+            ("domain", Bench_json.String label);
+            ("modeled_recovery_ns", Bench_json.Int modeled);
+            ("recovery_wall_ns", Bench_json.Int wall);
+            ("words_scanned", Bench_json.Int (sum (fun rc -> rc.Service.r_words_scanned)));
+            ("entries_replayed", Bench_json.Int (sum (fun rc -> rc.Service.r_entries_replayed)));
+            ("entries_rolled_back", Bench_json.Int (sum (fun rc -> rc.Service.r_entries_rolled_back)));
+            ("durable_batches", Bench_json.Int (sum (fun rc -> rc.Service.r_durable_marker)));
+            ("replayed_ops", Bench_json.Int (sum (fun rc -> rc.Service.r_replayed_ops)));
+          ]
+        :: !recovery_json)
+    kv_recovery_series;
+  {
+    tables = [ sweep; recovery ];
+    results = [];
+    extra =
+      [
+        ("kvserve_sweep", Bench_json.List (List.rev !sweep_json));
+        ("kvserve_recovery", Bench_json.List (List.rev !recovery_json));
+      ];
+  }
+
+(* -- trace experiment: tail-latency attribution per domain ---------- *)
+
+let blame_json (b : Trace.blame) =
+  Bench_json.Obj
+    [
+      ("requests", Bench_json.Int b.Trace.brequests);
+      ("band_lo_ns", Bench_json.Int b.Trace.bband_lo_ns);
+      ("band_hi_ns", Bench_json.Int b.Trace.bband_hi_ns);
+      ("total_latency_ns", Bench_json.Int b.Trace.btotal_latency_ns);
+      ("attributed_ns", Bench_json.Int b.Trace.battributed_ns);
+      ("slack_ns", Bench_json.Int b.Trace.bslack_ns);
+      ( "rows",
+        Bench_json.List
+          (List.map
+             (fun (row : Trace.blame_row) ->
+               Bench_json.Obj
+                 [
+                   ("kind", Bench_json.String row.Trace.bkind);
+                   ("spans", Bench_json.Int row.Trace.bspans);
+                   ("exclusive_ns", Bench_json.Int row.Trace.bexclusive_ns);
+                   ("share_pct", Bench_json.Float row.Trace.bshare);
+                 ])
+             b.Trace.brows) );
+    ]
+
+let trace ?(quick = false) ?jobs () =
+  let seed = 0x5EED in
+  let items = (512 * 1024) / kv_value_bytes in
+  let latency_tbl =
+    Table.create
+      ~title:"trace — end-to-end request latency by domain (us, from request spans)"
+      ~header:[ "domain"; "requests"; "p50"; "p95"; "p99"; "max"; "slack ns" ]
+  in
+  let blame_tbl =
+    Table.create
+      ~title:"trace — tail blame, p95..p100 band (exclusive time by span kind)"
+      ~header:[ "domain"; "kind"; "spans"; "exclusive us"; "share %" ]
+  in
+  let json = ref [] in
+  List.iter
+    (fun (label, model) ->
+      let cfg = { (kv_config model ~items) with Service.trace = true } in
+      let r = Service.run ?jobs cfg (kv_fleet ~quick ~seed ~items) in
+      let tr = match r.Service.trace with Some tr -> tr | None -> assert false in
+      let h = Trace.latency_hist tr in
+      let acct = Trace.accounting tr in
+      (* Accounting slack: |latency - attributed| summed over requests.
+         0 for this fleet (single-key gets), so any drift is a bug. *)
+      let slack = List.fold_left (fun acc (_, lat, att) -> acc + abs (lat - att)) 0 acct in
+      let whole = Trace.blame tr ~lo_pct:0.0 ~hi_pct:100.0 in
+      let tail = Trace.blame tr ~lo_pct:95.0 ~hi_pct:100.0 in
+      Table.add_row latency_tbl
+        [
+          label;
+          string_of_int (Histogram.count h);
+          Table.cell_f (Histogram.percentile h 50.0 /. 1e3);
+          Table.cell_f (Histogram.percentile h 95.0 /. 1e3);
+          Table.cell_f (Histogram.percentile h 99.0 /. 1e3);
+          Table.cell_f (float_of_int (Histogram.max_value h) /. 1e3);
+          string_of_int slack;
+        ];
+      List.iteri
+        (fun i (row : Trace.blame_row) ->
+          if i < 4 then
+            Table.add_row blame_tbl
+              [
+                label;
+                row.Trace.bkind;
+                string_of_int row.Trace.bspans;
+                Table.cell_f (float_of_int row.Trace.bexclusive_ns /. 1e3);
+                Table.cell_f row.Trace.bshare;
+              ])
+        tail.Trace.brows;
+      json :=
+        Bench_json.Obj
+          [
+            ("domain", Bench_json.String label);
+            ("requests", Bench_json.Int (Histogram.count h));
+            ("p50_ns", Bench_json.Float (Histogram.percentile h 50.0));
+            ("p95_ns", Bench_json.Float (Histogram.percentile h 95.0));
+            ("p99_ns", Bench_json.Float (Histogram.percentile h 99.0));
+            ("max_ns", Bench_json.Int (Histogram.max_value h));
+            ("slack_ns", Bench_json.Int slack);
+            ("spans", Bench_json.Int (Trace.length tr));
+            ("digest", Bench_json.String (Trace.digest tr));
+            ("blame", blame_json whole);
+            ("tail_blame", blame_json tail);
+          ]
+        :: !json)
+    kv_series;
+  {
+    tables = [ latency_tbl; blame_tbl ];
+    results = [];
+    extra = [ ("trace_domains", Bench_json.List (List.rev !json)) ];
+  }
+
+(* Extension: where the virtual time goes.  Instrumented 4-thread bank
+   runs under ADR and eADR for both log algorithms, one phase-profile
+   table each (the paper's fence-cost story: undo pays a flush+fence
+   per write, redo defers to commit), then what flush coalescing saved
+   against the naive per-entry path.  `ptm_bench run --telemetry DIR`
+   dumps the full profile, series and trace files of one such run. *)
+let telemetry ?(quick = false) ?jobs () =
+  let duration_ns = if quick then 200_000 else 1_000_000 in
+  let configs =
+    [
+      (Config.optane_adr, Ptm.Redo);
+      (Config.optane_adr, Ptm.Undo);
+      (Config.optane_eadr, Ptm.Redo);
+      (Config.optane_eadr, Ptm.Undo);
+    ]
+  in
+  let results =
+    Pool.run ?jobs
+      (List.map
+         (fun (model, algorithm) () ->
+           Driver.run ~duration_ns ~telemetry:Telemetry.default_config ~model ~algorithm
+             ~threads:4 Bank.spec)
+         configs)
+  in
+  let saved =
+    Table.create ~title:"telemetry — coalescing savings vs the naive per-entry path"
+      ~header:[ "model"; "algorithm"; "fences saved"; "clwbs saved" ]
+  in
+  let phase_table (r : Driver.result) =
+    let p =
+      match r.Driver.telemetry with
+      | Some cap -> Telemetry.profile cap
+      | None -> failwith "telemetry capture missing"
+    in
+    let tids = Pstm.Profile.tids p in
+    let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 tids in
+    let total_txn_ns = sum (Pstm.Profile.txn_ns p) in
+    let table =
+      Table.create
+        ~title:
+          (Printf.sprintf "phase profile: bank on %s (%s, %d commits)" r.Driver.model
+             r.Driver.algorithm r.Driver.commits)
+        ~header:[ "phase"; "count"; "total ns"; "share %"; "fences"; "flushes" ]
+    in
+    List.iter
+      (fun phase ->
+        let count = sum (fun ~tid -> Pstm.Profile.phase_count p ~tid phase) in
+        if count > 0 then
+          let ns = sum (fun ~tid -> Pstm.Profile.phase_ns p ~tid phase) in
+          Table.add_row table
+            [
+              Pstm.Profile.phase_name phase;
+              string_of_int count;
+              string_of_int ns;
+              Table.cell_f (100.0 *. float_of_int ns /. float_of_int (max 1 total_txn_ns));
+              string_of_int (sum (fun ~tid -> Pstm.Profile.phase_fences p ~tid phase));
+              string_of_int (sum (fun ~tid -> Pstm.Profile.phase_flushes p ~tid phase));
+            ])
+      Pstm.Profile.all_phases;
+    Table.add_row saved
+      [
+        r.Driver.model;
+        r.Driver.algorithm;
+        string_of_int (sum (Pstm.Profile.fences_saved p));
+        string_of_int (sum (Pstm.Profile.flushes_saved p));
+      ];
+    table
+  in
+  let phase_tables = List.map phase_table results in
+  { tables = phase_tables @ [ saved ]; results; extra = [] }
+
+(* Host cost of the simulator itself: one Fig 3 btree-insert panel
+   run in the calling domain, with the GC's minor and major words
+   per simulated machine event in [extra].  BENCH_speedup.json tracks
+   these two counters across commits; on a shared host they are stable
+   where wall clock is not.  Always serial so that every allocated word
+   is counted; [jobs] is accepted and ignored. *)
+let speedup ?(quick = false) ?jobs:_ () =
+  let g0 = Gc.quick_stat () in
+  let outcome = fig3_panel ~quick ~jobs:1 Btree_bench.insert_only in
+  let g1 = Gc.quick_stat () in
+  let events = List.fold_left (fun acc r -> acc + Bench_json.events r) 0 outcome.results in
+  let per_event words = Bench_json.Float (words /. float_of_int (max 1 events)) in
+  {
+    outcome with
+    extra =
+      [
+        ("minor_words_per_event", per_event (g1.Gc.minor_words -. g0.Gc.minor_words));
+        ("major_words_per_event", per_event (g1.Gc.major_words -. g0.Gc.major_words));
+      ];
+  }
 
 let all =
   [
@@ -1005,4 +1341,8 @@ let all =
     ("algorithms", algorithms);
     ("fams", fams);
     ("recovery-time", recovery_time);
+    ("kvserve", kvserve);
+    ("trace", trace);
+    ("telemetry", telemetry);
+    ("speedup", speedup);
   ]

@@ -31,8 +31,8 @@ val fig3 : ?quick:bool -> ?jobs:int -> unit -> outcome
 
 val fig3_panel : ?quick:bool -> ?jobs:int -> Driver.spec -> outcome
 (** One panel of {!fig3} (all eight series, the full thread axis) for a
-    single workload — the quick-sized unit used by the [@parallel]
-    byte-identity gate and the [speedup] self-benchmark. *)
+    single workload — the unit the [@parallel] byte-identity gate and
+    {!speedup} run. *)
 
 val fig4 : ?quick:bool -> ?jobs:int -> unit -> outcome
 (** Same comparison for TATP. *)
@@ -132,6 +132,33 @@ val recovery_time : ?quick:bool -> ?jobs:int -> unit -> outcome
 (** Wall-clock cost of [Ptm.recover] as the heap gets fuller.  Always
     serial: the metric is real time, which concurrent cells would
     distort; [jobs] is accepted and ignored. *)
+
+val kvserve : ?quick:bool -> ?jobs:int -> unit -> outcome
+(** Fig-8-style working-set sweep through the full service path
+    (codec → router → batch → commit) of {!Kvserve.Service}, plus a
+    per-domain recovery table from a mid-run crash.  No [results]: the
+    per-run metrics, including wall-clock recovery time, which the
+    tables leave out, land in [extra]. *)
+
+val trace : ?quick:bool -> ?jobs:int -> unit -> outcome
+(** Every durability domain served with request tracing on:
+    end-to-end latency percentiles measured from the request spans
+    (with the per-request accounting slack, 0 for the generated
+    fleet) and a tail-band (p95..p100) blame table of exclusive time
+    per span kind.  No [results]; [extra] carries the whole blame
+    vectors and the span-store digest. *)
+
+val telemetry : ?quick:bool -> ?jobs:int -> unit -> outcome
+(** Instrumented 4-thread bank runs under {ADR, eADR} x {redo, undo}:
+    one per-phase virtual-time profile table each, then a table of the
+    fences and clwbs flush coalescing saved per configuration. *)
+
+val speedup : ?quick:bool -> ?jobs:int -> unit -> outcome
+(** The {!fig3_panel} for B+Tree inserts, always serial in the calling
+    domain; [extra] carries the GC's minor and major words per
+    simulated machine event ([minor_words_per_event],
+    [major_words_per_event]) for [BENCH_speedup.json].  [jobs] is
+    accepted and ignored. *)
 
 val all : (string * (?quick:bool -> ?jobs:int -> unit -> outcome)) list
 (** Every experiment, keyed by its CLI name. *)

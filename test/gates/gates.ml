@@ -31,7 +31,9 @@
                                                  rerun and --jobs 2
    trace         @trace         yes       60 s   `ptm_bench regress` passes an identical
                                                  BENCH_trace record and exits 1 once its p99
-                                                 values are doubled
+                                                 values are doubled; `ptm_bench experiment`
+                                                 rejects --jobs 0, an unknown name and a
+                                                 bare --csv as usage errors (exit 124)
    telemetry     @telemetry     no        60 s   bank artifacts (profile JSONL, series CSV,
                                                  Chrome trace) under {ADR, eADR} x {redo,
                                                  undo}: schema, exact phase sums, repeat run
@@ -472,7 +474,7 @@ let parallel ~full:_ =
    inputs: the working-set x domain sweep plus the crash-recovery table,
    through the full codec -> router -> batch -> commit path. *)
 let kvserve ~full:_ =
-  let render_sweep jobs = render (Kvserve.Bench.run ~quick:true ~jobs ()).Kvserve.Bench.tables in
+  let render_sweep jobs = render (Experiments.kvserve ~quick:true ~jobs ()).Experiments.tables in
   let reference = render_sweep 1 in
   same_bytes "kvserve second --jobs 1 run" ~reference (render_sweep 1);
   same_bytes "kvserve --jobs 2" ~reference (render_sweep 2)
@@ -482,15 +484,17 @@ let kvserve ~full:_ =
 (* The regression sentinel must bite: build a real BENCH_trace.json
    record, then double every p99_ns in a copy.  The other tracing
    promises (zero perturbation, digest stability, accounting closure,
-   tail blame) are alcotest cases in test_kvserve.ml. *)
+   tail blame) are alcotest cases in test_kvserve.ml.  The same
+   executable's experiment driver must turn a bad command line into a
+   cmdliner usage error (exit 124) before any experiment runs. *)
 let trace ~full:_ =
   let bench_exe =
     Filename.concat (Filename.dirname Sys.executable_name) "../../bin/ptm_bench.exe"
   in
-  let outcome = Kvserve.Bench.run_trace ~quick:true ~jobs:1 () in
+  let outcome = Experiments.trace ~quick:true ~jobs:1 () in
   let record =
     J.outcome_json ~experiment:"trace" ~quick:true ~jobs:1 ~wall_s:1.0
-      ~extra:outcome.Kvserve.Bench.extra []
+      ~extra:outcome.Experiments.extra []
   in
   let rec inflate = function
     | J.Obj kvs ->
@@ -515,14 +519,22 @@ let trace ~full:_ =
   let baseline = write_tmp "_base.json" record in
   let same = write_tmp "_same.json" record in
   let worse = write_tmp "_worse.json" (inflate record) in
-  let run_regress current =
-    Sys.command
-      (Filename.quote_command bench_exe
-         [ "regress"; "-b"; baseline; "-c"; current ]
-         ~stdout:Filename.null ~stderr:Filename.null)
+  let run_bench args =
+    Sys.command (Filename.quote_command bench_exe args ~stdout:Filename.null ~stderr:Filename.null)
   in
-  check "regress: identical record passes" (run_regress same = 0);
-  check "regress: injected p99 regression exits 1" (run_regress worse = 1);
+  check "regress: identical record passes" (run_bench [ "regress"; "-b"; baseline; "-c"; same ] = 0);
+  check "regress: injected p99 regression exits 1"
+    (run_bench [ "regress"; "-b"; baseline; "-c"; worse ] = 1);
+  List.iter
+    (fun args ->
+      check
+        (Printf.sprintf "ptm_bench %s: usage error" (String.concat " " args))
+        (run_bench args = 124))
+    [
+      [ "experiment"; "table3"; "--jobs"; "0" ];
+      [ "experiment"; "fgi3" ];
+      [ "experiment"; "table3"; "--csv" ];
+    ];
   List.iter Sys.remove [ baseline; same; worse ]
 
 (* ---------- telemetry ---------- *)
@@ -639,9 +651,9 @@ let telemetry ~full:_ =
    the experiments too slow for runtest.  After a deliberate behaviour
    change, regenerate the reference files from the repository root with
 
-     dune exec bench/main.exe -- --quick --jobs 1 --csv results/quick \
+     dune exec bin/ptm_bench.exe -- experiment --quick --jobs 1 --csv results/quick \
        table1 table2 table3 fig7 logsize flush-timing orec-size htm scaling \
-       latency dimm-interleave reserve-energy algorithms fams
+       latency dimm-interleave reserve-energy algorithms fams telemetry kvserve trace
 
    and explain the diff in the commit. *)
 let results_dir = "results/quick"
@@ -650,6 +662,7 @@ let results_experiments =
   [
     "table1"; "table2"; "table3"; "fig7"; "logsize"; "flush-timing"; "orec-size"; "htm";
     "scaling"; "latency"; "dimm-interleave"; "reserve-energy"; "algorithms"; "fams";
+    "telemetry"; "kvserve"; "trace";
   ]
 
 let results ~full:_ =
