@@ -1057,7 +1057,7 @@ let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
     let h = Dlin.History.create ~threads:1 in
     let f_worker sim fams =
       let rng = Rng.create (seed + 7919) in
-      let now = (Memsim.Sim.machine sim).Machine.now_ns in
+      let now () = float_of_int (Memsim.Sim.now sim) in
       for op = 1 to ops do
         let src = Rng.int rng accounts in
         (* Never [src = dst]: both reads precede both writes. *)

@@ -544,6 +544,8 @@ let run_shard cfg ~crash_at ~shard (queue : sub list) =
                 ~offset ~events ~answered ~batches ~batch_sizes ~max_batch_seen ~throttled
                 ~tracing:tracing2 ~shard));
       if Array.length replay > 0 then Sim.run sim2;
+      let sim2_fields = Sim.Stats.fields (Sim.Stats.get sim2) in
+      Sim.release sim2;
       ( offset + Sim.now sim2,
         Some
           {
@@ -558,7 +560,7 @@ let run_shard cfg ~crash_at ~shard (queue : sub list) =
             r_wall_ns = wall_ns;
           },
         Some (Ptm.Stats.get ptm2),
-        Some (Sim.Stats.fields (Sim.Stats.get sim2)) )
+        Some sim2_fields )
     end
   in
   let st = Ptm.Stats.get ptm in
@@ -575,6 +577,8 @@ let run_shard cfg ~crash_at ~shard (queue : sub list) =
       }
   in
   let sim_fields = Sim.Stats.fields (Sim.Stats.get sim) in
+  (* The shard is done: its metadata space serves the next shard. *)
+  Sim.release sim;
   let sim_fields =
     match sim2_fields with
     | None -> sim_fields

@@ -18,7 +18,11 @@
       crash-survivable according to the backend's durability domain;
     - the {e volatile metadata space} ([meta_*]), holding ownership
       records and the global version clock — always lost on a crash,
-      and offering atomic compare-and-swap. *)
+      and offering atomic compare-and-swap.  A backend hands it out
+      zeroed; the simulated one shares one space among all facades of
+      a machine and recycles it once the machine's owner releases it
+      (every later meta operation on such a facade raises
+      [Invalid_argument]). *)
 
 exception Crashed
 (** Raised inside a simulated thread when the machine loses power.

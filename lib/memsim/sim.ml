@@ -40,6 +40,9 @@ type t = {
      bitmap), fed from [store]/[publish] — the FAMS substrate.  [None]
      costs one branch per store. *)
   mutable dirty : Dirty.t option;
+  (* Volatile metadata space shared by every [machine] facade: [[||]]
+     until the first [machine] call and again after [release]. *)
+  mutable meta : int array;
   c : counters;
 }
 
@@ -74,6 +77,7 @@ let create (cfg : Config.t) =
     trace = None;
     pending = Pending.create ~stride:Layout.words_per_line ();
     dirty = None;
+    meta = [||];
     c =
       {
         loads = 0;
@@ -455,6 +459,33 @@ let persist_all t =
     Pending.clear t.pending;
     Pheap.assign ~src:t.heap ~dst:media
 
+(* Volatile metadata space: a plain array — the DES interleaves at
+   operation granularity, so plain reads/CASes are atomic.  Orecs and
+   the clock are lost on a crash anyway, so one zeroed buffer can serve
+   machine after machine: each domain keeps at most one idle buffer,
+   handed back by [release] and taken by the next [machine] call. *)
+let spare_meta : int array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+
+let ensure_meta t =
+  if Array.length t.meta = 0 then begin
+    let spare = Domain.DLS.get spare_meta in
+    if Array.length spare = t.cfg.meta_words then begin
+      Domain.DLS.set spare_meta [||];
+      t.meta <- spare
+    end
+    else t.meta <- Array.make t.cfg.meta_words 0
+  end
+
+let release t =
+  let meta = t.meta in
+  if Array.length meta > 0 then begin
+    t.meta <- [||];
+    if Array.length (Domain.DLS.get spare_meta) = 0 then begin
+      Array.fill meta 0 (Array.length meta) 0;
+      Domain.DLS.set spare_meta meta
+    end
+  end
+
 (* Apply the durability domain's survival rule after a power failure
    (or a clean shutdown, which is strictly weaker than eADR flush). *)
 let surviving_media t =
@@ -573,6 +604,9 @@ let load_image cfg path =
 
 let reboot t =
   let image = surviving_media t in
+  (* The power failure lost [t]'s volatile metadata: hand its buffer to
+     the machine being booted. *)
+  release t;
   let fresh = create t.cfg in
   Pheap.assign ~src:image ~dst:fresh.heap;
   (match fresh.media with
@@ -624,21 +658,22 @@ let publish t addrs values n =
   end;
   Sched.wait t.sched (30 + (2 * n) + (10 * !lines))
 
-(* Volatile metadata space: plain arrays — the DES interleaves at
-   operation granularity, so plain reads/CASes are atomic. *)
+(* The closures read [t.meta] on every call, so a facade taken before
+   [release] fails the bounds check instead of sharing a recycled
+   buffer. *)
 let make_meta t =
-  let meta = Array.make t.cfg.meta_words 0 in
   let lat = t.cfg.lat in
   let get i =
     Sched.wait t.sched lat.meta_read_ns;
-    meta.(i)
+    t.meta.(i)
   in
   let set i v =
     Sched.wait t.sched lat.meta_write_ns;
-    meta.(i) <- v
+    t.meta.(i) <- v
   in
   let cas i expected v =
     Sched.wait t.sched lat.meta_write_ns;
+    let meta = t.meta in
     if meta.(i) = expected then begin
       meta.(i) <- v;
       true
@@ -647,6 +682,7 @@ let make_meta t =
   in
   let fetch_add i delta =
     Sched.wait t.sched lat.meta_write_ns;
+    let meta = t.meta in
     let old = meta.(i) in
     meta.(i) <- old + delta;
     old
@@ -654,6 +690,7 @@ let make_meta t =
   (get, set, cas, fetch_add)
 
 let machine t : Machine.t =
+  ensure_meta t;
   let meta_get, meta_set, meta_cas, meta_fetch_add = make_meta t in
   let needs_flush, needs_fence =
     match t.cfg.model.persistence with

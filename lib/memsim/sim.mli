@@ -36,7 +36,20 @@ val config : t -> Config.t
 
 val machine : t -> Machine.t
 (** The {!Machine.t} facade.  Timed operations must only be called from
-    simulated threads (between [spawn] and the end of [run]). *)
+    simulated threads (between [spawn] and the end of [run]).  Every
+    facade of one [t] shares one volatile metadata space, built zeroed
+    by the first call: it reuses the calling domain's idle buffer when
+    there is one (see {!release}), else allocates. *)
+
+val release : t -> unit
+(** Hand [t]'s metadata space back for reuse: zero it and keep it as
+    the calling domain's idle buffer (at most one per domain; a second
+    is left to the GC).  Call it once the owner is done with [t]'s
+    machine — after reading stats, never while threads run.  A meta
+    operation on a facade taken before the release then raises
+    [Invalid_argument]; heap access, stats and {!reboot} keep working.
+    Releasing twice does nothing.  {!reboot} releases the machine it
+    reboots. *)
 
 val enable_trace : ?capacity:int -> t -> Trace.t
 (** Start recording machine events into a fresh ring buffer (see
@@ -75,7 +88,10 @@ val reboot : t -> t
 (** Post-crash (or post-run) machine: fresh scheduler, caches, queues
     and volatile metadata; heap initialized from the surviving media
     image according to the durability domain.  Requires
-    [track_media = true]. *)
+    [track_media = true].  The power failure loses the old machine's
+    volatile metadata, so [reboot] {!release}s it: the new machine's
+    first {!machine} call reuses that buffer, zeroed.  Rebooting the
+    same [t] again (to replay one crash) stays valid. *)
 
 val reset_timing : t -> unit
 (** Forget timing state accumulated by an untimed setup phase (memory

@@ -97,6 +97,10 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
   Memsim.Sim.run sim;
   let elapsed_ns = max (Memsim.Sim.now sim) 1 in
   let stats = Pstm.Ptm.Stats.get ptm in
+  let sim_stats = Memsim.Sim.Stats.get sim in
+  (* The PTM is dead from here: the next run in this domain reuses its
+     metadata space. *)
+  Memsim.Sim.release sim;
   {
     workload = spec.name;
     model = model.Memsim.Config.model_name;
@@ -109,7 +113,7 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
     commits_per_abort = Pstm.Ptm.Stats.commits_per_abort stats;
     max_log_lines = stats.Pstm.Ptm.Stats.max_log_lines;
     latency;
-    sim = Memsim.Sim.Stats.get sim;
+    sim = sim_stats;
     telemetry = capture;
   }
 

@@ -29,6 +29,9 @@
                                                  --jobs 1, 2 and 4
    kvserve       @kvserve       yes       60 s   quick service sweep byte-identical across a
                                                  rerun and --jobs 2
+   speedup       @speedup       yes       60 s   quick Fig 3 btree-insert panel: its cells and
+                                                 minor/major GC words per simulated event
+                                                 regress vs BENCH_speedup.json
    trace         @trace         yes       60 s   `ptm_bench regress` passes an identical
                                                  BENCH_trace record and exits 1 once its p99
                                                  values are doubled; `ptm_bench experiment`
@@ -479,6 +482,20 @@ let kvserve ~full:_ =
   same_bytes "kvserve second --jobs 1 run" ~reference (render_sweep 1);
   same_bytes "kvserve --jobs 2" ~reference (render_sweep 2)
 
+(* ---------- speedup ---------- *)
+
+(* The simulator's own allocation: the quick btree-insert panel's cells
+   and GC words per simulated event against BENCH_speedup.json.  The
+   gate runs nothing else, so its process counts the same words as the
+   `ptm_bench experiment speedup` run that recorded the baseline. *)
+let speedup ~full:_ =
+  let outcome = Experiments.speedup ~quick:true () in
+  List.iter
+    (fun (k, v) -> Printf.printf "speedup %s: %s\n%!" k (J.to_string v))
+    outcome.Experiments.extra;
+  regress_vs_committed ~experiment:"speedup" ~extra:outcome.Experiments.extra
+    outcome.Experiments.results
+
 (* ---------- trace ---------- *)
 
 (* The regression sentinel must bite: build a real BENCH_trace.json
@@ -700,6 +717,7 @@ let gates =
     { name = "mod"; budget_s = 120.0; run = mod_ };
     { name = "parallel"; budget_s = 60.0; run = parallel };
     { name = "kvserve"; budget_s = 60.0; run = kvserve };
+    { name = "speedup"; budget_s = 60.0; run = speedup };
     { name = "trace"; budget_s = 60.0; run = trace };
     { name = "telemetry"; budget_s = 60.0; run = telemetry };
     { name = "results"; budget_s = 120.0; run = results };

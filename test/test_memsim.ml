@@ -572,6 +572,77 @@ let test_sim_persist_all_then_adr_crash () =
   let sim' = Sim.reboot sim in
   Helpers.check_int "initialized data survives" 123 ((Sim.machine sim').Machine.raw_read 300)
 
+(* ---------- volatile metadata space ---------- *)
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Every meta word from [lo] up reads 0. *)
+let meta_zero_from ?(lo = 0) (m : Machine.t) =
+  let ok = ref true in
+  for i = lo to m.Machine.meta_words - 1 do
+    if m.Machine.meta_get i <> 0 then ok := false
+  done;
+  !ok
+
+let test_meta_shared_per_sim () =
+  let sim, m1 = Helpers.sim_machine () in
+  let m2 = Sim.machine sim in
+  m1.Machine.meta_set 5 42;
+  Helpers.check_int "second facade sees the write" 42 (m2.Machine.meta_get 5);
+  Helpers.check_bool "cas through the second facade" true (m2.Machine.meta_cas 5 42 43);
+  Helpers.check_int "first facade sees the cas" 43 (m1.Machine.meta_get 5)
+
+let test_meta_release_invalidates_facade () =
+  let sim, m = Helpers.sim_machine () in
+  m.Machine.meta_set 3 1;
+  Sim.release sim;
+  Helpers.check_bool "meta_get raises" true (raises_invalid (fun () -> m.Machine.meta_get 3));
+  Helpers.check_bool "meta_set raises" true (raises_invalid (fun () -> m.Machine.meta_set 3 2));
+  Helpers.check_bool "meta_cas raises" true (raises_invalid (fun () -> m.Machine.meta_cas 3 1 2));
+  Helpers.check_bool "meta_fetch_add raises" true
+    (raises_invalid (fun () -> m.Machine.meta_fetch_add 3 1));
+  Sim.release sim;
+  m.Machine.raw_write 10 7;
+  Helpers.check_int "heap still readable" 7 (m.Machine.raw_read 10)
+
+let test_meta_recycled_zeroed () =
+  let sim, m = Helpers.sim_machine () in
+  let last = m.Machine.meta_words - 1 in
+  List.iter (fun i -> m.Machine.meta_set i (i + 1)) [ 0; 64; 4097; last ];
+  Sim.release sim;
+  let _, m' = Helpers.sim_machine () in
+  Helpers.check_bool "new machine reads zero meta" true (meta_zero_from m')
+
+let test_meta_live_sims_disjoint () =
+  (* Leave a spare behind, so one of the two sims takes it. *)
+  let old, _ = Helpers.sim_machine () in
+  Sim.release old;
+  let _, a = Helpers.sim_machine () in
+  let _, b = Helpers.sim_machine () in
+  a.Machine.meta_set 9 1;
+  b.Machine.meta_set 9 2;
+  Helpers.check_int "a keeps its value" 1 (a.Machine.meta_get 9);
+  Helpers.check_int "b keeps its value" 2 (b.Machine.meta_get 9)
+
+let test_meta_reboot_starts_empty () =
+  let sim, m, ptm = Helpers.ptm_fixture () in
+  ignore
+    (Sim.spawn sim (fun () ->
+         let blk = Pstm.Ptm.atomic ptm (fun tx -> Pstm.Ptm.alloc tx 8) in
+         for i = 1 to 20 do
+           Pstm.Ptm.atomic ptm (fun tx -> Pstm.Ptm.write tx (blk + (i mod 8)) i)
+         done));
+  Sim.run sim;
+  Helpers.check_bool "clock advanced" true (Pstm.Ptm.clock ptm > 0);
+  Helpers.check_bool "orecs written" false
+    (meta_zero_from ~lo:Machine.Meta_layout.orec_base m);
+  let sim' = Sim.reboot sim in
+  Helpers.check_bool "rebooted machine's meta released" true
+    (raises_invalid (fun () -> m.Machine.meta_get Machine.Meta_layout.clock_idx));
+  let m' = Sim.machine sim' in
+  Helpers.check_int "clock starts at 0" 0 (m'.Machine.meta_get Machine.Meta_layout.clock_idx);
+  Helpers.check_bool "orecs start at 0" true (meta_zero_from m')
+
 let test_sim_stats_populated () =
   let sim, m = Helpers.sim_machine () in
   ignore
@@ -899,6 +970,12 @@ let suite =
     Alcotest.test_case "sim: DRAM crash semantics" `Quick test_sim_crash_dram_loses_everything;
     Alcotest.test_case "sim: PDRAM crash semantics" `Quick test_sim_pdram_persists_everything;
     Alcotest.test_case "sim: persist_all baseline" `Quick test_sim_persist_all_then_adr_crash;
+    Alcotest.test_case "meta: facades of one sim share" `Quick test_meta_shared_per_sim;
+    Alcotest.test_case "meta: release invalidates facades" `Quick
+      test_meta_release_invalidates_facade;
+    Alcotest.test_case "meta: recycled space reads zero" `Quick test_meta_recycled_zeroed;
+    Alcotest.test_case "meta: live sims never share" `Quick test_meta_live_sims_disjoint;
+    Alcotest.test_case "meta: reboot starts empty" `Quick test_meta_reboot_starts_empty;
     Alcotest.test_case "sim: stats populated" `Quick test_sim_stats_populated;
     Alcotest.test_case "sim: determinism" `Quick test_sim_deterministic;
     Alcotest.test_case "sim: exact ADR sequence" `Quick test_sim_exact_adr_sequence;
