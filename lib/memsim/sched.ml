@@ -56,6 +56,8 @@ type t = {
   mutable crashed : bool;
   mutable max_time : int;
   mutable started : bool;
+  mutable advances : int; (* waits advanced inline *)
+  mutable switches : int; (* waits that suspended their thread *)
 }
 
 let initial_capacity = 8
@@ -75,6 +77,8 @@ let create () =
     crashed = false;
     max_time = 0;
     started = false;
+    advances = 0;
+    switches = 0;
   }
 
 let spawn t f =
@@ -123,7 +127,8 @@ let wait t ns =
     let nt = Array.unsafe_get t.times cur + ns in
     if nt < t.crash_limit && nt < Repro_util.Int_heap.min_key t.ready then begin
       Array.unsafe_set t.times cur nt;
-      if nt > t.max_time then t.max_time <- nt
+      if nt > t.max_time then t.max_time <- nt;
+      t.advances <- t.advances + 1
     end
     else begin
       t.pending_ns <- ns;
@@ -142,6 +147,10 @@ let crashed t = t.crashed
 let time_limit t = if t.crash_limit = max_int then None else Some t.crash_limit
 
 let running t = t.current >= 0
+
+let inline_advances t = t.advances
+
+let context_switches t = t.switches
 
 (* The id of the thread to run next: the one the last Wait already
    chose, else the heap minimum.  [Int_heap.last_key] is its wake time
@@ -171,20 +180,40 @@ let run ?crash_at t =
   if t.started then invalid_arg "Sched.run: scheduler already ran";
   t.started <- true;
   (match crash_at with Some c -> t.crash_limit <- c | None -> ());
-  (* One context switch: park the caller and pick its successor with a
-     single fused heap operation, then return to the run loop below,
-     which resumes [t.next].  The Wait arm is allocated once here, not
-     per perform: [effc] returns the same [Some on_wait] every time.
-     The cast is safe because [Wait : unit Effect.t] fixes [a = unit]. *)
+  (* One context switch: park the caller, pick its successor with a
+     single fused heap operation and, when that successor is a
+     suspended thread due before any crash, resume it right here.  The
+     resume is a tail call, so the handler's frame is gone before the
+     successor runs and the stack stays flat however many switches
+     chain.  Anything else (a thread to start, the crash kill) goes
+     back to the run loop below through [t.next].  The Wait arm is
+     allocated once here, not per perform: [effc] returns the same
+     [Some on_wait] every time.  The cast is safe because
+     [Wait : unit Effect.t] fixes [a = unit].  Like the fast path it
+     indexes unchecked: [current] and every id in [ready] are spawned
+     ids. *)
   let on_wait (k : (unit, unit) Effect.Deep.continuation) =
     let id = t.current in
-    let time = t.times.(id) + t.pending_ns in
-    t.times.(id) <- time;
-    t.status.(id) <- suspended;
-    t.conts.(id) <- k;
+    let time = Array.unsafe_get t.times id + t.pending_ns in
+    Array.unsafe_set t.times id time;
+    Array.unsafe_set t.status id suspended;
+    Array.unsafe_set t.conts id k;
+    t.switches <- t.switches + 1;
     (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
     if time > t.max_time then t.max_time <- time;
-    t.next <- Repro_util.Int_heap.push_pop t.ready ~key:time id
+    let next = Repro_util.Int_heap.push_pop t.ready ~key:time id in
+    if
+      Array.unsafe_get t.status next = suspended
+      && (not t.crashed)
+      && Repro_util.Int_heap.last_key t.ready < t.crash_limit
+    then begin
+      t.current <- next;
+      Array.unsafe_set t.status next in_progress;
+      let k = Array.unsafe_get t.conts next in
+      Array.unsafe_set t.conts next parked;
+      Effect.Deep.continue k ()
+    end
+    else t.next <- next
   in
   let some_on_wait = Some on_wait in
   let handler =
@@ -194,7 +223,14 @@ let run ?crash_at t =
           let id = t.current in
           t.status.(id) <- finished;
           if t.times.(id) > t.max_time then t.max_time <- t.times.(id));
-      exnc = (fun exn -> raise exn);
+      (* An exception escaping a thread ends it, and then [run]: leave
+         no thread current, so [running] is false and a later [wait]
+         is the untimed no-op again. *)
+      exnc =
+        (fun exn ->
+          t.status.(t.current) <- finished;
+          t.current <- -1;
+          raise exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -202,6 +238,10 @@ let run ?crash_at t =
           | _ -> None);
     }
   in
+  (* The loop regains control only when a thread finishes, when a Wait
+     picks a thread that has not started yet, and at the crash: it
+     starts threads, resumes the successor of a finished one, and
+     kills.  Suspended-to-suspended switches never come back here. *)
   let id = ref (take_next t) in
   while !id >= 0 do
     let status = t.status.(!id) in

@@ -17,7 +17,12 @@
     wake time (and the crash time) advances the clock inline and
     allocates nothing.  Any other wait is one context switch: the
     runtime's continuation capture (its only allocation), one fused
-    requeue-and-pick on the event heap, and a resume. *)
+    requeue-and-pick on the event heap, and, when the pick is a
+    suspended thread due before the crash time, a resume of that
+    thread straight from the effect handler, without first returning
+    to the run loop.  That resume is a tail call, so the stack stays
+    flat however many switches chain.  {!inline_advances} and
+    {!context_switches} count the two paths. *)
 
 type t
 
@@ -33,7 +38,15 @@ val spawn : t -> (unit -> unit) -> int
 val run : ?crash_at:int -> t -> unit
 (** Execute until every thread finishes, or until virtual time reaches
     [crash_at], in which case all remaining threads are killed and
-    {!crashed} becomes true.  May be called once per scheduler. *)
+    {!crashed} becomes true.  May be called once per scheduler.
+
+    A switch between two suspended threads resumes the successor from
+    the effect handler; the loop inside [run] only starts threads,
+    resumes the successor of a finished thread, and carries out the
+    crash kill.  Once the crash is detected only that loop resumes
+    threads, and each resume delivers {!Crashed}.  An exception
+    escaping a thread escapes [run]; the thread is then finished and
+    {!running} is false. *)
 
 val wait : t -> int -> unit
 (** Advance the calling thread's virtual clock by [ns >= 0].  Must be
@@ -55,6 +68,13 @@ val crashed : t -> bool
 val running : t -> bool
 (** Whether a simulated thread is currently executing — false during
     untimed setup/recovery phases outside [run]. *)
+
+val inline_advances : t -> int
+(** Waits so far that advanced the clock inline, without a switch. *)
+
+val context_switches : t -> int
+(** Waits so far that suspended their thread: one context switch
+    each. *)
 
 val time_limit : t -> int option
 (** The armed crash time, if any — lets long-running loops bail out

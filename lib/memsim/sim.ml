@@ -831,6 +831,8 @@ module Stats = struct
     dram_reads : int;
     pdram_page_hits : int;
     pdram_page_misses : int;
+    inline_advances : int;
+    context_switches : int;
   }
 
   let get (sim : sim) =
@@ -852,10 +854,14 @@ module Stats = struct
       dram_reads = Server.requests sim.rd_dram;
       pdram_page_hits = sim.c.pdram_page_hits;
       pdram_page_misses = sim.c.pdram_page_misses;
+      inline_advances = Sched.inline_advances sim.sched;
+      context_switches = Sched.context_switches sim.sched;
     }
 
   (* Scalar fields by stable export name — the per-tid arrays are
-     deliberately excluded (their length depends on thread count). *)
+     deliberately excluded (their length depends on thread count), and
+     so are the scheduler counters, which measure the simulator rather
+     than the machine and would otherwise enter every digest. *)
   let fields (t : t) =
     [
       ("loads", t.loads);

@@ -165,12 +165,15 @@ module Stats : sig
     dram_reads : int;
     pdram_page_hits : int;
     pdram_page_misses : int;
+    inline_advances : int;  (** scheduler waits that advanced the clock inline *)
+    context_switches : int;  (** scheduler waits that switched threads *)
   }
 
   val get : sim -> t
 
   val fields : t -> (string * int) list
-  (** Every scalar counter as a (stable export name, value) pair, in a
+  (** Every machine counter as a (stable export name, value) pair, in a
       fixed order — the feed for a metrics registry.  The per-tid
-      arrays are excluded. *)
+      arrays and the two scheduler counters (host-side cost, not a
+      modelled quantity) are excluded. *)
 end

@@ -1302,19 +1302,26 @@ let telemetry ?(quick = false) ?jobs () =
    per simulated machine event in [extra].  BENCH_speedup.json tracks
    these two counters across commits; on a shared host they are stable
    where wall clock is not.  Always serial so that every allocated word
-   is counted; [jobs] is accepted and ignored. *)
+   is counted; [jobs] is accepted and ignored.  [switches_per_event]
+   counts the scheduler's context switches (waits that did not advance
+   the clock inline) per event. *)
 let speedup ?(quick = false) ?jobs:_ () =
   let g0 = Gc.quick_stat () in
   let outcome = fig3_panel ~quick ~jobs:1 Btree_bench.insert_only in
   let g1 = Gc.quick_stat () in
   let events = List.fold_left (fun acc r -> acc + Bench_json.events r) 0 outcome.results in
   let per_event words = Bench_json.Float (words /. float_of_int (max 1 events)) in
+  let switches =
+    List.fold_left (fun acc r -> acc + r.Driver.sim.Memsim.Sim.Stats.context_switches) 0
+      outcome.results
+  in
   {
     outcome with
     extra =
       [
         ("minor_words_per_event", per_event (g1.Gc.minor_words -. g0.Gc.minor_words));
         ("major_words_per_event", per_event (g1.Gc.major_words -. g0.Gc.major_words));
+        ("switches_per_event", per_event (float_of_int switches));
       ];
   }
 

@@ -28,11 +28,14 @@
    parallel      @parallel      yes       60 s   quick Fig 3 bank panel byte-identical at
                                                  --jobs 1, 2 and 4
    kvserve       @kvserve       yes       60 s   quick service sweep byte-identical across a
-                                                 rerun and --jobs 2
+                                                 rerun and --jobs 2; its record equals
+                                                 BENCH_kvserve.json (virtual numbers exact)
    speedup       @speedup       yes       60 s   quick Fig 3 btree-insert panel: its cells and
                                                  minor/major GC words per simulated event
                                                  regress vs BENCH_speedup.json
-   trace         @trace         yes       60 s   `ptm_bench regress` passes an identical
+   trace         @trace         yes       60 s   the quick record equals BENCH_trace.json
+                                                 (virtual numbers exact); `ptm_bench
+                                                 regress` passes an identical
                                                  BENCH_trace record and exits 1 once its p99
                                                  values are doubled; `ptm_bench experiment`
                                                  rejects --jobs 0, an unknown name and a
@@ -121,18 +124,23 @@ let same_bytes label ~reference out =
 
 (* The fresh quick-size record must pass `Bench_json.regress` against
    the committed BENCH_<experiment>.json.  Simulation is deterministic,
-   so any drift is a code change that must re-bless the baseline. *)
-let regress_vs_committed ~experiment ?extra results =
+   so any drift is a code change that must re-bless the baseline.
+   [~exact:true] fails on every finding, not just regressions: for
+   records holding only virtual numbers, where any move is a change. *)
+let regress_vs_committed ?(exact = false) ~experiment ?extra results =
   let path = Printf.sprintf "BENCH_%s.json" experiment in
   let wall_s = Unix.gettimeofday () -. started in
   let current =
     J.parse (J.to_string (J.outcome_json ~experiment ~quick:true ~jobs:1 ~wall_s ?extra results))
   in
-  match J.regress ~baseline:(J.parse_file path) ~current () with
+  let tolerance_pct = if exact then Some 0.0 else None in
+  match J.regress ?tolerance_pct ~baseline:(J.parse_file path) ~current () with
   | findings ->
-    let regressions = List.filter (fun f -> f.J.f_severity = J.Regression) findings in
-    List.iter (fun f -> Printf.printf "  regress %s: %s\n" f.J.f_path f.J.f_detail) regressions;
-    check ("regress vs committed " ^ path) (regressions = [])
+    let failing =
+      if exact then findings else List.filter (fun f -> f.J.f_severity = J.Regression) findings
+    in
+    List.iter (fun f -> Printf.printf "  regress %s: %s\n" f.J.f_path f.J.f_detail) failing;
+    check ("regress vs committed " ^ path) (failing = [])
   | exception (J.Parse_error msg | Sys_error msg) ->
     check (Printf.sprintf "regress vs committed %s: %s" path msg) false
 
@@ -475,12 +483,15 @@ let parallel ~full:_ =
 
 (* The service promises byte-identical output for equal (config, fleet)
    inputs: the working-set x domain sweep plus the crash-recovery table,
-   through the full codec -> router -> batch -> commit path. *)
+   through the full codec -> router -> batch -> commit path.  Its
+   record must also match the committed BENCH_kvserve.json exactly. *)
 let kvserve ~full:_ =
-  let render_sweep jobs = render (Experiments.kvserve ~quick:true ~jobs ()).Experiments.tables in
-  let reference = render_sweep 1 in
-  same_bytes "kvserve second --jobs 1 run" ~reference (render_sweep 1);
-  same_bytes "kvserve --jobs 2" ~reference (render_sweep 2)
+  let sweep jobs = Experiments.kvserve ~quick:true ~jobs () in
+  let first = sweep 1 in
+  let reference = render first.Experiments.tables in
+  same_bytes "kvserve second --jobs 1 run" ~reference (render (sweep 1).Experiments.tables);
+  same_bytes "kvserve --jobs 2" ~reference (render (sweep 2).Experiments.tables);
+  regress_vs_committed ~exact:true ~experiment:"kvserve" ~extra:first.Experiments.extra []
 
 (* ---------- speedup ---------- *)
 
@@ -498,8 +509,9 @@ let speedup ~full:_ =
 
 (* ---------- trace ---------- *)
 
-(* The regression sentinel must bite: build a real BENCH_trace.json
-   record, then double every p99_ns in a copy.  The other tracing
+(* The fresh BENCH_trace.json record must match the committed one
+   exactly, and the regression sentinel must bite: double every p99_ns
+   in a copy of the record.  The other tracing
    promises (zero perturbation, digest stability, accounting closure,
    tail blame) are alcotest cases in test_kvserve.ml.  The same
    executable's experiment driver must turn a bad command line into a
@@ -509,6 +521,7 @@ let trace ~full:_ =
     Filename.concat (Filename.dirname Sys.executable_name) "../../bin/ptm_bench.exe"
   in
   let outcome = Experiments.trace ~quick:true ~jobs:1 () in
+  regress_vs_committed ~exact:true ~experiment:"trace" ~extra:outcome.Experiments.extra [];
   let record =
     J.outcome_json ~experiment:"trace" ~quick:true ~jobs:1 ~wall_s:1.0
       ~extra:outcome.Experiments.extra []

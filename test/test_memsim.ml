@@ -68,67 +68,139 @@ let test_sched_crash_time_bound () =
   Sched.run ~crash_at:100 s;
   Helpers.check_bool "final time within crash bound" true (Sched.now s <= 100)
 
-(* Reference interleaver over per-thread wait scripts: every wait
-   re-queues its thread with a fresh sequence number, the lowest
-   (wake time, sequence) entry runs next, and the first pick at or after
-   [crash_at] kills every thread left.  A thread logs (tid, now) when it
-   starts and after each wait.  Returns the log, whether it crashed and
-   the final clock. *)
-let sched_reference ?crash_at scripts =
-  let ready = ref (List.mapi (fun tid script -> (0, tid, tid, script)) scripts) in
-  let seq = ref (List.length scripts) in
+(* Reference interleaver over per-thread (script, cleanup) wait
+   scripts: every wait re-queues its thread with a fresh sequence
+   number, the lowest (wake time, sequence) entry runs next, and the
+   first pick at or after [crash_at] starts the kill.  A thread logs
+   (tid, now, false) when it starts and after each wait.  Killing a
+   thread that is suspended in its script logs (tid, now, true) and,
+   when its cleanup has a wait, re-queues it at that wait; the kill
+   keeps popping in the same order, and a thread popped again is
+   killed again inside that wait, so cleanups never log past their
+   first wait.  A thread that never started is killed silently.
+   Returns the log, whether it crashed and the final clock. *)
+let sched_reference ?crash_at threads =
+  let ready =
+    ref (List.mapi (fun tid (script, _) -> (0, tid, tid, `Start script)) threads)
+  in
+  let cleanup tid = snd (List.nth threads tid) in
+  let seq = ref (List.length threads) in
   let log = ref [] and max_time = ref 0 and crashed = ref false in
+  let push time tid state =
+    max_time := max !max_time time;
+    ready := (time, !seq, tid, state) :: !ready;
+    incr seq
+  in
   let rec loop () =
     match List.sort compare !ready with
     | [] -> ()
-    | (time, _, tid, script) :: rest ->
+    | (time, _, tid, state) :: rest ->
       ready := rest;
-      if Option.fold ~none:false ~some:(fun c -> time >= c) crash_at then crashed := true
-      else begin
-        log := (tid, time) :: !log;
-        (match script with
-        | [] -> ()
-        | cost :: more ->
-          max_time := max !max_time (time + cost);
-          ready := (time + cost, !seq, tid, more) :: !ready;
-          incr seq);
-        loop ()
-      end
+      if Option.fold ~none:false ~some:(fun c -> time >= c) crash_at then crashed := true;
+      (match state with
+      | (`Start script | `Wait script) when not !crashed -> (
+        log := (tid, time, false) :: !log;
+        match script with [] -> () | cost :: more -> push (time + cost) tid (`Wait more))
+      | `Wait _ -> (
+        log := (tid, time, true) :: !log;
+        match cleanup tid with [] -> () | cost :: _ -> push (time + cost) tid `Clean)
+      | `Start _ | `Clean -> ());
+      loop ()
   in
   loop ();
   let now = match crash_at with Some c when !crashed -> min c !max_time | _ -> !max_time in
   (List.rev !log, !crashed, now)
 
-let sched_actual ?crash_at scripts =
+let sched_actual ?crash_at threads =
   let s = Sched.create () in
   let log = ref [] in
-  let note () = log := (Sched.tid s, Sched.now s) :: !log in
+  let note killed = log := (Sched.tid s, Sched.now s, killed) :: !log in
   List.iter
-    (fun script ->
+    (fun (script, cleanup) ->
       ignore
         (Sched.spawn s (fun () ->
-             note ();
-             List.iter
-               (fun cost ->
-                 Sched.wait s cost;
-                 note ())
-               script)))
-    scripts;
+             note false;
+             try
+               List.iter
+                 (fun cost ->
+                   Sched.wait s cost;
+                   note false)
+                 script
+             with Machine.Crashed ->
+               note true;
+               List.iter
+                 (fun cost ->
+                   Sched.wait s cost;
+                   note true)
+                 cleanup;
+               raise Machine.Crashed)))
+    threads;
   Sched.run ?crash_at s;
   (List.rev !log, Sched.crashed s, Sched.now s)
 
 (* 2–9 threads with costs from a small set that includes 0 and repeats,
    so equal wake times — including ties re-queued after a suspension —
    are common; most cases arm a crash between 0 and 30 ns, often
-   inside the run. *)
+   inside the run.  Each thread's crash cleanup waits zero to two
+   times, so the kill both re-queues threads and kills them again. *)
 let test_sched_differential =
   let gen =
     QCheck2.Gen.(
       let script = list_size (int_range 0 8) (oneofl [ 0; 0; 1; 1; 2; 3; 5 ]) in
-      pair (int_range 2 9 >>= fun n -> list_repeat n script) (opt (int_range 0 30)))
+      let cleanup = list_size (int_range 0 2) (oneofl [ 0; 1; 3 ]) in
+      pair (int_range 2 9 >>= fun n -> list_repeat n (pair script cleanup)) (opt (int_range 0 30)))
   in
   Helpers.qtest ~count:500 "sched: differential vs reference interleaver" gen
-    (fun (scripts, crash_at) -> sched_actual ?crash_at scripts = sched_reference ?crash_at scripts)
+    (fun (threads, crash_at) -> sched_actual ?crash_at threads = sched_reference ?crash_at threads)
+
+(* Two threads with equal costs switch on every wait: after the first
+   round each switch is a handoff from the Wait handler.  Thread 1 is
+   resumed that way, raises, and the exception escapes [run]. *)
+let test_sched_escaped_exception () =
+  let s = Sched.create () in
+  ignore
+    (Sched.spawn s (fun () ->
+         for _ = 1 to 10 do
+           Sched.wait s 10
+         done));
+  ignore
+    (Sched.spawn s (fun () ->
+         Sched.wait s 10;
+         Sched.wait s 10;
+         failwith "thread 1"));
+  (match Sched.run s with
+  | () -> Alcotest.fail "the exception should escape run"
+  | exception Failure msg -> Alcotest.(check string) "the thread's exception" "thread 1" msg);
+  Helpers.check_bool "no thread running" false (Sched.running s);
+  Helpers.check_int "now is the maximum clock" 30 (Sched.now s);
+  Helpers.check_int "thread id defaults to 0" 0 (Sched.tid s);
+  (* A wait far past every queued wake time: untimed, so a no-op. *)
+  Sched.wait s 1_000;
+  Helpers.check_int "untimed wait does not advance" 30 (Sched.now s)
+
+(* The handoff resumes the next thread as a tail call from the Wait
+   handler, so the call stack seen inside a thread is as deep at its
+   10 000th wait as at its 10th. *)
+let test_sched_handoff_stack_flat () =
+  let s = Sched.create () in
+  let depth_at = Array.make 2 0 in
+  let depth () = Printexc.raw_backtrace_length (Printexc.get_callstack 100_000) in
+  ignore
+    (Sched.spawn s (fun () ->
+         for i = 1 to 10_000 do
+           Sched.wait s 1;
+           if i = 10 then depth_at.(0) <- depth ();
+           if i = 10_000 then depth_at.(1) <- depth ()
+         done));
+  ignore
+    (Sched.spawn s (fun () ->
+         for _ = 1 to 10_000 do
+           Sched.wait s 1
+         done));
+  Sched.run s;
+  Helpers.check_int "every wait of the lockstep pair switched" 20_000 (Sched.context_switches s);
+  Helpers.check_int "so none advanced inline" 0 (Sched.inline_advances s);
+  Helpers.check_int "stack depth at wait 10_000 = at wait 10" depth_at.(0) depth_at.(1)
 
 (* ---------- bandwidth server ---------- *)
 
@@ -947,6 +1019,9 @@ let suite =
     Alcotest.test_case "sched: ops outside threads" `Quick test_sched_wait_outside_thread_noop;
     Alcotest.test_case "sched: crash bounds time" `Quick test_sched_crash_time_bound;
     test_sched_differential;
+    Alcotest.test_case "sched: escaped exception" `Quick test_sched_escaped_exception;
+    Alcotest.test_case "sched: handoff keeps the stack flat" `Quick
+      test_sched_handoff_stack_flat;
     Alcotest.test_case "server: sync queueing" `Quick test_server_sync_queueing;
     Alcotest.test_case "server: idle reset" `Quick test_server_sync_idle_resets;
     Alcotest.test_case "server: WPQ backpressure" `Quick test_server_async_backpressure;
