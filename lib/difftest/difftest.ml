@@ -172,6 +172,7 @@ let execute ?(heap_words = 1 lsl 16) ~model ~algorithm ~coalesce trace =
               let words = Ptm.read tx b in
               Some (Array.init words (fun j -> Ptm.read tx (b + 1 + j)))))
   in
+  Sim.release sim;
   {
     digest;
     commits = pstats.Ptm.Stats.commits;

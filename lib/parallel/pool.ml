@@ -13,7 +13,7 @@ let default_chunk ~n ~jobs = max 1 (n / max 1 (jobs * 4))
 
 let run_serial tasks = List.map (fun f -> f ()) tasks
 
-let run ?jobs ?chunk tasks =
+let run ?jobs tasks =
   let n = List.length tasks in
   let jobs =
     match jobs with
@@ -21,14 +21,9 @@ let run ?jobs ?chunk tasks =
     | Some j -> min j n
     | None -> min (default_jobs ()) n
   in
-  let chunk =
-    match chunk with
-    | Some c when c < 1 -> invalid_arg "Pool.run: chunk must be >= 1"
-    | Some c -> c
-    | None -> default_chunk ~n ~jobs
-  in
   if jobs <= 1 then run_serial tasks
   else begin
+    let chunk = default_chunk ~n ~jobs in
     let tasks = Array.of_list tasks in
     let results = Array.make n Pending in
     (* Workers claim [chunk]-sized index batches in submission order;
@@ -74,5 +69,3 @@ let run ?jobs ?chunk tasks =
            | Pending | Failed _ -> assert false (* unreachable: failures re-raised above *))
          results)
   end
-
-let map ?jobs ?chunk f xs = run ?jobs ?chunk (List.map (fun x () -> f x) xs)

@@ -17,24 +17,21 @@ val default_jobs : unit -> int
     this process. *)
 
 val default_chunk : n:int -> jobs:int -> int
-(** Batch size used when [?chunk] is omitted: [max 1 (n / (jobs * 4))],
-    i.e. roughly four claims per worker — coarse enough to amortise the
-    shared-counter traffic, fine enough to keep workers busy when cell
-    costs are uneven. *)
+(** Batch size a worker claims from a batch of [n] tasks:
+    [max 1 (n / (jobs * 4))], i.e. roughly four claims per worker —
+    coarse enough to amortise the shared-counter traffic, fine enough
+    to keep workers busy when cell costs are uneven. *)
 
-val run : ?jobs:int -> ?chunk:int -> (unit -> 'a) list -> 'a list
+val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** [run ~jobs tasks] executes every task and returns their results in
     submission order.  At most [max 1 jobs] tasks run concurrently
     (clamped to the task count; the calling domain counts as one
-    worker).  Workers claim contiguous batches of [chunk] tasks per
-    round-trip on the shared counter (default {!default_chunk}) instead
-    of one task at a time; batching only changes which domain runs a
-    task, never the submission-order reassembly.
+    worker).  Workers claim contiguous batches of {!default_chunk}
+    tasks per round-trip on the shared counter instead of one task at a
+    time; batching only changes which domain runs a task, never the
+    submission-order reassembly.
 
     If a task raises, the exception of the lowest-indexed task that
     recorded a failure is re-raised in the caller (with its backtrace)
     after all started tasks finish; tasks not yet started are
     skipped. *)
-
-val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [run ~jobs (List.map (fun x () -> f x) xs)]. *)

@@ -17,21 +17,30 @@ let threads_axis = [ 1; 2; 4; 8; 16; 32 ]
 
 let duration quick = if quick then 500_000 else 3_000_000
 
-(* Every grid experiment is two-phase: phase 1 enumerates its cells —
-   independent, deterministic [Driver.run] closures — in submission
-   order; the domain pool executes them with up to [jobs] workers;
-   phase 2 replays the same iteration structure, consuming pooled
-   results through a cursor to build the tables.  Because the pool
-   returns results in submission order, the output is byte-identical
-   to a serial run regardless of [jobs]. *)
-let dispatch ?jobs cells =
-  let results = ref (Pool.run ?jobs cells) in
-  fun () ->
-    match !results with
-    | [] -> invalid_arg "Experiments: cell cursor exhausted"
-    | r :: rest ->
-      results := rest;
-      r
+(* Every pooled experiment is a grid: [grid ?jobs rows cols f] makes
+   one pool task [f row col] per cell — an independent, deterministic
+   simulation — runs them all in one [Pool.run] with up to [jobs]
+   workers, in row-major order, and returns one result list per row.
+   Because the pool reassembles results in submission order, the
+   tables built from the rows are byte-identical to a serial run
+   regardless of [jobs]. *)
+let grid ?jobs rows cols f =
+  let width = List.length cols in
+  let cells =
+    Array.of_list
+      (Pool.run ?jobs (List.concat_map (fun row -> List.map (fun col () -> f row col) cols) rows))
+  in
+  List.mapi (fun i _ -> List.init width (fun j -> cells.((i * width) + j))) rows
+
+(* [xs] cut into consecutive runs of [n]. *)
+let rec runs n = function
+  | [] -> []
+  | xs -> List.filteri (fun i _ -> i < n) xs :: runs n (List.filteri (fun i _ -> i >= n) xs)
+
+let mtx_per_s (r : Driver.result) = Table.cell_f (r.Driver.txs_per_sec /. 1e6)
+
+let commits_per_abort (r : Driver.result) =
+  if r.Driver.commits_per_abort = infinity then "-" else Table.cell_f r.Driver.commits_per_abort
 
 (* The eight Fig 3/4 series: placement x durability x logging. *)
 let fig3_series =
@@ -69,43 +78,27 @@ let main_panels () =
 (* One throughput-vs-threads table per workload panel. *)
 let sweep ?jobs ~quick ~title ~series specs =
   let dur = duration quick in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun (_, model, algorithm) ->
-            List.map
-              (fun threads () -> Driver.run ~duration_ns:dur ~model ~algorithm ~threads spec)
-              threads_axis)
-          series)
-      specs
+  let rows = List.concat_map (fun spec -> List.map (fun s -> (spec, s)) series) specs in
+  let grid =
+    grid ?jobs rows threads_axis (fun (spec, (_, model, algorithm)) threads ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  let tables =
-    List.map
-      (fun spec ->
-        let t =
-          Table.create
-            ~title:(Printf.sprintf "%s — %s (M tx/s by thread count)" title spec.Driver.name)
-            ~header:("series" :: List.map string_of_int threads_axis)
-        in
-        List.iter
-          (fun (label, _, _) ->
-            let cells =
-              List.map
-                (fun _threads ->
-                  let r = next () in
-                  all_results := r :: !all_results;
-                  Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-                threads_axis
-            in
-            Table.add_row t (label :: cells))
-          series;
-        t)
-      specs
+  let table spec panel =
+    let t =
+      Table.create
+        ~title:(Printf.sprintf "%s — %s (M tx/s by thread count)" title spec.Driver.name)
+        ~header:("series" :: List.map string_of_int threads_axis)
+    in
+    List.iter2
+      (fun (label, _, _) rs -> Table.add_row t (label :: List.map mtx_per_s rs))
+      series panel;
+    t
   in
-  { tables; results = List.rev !all_results; extra = [] }
+  {
+    tables = List.map2 table specs (runs (List.length series) grid);
+    results = List.concat grid;
+    extra = [];
+  }
 
 let fig3 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 3" ~series:fig3_series (main_panels ())
@@ -137,31 +130,14 @@ let ratio_table ?jobs ~quick ~title algorithm =
                 (Ptm.algorithm_name algorithm))
       ~header:("config" :: List.map string_of_int threads)
   in
-  let cells =
-    List.concat_map
-      (fun (_, model) ->
-        List.map
-          (fun n () ->
-            Driver.run ~duration_ns:dur ~model ~algorithm ~threads:n (Tpcc.spec Tpcc.Hash))
-          threads)
-      rows
+  let grid =
+    grid ?jobs rows threads (fun (_, model) n ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:n (Tpcc.spec Tpcc.Hash))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, _) ->
-      let cells =
-        List.map
-          (fun _n ->
-            let r = next () in
-            all_results := r :: !all_results;
-            if r.Driver.commits_per_abort = infinity then "-"
-            else Table.cell_f r.Driver.commits_per_abort)
-          threads
-      in
-      Table.add_row t (label :: cells))
-    rows;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  List.iter2
+    (fun (label, _) rs -> Table.add_row t (label :: List.map commits_per_abort rs))
+    rows grid;
+  { tables = [ t ]; results = List.concat grid; extra = [] }
 
 let table1 ?(quick = false) ?jobs () = ratio_table ?jobs ~quick ~title:"Table I" Ptm.Redo
 
@@ -181,38 +157,28 @@ let table3 ?(quick = false) ?jobs () =
     Table.create ~title:"Table III — speedup from removing fences (ADR, 4 threads)"
       ~header:("logging" :: List.map (fun s -> s.Driver.name) specs)
   in
-  let cells =
+  let algorithms = [ Ptm.Undo; Ptm.Redo ] in
+  (* Each spec's correct-ADR run, then its fence-free twin. *)
+  let cols =
     List.concat_map
-      (fun algorithm ->
-        List.concat_map
-          (fun spec ->
-            [
-              (fun () ->
-                Driver.run ~duration_ns:dur ~model:Config.optane_adr ~algorithm ~threads:4 spec);
-              (fun () ->
-                Driver.run ~duration_ns:dur ~model:Config.optane_adr_nofence ~algorithm
-                  ~threads:4 spec);
-            ])
-          specs)
-      [ Ptm.Undo; Ptm.Redo ]
+      (fun spec -> [ (spec, Config.optane_adr); (spec, Config.optane_adr_nofence) ])
+      specs
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun algorithm ->
-      let cells =
-        List.map
-          (fun _spec ->
-            let base = next () in
-            let nofence = next () in
-            all_results := nofence :: base :: !all_results;
-            let pct = 100.0 *. ((nofence.Driver.txs_per_sec /. base.Driver.txs_per_sec) -. 1.0) in
-            Printf.sprintf "%+.0f%%" pct)
-          specs
-      in
-      Table.add_row t (Ptm.algorithm_name algorithm :: cells))
-    [ Ptm.Undo; Ptm.Redo ];
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let grid =
+    grid ?jobs algorithms cols (fun algorithm (spec, model) ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:4 spec)
+  in
+  let gain = function
+    | [ base; nofence ] ->
+      Printf.sprintf "%+.0f%%"
+        (100.0 *. ((nofence.Driver.txs_per_sec /. base.Driver.txs_per_sec) -. 1.0))
+    | _ -> assert false
+  in
+  List.iter2
+    (fun algorithm rs ->
+      Table.add_row t (Ptm.algorithm_name algorithm :: List.map gain (runs 2 rs)))
+    algorithms grid;
+  { tables = [ t ]; results = List.concat grid; extra = [] }
 
 let fig6 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 6" ~series:fig6_series (main_panels ())
@@ -249,47 +215,25 @@ let fig8 ?(quick = false) ?jobs () =
   let dur = duration quick in
   let sizes = if quick then [ List.nth fig8_sizes 0; List.nth fig8_sizes 1 ] else fig8_sizes in
   let dram_capacity = 96 * 1024 * 1024 in
-  (* The paper cannot run the DRAM baseline beyond DRAM; those cells
-     render "n/a" and are never staged. *)
-  let feasible (model : Config.model) bytes =
-    not (model.Config.data_media = Config.Dram && bytes > dram_capacity)
-  in
   let t =
     Table.create ~title:"Fig 8 — memcached, 1 worker (k req/s by working set)"
       ~header:("series" :: List.map fst sizes)
   in
-  let cells =
-    List.concat_map
-      (fun (_, model, algorithm) ->
-        List.filter_map
-          (fun (_, bytes) ->
-            if feasible model bytes then
-              Some
-                (fun () ->
-                  let spec = Memcached.spec ~items:(Memcached.items_for_bytes bytes) in
-                  Driver.run ~duration_ns:dur ~model ~algorithm ~threads:1 spec)
-            else None)
-          sizes)
-      fig8_series
+  (* The paper cannot run the DRAM baseline beyond DRAM; those cells
+     run nothing and render "n/a". *)
+  let grid =
+    grid ?jobs fig8_series sizes (fun (_, (model : Config.model), algorithm) (_, bytes) ->
+        if model.Config.data_media = Config.Dram && bytes > dram_capacity then None
+        else
+          let spec = Memcached.spec ~items:(Memcached.items_for_bytes bytes) in
+          Some (Driver.run ~duration_ns:dur ~model ~algorithm ~threads:1 spec))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, model, _) ->
-      let cells =
-        List.map
-          (fun (_, bytes) ->
-            if not (feasible model bytes) then "n/a"
-            else begin
-              let r = next () in
-              all_results := r :: !all_results;
-              Table.cell_f (r.Driver.txs_per_sec /. 1e3)
-            end)
-          sizes
-      in
-      Table.add_row t (label :: cells))
-    fig8_series;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let cell = function
+    | None -> "n/a"
+    | Some r -> Table.cell_f (r.Driver.txs_per_sec /. 1e3)
+  in
+  List.iter2 (fun (label, _, _) rs -> Table.add_row t (label :: List.map cell rs)) fig8_series grid;
+  { tables = [ t ]; results = List.filter_map Fun.id (List.concat grid); extra = [] }
 
 (* §IV-B: the compactness of redo logs that motivates PDRAM-Lite. *)
 let log_footprint ?(quick = false) ?jobs () =
@@ -305,22 +249,17 @@ let log_footprint ?(quick = false) ?jobs () =
       (Tatp.spec, "(small)");
     ]
   in
-  let next =
-    dispatch ?jobs
-      (List.map
-         (fun (spec, _) () ->
+  let results =
+    List.concat
+      (grid ?jobs rows [ () ] (fun (spec, _) () ->
            Driver.run ~duration_ns:dur ~model:Config.optane_eadr ~algorithm:Ptm.Redo ~threads:8
-             spec)
-         rows)
+             spec))
   in
-  let all_results = ref [] in
-  List.iter
-    (fun (spec, paper) ->
-      let r = next () in
-      all_results := r :: !all_results;
+  List.iter2
+    (fun (spec, paper) r ->
       Table.add_row t [ spec.Driver.name; string_of_int r.Driver.max_log_lines; paper ])
-    rows;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+    rows results;
+  { tables = [ t ]; results; extra = [] }
 
 (* §III-B: incremental vs commit-time flushing of the redo log. *)
 let flush_timing_ablation ?(quick = false) ?jobs () =
@@ -331,40 +270,28 @@ let flush_timing_ablation ?(quick = false) ?jobs () =
   in
   let specs = [ Tpcc.spec Tpcc.Hash; Tatp.spec ] in
   let thread_points = [ 1; 8 ] in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun threads ->
-            List.map
-              (fun flush_timing () ->
-                Driver.run ~duration_ns:dur ~flush_timing ~model:Config.optane_adr
-                  ~algorithm:Ptm.Redo ~threads spec)
-              [ Ptm.At_commit; Ptm.Incremental ])
-          thread_points)
-      specs
+  let rows = List.concat_map (fun spec -> List.map (fun n -> (spec, n)) thread_points) specs in
+  let grid =
+    grid ?jobs rows [ Ptm.At_commit; Ptm.Incremental ] (fun (spec, threads) flush_timing ->
+        Driver.run ~duration_ns:dur ~flush_timing ~model:Config.optane_adr ~algorithm:Ptm.Redo
+          ~threads spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun threads ->
-          let a = next () in
-          let b = next () in
-          all_results := b :: a :: !all_results;
-          Table.add_row t
-            [
-              spec.Driver.name;
-              string_of_int threads;
-              Table.cell_f (a.Driver.txs_per_sec /. 1e6);
-              Table.cell_f (b.Driver.txs_per_sec /. 1e6);
-              Printf.sprintf "%+.1f%%"
-                (100.0 *. ((b.Driver.txs_per_sec /. a.Driver.txs_per_sec) -. 1.0));
-            ])
-        thread_points)
-    specs;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  List.iter2
+    (fun (spec, threads) rs ->
+      match rs with
+      | [ a; b ] ->
+        Table.add_row t
+          [
+            spec.Driver.name;
+            string_of_int threads;
+            mtx_per_s a;
+            mtx_per_s b;
+            Printf.sprintf "%+.1f%%"
+              (100.0 *. ((b.Driver.txs_per_sec /. a.Driver.txs_per_sec) -. 1.0));
+          ]
+      | _ -> assert false)
+    rows grid;
+  { tables = [ t ]; results = List.concat grid; extra = [] }
 
 (* Design-choice ablation: orec-table size vs false conflicts. *)
 let orec_ablation ?(quick = false) ?jobs () =
@@ -374,28 +301,16 @@ let orec_ablation ?(quick = false) ?jobs () =
       ~header:[ "orec bits"; "M tx/s"; "commits/abort" ]
   in
   let sizes = [ 10; 12; 14; 16; 18; 20 ] in
-  let next =
-    dispatch ?jobs
-      (List.map
-         (fun bits () ->
+  let results =
+    List.concat
+      (grid ?jobs sizes [ () ] (fun bits () ->
            Driver.run ~duration_ns:dur ~orec_bits:bits ~model:Config.optane_eadr
-             ~algorithm:Ptm.Redo ~threads:16 (Tpcc.spec Tpcc.Hash))
-         sizes)
+             ~algorithm:Ptm.Redo ~threads:16 (Tpcc.spec Tpcc.Hash)))
   in
-  let all_results = ref [] in
-  List.iter
-    (fun bits ->
-      let r = next () in
-      all_results := r :: !all_results;
-      Table.add_row t
-        [
-          string_of_int bits;
-          Table.cell_f (r.Driver.txs_per_sec /. 1e6);
-          (if r.Driver.commits_per_abort = infinity then "-"
-           else Table.cell_f r.Driver.commits_per_abort);
-        ])
-    sizes;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  List.iter2
+    (fun bits r -> Table.add_row t [ string_of_int bits; mtx_per_s r; commits_per_abort r ])
+    sizes results;
+  { tables = [ t ]; results; extra = [] }
 
 (* ---------- extensions beyond the paper's evaluation ---------- *)
 
@@ -403,7 +318,6 @@ let orec_ablation ?(quick = false) ?jobs () =
    might work with eADR and PDRAM."  Compare the TSX-style mode against
    the software paths under the flush-free domains. *)
 let htm ?(quick = false) ?jobs () =
-  let dur = duration quick in
   let series =
     [
       ("eADR_redo", Config.optane_eadr, Ptm.Redo);
@@ -416,7 +330,7 @@ let htm ?(quick = false) ?jobs () =
       ("HTMcommit_redo", Config.htm_commit, Ptm.Redo);
     ]
   in
-  sweep ?jobs ~quick:(dur < 3_000_000) ~title:"Extension — HTM under eADR/PDRAM" ~series
+  sweep ?jobs ~quick ~title:"Extension — HTM under eADR/PDRAM" ~series
     [ Tpcc.spec Tpcc.Hash; Btree_bench.insert_only; Tatp.spec ]
 
 (* §IV-C's cost argument: PDRAM's mechanics are Memory Mode's; how much
@@ -454,32 +368,27 @@ let reserve_energy ?(quick = false) ?jobs () =
     ]
   in
   let cells =
-    List.map
-      (fun model () ->
-        let max_debt = ref { Memsim.Sim.Debt.wpq_lines = 0; dirty_l3_lines = 0;
-                             dirty_dram_pages = 0; armed_log_lines = 0 } in
-        let max_energy = ref 0.0 in
-        let sample sim =
-          let d = Memsim.Sim.Debt.sample sim in
-          let e = Memsim.Sim.Debt.reserve_energy_nj sim d in
-          if e > !max_energy then begin
-            max_energy := e;
-            max_debt := d
-          end
-        in
-        let r =
-          Driver.run ~duration_ns:dur ~monitor:(5_000, sample) ~model ~algorithm:Ptm.Redo
-            ~threads:8 (Tpcc.spec Tpcc.Hash)
-        in
-        (r, !max_debt, !max_energy))
-      models
+    List.concat
+      (grid ?jobs models [ () ] (fun model () ->
+           let max_debt = ref { Memsim.Sim.Debt.wpq_lines = 0; dirty_l3_lines = 0;
+                                dirty_dram_pages = 0; armed_log_lines = 0 } in
+           let max_energy = ref 0.0 in
+           let sample sim =
+             let d = Memsim.Sim.Debt.sample sim in
+             let e = Memsim.Sim.Debt.reserve_energy_nj sim d in
+             if e > !max_energy then begin
+               max_energy := e;
+               max_debt := d
+             end
+           in
+           let r =
+             Driver.run ~duration_ns:dur ~monitor:(5_000, sample) ~model ~algorithm:Ptm.Redo
+               ~threads:8 (Tpcc.spec Tpcc.Hash)
+           in
+           (r, !max_debt, !max_energy)))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun model ->
-      let r, d, max_energy = next () in
-      all_results := r :: !all_results;
+  List.iter2
+    (fun model (_, d, max_energy) ->
       Repro_util.Table.add_row t
         [
           model.Config.model_name;
@@ -489,8 +398,8 @@ let reserve_energy ?(quick = false) ?jobs () =
           string_of_int d.Memsim.Sim.Debt.armed_log_lines;
           Repro_util.Table.cell_f (max_energy /. 1e3);
         ])
-    models;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+    models cells;
+  { tables = [ t ]; results = List.map (fun (r, _, _) -> r) cells; extra = [] }
 
 (* Extension: DIMM interleaving (§III-A: "the Optane memory was split
    across 12 DIMMs, and interleaving was enabled.  This is the
@@ -515,31 +424,15 @@ let dimm_interleave ?(quick = false) ?jobs () =
       nvm_read_service_ns = base.Config.nvm_read_service_ns * 6;
     }
   in
-  let cells =
-    List.concat_map
-      (fun channels ->
-        List.map
-          (fun threads () ->
-            Driver.run ~duration_ns:dur ~lat ~nvm_channels:channels ~model:Config.optane_adr
-              ~algorithm:Ptm.Redo ~threads (Tpcc.spec Tpcc.Hash))
-          thread_points)
-      channel_axis
+  let grid =
+    grid ?jobs channel_axis thread_points (fun channels threads ->
+        Driver.run ~duration_ns:dur ~lat ~nvm_channels:channels ~model:Config.optane_adr
+          ~algorithm:Ptm.Redo ~threads (Tpcc.spec Tpcc.Hash))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun channels ->
-      let cells =
-        List.map
-          (fun _threads ->
-            let r = next () in
-            all_results := r :: !all_results;
-            Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-          thread_points
-      in
-      Table.add_row t (string_of_int channels :: cells))
-    channel_axis;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  List.iter2
+    (fun channels rs -> Table.add_row t (string_of_int channels :: List.map mtx_per_s rs))
+    channel_axis grid;
+  { tables = [ t ]; results = List.concat grid; extra = [] }
 
 (* Extension: transaction latency distributions (the paper reports
    only throughput; tail latency is where fences actually hurt). *)
@@ -551,36 +444,27 @@ let latency ?(quick = false) ?jobs () =
   in
   let specs = [ Tatp.spec; Tpcc.spec Tpcc.Hash ] in
   let models = [ Config.dram_eadr; Config.optane_adr; Config.optane_eadr; Config.pdram ] in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.map
-          (fun model () ->
-            Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:8 spec)
-          models)
-      specs
+  let grid =
+    grid ?jobs specs models (fun spec model ->
+        Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:8 spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun model ->
-          let r = next () in
-          all_results := r :: !all_results;
+  List.iter2
+    (fun spec rs ->
+      List.iter2
+        (fun model r ->
           let h = r.Driver.latency in
           Table.add_row t
             [
               spec.Driver.name;
               model.Config.model_name;
-              Table.cell_f (Repro_util.Histogram.percentile h 50.0);
-              Table.cell_f (Repro_util.Histogram.percentile h 95.0);
-              Table.cell_f (Repro_util.Histogram.percentile h 99.0);
-              Table.cell_f (Repro_util.Histogram.mean h);
+              Table.cell_f (Histogram.percentile h 50.0);
+              Table.cell_f (Histogram.percentile h 95.0);
+              Table.cell_f (Histogram.percentile h 99.0);
+              Table.cell_f (Histogram.mean h);
             ])
-        models)
-    specs;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+        models rs)
+    specs grid;
+  { tables = [ t ]; results = List.concat grid; extra = [] }
 
 (* Extension: the YCSB core mixes across the durability models. *)
 let ycsb ?(quick = false) ?jobs () =
@@ -598,30 +482,36 @@ let ycsb ?(quick = false) ?jobs () =
     Table.create ~title:"Extension — YCSB mixes, 8 threads (M tx/s)"
       ~header:("series" :: List.map (fun m -> "ycsb-" ^ Ycsb.mix_name m) mixes)
   in
-  let cells =
-    List.concat_map
-      (fun (_, model, algorithm) ->
-        List.map
-          (fun mix () ->
-            Driver.run ~duration_ns:dur ~model ~algorithm ~threads:8 (Ycsb.spec mix))
-          mixes)
-      series
+  let grid =
+    grid ?jobs series mixes (fun (_, model, algorithm) mix ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:8 (Ycsb.spec mix))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, _, _) ->
-      let cells =
-        List.map
-          (fun _mix ->
-            let r = next () in
-            all_results := r :: !all_results;
-            Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-          mixes
-      in
-      Table.add_row t (label :: cells))
-    series;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  List.iter2 (fun (label, _, _) rs -> Table.add_row t (label :: List.map mtx_per_s rs)) series grid;
+  { tables = [ t ]; results = List.concat grid; extra = [] }
+
+(* One row of a per-commit ordering-economy table: [prefix], then the
+   fences and clwbs issued per commit and those flush coalescing saved,
+   summed from a passive-telemetry run's profiler.  A run without a
+   capture adds no row. *)
+let add_economy_row t prefix (r : Driver.result) =
+  match r.Driver.telemetry with
+  | None -> ()
+  | Some cap ->
+    let p = Telemetry.profile cap in
+    let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Pstm.Profile.tids p) in
+    let over_phases f =
+      sum (fun ~tid -> List.fold_left (fun acc ph -> acc + f ~tid ph) 0 Pstm.Profile.all_phases)
+    in
+    let commits = max 1 (sum (Pstm.Profile.commits p)) in
+    let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
+    Table.add_row t
+      (prefix
+      @ [
+          per (over_phases (fun ~tid ph -> Pstm.Profile.phase_fences p ~tid ph));
+          per (over_phases (fun ~tid ph -> Pstm.Profile.phase_flushes p ~tid ph));
+          per (sum (Pstm.Profile.fences_saved p));
+          per (sum (Pstm.Profile.flushes_saved p));
+        ])
 
 (* Tentpole extension: what software flush coalescing buys.  The bank
    workload's 2-write transfers under ADR pay the full per-entry
@@ -650,53 +540,19 @@ let scaling ?(quick = false) ?jobs () =
       ~header:
         [ "series"; "threads"; "fences/commit"; "clwbs/commit"; "fences saved"; "clwbs saved" ]
   in
-  let cells =
-    List.concat_map
-      (fun (_, model, coalesce) ->
-        List.map
-          (fun threads () ->
-            Driver.run ~duration_ns:dur ~coalesce ~telemetry:passive ~model ~algorithm:Ptm.Redo
-              ~threads Bank.spec)
-          axis)
-      series
+  let grid =
+    grid ?jobs series axis (fun (_, model, coalesce) threads ->
+        Driver.run ~duration_ns:dur ~coalesce ~telemetry:passive ~model ~algorithm:Ptm.Redo
+          ~threads Bank.spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, _, _) ->
-      let cells =
-        List.map
-          (fun threads ->
-            let r = next () in
-            all_results := r :: !all_results;
-            (match r.Driver.telemetry with
-            | None -> ()
-            | Some cap ->
-              let p = Telemetry.profile cap in
-              let sum f =
-                List.fold_left (fun acc tid -> acc + f ~tid) 0 (Pstm.Profile.tids p)
-              in
-              let over_phases f =
-                sum (fun ~tid ->
-                    List.fold_left (fun acc ph -> acc + f ~tid ph) 0 Pstm.Profile.all_phases)
-              in
-              let commits = max 1 (sum (Pstm.Profile.commits p)) in
-              let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
-              Table.add_row economy
-                [
-                  label;
-                  string_of_int threads;
-                  per (over_phases (fun ~tid ph -> Pstm.Profile.phase_fences p ~tid ph));
-                  per (over_phases (fun ~tid ph -> Pstm.Profile.phase_flushes p ~tid ph));
-                  per (sum (Pstm.Profile.fences_saved p));
-                  per (sum (Pstm.Profile.flushes_saved p));
-                ]);
-            Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-          axis
-      in
-      Table.add_row tput (label :: cells))
-    series;
-  { tables = [ tput; economy ]; results = List.rev !all_results; extra = [] }
+  List.iter2
+    (fun (label, _, _) rs ->
+      List.iter2
+        (fun threads r -> add_economy_row economy [ label; string_of_int threads ] r)
+        axis rs;
+      Table.add_row tput (label :: List.map mtx_per_s rs))
+    series grid;
+  { tables = [ tput; economy ]; results = List.concat grid; extra = [] }
 
 (* The five durability domains the algorithms and FAMS grids span, one
    table column each. *)
@@ -739,60 +595,21 @@ let algorithms ?(quick = false) ?jobs () =
           "clwbs saved";
         ]
   in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun algorithm ->
-            List.map
-              (fun (_, model) () ->
-                Driver.run ~duration_ns:dur ~telemetry:passive ~model ~algorithm ~threads spec)
-              domain_columns)
-          algs)
-      specs
+  let rows = List.concat_map (fun spec -> List.map (fun alg -> (spec, alg)) algs) specs in
+  let grid =
+    grid ?jobs rows domain_columns (fun (spec, algorithm) (_, model) ->
+        Driver.run ~duration_ns:dur ~telemetry:passive ~model ~algorithm ~threads spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun algorithm ->
-          let alg_name = Ptm.algorithm_name algorithm in
-          let row =
-            List.map
-              (fun (model_name, _) ->
-                let r = next () in
-                all_results := r :: !all_results;
-                (match r.Driver.telemetry with
-                | None -> ()
-                | Some cap ->
-                  let p = Telemetry.profile cap in
-                  let sum f =
-                    List.fold_left (fun acc tid -> acc + f ~tid) 0 (Pstm.Profile.tids p)
-                  in
-                  let over_phases f =
-                    sum (fun ~tid ->
-                        List.fold_left (fun acc ph -> acc + f ~tid ph) 0 Pstm.Profile.all_phases)
-                  in
-                  let commits = max 1 (sum (Pstm.Profile.commits p)) in
-                  let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
-                  Table.add_row economy
-                    [
-                      spec.Driver.name;
-                      alg_name;
-                      model_name;
-                      per (over_phases (fun ~tid ph -> Pstm.Profile.phase_fences p ~tid ph));
-                      per (over_phases (fun ~tid ph -> Pstm.Profile.phase_flushes p ~tid ph));
-                      per (sum (Pstm.Profile.fences_saved p));
-                      per (sum (Pstm.Profile.flushes_saved p));
-                    ]);
-                Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-              domain_columns
-          in
-          Table.add_row tput ((spec.Driver.name ^ "/" ^ alg_name) :: row))
-        algs)
-    specs;
-  { tables = [ tput; economy ]; results = List.rev !all_results; extra = [] }
+  List.iter2
+    (fun (spec, algorithm) rs ->
+      let alg_name = Ptm.algorithm_name algorithm in
+      List.iter2
+        (fun (model_name, _) r ->
+          add_economy_row economy [ spec.Driver.name; alg_name; model_name ] r)
+        domain_columns rs;
+      Table.add_row tput ((spec.Driver.name ^ "/" ^ alg_name) :: List.map mtx_per_s rs))
+    rows grid;
+  { tables = [ tput; economy ]; results = List.concat grid; extra = [] }
 
 (* Extension: recovery cost.  Crash a run mid-flight and measure the
    real time Ptm.recover takes as the heap gets fuller.  Stays serial
@@ -830,6 +647,7 @@ let recovery_time ?(quick = false) ?jobs:_ () =
       let ptm' = Ptm.recover (Memsim.Sim.machine sim') in
       let elapsed_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
       let live = List.length (Pmem.Alloc.live_blocks (Ptm.allocator ptm')) in
+      Memsim.Sim.release sim';
       Repro_util.Table.add_row t
         [ string_of_int inserts; string_of_int live; Repro_util.Table.cell_f elapsed_ms ])
     sizes;
@@ -901,78 +719,55 @@ let fams_run ?(quick = false) ?jobs () =
           "KiB journaled"; "KiB dirtied";
         ]
   in
-  let cells =
-    List.concat_map
-      (fun (fspec, ptm_spec) ->
-        List.concat_map
-          (fun (_, g) ->
-            List.map
-              (fun (_, model) () ->
-                match g with
-                | None ->
-                  ( Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:1 ptm_spec,
-                    None )
-                | Some granularity ->
-                  let r = Fams_bench.run ~duration_ns:dur ~model ~granularity fspec in
-                  (r.Fams_bench.driver, Some r.Fams_bench.fams))
-              domain_columns)
-          series)
-      pairs
+  let rows = List.concat_map (fun pair -> List.map (fun s -> (pair, s)) series) pairs in
+  let grid =
+    grid ?jobs rows domain_columns
+      (fun (((fspec : Fams_bench.spec), ptm_spec), (series_name, g)) (model_name, model) ->
+        match g with
+        | None -> (Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:1 ptm_spec, None)
+        | Some granularity ->
+          let r = Fams_bench.run ~duration_ns:dur ~model ~granularity fspec in
+          let st = r.Fams_bench.fams in
+          let per x = float_of_int x /. float_of_int (max 1 st.Fams.Stats.syncs) in
+          ( r.Fams_bench.driver,
+            Some
+              {
+                fc_workload = fspec.Fams_bench.name;
+                fc_model = model_name;
+                fc_series = series_name;
+                fc_tx_per_sec = r.Fams_bench.driver.Driver.txs_per_sec;
+                fc_write_amp = Fams.Stats.write_amp st;
+                fc_fences_per_sync = per st.Fams.Stats.fences;
+                fc_flushes_per_sync = per st.Fams.Stats.flushes;
+                fc_bytes_journaled = st.Fams.Stats.bytes_journaled;
+                fc_bytes_dirtied = st.Fams.Stats.bytes_dirtied;
+                fc_syncs = st.Fams.Stats.syncs;
+              } ))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  let fams_cells = ref [] in
+  List.iter2
+    (fun (((fspec : Fams_bench.spec), _), (series_name, _)) rs ->
+      Table.add_row tput
+        ((fspec.Fams_bench.name ^ "/" ^ series_name) :: List.map (fun (r, _) -> mtx_per_s r) rs))
+    rows grid;
+  let cells = List.filter_map snd (List.concat grid) in
   List.iter
-    (fun ((fspec : Fams_bench.spec), _) ->
-      List.iter
-        (fun (series_name, _) ->
-          let row =
-            List.map
-              (fun (model_name, _) ->
-                let r, st = next () in
-                all_results := r :: !all_results;
-                (match st with
-                | None -> ()
-                | Some st ->
-                  let syncs = max 1 st.Fams.Stats.syncs in
-                  let per x = float_of_int x /. float_of_int syncs in
-                  let cell =
-                    {
-                      fc_workload = fspec.Fams_bench.name;
-                      fc_model = model_name;
-                      fc_series = series_name;
-                      fc_tx_per_sec = r.Driver.txs_per_sec;
-                      fc_write_amp = Fams.Stats.write_amp st;
-                      fc_fences_per_sync = per st.Fams.Stats.fences;
-                      fc_flushes_per_sync = per st.Fams.Stats.flushes;
-                      fc_bytes_journaled = st.Fams.Stats.bytes_journaled;
-                      fc_bytes_dirtied = st.Fams.Stats.bytes_dirtied;
-                      fc_syncs = st.Fams.Stats.syncs;
-                    }
-                  in
-                  fams_cells := cell :: !fams_cells;
-                  Table.add_row economy
-                    [
-                      cell.fc_workload;
-                      cell.fc_series;
-                      cell.fc_model;
-                      Table.cell_f cell.fc_write_amp;
-                      Table.cell_f cell.fc_fences_per_sync;
-                      Table.cell_f cell.fc_flushes_per_sync;
-                      Table.cell_f (float_of_int cell.fc_bytes_journaled /. 1024.);
-                      Table.cell_f (float_of_int cell.fc_bytes_dirtied /. 1024.);
-                    ]);
-                Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-              domain_columns
-          in
-          Table.add_row tput ((fspec.Fams_bench.name ^ "/" ^ series_name) :: row))
-        series)
-    pairs;
-  let cells = List.rev !fams_cells in
+    (fun c ->
+      Table.add_row economy
+        [
+          c.fc_workload;
+          c.fc_series;
+          c.fc_model;
+          Table.cell_f c.fc_write_amp;
+          Table.cell_f c.fc_fences_per_sync;
+          Table.cell_f c.fc_flushes_per_sync;
+          Table.cell_f (float_of_int c.fc_bytes_journaled /. 1024.);
+          Table.cell_f (float_of_int c.fc_bytes_dirtied /. 1024.);
+        ])
+    cells;
   let outcome =
     {
       tables = [ tput; economy ];
-      results = List.rev !all_results;
+      results = List.map fst (List.concat grid);
       extra = [ ("fams_cells", Bench_json.List (List.map fams_cell_json cells)) ];
     }
   in
@@ -1243,12 +1038,10 @@ let telemetry ?(quick = false) ?jobs () =
     ]
   in
   let results =
-    Pool.run ?jobs
-      (List.map
-         (fun (model, algorithm) () ->
+    List.concat
+      (grid ?jobs configs [ () ] (fun (model, algorithm) () ->
            Driver.run ~duration_ns ~telemetry:Telemetry.default_config ~model ~algorithm
-             ~threads:4 Bank.spec)
-         configs)
+             ~threads:4 Bank.spec))
   in
   let saved =
     Table.create ~title:"telemetry — coalescing savings vs the naive per-entry path"

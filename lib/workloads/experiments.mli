@@ -5,12 +5,14 @@
     what the paper reports.  [quick] shrinks the virtual measurement
     window (for smoke runs); results remain deterministic either way.
 
-    [jobs] bounds the worker pool that executes the sweep's independent
-    simulation cells across OCaml domains (default: the available
-    cores, {!Parallel.Pool.default_jobs}).  Cells are keyed by
-    submission order and reassembled before any table is built, so the
-    printed tables and CSVs are byte-identical for every [jobs] value —
-    parallelism buys wall-clock time only, never different numbers.
+    Most experiments are a grid of rows x columns with one independent
+    simulation per cell.  [jobs] bounds the worker pool that runs all
+    of a grid's cells, one pool task each, across OCaml domains
+    (default: the available cores, {!Parallel.Pool.default_jobs}).
+    Results come back in row-major submission order and are split into
+    rows before any table is built, so the printed tables, CSVs and
+    [results] are byte-identical for every [jobs] value — parallelism
+    buys wall-clock time only, never different numbers.
 
     The experiment index lives in DESIGN.md; shape expectations and
     measured outcomes in EXPERIMENTS.md. *)

@@ -165,4 +165,5 @@ let run ?(duration_ns = 3_000_000) ?(sync_every = 32) ?(seed = Driver.default_se
       telemetry = None;
     }
   in
+  Memsim.Sim.release sim;
   { driver; fams = st; profile = profiler }

@@ -682,7 +682,7 @@ let telemetry ~full:_ =
    change, regenerate the reference files from the repository root with
 
      dune exec bin/ptm_bench.exe -- experiment --quick --jobs 1 --csv results/quick \
-       table1 table2 table3 fig7 logsize flush-timing orec-size htm scaling \
+       table1 table2 table3 fig7 fig8 logsize flush-timing orec-size htm scaling \
        latency dimm-interleave reserve-energy algorithms fams telemetry kvserve trace
 
    and explain the diff in the commit. *)
@@ -690,7 +690,7 @@ let results_dir = "results/quick"
 
 let results_experiments =
   [
-    "table1"; "table2"; "table3"; "fig7"; "logsize"; "flush-timing"; "orec-size"; "htm";
+    "table1"; "table2"; "table3"; "fig7"; "fig8"; "logsize"; "flush-timing"; "orec-size"; "htm";
     "scaling"; "latency"; "dimm-interleave"; "reserve-energy"; "algorithms"; "fams";
     "telemetry"; "kvserve"; "trace";
   ]

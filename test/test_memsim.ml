@@ -715,6 +715,38 @@ let test_meta_reboot_starts_empty () =
   Helpers.check_int "clock starts at 0" 0 (m'.Machine.meta_get Machine.Meta_layout.clock_idx);
   Helpers.check_bool "orecs start at 0" true (meta_zero_from m')
 
+(* The FAMS bench and the differential replayer own their sims, so
+   they hand the metadata space back too: after a warm-up call in this
+   domain, a second call reuses the spare instead of allocating a
+   fresh [meta_words] array. *)
+let test_meta_released_by_runners () =
+  let meta_words = (Memsim.Config.make Memsim.Config.optane_adr).Memsim.Config.meta_words in
+  let major_words_of_second f =
+    f ();
+    let g0 = Gc.quick_stat () in
+    f ();
+    (Gc.quick_stat ()).Gc.major_words -. g0.Gc.major_words
+  in
+  let fams () =
+    ignore
+      (Workloads.Fams_bench.run ~duration_ns:20_000 ~model:Memsim.Config.optane_adr
+         ~granularity:Fams.Line Workloads.Fams_bench.bank)
+  in
+  let trace, _ = Difftest.gen_trace 1 in
+  let difftest () =
+    ignore
+      (Difftest.execute ~model:Memsim.Config.optane_adr ~algorithm:Pstm.Ptm.Redo ~coalesce:true
+         trace)
+  in
+  List.iter
+    (fun (name, f) ->
+      let words = major_words_of_second f in
+      Helpers.check_bool
+        (Printf.sprintf "%s: %.0f major words < meta_words %d" name words meta_words)
+        true
+        (words < float_of_int meta_words))
+    [ ("Fams_bench.run", fams); ("Difftest.execute", difftest) ]
+
 let test_sim_stats_populated () =
   let sim, m = Helpers.sim_machine () in
   ignore
@@ -1051,6 +1083,8 @@ let suite =
     Alcotest.test_case "meta: recycled space reads zero" `Quick test_meta_recycled_zeroed;
     Alcotest.test_case "meta: live sims never share" `Quick test_meta_live_sims_disjoint;
     Alcotest.test_case "meta: reboot starts empty" `Quick test_meta_reboot_starts_empty;
+    Alcotest.test_case "meta: fams and difftest runs release theirs" `Quick
+      test_meta_released_by_runners;
     Alcotest.test_case "sim: stats populated" `Quick test_sim_stats_populated;
     Alcotest.test_case "sim: determinism" `Quick test_sim_deterministic;
     Alcotest.test_case "sim: exact ADR sequence" `Quick test_sim_exact_adr_sequence;

@@ -17,11 +17,6 @@ let test_submission_order () =
         (Pool.run ~jobs tasks))
     [ 1; 2; 4; 7 ]
 
-let test_map () =
-  Alcotest.(check (list string))
-    "map preserves order" [ "0"; "1"; "2"; "3" ]
-    (Pool.map ~jobs:3 string_of_int [ 0; 1; 2; 3 ])
-
 let test_bounded_concurrency () =
   (* Track the high-water mark of simultaneously-running tasks; with
      [jobs] workers it can never exceed [jobs].  Tasks spin briefly so
@@ -88,26 +83,19 @@ let test_invalid_jobs () =
 
 let test_chunking () =
   (* Batched claiming changes only which worker runs a task, never the
-     reassembled order — including chunks that don't divide the batch,
-     exceed it, or degenerate to the old one-at-a-time claiming. *)
-  let n = 23 in
-  let tasks = List.init n (fun i () -> i * 3) in
-  let expect = List.init n (fun i -> i * 3) in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "order with chunk=%d" chunk)
-        expect
-        (Pool.run ~jobs:3 ~chunk tasks))
-    [ 1; 2; 5; n; n + 40 ];
-  Alcotest.check_raises "chunk=0 rejected" (Invalid_argument "Pool.run: chunk must be >= 1")
-    (fun () -> ignore (Pool.run ~jobs:2 ~chunk:0 [ (fun () -> ()) ]));
+     reassembled order — here with a default batch of 4 that does not
+     divide the 50 tasks, so the last claim is short. *)
+  let n = 50 and jobs = 3 in
+  Alcotest.(check int) "batch of 4 leaves a short last claim" 4 (Pool.default_chunk ~n ~jobs);
+  Alcotest.(check (list int))
+    "order under batched claiming"
+    (List.init n (fun i -> i * 3))
+    (Pool.run ~jobs (List.init n (fun i () -> i * 3)));
   (* The lowest-indexed recorded failure still wins under batching. *)
-  (match Pool.run ~jobs:2 ~chunk:4 (List.init 12 (fun i () -> if i >= 6 then raise (Boom i)))
-   with
+  (match Pool.run ~jobs (List.init n (fun i () -> if i >= 25 then raise (Boom i))) with
   | _ -> Alcotest.fail "expected Boom to propagate through chunked run"
   | exception Boom i ->
-    Alcotest.(check bool) (Printf.sprintf "lowest recorded failure (Boom %d)" i) true (i >= 6));
+    Alcotest.(check bool) (Printf.sprintf "lowest recorded failure (Boom %d)" i) true (i >= 25));
   Alcotest.(check bool) "default_chunk >= 1" true (Pool.default_chunk ~n:0 ~jobs:4 >= 1);
   Alcotest.(check int) "default_chunk spreads four claims per worker" 4
     (Pool.default_chunk ~n:32 ~jobs:2)
@@ -125,7 +113,6 @@ let test_edges () =
 let suite =
   [
     Alcotest.test_case "submission order" `Quick test_submission_order;
-    Alcotest.test_case "map" `Quick test_map;
     Alcotest.test_case "bounded concurrency" `Quick test_bounded_concurrency;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
