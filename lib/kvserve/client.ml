@@ -1,5 +1,6 @@
 module Rng = Repro_util.Rng
 module Zipf = Repro_util.Zipf
+module Int_heap = Repro_util.Int_heap
 
 type chunk = { arrival_ns : int; conn : int; bytes : string }
 
@@ -10,15 +11,27 @@ type t = {
   trace_ids : int array array;
 }
 
-let key_of i = Printf.sprintf "k%06d" i
+(* [prefix] then [i] in decimal, zero-padded to [width] digits: what
+   [Printf.sprintf "%0*d"] gives for [i >= 0], without the format
+   interpreter. *)
+let padded prefix width i =
+  let d = string_of_int i in
+  let p = String.length prefix and n = String.length d in
+  let pad = max 0 (width - n) in
+  let b = Bytes.make (p + pad + n) '0' in
+  Bytes.blit_string prefix 0 b 0 p;
+  Bytes.blit_string d 0 b (p + pad) n;
+  Bytes.unsafe_to_string b
+
+let key_of i = padded "k" 6 i
 
 (* Small dedicated counter keyspace for [incr] traffic (values must be
    decimal; the bulk keyspace holds opaque payloads). *)
 let counters = 16
-let counter_of i = Printf.sprintf "c%02d" i
+let counter_of i = padded "c" 2 i
 
 let value_of ~rank ~version ~value_bytes =
-  let stamp = Printf.sprintf "r%d.v%d." rank version in
+  let stamp = String.concat "" [ "r"; string_of_int rank; ".v"; string_of_int version; "." ] in
   let n = max (String.length stamp) value_bytes in
   let b = Bytes.make n 'x' in
   Bytes.blit_string stamp 0 b 0 (String.length stamp);
@@ -29,12 +42,44 @@ let value_of ~rank ~version ~value_bytes =
   done;
   Bytes.to_string b
 
+(* Merge per-connection chunk lists into global arrival order, ties
+   broken by connection id.  Each connection's chunks are already in
+   arrival order (its clock rises by at least 1 per request, and the two
+   halves of a torn request share an instant), so this equals a stable
+   sort of the conn-major emission order.  [rev_chunks.(c)] lists
+   connection [c]'s chunks latest first: merging from the back, with
+   each connection keyed by its latest unmerged (arrival, conn) negated
+   in a min-heap, conses the result in order. *)
+let merge_by_arrival rev_chunks =
+  let conns = Array.length rev_chunks in
+  let heap = Int_heap.create () in
+  let push c =
+    match rev_chunks.(c) with
+    | x :: _ -> Int_heap.push heap ~key:(-((x.arrival_ns * conns) + c)) c
+    | [] -> ()
+  in
+  for c = 0 to conns - 1 do
+    push c
+  done;
+  let merged = ref [] in
+  while not (Int_heap.is_empty heap) do
+    let c = Int_heap.pop heap in
+    match rev_chunks.(c) with
+    | x :: rest ->
+      merged := x :: !merged;
+      rev_chunks.(c) <- rest;
+      push c
+    | [] -> assert false
+  done;
+  !merged
+
 let generate ~seed ~conns ~requests_per_conn ~items ~value_bytes ~set_ratio ~delete_ratio
     ~incr_ratio ~mean_gap_ns ~theta () =
   let zipf = Zipf.create ~theta items in
   let root = Rng.create seed in
   let requests = ref 0 in
-  let all = ref [] in
+  (* Per-connection chunks, latest first. *)
+  let rev_chunks = Array.make conns [] in
   (* Trace context allocation: every request gets a globally unique
      trace id at generation time (conn-major emission order), recorded
      per connection so the service frontend can hand the id to the
@@ -71,21 +116,13 @@ let generate ~seed ~conns ~requests_per_conn ~items ~value_bytes ~set_ratio ~del
          halves hit the wire at the same instant, but the parser sees
          them as separate reads. *)
       let n = String.length bytes in
+      let emit c = rev_chunks.(conn) <- c :: rev_chunks.(conn) in
       if n >= 2 && Rng.bool rng then begin
         let cut = 1 + Rng.int rng (n - 1) in
-        all := { arrival_ns = !clock; conn; bytes = String.sub bytes 0 cut } :: !all;
-        all := { arrival_ns = !clock; conn; bytes = String.sub bytes cut (n - cut) } :: !all
+        emit { arrival_ns = !clock; conn; bytes = String.sub bytes 0 cut };
+        emit { arrival_ns = !clock; conn; bytes = String.sub bytes cut (n - cut) }
       end
-      else all := { arrival_ns = !clock; conn; bytes } :: !all
+      else emit { arrival_ns = !clock; conn; bytes }
     done
   done;
-  (* Stable merge: per-connection order is preserved (list is built in
-     reverse emission order, so reverse first), then sort by arrival
-     with connection id as tie-break. *)
-  let chunks =
-    List.stable_sort
-      (fun a b ->
-        match compare a.arrival_ns b.arrival_ns with 0 -> compare a.conn b.conn | c -> c)
-      (List.rev !all)
-  in
-  { chunks; conns; requests = !requests; trace_ids }
+  { chunks = merge_by_arrival rev_chunks; conns; requests = !requests; trace_ids }

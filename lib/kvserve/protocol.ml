@@ -5,107 +5,186 @@ type request =
   | Incr of { key : string; delta : int }
   | Stats
 
-type reply =
-  | Stored
-  | Deleted
-  | Not_found
-  | Values of (string * int * string) list
-  | Number of int
-  | Stats_reply of (string * string) list
-  | Error
-  | Client_error of string
-  | Server_error of string
-
 let max_key_bytes = 250
 let max_value_bytes = 8192
 
-(* Longest command line we buffer before declaring the stream garbage;
-   generous next to max_key_bytes but bounded, so a newline-free flood
-   cannot grow the buffer without limit. *)
+(* Longest command line (bytes before its newline) we accept; generous
+   next to max_key_bytes but bounded, so a newline-free flood cannot
+   grow the buffer without limit. *)
 let max_line_bytes = 4096
 
-let valid_key k =
-  let n = String.length k in
-  n > 0 && n <= max_key_bytes
+(* The key rule on [b.[lo, hi)]: non-empty, at most [max_key_bytes],
+   no control, space or DEL byte. *)
+let valid_key_range b lo hi =
+  hi > lo && hi - lo <= max_key_bytes
   && (let ok = ref true in
-      String.iter (fun c -> if c <= ' ' || c = '\x7f' then ok := false) k;
+      for k = lo to hi - 1 do
+        let c = Bytes.get b k in
+        if c <= ' ' || c = '\x7f' then ok := false
+      done;
       !ok)
-
-(* Strict non-negative decimal (int_of_string_opt would admit 0x/-/_ forms
-   the wire protocol rejects). *)
-let dec_opt s =
-  let n = String.length s in
-  if n = 0 || n > 15 then None
-  else begin
-    let v = ref 0 in
-    let ok = ref true in
-    String.iter
-      (fun c -> if c >= '0' && c <= '9' then v := (!v * 10) + Char.code c - 48 else ok := false)
-      s;
-    if !ok then Some !v else None
-  end
 
 type state =
   | Line  (** expecting a command line *)
   | Body of { key : string; flags : int; nbytes : int }
       (** expecting [nbytes] of [set] payload plus CRLF *)
+  | Skip  (** discarding the rest of an over-long line *)
 
-type parser_ = { mutable data : string; mutable state : state }
+(* One growable buffer per connection: received bytes live in
+   [buf.[rd, wr)]; [buf.[rd, scan)] is known to hold no newline, so a
+   line trickling in byte by byte is scanned once.  [tok] holds the
+   (start, stop) offsets of the current command line's tokens. *)
+type parser_ = {
+  mutable buf : Bytes.t;
+  mutable rd : int;
+  mutable wr : int;
+  mutable scan : int;
+  mutable state : state;
+  mutable tok : int array;
+}
 
-let parser_create () = { data = ""; state = Line }
+let parser_create () =
+  { buf = Bytes.create 256; rd = 0; wr = 0; scan = 0; state = Line; tok = Array.make 16 0 }
 
-let feed p chunk = if chunk <> "" then p.data <- p.data ^ chunk
+let feed p chunk =
+  let len = String.length chunk in
+  if len > 0 then begin
+    let cap = Bytes.length p.buf in
+    if p.wr + len > cap then begin
+      (* Compact to the front, growing when the live bytes would fill
+         more than half the buffer, so compaction stays amortised. *)
+      let live = p.wr - p.rd in
+      let buf =
+        if 2 * (live + len) <= cap then p.buf else Bytes.create (max (2 * cap) (live + len))
+      in
+      Bytes.blit p.buf p.rd buf 0 live;
+      p.buf <- buf;
+      p.scan <- p.scan - p.rd;
+      p.rd <- 0;
+      p.wr <- live
+    end;
+    Bytes.blit_string chunk 0 p.buf p.wr len;
+    p.wr <- p.wr + len
+  end
 
-let buffered p = String.length p.data
+let buffered p = p.wr - p.rd
 
 type item = Request of request | Protocol_error of string
 
-let client_error msg = Protocol_error (Printf.sprintf "CLIENT_ERROR %s\r\n" msg)
+let error = Protocol_error "ERROR\r\n"
+let bad_format = Protocol_error "CLIENT_ERROR bad command line format\r\n"
+let bad_delta = Protocol_error "CLIENT_ERROR invalid numeric delta argument\r\n"
+let bad_chunk = Protocol_error "CLIENT_ERROR bad data chunk\r\n"
+let too_long = Protocol_error "CLIENT_ERROR line too long\r\n"
 
-let consume p n = p.data <- String.sub p.data n (String.length p.data - n)
+let consume p n =
+  p.rd <- p.rd + n;
+  p.scan <- p.rd;
+  if p.rd = p.wr then begin
+    p.rd <- 0;
+    p.wr <- 0;
+    p.scan <- 0
+  end
 
-(* Split on single spaces, dropping empty tokens (memcached tolerates
-   repeated separators). *)
-let tokens line = List.filter (fun t -> t <> "") (String.split_on_char ' ' line)
+(* Split [buf.[lo, hi)] on spaces, dropping empty tokens (memcached
+   tolerates repeated separators); returns the token count. *)
+let tokenize p lo hi =
+  let n = ref 0 and i = ref lo in
+  while !i < hi do
+    if Bytes.get p.buf !i = ' ' then incr i
+    else begin
+      let start = !i in
+      while !i < hi && Bytes.get p.buf !i <> ' ' do
+        incr i
+      done;
+      if (2 * !n) + 2 > Array.length p.tok then begin
+        let tok = Array.make (2 * Array.length p.tok) 0 in
+        Array.blit p.tok 0 tok 0 (2 * !n);
+        p.tok <- tok
+      end;
+      p.tok.(2 * !n) <- start;
+      p.tok.((2 * !n) + 1) <- !i;
+      incr n
+    end
+  done;
+  !n
 
-let parse_line p line =
-  match tokens line with
-  | [] -> Protocol_error "ERROR\r\n"
-  | "get" :: keys ->
-    if keys <> [] && List.for_all valid_key keys then Request (Get keys)
-    else client_error "bad command line format"
-  | [ "set"; key; flags; exptime; bytes ] -> (
-    match (valid_key key, dec_opt flags, dec_opt exptime, dec_opt bytes) with
-    | true, Some flags, Some _exptime, Some nbytes when nbytes <= max_value_bytes ->
-      (* Switch to body mode; the caller retries [next], which either
-         finds the payload buffered already or waits for more bytes. *)
-      p.state <- Body { key; flags; nbytes };
-      Protocol_error "" (* placeholder, never returned: see [next] *)
-    | _ -> client_error "bad command line format")
-  | "set" :: _ -> client_error "bad command line format"
-  | [ "delete"; key ] ->
-    if valid_key key then Request (Delete key) else client_error "bad command line format"
-  | "delete" :: _ -> client_error "bad command line format"
-  | [ "incr"; key; delta ] -> (
-    if not (valid_key key) then client_error "bad command line format"
+let tok_is p t word =
+  let start = p.tok.(2 * t) in
+  p.tok.((2 * t) + 1) - start = String.length word
+  && (let ok = ref true in
+      String.iteri (fun k c -> if Bytes.get p.buf (start + k) <> c then ok := false) word;
+      !ok)
+
+let tok_string p t = Bytes.sub_string p.buf p.tok.(2 * t) (p.tok.((2 * t) + 1) - p.tok.(2 * t))
+
+let tok_key p t = valid_key_range p.buf p.tok.(2 * t) p.tok.((2 * t) + 1)
+
+(* Strict non-negative decimal of at most 15 digits, or -1 (a general
+   int parser would admit 0x/-/_ forms the wire protocol rejects). *)
+let tok_dec p t =
+  let start = p.tok.(2 * t) and stop = p.tok.((2 * t) + 1) in
+  if stop - start > 15 then -1
+  else begin
+    let v = ref 0 in
+    for k = start to stop - 1 do
+      let c = Bytes.get p.buf k in
+      if !v >= 0 && c >= '0' && c <= '9' then v := (!v * 10) + Char.code c - 48 else v := -1
+    done;
+    !v
+  end
+
+(* The item for the command line [buf.[lo, hi)], or [None] when a
+   valid [set] line armed body mode. *)
+let parse_line p lo hi =
+  let n = tokenize p lo hi in
+  if n = 0 then Some error
+  else if tok_is p 0 "get" then begin
+    let ok = ref (n > 1) in
+    for t = 1 to n - 1 do
+      if not (tok_key p t) then ok := false
+    done;
+    if !ok then Some (Request (Get (List.init (n - 1) (fun t -> tok_string p (t + 1)))))
+    else Some bad_format
+  end
+  else if tok_is p 0 "set" then begin
+    let nbytes = if n = 5 then tok_dec p 4 else -1 in
+    if n = 5 && tok_key p 1 && tok_dec p 2 >= 0 && tok_dec p 3 >= 0 && nbytes >= 0
+       && nbytes <= max_value_bytes
+    then begin
+      p.state <- Body { key = tok_string p 1; flags = tok_dec p 2; nbytes };
+      None
+    end
+    else Some bad_format
+  end
+  else if tok_is p 0 "delete" then
+    if n = 2 && tok_key p 1 then Some (Request (Delete (tok_string p 1))) else Some bad_format
+  else if tok_is p 0 "incr" then
+    if n <> 3 || not (tok_key p 1) then Some bad_format
     else
-      match dec_opt delta with
-      | Some delta -> Request (Incr { key; delta })
-      | None -> client_error "invalid numeric delta argument")
-  | "incr" :: _ -> client_error "bad command line format"
-  | [ "stats" ] -> Request Stats
-  | "stats" :: _ -> client_error "bad command line format"
-  | _ -> Protocol_error "ERROR\r\n"
+      let delta = tok_dec p 2 in
+      if delta >= 0 then Some (Request (Incr { key = tok_string p 1; delta })) else Some bad_delta
+  else if tok_is p 0 "stats" then if n = 1 then Some (Request Stats) else Some bad_format
+  else Some error
+
+(* Offset of the first newline in [buf.[scan, wr)], or -1. *)
+let find_newline p =
+  let i = ref p.scan in
+  while !i < p.wr && Bytes.get p.buf !i <> '\n' do
+    incr i
+  done;
+  p.scan <- !i;
+  if !i < p.wr then !i else -1
 
 let rec next p =
   match p.state with
   | Body { key; flags; nbytes } ->
-    if String.length p.data < nbytes + 2 then None
+    if p.wr - p.rd < nbytes + 2 then None
     else begin
-      let data = String.sub p.data 0 nbytes in
-      let terminated = p.data.[nbytes] = '\r' && p.data.[nbytes + 1] = '\n' in
       p.state <- Line;
-      if terminated then begin
+      let at = p.rd + nbytes in
+      if Bytes.get p.buf at = '\r' && Bytes.get p.buf (at + 1) = '\n' then begin
+        let data = Bytes.sub_string p.buf p.rd nbytes in
         consume p (nbytes + 2);
         Some (Request (Set { key; flags; data }))
       end
@@ -113,23 +192,41 @@ let rec next p =
         (* Payload not CRLF-terminated: the frame is torn.  Drop the
            declared payload and resynchronise at the next line. *)
         consume p nbytes;
-        Some (client_error "bad data chunk")
+        Some bad_chunk
       end
     end
-  | Line -> (
-    match String.index_opt p.data '\n' with
-    | None ->
-      if String.length p.data > max_line_bytes then begin
-        p.data <- "";
-        Some (client_error "line too long")
+  | Skip ->
+    let nl = find_newline p in
+    if nl < 0 then begin
+      consume p (p.wr - p.rd);
+      None
+    end
+    else begin
+      consume p (nl + 1 - p.rd);
+      p.state <- Line;
+      next p
+    end
+  | Line ->
+    let nl = find_newline p in
+    if nl < 0 then
+      if p.wr - p.rd > max_line_bytes then begin
+        (* Over-long whatever follows: answer now, drop the rest of the
+           line as it arrives. *)
+        consume p (p.wr - p.rd);
+        p.state <- Skip;
+        Some too_long
       end
       else None
-    | Some i ->
-      let line = String.sub p.data 0 (if i > 0 && p.data.[i - 1] = '\r' then i - 1 else i) in
-      consume p (i + 1);
-      (match parse_line p line with
-      | Protocol_error "" -> next p (* [set] armed body mode; try the payload *)
-      | item -> Some item))
+    else begin
+      let lo = p.rd in
+      (* [consume] only moves cursors: the line's bytes stay put until
+         the next [feed]. *)
+      consume p (nl + 1 - lo);
+      if nl - lo > max_line_bytes then Some too_long
+      else
+        let hi = if nl > lo && Bytes.get p.buf (nl - 1) = '\r' then nl - 1 else nl in
+        match parse_line p lo hi with None -> next p | item -> item
+    end
 
 let drain p =
   let rec go acc = match next p with None -> List.rev acc | Some it -> go (it :: acc) in
@@ -143,21 +240,68 @@ let render_request = function
   | Incr { key; delta } -> Printf.sprintf "incr %s %d\r\n" key delta
   | Stats -> "stats\r\n"
 
-let render_reply = function
-  | Stored -> "STORED\r\n"
-  | Deleted -> "DELETED\r\n"
-  | Not_found -> "NOT_FOUND\r\n"
-  | Values hits ->
-    String.concat ""
-      (List.map
-         (fun (key, flags, data) ->
-           Printf.sprintf "VALUE %s %d %d\r\n%s\r\n" key flags (String.length data) data)
-         hits)
-    ^ "END\r\n"
-  | Number n -> Printf.sprintf "%d\r\n" n
-  | Stats_reply pairs ->
-    String.concat "" (List.map (fun (k, v) -> Printf.sprintf "STAT %s %s\r\n" k v) pairs)
-    ^ "END\r\n"
-  | Error -> "ERROR\r\n"
-  | Client_error msg -> Printf.sprintf "CLIENT_ERROR %s\r\n" msg
-  | Server_error msg -> Printf.sprintf "SERVER_ERROR %s\r\n" msg
+(* A sink with an empty buffer only advances [pos]: the counting pass. *)
+type sink = { mutable out : Bytes.t; mutable pos : int }
+
+let sink_create () = { out = Bytes.empty; pos = 0 }
+
+let sink_alloc sk =
+  sk.out <- Bytes.create sk.pos;
+  sk.pos <- 0
+
+let sink_contents sk = Bytes.unsafe_to_string sk.out
+
+let put_raw sk s =
+  let n = String.length s in
+  if Bytes.length sk.out > 0 then Bytes.blit_string s 0 sk.out sk.pos n;
+  sk.pos <- sk.pos + n
+
+let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
+
+let put_int sk v =
+  if v < 0 then put_raw sk (string_of_int v)
+  else begin
+    let n = digits v in
+    if Bytes.length sk.out > 0 then begin
+      let v = ref v in
+      for k = sk.pos + n - 1 downto sk.pos do
+        Bytes.set sk.out k (Char.chr (48 + (!v mod 10)));
+        v := !v / 10
+      done
+    end;
+    sk.pos <- sk.pos + n
+  end
+
+let put_value sk ~key ~flags data =
+  put_raw sk "VALUE ";
+  put_raw sk key;
+  put_raw sk " ";
+  put_int sk flags;
+  put_raw sk " ";
+  put_int sk (String.length data);
+  put_raw sk "\r\n";
+  put_raw sk data;
+  put_raw sk "\r\n"
+
+let put_end sk = put_raw sk "END\r\n"
+
+let put_stats sk pairs =
+  List.iter
+    (fun (name, value) ->
+      put_raw sk "STAT ";
+      put_raw sk name;
+      put_raw sk " ";
+      put_raw sk value;
+      put_raw sk "\r\n")
+    pairs;
+  put_end sk
+
+let put_stored sk = put_raw sk "STORED\r\n"
+let put_deleted sk = put_raw sk "DELETED\r\n"
+let put_not_found sk = put_raw sk "NOT_FOUND\r\n"
+
+let put_number sk n =
+  put_int sk n;
+  put_raw sk "\r\n"
+
+let put_not_numeric sk = put_raw sk "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"

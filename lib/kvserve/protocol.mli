@@ -9,7 +9,15 @@
     (a request may be split at any byte boundary) and drain complete
     requests as they become parseable.  Malformed input never raises —
     it yields a protocol error reply ([ERROR] / [CLIENT_ERROR ...]) and
-    resynchronises at the next line, exactly as a server must. *)
+    resynchronises at the next line, exactly as a server must.
+
+    A command line longer than 4096 bytes (counting everything before
+    its newline) yields exactly one [CLIENT_ERROR line too long], however
+    the bytes were chunked; parsing resumes after that line's newline.
+
+    Each parser keeps one growable byte buffer with read and write
+    cursors: lines are tokenized in place and only keys and payloads
+    are copied out. *)
 
 type request =
   | Get of string list  (** [get key...] — at least one key *)
@@ -18,29 +26,13 @@ type request =
   | Incr of { key : string; delta : int }
   | Stats  (** [stats] — server statistics snapshot *)
 
-type reply =
-  | Stored
-  | Deleted
-  | Not_found
-  | Values of (string * int * string) list
-      (** (key, flags, data) hits of a [get], in request order;
-          renders the [VALUE]/[END] block *)
-  | Number of int  (** new value after [incr] *)
-  | Stats_reply of (string * string) list
-      (** (name, value) pairs; renders [STAT name value] lines followed
-          by [END] *)
-  | Error  (** unknown command *)
-  | Client_error of string
-  | Server_error of string
-
 val max_key_bytes : int
-(** Longest accepted key (250, the memcached limit). *)
+(** Longest accepted key (250, the memcached limit).  A key is
+    non-empty and holds no control, space or DEL byte. *)
 
 val max_value_bytes : int
 (** Longest accepted [set] payload. *)
 
-val valid_key : string -> bool
-(** Non-empty, at most {!max_key_bytes} printable non-space bytes. *)
 
 (** {1 Incremental parsing} *)
 
@@ -73,4 +65,43 @@ val render_request : request -> string
 (** Wire bytes of a request (the client side of the codec).  [Set]
     renders with exptime 0. *)
 
-val render_reply : reply -> string
+(** {2 Replies}
+
+    The server side writes replies into a per-connection {!sink}.  A
+    fresh sink only counts the bytes it is given; {!sink_alloc} then
+    sizes it exactly and rewinds it, and the same calls replayed write
+    the bytes in place, so {!sink_contents} needs no copy. *)
+
+type sink
+
+val sink_create : unit -> sink
+(** A counting sink: writes advance its length only. *)
+
+val sink_alloc : sink -> unit
+(** Allocate exactly the bytes counted so far and rewind to offset 0. *)
+
+val sink_contents : sink -> string
+(** The bytes written (the sink must not be written again). *)
+
+val put_raw : sink -> string -> unit
+(** Already-rendered reply bytes, e.g. a {!Protocol_error} reply. *)
+
+val put_value : sink -> key:string -> flags:int -> string -> unit
+(** One [VALUE key flags bytes] entry of a [get] reply, with its data. *)
+
+val put_end : sink -> unit
+(** [END]: closes a [get] reply. *)
+
+val put_stats : sink -> (string * string) list -> unit
+(** A whole [stats] reply: one [STAT name value] line per pair, then
+    [END]. *)
+
+val put_stored : sink -> unit
+val put_deleted : sink -> unit
+val put_not_found : sink -> unit
+
+val put_number : sink -> int -> unit
+(** The new value after an [incr]. *)
+
+val put_not_numeric : sink -> unit
+(** The [CLIENT_ERROR] of an [incr] on a non-decimal value. *)

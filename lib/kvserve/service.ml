@@ -48,141 +48,175 @@ let opcode_name = function
   | Op_delete -> "delete"
   | Op_incr -> "incr"
 
-(* ---------- frontend: parse, route, enqueue ---------- *)
+(* ---------- frontend: parse into columns, route ---------- *)
 
-(* One sub-operation on one shard.  A multi-key [get] splits into one
-   sub per key (its shards answer independently; the reply merges in
-   key order).  Writes carry a per-shard [seq] — the batch-marker
-   currency. *)
-type sop =
-  | Sget of string
-  | Sset of { key : string; flags : int; data : string }
-  | Sdel of string
-  | Sincr of string * int
+(* Growable column, private to the service: [a.(0 .. n-1)] are live. *)
+module Col = struct
+  type 'a t = { mutable a : 'a array; mutable n : int; fill : 'a }
 
-type sub = { seq : int; id : int; part : int; arrival : int; op : sop; strace : int }
+  let create ~fill cap = { a = Array.make (max 16 cap) fill; n = 0; fill }
 
-let is_write = function Sget _ -> false | Sset _ | Sdel _ | Sincr _ -> true
+  let push c v =
+    if c.n = Array.length c.a then begin
+      let a = Array.make (2 * c.n) c.fill in
+      Array.blit c.a 0 a 0 c.n;
+      c.a <- a
+    end;
+    c.a.(c.n) <- v;
+    c.n <- c.n + 1
+end
 
-(* Parsed-request bookkeeping on the assembly side. *)
-type payload =
-  | P_error of string
-  | P_get of { keys : string array; hits : (int * string) option array }
-  | P_write of { mutable reply : string }
-  | P_stats of { mutable reply : string }
+type kind = K_get | K_set | K_delete | K_incr | K_stats | K_error
 
-type item = {
-  conn : int;
-  arrival : int;
-  opcode : opcode option;  (* None for protocol errors and [stats] *)
-  payload : payload;
-  trace : int;  (* trace id; -1 when tracing is off or untraced *)
-  mutable unanswered : int;
-  mutable done_at : int;
+(* Every parsed item, one row each, in parse order.  A request's
+   sub-operations are [first .. first + parts - 1] in the sub columns: a
+   multi-key [get] has one per key (its shards answer independently; the
+   reply merges in key order), a write one, [stats] and protocol errors
+   none. *)
+type requests = {
+  n : int;
+  conn : int array;
+  arrival : int array;
+  kind : kind array;
+  trace : int array;  (* trace id; -1 when tracing is off or untraced *)
+  first : int array;
+  parts : int array;
+  arg : int array;  (* [set] flags, [incr] delta *)
+  data : string array;  (* [set] payload, or the rendered error reply *)
+  key : string array;  (* per sub-operation *)
 }
 
-type frontend = { items : item array; queues : sub list array (* per shard, arrival order *) }
+(* One shard's sub-operations in arrival order: request row, global sub
+   index and, for writes, the per-shard write [seq] — the batch-marker
+   currency (0 for reads). *)
+type lane = { req : int array; sub : int array; seq : int array }
 
-let frontend cfg (fleet : Client.t) =
-  let parsers = Array.init fleet.Client.conns (fun _ -> Protocol.parser_create ()) in
-  let items = ref [] and n_items = ref 0 in
-  let queues = Array.make cfg.shards [] in
-  let wseq = Array.make cfg.shards 0 in
-  let push shard sub = queues.(shard) <- sub :: queues.(shard) in
+let frontend (cfg : config) (fleet : Client.t) =
+  let hint = fleet.Client.requests in
+  let conn = Col.create ~fill:0 hint and arrival = Col.create ~fill:0 hint in
+  let kind = Col.create ~fill:K_error hint and trace = Col.create ~fill:(-1) hint in
+  let first = Col.create ~fill:0 hint and parts = Col.create ~fill:0 hint in
+  let arg = Col.create ~fill:0 hint and data = Col.create ~fill:"" hint in
+  let key = Col.create ~fill:"" hint in
   (* Trace-context allocation: the [o]-th parsed item on a connection
      takes the generator-assigned id when the fleet carries one, and a
      synthesized (conn, ordinal) id otherwise.  Ordinals advance on
      protocol errors too, so a torn frame never shifts later ids. *)
   let ord = Array.make fleet.Client.conns 0 in
-  let next_trace conn =
-    let o = ord.(conn) in
-    ord.(conn) <- o + 1;
+  let next_trace c =
+    let o = ord.(c) in
+    ord.(c) <- o + 1;
     if not cfg.trace then -1
-    else if
-      conn < Array.length fleet.Client.trace_ids
-      && o < Array.length fleet.Client.trace_ids.(conn)
-    then fleet.Client.trace_ids.(conn).(o)
-    else (conn lsl 20) + o
+    else if c < Array.length fleet.Client.trace_ids && o < Array.length fleet.Client.trace_ids.(c)
+    then fleet.Client.trace_ids.(c).(o)
+    else (c lsl 20) + o
   in
-  let route ~arrival ~conn (request : Protocol.request) =
-    let id = !n_items in
-    let trace = next_trace conn in
-    let item, subs =
-      match request with
-      | Protocol.Get keys ->
-        let keys = Array.of_list keys in
-        let payload = P_get { keys; hits = Array.make (Array.length keys) None } in
-        ( { conn; arrival; opcode = Some Op_get; payload; trace;
-            unanswered = Array.length keys; done_at = -1 },
-          Array.to_list
-            (Array.mapi
-               (fun part key -> (Router.shard_of_key ~shards:cfg.shards key, Sget key, part))
-               keys) )
-      | Protocol.Set { key; flags; data } ->
-        ( { conn; arrival; opcode = Some Op_set; payload = P_write { reply = "" }; trace;
-            unanswered = 1; done_at = -1 },
-          [ (Router.shard_of_key ~shards:cfg.shards key, Sset { key; flags; data }, 0) ] )
-      | Protocol.Delete key ->
-        ( { conn; arrival; opcode = Some Op_delete; payload = P_write { reply = "" }; trace;
-            unanswered = 1; done_at = -1 },
-          [ (Router.shard_of_key ~shards:cfg.shards key, Sdel key, 0) ] )
-      | Protocol.Incr { key; delta } ->
-        ( { conn; arrival; opcode = Some Op_incr; payload = P_write { reply = "" }; trace;
-            unanswered = 1; done_at = -1 },
-          [ (Router.shard_of_key ~shards:cfg.shards key, Sincr (key, delta), 0) ] )
-      | Protocol.Stats ->
-        (* Answered at the frontend from the end-of-run registry
-           snapshot: no shard work, completes at its arrival instant. *)
-        ( { conn; arrival; opcode = None; payload = P_stats { reply = "" }; trace;
-            unanswered = 0; done_at = arrival },
-          [] )
-    in
-    items := item :: !items;
-    incr n_items;
-    List.iter
-      (fun (shard, op, part) ->
-        let seq =
-          if is_write op then begin
-            wseq.(shard) <- wseq.(shard) + 1;
-            wseq.(shard)
-          end
-          else 0
-        in
-        push shard { seq; id; part; arrival; op; strace = trace })
-      subs
+  let row ~c ~at k ~tr ~nparts ~a ~d =
+    Col.push conn c;
+    Col.push arrival at;
+    Col.push kind k;
+    Col.push trace tr;
+    Col.push first key.Col.n;
+    Col.push parts nparts;
+    Col.push arg a;
+    Col.push data d
   in
+  let parsers = Array.init fleet.Client.conns (fun _ -> Protocol.parser_create ()) in
   List.iter
-    (fun { Client.arrival_ns; conn; bytes } ->
-      Protocol.feed parsers.(conn) bytes;
-      List.iter
-        (function
-          | Protocol.Request r -> route ~arrival:arrival_ns ~conn r
+    (fun { Client.arrival_ns = at; conn = c; bytes } ->
+      let p = parsers.(c) in
+      Protocol.feed p bytes;
+      let rec pump () =
+        match Protocol.next p with
+        | None -> ()
+        | Some item ->
+          (match item with
           | Protocol.Protocol_error reply ->
-            ignore (next_trace conn);
-            items :=
-              { conn; arrival = arrival_ns; opcode = None; payload = P_error reply;
-                trace = -1; unanswered = 0; done_at = arrival_ns }
-              :: !items;
-            incr n_items)
-        (Protocol.drain parsers.(conn)))
+            ignore (next_trace c);
+            row ~c ~at K_error ~tr:(-1) ~nparts:0 ~a:0 ~d:reply
+          | Protocol.Request r -> (
+            let tr = next_trace c in
+            match r with
+            | Protocol.Get keys ->
+              row ~c ~at K_get ~tr ~nparts:(List.length keys) ~a:0 ~d:"";
+              List.iter (Col.push key) keys
+            | Protocol.Set { key = k; flags; data = d } ->
+              row ~c ~at K_set ~tr ~nparts:1 ~a:flags ~d;
+              Col.push key k
+            | Protocol.Delete k ->
+              row ~c ~at K_delete ~tr ~nparts:1 ~a:0 ~d:"";
+              Col.push key k
+            | Protocol.Incr { key = k; delta } ->
+              row ~c ~at K_incr ~tr ~nparts:1 ~a:delta ~d:"";
+              Col.push key k
+            | Protocol.Stats ->
+              (* Answered at assembly from the end-of-run registry
+                 snapshot: no shard work, completes at its arrival. *)
+              row ~c ~at K_stats ~tr ~nparts:0 ~a:0 ~d:""));
+          pump ()
+      in
+      pump ())
     fleet.Client.chunks;
-  {
-    items = Array.of_list (List.rev !items);
-    queues = Array.map List.rev queues;
-  }
+  let rq =
+    {
+      n = conn.Col.n;
+      conn = conn.Col.a;
+      arrival = arrival.Col.a;
+      kind = kind.Col.a;
+      trace = trace.Col.a;
+      first = first.Col.a;
+      parts = parts.Col.a;
+      arg = arg.Col.a;
+      data = data.Col.a;
+      key = key.Col.a;
+    }
+  in
+  (* Route: count each shard's subs, then fill exact-size lanes in
+     global sub order, which is arrival order. *)
+  let shard_of s = Router.shard_of_key ~shards:cfg.shards rq.key.(s) in
+  let size = Array.make cfg.shards 0 in
+  for s = 0 to key.Col.n - 1 do
+    let sh = shard_of s in
+    size.(sh) <- size.(sh) + 1
+  done;
+  let lanes =
+    Array.map
+      (fun n -> { req = Array.make n 0; sub = Array.make n 0; seq = Array.make n 0 })
+      size
+  in
+  let fill = Array.make cfg.shards 0 and wseq = Array.make cfg.shards 0 in
+  for r = 0 to rq.n - 1 do
+    for s = rq.first.(r) to rq.first.(r) + rq.parts.(r) - 1 do
+      let sh = shard_of s in
+      let l = lanes.(sh) and i = fill.(sh) in
+      fill.(sh) <- i + 1;
+      l.req.(i) <- r;
+      l.sub.(i) <- s;
+      if rq.kind.(r) <> K_get then begin
+        wseq.(sh) <- wseq.(sh) + 1;
+        l.seq.(i) <- wseq.(sh)
+      end
+    done
+  done;
+  (rq, lanes)
 
 (* ---------- per-shard execution ---------- *)
 
-type out =
-  | O_hit of int * string
+type outcome =
+  | O_pending
+  | O_hit
   | O_miss
   | O_stored
   | O_deleted
   | O_not_found
-  | O_number of int
+  | O_number
   | O_not_numeric
 
-type event = { e_id : int; e_part : int; e_done : int; e_out : out }
+(* Outcome slots, indexed by global sub: the executor of the sub's shard
+   writes them, assembly reads them once every shard is done.  A sub is
+   answered once [done_at] (service-global) is set; [num] is a hit's
+   flags or an [incr]'s new value, [hit] a hit's payload. *)
+type slots = { done_at : int array; code : outcome array; num : int array; hit : string array }
 
 type recovery = {
   r_shard : int;
@@ -209,9 +243,16 @@ type shard_stats = {
   s_sim : (string * int) list;
 }
 
+(* A shard's write-batch tallies. *)
+type tally = {
+  mutable batches : int;
+  batch_sizes : int Col.t;  (* commit order *)
+  mutable max_batch_seen : int;
+  mutable throttled : int;
+}
+
 type cell = {
-  c_events : event list;  (* execution order *)
-  c_batch_sizes : int list;  (* reverse commit order; order-insensitive use *)
+  c_batch_sizes : int Col.t;
   c_stats : shard_stats;
   c_recovery : recovery option;
   c_capture : (int * Telemetry.capture) option;
@@ -243,22 +284,27 @@ let modeled_recovery_ns (cfg : Config.t) ~needs_flush (rr : Ptm.Recovery_report.
     * writeback_ns)
   + lat.Config.sfence_ns
 
-let apply_write tx store = function
-  | Sset { key; flags; data } ->
-    Store.set tx store ~key ~flags data;
-    O_stored
-  | Sdel key -> if Store.delete tx store key then O_deleted else O_not_found
-  | Sincr (key, delta) -> (
-    match Store.incr tx store key delta with
-    | Store.New_value v -> O_number v
-    | Store.Missing -> O_not_found
-    | Store.Not_numeric -> O_not_numeric)
-  | Sget _ -> assert false
+let apply_write tx store (rq : requests) (out : slots) ~r ~sub =
+  let key = rq.key.(sub) in
+  match rq.kind.(r) with
+  | K_set ->
+    Store.set tx store ~key ~flags:rq.arg.(r) rq.data.(r);
+    out.code.(sub) <- O_stored
+  | K_delete -> out.code.(sub) <- (if Store.delete tx store key then O_deleted else O_not_found)
+  | K_incr -> (
+    match Store.incr tx store key rq.arg.(r) with
+    | Store.New_value v ->
+      out.code.(sub) <- O_number;
+      out.num.(sub) <- v
+    | Store.Missing -> out.code.(sub) <- O_not_found
+    | Store.Not_numeric -> out.code.(sub) <- O_not_numeric)
+  | K_get | K_stats | K_error -> assert false
 
-(* The executor: walk [positions] (indices into [subs], arrival order)
+(* The executor: walk [positions] (indices into [lane], arrival order)
    inside a simulated thread, batching adjacent arrived writes into one
-   transaction and running gets as individual read-only transactions.
-   [offset] converts this sim's clock to service-global time.
+   transaction and running gets as individual read-only transactions,
+   and write each sub's outcome into its slots.  [offset] converts this
+   sim's clock to service-global time.
 
    [garrival] is a sub's arrival on the service-global clock (equal to
    [arrival] in the primary pass; during replay [arrival] is rebased to
@@ -268,15 +314,12 @@ let apply_write tx store = function
    execution span (commit / read) whose children are the PTM profile
    slices bracketed by the transaction — pure observation, recorded
    from clock values the executor already read. *)
-let executor cfg ~sim ~m ~ptm ~store ~subs ~positions ~arrival ~garrival ~offset ~events
-    ~answered ~batches ~batch_sizes ~max_batch_seen ~throttled ~tracing ~shard () =
+let executor cfg ~sim ~ptm ~store ~(rq : requests) ~(lane : lane) ~(out : slots) ~positions
+    ~arrival ~garrival ~offset ~tally ~tracing ~shard () =
+  let m = Sim.machine sim in
   let n = Array.length positions in
-  let now () = int_of_float (m.Machine.now_ns ()) in
-  let record p done_t out =
-    let s = subs.(p) in
-    events := { e_id = s.id; e_part = s.part; e_done = done_t + offset; e_out = out } :: !events;
-    answered.(p) <- true
-  in
+  let now () = Sim.now sim in
+  let is_write p = rq.kind.(lane.req.(p)) <> K_get in
   let mark () =
     match tracing with Some (_, prof) -> Profile.spans_recorded prof | None -> 0
   in
@@ -292,7 +335,7 @@ let executor cfg ~sim ~m ~ptm ~store ~subs ~positions ~arrival ~garrival ~offset
     match tracing with
     | None -> ()
     | Some (tr, _) ->
-      let strace = subs.(p).strace in
+      let strace = rq.trace.(lane.req.(p)) in
       let pickup_g = pickup + offset and done_g = done_t + offset in
       ignore
         (Trace.span tr ~trace:strace ~parent:Trace.root_parent ~kind:wait_kind ~tid:shard
@@ -315,7 +358,7 @@ let executor cfg ~sim ~m ~ptm ~store ~subs ~positions ~arrival ~garrival ~offset
     let t = now () in
     let arr = arrival p in
     if arr > t then m.Machine.pause (arr - t)
-    else if is_write subs.(p).op then begin
+    else if is_write p then begin
       (* Debt-driven admission: past the line limit, writes are let in
          one at a time until the WPQ has drained. *)
       let clamped = Sim.Debt.pending_lines sim >= cfg.debt_line_limit in
@@ -324,50 +367,51 @@ let executor cfg ~sim ~m ~ptm ~store ~subs ~positions ~arrival ~garrival ~offset
       while
         !j < n && !j - !i < cap
         && (let q = positions.(!j) in
-            is_write subs.(q).op && arrival q <= t)
+            is_write q && arrival q <= t)
       do
         incr j
       done;
-      let batch = Array.sub positions !i (!j - !i) in
-      let outs = ref [] in
+      let lo = !i and hi = !j in
       let m0 = mark () in
+      (* A retried transaction rewrites the same slots; a crash before
+         the commit leaves them unanswered ([done_at] unset). *)
       Ptm.atomic ptm (fun tx ->
-          outs := [];
-          Array.iter (fun bp -> outs := apply_write tx store subs.(bp).op :: !outs) batch;
-          Store.set_batch_marker tx store subs.(batch.(Array.length batch - 1)).seq);
+          for k = lo to hi - 1 do
+            let q = positions.(k) in
+            apply_write tx store rq out ~r:lane.req.(q) ~sub:lane.sub.(q)
+          done;
+          Store.set_batch_marker tx store lane.seq.(positions.(hi - 1)));
       let done_t = now () in
       let slices = slices_since m0 in
-      Array.iteri
-        (fun bi bp ->
-          let wait_kind =
-            if bi > 0 then "batch-wait"
-            else if clamped then "throttle-wait"
-            else "queue-wait"
-          in
-          trace_exec ~p:bp ~wait_kind ~exec_kind:"commit" ~pickup:t ~done_t ~slices)
-        batch;
-      List.iteri
-        (fun k out -> record batch.(Array.length batch - 1 - k) done_t out)
-        !outs;
-      incr batches;
-      batch_sizes := Array.length batch :: !batch_sizes;
-      max_batch_seen := max !max_batch_seen (Array.length batch);
-      if clamped then incr throttled;
-      i := !j
+      for k = lo to hi - 1 do
+        let q = positions.(k) in
+        let wait_kind =
+          if k > lo then "batch-wait" else if clamped then "throttle-wait" else "queue-wait"
+        in
+        trace_exec ~p:q ~wait_kind ~exec_kind:"commit" ~pickup:t ~done_t ~slices;
+        out.done_at.(lane.sub.(q)) <- done_t + offset
+      done;
+      let size = hi - lo in
+      tally.batches <- tally.batches + 1;
+      Col.push tally.batch_sizes size;
+      tally.max_batch_seen <- max tally.max_batch_seen size;
+      if clamped then tally.throttled <- tally.throttled + 1;
+      i := hi
     end
     else begin
-      let key = match subs.(p).op with Sget k -> k | _ -> assert false in
+      let sub = lane.sub.(p) in
       let m0 = mark () in
-      let out =
-        Ptm.atomic ptm (fun tx ->
-            match Store.get tx store key with
-            | Some (flags, data) -> O_hit (flags, data)
-            | None -> O_miss)
-      in
+      let found = Ptm.atomic ptm (fun tx -> Store.get tx store rq.key.(sub)) in
       let done_t = now () in
       trace_exec ~p ~wait_kind:"queue-wait" ~exec_kind:"read" ~pickup:t ~done_t
         ~slices:(slices_since m0);
-      record p done_t out;
+      (match found with
+      | Some (flags, data) ->
+        out.code.(sub) <- O_hit;
+        out.num.(sub) <- flags;
+        out.hit.(sub) <- data
+      | None -> out.code.(sub) <- O_miss);
+      out.done_at.(sub) <- done_t + offset;
       incr i
     end
   done
@@ -376,17 +420,23 @@ let executor cfg ~sim ~m ~ptm ~store ~subs ~positions ~arrival ~garrival ~offset
    whose response was lost with the pre-crash process: answer from the
    recovered state (a real server's client would have seen a dropped
    connection; the simulated fleet gets a deterministic answer). *)
-let reconstruct ptm store op =
+let reconstruct ptm store (rq : requests) (out : slots) ~r ~sub =
+  let key = rq.key.(sub) in
   Ptm.atomic ptm (fun tx ->
-      match op with
-      | Sset _ -> O_stored
-      | Sdel key -> if Store.get tx store key = None then O_deleted else O_not_found
-      | Sincr (key, _) -> (
+      match rq.kind.(r) with
+      | K_set -> out.code.(sub) <- O_stored
+      | K_delete ->
+        out.code.(sub) <- (if Store.get tx store key = None then O_deleted else O_not_found)
+      | K_incr -> (
         match Store.get tx store key with
-        | None -> O_not_found
+        | None -> out.code.(sub) <- O_not_found
         | Some (_, s) -> (
-          match int_of_string_opt s with Some v -> O_number v | None -> O_not_numeric))
-      | Sget _ -> assert false)
+          match int_of_string_opt s with
+          | Some v ->
+            out.code.(sub) <- O_number;
+            out.num.(sub) <- v
+          | None -> out.code.(sub) <- O_not_numeric))
+      | K_get | K_stats | K_error -> assert false)
 
 let populate cfg ptm store ~shard =
   let batch = ref [] in
@@ -413,9 +463,10 @@ let populate cfg ptm store ~shard =
   done;
   flush_batch ()
 
-let run_shard cfg ~crash_at ~shard (queue : sub list) =
-  let subs = Array.of_list queue in
-  let n = Array.length subs in
+let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
+  let n = Array.length lane.sub in
+  let arrival p = rq.arrival.(lane.req.(p)) in
+  let answered p = out.done_at.(lane.sub.(p)) >= 0 in
   let track = crash_at <> None in
   let sim_cfg =
     Config.make ~heap_words:cfg.heap_words_per_shard ~track_media:track cfg.model
@@ -456,21 +507,14 @@ let run_shard cfg ~crash_at ~shard (queue : sub list) =
       in
       Some (Trace.create (), prof)
   in
-  let events = ref [] in
-  let answered = Array.make n false in
-  let batches = ref 0 in
-  let batch_sizes = ref [] in
-  let max_batch_seen = ref 0 in
-  let throttled = ref 0 in
-  let all_positions = Array.init n (fun i -> i) in
+  let tally =
+    { batches = 0; batch_sizes = Col.create ~fill:0 (n / 4); max_batch_seen = 0; throttled = 0 }
+  in
   if n > 0 then
     ignore
       (Sim.spawn sim
-         (executor cfg ~sim ~m ~ptm ~store ~subs ~positions:all_positions
-            ~arrival:(fun p -> subs.(p).arrival)
-            ~garrival:(fun p -> subs.(p).arrival)
-            ~offset:0 ~events ~answered ~batches ~batch_sizes ~max_batch_seen ~throttled
-            ~tracing ~shard));
+         (executor cfg ~sim ~ptm ~store ~rq ~lane ~out ~positions:(Array.init n Fun.id) ~arrival
+            ~garrival:arrival ~offset:0 ~tally ~tracing ~shard));
   (match crash_at with None -> Sim.run sim | Some at -> Sim.run ~crash_at:at sim);
   let crashed = Sim.crashed sim in
   let elapsed, recovery, st2, sim2_fields =
@@ -518,31 +562,26 @@ let run_shard cfg ~crash_at ~shard (queue : sub list) =
       (* Durably-applied writes whose reply was lost: answer from the
          recovered state at the restart instant. *)
       for p = 0 to n - 1 do
-        if (not answered.(p)) && is_write subs.(p).op && subs.(p).seq <= marker then begin
-          let out = reconstruct ptm2 store2 subs.(p).op in
-          events := { e_id = subs.(p).id; e_part = subs.(p).part; e_done = offset; e_out = out }
-                    :: !events;
+        let r = lane.req.(p) and sub = lane.sub.(p) in
+        if (not (answered p)) && rq.kind.(r) <> K_get && lane.seq.(p) <= marker then begin
+          reconstruct ptm2 store2 rq out ~r ~sub;
           (match tracing2 with
           | None -> ()
           | Some (tr, _) ->
             ignore
-              (Trace.span tr ~trace:subs.(p).strace ~parent:Trace.root_parent
-                 ~kind:"lost-reply-recovery" ~tid:shard ~start_ns:subs.(p).arrival
+              (Trace.span tr ~trace:rq.trace.(r) ~parent:Trace.root_parent
+                 ~kind:"lost-reply-recovery" ~tid:shard ~start_ns:rq.arrival.(r)
                  ~stop_ns:offset));
-          answered.(p) <- true
+          out.done_at.(sub) <- offset
         end
       done;
-      let replay =
-        Array.of_list (List.filter (fun p -> not answered.(p)) (Array.to_list all_positions))
-      in
+      let replay = Array.of_list (List.filter (fun p -> not (answered p)) (List.init n Fun.id)) in
       if Array.length replay > 0 then
         ignore
           (Sim.spawn sim2
-             (executor cfg ~sim:sim2 ~m:m2 ~ptm:ptm2 ~store:store2 ~subs ~positions:replay
-                ~arrival:(fun p -> max (subs.(p).arrival - offset) 0)
-                ~garrival:(fun p -> subs.(p).arrival)
-                ~offset ~events ~answered ~batches ~batch_sizes ~max_batch_seen ~throttled
-                ~tracing:tracing2 ~shard));
+             (executor cfg ~sim:sim2 ~ptm:ptm2 ~store:store2 ~rq ~lane ~out ~positions:replay
+                ~arrival:(fun p -> max (arrival p - offset) 0)
+                ~garrival:arrival ~offset ~tally ~tracing:tracing2 ~shard));
       if Array.length replay > 0 then Sim.run sim2;
       let sim2_fields = Sim.Stats.fields (Sim.Stats.get sim2) in
       Sim.release sim2;
@@ -585,17 +624,16 @@ let run_shard cfg ~crash_at ~shard (queue : sub list) =
     | Some f2 -> List.map2 (fun (k, v) (_, v2) -> (k, v + v2)) sim_fields f2
   in
   {
-    c_events = List.rev !events;
-    c_batch_sizes = !batch_sizes;
+    c_batch_sizes = tally.batch_sizes;
     c_stats =
       {
         s_shard = shard;
         s_ops = n;
         s_commits = st.Ptm.Stats.commits;
         s_aborts = st.Ptm.Stats.aborts;
-        s_batches = !batches;
-        s_max_batch = !max_batch_seen;
-        s_throttled = !throttled;
+        s_batches = tally.batches;
+        s_max_batch = tally.max_batch_seen;
+        s_throttled = tally.throttled;
         s_elapsed_ns = elapsed;
         s_ptm = st;
         s_sim = sim_fields;
@@ -627,16 +665,6 @@ type result = {
   captures : (int * Telemetry.capture) list;
   trace : Trace.t option;
 }
-
-let render_out = function
-  | O_stored -> Protocol.render_reply Protocol.Stored
-  | O_deleted -> Protocol.render_reply Protocol.Deleted
-  | O_not_found -> Protocol.render_reply Protocol.Not_found
-  | O_number v -> Protocol.render_reply (Protocol.Number v)
-  | O_not_numeric ->
-    Protocol.render_reply
-      (Protocol.Client_error "cannot increment or decrement non-numeric value")
-  | O_hit _ | O_miss -> assert false
 
 (* The unified metrics registry over a finished run: service-level
    counters and latency histograms, per-shard PTM and simulated-machine
@@ -701,64 +729,82 @@ let registry (cfg : config) (r : result) =
   reg
 
 let run ?jobs ?crash_at cfg (fleet : Client.t) =
-  let fe = frontend cfg fleet in
+  let rq, lanes = frontend cfg fleet in
+  let nsub = Array.fold_left (fun acc l -> acc + Array.length l.sub) 0 lanes in
+  let out =
+    {
+      done_at = Array.make nsub (-1);
+      code = Array.make nsub O_pending;
+      num = Array.make nsub 0;
+      hit = Array.make nsub "";
+    }
+  in
+  (* Each shard writes only its own subs' slots; they are read below,
+     after every shard has finished. *)
   let cells =
     Pool.run ?jobs
-      (List.init cfg.shards (fun shard () ->
-           run_shard cfg ~crash_at ~shard fe.queues.(shard)))
+      (List.init cfg.shards (fun shard () -> run_shard cfg ~crash_at ~shard rq lanes.(shard) out))
   in
-  let hist = [ Op_get; Op_set; Op_delete; Op_incr ] in
-  let latency = List.map (fun oc -> (oc, Histogram.create ())) hist in
+  let latency =
+    List.map (fun oc -> (oc, Histogram.create ())) [ Op_get; Op_set; Op_delete; Op_incr ]
+  in
   let batch_occupancy = Histogram.create () in
-  let get_hits = ref 0 and get_misses = ref 0 in
-  (* Apply shard events in shard order: parts land in their items; an
-     item completes when its last part does. *)
   List.iter
-    (fun cell ->
-      List.iter
-        (fun ev ->
-          let item = fe.items.(ev.e_id) in
-          (match item.payload with
-          | P_get g ->
-            (match ev.e_out with
-            | O_hit (flags, data) ->
-              g.hits.(ev.e_part) <- Some (flags, data);
-              incr get_hits
-            | O_miss -> incr get_misses
-            | _ -> assert false)
-          | P_write w -> w.reply <- render_out ev.e_out
-          | P_error _ | P_stats _ -> assert false);
-          item.done_at <- max item.done_at ev.e_done;
-          item.unanswered <- item.unanswered - 1;
-          if item.unanswered = 0 then
-            match item.opcode with
-            | Some oc ->
-              Histogram.record (List.assoc oc latency) (item.done_at - item.arrival)
-            | None -> ())
-        cell.c_events;
-      List.iter (Histogram.record batch_occupancy) (List.rev cell.c_batch_sizes))
+    (fun c ->
+      let b = c.c_batch_sizes in
+      for k = 0 to b.Col.n - 1 do
+        Histogram.record batch_occupancy b.Col.a.(k)
+      done)
     cells;
+  (* A request completes when its last part does ([stats] and protocol
+     errors at arrival, -1 while a part is unanswered); its latency is
+     recorded once, when every part has answered. *)
+  let done_of r =
+    if rq.parts.(r) = 0 then rq.arrival.(r)
+    else begin
+      let d = ref 0 in
+      for s = rq.first.(r) to rq.first.(r) + rq.parts.(r) - 1 do
+        d := if !d < 0 || out.done_at.(s) < 0 then -1 else max !d out.done_at.(s)
+      done;
+      !d
+    end
+  in
+  let get_hits = ref 0 and get_misses = ref 0 in
+  let protocol_errors = ref 0 and stats_requests = ref 0 in
+  for r = 0 to rq.n - 1 do
+    let record oc =
+      let d = done_of r in
+      if d >= 0 then Histogram.record (List.assoc oc latency) (d - rq.arrival.(r))
+    in
+    match rq.kind.(r) with
+    | K_error -> incr protocol_errors
+    | K_stats -> incr stats_requests
+    | K_get ->
+      for s = rq.first.(r) to rq.first.(r) + rq.parts.(r) - 1 do
+        match out.code.(s) with O_hit -> incr get_hits | O_miss -> incr get_misses | _ -> ()
+      done;
+      record Op_get
+    | K_set -> record Op_set
+    | K_delete -> record Op_delete
+    | K_incr -> record Op_incr
+  done;
   (* Assemble the service-global trace: one root ("request") span per
-     traced item, then every shard store merged with its local parents
-     rebased and root references resolved.  Roots come first in item
-     order and shards merge in shard order, so the store (and its
-     digest) is identical for any [jobs] value. *)
+     traced request, then every shard store merged with its local
+     parents rebased and root references resolved.  Roots come first in
+     request order and shards merge in shard order, so the store (and
+     its digest) is identical for any [jobs] value. *)
   let trace =
     if not cfg.trace then None
     else begin
       let tr = Trace.create () in
       let root_of = Hashtbl.create 1024 in
-      Array.iter
-        (fun (item : item) ->
-          if item.trace >= 0 then begin
-            let idx =
-              Trace.span tr ~trace:item.trace ~parent:Trace.root_parent ~kind:"request"
-                ~tid:item.conn ~start_ns:item.arrival
-                ~stop_ns:(max item.arrival item.done_at)
-            in
-            Hashtbl.replace root_of item.trace idx
-          end)
-        fe.items;
+      for r = 0 to rq.n - 1 do
+        if rq.trace.(r) >= 0 then
+          Hashtbl.replace root_of rq.trace.(r)
+            (Trace.span tr ~trace:rq.trace.(r) ~parent:Trace.root_parent ~kind:"request"
+               ~tid:rq.conn.(r) ~start_ns:rq.arrival.(r)
+               ~stop_ns:(max rq.arrival.(r) (done_of r)))
+      done;
       let root_for t =
         if t < 0 then Trace.root_parent
         else Option.value (Hashtbl.find_opt root_of t) ~default:Trace.root_parent
@@ -772,11 +818,6 @@ let run ?jobs ?crash_at cfg (fleet : Client.t) =
       Some tr
     end
   in
-  let protocol_errors =
-    Array.fold_left
-      (fun acc item -> match item.payload with P_error _ -> acc + 1 | _ -> acc)
-      0 fe.items
-  in
   let shard_ops = Array.of_list (List.map (fun c -> c.c_stats.s_ops) cells) in
   let kv_ops = Array.fold_left ( + ) 0 shard_ops in
   let elapsed_ns = List.fold_left (fun acc c -> max acc c.c_stats.s_elapsed_ns) 1 cells in
@@ -788,9 +829,9 @@ let run ?jobs ?crash_at cfg (fleet : Client.t) =
   let result_of replies =
     {
       model = cfg.model.Config.model_name;
-      requests = Array.length fe.items;
+      requests = rq.n;
       kv_ops;
-      protocol_errors;
+      protocol_errors = !protocol_errors;
       get_hits = !get_hits;
       get_misses = !get_misses;
       elapsed_ns;
@@ -810,38 +851,41 @@ let run ?jobs ?crash_at cfg (fleet : Client.t) =
   (* [stats] replies: every stats request answers with the same
      end-of-run registry snapshot (the registry is a projection of the
      result, which is complete before replies render). *)
-  if
-    Array.exists
-      (fun item -> match item.payload with P_stats _ -> true | _ -> false)
-      fe.items
-  then begin
-    let pairs = Registry.stats_pairs (registry cfg (result_of [||])) in
-    let rendered = Protocol.render_reply (Protocol.Stats_reply pairs) in
-    Array.iter
-      (fun item -> match item.payload with P_stats s -> s.reply <- rendered | _ -> ())
-      fe.items
-  end;
-  (* Render per-connection reply streams in request order. *)
-  let bufs = Array.init fleet.Client.conns (fun _ -> Buffer.create 256) in
-  Array.iter
-    (fun item ->
-      let reply =
-        match item.payload with
-        | P_error e -> e
-        | P_write w -> w.reply
-        | P_stats s -> s.reply
-        | P_get g ->
-          let hits = ref [] in
-          for k = Array.length g.keys - 1 downto 0 do
-            match g.hits.(k) with
-            | Some (flags, data) -> hits := (g.keys.(k), flags, data) :: !hits
-            | None -> ()
-          done;
-          Protocol.render_reply (Protocol.Values !hits)
-      in
-      Buffer.add_string bufs.(item.conn) reply)
-    fe.items;
-  result_of (Array.map Buffer.contents bufs)
+  let stats_pairs =
+    if !stats_requests > 0 then Registry.stats_pairs (registry cfg (result_of [||])) else []
+  in
+  let render sk r =
+    match rq.kind.(r) with
+    | K_error -> Protocol.put_raw sk rq.data.(r)
+    | K_stats -> Protocol.put_stats sk stats_pairs
+    | K_get ->
+      for s = rq.first.(r) to rq.first.(r) + rq.parts.(r) - 1 do
+        if out.code.(s) = O_hit then
+          Protocol.put_value sk ~key:rq.key.(s) ~flags:out.num.(s) out.hit.(s)
+      done;
+      Protocol.put_end sk
+    | K_set | K_delete | K_incr -> (
+      let s = rq.first.(r) in
+      if out.done_at.(s) >= 0 then
+        match out.code.(s) with
+        | O_stored -> Protocol.put_stored sk
+        | O_deleted -> Protocol.put_deleted sk
+        | O_not_found -> Protocol.put_not_found sk
+        | O_number -> Protocol.put_number sk out.num.(s)
+        | O_not_numeric -> Protocol.put_not_numeric sk
+        | O_pending | O_hit | O_miss -> assert false)
+  in
+  (* Per-connection reply streams in request order: one pass sizes each
+     connection's output, a second writes it in place. *)
+  let sinks = Array.init fleet.Client.conns (fun _ -> Protocol.sink_create ()) in
+  for r = 0 to rq.n - 1 do
+    render sinks.(rq.conn.(r)) r
+  done;
+  Array.iter Protocol.sink_alloc sinks;
+  for r = 0 to rq.n - 1 do
+    render sinks.(rq.conn.(r)) r
+  done;
+  result_of (Array.map Protocol.sink_contents sinks)
 
 (* ---------- metrics export ---------- *)
 

@@ -4,17 +4,21 @@
     own simulated machine ({!Memsim.Sim}), region and {!Store} — so a
     shard's commit-time flushes and fences never interfere with another
     shard's, and cross-shard batches overlap in (virtual) time.  A run
-    has three stages:
+    has four stages:
 
     + {b Frontend} (untimed, as a network front): every client chunk
-      is fed to that connection's incremental {!Protocol} parser;
-      malformed frames are answered immediately with protocol error
-      replies; parsed requests are split per key and routed to shard
-      queues by {!Router.shard_of_key}, stamped with their arrival
-      instant.
+      is fed to that connection's incremental {!Protocol} parser.  Each
+      parsed item becomes one row of a flat request table (connection,
+      arrival instant, opcode, trace id, first sub-operation and part
+      count, [set] flags / [incr] delta, payload or rendered protocol
+      error); its keys become rows of a sub-operation column.  Each
+      sub-operation is then routed by {!Router.shard_of_key} into its
+      shard's exact-size columns (request row, sub index, per-shard
+      write sequence number), in arrival order.  A request is stored
+      once, from parse to reply.
     + {b Shards} (timed, one simulated executor per shard, fanned
       across domains by {!Parallel.Pool}): each executor walks its
-      queue in arrival order, batching {e adjacent writes} into one
+      columns in arrival order, batching {e adjacent writes} into one
       transaction — one coalesced commit, one durable fence for the
       whole batch — while reads run as individual read-only
       transactions.  Admission is debt-driven: when the shard's
@@ -34,6 +38,13 @@
       latencies (log-scan loads at the log medium's latency — DRAM
       under PDRAM-Lite — plus write-back per replayed entry), because
       the recovery pass itself runs on untimed raw operations.
+    + {b Assembly} (after every shard has finished): each executor has
+      written, for each of its own sub-operations, the completion
+      instant, an outcome code and, for a [get] hit, the flags and
+      payload into slots indexed by the sub-operation.  Assembly
+      records each request's latency once, at its last part, and
+      writes the replies with {!Protocol}'s reply writer straight
+      into exact-size per-connection buffers, in request order.
 
     Everything is deterministic: equal (config, fleet) pairs produce
     byte-identical replies and metrics for any [jobs] value. *)

@@ -32,6 +32,8 @@ let sample_requests =
     (* Length-prefixed payloads may contain anything, CRLF included. *)
     P.Set { key = "k2"; flags = 0; data = "bin\r\nary \x01 bytes" };
     P.Set { key = "k3"; flags = 42; data = "" };
+    (* Larger than the parser's initial buffer: grows and compacts it. *)
+    P.Set { key = "k4"; flags = 1; data = String.init 3000 (fun i -> Char.chr (32 + (i mod 90))) };
     P.Delete "gone";
     P.Incr { key = "c01"; delta = 9 };
   ]
@@ -48,6 +50,38 @@ let test_roundtrip () =
           "round-trips" (P.render_request want) (P.render_request r)
       | P.Protocol_error e -> Alcotest.fail ("unexpected protocol error: " ^ e))
     sample_requests items
+
+(* ---------- codec: reply writer ---------- *)
+
+(* The counting pass sizes the sink exactly; the replayed writes give
+   the memcached reply grammar byte for byte. *)
+let test_reply_writer () =
+  let write sk =
+    P.put_value sk ~key:"k1" ~flags:7 "hi\r\n";
+    P.put_value sk ~key:"k2" ~flags:0 "";
+    P.put_end sk;
+    P.put_stored sk;
+    P.put_deleted sk;
+    P.put_not_found sk;
+    P.put_number sk 0;
+    P.put_number sk 1_234_567_890;
+    P.put_not_numeric sk;
+    P.put_stats sk [ ("curr_items", "42"); ("evictions", "0") ];
+    P.put_raw sk "ERROR\r\n"
+  in
+  let sk = P.sink_create () in
+  write sk;
+  P.sink_alloc sk;
+  write sk;
+  Alcotest.(check string)
+    "reply bytes"
+    ("VALUE k1 7 4\r\nhi\r\n\r\nVALUE k2 0 0\r\n\r\nEND\r\nSTORED\r\nDELETED\r\nNOT_FOUND\r\n"
+   ^ "0\r\n1234567890\r\nCLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
+   ^ "STAT curr_items 42\r\nSTAT evictions 0\r\nEND\r\nERROR\r\n")
+    (P.sink_contents sk);
+  let empty = P.sink_create () in
+  P.sink_alloc empty;
+  Alcotest.(check string) "no replies" "" (P.sink_contents empty)
 
 (* ---------- codec: split at every byte boundary ---------- *)
 
@@ -147,6 +181,95 @@ let test_fuzz () =
         items
     done;
     Helpers.check_bool "buffer bounded" true (P.buffered p <= !budget)
+  done
+
+(* ---------- codec: over-long lines ---------- *)
+
+(* One rule whatever the chunking: a command line longer than the line
+   limit yields exactly one [CLIENT_ERROR line too long], and parsing
+   resumes after that line's newline. *)
+let test_overlong_line () =
+  let stream = "get " ^ String.make 5000 'a' ^ "\r\n" ^ "get ok\r\n" in
+  let want = "err:CLIENT_ERROR line too long\r\n|req:get ok\r\n" in
+  Alcotest.(check string) "one chunk" want (items_str (parse_all stream));
+  let n = String.length stream in
+  for cut = 1 to n - 1 do
+    let p = P.parser_create () in
+    P.feed p (String.sub stream 0 cut);
+    let before = P.drain p in
+    P.feed p (String.sub stream cut (n - cut));
+    let got = items_str (before @ P.drain p) in
+    if not (String.equal want got) then Alcotest.failf "split at byte %d/%d: %s" cut n got
+  done;
+  (* Newline-free floods stay bounded: the over-long prefix is dropped
+     as soon as it is seen. *)
+  let p = P.parser_create () in
+  for _ = 1 to 10 do
+    P.feed p (String.make 1000 'x');
+    ignore (P.drain p)
+  done;
+  Helpers.check_bool "flood not buffered" true (P.buffered p <= 4096)
+
+(* ---------- codec: differential check against the reference model ---------- *)
+
+(* Seeded random streams — valid requests, repeated separators, bare-LF
+   endings, garbage lines, [set]s whose data chunk is short, long or
+   unterminated — torn at random points, must give the same item list
+   from the in-place parser and from the list-based reference model in
+   [Protocol_ref].  Every line stays under the line limit, the one case
+   where the two differ on purpose. *)
+let test_differential_ref () =
+  let rng = Rng.create 0xD1FF in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let key () =
+    pick [| "a"; "k000001"; "k000042"; "c01"; "x\ty"; "bad\x01key"; String.make 251 'k' |]
+  in
+  let data () =
+    String.init (Rng.int rng 40) (fun _ -> pick [| 'a'; 'b'; '\r'; '\n'; ' '; '\x00' |])
+  in
+  let garbage () =
+    String.init (Rng.int rng 24) (fun _ ->
+        pick [| 'g'; 'e'; 't'; 's'; ' '; ' '; '\r'; '\n'; '0'; '9'; '-'; '\xff'; '\x7f' |])
+  in
+  let segment () =
+    match Rng.int rng 12 with
+    | 0 -> P.render_request (P.Get (List.init (1 + Rng.int rng 4) (fun _ -> key ())))
+    | 1 -> P.render_request (P.Set { key = key (); flags = Rng.int rng 100; data = data () })
+    | 2 -> P.render_request (P.Delete (key ()))
+    | 3 -> P.render_request (P.Incr { key = key (); delta = Rng.int rng 1000 })
+    | 4 -> P.render_request P.Stats
+    | 5 -> "get  " ^ key () ^ "   " ^ key () ^ " \n"
+    | 6 ->
+      let d = data () in
+      let declared = max 0 (String.length d + Rng.int rng 7 - 3) in
+      Printf.sprintf "set %s 0 0 %d\r\n%s%s" (key ()) declared d
+        (pick [| "\r\n"; ""; "XX"; "\n" |])
+    | 7 ->
+      Printf.sprintf "incr %s %s\r\n" (key ())
+        (pick [| "-1"; "0x10"; ""; "12 3"; "1234567890123456" |])
+    | 8 -> pick [| "set k 1 2\r\n"; "delete\r\n"; "stats now\r\n"; "\r\n"; "\n"; "get\r\n" |]
+    | 9 -> Printf.sprintf "set k 0 0 %d\r\n" (P.max_value_bytes + Rng.int rng 2)
+    | _ -> garbage ()
+  in
+  for _ = 1 to 400 do
+    let stream = String.concat "" (List.init (1 + Rng.int rng 30) (fun _ -> segment ())) in
+    let n = String.length stream in
+    let fresh = P.parser_create () and model = Protocol_ref.parser_create () in
+    let got = ref [] and want = ref [] in
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min (n - !pos) (1 + Rng.int rng (if Rng.bool rng then 4 else 64)) in
+      let chunk = String.sub stream !pos len in
+      pos := !pos + len;
+      P.feed fresh chunk;
+      Protocol_ref.feed model chunk;
+      got := List.rev_append (P.drain fresh) !got;
+      want := List.rev_append (Protocol_ref.drain model) !want
+    done;
+    if !got <> !want then
+      Alcotest.failf "parsers diverge on %S:\n  in-place  %s\n  reference %s" stream
+        (items_str (List.rev !got)) (items_str (List.rev !want));
+    Helpers.check_int "same bytes left buffered" (Protocol_ref.buffered model) (P.buffered fresh)
   done
 
 (* ---------- router ---------- *)
@@ -479,12 +602,146 @@ let test_trace_multiget_overlap () =
       Helpers.check_bool "positive latency" true (latency > 0)
     | rows -> Alcotest.failf "expected one row, got %d" (List.length rows))
 
+(* ---------- service: output pinned to the list-based request path ---------- *)
+
+module Histogram = Repro_util.Histogram
+
+(* Three generated connections plus two scripted ones: multi-key gets
+   that span every shard, [stats], protocol errors (unknown verbs, bad
+   numbers, an unterminated [set] payload) and every request torn at a
+   seeded byte. *)
+let hostile_fleet () =
+  let base =
+    Client.generate ~seed:0x5EED ~conns:3 ~requests_per_conn:40 ~items:64 ~value_bytes:24
+      ~set_ratio:0.3 ~delete_ratio:0.05 ~incr_ratio:0.1 ~mean_gap_ns:1_200 ~theta:0.9 ()
+  in
+  let keys = List.init 12 Client.key_of in
+  let script =
+    [
+      P.render_request (P.Get keys);
+      P.render_request (P.Set { key = Client.key_of 5; flags = 77; data = "hostile\r\nvalue" });
+      "bogus command\r\n";
+      P.render_request (P.Get (List.rev keys));
+      "set k000001 0 0 4\r\nabcdXX\r\n";
+      P.render_request P.Stats;
+      P.render_request (P.Incr { key = Client.key_of 3; delta = 2 });
+      P.render_request (P.Delete (Client.key_of 7));
+      P.render_request (P.Get [ Client.key_of 7; "nokey"; Client.key_of 8; Client.key_of 9 ]);
+      "incr c01 -4\r\n";
+      "get\r\n";
+      P.render_request (P.Incr { key = Client.counter_of 1; delta = 5 });
+      "\r\n";
+      P.render_request (P.Set { key = Client.key_of 2; flags = 1; data = "" });
+      P.render_request (P.Get keys);
+    ]
+  in
+  let rng = Rng.create 0x7EA2 in
+  let scripted conn =
+    List.concat
+      (List.mapi
+         (fun i bytes ->
+           let arrival_ns = 500 + (i * 3_000) + (conn * 700) in
+           let n = String.length bytes in
+           if n >= 2 && Rng.bool rng then
+             let cut = 1 + Rng.int rng (n - 1) in
+             [ { Client.arrival_ns; conn; bytes = String.sub bytes 0 cut };
+               { Client.arrival_ns; conn; bytes = String.sub bytes cut (n - cut) } ]
+           else [ { Client.arrival_ns; conn; bytes } ])
+         script)
+  in
+  let chunks =
+    List.stable_sort
+      (fun (a : Client.chunk) (b : Client.chunk) ->
+        compare (a.Client.arrival_ns, a.Client.conn) (b.Client.arrival_ns, b.Client.conn))
+      (base.Client.chunks @ scripted 3 @ scripted 4)
+  in
+  { base with Client.chunks; conns = 5; requests = base.Client.requests + (2 * List.length script) }
+
+let pinned_digest cfg (r : Service.result) =
+  let hist h =
+    Printf.sprintf "%d %d %d %s" (Histogram.count h) (Histogram.max_value h)
+      (int_of_float (Histogram.mean h *. float_of_int (Histogram.count h)))
+      (String.concat ","
+         (List.map
+            (fun p -> Printf.sprintf "%.0f" (Histogram.percentile h p))
+            [ 1.0; 10.0; 25.0; 50.0; 75.0; 90.0; 99.0; 99.9 ]))
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          ([ fingerprint cfg r; hist r.Service.batch_occupancy;
+             Printf.sprintf "hits %d misses %d errors %d" r.Service.get_hits r.Service.get_misses
+               r.Service.protocol_errors;
+             (match r.Service.trace with Some tr -> Trace.digest tr | None -> "no trace") ]
+          @ List.map (fun (oc, h) -> Service.opcode_name oc ^ " " ^ hist h) r.Service.latency)))
+
+(* Reply bytes, latency histograms, batch occupancy, shard and recovery
+   stats and the trace store of the hostile fleet, at jobs 1 and 2, with
+   and without a crash and tracing: the digests were computed with the
+   list-based request path (items, sub queues, event lists) that the
+   column layout replaced. *)
+let test_pinned_output () =
+  let fleet = hostile_fleet () in
+  let base = { (small_config ()) with Service.shards = 4 } in
+  List.iter
+    (fun (trace, crash_at, want) ->
+      let cfg = { base with Service.trace } in
+      List.iter
+        (fun jobs ->
+          let r = Service.run ~jobs ?crash_at cfg fleet in
+          Helpers.check_bool "crash as configured" (crash_at <> None) r.Service.crashed;
+          Alcotest.(check string)
+            (Printf.sprintf "trace %b crash %b jobs %d" trace (crash_at <> None) jobs)
+            want (pinned_digest cfg r))
+        [ 1; 2 ])
+    [
+      (false, None, "1f05322564e000da135cc32f723678a1");
+      (false, Some 30_000, "b9e2402d8dda123b7e90412bdc30be21");
+      (true, None, "5d6505f7213752f6c7280ba527b2a836");
+      (true, Some 30_000, "e92532595df8f59918959c29f9e46fd7");
+    ]
+
+(* The bench-size fleet ([bench/perf]'s kvserve-adr at seed 1), digested
+   chunk by chunk: pinned to the fleet the global stable sort built. *)
+let test_fleet_digest () =
+  let fleet =
+    Client.generate ~seed:1 ~conns:8 ~requests_per_conn:16_000 ~items:8192 ~value_bytes:64
+      ~set_ratio:0.20 ~delete_ratio:0.02 ~incr_ratio:0.05 ~mean_gap_ns:4000 ~theta:0.8 ()
+  in
+  let ctx = Buffer.create (1 lsl 16) in
+  let digests = ref [] in
+  let flush () =
+    digests := Digest.string (Buffer.contents ctx) :: !digests;
+    Buffer.clear ctx
+  in
+  List.iter
+    (fun (c : Client.chunk) ->
+      Buffer.add_string ctx (Printf.sprintf "%d %d %d:" c.Client.arrival_ns c.Client.conn
+                               (String.length c.Client.bytes));
+      Buffer.add_string ctx c.Client.bytes;
+      if Buffer.length ctx > 60_000 then flush ())
+    fleet.Client.chunks;
+  flush ();
+  Array.iter
+    (fun ids ->
+      Buffer.add_string ctx (String.concat "," (Array.to_list (Array.map string_of_int ids))))
+    fleet.Client.trace_ids;
+  flush ();
+  Helpers.check_int "requests" 128_000 fleet.Client.requests;
+  Helpers.check_int "chunks" 191_984 (List.length fleet.Client.chunks);
+  Alcotest.(check string) "fleet digest" "35d03c7aebfc0a4bafd876d4a2b7efa7"
+    (Digest.to_hex (Digest.string (String.concat "" (List.rev !digests))))
+
 let suite =
   [
     Alcotest.test_case "codec: render/parse round-trip" `Quick test_roundtrip;
+    Alcotest.test_case "codec: reply writer sizes then writes" `Quick test_reply_writer;
     Alcotest.test_case "codec: split at every byte boundary" `Quick test_every_split;
     Alcotest.test_case "codec: malformed frames never raise" `Quick test_malformed;
     Alcotest.test_case "codec: random-bytes fuzz" `Quick test_fuzz;
+    Alcotest.test_case "codec: over-long line, every split" `Quick test_overlong_line;
+    Alcotest.test_case "codec: differential vs list-based reference" `Quick
+      test_differential_ref;
     Alcotest.test_case "router: stable, in-range, spread" `Quick test_router;
     Alcotest.test_case "store: set/get/delete/incr semantics" `Quick test_store;
     Alcotest.test_case "service: deterministic across runs and jobs" `Slow
@@ -498,4 +755,6 @@ let suite =
     Alcotest.test_case "service: trace accounting covers latency" `Slow test_trace_accounting;
     Alcotest.test_case "service: multi-get overlap accounting" `Quick
       test_trace_multiget_overlap;
+    Alcotest.test_case "service: hostile fleet output pinned" `Slow test_pinned_output;
+    Alcotest.test_case "client: bench fleet digest pinned" `Slow test_fleet_digest;
   ]
