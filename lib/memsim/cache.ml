@@ -49,8 +49,41 @@ let miss_clean = -2
    need no action from the caller (data lives in the heap), so only
    dirty evictions are distinguished.  The variant-returning reference
    model in [test/test_memsim.ml] pins these transitions down; an edit
-   here must keep them equal. *)
-let access_fast t ~line ~write =
+   here must keep them equal.  The hit path inlines into the caller;
+   the miss stays out of line in [fill_miss]. *)
+let[@inline never] fill_miss t ~line ~write =
+  t.misses <- t.misses + 1;
+  (* Victim: the first invalid way, else the least recent stamp (first
+     minimum). *)
+  let base = set_of t line * t.ways in
+  let victim = ref base in
+  let oldest = ref max_int in
+  for i = base to base + t.ways - 1 do
+    if !oldest >= 0 then
+      if Array.unsafe_get t.tags i = -1 then begin
+        victim := i;
+        oldest := -1
+      end
+      else if Array.unsafe_get t.stamp i < !oldest then begin
+        victim := i;
+        oldest := Array.unsafe_get t.stamp i
+      end
+  done;
+  let v = !victim in
+  let old_tag = t.tags.(v) in
+  let result =
+    if old_tag >= 0 && t.dirty.(v) then begin
+      t.writebacks <- t.writebacks + 1;
+      old_tag
+    end
+    else miss_clean
+  in
+  t.tags.(v) <- line;
+  t.dirty.(v) <- write;
+  t.stamp.(v) <- t.tick;
+  result
+
+let[@inline] access_fast t ~line ~write =
   t.tick <- t.tick + 1;
   let f = find_hit t line in
   if f >= 0 then begin
@@ -59,38 +92,7 @@ let access_fast t ~line ~write =
     if write then t.dirty.(f) <- true;
     hit
   end
-  else begin
-    t.misses <- t.misses + 1;
-    (* Victim: the first invalid way, else the least recent stamp
-       (first minimum). *)
-    let base = set_of t line * t.ways in
-    let victim = ref base in
-    let oldest = ref max_int in
-    for i = base to base + t.ways - 1 do
-      if !oldest >= 0 then
-        if Array.unsafe_get t.tags i = -1 then begin
-          victim := i;
-          oldest := -1
-        end
-        else if Array.unsafe_get t.stamp i < !oldest then begin
-          victim := i;
-          oldest := Array.unsafe_get t.stamp i
-        end
-    done;
-    let v = !victim in
-    let old_tag = t.tags.(v) in
-    let result =
-      if old_tag >= 0 && t.dirty.(v) then begin
-        t.writebacks <- t.writebacks + 1;
-        old_tag
-      end
-      else miss_clean
-    in
-    t.tags.(v) <- line;
-    t.dirty.(v) <- write;
-    t.stamp.(v) <- t.tick;
-    result
-  end
+  else fill_miss t ~line ~write
 
 let clean t ~line =
   let found = find_hit t line in

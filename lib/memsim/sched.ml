@@ -104,12 +104,12 @@ let spawn t f =
 (* [now] and the fast path of [wait] run on every machine operation, so
    they index [times] unchecked: [current] is -1 or a spawned id, and
    every spawned id is below the arrays' length. *)
-let now t = if t.current >= 0 then Array.unsafe_get t.times t.current else t.max_time
+let[@inline] now t = if t.current >= 0 then Array.unsafe_get t.times t.current else t.max_time
 
 (* Machine operations may also run outside [run] (untimed setup and
    recovery phases): time simply does not advance there, and thread id
    defaults to 0. *)
-let tid t = if t.current >= 0 then t.current else 0
+let[@inline] tid t = if t.current >= 0 then t.current else 0
 
 (* Fast path: when the current thread, after advancing by [ns], is
    still strictly ahead of every pending wake-up, suspending it would
@@ -119,8 +119,13 @@ let tid t = if t.current >= 0 then t.current else 0
    observably identical to the full perform/reschedule cycle and costs
    no continuation, heap operation or handler dispatch.  A wake time at
    or past the armed crash limit must take the slow path so the crash
-   machinery sees the event. *)
-let wait t ns =
+   machinery sees the event.  The fast path inlines into every caller;
+   the suspension stays out of line in [switch]. *)
+let[@inline never] switch t ns =
+  t.pending_ns <- ns;
+  Effect.perform Wait
+
+let[@inline] wait t ns =
   assert (ns >= 0);
   let cur = t.current in
   if cur >= 0 then begin
@@ -130,10 +135,7 @@ let wait t ns =
       if nt > t.max_time then t.max_time <- nt;
       t.advances <- t.advances + 1
     end
-    else begin
-      t.pending_ns <- ns;
-      Effect.perform Wait
-    end
+    else switch t ns
   end
 
 let wait_until t target =

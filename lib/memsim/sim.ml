@@ -476,11 +476,13 @@ let ensure_meta t =
     else t.meta <- Array.make t.cfg.meta_words 0
   end
 
+(* The released buffer also replaces a spare of another size, so one
+   odd-sized Sim does not stop recycling for every later one. *)
 let release t =
   let meta = t.meta in
   if Array.length meta > 0 then begin
     t.meta <- [||];
-    if Array.length (Domain.DLS.get spare_meta) = 0 then begin
+    if Array.length (Domain.DLS.get spare_meta) <> Array.length meta then begin
       Array.fill meta 0 (Array.length meta) 0;
       Domain.DLS.set spare_meta meta
     end

@@ -43,8 +43,9 @@ val machine : t -> Machine.t
 
 val release : t -> unit
 (** Hand [t]'s metadata space back for reuse: zero it and keep it as
-    the calling domain's idle buffer (at most one per domain; a second
-    is left to the GC).  Call it once the owner is done with [t]'s
+    the calling domain's idle buffer (at most one per domain: it
+    replaces an idle buffer of another size, and one of the same size
+    leaves it to the GC).  Call it once the owner is done with [t]'s
     machine — after reading stats, never while threads run.  A meta
     operation on a facade taken before the release then raises
     [Invalid_argument]; heap access, stats and {!reboot} keep working.

@@ -89,7 +89,7 @@ let root_set t i v =
     if t.m.Machine.needs_fence then t.m.Machine.sfence ()
   end
 
-let log_base t ~tid =
+let[@inline] log_base t ~tid =
   assert (tid >= 0 && tid < t.max_threads);
   t.log_base + (tid * t.log_words_per_thread)
 

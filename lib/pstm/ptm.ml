@@ -227,29 +227,37 @@ let reset_tx tx =
 
 (* ---------- public transactional API ---------- *)
 
-let dispatch_read tx addr =
+let[@inline] dispatch_read tx addr =
   match tx.mode with
   | Redo -> Redo_alg.read tx addr
   | Undo -> Undo_alg.read tx addr
   | Htm -> Htm_alg.read tx addr
   | Mod -> Mod_alg.read tx addr
 
-let read tx addr =
+(* [read] and [write] inline into their callers; the profiled path,
+   which allocates a closure, stays out of line. *)
+let[@inline never] profiled_read p tx addr =
+  Profile.with_phase p Profile.Read_set (fun () -> dispatch_read tx addr)
+
+let[@inline] read tx addr =
   match tx.ptm.profiler with
   | None -> dispatch_read tx addr
-  | Some p -> Profile.with_phase p Profile.Read_set (fun () -> dispatch_read tx addr)
+  | Some p -> profiled_read p tx addr
 
-let dispatch_write tx addr value =
+let[@inline] dispatch_write tx addr value =
   match tx.mode with
   | Redo -> Redo_alg.write tx addr value
   | Undo -> Undo_alg.write tx addr value
   | Htm -> Htm_alg.write tx addr value
   | Mod -> Mod_alg.write tx addr value
 
-let write tx addr value =
+let[@inline never] profiled_write p tx addr value =
+  Profile.with_phase p Profile.Log_append (fun () -> dispatch_write tx addr value)
+
+let[@inline] write tx addr value =
   match tx.ptm.profiler with
   | None -> dispatch_write tx addr value
-  | Some p -> Profile.with_phase p Profile.Log_append (fun () -> dispatch_write tx addr value)
+  | Some p -> profiled_write p tx addr value
 
 let on_commit tx hook = tx.commit_hooks <- hook :: tx.commit_hooks
 

@@ -4,9 +4,11 @@
    and the commit bookkeeping.  [Redo_alg], [Undo_alg], [Htm_alg] and
    [Mod_alg] implement {!ALGORITHM} on top of it.
 
-   The orec word helpers are only called from inside this file: dune's
-   dev profile compiles with -opaque, so no call that crosses a
-   compilation unit is ever inlined. *)
+   The default build compiles without -opaque (the root dune-workspace
+   selects dune's release profile), so ocamlopt inlines across
+   compilation units: the orec word helpers here, and the [@inline]
+   fast paths of [Int_vec], [Int_table], [Sched] and [Pheap] that
+   every transactional read and write runs. *)
 
 module Layout = Machine.Layout
 module Meta = Machine.Meta_layout
@@ -156,10 +158,10 @@ let fence t =
 
 (* ---------- per-thread log ---------- *)
 
-let log_base tx = Pmem.Region.log_base tx.ptm.reg ~tid:tx.tid
+let[@inline] log_base tx = Pmem.Region.log_base tx.ptm.reg ~tid:tx.tid
 
 (* Address of log entry [i] (its value word is the next one). *)
-let log_entry tx i = log_base tx + 2 + (2 * i)
+let[@inline] log_entry tx i = log_base tx + 2 + (2 * i)
 
 let write_status tx status =
   let t = tx.ptm in

@@ -117,7 +117,7 @@ let push_pop t ~key value =
 
 let last_key t = t.popped_key
 
-let min_key t = if t.size = 0 then max_int else t.slots.(0)
+let[@inline] min_key t = if t.size = 0 then max_int else t.slots.(0)
 
 let clear t =
   t.size <- 0;

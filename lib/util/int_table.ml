@@ -33,7 +33,7 @@ let[@inline] home t k = ((k * 0x4F1BBCDCBFA53E0B) lsr t.shift) * stride
    belongs.  Terminates because the load never exceeds one half.
    Indices stay below [Array.length slots]: [home] is a slot index
    times [stride] and the step wraps at the end. *)
-let probe t k =
+let[@inline never] probe t k =
   let slots = t.slots and epoch = t.epoch in
   let j = ref (home t k) in
   while Array.unsafe_get slots !j = epoch && Array.unsafe_get slots (!j + 1) <> k do
@@ -42,11 +42,13 @@ let probe t k =
   done;
   !j
 
-let find t k ~absent =
+(* [probe]'s loop and [grow] stay out of line, so each inlined caller
+   adds only a call and a few loads and stores. *)
+let[@inline] find t k ~absent =
   let j = probe t k in
   if Array.unsafe_get t.slots j = t.epoch then Array.unsafe_get t.slots (j + 2) else absent
 
-let mem t k = Array.unsafe_get t.slots (probe t k) = t.epoch
+let[@inline] mem t k = Array.unsafe_get t.slots (probe t k) = t.epoch
 
 let[@inline] fill t j k v =
   let slots = t.slots in
@@ -54,7 +56,7 @@ let[@inline] fill t j k v =
   Array.unsafe_set slots (j + 1) k;
   Array.unsafe_set slots (j + 2) v
 
-let grow t =
+let[@inline never] grow t =
   let old = t.slots and epoch = t.epoch in
   t.slots <- Array.make (2 * Array.length old) 0;
   t.shift <- t.shift - 1;
@@ -68,7 +70,7 @@ let grow t =
     j := !j + stride
   done
 
-let replace t k v =
+let[@inline] replace t k v =
   let j = probe t k in
   if Array.unsafe_get t.slots j = t.epoch then Array.unsafe_set t.slots (j + 2) v
   else if t.len < t.limit then begin
@@ -81,6 +83,6 @@ let replace t k v =
     t.len <- t.len + 1
   end
 
-let clear t =
+let[@inline] clear t =
   t.epoch <- t.epoch + 1;
   t.len <- 0

@@ -4,24 +4,27 @@ let create ?(capacity = 16) () = { data = Array.make (max capacity 1) 0; len = 0
 
 let length t = t.len
 
-let push t x =
-  if t.len = Array.length t.data then begin
-    let bigger = Array.make (2 * t.len) 0 in
-    Array.blit t.data 0 bigger 0 t.len;
-    t.data <- bigger
-  end;
+(* Growth is rare, so it stays out of line and the inlined [push] is a
+   length check and a store. *)
+let[@inline never] grow t =
+  let bigger = Array.make (2 * t.len) 0 in
+  Array.blit t.data 0 bigger 0 t.len;
+  t.data <- bigger
+
+let[@inline] push t x =
+  if t.len = Array.length t.data then grow t;
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let get t i =
+let[@inline] get t i =
   assert (i >= 0 && i < t.len);
   t.data.(i)
 
-let set t i x =
+let[@inline] set t i x =
   assert (i >= 0 && i < t.len);
   t.data.(i) <- x
 
-let clear t = t.len <- 0
+let[@inline] clear t = t.len <- 0
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -38,6 +38,23 @@ let reboot_and_recover ?algorithm sim =
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Minor words [f] allocates per call over [iters] calls [f 1] ..
+   [f iters], measured after one warm-up pass of the same calls (which
+   grows every buffer to size).  [Gc.minor_words] returns an unboxed
+   float, so the measurement itself allocates nothing. *)
+let minor_words_per_iter ?(iters = 10_000) f =
+  for i = 1 to iters do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to iters do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let check_alloc_free name words =
+  check_bool (Printf.sprintf "%s: %.3f minor words per iteration" name words) true (words = 0.)
+
 (* qcheck bridge: register a property as an alcotest case. *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)

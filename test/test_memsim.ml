@@ -747,6 +747,32 @@ let test_meta_released_by_runners () =
         (words < float_of_int meta_words))
     [ ("Fams_bench.run", fams); ("Difftest.execute", difftest) ]
 
+(* A Sim with an odd [meta_words] leaves its buffer as the spare; the
+   next default-size release must replace it, so the default Sim after
+   that reuses a buffer instead of allocating a fresh one. *)
+let test_meta_recycled_after_odd_size () =
+  let cfg = Config.make Config.optane_adr in
+  (* Hold any default-size spare an earlier test left, so the odd Sim's
+     release is what the slot keeps. *)
+  let held, _ = Helpers.sim_machine () in
+  let odd = Sim.create (Config.make ~meta_words:4096 Config.optane_adr) in
+  ignore (Sim.machine odd : Machine.t);
+  Sim.release odd;
+  let first = Sim.create cfg in
+  ignore (Sim.machine first : Machine.t);
+  Sim.release first;
+  let second = Sim.create cfg in
+  let g0 = Gc.quick_stat () in
+  ignore (Sim.machine second : Machine.t);
+  let words = (Gc.quick_stat ()).Gc.major_words -. g0.Gc.major_words in
+  Sim.release second;
+  Sim.release held;
+  Helpers.check_bool
+    (Printf.sprintf "second default machine: %.0f major words < meta_words %d" words
+       cfg.Config.meta_words)
+    true
+    (words < float_of_int cfg.Config.meta_words)
+
 let test_sim_stats_populated () =
   let sim, m = Helpers.sim_machine () in
   ignore
@@ -858,6 +884,46 @@ let test_sched_wait_until () =
          Helpers.check_int "no time travel" 500 (Sched.now s)));
   Sched.run s;
   Helpers.check_int "woke at target" 500 !seen
+
+(* Inlining keeps [assert]: a negative wait inside a run still fails. *)
+let test_sched_wait_checks_delay () =
+  let s = Sched.create () in
+  let raised = ref false in
+  ignore
+    (Sched.spawn s (fun () ->
+         raised := match Sched.wait s (-1) with () -> false | exception Assert_failure _ -> true));
+  Sched.run s;
+  Helpers.check_bool "wait (-1) raises Assert_failure" true !raised
+
+(* The per-word fast paths allocate nothing: untimed machine operations
+   on a cache hit, the scheduler's inline advance, and timed hits
+   inside a run. *)
+let test_machine_untimed_alloc_free () =
+  let _, m = Helpers.sim_machine () in
+  Helpers.check_alloc_free "untimed load/store/meta_get/meta_cas"
+    (Helpers.minor_words_per_iter (fun i ->
+         m.Machine.store 64 i;
+         let v = m.Machine.load 64 + m.Machine.meta_get 5 in
+         ignore (m.Machine.meta_cas 5 v (v + 1) : bool)))
+
+let test_sched_wait_alloc_free () =
+  let s = Sched.create () in
+  let words = ref nan in
+  ignore (Sched.spawn s (fun () -> words := Helpers.minor_words_per_iter (fun _ -> Sched.wait s 1)));
+  Sched.run s;
+  Helpers.check_int "every wait advanced inline" 20_000 (Sched.inline_advances s);
+  Helpers.check_alloc_free "Sched.wait inline path" !words
+
+let test_sim_timed_hit_alloc_free () =
+  let sim, m = Helpers.sim_machine () in
+  let words = ref nan in
+  ignore
+    (Sim.spawn sim (fun () ->
+         words :=
+           Helpers.minor_words_per_iter (fun i ->
+               m.Machine.store 64 (i + m.Machine.load 64 + m.Machine.meta_get 5))));
+  Sim.run sim;
+  Helpers.check_alloc_free "timed hit load/store/meta_get" !words
 
 let test_trace_records_events () =
   let sim, m = Helpers.sim_machine () in
@@ -1085,6 +1151,8 @@ let suite =
     Alcotest.test_case "meta: reboot starts empty" `Quick test_meta_reboot_starts_empty;
     Alcotest.test_case "meta: fams and difftest runs release theirs" `Quick
       test_meta_released_by_runners;
+    Alcotest.test_case "meta: recycling survives an odd-sized sim" `Quick
+      test_meta_recycled_after_odd_size;
     Alcotest.test_case "sim: stats populated" `Quick test_sim_stats_populated;
     Alcotest.test_case "sim: determinism" `Quick test_sim_deterministic;
     Alcotest.test_case "sim: exact ADR sequence" `Quick test_sim_exact_adr_sequence;
@@ -1092,6 +1160,11 @@ let suite =
     Alcotest.test_case "sim: exact cache hit" `Quick test_sim_exact_cache_hit;
     Alcotest.test_case "config: model lookup" `Quick test_config_model_lookup;
     Alcotest.test_case "sched: wait_until" `Quick test_sched_wait_until;
+    Alcotest.test_case "sched: wait checks its delay" `Quick test_sched_wait_checks_delay;
+    Alcotest.test_case "sched: inline wait allocates nothing" `Quick test_sched_wait_alloc_free;
+    Alcotest.test_case "machine: untimed hits allocate nothing" `Quick
+      test_machine_untimed_alloc_free;
+    Alcotest.test_case "sim: timed hits allocate nothing" `Quick test_sim_timed_hit_alloc_free;
     Alcotest.test_case "trace: records events" `Quick test_trace_records_events;
     Alcotest.test_case "trace: ring bounded" `Quick test_trace_ring_bounded;
     Alcotest.test_case "trace: crash marker" `Quick test_trace_marks_crash;

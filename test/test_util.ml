@@ -209,6 +209,30 @@ let test_int_vec_push_get () =
   Int_vec.clear v;
   Helpers.check_int "cleared" 0 (Int_vec.length v)
 
+(* The inlined fast paths allocate nothing once the buffers are grown. *)
+let test_int_vec_alloc_free () =
+  let v = Int_vec.create () in
+  Helpers.check_alloc_free "Int_vec push/get/clear"
+    (Helpers.minor_words_per_iter (fun i ->
+         Int_vec.push v i;
+         ignore (Int_vec.get v (Int_vec.length v - 1) : int);
+         if Int_vec.length v = 64 then Int_vec.clear v))
+
+let test_int_table_alloc_free () =
+  let t = Int_table.create 4 in
+  Helpers.check_alloc_free "Int_table replace/find/clear"
+    (Helpers.minor_words_per_iter (fun i ->
+         Int_table.replace t (i land 63) i;
+         ignore (Int_table.find t (i land 63) ~absent:0 : int);
+         if i land 63 = 63 then Int_table.clear t))
+
+(* Inlining keeps [assert]: the default build passes no -noassert. *)
+let test_int_vec_get_checks_bounds () =
+  let v = Int_vec.create () in
+  Int_vec.push v 1;
+  Helpers.check_bool "get at length raises Assert_failure" true
+    (match Int_vec.get v (Int_vec.length v) with _ -> false | exception Assert_failure _ -> true)
+
 let test_int_vec_rev_pairs () =
   let v = Int_vec.create () in
   List.iter (Int_vec.push v) [ 1; 10; 2; 20; 3; 30 ];
@@ -467,6 +491,9 @@ let suite =
     prop_lru_capacity_respected;
     Alcotest.test_case "int_vec: push/get/clear" `Quick test_int_vec_push_get;
     Alcotest.test_case "int_vec: rev pairs" `Quick test_int_vec_rev_pairs;
+    Alcotest.test_case "int_vec: fast paths allocate nothing" `Quick test_int_vec_alloc_free;
+    Alcotest.test_case "int_vec: get checks bounds" `Quick test_int_vec_get_checks_bounds;
+    Alcotest.test_case "int_table: fast paths allocate nothing" `Quick test_int_table_alloc_free;
     prop_int_table_matches_hashtbl;
     Alcotest.test_case "int_table: hundreds of clears" `Quick test_int_table_clear_many;
     Alcotest.test_case "histogram: percentiles" `Quick test_histogram_percentiles;
