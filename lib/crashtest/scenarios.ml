@@ -7,50 +7,134 @@ module IntSet = Set.Make (Int)
    persistent address. *)
 let root_slot = 0
 
-(* Scenario names encode the flush discipline so a replay spec printed
-   for a naive-mode failure reconstructs the same scenario. *)
-let mode_name name ~coalesce = if coalesce then name else name ^ "-naive"
+(* ---------- dlin plumbing shared by every scenario ---------- *)
 
-(* ---------- dlin plumbing shared by the scenario oracles ---------- *)
+(* Every worker wraps each logical operation in [Dlin.History.run]
+   against the virtual clock, so the instance accumulates a timed
+   invocation/response history.  After the crash the oracle extracts the
+   recovered abstract state and asks {!Dlin.check} for a durable
+   linearization explaining it. *)
 
-(* Every scenario worker wraps each logical operation in
-   [Dlin.History.run] against the machine's virtual clock, so the
-   instance accumulates a timed invocation/response history.  After the
-   crash the oracle extracts the recovered abstract state and asks
-   {!Dlin.check} for a durable linearization explaining it. *)
+let record h ~tid ~now op f = ignore (Dlin.History.run h ~tid ~now op f)
 
-let vclock ptm = (Ptm.machine ptm).Machine.now_ns
-
-let run_dlin ?max_nodes ?durability spec h ~recovered =
-  match Dlin.check ?max_nodes ?durability spec h ~recovered with
-  | Ok (_ : Dlin.stats) -> Ok ()
-  | Error c ->
+(* Extraction that found data no abstract state can hold (torn payload,
+   non-numeric counter, missing marker) fails before the search, with
+   the same replayable dump format. *)
+let judge ?(durability = fun ~crashed:_ _ -> `Strict) spec h extract ~crashed _sim rt =
+  match extract rt with
+  | Error reason ->
     Error
-      { Engine.fail_reason = "dlin: " ^ c.Dlin.reason; counterexample = Some c.Dlin.jsonl }
+      {
+        Engine.fail_reason = reason;
+        counterexample = Some (Dlin.dump spec h ~recovered:None ~reason ~nodes:0);
+      }
+  | Ok recovered -> (
+    match Dlin.check ~durability:(durability ~crashed rt) spec h ~recovered with
+    | Ok (_ : Dlin.stats) -> Ok ()
+    | Error c ->
+      Error { Engine.fail_reason = "dlin: " ^ c.Dlin.reason; counterexample = Some c.Dlin.jsonl })
 
-(* Recovered-state extraction found data no abstract state can hold
-   (torn payload, non-numeric counter, missing marker): fail before the
-   search, with the same replayable dump format. *)
-let extraction_fail spec h reason =
-  Error
+(* An extraction [f fail] that keeps reading past bad data — the
+   recovered machine sees the same loads whatever it finds — and fails
+   with the first complaint passed to [fail]. *)
+let first_complaint f =
+  let err = ref None in
+  let v = f (fun s -> if !err = None then err := Some s) in
+  match !err with Some reason -> Error reason | None -> Ok v
+
+(* One seed's workload.  [work] is the body of simulated thread [tid]
+   and passes each logical operation through [record]; [extract] reads
+   the recovered abstract state; [validate] holds only what dlin cannot
+   express (a buffered lag budget, allocator accounting). *)
+type ('st, 'op, 'res) run = {
+  work : record:('op -> (unit -> 'res) -> unit) -> tid:int -> Ptm.t -> unit;
+  extract : Ptm.t -> ('st, string) result;
+  validate : crashed:bool -> Ptm.t -> (unit, string) result;
+}
+
+(* Strict durable linearizability already implies every invariant most
+   scenarios promise, so dlin judges them alone. *)
+let no_validate ~crashed:_ _ptm = Ok ()
+
+(* The one constructor of the PTM scenarios.  The name encodes the flush
+   discipline, so a replay spec printed for a naive-mode failure
+   reconstructs the same scenario through {!find}. *)
+let scenario name ?(coalesce = true) ~threads ?(heap_words = 1 lsl 16) ?(log_words = 512)
+    ?durability ~prepare spec (run : seed:int -> _ run) =
+  let fresh ~seed =
+    let h = Dlin.History.create ~threads in
+    let r = run ~seed in
+    let worker ~tid ptm =
+      r.work ~record:(record h ~tid ~now:(Ptm.machine ptm).Machine.now_ns) ~tid ptm
+    in
     {
-      Engine.fail_reason = reason;
-      counterexample = Some (Dlin.dump spec h ~recovered:None ~reason ~nodes:0);
+      Engine.worker;
+      validate = (fun ~crashed _sim ptm -> r.validate ~crashed ptm);
+      oracle = Some (judge ?durability spec h r.extract);
     }
+  in
+  {
+    Engine.name = (if coalesce then name else name ^ "-naive");
+    threads;
+    heap_words;
+    log_words_per_thread = log_words;
+    coalesce;
+    prepare;
+    fresh;
+  }
 
 let hash_int_array a = Array.fold_left (fun h v -> (h * 31) + v + 1) 17 a
-
-(* Strict durable linearizability already implies every invariant these
-   scenarios promise, so dlin judges them alone. *)
-let no_validate ~crashed:_ _sim _ptm = Ok ()
+let pp_ints a = String.concat ";" (Array.to_list (Array.map string_of_int a))
 
 (* ---------- bank: money conservation + per-thread sequence cells ---------- *)
 
 type bank_op = { btid : int; bop : int; src : int; dst : int; amount : int }
 type bank_state = { bal : int array; bseq : int array }
 
-let bank ?(accounts = 32) ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
-  let initial = 100 in
+(* Sequential semantics of one transfer, mirroring the transaction body
+   exactly: both reads happen before both writes (the generator never
+   aliases [src = dst], but the model stays faithful to the store order
+   regardless), then the thread's sequence cell takes the op number.
+   The response is the pair of values read.  {!fams_bank} shares it. *)
+let transfer_spec ~accounts ~threads ~initial =
+  {
+    Dlin.init = { bal = Array.make accounts initial; bseq = Array.make threads 0 };
+    apply =
+      (fun st o ->
+        let bal = Array.copy st.bal and bseq = Array.copy st.bseq in
+        let s = bal.(o.src) and d = bal.(o.dst) in
+        bal.(o.src) <- s - o.amount;
+        bal.(o.dst) <- d + o.amount;
+        bseq.(o.btid) <- o.bop;
+        ({ bal; bseq }, (s, d)));
+    equal_state = (fun a b -> a.bal = b.bal && a.bseq = b.bseq);
+    hash_state = (fun st -> (hash_int_array st.bal * 31) + hash_int_array st.bseq);
+    equal_res = ( = );
+    commutes =
+      (fun a b ->
+        (* Disjoint account sets: state effects and both responses are
+           independent of order (seq cells are per-thread, and the
+           checker only asks about different threads). *)
+        a.src <> b.src && a.src <> b.dst && a.dst <> b.src && a.dst <> b.dst);
+    pp_op =
+      (fun ppf o ->
+        Format.fprintf ppf "t%d#%d: transfer %d %d->%d" o.btid o.bop o.amount o.src o.dst);
+    pp_res = (fun ppf (s, d) -> Format.fprintf ppf "read (%d, %d)" s d);
+    pp_state =
+      (fun ppf st -> Format.fprintf ppf "bal=[%s] seq=[%s]" (pp_ints st.bal) (pp_ints st.bseq));
+  }
+
+let random_transfer rng ~accounts ~tid ~op =
+  let src = Rng.int rng accounts in
+  (* Never [src = dst]: both reads precede both writes in the
+     transaction body, so an aliased transfer would net +amount and
+     money would no longer be conserved. *)
+  let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
+  let amount = 1 + Rng.int rng 5 in
+  { btid = tid; bop = op; src; dst; amount }
+
+let bank ?(threads = 4) ?(ops = 10) ?coalesce () =
+  let accounts = 32 and initial = 100 in
   let prepare ptm =
     let base =
       Ptm.atomic ptm (fun tx ->
@@ -65,101 +149,45 @@ let bank ?(accounts = 32) ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
     in
     Ptm.root_set ptm root_slot base
   in
-  (* Sequential semantics of one transfer, mirroring the transaction
-     body exactly: both reads happen before both writes (the generator
-     never aliases [src = dst], but the model stays faithful to the
-     store order regardless).  The response is the pair of values
-     read. *)
-  let spec =
-    {
-      Dlin.init = { bal = Array.make accounts initial; bseq = Array.make threads 0 };
-      apply =
-        (fun st o ->
-          let bal = Array.copy st.bal and bseq = Array.copy st.bseq in
-          let s = bal.(o.src) and d = bal.(o.dst) in
-          bal.(o.src) <- s - o.amount;
-          bal.(o.dst) <- d + o.amount;
-          bseq.(o.btid) <- o.bop;
-          ({ bal; bseq }, (s, d)));
-      equal_state = (fun a b -> a.bal = b.bal && a.bseq = b.bseq);
-      hash_state = (fun st -> (hash_int_array st.bal * 31) + hash_int_array st.bseq);
-      equal_res = ( = );
-      commutes =
-        (fun a b ->
-          (* Disjoint account sets: state effects and both responses are
-             independent of order (seq cells are per-thread, and the
-             checker only asks about different threads). *)
-          a.src <> b.src && a.src <> b.dst && a.dst <> b.src && a.dst <> b.dst);
-      pp_op =
-        (fun ppf o ->
-          Format.fprintf ppf "t%d#%d: transfer %d %d->%d" o.btid o.bop o.amount o.src o.dst);
-      pp_res = (fun ppf (s, d) -> Format.fprintf ppf "read (%d, %d)" s d);
-      pp_state =
-        (fun ppf st ->
-          Format.fprintf ppf "bal=[%s] seq=[%s]"
-            (String.concat ";" (Array.to_list (Array.map string_of_int st.bal)))
-            (String.concat ";" (Array.to_list (Array.map string_of_int st.bseq))));
-    }
-  in
-  let fresh ~seed =
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let rng = Rng.create (seed + (7919 * tid)) in
-      let base = Ptm.root_get ptm root_slot in
-      let now = vclock ptm in
-      for op = 1 to ops do
-        let src = Rng.int rng accounts in
-        (* Never [src = dst]: both reads precede both writes in the
-           transaction body, so an aliased transfer would net +amount
-           and money would no longer be conserved. *)
-        let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
-        let amount = 1 + Rng.int rng 5 in
-        let o = { btid = tid; bop = op; src; dst; amount } in
-        ignore
-          (Dlin.History.run h ~tid ~now o (fun () ->
-               let res = ref (0, 0) in
-               Ptm.atomic ptm (fun tx ->
-                   let s = Ptm.read tx (base + src) in
-                   let d = Ptm.read tx (base + dst) in
-                   res := (s, d);
-                   Ptm.write tx (base + src) (s - amount);
-                   Ptm.write tx (base + dst) (d + amount);
-                   (* The sequence cell makes lost/partial transactions
-                      visible even when the transfer itself happens to
-                      conserve money. *)
-                   Ptm.write tx (base + accounts + tid) op);
-               !res)
-            : int * int)
-      done
-    in
-    let oracle ~crashed:_ _sim ptm =
-      let base = Ptm.root_get ptm root_slot in
-      let recovered =
-        Ptm.atomic ptm (fun tx ->
-            {
-              bal = Array.init accounts (fun i -> Ptm.read tx (base + i));
-              bseq = Array.init threads (fun j -> Ptm.read tx (base + accounts + j));
-            })
-      in
-      run_dlin spec h ~recovered
-    in
-    { Engine.worker; validate = no_validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "bank" ~coalesce;
-    threads;
-    heap_words = 1 lsl 16;
-    log_words_per_thread = 512;
-    coalesce;
-    prepare;
-    fresh;
-  }
+  scenario "bank" ?coalesce ~threads ~prepare (transfer_spec ~accounts ~threads ~initial)
+    (fun ~seed ->
+      {
+        work =
+          (fun ~record ~tid ptm ->
+            let rng = Rng.create (seed + (7919 * tid)) in
+            let base = Ptm.root_get ptm root_slot in
+            for op = 1 to ops do
+              let o = random_transfer rng ~accounts ~tid ~op in
+              record o (fun () ->
+                  Ptm.atomic ptm (fun tx ->
+                      let s = Ptm.read tx (base + o.src) in
+                      let d = Ptm.read tx (base + o.dst) in
+                      Ptm.write tx (base + o.src) (s - o.amount);
+                      Ptm.write tx (base + o.dst) (d + o.amount);
+                      (* The sequence cell makes lost/partial transactions
+                         visible even when the transfer itself happens to
+                         conserve money. *)
+                      Ptm.write tx (base + accounts + tid) op;
+                      (s, d)))
+            done);
+        extract =
+          (fun ptm ->
+            let base = Ptm.root_get ptm root_slot in
+            Ok
+              (Ptm.atomic ptm (fun tx ->
+                   {
+                     bal = Array.init accounts (fun i -> Ptm.read tx (base + i));
+                     bseq = Array.init threads (fun j -> Ptm.read tx (base + accounts + j));
+                   })));
+        validate = no_validate;
+      })
 
 (* ---------- counters: whole-write-set atomicity ---------- *)
 
 type counters_op = { ctid : int; cop : int }
 
-let counters ?(slots = 8) ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
+let counters () =
+  let slots = 8 and threads = 4 and ops = 8 in
   let prepare ptm =
     let base =
       Ptm.atomic ptm (fun tx ->
@@ -187,127 +215,43 @@ let counters ?(slots = 8) ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
       pp_state = (fun ppf v -> Format.fprintf ppf "slots=%d" v);
     }
   in
-  let fresh ~seed:_ =
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let base = Ptm.root_get ptm root_slot in
-      let now = vclock ptm in
-      for op = 1 to ops do
-        ignore
-          (Dlin.History.run h ~tid ~now { ctid = tid; cop = op } (fun () ->
-               let res = ref 0 in
-               Ptm.atomic ptm (fun tx ->
-                   let v = Ptm.read tx (base + 0) + 1 in
-                   res := v;
-                   for i = 0 to slots - 1 do
-                     Ptm.write tx (base + i) v
-                   done);
-               !res)
-            : int)
-      done
-    in
-    let oracle ~crashed:_ _sim ptm =
-      let base = Ptm.root_get ptm root_slot in
-      let values =
-        Ptm.atomic ptm (fun tx -> List.init slots (fun i -> Ptm.read tx (base + i)))
-      in
-      let v0 = List.hd values in
-      if List.exists (fun v -> v <> v0) values then
-        extraction_fail spec h
-          (Printf.sprintf "counters: slots diverge after recovery: [%s]"
-             (String.concat "; " (List.map string_of_int values)))
-      else run_dlin spec h ~recovered:v0
-    in
-    { Engine.worker; validate = no_validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "counters" ~coalesce;
-    threads;
-    heap_words = 1 lsl 16;
-    log_words_per_thread = 512;
-    coalesce;
-    prepare;
-    fresh;
-  }
+  scenario "counters" ~threads ~prepare spec (fun ~seed:_ ->
+      {
+        work =
+          (fun ~record ~tid ptm ->
+            let base = Ptm.root_get ptm root_slot in
+            for op = 1 to ops do
+              record { ctid = tid; cop = op } (fun () ->
+                  Ptm.atomic ptm (fun tx ->
+                      let v = Ptm.read tx (base + 0) + 1 in
+                      for i = 0 to slots - 1 do
+                        Ptm.write tx (base + i) v
+                      done;
+                      v))
+            done);
+        extract =
+          (fun ptm ->
+            let base = Ptm.root_get ptm root_slot in
+            let values =
+              Ptm.atomic ptm (fun tx -> List.init slots (fun i -> Ptm.read tx (base + i)))
+            in
+            let v0 = List.hd values in
+            if List.exists (fun v -> v <> v0) values then
+              Error
+                (Printf.sprintf "counters: slots diverge after recovery: [%s]"
+                   (String.concat "; " (List.map string_of_int values)))
+            else Ok v0);
+        validate = no_validate;
+      })
 
-(* ---------- btree: structural invariants + key-set bounds ---------- *)
+(* ---------- key-value trees: btree, mod-btree, mod-hash ---------- *)
 
-type btree_op = { ttid : int; tkey : int; tvalue : int }
-
-let btree ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
-  let value_of key = (key * 3) + 1 in
-  let prepare ptm =
-    let t = Pstructs.Bptree.create ptm in
-    Ptm.root_set ptm root_slot (Pstructs.Bptree.descriptor t)
-  in
-  let spec =
-    {
-      Dlin.init = IntMap.empty;
-      apply =
-        (fun st o -> (IntMap.add o.tkey o.tvalue st, not (IntMap.mem o.tkey st)));
-      equal_state = IntMap.equal Int.equal;
-      hash_state = (fun st -> IntMap.fold (fun k v h -> (h * 31) + (k lxor (v * 7))) st 17);
-      equal_res = Bool.equal;
-      commutes = (fun a b -> a.tkey <> b.tkey);
-      pp_op = (fun ppf o -> Format.fprintf ppf "t%d: insert %d=%d" o.ttid o.tkey o.tvalue);
-      pp_res = Format.pp_print_bool;
-      pp_state =
-        (fun ppf st ->
-          Format.fprintf ppf "{%s}"
-            (String.concat ";"
-               (List.map
-                  (fun (k, v) -> Printf.sprintf "%d=%d" k v)
-                  (IntMap.bindings st))));
-    }
-  in
-  let fresh ~seed:_ =
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let t = Pstructs.Bptree.attach ptm (Ptm.root_get ptm root_slot) in
-      let now = vclock ptm in
-      for i = 1 to ops do
-        let key = ((tid + 1) * 1000) + i in
-        ignore
-          (Dlin.History.run h ~tid ~now { ttid = tid; tkey = key; tvalue = value_of key }
-             (fun () ->
-               let res = ref false in
-               Ptm.atomic ptm (fun tx ->
-                   res := Pstructs.Bptree.insert tx t ~key ~value:(value_of key));
-               !res)
-            : bool)
-      done
-    in
-    let oracle ~crashed:_ _sim ptm =
-      let t = Pstructs.Bptree.attach ptm (Ptm.root_get ptm root_slot) in
-      match Pstructs.Bptree.check_invariants t with
-      | exception Failure e -> extraction_fail spec h ("btree: structural violation: " ^ e)
-      | () ->
-        let recovered =
-          List.fold_left
-            (fun m (k, v) -> IntMap.add k v m)
-            IntMap.empty (Pstructs.Bptree.to_alist t)
-        in
-        run_dlin spec h ~recovered
-    in
-    { Engine.worker; validate = no_validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "btree" ~coalesce;
-    threads;
-    heap_words = 1 lsl 17;
-    log_words_per_thread = 2048;
-    coalesce;
-    prepare;
-    fresh;
-  }
-
-(* ---------- MOD structures: buffered durability under the crash matrix ---------- *)
-
-(* One scenario body shared by the MOD B+tree and the MOD hash table.
-   Each thread works a private key range with a deterministic script —
-   inserts of fresh keys, every fourth op removing the key inserted just
-   before it — so the abstract state after any per-thread prefix is
-   computable without replaying the run.
+(* One scenario body shared by the B+Tree and the MOD structures.  Each
+   thread works a private key range [(tid + 1) * 1000 + i] with a
+   deterministic script, so the abstract state after any per-thread
+   prefix is computable without replaying the run.  The B+Tree script
+   only inserts; the MOD one removes, every fourth op, the key inserted
+   just before it.
 
    Durability is the interesting part: under algorithm [Mod] the root
    swap is published with an {e unfenced} flush, so a crash may lose a
@@ -321,182 +265,157 @@ let btree ?(threads = 4) ?(ops = 8) ?(coalesce = true) () =
    durable snapshot all raced their root flush against the crash, one
    unfenced flush deep per thread. *)
 
-type mod_op = { mtid : int; mseq : int; mkey : int; minsert : bool; mvalue : int }
+type tree_op = { mtid : int; mseq : int; mkey : int; minsert : bool; mvalue : int }
 
-type 'h mod_struct = {
-  ms_prepare : Ptm.t -> unit;
-  ms_attach : Ptm.t -> int -> 'h;
-  ms_insert : Ptm.tx -> 'h -> key:int -> value:int -> bool;
-  ms_remove : Ptm.tx -> 'h -> int -> bool;
-  ms_invariants : 'h -> unit;
-  ms_alist : 'h -> (int * int) list;
+type 'h tree = {
+  create : Ptm.t -> int;  (* builds the structure, returns its descriptor *)
+  attach : Ptm.t -> int -> 'h;
+  insert : Ptm.tx -> 'h -> key:int -> value:int -> bool;
+  remove : Ptm.tx -> 'h -> int -> bool;
+  invariants : 'h -> unit;
+  alist : 'h -> (int * int) list;
 }
 
-let mod_value_of key = (key * 5) + 3
-
-let mod_op_of ~tid ~i =
-  let base = (tid + 1) * 1000 in
-  if i mod 4 = 0 then
-    { mtid = tid; mseq = i; mkey = base + i - 1; minsert = false; mvalue = 0 }
-  else
-    {
-      mtid = tid;
-      mseq = i;
-      mkey = base + i;
-      minsert = true;
-      mvalue = mod_value_of (base + i);
-    }
-
-(* Abstract per-thread states after each script prefix. *)
-let mod_prefix_states ~tid ~ops =
-  let states = Array.make (ops + 1) IntMap.empty in
-  for i = 1 to ops do
-    let o = mod_op_of ~tid ~i in
-    states.(i) <-
-      (if o.minsert then IntMap.add o.mkey o.mvalue states.(i - 1)
-       else IntMap.remove o.mkey states.(i - 1))
-  done;
-  states
-
-let mod_scenario (ms : _ mod_struct) ~name ?(threads = 3) ?(ops = 8) ?(coalesce = true) () =
-  let spec =
-    {
-      Dlin.init = IntMap.empty;
-      apply =
-        (fun st o ->
-          if o.minsert then (IntMap.add o.mkey o.mvalue st, not (IntMap.mem o.mkey st))
-          else (IntMap.remove o.mkey st, IntMap.mem o.mkey st));
-      equal_state = IntMap.equal Int.equal;
-      hash_state = (fun st -> IntMap.fold (fun k v h -> (h * 31) + (k lxor (v * 7))) st 17);
-      equal_res = Bool.equal;
-      commutes = (fun a b -> a.mkey <> b.mkey);
-      pp_op =
-        (fun ppf o ->
-          if o.minsert then
-            Format.fprintf ppf "t%d#%d: insert %d=%d" o.mtid o.mseq o.mkey o.mvalue
-          else Format.fprintf ppf "t%d#%d: remove %d" o.mtid o.mseq o.mkey);
-      pp_res = Format.pp_print_bool;
-      pp_state =
-        (fun ppf st ->
-          Format.fprintf ppf "{%s}"
-            (String.concat ";"
-               (List.map
-                  (fun (k, v) -> Printf.sprintf "%d=%d" k v)
-                  (IntMap.bindings st))));
-    }
-  in
-  let fresh ~seed:_ =
-    let committed = Array.make threads 0 in
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let t = ms.ms_attach ptm (Ptm.root_get ptm root_slot) in
-      let now = vclock ptm in
-      for i = 1 to ops do
-        let o = mod_op_of ~tid ~i in
-        ignore
-          (Dlin.History.run h ~tid ~now o (fun () ->
-               let res = ref false in
-               Ptm.atomic ptm (fun tx ->
-                   res :=
-                     (if o.minsert then ms.ms_insert tx t ~key:o.mkey ~value:o.mvalue
-                      else ms.ms_remove tx t o.mkey);
-                   Ptm.on_commit tx (fun () -> committed.(tid) <- i));
-               !res)
-            : bool)
-      done
-    in
-    let extract ptm =
-      let t = ms.ms_attach ptm (Ptm.root_get ptm root_slot) in
-      match ms.ms_invariants t with
-      | exception Failure e -> Error (name ^ ": structural violation: " ^ e)
-      | () -> Ok (ms.ms_alist t)
-    in
-    let buffered ~crashed ptm = crashed && Ptm.algorithm ptm = Ptm.Mod in
-    let oracle ~crashed _sim ptm =
-      match extract ptm with
-      | Error reason -> extraction_fail spec h reason
-      | Ok alist ->
-        let recovered =
-          List.fold_left (fun m (k, v) -> IntMap.add k v m) IntMap.empty alist
-        in
-        let durability = if buffered ~crashed ptm then `Buffered else `Strict in
-        run_dlin ~durability spec h ~recovered
-    in
-    let validate ~crashed _sim ptm =
-      if not (buffered ~crashed ptm) then Ok ()
-      else
-        match extract ptm with
-        | Error e -> Error e
-        | Ok alist ->
-          let per_tid = Array.make threads IntMap.empty in
-          List.iter
-            (fun (k, v) ->
-              let tid = (k / 1000) - 1 in
-              if tid >= 0 && tid < threads then per_tid.(tid) <- IntMap.add k v per_tid.(tid))
-            alist;
-          let lost = ref 0 in
-          for tid = 0 to threads - 1 do
-            let states = mod_prefix_states ~tid ~ops in
-            (* Most charitable consistent prefix: states can repeat
-               (insert x; remove x), so scan from the deepest. *)
-            let rec deepest j =
-              if j < 0 || IntMap.equal Int.equal states.(j) per_tid.(tid) then j
-              else deepest (j - 1)
-            in
-            lost := !lost + max 0 (committed.(tid) - deepest ops)
-          done;
-          (* Buffered durability may lose commits whose root flush was
-             still in the write-pending queue at the crash — a race one
-             unfenced flush deep per thread plus scheduling slack, nowhere
-             near "everything". *)
-          let budget = threads + 2 in
-          if !lost > budget then
-            Error
-              (Printf.sprintf "%s: %d committed ops lost (buffered lag budget %d)" name !lost
-                 budget)
-          else Ok ()
-    in
-    { Engine.worker; validate; oracle = Some oracle }
-  in
+let tree_spec =
   {
-    Engine.name = mode_name name ~coalesce;
-    threads;
-    heap_words = 1 lsl 18;
-    log_words_per_thread = 2048;
-    coalesce;
-    prepare = ms.ms_prepare;
-    fresh;
+    Dlin.init = IntMap.empty;
+    apply =
+      (fun st o ->
+        if o.minsert then (IntMap.add o.mkey o.mvalue st, not (IntMap.mem o.mkey st))
+        else (IntMap.remove o.mkey st, IntMap.mem o.mkey st));
+    equal_state = IntMap.equal Int.equal;
+    hash_state = (fun st -> IntMap.fold (fun k v h -> (h * 31) + (k lxor (v * 7))) st 17);
+    equal_res = Bool.equal;
+    commutes = (fun a b -> a.mkey <> b.mkey);
+    pp_op =
+      (fun ppf o ->
+        if o.minsert then Format.fprintf ppf "t%d#%d: insert %d=%d" o.mtid o.mseq o.mkey o.mvalue
+        else Format.fprintf ppf "t%d#%d: remove %d" o.mtid o.mseq o.mkey);
+    pp_res = Format.pp_print_bool;
+    pp_state =
+      (fun ppf st ->
+        Format.fprintf ppf "{%s}"
+          (String.concat ";"
+             (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) (IntMap.bindings st))));
   }
 
-let mod_btree ?threads ?ops ?coalesce () =
-  mod_scenario
-    {
-      ms_prepare =
-        (fun ptm ->
-          let t = Pstructs.Mod_bptree.create ptm in
-          Ptm.root_set ptm root_slot (Pstructs.Mod_bptree.descriptor t));
-      ms_attach = Pstructs.Mod_bptree.attach;
-      ms_insert = Pstructs.Mod_bptree.insert;
-      ms_remove = Pstructs.Mod_bptree.remove;
-      ms_invariants = Pstructs.Mod_bptree.check_invariants;
-      ms_alist = Pstructs.Mod_bptree.to_alist;
-    }
-    ~name:"mod-btree" ?threads ?ops ?coalesce ()
+let tree_scenario (tr : _ tree) name ~op_of ?coalesce ~threads ~ops ~heap_words () =
+  (* Abstract per-thread states after each script prefix. *)
+  let prefix_states ~tid =
+    let states = Array.make (ops + 1) IntMap.empty in
+    for i = 1 to ops do
+      let o = op_of ~tid ~i in
+      states.(i) <-
+        (if o.minsert then IntMap.add o.mkey o.mvalue states.(i - 1)
+         else IntMap.remove o.mkey states.(i - 1))
+    done;
+    states
+  in
+  let buffered ~crashed ptm = crashed && Ptm.algorithm ptm = Ptm.Mod in
+  let extract ptm =
+    let t = tr.attach ptm (Ptm.root_get ptm root_slot) in
+    match tr.invariants t with
+    | exception Failure e -> Error (name ^ ": structural violation: " ^ e)
+    | () -> Ok (List.fold_left (fun m (k, v) -> IntMap.add k v m) IntMap.empty (tr.alist t))
+  in
+  scenario name ?coalesce ~threads ~heap_words ~log_words:2048
+    ~durability:(fun ~crashed ptm -> if buffered ~crashed ptm then `Buffered else `Strict)
+    ~prepare:(fun ptm -> Ptm.root_set ptm root_slot (tr.create ptm))
+    tree_spec
+    (fun ~seed:_ ->
+      let committed = Array.make threads 0 in
+      let work ~record ~tid ptm =
+        let t = tr.attach ptm (Ptm.root_get ptm root_slot) in
+        for i = 1 to ops do
+          let o = op_of ~tid ~i in
+          record o (fun () ->
+              Ptm.atomic ptm (fun tx ->
+                  let res =
+                    if o.minsert then tr.insert tx t ~key:o.mkey ~value:o.mvalue
+                    else tr.remove tx t o.mkey
+                  in
+                  Ptm.on_commit tx (fun () -> committed.(tid) <- i);
+                  res))
+        done
+      in
+      let validate ~crashed ptm =
+        if not (buffered ~crashed ptm) then Ok ()
+        else
+          Result.bind (extract ptm) (fun recovered ->
+              let per_tid = Array.make threads IntMap.empty in
+              IntMap.iter
+                (fun k v ->
+                  let tid = (k / 1000) - 1 in
+                  if tid >= 0 && tid < threads then per_tid.(tid) <- IntMap.add k v per_tid.(tid))
+                recovered;
+              let lost = ref 0 in
+              for tid = 0 to threads - 1 do
+                let states = prefix_states ~tid in
+                (* Most charitable consistent prefix: states can repeat
+                   (insert x; remove x), so scan from the deepest. *)
+                let rec deepest j =
+                  if j < 0 || IntMap.equal Int.equal states.(j) per_tid.(tid) then j
+                  else deepest (j - 1)
+                in
+                lost := !lost + max 0 (committed.(tid) - deepest ops)
+              done;
+              (* Buffered durability may lose commits whose root flush
+                 was still in the write-pending queue at the crash — a
+                 race one unfenced flush deep per thread plus scheduling
+                 slack, nowhere near "everything". *)
+              let budget = threads + 2 in
+              if !lost > budget then
+                Error
+                  (Printf.sprintf "%s: %d committed ops lost (buffered lag budget %d)" name !lost
+                     budget)
+              else Ok ())
+      in
+      { work; extract; validate })
 
-let mod_hash ?threads ?ops ?coalesce () =
-  mod_scenario
+let btree ?coalesce () =
+  tree_scenario
     {
-      ms_prepare =
-        (fun ptm ->
-          let t = Pstructs.Mod_phashtable.create ptm ~buckets:64 in
-          Ptm.root_set ptm root_slot (Pstructs.Mod_phashtable.descriptor t));
-      ms_attach = Pstructs.Mod_phashtable.attach;
-      ms_insert = Pstructs.Mod_phashtable.put;
-      ms_remove = Pstructs.Mod_phashtable.remove;
-      ms_invariants = Pstructs.Mod_phashtable.check_invariants;
-      ms_alist = Pstructs.Mod_phashtable.to_alist;
+      create = (fun ptm -> Pstructs.Bptree.(descriptor (create ptm)));
+      attach = Pstructs.Bptree.attach;
+      insert = Pstructs.Bptree.insert;
+      remove = Pstructs.Bptree.remove;
+      invariants = Pstructs.Bptree.check_invariants;
+      alist = Pstructs.Bptree.to_alist;
     }
-    ~name:"mod-hash" ?threads ?ops ?coalesce ()
+    "btree"
+    ~op_of:(fun ~tid ~i ->
+      let key = ((tid + 1) * 1000) + i in
+      { mtid = tid; mseq = i; mkey = key; minsert = true; mvalue = (key * 3) + 1 })
+    ?coalesce ~threads:4 ~ops:8 ~heap_words:(1 lsl 17) ()
+
+let mod_op_of ~tid ~i =
+  let key = ((tid + 1) * 1000) + i in
+  if i mod 4 = 0 then { mtid = tid; mseq = i; mkey = key - 1; minsert = false; mvalue = 0 }
+  else { mtid = tid; mseq = i; mkey = key; minsert = true; mvalue = (key * 5) + 3 }
+
+let mod_btree ?(threads = 3) ?(ops = 8) () =
+  tree_scenario
+    {
+      create = (fun ptm -> Pstructs.Mod_bptree.(descriptor (create ptm)));
+      attach = Pstructs.Mod_bptree.attach;
+      insert = Pstructs.Mod_bptree.insert;
+      remove = Pstructs.Mod_bptree.remove;
+      invariants = Pstructs.Mod_bptree.check_invariants;
+      alist = Pstructs.Mod_bptree.to_alist;
+    }
+    "mod-btree" ~op_of:mod_op_of ~threads ~ops ~heap_words:(1 lsl 18) ()
+
+let mod_hash () =
+  tree_scenario
+    {
+      create = (fun ptm -> Pstructs.Mod_phashtable.(descriptor (create ptm ~buckets:64)));
+      attach = Pstructs.Mod_phashtable.attach;
+      insert = Pstructs.Mod_phashtable.put;
+      remove = Pstructs.Mod_phashtable.remove;
+      invariants = Pstructs.Mod_phashtable.check_invariants;
+      alist = Pstructs.Mod_phashtable.to_alist;
+    }
+    "mod-hash" ~op_of:mod_op_of ~threads:3 ~ops:8 ~heap_words:(1 lsl 18) ()
 
 (* ---------- alloc churn: allocator accounting under a slot directory ---------- *)
 
@@ -514,7 +433,8 @@ type alloc_op =
 
 let alloc_payload_sig stamp k tid = (stamp * 31) + (k * 7) + tid + 1000
 
-let alloc_churn ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
+let alloc_churn () =
+  let threads = 4 and ops = 10 in
   let prepare ptm =
     let dir =
       Ptm.atomic ptm (fun tx ->
@@ -550,118 +470,98 @@ let alloc_churn ?(threads = 4) ?(ops = 10) ?(coalesce = true) () =
               stamp
           | Release { rtid; rslot } -> Format.fprintf ppf "t%d: release slot %d" rtid rslot);
       pp_res = (fun ppf () -> Format.pp_print_string ppf "()");
-      pp_state =
-        (fun ppf st ->
-          Format.fprintf ppf "stamps=[%s]"
-            (String.concat ";" (Array.to_list (Array.map string_of_int st))));
+      pp_state = (fun ppf st -> Format.fprintf ppf "stamps=[%s]" (pp_ints st));
     }
   in
-  let fresh ~seed =
-    (* The op schedule is a pure function of the seed, so the oracle's
-       extraction can look up each slot's expected block shape. *)
-    let schedule =
-      Array.init threads (fun tid ->
-          let rng = Rng.create (seed + (104729 * tid)) in
-          let owned = ref [] in
-          Array.init ops (fun j ->
-              if !owned <> [] && Rng.chance rng 0.3 then begin
-                let slot = List.hd !owned in
-                owned := List.tl !owned;
-                Release { rtid = tid; rslot = slot }
-              end
-              else begin
-                let words = 2 + Rng.int rng 6 in
-                owned := j :: !owned;
-                Acquire { atid = tid; aslot = j; words; stamp = ((tid + 1) * 1000) + j }
-              end))
-    in
-    let committed_live : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let dir = Ptm.root_get ptm root_slot in
-      let now = vclock ptm in
-      Array.iter
-        (fun op ->
-          Dlin.History.run h ~tid ~now op (fun () ->
-              match op with
-              | Acquire { aslot; words; stamp; _ } ->
-                Ptm.atomic ptm (fun tx ->
-                    let a = Ptm.alloc tx words in
-                    Ptm.write tx a stamp;
-                    for k = 1 to words - 1 do
-                      Ptm.write tx (a + k) (alloc_payload_sig stamp k tid)
-                    done;
-                    Ptm.write tx (dir + (tid * ops) + aslot) a;
-                    Ptm.on_commit tx (fun () -> Hashtbl.replace committed_live a words))
-              | Release { rslot; _ } ->
-                Ptm.atomic ptm (fun tx ->
-                    let a = Ptm.read tx (dir + (tid * ops) + rslot) in
-                    Ptm.free tx a;
-                    Ptm.write tx (dir + (tid * ops) + rslot) 0;
-                    Ptm.on_commit tx (fun () -> Hashtbl.remove committed_live a))))
-        schedule.(tid)
-    in
-    let oracle ~crashed:_ _sim ptm =
-      let dir = Ptm.root_get ptm root_slot in
-      let err = ref None in
-      let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-      let recovered =
-        Ptm.atomic ptm (fun tx ->
-            Array.init (threads * ops) (fun i ->
-                let tid = i / ops and j = i mod ops in
-                let a = Ptm.read tx (dir + i) in
-                if a = 0 then 0
-                else
-                  match schedule.(tid).(j) with
-                  | Release _ ->
-                    fail "alloc: slot %d.%d belongs to a release op but holds addr %d" tid j a;
-                    0
-                  | Acquire { words; stamp; _ } ->
-                    let found = Ptm.read tx a in
-                    for k = 1 to words - 1 do
-                      let v = Ptm.read tx (a + k) in
-                      if v <> alloc_payload_sig stamp k tid then
-                        fail "alloc: block %d (slot %d.%d) word %d holds %d, expected %d" a
-                          tid j k v (alloc_payload_sig stamp k tid)
-                    done;
-                    found))
+  scenario "alloc" ~threads ~prepare spec (fun ~seed ->
+      (* The op schedule is a pure function of the seed, so the
+         extraction can look up each slot's expected block shape. *)
+      let schedule =
+        Array.init threads (fun tid ->
+            let rng = Rng.create (seed + (104729 * tid)) in
+            let owned = ref [] in
+            Array.init ops (fun j ->
+                if !owned <> [] && Rng.chance rng 0.3 then begin
+                  let slot = List.hd !owned in
+                  owned := List.tl !owned;
+                  Release { rtid = tid; rslot = slot }
+                end
+                else begin
+                  let words = 2 + Rng.int rng 6 in
+                  owned := j :: !owned;
+                  Acquire { atid = tid; aslot = j; words; stamp = ((tid + 1) * 1000) + j }
+                end))
       in
-      match !err with
-      | Some reason -> extraction_fail spec h reason
-      | None -> run_dlin spec h ~recovered
-    in
-    let validate ~crashed:_ _sim ptm =
-      (* Coarse allocator accounting: every durably committed block is
-         visible to the region checker, up to one in-flight operation
-         per thread whose hook never ran. *)
-      let rep = Pmem.Check.run (Ptm.region ptm) in
-      let shadow = Hashtbl.length committed_live in
-      if rep.Pmem.Check.live_blocks < shadow - threads then
-        Error
-          (Printf.sprintf "alloc: checker sees %d live blocks, shadow has %d committed"
-             rep.Pmem.Check.live_blocks shadow)
-      else Ok ()
-    in
-    { Engine.worker; validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "alloc" ~coalesce;
-    threads;
-    heap_words = 1 lsl 16;
-    log_words_per_thread = 512;
-    coalesce;
-    prepare;
-    fresh;
-  }
+      let committed_live : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let work ~record ~tid ptm =
+        let dir = Ptm.root_get ptm root_slot in
+        Array.iter
+          (fun op ->
+            record op (fun () ->
+                match op with
+                | Acquire { aslot; words; stamp; _ } ->
+                  Ptm.atomic ptm (fun tx ->
+                      let a = Ptm.alloc tx words in
+                      Ptm.write tx a stamp;
+                      for k = 1 to words - 1 do
+                        Ptm.write tx (a + k) (alloc_payload_sig stamp k tid)
+                      done;
+                      Ptm.write tx (dir + (tid * ops) + aslot) a;
+                      Ptm.on_commit tx (fun () -> Hashtbl.replace committed_live a words))
+                | Release { rslot; _ } ->
+                  Ptm.atomic ptm (fun tx ->
+                      let a = Ptm.read tx (dir + (tid * ops) + rslot) in
+                      Ptm.free tx a;
+                      Ptm.write tx (dir + (tid * ops) + rslot) 0;
+                      Ptm.on_commit tx (fun () -> Hashtbl.remove committed_live a))))
+          schedule.(tid)
+      in
+      let extract ptm =
+        let dir = Ptm.root_get ptm root_slot in
+        first_complaint (fun fail ->
+            Ptm.atomic ptm (fun tx ->
+                Array.init (threads * ops) (fun i ->
+                    let tid = i / ops and j = i mod ops in
+                    let a = Ptm.read tx (dir + i) in
+                    if a = 0 then 0
+                    else
+                      match schedule.(tid).(j) with
+                      | Release _ ->
+                        Printf.ksprintf fail
+                          "alloc: slot %d.%d belongs to a release op but holds addr %d" tid j a;
+                        0
+                      | Acquire { words; stamp; _ } ->
+                        let found = Ptm.read tx a in
+                        for k = 1 to words - 1 do
+                          let v = Ptm.read tx (a + k) in
+                          if v <> alloc_payload_sig stamp k tid then
+                            Printf.ksprintf fail
+                              "alloc: block %d (slot %d.%d) word %d holds %d, expected %d" a tid
+                              j k v (alloc_payload_sig stamp k tid)
+                        done;
+                        found)))
+      in
+      let validate ~crashed:_ ptm =
+        (* Coarse allocator accounting: every durably committed block is
+           visible to the region checker, up to one in-flight operation
+           per thread whose hook never ran. *)
+        let rep = Pmem.Check.run (Ptm.region ptm) in
+        let shadow = Hashtbl.length committed_live in
+        if rep.Pmem.Check.live_blocks < shadow - threads then
+          Error
+            (Printf.sprintf "alloc: checker sees %d live blocks, shadow has %d committed"
+               rep.Pmem.Check.live_blocks shadow)
+        else Ok ()
+      in
+      { work; extract; validate })
 
 (* ---------- kvserve: crash mid-batch ---------- *)
 
 (* The KV service's coalesced write path: every thread commits batches
-   of [batch] sets plus its batch-marker key in ONE transaction, so a
-   crash anywhere inside the batch must leave either all of it or none
-   of it — and the marker tells which.  Mirrors
-   [Kvserve.Service]'s durable-prefix recovery contract at crash-point
-   granularity. *)
+   of sets plus its batch-marker key in ONE transaction, so a crash
+   anywhere inside the batch must leave either all of it or none of it
+   — and the marker tells which.  Mirrors [Kvserve.Service]'s
+   durable-prefix recovery contract at crash-point granularity. *)
 
 let kv_value ~tid ~b ~k = Printf.sprintf "v%d.%d.%d" tid b k
 let kv_key ~tid ~b ~k = Printf.sprintf "t%d.b%d.%d" tid b k
@@ -671,8 +571,8 @@ let kv_key ~tid ~b ~k = Printf.sprintf "t%d.b%d.%d" tid b k
 let kv_marker v = Printf.sprintf "%03d" v
 
 (* A torn or overwritten marker is recovered data no abstract state can
-   hold: report it through [fail] (the oracle's extraction failure)
-   rather than raising out of the transaction. *)
+   hold: report it through [fail] (the extraction's complaint) rather
+   than raising out of the transaction. *)
 let kv_marker_value ~fail m =
   match int_of_string_opt m with
   | Some v -> v
@@ -685,7 +585,8 @@ type kv_batch_op = { ktid : int; kb : int; kn : int }
 (* Key triples packed into one int for the abstract key set. *)
 let kv_enc ~tid ~b ~k = (((tid * 1024) + b) * 1024) + k
 
-let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
+let kv_batch () =
+  let threads = 4 and ops = 5 and batch = 4 in
   let prepare ptm =
     let store = Kvserve.Store.create ptm ~buckets:64 in
     Ptm.atomic ptm (fun tx ->
@@ -705,91 +606,75 @@ let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
             keys := IntSet.add (kv_enc ~tid:o.ktid ~b:o.kb ~k) !keys
           done;
           ((markers, !keys), ()));
-      equal_state =
-        (fun (ma, ka) (mb, kb) -> ma = mb && IntSet.equal ka kb);
+      equal_state = (fun (ma, ka) (mb, kb) -> ma = mb && IntSet.equal ka kb);
       hash_state =
-        (fun (m, keys) ->
-          IntSet.fold (fun e acc -> (acc * 31) + e) keys (hash_int_array m));
+        (fun (m, keys) -> IntSet.fold (fun e acc -> (acc * 31) + e) keys (hash_int_array m));
       equal_res = (fun () () -> true);
       commutes = (fun a b -> a.ktid <> b.ktid);
       pp_op = (fun ppf o -> Format.fprintf ppf "t%d: batch %d (%d keys)" o.ktid o.kb o.kn);
       pp_res = (fun ppf () -> Format.pp_print_string ppf "()");
       pp_state =
         (fun ppf (m, keys) ->
-          Format.fprintf ppf "markers=[%s] keys=%d"
-            (String.concat ";" (Array.to_list (Array.map string_of_int m)))
-            (IntSet.cardinal keys));
+          Format.fprintf ppf "markers=[%s] keys=%d" (pp_ints m) (IntSet.cardinal keys));
     }
   in
-  let fresh ~seed =
-    (* Seeded per-batch jitter so crash candidates land at distinct
-       phases of different threads' batches; precomputed so worker and
-       oracle agree on every batch's width. *)
-    let widths =
-      Array.init threads (fun tid ->
-          let rng = Rng.create (seed + (7919 * tid)) in
-          Array.init ops (fun _ -> batch + Rng.int rng 2))
-    in
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let store = Kvserve.Store.attach ptm in
-      let now = vclock ptm in
-      for b = 1 to ops do
-        let n = widths.(tid).(b - 1) in
-        Dlin.History.run h ~tid ~now { ktid = tid; kb = b; kn = n } (fun () ->
-            Ptm.atomic ptm (fun tx ->
-                for k = 0 to n - 1 do
-                  Kvserve.Store.set tx store ~key:(kv_key ~tid ~b ~k) ~flags:tid
-                    (kv_value ~tid ~b ~k)
-                done;
-                Kvserve.Store.set tx store ~key:(Printf.sprintf "m%d" tid) ~flags:0
-                  (kv_marker b)))
-      done
-    in
-    let oracle ~crashed:_ _sim ptm =
-      let store = Kvserve.Store.attach ptm in
-      let err = ref None in
-      let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-      let recovered =
-        Ptm.atomic ptm (fun tx ->
-            let markers =
-              Array.init threads (fun tid ->
-                  match Kvserve.Store.get tx store (Printf.sprintf "m%d" tid) with
-                  | None ->
-                    fail "kv-batch: thread %d marker key missing" tid;
-                    0
-                  | Some (_, m) -> kv_marker_value ~fail:(fail "kv-batch: thread %d %s" tid) m)
-            in
-            let keys = ref IntSet.empty in
-            for tid = 0 to threads - 1 do
-              for b = 1 to ops do
-                for k = 0 to widths.(tid).(b - 1) - 1 do
-                  match Kvserve.Store.get tx store (kv_key ~tid ~b ~k) with
-                  | None -> ()
-                  | Some (flags, v) ->
-                    if flags <> tid || not (String.equal v (kv_value ~tid ~b ~k)) then
-                      fail "kv-batch: key %s holds %S flags %d" (kv_key ~tid ~b ~k) v flags;
-                    keys := IntSet.add (kv_enc ~tid ~b ~k) !keys
-                done
-              done
-            done;
-            (markers, !keys))
+  scenario "kv-batch" ~threads ~log_words:4096 ~prepare spec (fun ~seed ->
+      (* Seeded per-batch jitter so crash candidates land at distinct
+         phases of different threads' batches; precomputed so worker and
+         extraction agree on every batch's width. *)
+      let widths =
+        Array.init threads (fun tid ->
+            let rng = Rng.create (seed + (7919 * tid)) in
+            Array.init ops (fun _ -> batch + Rng.int rng 2))
       in
-      match !err with
-      | Some reason -> extraction_fail spec h reason
-      | None -> run_dlin spec h ~recovered
-    in
-    { Engine.worker; validate = no_validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "kv-batch" ~coalesce;
-    threads;
-    heap_words = 1 lsl 16;
-    log_words_per_thread = 4096;
-    coalesce;
-    prepare;
-    fresh;
-  }
+      {
+        work =
+          (fun ~record ~tid ptm ->
+            let store = Kvserve.Store.attach ptm in
+            for b = 1 to ops do
+              let n = widths.(tid).(b - 1) in
+              record { ktid = tid; kb = b; kn = n } (fun () ->
+                  Ptm.atomic ptm (fun tx ->
+                      for k = 0 to n - 1 do
+                        Kvserve.Store.set tx store ~key:(kv_key ~tid ~b ~k) ~flags:tid
+                          (kv_value ~tid ~b ~k)
+                      done;
+                      Kvserve.Store.set tx store ~key:(Printf.sprintf "m%d" tid) ~flags:0
+                        (kv_marker b)))
+            done);
+        extract =
+          (fun ptm ->
+            let store = Kvserve.Store.attach ptm in
+            first_complaint (fun fail ->
+                Ptm.atomic ptm (fun tx ->
+                    let markers =
+                      Array.init threads (fun tid ->
+                          match Kvserve.Store.get tx store (Printf.sprintf "m%d" tid) with
+                          | None ->
+                            Printf.ksprintf fail "kv-batch: thread %d marker key missing" tid;
+                            0
+                          | Some (_, m) ->
+                            kv_marker_value
+                              ~fail:(Printf.ksprintf fail "kv-batch: thread %d %s" tid)
+                              m)
+                    in
+                    let keys = ref IntSet.empty in
+                    for tid = 0 to threads - 1 do
+                      for b = 1 to ops do
+                        for k = 0 to widths.(tid).(b - 1) - 1 do
+                          match Kvserve.Store.get tx store (kv_key ~tid ~b ~k) with
+                          | None -> ()
+                          | Some (flags, v) ->
+                            if flags <> tid || not (String.equal v (kv_value ~tid ~b ~k)) then
+                              Printf.ksprintf fail "kv-batch: key %s holds %S flags %d"
+                                (kv_key ~tid ~b ~k) v flags;
+                            keys := IntSet.add (kv_enc ~tid ~b ~k) !keys
+                        done
+                      done
+                    done;
+                    (markers, !keys))));
+        validate = no_validate;
+      })
 
 (* ---------- kvserve: crash between per-shard commits ---------- *)
 
@@ -803,7 +688,8 @@ let kv_batch ?(threads = 4) ?(ops = 5) ?(batch = 4) ?(coalesce = true) () =
 
 type kv_xshard_op = XSetA of { xtid : int; xo : int } | XSetB of { xtid : int; xo : int }
 
-let kv_xshard ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
+let kv_xshard () =
+  let threads = 4 and ops = 6 in
   let base_a = 0 and base_b = 2 in
   let prepare ptm =
     let a = Kvserve.Store.create ~root_base:base_a ptm ~buckets:32 in
@@ -847,84 +733,68 @@ let kv_xshard ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
           | XSetB { xtid; xo } -> Format.fprintf ppf "t%d: set B #%d" xtid xo);
       pp_res = (fun ppf () -> Format.pp_print_string ppf "()");
       pp_state =
-        (fun ppf (ma, mb, _) ->
-          Format.fprintf ppf "A=[%s] B=[%s]"
-            (String.concat ";" (Array.to_list (Array.map string_of_int ma)))
-            (String.concat ";" (Array.to_list (Array.map string_of_int mb))));
+        (fun ppf (ma, mb, _) -> Format.fprintf ppf "A=[%s] B=[%s]" (pp_ints ma) (pp_ints mb));
     }
   in
   (* No per-seed randomness: the interleaving the engine explores comes
      entirely from the crash instant. *)
-  let fresh ~seed:_ =
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let a = Kvserve.Store.attach ~root_base:base_a ptm in
-      let b = Kvserve.Store.attach ~root_base:base_b ptm in
-      let now = vclock ptm in
-      for o = 1 to ops do
-        Dlin.History.run h ~tid ~now (XSetA { xtid = tid; xo = o }) (fun () ->
-            Ptm.atomic ptm (fun tx ->
-                Kvserve.Store.set tx a ~key:(Printf.sprintf "a.t%d.%d" tid o) ~flags:o
-                  (kv_value ~tid ~b:o ~k:0);
-                Kvserve.Store.set tx a ~key:(Printf.sprintf "ma%d" tid) ~flags:0 (kv_marker o)));
-        Dlin.History.run h ~tid ~now (XSetB { xtid = tid; xo = o }) (fun () ->
-            Ptm.atomic ptm (fun tx ->
-                Kvserve.Store.set tx b ~key:(Printf.sprintf "b.t%d.%d" tid o) ~flags:o
-                  (kv_value ~tid ~b:o ~k:1);
-                Kvserve.Store.set tx b ~key:(Printf.sprintf "mb%d" tid) ~flags:0 (kv_marker o)))
-      done
-    in
-    let oracle ~crashed:_ _sim ptm =
-      let a = Kvserve.Store.attach ~root_base:base_a ptm in
-      let b = Kvserve.Store.attach ~root_base:base_b ptm in
-      let err = ref None in
-      let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-      let recovered =
-        Ptm.atomic ptm (fun tx ->
-            let marker store name tid =
-              match Kvserve.Store.get tx store (Printf.sprintf "%s%d" name tid) with
-              | None ->
-                fail "kv-xshard: thread %d %s marker missing" tid name;
-                0
-              | Some (_, m) ->
-                kv_marker_value ~fail:(fail "kv-xshard: thread %d %s %s" tid name) m
-            in
-            let ma = Array.init threads (marker a "ma") in
-            let mb = Array.init threads (marker b "mb") in
-            let keys = ref IntSet.empty in
-            for tid = 0 to threads - 1 do
-              for o = 1 to ops do
-                (match Kvserve.Store.get tx a (Printf.sprintf "a.t%d.%d" tid o) with
-                | None -> ()
-                | Some (flags, v) ->
-                  if flags <> o || not (String.equal v (kv_value ~tid ~b:o ~k:0)) then
-                    fail "kv-xshard: key a.t%d.%d holds %S flags %d" tid o v flags;
-                  keys := IntSet.add (kv_enc ~tid ~b:o ~k:0) !keys);
-                match Kvserve.Store.get tx b (Printf.sprintf "b.t%d.%d" tid o) with
-                | None -> ()
-                | Some (flags, v) ->
-                  if flags <> o || not (String.equal v (kv_value ~tid ~b:o ~k:1)) then
-                    fail "kv-xshard: key b.t%d.%d holds %S flags %d" tid o v flags;
-                  keys := IntSet.add (kv_enc ~tid ~b:o ~k:1) !keys
-              done
-            done;
-            (ma, mb, !keys))
-      in
-      match !err with
-      | Some reason -> extraction_fail spec h reason
-      | None -> run_dlin spec h ~recovered
-    in
-    { Engine.worker; validate = no_validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "kv-xshard" ~coalesce;
-    threads;
-    heap_words = 1 lsl 16;
-    log_words_per_thread = 4096;
-    coalesce;
-    prepare;
-    fresh;
-  }
+  scenario "kv-xshard" ~threads ~log_words:4096 ~prepare spec (fun ~seed:_ ->
+      {
+        work =
+          (fun ~record ~tid ptm ->
+            let a = Kvserve.Store.attach ~root_base:base_a ptm in
+            let b = Kvserve.Store.attach ~root_base:base_b ptm in
+            for o = 1 to ops do
+              record (XSetA { xtid = tid; xo = o }) (fun () ->
+                  Ptm.atomic ptm (fun tx ->
+                      Kvserve.Store.set tx a ~key:(Printf.sprintf "a.t%d.%d" tid o) ~flags:o
+                        (kv_value ~tid ~b:o ~k:0);
+                      Kvserve.Store.set tx a ~key:(Printf.sprintf "ma%d" tid) ~flags:0
+                        (kv_marker o)));
+              record (XSetB { xtid = tid; xo = o }) (fun () ->
+                  Ptm.atomic ptm (fun tx ->
+                      Kvserve.Store.set tx b ~key:(Printf.sprintf "b.t%d.%d" tid o) ~flags:o
+                        (kv_value ~tid ~b:o ~k:1);
+                      Kvserve.Store.set tx b ~key:(Printf.sprintf "mb%d" tid) ~flags:0
+                        (kv_marker o)))
+            done);
+        extract =
+          (fun ptm ->
+            let a = Kvserve.Store.attach ~root_base:base_a ptm in
+            let b = Kvserve.Store.attach ~root_base:base_b ptm in
+            first_complaint (fun fail ->
+                Ptm.atomic ptm (fun tx ->
+                    let marker store name tid =
+                      match Kvserve.Store.get tx store (Printf.sprintf "%s%d" name tid) with
+                      | None ->
+                        Printf.ksprintf fail "kv-xshard: thread %d %s marker missing" tid name;
+                        0
+                      | Some (_, m) ->
+                        kv_marker_value
+                          ~fail:(Printf.ksprintf fail "kv-xshard: thread %d %s %s" tid name)
+                          m
+                    in
+                    let ma = Array.init threads (marker a "ma") in
+                    let mb = Array.init threads (marker b "mb") in
+                    let keys = ref IntSet.empty in
+                    let shard store name tid o k =
+                      match Kvserve.Store.get tx store (Printf.sprintf "%s.t%d.%d" name tid o) with
+                      | None -> ()
+                      | Some (flags, v) ->
+                        if flags <> o || not (String.equal v (kv_value ~tid ~b:o ~k)) then
+                          Printf.ksprintf fail "kv-xshard: key %s.t%d.%d holds %S flags %d" name
+                            tid o v flags;
+                        keys := IntSet.add (kv_enc ~tid ~b:o ~k) !keys
+                    in
+                    for tid = 0 to threads - 1 do
+                      for o = 1 to ops do
+                        shard a "a" tid o 0;
+                        shard b "b" tid o 1
+                      done
+                    done;
+                    (ma, mb, !keys))));
+        validate = no_validate;
+      })
 
 (* ---------- kvserve: exactly-once increments ---------- *)
 
@@ -938,7 +808,8 @@ type kv_incr_op = { itid : int; iop : int }
 
 let kv_incr_key = "ctr"
 
-let kv_incr ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
+let kv_incr () =
+  let threads = 4 and ops = 6 in
   let prepare ptm =
     let store = Kvserve.Store.create ptm ~buckets:32 in
     Ptm.atomic ptm (fun tx -> Kvserve.Store.set tx store ~key:kv_incr_key ~flags:0 "0")
@@ -956,96 +827,49 @@ let kv_incr ?(threads = 4) ?(ops = 6) ?(coalesce = true) () =
       pp_state = (fun ppf v -> Format.fprintf ppf "ctr=%d" v);
     }
   in
-  let fresh ~seed:_ =
-    let h = Dlin.History.create ~threads in
-    let worker ~tid ptm =
-      let store = Kvserve.Store.attach ptm in
-      let now = vclock ptm in
-      for op = 1 to ops do
-        ignore
-          (Dlin.History.run h ~tid ~now { itid = tid; iop = op } (fun () ->
-               let res = ref 0 in
-               Ptm.atomic ptm (fun tx ->
-                   match Kvserve.Store.incr tx store kv_incr_key 1 with
-                   | Kvserve.Store.New_value v -> res := v
-                   | Missing | Not_numeric -> failwith "kv-incr: counter unreadable");
-               !res)
-            : int)
-      done
-    in
-    let read_counter ptm =
-      let store = Kvserve.Store.attach ptm in
-      Ptm.atomic ptm (fun tx ->
-          match Kvserve.Store.get tx store kv_incr_key with
-          | None -> Error "kv-incr: counter key missing"
-          | Some (_, v) -> (
-            match int_of_string_opt v with
-            | None -> Error (Printf.sprintf "kv-incr: counter holds non-numeric %S" v)
-            | Some n -> Ok n))
-    in
-    let oracle ~crashed:_ _sim ptm =
-      match read_counter ptm with
-      | Error reason -> extraction_fail spec h reason
-      | Ok n -> run_dlin spec h ~recovered:n
-    in
-    { Engine.worker; validate = no_validate; oracle = Some oracle }
-  in
-  {
-    Engine.name = mode_name "kv-incr" ~coalesce;
-    threads;
-    heap_words = 1 lsl 16;
-    log_words_per_thread = 4096;
-    coalesce;
-    prepare;
-    fresh;
-  }
+  scenario "kv-incr" ~threads ~log_words:4096 ~prepare spec (fun ~seed:_ ->
+      {
+        work =
+          (fun ~record ~tid ptm ->
+            let store = Kvserve.Store.attach ptm in
+            for op = 1 to ops do
+              record { itid = tid; iop = op } (fun () ->
+                  Ptm.atomic ptm (fun tx ->
+                      match Kvserve.Store.incr tx store kv_incr_key 1 with
+                      | Kvserve.Store.New_value v -> v
+                      | Missing | Not_numeric -> failwith "kv-incr: counter unreadable"))
+            done);
+        extract =
+          (fun ptm ->
+            let store = Kvserve.Store.attach ptm in
+            Ptm.atomic ptm (fun tx ->
+                match Kvserve.Store.get tx store kv_incr_key with
+                | None -> Error "kv-incr: counter key missing"
+                | Some (_, v) -> (
+                  match int_of_string_opt v with
+                  | None -> Error (Printf.sprintf "kv-incr: counter holds non-numeric %S" v)
+                  | Some n -> Ok n)));
+        validate = no_validate;
+      })
 
 (* ---------- FAMS: bank over the snapshot API ---------- *)
 
-type fams_bank_op = { fop : int; fsrc : int; fdst : int; famount : int }
-type fams_bank_state = { fbal : int array; fseq : int }
-
-(* The msync twin of {!bank}: one mutator transfers between scattered
-   one-word accounts in the FAMS working area and calls [msync_atomic]
-   every [sync_every] operations.  After a crash the dlin oracle runs
-   with [`Buffered] durability — recovery restores the last completed
-   sync, so any per-thread prefix cut is legal — and the validate closes
-   the gap buffered cuts leave open: a sync that {e completed} before
-   the crash is FAMS's durability point, so the recovered op counter
-   must reach it.  A crash-free run is judged strict. *)
-let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
-  let initial = 100 in
+(* The msync twin of {!bank}, judged by the same transfer spec with one
+   thread: one mutator transfers between scattered one-word accounts in
+   the FAMS working area and calls [msync_atomic] every [sync_every]
+   operations.  After a crash the dlin oracle runs with [`Buffered]
+   durability — recovery restores the last completed sync, so any
+   per-thread prefix cut is legal — and the validate closes the gap
+   buffered cuts leave open: a sync that {e completed} before the crash
+   is FAMS's durability point, so the recovered op counter must reach
+   it.  A crash-free run is judged strict. *)
+let fams_bank ?(ops = 80) () =
+  let accounts = 256 and initial = 100 and sync_every = 8 in
   let spread = 4 in
   (* accounts * spread = 1024 words: the working area spans two pages,
      so line- and page-granularity sweeps journal different unit sets. *)
   let seq_addr = accounts * spread in
-  let words = seq_addr + 1 in
-  let spec =
-    {
-      Dlin.init = { fbal = Array.make accounts initial; fseq = 0 };
-      apply =
-        (fun st o ->
-          let fbal = Array.copy st.fbal in
-          let s = fbal.(o.fsrc) and d = fbal.(o.fdst) in
-          fbal.(o.fsrc) <- s - o.famount;
-          fbal.(o.fdst) <- d + o.famount;
-          ({ fbal; fseq = o.fop }, (s, d)));
-      equal_state = (fun a b -> a.fbal = b.fbal && a.fseq = b.fseq);
-      hash_state = (fun st -> (hash_int_array st.fbal * 31) + st.fseq);
-      equal_res = ( = );
-      (* Single mutator: the checker never asks about same-thread
-         pairs, so commutativity is moot. *)
-      commutes = (fun _ _ -> false);
-      pp_op =
-        (fun ppf o ->
-          Format.fprintf ppf "#%d: transfer %d %d->%d" o.fop o.famount o.fsrc o.fdst);
-      pp_res = (fun ppf (s, d) -> Format.fprintf ppf "read (%d, %d)" s d);
-      pp_state =
-        (fun ppf st ->
-          Format.fprintf ppf "seq=%d bal=[%s]" st.fseq
-            (String.concat ";" (Array.to_list (Array.map string_of_int st.fbal))));
-    }
-  in
+  let spec = transfer_spec ~accounts ~threads:1 ~initial in
   let f_prepare fams =
     for i = 0 to accounts - 1 do
       Fams.raw_write fams (i * spread) initial
@@ -1059,34 +883,26 @@ let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
       let rng = Rng.create (seed + 7919) in
       let now () = float_of_int (Memsim.Sim.now sim) in
       for op = 1 to ops do
-        let src = Rng.int rng accounts in
-        (* Never [src = dst]: both reads precede both writes. *)
-        let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
-        let amount = 1 + Rng.int rng 5 in
-        let o = { fop = op; fsrc = src; fdst = dst; famount = amount } in
-        ignore
-          (Dlin.History.run h ~tid:0 ~now o (fun () ->
-               let s = Fams.read fams (src * spread) in
-               let d = Fams.read fams (dst * spread) in
-               Fams.write fams (src * spread) (s - amount);
-               Fams.write fams (dst * spread) (d + amount);
-               Fams.write fams seq_addr op;
-               if op mod sync_every = 0 then begin
-                 Fams.msync_atomic fams;
-                 synced := op
-               end;
-               (s, d))
-            : int * int)
+        let o = random_transfer rng ~accounts ~tid:0 ~op in
+        record h ~tid:0 ~now o (fun () ->
+            let s = Fams.read fams (o.src * spread) in
+            let d = Fams.read fams (o.dst * spread) in
+            Fams.write fams (o.src * spread) (s - o.amount);
+            Fams.write fams (o.dst * spread) (d + o.amount);
+            Fams.write fams seq_addr op;
+            if op mod sync_every = 0 then begin
+              Fams.msync_atomic fams;
+              synced := op
+            end;
+            (s, d))
       done
     in
-    let f_oracle ~crashed _sim fams =
-      let recovered =
+    let extract fams =
+      Ok
         {
-          fbal = Array.init accounts (fun i -> Fams.raw_read fams (i * spread));
-          fseq = Fams.raw_read fams seq_addr;
+          bal = Array.init accounts (fun i -> Fams.raw_read fams (i * spread));
+          bseq = [| Fams.raw_read fams seq_addr |];
         }
-      in
-      run_dlin ~durability:(if crashed then `Buffered else `Strict) spec h ~recovered
     in
     let f_validate ~crashed:_ _sim fams =
       let seqv = Fams.raw_read fams seq_addr in
@@ -1096,9 +912,10 @@ let fams_bank ?(accounts = 256) ?(ops = 80) ?(sync_every = 8) () =
              seqv !synced)
       else Ok ()
     in
-    { Engine.f_worker; f_validate; f_oracle = Some f_oracle }
+    let durability ~crashed _ = if crashed then `Buffered else `Strict in
+    { Engine.f_worker; f_validate; f_oracle = Some (judge ~durability spec h extract) }
   in
-  { Engine.f_name = "fams-bank"; f_words = words; f_prepare; f_fresh }
+  { Engine.f_name = "fams-bank"; f_words = seq_addr + 1; f_prepare; f_fresh }
 
 let fams_all () = [ fams_bank () ]
 

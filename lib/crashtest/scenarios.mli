@@ -1,10 +1,11 @@
 (** Ready-made crash-test scenarios, judged by durable linearizability.
 
-    Each worker wraps every logical operation in [Dlin.History.run]
-    against the machine's virtual clock.  After recovery (or a
-    crash-free run) the instance's [oracle] extracts the recovered
-    abstract state and asks {!Dlin.check} for a legal durable
-    linearization explaining it.  A failure carries a replayable JSONL
+    Every PTM scenario comes from one private constructor: a {!Dlin}
+    spec, a population phase and a per-seed body.  Each worker wraps
+    every logical operation in [Dlin.History.run] against the machine's
+    virtual clock.  After recovery (or a crash-free run) the instance's
+    [oracle] extracts the recovered abstract state and asks
+    {!Dlin.check} for a legal durable linearization explaining it.  A failure carries a replayable JSONL
     counterexample (the recorded history plus the recovered state),
     written as [dlin.jsonl] into the failure telemetry directory.
     Recovered data no abstract state can hold (a torn payload, a
@@ -25,7 +26,7 @@
       must be explained by an increment order consistent with the
       returned new-values;
     - {!btree}: B+Tree structural invariants, then the recovered key
-      set as a durable prefix of the inserts;
+      map judged by the same spec as the MOD structures;
     - {!alloc_churn}: each thread acquires stamped, signature-filled
       blocks into its own slots of a persistent directory or releases
       them, and the recovered stamp-per-slot vector must match a
@@ -46,18 +47,24 @@
     All scenarios derive their randomness from the instance seed, so a
     (scenario, seed) pair fully determines the workload.
 
-    Every constructor takes [?coalesce] (default [true]): [false] runs
-    the PTM on the naive per-entry flush/fence path instead of the
+    {!bank} and {!btree} take [?coalesce] (default [true]): [false]
+    runs the PTM on the naive per-entry flush/fence path instead of the
     batched commit pipeline, and appends ["-naive"] to the scenario
-    name so replay specs round-trip through {!find}. *)
+    name so replay specs round-trip through {!find}.
 
-val bank : ?accounts:int -> ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+    A replay line carries only the scenario name, and {!find} /
+    {!fams_find} rebuild the default-size scenario from it.  A scenario
+    built with non-default sizes — bench/perf's [bank ~threads ~ops],
+    [mod_btree ~threads ~ops], [fams_bank ~ops] — cannot be replayed by
+    name. *)
 
-val counters : ?slots:int -> ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val bank : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
-val btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val counters : unit -> Engine.scenario
 
-val mod_btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val btree : ?coalesce:bool -> unit -> Engine.scenario
+
+val mod_btree : ?threads:int -> ?ops:int -> unit -> Engine.scenario
 (** {!Pstructs.Mod_bptree} under a deterministic per-thread
     insert/remove script.  The oracle runs {!Dlin.check} with
     [`Buffered] durability after a crash under the [Mod] algorithm (the
@@ -66,29 +73,28 @@ val mod_btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.sce
     validate bounds the committed-but-lost ops of a buffered cut by the
     WPQ lag. *)
 
-val mod_hash : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val mod_hash : unit -> Engine.scenario
 (** {!Pstructs.Mod_phashtable} under the same script, oracle and
     validate as {!mod_btree}. *)
 
-val alloc_churn : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val alloc_churn : unit -> Engine.scenario
 
-val kv_batch :
-  ?threads:int -> ?ops:int -> ?batch:int -> ?coalesce:bool -> unit -> Engine.scenario
+val kv_batch : unit -> Engine.scenario
 
-val kv_xshard : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val kv_xshard : unit -> Engine.scenario
 
-val kv_incr : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
+val kv_incr : unit -> Engine.scenario
 
-val fams_bank :
-  ?accounts:int -> ?ops:int -> ?sync_every:int -> unit -> Engine.fams_scenario
-(** The msync twin of {!bank}: a single mutator transfers between
-    scattered one-word accounts in the FAMS working area (two pages, so
-    line and page sweeps journal different unit sets) and calls
-    [msync_atomic] every [sync_every] operations.  The dlin oracle runs
-    with [`Buffered] durability after a crash and strict durability on
-    a crash-free run; the validate adds the one thing a buffered cut
-    leaves open: the recovered op counter reaches the last
-    {e completed} sync (FAMS's durability point). *)
+val fams_bank : ?ops:int -> unit -> Engine.fams_scenario
+(** The msync twin of {!bank}, judged by the same transfer spec: a
+    single mutator transfers between scattered one-word accounts in the
+    FAMS working area (two pages, so line and page sweeps journal
+    different unit sets) and calls [msync_atomic] every eighth
+    operation.  The dlin oracle runs with [`Buffered] durability after
+    a crash and strict durability on a crash-free run; the validate
+    adds the one thing a buffered cut leaves open: the recovered op
+    counter reaches the last {e completed} sync (FAMS's durability
+    point). *)
 
 val fams_all : unit -> Engine.fams_scenario list
 

@@ -21,6 +21,8 @@ type ('op, 'res) entry = {
   mutable res : 'res option;
 }
 
+module Table = Repro_util.Table
+
 module History = struct
   type ('op, 'res) t = { nthreads : int; per_tid : ('op, 'res) entry list array (* newest first *) }
 
@@ -72,27 +74,13 @@ type counterexample = { reason : string; jsonl : string }
 
 (* ---------- counterexample dump (JSONL, telemetry-style) ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dump spec h ~recovered ~reason ~nodes =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf
        {|{"kind": "dlin", "reason": "%s", "threads": %d, "completed": %d, "pending": %d, "nodes": %d}|}
-       (json_escape reason) (History.threads h) (History.completed h) (History.pending h) nodes);
+       (Table.json_escape reason) (History.threads h) (History.completed h) (History.pending h)
+       nodes);
   Buffer.add_char b '\n';
   let ops = History.to_arrays h in
   Array.iteri
@@ -104,13 +92,14 @@ let dump spec h ~recovered ~reason ~nodes =
           let res_s =
             match e.res with
             | None -> "null"
-            | Some r -> Printf.sprintf "\"%s\"" (json_escape (Format.asprintf "%a" spec.pp_res r))
+            | Some r ->
+              Printf.sprintf "\"%s\"" (Table.json_escape (Format.asprintf "%a" spec.pp_res r))
           in
           Buffer.add_string b
             (Printf.sprintf
                {|{"kind": "op", "tid": %d, "idx": %d, "op": "%s", "invoked_ns": %.0f, "returned_ns": %s, "res": %s, "pending": %b}|}
                tid idx
-               (json_escape (Format.asprintf "%a" spec.pp_op e.op))
+               (Table.json_escape (Format.asprintf "%a" spec.pp_op e.op))
                e.invoked returned_s res_s pending);
           Buffer.add_char b '\n')
         arr)
@@ -120,7 +109,7 @@ let dump spec h ~recovered ~reason ~nodes =
   | Some st ->
     Buffer.add_string b
       (Printf.sprintf {|{"kind": "recovered", "state": "%s"}|}
-         (json_escape (Format.asprintf "%a" spec.pp_state st))));
+         (Table.json_escape (Format.asprintf "%a" spec.pp_state st))));
   Buffer.add_char b '\n';
   Buffer.contents b
 

@@ -892,7 +892,7 @@ let run ?jobs ?crash_at cfg (fleet : Client.t) =
 let metrics_jsonl (cfg : config) (r : result) =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  let esc = Telemetry.Export.json_escape in
+  let esc = Repro_util.Table.json_escape in
   line
     "{\"schema\":%S,\"kind\":\"kvserve\",\"model\":\"%s\",\"shards\":%d,\"requests\":%d,\"kv_ops\":%d,\"protocol_errors\":%d,\"elapsed_ns\":%d,\"crashed\":%b}"
     Telemetry.Export.schema_version (esc r.model) cfg.shards r.requests r.kv_ops

@@ -9,6 +9,7 @@
 
 module Profile = Pstm.Profile
 module Histogram = Repro_util.Histogram
+module Table = Repro_util.Table
 
 type run_meta = {
   workload : string;
@@ -20,21 +21,6 @@ type run_meta = {
 }
 
 let schema_version = "ptm-telemetry-v1"
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Histogram percentiles as integers; callers only ask when non-empty. *)
 let pct h p = int_of_float (Histogram.percentile h p)
@@ -51,8 +37,8 @@ let profile_jsonl ?(extra_thread_fields = fun _ -> []) meta (p : Profile.t) =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"type\":\"run\",\"schema\":\"%s\",\"workload\":\"%s\",\"model\":\"%s\",\"algorithm\":\"%s\",\"threads\":%d,\"seed\":%d,\"duration_ns\":%d}\n"
-       schema_version (json_escape meta.workload) (json_escape meta.model)
-       (json_escape meta.algorithm) meta.threads meta.seed meta.duration_ns);
+       schema_version (Table.json_escape meta.workload) (Table.json_escape meta.model)
+       (Table.json_escape meta.algorithm) meta.threads meta.seed meta.duration_ns);
   let tids = Profile.tids p in
   (* Per-thread, per-phase rows (phases with no slices are omitted). *)
   List.iter
@@ -91,7 +77,7 @@ let profile_jsonl ?(extra_thread_fields = fun _ -> []) meta (p : Profile.t) =
     (fun tid ->
       let extra =
         String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%d" (json_escape k) v)
+          (List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%d" (Table.json_escape k) v)
              (extra_thread_fields tid))
       in
       Buffer.add_string buf
@@ -128,7 +114,8 @@ let chrome_trace ?machine_trace meta (p : Profile.t) =
   in
   emit
     (Printf.sprintf "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s %s %s\"}}"
-       (json_escape meta.workload) (json_escape meta.model) (json_escape meta.algorithm));
+       (Table.json_escape meta.workload) (Table.json_escape meta.model)
+       (Table.json_escape meta.algorithm));
   List.iter
     (fun tid ->
       emit
@@ -158,7 +145,7 @@ let chrome_trace ?machine_trace meta (p : Profile.t) =
           (Printf.sprintf
              "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"name\":\"%s\",\"cat\":\"machine\",\"s\":\"t\",\"ts\":%.3f}"
              e.Memsim.Trace.tid
-             (json_escape (trace_kind_name e.Memsim.Trace.kind))
+             (Table.json_escape (trace_kind_name e.Memsim.Trace.kind))
              (us e.Memsim.Trace.at_ns)))
       (Memsim.Trace.tail tr));
   Buffer.add_string buf "\n]}\n";

@@ -34,5 +34,3 @@ val chrome_trace : ?machine_trace:Memsim.Trace.t -> run_meta -> Pstm.Profile.t -
     per-thread tracks, plus instant events for retained machine trace
     events (loads/stores/clwbs/fences) when [machine_trace] is given.
     Request spans have their own writer, {!Trace.chrome_trace}. *)
-
-val json_escape : string -> string

@@ -8,6 +8,7 @@
    the same updates produce byte-identical text. *)
 
 module Histogram = Repro_util.Histogram
+module Table = Repro_util.Table
 
 type kind = Counter | Gauge | Hist
 
@@ -83,7 +84,7 @@ let label_str labels =
   else
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (Export.json_escape v)) labels)
+        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (Table.json_escape v)) labels)
     ^ "}"
 
 let quantiles = [ ("0.5", 50.0); ("0.95", 95.0); ("0.99", 99.0) ]
@@ -154,7 +155,7 @@ let jsonl t =
           Printf.sprintf ",\"labels\":{%s}"
             (String.concat ","
                (List.map
-                  (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" k (Export.json_escape v))
+                  (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" k (Table.json_escape v))
                   m.labels))
       in
       (match m.kind with

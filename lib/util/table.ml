@@ -38,6 +38,21 @@ let escape cell =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
   else cell
 
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 let to_csv t =
   let rows = List.rev_map (pad_row t) t.rows in
   let render row = String.concat "," (List.map escape row) in

@@ -1,7 +1,8 @@
 (** Plain-text table rendering for the benchmark harness.
 
     The benches print the same rows/series the paper reports; this module
-    keeps the formatting in one place (aligned columns, optional CSV). *)
+    keeps the formatting in one place (aligned columns, optional CSV,
+    and the JSON string escaper every JSON writer shares). *)
 
 type t
 
@@ -21,3 +22,7 @@ val print : Format.formatter -> t -> unit
 
 val to_csv : t -> string
 (** Comma-separated rendering (header included, title omitted). *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: quote, backslash and control
+    characters escaped, every other byte as is. *)

@@ -7,21 +7,6 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let rec emit b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
@@ -31,7 +16,7 @@ let rec emit b = function
     else Buffer.add_string b "null"
   | String s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
+    Buffer.add_string b (Repro_util.Table.json_escape s);
     Buffer.add_char b '"'
   | List items ->
     Buffer.add_char b '[';

@@ -400,6 +400,61 @@ let oracle_cases =
     Alcotest.test_case "mod crash-free run is judged strict" `Quick test_mod_clean_run_is_strict;
   ]
 
+(* ---------- replay round trip ---------- *)
+
+(* A replay line carries only the scenario name, so [find] must rebuild
+   exactly the scenario the sweep ran, sizes included. *)
+let test_find_round_trip () =
+  let sizes (s : Engine.scenario) = (s.threads, s.heap_words, s.log_words_per_thread, s.coalesce) in
+  List.iter
+    (fun (s : Engine.scenario) ->
+      Helpers.check_bool (s.name ^ " round-trips through find") true
+        (sizes s = sizes (Scenarios.find s.name)))
+    (Scenarios.all ());
+  List.iter
+    (fun (s : Engine.fams_scenario) ->
+      Helpers.check_int (s.f_name ^ " round-trips through fams_find") s.f_words
+        (Scenarios.fams_find s.f_name).f_words)
+    (Scenarios.fams_all ())
+
+(* ---------- pinned reference runs ---------- *)
+
+(* @crashtest is not in runtest, so each scenario's crash-free
+   reference run is pinned here: its final virtual time and candidate
+   count move whenever the scenario issues a different operation or
+   issues one at a different instant.  The constants were recorded
+   before the scenarios moved onto one shared constructor. *)
+let reference_runs =
+  [
+    ("bank", Ptm.Redo, 13125, 1794);
+    ("counters", Ptm.Redo, 32315, 4236);
+    ("btree", Ptm.Redo, 72711, 5894);
+    ("mod-btree", Ptm.Mod, 44166, 1082);
+    ("mod-hash", Ptm.Mod, 79247, 2189);
+    ("alloc", Ptm.Redo, 13637, 2478);
+    ("kv-batch", Ptm.Redo, 204976, 25940);
+    ("kv-xshard", Ptm.Redo, 91091, 11198);
+    ("kv-incr", Ptm.Redo, 14734, 1024);
+    ("bank-naive", Ptm.Redo, 16823, 2560);
+    ("btree-naive", Ptm.Redo, 137885, 8507);
+  ]
+
+let check_reference name (r : Engine.report) ~final_time ~candidates =
+  Helpers.check_int (name ^ " final virtual time") final_time r.final_time;
+  Helpers.check_int (name ^ " candidate instants") candidates r.candidates
+
+let test_reference_runs () =
+  Helpers.check_int "every scenario pinned" (List.length (Scenarios.all ()))
+    (List.length reference_runs);
+  List.iter
+    (fun (name, algorithm, final_time, candidates) ->
+      Engine.explore ~points:1 ~seed ~model:Config.optane_adr ~algorithm (Scenarios.find name)
+      |> check_reference name ~final_time ~candidates)
+    reference_runs;
+  Engine.explore_fams ~points:1 ~seed ~model:Config.optane_eadr ~granularity:Fams.Line
+    (Scenarios.fams_find "fams-bank")
+  |> check_reference "fams-bank" ~final_time:84714 ~candidates:6127
+
 let suite =
   matrix_cases @ coalescing_cases @ mod_cases @ kvserve_cases @ extension_domain_cases
   @ mutation_cases @ oracle_cases
@@ -414,4 +469,6 @@ let suite =
         (test_recovery_convergence ~model:Config.transient_cache Ptm.Redo);
       Alcotest.test_case "same config+seed is bit-identical" `Quick test_determinism;
       Alcotest.test_case "crash-leaked arena is a warning" `Quick test_crash_leak_is_warning;
+      Alcotest.test_case "scenarios round-trip through find" `Quick test_find_round_trip;
+      Alcotest.test_case "scenario reference runs pinned" `Quick test_reference_runs;
     ]
