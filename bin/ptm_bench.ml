@@ -72,8 +72,11 @@ let model_arg =
     value
     & opt model_conv Memsim.Config.optane_adr
     & info [ "m"; "model" ] ~docv:"MODEL"
-        ~doc:"Durability/placement model: dram-adr, dram-eadr, optane-adr, optane-adr-nofence, \
-              optane-eadr, pdram, pdram-lite, memory-mode.")
+        ~doc:
+          ("Durability/placement model: "
+          ^ String.concat ", "
+              (List.map (fun m -> m.Memsim.Config.model_name) Memsim.Config.all_models)
+          ^ "."))
 
 let algorithm_arg =
   Arg.(
@@ -81,8 +84,9 @@ let algorithm_arg =
     & opt algorithm_conv Pstm.Ptm.Redo
     & info [ "a"; "algorithm" ] ~docv:"ALG"
         ~doc:
-          "Algorithm: redo, undo, htm (eADR-class models only), or mod (minimally-ordered \
-           durability; pair with the mod-* workloads to run the shadow structures).")
+          "Algorithm: redo, undo, htm (eADR-class models, or htm-commit, whose ADR domain \
+           makes a hardware commit durable), or mod (minimally-ordered durability; pair with \
+           the mod-* workloads to run the shadow structures).")
 
 let threads_arg =
   Arg.(value & opt int 8 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Simulated threads.")

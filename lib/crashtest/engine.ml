@@ -20,6 +20,7 @@ type scenario = {
   heap_words : int;
   log_words_per_thread : int;
   coalesce : bool;
+  algorithms : Config.model -> Ptm.algorithm list;
   prepare : Ptm.t -> unit;
   fresh : seed:int -> instance;
 }
@@ -73,8 +74,6 @@ let pp_report ppf r =
         | None -> ())
       fs
 
-let fams_algorithm_name granularity = "fams-" ^ Fams.granularity_name granularity
-
 (* ---------- one matrix cell, whatever the runtime ---------- *)
 
 (* Judges one recovered (or cleanly finished) machine. *)
@@ -86,7 +85,6 @@ type 'rt judge = crashed:bool -> Sim.t -> 'rt -> (unit, oracle_failure) result
    fields. *)
 type 'rt target = {
   scenario_name : string;
-  model : Config.model;
   algorithm_name : string;
   inject_name : string option;
   threads : int;
@@ -102,6 +100,11 @@ type 'rt target = {
   drain_windows : Trace.t -> int list;  (** instants always probed, on top of the sample *)
 }
 
+type cell = Cell : 'rt target -> cell
+
+let model_name tg = tg.cfg.Config.model.Config.model_name
+let names (Cell tg) = (tg.scenario_name, model_name tg, tg.algorithm_name)
+
 let plain_failure reason = { fail_reason = reason; counterexample = None }
 
 (* The dlin oracle judges; [validate] holds only what dlin cannot
@@ -116,7 +119,9 @@ let write_file dir name body =
 
 (* Format the region once, run the population phase, and persist the
    result to an image file so every crash-point probe reloads identical
-   initial state instead of re-running the population. *)
+   initial state instead of re-running the population.  Every machine
+   the engine creates is released once judged, so probes share one
+   metadata buffer instead of allocating 8 MB each. *)
 let with_image (tg : _ target) f =
   let sim = Sim.create tg.cfg in
   tg.populate sim;
@@ -126,6 +131,7 @@ let with_image (tg : _ target) f =
     ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
     (fun () ->
       Sim.save_image sim image;
+      Sim.release sim;
       f image)
 
 let region_clean stage region =
@@ -152,20 +158,23 @@ let run_from_image ?(trace_capacity = 0) (tg : _ target) ~seed ~image ?crash_at 
       let sim2 = Sim.reboot sim in
       (* Pre-recovery integrity: a crash must never corrupt region
          metadata, only leave in-flight logs / leaked arenas behind. *)
-      Result.bind (region_clean "pre" (Pmem.Region.attach (Sim.machine sim2))) (fun () ->
-          match tg.recover sim2 with
-          | exception Machine.Corrupt_image msg ->
-            Error (plain_failure ("recovery rejected the image: " ^ msg))
-          | rt2 ->
-            Result.bind (region_clean "post" (tg.region rt2)) (fun () ->
-                judge ~crashed:true sim2 rt2))
+      Fun.protect ~finally:(fun () -> Sim.release sim2) (fun () ->
+          Result.bind (region_clean "pre" (Pmem.Region.attach (Sim.machine sim2))) (fun () ->
+              match tg.recover sim2 with
+              | exception Machine.Corrupt_image msg ->
+                Error (plain_failure ("recovery rejected the image: " ^ msg))
+              | rt2 ->
+                Result.bind (region_clean "post" (tg.region rt2)) (fun () ->
+                    judge ~crashed:true sim2 rt2)))
     end
   in
+  (* [reboot] already released a crashed [sim]; releasing twice is a no-op. *)
+  Sim.release sim;
   (verdict, final, tr)
 
 let replay_command (tg : _ target) seed crash_at =
   Printf.sprintf "CRASHTEST_REPLAY='%s:%s:%s:%d:%d%s' dune build @crashtest" tg.scenario_name
-    tg.model.Config.model_name tg.algorithm_name seed crash_at
+    (model_name tg) tg.algorithm_name seed crash_at
     (match tg.inject_name with None -> "" | Some i -> ":" ^ i)
 
 (* On an oracle failure, the minimal failing instant is re-run with
@@ -178,14 +187,14 @@ let dump_failure_telemetry (tg : _ target) ~seed ~image ~crash_at (fail : oracle
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "crashtest-%s-%s-%s-s%d-t%d%s" tg.scenario_name
-           tg.model.Config.model_name tg.algorithm_name seed crash_at
+           (model_name tg) tg.algorithm_name seed crash_at
            (match tg.inject_name with None -> "" | Some i -> "-" ^ i))
     in
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     tg.dump ~seed ~image ~crash_at ~dir
       {
         Telemetry.Export.workload = tg.scenario_name;
-        model = tg.model.Config.model_name;
+        model = model_name tg;
         algorithm = tg.algorithm_name;
         threads = tg.threads;
         seed;
@@ -231,7 +240,7 @@ let shrink ~probe ~budget t0 =
   done;
   !best
 
-let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24) (tg : _ target) =
+let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) (Cell tg) =
   with_image tg (fun image ->
       (* Crash-free reference run, traced: yields the final time and
          the interesting instants, and sanity-checks the oracle.  The
@@ -245,7 +254,7 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24)
       | Error e ->
         failwith
           (Printf.sprintf "crashtest %s/%s: reference run violates the model (harness bug): %s"
-             tg.scenario_name tg.model.Config.model_name e.fail_reason));
+             tg.scenario_name (model_name tg) e.fail_reason));
       let keep l =
         List.sort_uniq compare l |> List.filter (fun t -> t > 0 && t <= final_time)
       in
@@ -278,7 +287,7 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24)
              match probe t with
              | Ok () -> ()
              | Error first_fail ->
-               let min_t = shrink ~probe ~budget:shrink_budget t in
+               let min_t = shrink ~probe ~budget:24 t in
                let fail = match probe min_t with Error f -> f | Ok () -> first_fail in
                failure :=
                  Some
@@ -295,7 +304,7 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24)
        with Exit -> ());
       {
         scenario = tg.scenario_name;
-        model = tg.model.Config.model_name;
+        model = model_name tg;
         algorithm = tg.algorithm_name;
         seed;
         final_time;
@@ -304,7 +313,7 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) ?(shrink_budget = 24)
         failures = Option.to_list !failure;
       })
 
-let probe_point tg ~seed ~crash_at =
+let probe ~seed ~crash_at (Cell tg) =
   with_image tg (fun image ->
       let v, _, _ = run_from_image tg ~seed ~image ~crash_at () in
       Result.map_error (fun f -> f.fail_reason) v)
@@ -321,7 +330,11 @@ let failure_telemetry_config =
     machine_trace_capacity = 1 lsl 14;
   }
 
-let ptm_target ?(nvm_channels = 4) ?inject ~model ~algorithm (scenario : scenario) =
+(* Interleaved channels let WPQ completions reorder relative to issue
+   order: the hazard window missing fences open. *)
+let nvm_channels = 4
+
+let ptm_target ?inject ~model ~algorithm (scenario : scenario) =
   let cfg =
     Config.make ~nvm_channels ~heap_words:scenario.heap_words ~track_media:true model
   in
@@ -344,16 +357,18 @@ let ptm_target ?(nvm_channels = 4) ?inject ~model ~algorithm (scenario : scenari
     ignore (Telemetry.dump ~dir meta cap : string list);
     (* Profile the post-crash recovery on the rebooted machine too, so
        the dump also shows what log replay did. *)
-    if Sim.crashed sim then begin
-      let m2 = Sim.machine (Sim.reboot sim) in
+    if not (Sim.crashed sim) then Sim.release sim
+    else begin
+      let sim2 = Sim.reboot sim in
+      let m2 = Sim.machine sim2 in
       let profiler = Pstm.Profile.create m2 in
       ignore (Ptm.recover ~algorithm ~coalesce:scenario.coalesce ~profiler m2 : Ptm.t);
-      write_file dir "recovery.jsonl" (Telemetry.Export.profile_jsonl meta profiler)
+      write_file dir "recovery.jsonl" (Telemetry.Export.profile_jsonl meta profiler);
+      Sim.release sim2
     end
   in
   {
     scenario_name = scenario.name;
-    model;
     algorithm_name = Ptm.algorithm_name algorithm;
     inject_name = Option.map Ptm.inject_name inject;
     threads = scenario.threads;
@@ -370,30 +385,31 @@ let ptm_target ?(nvm_channels = 4) ?inject ~model ~algorithm (scenario : scenari
     drain_windows = (fun _ -> []);
   }
 
-let explore ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ?inject ~model ~algorithm
-    scenario =
-  sweep ?points ?seed ?exhaustive ?shrink_budget
-    (ptm_target ?nvm_channels ?inject ~model ~algorithm scenario)
+let ptm_cell ?inject ~model ~algorithm scenario =
+  Cell (ptm_target ?inject ~model ~algorithm scenario)
 
-let run_point ?nvm_channels ?inject ~model ~algorithm ~seed ~crash_at scenario =
-  probe_point (ptm_target ?nvm_channels ?inject ~model ~algorithm scenario) ~seed ~crash_at
+let explore ?points ?seed ?exhaustive ?inject ~model ~algorithm scenario =
+  sweep ?points ?seed ?exhaustive (ptm_cell ?inject ~model ~algorithm scenario)
 
 (* ---------- crash-during-recovery ---------- *)
 
 let heap_snapshot m words = Array.init words (fun i -> m.Machine.raw_read i)
 
-let recovery_convergence ?nvm_channels ?budgets ~model ~algorithm ~seed ~crash_at scenario =
-  let tg = ptm_target ?nvm_channels ~model ~algorithm scenario in
+let recovery_convergence ~model ~algorithm ~seed ~crash_at scenario =
+  let tg = ptm_target ~model ~algorithm scenario in
   let recover m = Ptm.recover ~algorithm ~coalesce:scenario.coalesce m in
   with_image tg (fun image ->
       let sim = Sim.load_image tg.cfg image in
       let judge = tg.start ~seed sim (tg.recover sim) in
       Sim.run ~crash_at sim;
+      (* Only the rebooted machines below are judged. *)
+      Sim.release sim;
       if not (Sim.crashed sim) then Ok ()
       else begin
         (* Reference: uninterrupted recovery — count its persistent
            writes and keep the resulting heap image. *)
-        let m_a = Sim.machine (Sim.reboot sim) in
+        let sim_a = Sim.reboot sim in
+        let m_a = Sim.machine sim_a in
         let writes = ref 0 in
         let counting =
           {
@@ -406,16 +422,14 @@ let recovery_convergence ?nvm_channels ?budgets ~model ~algorithm ~seed ~crash_a
         in
         ignore (recover counting : Ptm.t);
         let heap_a = heap_snapshot m_a tg.cfg.Config.heap_words in
+        Sim.release sim_a;
         let total = !writes in
         let budgets =
-          match budgets with
-          | Some b -> List.filter (fun k -> k >= 0 && k < total) b
-          | None ->
-            if total = 0 then []
-            else begin
-              let rng = Rng.create (seed lxor 0x0c0ffee) in
-              List.init (min 8 total) (fun _ -> Rng.int rng total) |> List.sort_uniq compare
-            end
+          if total = 0 then []
+          else begin
+            let rng = Rng.create (seed lxor 0x0c0ffee) in
+            List.init (min 8 total) (fun _ -> Rng.int rng total) |> List.sort_uniq compare
+          end
         in
         let check_budget k =
           (* A fresh reboot of the same crash, recovery interrupted
@@ -438,19 +452,23 @@ let recovery_convergence ?nvm_channels ?budgets ~model ~algorithm ~seed ~crash_a
           | exception Machine.Crashed -> ());
           let ptm_b = recover m_b in
           let heap_b = heap_snapshot m_b tg.cfg.Config.heap_words in
-          if heap_b <> heap_a then
-            Error
-              (Printf.sprintf
-                 "recovery not idempotent: heap diverges after a crash %d/%d writes into \
-                  recovery (crash_at=%d seed=%d)"
-                 k total crash_at seed)
-          else
-            match judge ~crashed:true sim_b ptm_b with
-            | Ok () -> Ok ()
-            | Error e ->
+          let verdict =
+            if heap_b <> heap_a then
               Error
-                (Printf.sprintf "model violated after re-recovery (budget %d/%d): %s" k total
-                   e.fail_reason)
+                (Printf.sprintf
+                   "recovery not idempotent: heap diverges after a crash %d/%d writes into \
+                    recovery (crash_at=%d seed=%d)"
+                   k total crash_at seed)
+            else
+              match judge ~crashed:true sim_b ptm_b with
+              | Ok () -> Ok ()
+              | Error e ->
+                Error
+                  (Printf.sprintf "model violated after re-recovery (budget %d/%d): %s" k total
+                     e.fail_reason)
+          in
+          Sim.release sim_b;
+          verdict
         in
         List.fold_left
           (fun acc k -> match acc with Error _ -> acc | Ok () -> check_budget k)
@@ -493,7 +511,7 @@ let drain_windows cfg tr =
   in
   walk [] 0 (Trace.tail tr)
 
-let fams_target ?(nvm_channels = 4) ?inject ~model ~granularity scenario =
+let fams_target ?inject ~model ~granularity scenario =
   let cfg =
     Config.make ~nvm_channels
       ~heap_words:(Fams.required_heap_words ~words:scenario.f_words)
@@ -519,12 +537,12 @@ let fams_target ?(nvm_channels = 4) ?inject ~model ~granularity scenario =
     let _judge = start ~seed sim fams in
     Sim.run ~crash_at sim;
     write_file dir "profile.jsonl" (Telemetry.Export.profile_jsonl meta profiler);
-    write_file dir "trace.json" (Telemetry.Export.chrome_trace ~machine_trace:tr meta profiler)
+    write_file dir "trace.json" (Telemetry.Export.chrome_trace ~machine_trace:tr meta profiler);
+    Sim.release sim
   in
   {
     scenario_name = scenario.f_name;
-    model;
-    algorithm_name = fams_algorithm_name granularity;
+    algorithm_name = "fams-" ^ Fams.granularity_name granularity;
     inject_name = Option.map Fams.inject_name inject;
     threads = 1;
     cfg;
@@ -540,41 +558,5 @@ let fams_target ?(nvm_channels = 4) ?inject ~model ~granularity scenario =
     drain_windows = drain_windows cfg;
   }
 
-let explore_fams ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ?inject ~model
-    ~granularity scenario =
-  sweep ?points ?seed ?exhaustive ?shrink_budget
-    (fams_target ?nvm_channels ?inject ~model ~granularity scenario)
-
-let run_fams_point ?nvm_channels ?inject ~model ~granularity ~seed ~crash_at scenario =
-  probe_point (fams_target ?nvm_channels ?inject ~model ~granularity scenario) ~seed ~crash_at
-
-(* ---------- replay parsing ---------- *)
-
-(* ["scenario:model:alg:seed:crash_at[:inject]"], with the algorithm
-   and inject columns read by the caller's parsers.  A present-but-
-   unknown inject name fails the parse rather than silently replaying
-   the un-mutated runtime. *)
-let parse_fields ~algorithm ~inject spec =
-  let parse scen model alg seed crash_at inj =
-    match (algorithm alg, int_of_string_opt seed, int_of_string_opt crash_at) with
-    | Some alg, Some seed, Some crash_at -> (
-      match inj with
-      | None -> Some (scen, model, alg, seed, crash_at, None)
-      | Some name ->
-        Option.map (fun i -> (scen, model, alg, seed, crash_at, Some i)) (inject name))
-    | _ -> None
-  in
-  match String.split_on_char ':' (String.trim spec) with
-  | [ scen; model; alg; seed; crash_at ] -> parse scen model alg seed crash_at None
-  | [ scen; model; alg; seed; crash_at; inj ] -> parse scen model alg seed crash_at (Some inj)
-  | _ -> None
-
-let parse_replay =
-  parse_fields ~inject:Ptm.inject_of_name ~algorithm:(fun alg ->
-      Ptm.algorithm_of_name (String.lowercase_ascii alg))
-
-let parse_fams_replay =
-  parse_fields ~inject:Fams.inject_of_name ~algorithm:(function
-    | "fams-line" -> Some Fams.Line
-    | "fams-page" -> Some Fams.Page
-    | _ -> None)
+let fams_cell ?inject ~model ~granularity scenario =
+  Cell (fams_target ?inject ~model ~granularity scenario)

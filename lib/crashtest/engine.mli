@@ -2,8 +2,8 @@
     checking.
 
     The engine turns the simulator's determinism into a correctness
-    oracle.  For a given (scenario, durability model, PTM algorithm,
-    seed) it
+    oracle.  For a given {!cell} — (scenario, durability model,
+    algorithm column) — and seed it
 
     + runs the workload once to completion, recording the final virtual
       time and an event trace;
@@ -12,7 +12,7 @@
       places persistent state can change) plus a uniform grid;
     + for each chosen instant re-runs the {e identical} workload with
       [Sim.run ~crash_at], then [Sim.reboot]s, checks region integrity
-      with {!Pmem.Check.run} both before and after {!Pstm.Ptm.recover},
+      with {!Pmem.Check.run} both before and after recovery,
       and judges the recovered state with the scenario's
       durable-linearizability oracle ({!Dlin});
     + on a failure, automatically shrinks to a smaller failing crash
@@ -58,6 +58,9 @@ type scenario = {
       (** run the PTM with flush coalescing (the default commit path) or
           the naive per-entry flush/fence discipline — both are probed
           by the crash sweep *)
+  algorithms : Memsim.Config.model -> Pstm.Ptm.algorithm list;
+      (** the algorithm columns {!Scenarios.matrix} sweeps under each
+          durability domain *)
   prepare : Pstm.Ptm.t -> unit;
       (** untimed population phase, run once on a fresh region; must
           store any addresses the workers need in region roots *)
@@ -96,67 +99,8 @@ val ok : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val explore :
-  ?points:int ->
-  ?seed:int ->
-  ?exhaustive:bool ->
-  ?shrink_budget:int ->
-  ?nvm_channels:int ->
-  ?inject:Pstm.Ptm.inject ->
-  model:Memsim.Config.model ->
-  algorithm:Pstm.Ptm.algorithm ->
-  scenario ->
-  report
-(** Run the full exploration for one matrix cell: a seeded sample of
-    [points] candidate instants (default 64, [seed] default 1), or every
-    candidate when [exhaustive] (default [false]).  Interleaved
-    [nvm_channels] default to 4 so WPQ completions can reorder relative
-    to issue order — the hazard window missing fences open.
-    [inject] arms a deliberate PTM ordering bug for mutation-testing the
-    oracle; the prepared image is always populated without injection.
-    @raise Failure if the crash-free reference run already violates the
-    scenario's model (harness bug, not a crash-consistency bug — the
-    injected bugs weaken durability only, never the cache-visible
-    heap). *)
-
-val run_point :
-  ?nvm_channels:int ->
-  ?inject:Pstm.Ptm.inject ->
-  model:Memsim.Config.model ->
-  algorithm:Pstm.Ptm.algorithm ->
-  seed:int ->
-  crash_at:int ->
-  scenario ->
-  (unit, string) result
-(** Probe a single crash instant — the replay path for a failure
-    printed by {!explore}. *)
-
-val recovery_convergence :
-  ?nvm_channels:int ->
-  ?budgets:int list ->
-  model:Memsim.Config.model ->
-  algorithm:Pstm.Ptm.algorithm ->
-  seed:int ->
-  crash_at:int ->
-  scenario ->
-  (unit, string) result
-(** Recover-idempotence oracle: crash the workload at [crash_at], then
-    inject a {e second} crash inside recovery itself — after [k]
-    persistent writes, for each sampled budget [k] (default: up to 8
-    seeded samples of the reference recovery's write count) — recover
-    again, and require the final heap image to be word-for-word
-    identical to an uninterrupted recovery's, and the scenario's oracle
-    to accept it.  [Ok ()] when the workload ran to completion before
-    [crash_at]. *)
-
-(** {1 FAMS: crash-testing the snapshot API}
-
-    The msync subsystem rides the same explorer — prepared image,
-    traced reference run, candidate instants, probe + greedy shrink,
-    replayable failure line — with a single mutator instead of a
-    thread team, {!Fams.recover} instead of [Ptm.recover], and the
-    granularity series ("fams-line" / "fams-page") in the algorithm
-    column. *)
+(** The msync subsystem's scenario shape: one mutator instead of a
+    thread team, over the {!Fams.t} runtime. *)
 
 type fams_instance = {
   f_worker : Memsim.Sim.t -> Fams.t -> unit;
@@ -184,54 +128,56 @@ type fams_scenario = {
   f_fresh : seed:int -> fams_instance;
 }
 
-val fams_algorithm_name : Fams.granularity -> string
-(** ["fams-line"] / ["fams-page"] — the report's algorithm column. *)
+(** {1 Matrix cells}
 
-val explore_fams :
-  ?points:int ->
-  ?seed:int ->
-  ?exhaustive:bool ->
-  ?shrink_budget:int ->
-  ?nvm_channels:int ->
-  ?inject:Fams.inject ->
-  model:Memsim.Config.model ->
-  granularity:Fams.granularity ->
-  fams_scenario ->
-  report
-(** {!explore} for a FAMS matrix cell, with the same defaults.  The
-    crash sweep hits instants inside the journal sweep, inside the apply
-    phase, and in the window between sync publication and journal
-    durability.  [inject] arms a deliberate FAMS protocol bug
-    ({!Fams.inject}) for mutation-testing the oracle; its names
-    ([skip-publish-fence], [torn-journal-entry]) appear only in FAMS
-    replay lines (see {!parse_fams_replay}).
+    One (scenario, durability model, algorithm column) point of the
+    crash matrix over either runtime, optionally armed with a
+    deliberate bug for mutation-testing the oracle.  A FAMS cell's
+    column is its granularity (["fams-line"] / ["fams-page"]), and its
+    sweep always probes the WPQ drain windows in the mutator's quiet
+    intervals. *)
+
+type cell
+
+val ptm_cell :
+  ?inject:Pstm.Ptm.inject -> model:Memsim.Config.model -> algorithm:Pstm.Ptm.algorithm ->
+  scenario -> cell
+(** The prepared image is always populated without [inject]. *)
+
+val fams_cell :
+  ?inject:Fams.inject -> model:Memsim.Config.model -> granularity:Fams.granularity ->
+  fams_scenario -> cell
+
+val names : cell -> string * string * string
+(** [(scenario, model, algorithm column)], as reports print them. *)
+
+val sweep : ?points:int -> ?seed:int -> ?exhaustive:bool -> cell -> report
+(** Run the full exploration for one cell: a seeded sample of [points]
+    candidate instants (default 64, [seed] default 1), or every
+    candidate when [exhaustive] (default [false]).  The machine
+    interleaves 4 NVM channels so WPQ completions can reorder relative
+    to issue order — the hazard window missing fences open.
     @raise Failure if the crash-free reference run already violates the
-    scenario's model. *)
+    scenario's model (harness bug, not a crash-consistency bug — the
+    injected bugs weaken durability only, never the cache-visible
+    heap). *)
 
-val run_fams_point :
-  ?nvm_channels:int ->
-  ?inject:Fams.inject ->
-  model:Memsim.Config.model ->
-  granularity:Fams.granularity ->
-  seed:int ->
-  crash_at:int ->
-  fams_scenario ->
-  (unit, string) result
-(** Probe a single FAMS crash instant — the replay path for a failure
-    printed by {!explore_fams}. *)
+val probe : seed:int -> crash_at:int -> cell -> (unit, string) result
+(** Probe a single crash instant — the replay path for a failure
+    printed by {!sweep} (see {!Scenarios.replay}). *)
 
-val parse_fams_replay :
-  string -> (string * string * Fams.granularity * int * int * Fams.inject option) option
-(** Parse a FAMS replay spec
-    ["scenario:model:fams-line|fams-page:seed:crash_at[:inject]"].
-    Unknown granularity or inject names fail the parse. *)
+val explore :
+  ?points:int -> ?seed:int -> ?exhaustive:bool -> ?inject:Pstm.Ptm.inject ->
+  model:Memsim.Config.model -> algorithm:Pstm.Ptm.algorithm -> scenario -> report
+(** {!sweep} of a {!ptm_cell}. *)
 
-val parse_replay :
-  string ->
-  (string * string * Pstm.Ptm.algorithm * int * int * Pstm.Ptm.inject option) option
-(** Parse a ["scenario:model:algorithm:seed:crash_at[:inject]"] replay
-    spec (the payload of the [CRASHTEST_REPLAY] variable) into
-    [(scenario_name, model_name, algorithm, seed, crash_at, inject)].
-    The optional sixth field names an injected ordering bug (see
-    {!Pstm.Ptm.inject_name}); an unknown inject name fails the parse
-    rather than silently replaying the un-mutated runtime. *)
+val recovery_convergence :
+  model:Memsim.Config.model -> algorithm:Pstm.Ptm.algorithm -> seed:int -> crash_at:int ->
+  scenario -> (unit, string) result
+(** Recover-idempotence oracle: crash the workload at [crash_at], then
+    inject a {e second} crash inside recovery itself — after [k]
+    persistent writes, for up to 8 seeded samples [k] of the reference
+    recovery's write count — recover again, and require the final heap
+    image to be word-for-word identical to an uninterrupted recovery's,
+    and the scenario's oracle to accept it.  [Ok ()] when the workload
+    ran to completion before [crash_at]. *)

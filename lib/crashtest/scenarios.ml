@@ -1,3 +1,4 @@
+module Config = Memsim.Config
 module Ptm = Pstm.Ptm
 module Rng = Repro_util.Rng
 module IntMap = Map.Make (Int)
@@ -56,11 +57,16 @@ type ('st, 'op, 'res) run = {
    scenarios promise, so dlin judges them alone. *)
 let no_validate ~crashed:_ _ptm = Ok ()
 
+(* The algorithm columns of a logging scenario.  Undo's eager in-place
+   stores are pointless inside a hardware transaction, so HTM-commit
+   sweeps Htm instead. *)
+let logged model = [ Ptm.Redo; (if model == Config.htm_commit then Ptm.Htm else Ptm.Undo) ]
+
 (* The one constructor of the PTM scenarios.  The name encodes the flush
    discipline, so a replay spec printed for a naive-mode failure
    reconstructs the same scenario through {!find}. *)
-let scenario name ?(coalesce = true) ~threads ?(heap_words = 1 lsl 16) ?(log_words = 512)
-    ?durability ~prepare spec (run : seed:int -> _ run) =
+let scenario name ?(coalesce = true) ?(algorithms = logged) ~threads ?(heap_words = 1 lsl 16)
+    ?(log_words = 512) ?durability ~prepare spec (run : seed:int -> _ run) =
   let fresh ~seed =
     let h = Dlin.History.create ~threads in
     let r = run ~seed in
@@ -79,6 +85,7 @@ let scenario name ?(coalesce = true) ~threads ?(heap_words = 1 lsl 16) ?(log_wor
     heap_words;
     log_words_per_thread = log_words;
     coalesce;
+    algorithms;
     prepare;
     fresh;
   }
@@ -184,7 +191,24 @@ let bank ?(threads = 4) ?(ops = 10) ?coalesce () =
 
 (* ---------- counters: whole-write-set atomicity ---------- *)
 
-type counters_op = { ctid : int; cop : int }
+(* A counter bumped once per operation.  The response (the new value)
+   pins each increment to one slot of a total order, so exactly-once
+   increments fall out of the dlin search.  [counters] and [kv_incr]
+   share it. *)
+type incr_op = { itid : int; iop : int }
+
+let incr_spec ~op ~state =
+  {
+    Dlin.init = 0;
+    apply = (fun st (_ : incr_op) -> (st + 1, st + 1));
+    equal_state = Int.equal;
+    hash_state = Fun.id;
+    equal_res = Int.equal;
+    commutes = (fun _ _ -> false);
+    pp_op = (fun ppf o -> Format.fprintf ppf "t%d#%d: %s" o.itid o.iop op);
+    pp_res = Format.pp_print_int;
+    pp_state = (fun ppf v -> Format.fprintf ppf "%s=%d" state v);
+  }
 
 let counters () =
   let slots = 8 and threads = 4 and ops = 8 in
@@ -200,28 +224,14 @@ let counters () =
     Ptm.root_set ptm root_slot base
   in
   (* All slots always hold the same value, so the abstract state is one
-     integer; the response (the new value) forces a near-total order —
-     exactly-once increments fall out of the search. *)
-  let spec =
-    {
-      Dlin.init = 0;
-      apply = (fun st (_ : counters_op) -> (st + 1, st + 1));
-      equal_state = Int.equal;
-      hash_state = Fun.id;
-      equal_res = Int.equal;
-      commutes = (fun _ _ -> false);
-      pp_op = (fun ppf o -> Format.fprintf ppf "t%d#%d: incr-all" o.ctid o.cop);
-      pp_res = Format.pp_print_int;
-      pp_state = (fun ppf v -> Format.fprintf ppf "slots=%d" v);
-    }
-  in
-  scenario "counters" ~threads ~prepare spec (fun ~seed:_ ->
+     integer. *)
+  scenario "counters" ~threads ~prepare (incr_spec ~op:"incr-all" ~state:"slots") (fun ~seed:_ ->
       {
         work =
           (fun ~record ~tid ptm ->
             let base = Ptm.root_get ptm root_slot in
             for op = 1 to ops do
-              record { ctid = tid; cop = op } (fun () ->
+              record { itid = tid; iop = op } (fun () ->
                   Ptm.atomic ptm (fun tx ->
                       let v = Ptm.read tx (base + 0) + 1 in
                       for i = 0 to slots - 1 do
@@ -299,7 +309,7 @@ let tree_spec =
              (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) (IntMap.bindings st))));
   }
 
-let tree_scenario (tr : _ tree) name ~op_of ?coalesce ~threads ~ops ~heap_words () =
+let tree_scenario (tr : _ tree) name ~op_of ?coalesce ?algorithms ~threads ~ops ~heap_words () =
   (* Abstract per-thread states after each script prefix. *)
   let prefix_states ~tid =
     let states = Array.make (ops + 1) IntMap.empty in
@@ -318,7 +328,7 @@ let tree_scenario (tr : _ tree) name ~op_of ?coalesce ~threads ~ops ~heap_words 
     | exception Failure e -> Error (name ^ ": structural violation: " ^ e)
     | () -> Ok (List.fold_left (fun m (k, v) -> IntMap.add k v m) IntMap.empty (tr.alist t))
   in
-  scenario name ?coalesce ~threads ~heap_words ~log_words:2048
+  scenario name ?coalesce ?algorithms ~threads ~heap_words ~log_words:2048
     ~durability:(fun ~crashed ptm -> if buffered ~crashed ptm then `Buffered else `Strict)
     ~prepare:(fun ptm -> Ptm.root_set ptm root_slot (tr.create ptm))
     tree_spec
@@ -388,6 +398,11 @@ let btree ?coalesce () =
       { mtid = tid; mseq = i; mkey = key; minsert = true; mvalue = (key * 3) + 1 })
     ?coalesce ~threads:4 ~ops:8 ~heap_words:(1 lsl 17) ()
 
+(* The MOD structures sweep their own buffered single-fence discipline
+   plus Redo as the strict-durability differential; Undo/Htm would add
+   nothing the other scenarios don't already cover. *)
+let buffered _model = [ Ptm.Mod; Ptm.Redo ]
+
 let mod_op_of ~tid ~i =
   let key = ((tid + 1) * 1000) + i in
   if i mod 4 = 0 then { mtid = tid; mseq = i; mkey = key - 1; minsert = false; mvalue = 0 }
@@ -403,7 +418,7 @@ let mod_btree ?(threads = 3) ?(ops = 8) () =
       invariants = Pstructs.Mod_bptree.check_invariants;
       alist = Pstructs.Mod_bptree.to_alist;
     }
-    "mod-btree" ~op_of:mod_op_of ~threads ~ops ~heap_words:(1 lsl 18) ()
+    "mod-btree" ~op_of:mod_op_of ~algorithms:buffered ~threads ~ops ~heap_words:(1 lsl 18) ()
 
 let mod_hash () =
   tree_scenario
@@ -415,7 +430,7 @@ let mod_hash () =
       invariants = Pstructs.Mod_phashtable.check_invariants;
       alist = Pstructs.Mod_phashtable.to_alist;
     }
-    "mod-hash" ~op_of:mod_op_of ~threads:3 ~ops:8 ~heap_words:(1 lsl 18) ()
+    "mod-hash" ~op_of:mod_op_of ~algorithms:buffered ~threads:3 ~ops:8 ~heap_words:(1 lsl 18) ()
 
 (* ---------- alloc churn: allocator accounting under a slot directory ---------- *)
 
@@ -804,8 +819,6 @@ let kv_xshard () =
    the exactly-once oracle: a replayed increment (value seen twice) or
    a lost committed one has no explaining linearization. *)
 
-type kv_incr_op = { itid : int; iop : int }
-
 let kv_incr_key = "ctr"
 
 let kv_incr () =
@@ -814,20 +827,8 @@ let kv_incr () =
     let store = Kvserve.Store.create ptm ~buckets:32 in
     Ptm.atomic ptm (fun tx -> Kvserve.Store.set tx store ~key:kv_incr_key ~flags:0 "0")
   in
-  let spec =
-    {
-      Dlin.init = 0;
-      apply = (fun st (_ : kv_incr_op) -> (st + 1, st + 1));
-      equal_state = Int.equal;
-      hash_state = Fun.id;
-      equal_res = Int.equal;
-      commutes = (fun _ _ -> false);
-      pp_op = (fun ppf o -> Format.fprintf ppf "t%d#%d: incr" o.itid o.iop);
-      pp_res = Format.pp_print_int;
-      pp_state = (fun ppf v -> Format.fprintf ppf "ctr=%d" v);
-    }
-  in
-  scenario "kv-incr" ~threads ~log_words:4096 ~prepare spec (fun ~seed:_ ->
+  scenario "kv-incr" ~threads ~log_words:4096 ~prepare (incr_spec ~op:"incr" ~state:"ctr")
+    (fun ~seed:_ ->
       {
         work =
           (fun ~record ~tid ptm ->
@@ -945,3 +946,54 @@ let find name =
   match List.find_opt (fun s -> s.Engine.name = name) (all ()) with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Scenarios.find: unknown scenario %S" name)
+
+(* ---------- the crash matrix and its replay lines ---------- *)
+
+let models = Config.[ optane_adr; optane_eadr; pdram; pdram_lite; transient_cache; htm_commit ]
+
+(* FAMS needs no hardware transaction, so HTM-commit adds nothing. *)
+let fams_models = Config.[ optane_adr; optane_eadr; transient_cache; pdram; pdram_lite ]
+
+(* Every scenario under every domain, one cell per algorithm column. *)
+let cells models columns cell scenarios =
+  List.concat_map
+    (fun s -> List.concat_map (fun model -> List.map (cell ~model s) (columns s model)) models)
+    scenarios
+
+let matrix ?inject () =
+  let ptm ~model s algorithm = Engine.ptm_cell ?inject ~model ~algorithm s in
+  let fams ~model s granularity = Engine.fams_cell ~model ~granularity s in
+  let ptm_cells = cells models (fun s -> s.Engine.algorithms) ptm (all ()) in
+  (* The PTM injects mean nothing to FAMS, whose own mutations are
+     armed through replay lines and the tier-1 suite. *)
+  if Option.is_some inject then ptm_cells
+  else ptm_cells @ cells fams_models (fun _ _ -> [ Fams.Line; Fams.Page ]) fams (fams_all ())
+
+let replay spec =
+  let unparsed () = invalid_arg (Printf.sprintf "cannot parse %S" spec) in
+  let int s = match int_of_string_opt s with Some n -> n | None -> unparsed () in
+  (* A present-but-unknown inject name fails rather than silently
+     replaying the un-mutated runtime. *)
+  let armed of_name = function
+    | [] -> None
+    | [ name ] -> Some (match of_name name with Some i -> i | None -> unparsed ())
+    | _ -> unparsed ()
+  in
+  (* The alg column picks the runtime. *)
+  let cell scen model alg inject =
+    let model = Config.model_of_name model in
+    match (Ptm.algorithm_of_name (String.lowercase_ascii alg), alg) with
+    | Some algorithm, _ ->
+      Engine.ptm_cell ?inject:(armed Ptm.inject_of_name inject) ~model ~algorithm (find scen)
+    | None, ("fams-line" | "fams-page") ->
+      Engine.fams_cell ?inject:(armed Fams.inject_of_name inject) ~model
+        ~granularity:(if alg = "fams-line" then Fams.Line else Fams.Page)
+        (fams_find scen)
+    | None, _ -> unparsed ()
+  in
+  try
+    match String.split_on_char ':' (String.trim spec) with
+    | scen :: model :: alg :: seed :: crash_at :: inject ->
+      Ok (cell scen model alg inject, int seed, int crash_at)
+    | _ -> unparsed ()
+  with Invalid_argument msg -> Error msg

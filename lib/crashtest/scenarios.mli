@@ -52,11 +52,9 @@
     batched commit pipeline, and appends ["-naive"] to the scenario
     name so replay specs round-trip through {!find}.
 
-    A replay line carries only the scenario name, and {!find} /
-    {!fams_find} rebuild the default-size scenario from it.  A scenario
-    built with non-default sizes — bench/perf's [bank ~threads ~ops],
-    [mod_btree ~threads ~ops], [fams_bank ~ops] — cannot be replayed by
-    name. *)
+    A replay line carries only the scenario name, so a scenario built
+    with non-default sizes (bench/perf's [bank ~threads ~ops]) cannot
+    be replayed. *)
 
 val bank : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
@@ -66,8 +64,10 @@ val btree : ?coalesce:bool -> unit -> Engine.scenario
 
 val mod_btree : ?threads:int -> ?ops:int -> unit -> Engine.scenario
 (** {!Pstructs.Mod_bptree} under a deterministic per-thread
-    insert/remove script.  The oracle runs {!Dlin.check} with
-    [`Buffered] durability after a crash under the [Mod] algorithm (the
+    insert/remove script, swept under [Mod] and [Redo] (the other
+    scenarios: [Redo] and [Undo], or [Htm] on HTM-commit).  The oracle
+    runs {!Dlin.check} with [`Buffered] durability after a crash under
+    the [Mod] algorithm (the
     root swap's flush is unfenced, so a committed suffix may be lost)
     and strict durability otherwise, crash-free runs included; the
     validate bounds the committed-but-lost ops of a buffered cut by the
@@ -110,3 +110,17 @@ val all : unit -> Engine.scenario list
 val find : string -> Engine.scenario
 (** Look up one of {!all} by name.
     @raise Invalid_argument on unknown name. *)
+
+val matrix : ?inject:Pstm.Ptm.inject -> unit -> Engine.cell list
+(** The [@crashtest] matrix, in sweep order: every scenario of {!all}
+    under six durability domains (ADR, eADR, PDRAM, PDRAM-Lite,
+    transient-cache, HTM-commit) and its algorithm columns, then every
+    FAMS scenario under the five domains that need no hardware
+    transaction and both granularities.  [inject] arms every PTM cell
+    and leaves the FAMS cells out. *)
+
+val replay : string -> (Engine.cell * int * int, string) result
+(** Resolve a ["scenario:model:alg:seed:crash_at[:inject]"] replay
+    line into [(cell, seed, crash_at)], or a usage message.  [alg]
+    picks the runtime (a PTM algorithm, or ["fams-line"] /
+    ["fams-page"]), and the inject must be one of that runtime's. *)

@@ -142,9 +142,7 @@ type t = {
 }
 
 let make ?(lat = default_latency) ?(nvm_channels = 1) ?(heap_words = 1 lsl 20)
-    ?(meta_words = (1 lsl 20) + 4096) ?(l3_bytes = 32 * 1024) ?(l3_ways = 16)
-    ?(wpq_capacity = 32) ?(dram_wpq_capacity = 128) ?(pdram_cache_bytes = 96 * 1024 * 1024)
-    ?(track_media = true) model =
+    ?(meta_words = (1 lsl 20) + 4096) ?(track_media = true) model =
   assert (nvm_channels > 0);
   {
     model;
@@ -152,10 +150,10 @@ let make ?(lat = default_latency) ?(nvm_channels = 1) ?(heap_words = 1 lsl 20)
     nvm_channels;
     heap_words;
     meta_words;
-    l3_bytes;
-    l3_ways;
-    wpq_capacity;
-    dram_wpq_capacity;
-    pdram_cache_bytes;
+    l3_bytes = 32 * 1024;
+    l3_ways = 16;
+    wpq_capacity = 32;
+    dram_wpq_capacity = 128;
+    pdram_cache_bytes = 96 * 1024 * 1024;
     track_media;
   }

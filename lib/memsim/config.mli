@@ -127,15 +127,11 @@ val make :
   ?nvm_channels:int ->
   ?heap_words:int ->
   ?meta_words:int ->
-  ?l3_bytes:int ->
-  ?l3_ways:int ->
-  ?wpq_capacity:int ->
-  ?dram_wpq_capacity:int ->
-  ?pdram_cache_bytes:int ->
   ?track_media:bool ->
   model ->
   t
-(** Defaults: 1 Mi-word (8 MB) heap, 2^20+4096-word metadata space, 32 KB
-    16-way L3 (the paper's L3 scaled by 2^10), WPQ of 32 lines, 96 MB
-    PDRAM page cache (the paper's 96 GB of per-socket DRAM scaled by
-    2^10), media tracking on. *)
+(** Defaults: one NVM channel, 1 Mi-word (8 MB) heap, 2^20+4096-word
+    metadata space, media tracking on.  Every machine has a 32 KB
+    16-way L3 (the paper's L3 scaled by 2^10), an NVM WPQ of 32 lines
+    (128 for DRAM) and a 96 MB PDRAM page cache (the paper's 96 GB of
+    per-socket DRAM scaled by 2^10). *)

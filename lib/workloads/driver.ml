@@ -24,11 +24,10 @@ type result = {
 let default_seed = 0xBE5C
 
 let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coalesce = true)
-    ?(seed = default_seed) ?pdram_cache_bytes ?(orec_bits = 20) ?monitor ?telemetry ?lat
-    ?nvm_channels ~model ~algorithm ~threads spec =
+    ?(seed = default_seed) ?(orec_bits = 20) ?monitor ?telemetry ?lat ?nvm_channels ~model
+    ~algorithm ~threads spec =
   let cfg =
-    Memsim.Config.make ?lat ?nvm_channels ?pdram_cache_bytes ~heap_words:spec.heap_words
-      ~track_media:false model
+    Memsim.Config.make ?lat ?nvm_channels ~heap_words:spec.heap_words ~track_media:false model
   in
   let sim = Memsim.Sim.create cfg in
   let m = Memsim.Sim.machine sim in

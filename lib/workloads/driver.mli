@@ -41,7 +41,6 @@ val run :
   ?flush_timing:Pstm.Ptm.flush_timing ->
   ?coalesce:bool ->
   ?seed:int ->
-  ?pdram_cache_bytes:int ->
   ?orec_bits:int ->
   ?monitor:int * (Memsim.Sim.t -> unit) ->
   ?telemetry:Telemetry.config ->

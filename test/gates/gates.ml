@@ -11,10 +11,11 @@
    replay line.
 
    gate          alias          runtest  budget  checks
-   crashtest     @crashtest     no       600 s   every PTM scenario x durability domain x
-                                                 algorithm cell, then every FAMS scenario x
-                                                 five domains x {fams-line, fams-page},
-                                                 each judged by the dlin oracle (knobs below)
+   crashtest     @crashtest     no       600 s   every cell of Crashtest.Scenarios.matrix
+                                                 (PTM scenario x durability domain x
+                                                 algorithm, then FAMS scenario x domain x
+                                                 {fams-line, fams-page}), each judged by
+                                                 the dlin oracle (knobs below)
    differential  @differential  yes       60 s   12 Difftest seeds leave the identical heap
                                                  under every configuration; a 4-thread ADR
                                                  bank run spends strictly fewer fences and
@@ -66,12 +67,13 @@
                                             whole sweep (expect failures);
                                             the FAMS cells are skipped
      CRASHTEST_REPLAY='scenario:model:alg:seed:t[:inject]'
-                                            re-run one printed crash point.
-                                            FAMS lines replay too: their alg
-                                            is fams-line|fams-page and their
-                                            inject skip-publish-fence |
-                                            torn-journal-entry; those names
-                                            appear only in FAMS replay lines *)
+                                            re-run one printed crash point
+                                            (Scenarios.replay resolves it).
+                                            alg picks the runtime: a PTM
+                                            algorithm, or fams-line|fams-page
+                                            for a FAMS cell, whose injects
+                                            are skip-publish-fence |
+                                            torn-journal-entry *)
 
 module Config = Memsim.Config
 module Ptm = Pstm.Ptm
@@ -155,38 +157,6 @@ let fences_and_flushes p =
 
 (* ---------- crashtest ---------- *)
 
-let crash_models =
-  [
-    Config.optane_adr;
-    Config.optane_eadr;
-    Config.pdram;
-    Config.pdram_lite;
-    Config.transient_cache;
-    Config.htm_commit;
-  ]
-
-(* FAMS needs no hardware transaction, so HTM-commit adds nothing. *)
-let fams_models =
-  [
-    Config.optane_adr;
-    Config.optane_eadr;
-    Config.transient_cache;
-    Config.pdram;
-    Config.pdram_lite;
-  ]
-
-(* Undo's eager in-place stores are pointless inside a hardware
-   transaction; the HTM-commit domain sweeps the Htm algorithm
-   instead.  The MOD structure scenarios sweep the Mod algorithm
-   (their buffered single-fence discipline) plus Redo as the
-   strict-durability differential — Undo/Htm would add nothing the
-   other scenarios don't already cover. *)
-let algorithms_for model scenario =
-  let n = scenario.Engine.name in
-  if String.length n >= 4 && String.sub n 0 4 = "mod-" then [ Ptm.Mod; Ptm.Redo ]
-  else if model == Config.htm_commit then [ Ptm.Redo; Ptm.Htm ]
-  else [ Ptm.Redo; Ptm.Undo ]
-
 let env_int var ~default ~lo =
   match Sys.getenv_opt var with
   | None -> default
@@ -198,28 +168,6 @@ let env_int var ~default ~lo =
 
 let wanted var name =
   match Sys.getenv_opt var with None | Some "" -> true | Some v -> v = name
-
-(* A PTM replay line first, then a FAMS one. *)
-let replay spec =
-  let lookup find scen model =
-    try (find scen, Config.model_of_name model)
-    with Invalid_argument msg -> usage_error "CRASHTEST_REPLAY: %s" msg
-  in
-  let crash_at, verdict =
-    match Engine.parse_replay spec with
-    | Some (scen, model, algorithm, seed, crash_at, inject) ->
-      let scenario, model = lookup Scenarios.find scen model in
-      (crash_at, Engine.run_point ?inject ~model ~algorithm ~seed ~crash_at scenario)
-    | None -> (
-      match Engine.parse_fams_replay spec with
-      | Some (scen, model, granularity, seed, crash_at, inject) ->
-        let scenario, model = lookup Scenarios.fams_find scen model in
-        (crash_at, Engine.run_fams_point ?inject ~model ~granularity ~seed ~crash_at scenario)
-      | None -> usage_error "CRASHTEST_REPLAY: cannot parse %S" spec)
-  in
-  match verdict with
-  | Ok () -> Printf.printf "replay %s: ok (no violation at t=%d)\n%!" spec crash_at
-  | Error reason -> check (Printf.sprintf "replay %s: VIOLATION\n  %s" spec reason) false
 
 let crashtest ~full:_ =
   let points = env_int "CRASHTEST_POINTS" ~default:64 ~lo:1 in
@@ -238,53 +186,36 @@ let crashtest ~full:_ =
       | None -> usage_error "CRASHTEST_INJECT: unknown PTM inject %S" name)
   in
   match Sys.getenv_opt "CRASHTEST_REPLAY" with
-  | Some spec when String.trim spec <> "" -> replay spec
+  | Some spec when String.trim spec <> "" -> (
+    match Scenarios.replay spec with
+    | Error msg -> usage_error "CRASHTEST_REPLAY: %s" msg
+    | Ok (cell, seed, crash_at) -> (
+      match Engine.probe ~seed ~crash_at cell with
+      | Ok () -> Printf.printf "replay %s: ok (no violation at t=%d)\n%!" spec crash_at
+      | Error reason -> check (Printf.sprintf "replay %s: VIOLATION\n  %s" spec reason) false))
   | Some _ | None ->
-    let ran = ref 0 in
-    let cell scenario model algorithm explore =
-      if
-        wanted "CRASHTEST_SCENARIO" scenario
-        && wanted "CRASHTEST_MODEL" model.Config.model_name
-        && wanted "CRASHTEST_ALG" algorithm
-      then begin
-        let report = explore ~model in
+    let cells =
+      List.filter
+        (fun cell ->
+          let scenario, model, algorithm = Engine.names cell in
+          wanted "CRASHTEST_SCENARIO" scenario
+          && wanted "CRASHTEST_MODEL" model
+          && wanted "CRASHTEST_ALG" algorithm)
+        (Scenarios.matrix ?inject ())
+    in
+    (* A typo'd filter must not read as a clean bill of health. *)
+    if List.is_empty cells then
+      usage_error "no cells matched the CRASHTEST_SCENARIO/MODEL/ALG filters";
+    List.iter
+      (fun cell ->
+        let report = Engine.sweep ~points ~seed ~exhaustive cell in
         Format.printf "%a@." Engine.pp_report report;
-        incr ran;
         check
           (Printf.sprintf "cell %s/%s/%s" report.Engine.scenario report.Engine.model
              report.Engine.algorithm)
-          (Engine.ok report)
-      end
-    in
-    List.iter
-      (fun scenario ->
-        List.iter
-          (fun model ->
-            List.iter
-              (fun algorithm ->
-                cell scenario.Engine.name model (Ptm.algorithm_name algorithm)
-                  (Engine.explore ~points ~seed ~exhaustive ?inject ~algorithm scenario))
-              (algorithms_for model scenario))
-          crash_models)
-      (Scenarios.all ());
-    (* The PTM injects mean nothing to FAMS, whose own mutations are
-       armed through replay lines and the tier-1 suite. *)
-    if inject = None then
-      List.iter
-        (fun scenario ->
-          List.iter
-            (fun model ->
-              List.iter
-                (fun granularity ->
-                  cell scenario.Engine.f_name model
-                    (Engine.fams_algorithm_name granularity)
-                    (Engine.explore_fams ~points ~seed ~exhaustive ~granularity scenario))
-                [ Fams.Line; Fams.Page ])
-            fams_models)
-        (Scenarios.fams_all ());
-    (* A typo'd filter must not read as a clean bill of health. *)
-    if !ran = 0 then usage_error "no cells matched the CRASHTEST_SCENARIO/MODEL/ALG filters";
-    if !failures = 0 then Printf.printf "all %d cells passed\n%!" !ran
+          (Engine.ok report))
+      cells;
+    if !failures = 0 then Printf.printf "all %d cells passed\n%!" (List.length cells)
 
 (* ---------- differential ---------- *)
 

@@ -157,17 +157,15 @@ let test_nofence algorithm () =
       | _ :: spec :: _ -> spec
       | _ -> Alcotest.fail ("unparseable replay line: " ^ f.Engine.replay)
     in
-    (match Engine.parse_replay spec with
-    | None -> Alcotest.fail ("replay spec does not parse: " ^ spec)
-    | Some (scen_name, model_name, alg, replay_seed, crash_at, inject) ->
+    Helpers.check_bool "clean run's replay carries no inject" true
+      (List.length (String.split_on_char ':' spec) = 5);
+    (match Scenarios.replay spec with
+    | Error msg -> Alcotest.fail ("replay spec does not resolve: " ^ msg)
+    | Ok (cell, replay_seed, crash_at) ->
       Helpers.check_int "replay seed matches report" report.Engine.seed replay_seed;
-      Helpers.check_bool "clean run's replay carries no inject" true (inject = None);
-      let result =
-        Engine.run_point
-          ~model:(Config.model_of_name model_name)
-          ~algorithm:alg ~seed:replay_seed ~crash_at
-          (Scenarios.find scen_name)
-      in
+      Helpers.check_bool "replay names the reported cell" true
+        (Engine.names cell = Engine.(report.scenario, report.model, report.algorithm));
+      let result = Engine.probe ~seed:replay_seed ~crash_at cell in
       Helpers.check_bool "replay reproduces the violation" true (Result.is_error result));
     (* The failure must come with a telemetry capture of the minimal
        failing re-run, including a profile of the post-crash recovery. *)
@@ -205,19 +203,15 @@ let test_mutation ~inject ~scenario ~model ~algorithm () =
       | _ :: spec :: _ -> spec
       | _ -> Alcotest.fail ("unparseable replay line: " ^ f.Engine.replay)
     in
-    (match Engine.parse_replay spec with
-    | Some (scen_name, model_name, alg, replay_seed, crash_at, Some inj) ->
-      Helpers.check_bool "replay line names the injected bug" true (inj = inject);
-      let result =
-        Engine.run_point ~inject:inj
-          ~model:(Config.model_of_name model_name)
-          ~algorithm:alg ~seed:replay_seed ~crash_at
-          (Scenarios.find scen_name)
-      in
+    (match String.split_on_char ':' spec with
+    | [ _; _; _; _; _; inj ] ->
+      Alcotest.(check string) "replay line names the injected bug" (Ptm.inject_name inject) inj
+    | _ -> Alcotest.fail ("replay spec lost the inject field: " ^ spec));
+    (match Scenarios.replay spec with
+    | Ok (cell, replay_seed, crash_at) ->
+      let result = Engine.probe ~seed:replay_seed ~crash_at cell in
       Helpers.check_bool "replay reproduces the violation" true (Result.is_error result)
-    | Some (_, _, _, _, _, None) ->
-      Alcotest.fail ("replay spec lost the inject field: " ^ spec)
-    | None -> Alcotest.fail ("replay spec does not parse: " ^ spec));
+    | Error msg -> Alcotest.fail ("replay spec does not resolve: " ^ msg));
     (match f.Engine.telemetry_dir with
     | None -> Alcotest.fail "failure carries no telemetry dump"
     | Some dir ->
@@ -403,7 +397,10 @@ let oracle_cases =
 (* ---------- replay round trip ---------- *)
 
 (* A replay line carries only the scenario name, so [find] must rebuild
-   exactly the scenario the sweep ran, sizes included. *)
+   exactly the scenario the sweep ran, sizes included, and every cell
+   of the matrix, armed or not, must come back from its replay line as
+   the same cell.  A replay line whose inject belongs to the other
+   runtime, or that names no algorithm or inject, is a usage error. *)
 let test_find_round_trip () =
   let sizes (s : Engine.scenario) = (s.threads, s.heap_words, s.log_words_per_thread, s.coalesce) in
   List.iter
@@ -415,7 +412,31 @@ let test_find_round_trip () =
     (fun (s : Engine.fams_scenario) ->
       Helpers.check_int (s.f_name ^ " round-trips through fams_find") s.f_words
         (Scenarios.fams_find s.f_name).f_words)
-    (Scenarios.fams_all ())
+    (Scenarios.fams_all ());
+  let round_trip suffix cell =
+    let scenario, model, algorithm = Engine.names cell in
+    let line = Printf.sprintf "%s:%s:%s:7:12345%s" scenario model algorithm suffix in
+    match Scenarios.replay line with
+    | Ok (back, 7, 12345) ->
+      Helpers.check_bool (line ^ " resolves to its cell") true
+        (Engine.names back = Engine.names cell)
+    | Ok _ -> Alcotest.fail (line ^ ": seed or instant lost")
+    | Error msg -> Alcotest.fail (line ^ ": " ^ msg)
+  in
+  let cells = Scenarios.matrix () in
+  Helpers.check_int "matrix cells" 142 (List.length cells);
+  List.iter (round_trip "") cells;
+  List.iter (round_trip ":tear-write") (Scenarios.matrix ~inject:Ptm.Tear_write ());
+  List.iter
+    (fun line ->
+      Helpers.check_bool (line ^ " is a usage error") true
+        (Result.is_error (Scenarios.replay line)))
+    [
+      "fams-bank:optane-adr:fams-line:1:5000:skip-fence";
+      "bank:optane-adr:redo:1:5000:skip-publish-fence";
+      "bank:optane-adr:rado:1:5000";
+      "bank:optane-adr:redo:1:5000:skip-everything";
+    ]
 
 (* ---------- pinned reference runs ---------- *)
 
@@ -451,8 +472,9 @@ let test_reference_runs () =
       Engine.explore ~points:1 ~seed ~model:Config.optane_adr ~algorithm (Scenarios.find name)
       |> check_reference name ~final_time ~candidates)
     reference_runs;
-  Engine.explore_fams ~points:1 ~seed ~model:Config.optane_eadr ~granularity:Fams.Line
+  Engine.fams_cell ~model:Config.optane_eadr ~granularity:Fams.Line
     (Scenarios.fams_find "fams-bank")
+  |> Engine.sweep ~points:1 ~seed
   |> check_reference "fams-bank" ~final_time:84714 ~candidates:6127
 
 let suite =

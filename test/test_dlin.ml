@@ -373,7 +373,7 @@ let fuzz_neg_prop { regs; per_thread; order; cut; unreturn = _ } =
 (* ---------- the real thing: PTM crash points satisfy the oracle ---------- *)
 
 (* A seeded sprinkle of single crash points across scenarios, models
-   and algorithms; [Engine.run_point] runs the dlin oracle on the
+   and algorithms; [Engine.probe] runs the dlin oracle on the
    recovered state.  The broad sweeps live in test_crashtest and
    @crashtest; this is the quick soundness probe for the checker
    itself. *)
@@ -391,7 +391,9 @@ let test_ptm_points () =
       List.iter
         (fun k ->
           let crash_at = t0 * k in
-          match Engine.run_point ~model ~algorithm ~seed:(3 + k) ~crash_at scenario with
+          match
+            Engine.probe ~seed:(3 + k) ~crash_at (Engine.ptm_cell ~model ~algorithm scenario)
+          with
           | Ok () -> ()
           | Error e ->
             Alcotest.fail

@@ -186,10 +186,8 @@ let test_phase_exactness () =
 
 (* ---------- the granularity x durability-domain crash matrix ---------- *)
 
-let test_fams_cell model granularity () =
-  let report =
-    Engine.explore_fams ~points:40 ~seed ~model ~granularity (Scenarios.fams_bank ())
-  in
+let test_fams_cell cell () =
+  let report = Engine.sweep ~points:40 ~seed cell in
   Helpers.check_bool (Format.asprintf "%a" Engine.pp_report report) true (Engine.ok report);
   Helpers.check_bool "probed at least 40 instants" true (report.Engine.tested >= 40)
 
@@ -198,11 +196,10 @@ let matrix_cases =
     (fun model ->
       List.map
         (fun granularity ->
-          let name =
-            Printf.sprintf "matrix fams-bank/%s/%s" model.Config.model_name
-              (Engine.fams_algorithm_name granularity)
-          in
-          Alcotest.test_case name `Slow (test_fams_cell model granularity))
+          let cell = Engine.fams_cell ~model ~granularity (Scenarios.fams_bank ()) in
+          let scenario, model, algorithm = Engine.names cell in
+          let name = Printf.sprintf "matrix %s/%s/%s" scenario model algorithm in
+          Alcotest.test_case name `Slow (test_fams_cell cell))
         [ Fams.Line; Fams.Page ])
     [
       Config.optane_adr;
@@ -215,12 +212,12 @@ let matrix_cases =
 (* ---------- mutation tests: injected FAMS bugs must be caught ---------- *)
 
 let test_fams_mutation ~inject ~granularity ~model () =
-  let scenario = Scenarios.fams_bank () in
-  let report = Engine.explore_fams ~points:80 ~seed ~inject ~model ~granularity scenario in
+  let cell = Engine.fams_cell ~inject ~model ~granularity (Scenarios.fams_bank ()) in
+  let report = Engine.sweep ~points:80 ~seed cell in
+  let scenario, model, algorithm = Engine.names cell in
   Helpers.check_bool
-    (Printf.sprintf "checker rejects %s on %s/%s/%s" (Fams.inject_name inject)
-       scenario.Engine.f_name model.Config.model_name
-       (Engine.fams_algorithm_name granularity))
+    (Printf.sprintf "checker rejects %s on %s/%s/%s" (Fams.inject_name inject) scenario model
+       algorithm)
     false (Engine.ok report);
   match report.Engine.failures with
   | [] -> Alcotest.fail "report not ok but carries no failure record"
@@ -231,20 +228,17 @@ let test_fams_mutation ~inject ~granularity ~model () =
       | _ :: spec :: _ -> spec
       | _ -> Alcotest.fail ("unparseable replay line: " ^ f.Engine.replay)
     in
-    (match Engine.parse_fams_replay spec with
-    | Some (scen_name, model_name, gran, replay_seed, crash_at, Some inj) ->
-      Helpers.check_bool "replay line names the injected bug" true (inj = inject);
-      Helpers.check_bool "replay line names the granularity" true (gran = granularity);
-      let result =
-        Engine.run_fams_point ~inject:inj
-          ~model:(Config.model_of_name model_name)
-          ~granularity:gran ~seed:replay_seed ~crash_at
-          (Scenarios.fams_find scen_name)
-      in
+    (match String.split_on_char ':' spec with
+    | [ _; _; _; _; _; inj ] ->
+      Alcotest.(check string) "replay line names the injected bug" (Fams.inject_name inject) inj
+    | _ -> Alcotest.fail ("replay spec lost the inject field: " ^ spec));
+    (match Scenarios.replay spec with
+    | Ok (replayed, replay_seed, crash_at) ->
+      Helpers.check_bool "replay line names the granularity" true
+        (Engine.names replayed = Engine.names cell);
+      let result = Engine.probe ~seed:replay_seed ~crash_at replayed in
       Helpers.check_bool "replay reproduces the violation" true (Result.is_error result)
-    | Some (_, _, _, _, _, None) ->
-      Alcotest.fail ("replay spec lost the inject field: " ^ spec)
-    | None -> Alcotest.fail ("replay spec does not parse: " ^ spec));
+    | Error msg -> Alcotest.fail ("replay spec does not resolve: " ^ msg));
     (match f.Engine.telemetry_dir with
     | None -> Alcotest.fail "failure carries no telemetry dump"
     | Some dir ->

@@ -715,10 +715,11 @@ let test_meta_reboot_starts_empty () =
   Helpers.check_int "clock starts at 0" 0 (m'.Machine.meta_get Machine.Meta_layout.clock_idx);
   Helpers.check_bool "orecs start at 0" true (meta_zero_from m')
 
-(* The FAMS bench and the differential replayer own their sims, so
-   they hand the metadata space back too: after a warm-up call in this
-   domain, a second call reuses the spare instead of allocating a
-   fresh [meta_words] array. *)
+(* The FAMS bench, the differential replayer and the crash engine own
+   their sims, so they hand the metadata space back too: after a
+   warm-up call in this domain, a second call reuses the spare instead
+   of allocating a fresh [meta_words] array.  The crash probe builds
+   the prepared image, re-runs to the crash, reboots and judges. *)
 let test_meta_released_by_runners () =
   let meta_words = (Memsim.Config.make Memsim.Config.optane_adr).Memsim.Config.meta_words in
   let major_words_of_second f =
@@ -738,6 +739,15 @@ let test_meta_released_by_runners () =
       (Difftest.execute ~model:Memsim.Config.optane_adr ~algorithm:Pstm.Ptm.Redo ~coalesce:true
          trace)
   in
+  let crash_probe () =
+    let cell =
+      Crashtest.Engine.ptm_cell ~model:Memsim.Config.optane_adr ~algorithm:Pstm.Ptm.Redo
+        (Crashtest.Scenarios.bank ())
+    in
+    match Crashtest.Engine.probe ~seed:1 ~crash_at:5000 cell with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail ("bank crash probe: " ^ e)
+  in
   List.iter
     (fun (name, f) ->
       let words = major_words_of_second f in
@@ -745,7 +755,11 @@ let test_meta_released_by_runners () =
         (Printf.sprintf "%s: %.0f major words < meta_words %d" name words meta_words)
         true
         (words < float_of_int meta_words))
-    [ ("Fams_bench.run", fams); ("Difftest.execute", difftest) ]
+    [
+      ("Fams_bench.run", fams);
+      ("Difftest.execute", difftest);
+      ("Crashtest.Engine.probe", crash_probe);
+    ]
 
 (* A Sim with an odd [meta_words] leaves its buffer as the spare; the
    next default-size release must replace it, so the default Sim after
