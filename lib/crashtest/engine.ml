@@ -121,7 +121,7 @@ let write_file dir name body =
    result to an image file so every crash-point probe reloads identical
    initial state instead of re-running the population.  Every machine
    the engine creates is released once judged, so probes share one
-   metadata buffer instead of allocating 8 MB each. *)
+   metadata buffer instead of allocating 4.2 MB each. *)
 let with_image (tg : _ target) f =
   let sim = Sim.create tg.cfg in
   tg.populate sim;

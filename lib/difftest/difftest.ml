@@ -117,7 +117,7 @@ type outcome = {
    without consulting the trace; payloads start at word 1. *)
 let execute ?(heap_words = 1 lsl 16) ~model ~algorithm ~coalesce trace =
   let cfg = Config.make ~heap_words model in
-  let sim = Sim.create cfg in
+  Sim.with_ (Sim.create cfg) @@ fun sim ->
   let m = Sim.machine sim in
   let ptm = Ptm.create ~algorithm ~coalesce ~max_threads:1 ~log_words_per_thread:4096 m in
   let dir =
@@ -172,7 +172,6 @@ let execute ?(heap_words = 1 lsl 16) ~model ~algorithm ~coalesce trace =
               let words = Ptm.read tx b in
               Some (Array.init words (fun j -> Ptm.read tx (b + 1 + j)))))
   in
-  Sim.release sim;
   {
     digest;
     commits = pstats.Ptm.Stats.commits;

@@ -471,7 +471,7 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
   let sim_cfg =
     Config.make ~heap_words:cfg.heap_words_per_shard ~track_media:track cfg.model
   in
-  let sim = Sim.create sim_cfg in
+  Sim.with_ (Sim.create sim_cfg) @@ fun sim ->
   let m = Sim.machine sim in
   let ptm =
     Ptm.create ~max_threads:1 ~log_words_per_thread:cfg.log_words_per_thread
@@ -522,7 +522,7 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
     else begin
       (* Restart: reboot the machine image, recover the PTM, find the
          durable prefix, reconstruct lost replies, replay the rest. *)
-      let sim2 = Sim.reboot sim in
+      Sim.with_ (Sim.reboot sim) @@ fun sim2 ->
       let m2 = Sim.machine sim2 in
       (* The restarted PTM needs its own profiler (fresh machine), but
          spans keep landing in the same per-shard trace store. *)
@@ -584,7 +584,6 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
                 ~garrival:arrival ~offset ~tally ~tracing:tracing2 ~shard));
       if Array.length replay > 0 then Sim.run sim2;
       let sim2_fields = Sim.Stats.fields (Sim.Stats.get sim2) in
-      Sim.release sim2;
       ( offset + Sim.now sim2,
         Some
           {
@@ -616,8 +615,6 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
       }
   in
   let sim_fields = Sim.Stats.fields (Sim.Stats.get sim) in
-  (* The shard is done: its metadata space serves the next shard. *)
-  Sim.release sim;
   let sim_fields =
     match sim2_fields with
     | None -> sim_fields

@@ -22,7 +22,13 @@
       zeroed; the simulated one shares one space among all facades of
       a machine and recycles it once the machine's owner releases it
       (every later meta operation on such a facade raises
-      [Invalid_argument]). *)
+      [Invalid_argument]).  The simulated backend holds each metadata
+      word in 32 bits: a store of a value outside
+      [\[-2{^31}, 2{^31})] raises [Invalid_argument] and leaves the
+      word unchanged.  Orec words (a version shifted left by one, or a
+      thread id with the lock bit), the clock (one tick per writer
+      commit) and the allocator's high-water heap address stay far
+      inside it.  {!Native} keeps full-width words. *)
 
 exception Crashed
 (** Raised inside a simulated thread when the machine loses power.

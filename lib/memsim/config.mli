@@ -131,7 +131,8 @@ val make :
   model ->
   t
 (** Defaults: one NVM channel, 1 Mi-word (8 MB) heap, 2^20+4096-word
-    metadata space, media tracking on.  Every machine has a 32 KB
+    metadata space (32-bit words in the simulator, 4.2 MB), media
+    tracking on.  Every machine has a 32 KB
     16-way L3 (the paper's L3 scaled by 2^10), an NVM WPQ of 32 lines
     (128 for DRAM) and a 96 MB PDRAM page cache (the paper's 96 GB of
     per-socket DRAM scaled by 2^10). *)

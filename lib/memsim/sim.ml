@@ -10,6 +10,18 @@ type counters = {
   mutable pdram_page_misses : int;
 }
 
+(* Volatile metadata space: one signed 32-bit value per slot, 4 bytes
+   apiece in a buffer the GC never scans, plus one dirty byte per page
+   of [1 lsl meta_page_bits] slots, set by every store. *)
+type meta = {
+  n : int; (* slot count, 0 in [no_meta] *)
+  slots : Bytes.t;
+  pages : Bytes.t;
+}
+
+let no_meta = { n = 0; slots = Bytes.empty; pages = Bytes.empty }
+let meta_page_bits = 9
+
 type t = {
   cfg : Config.t;
   sched : Sched.t;
@@ -40,9 +52,11 @@ type t = {
      bitmap), fed from [store]/[publish] — the FAMS substrate.  [None]
      costs one branch per store. *)
   mutable dirty : Dirty.t option;
-  (* Volatile metadata space shared by every [machine] facade: [[||]]
-     until the first [machine] call and again after [release]. *)
-  mutable meta : int array;
+  (* Volatile metadata space shared by every [machine] facade:
+     [no_meta] until the first [machine] call and again after
+     [release]. *)
+  mutable meta : meta;
+  mutable released : bool;
   c : counters;
 }
 
@@ -77,7 +91,8 @@ let create (cfg : Config.t) =
     trace = None;
     pending = Pending.create ~stride:Layout.words_per_line ();
     dirty = None;
-    meta = [||];
+    meta = no_meta;
+    released = false;
     c =
       {
         loads = 0;
@@ -459,34 +474,56 @@ let persist_all t =
     Pending.clear t.pending;
     Pheap.assign ~src:t.heap ~dst:media
 
-(* Volatile metadata space: a plain array — the DES interleaves at
-   operation granularity, so plain reads/CASes are atomic.  Orecs and
-   the clock are lost on a crash anyway, so one zeroed buffer can serve
-   machine after machine: each domain keeps at most one idle buffer,
-   handed back by [release] and taken by the next [machine] call. *)
-let spare_meta : int array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+(* The DES interleaves at operation granularity, so plain reads and
+   CASes on the metadata space are atomic.  Orecs and the clock are
+   lost on a crash anyway, so one zeroed buffer can serve machine after
+   machine: each domain keeps at most one idle buffer, handed back by
+   [release] and taken by the next [machine] call. *)
+let spare_meta : meta Domain.DLS.key = Domain.DLS.new_key (fun () -> no_meta)
 
 let ensure_meta t =
-  if Array.length t.meta = 0 then begin
+  if t.released then invalid_arg "Sim.machine: the machine was released";
+  if t.meta == no_meta then begin
+    let n = t.cfg.meta_words in
     let spare = Domain.DLS.get spare_meta in
-    if Array.length spare = t.cfg.meta_words then begin
-      Domain.DLS.set spare_meta [||];
+    if spare.n = n then begin
+      Domain.DLS.set spare_meta no_meta;
       t.meta <- spare
     end
-    else t.meta <- Array.make t.cfg.meta_words 0
+    else
+      t.meta <-
+        {
+          n;
+          slots = Bytes.make (4 * n) '\000';
+          pages = Bytes.make ((n + (1 lsl meta_page_bits) - 1) lsr meta_page_bits) '\000';
+        }
   end
+
+(* Zero the pages a machine wrote, so the buffer reads as fresh. *)
+let zero_written meta =
+  let page_bytes = 4 lsl meta_page_bits in
+  for p = 0 to Bytes.length meta.pages - 1 do
+    if Bytes.unsafe_get meta.pages p <> '\000' then begin
+      let lo = p * page_bytes in
+      Bytes.fill meta.slots lo (min page_bytes (Bytes.length meta.slots - lo)) '\000';
+      Bytes.unsafe_set meta.pages p '\000'
+    end
+  done
 
 (* The released buffer also replaces a spare of another size, so one
    odd-sized Sim does not stop recycling for every later one. *)
 let release t =
+  t.released <- true;
   let meta = t.meta in
-  if Array.length meta > 0 then begin
-    t.meta <- [||];
-    if Array.length (Domain.DLS.get spare_meta) <> Array.length meta then begin
-      Array.fill meta 0 (Array.length meta) 0;
+  if meta != no_meta then begin
+    t.meta <- no_meta;
+    if (Domain.DLS.get spare_meta).n <> meta.n then begin
+      zero_written meta;
       Domain.DLS.set spare_meta meta
     end
   end
+
+let with_ t f = Fun.protect ~finally:(fun () -> release t) (fun () -> f t)
 
 (* Apply the durability domain's survival rule after a power failure
    (or a clean shutdown, which is strictly weaker than eADR flush). *)
@@ -660,6 +697,25 @@ let publish t addrs values n =
   end;
   Sched.wait t.sched (30 + (2 * n) + (10 * !lines))
 
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* The one bounds check of a meta access; returns the slot's byte
+   offset.  A released space has no slots. *)
+let[@inline] meta_offset meta i =
+  if i < 0 || i >= meta.n then
+    invalid_arg "Sim: metadata index out of bounds";
+  i lsl 2
+
+let[@inline never] meta_too_wide v =
+  invalid_arg (Printf.sprintf "Sim: metadata value %d does not fit in 32 bits" v)
+
+(* A value that does not fit raises before anything is stored. *)
+let[@inline] meta_store meta i off v =
+  if v < -0x8000_0000 || v > 0x7fff_ffff then meta_too_wide v;
+  set32u meta.slots off (Int32.of_int v);
+  Bytes.unsafe_set meta.pages (i lsr meta_page_bits) '\001'
+
 (* The closures read [t.meta] on every call, so a facade taken before
    [release] fails the bounds check instead of sharing a recycled
    buffer. *)
@@ -667,17 +723,20 @@ let make_meta t =
   let lat = t.cfg.lat in
   let get i =
     Sched.wait t.sched lat.meta_read_ns;
-    t.meta.(i)
+    let meta = t.meta in
+    Int32.to_int (get32u meta.slots (meta_offset meta i))
   in
   let set i v =
     Sched.wait t.sched lat.meta_write_ns;
-    t.meta.(i) <- v
+    let meta = t.meta in
+    meta_store meta i (meta_offset meta i) v
   in
   let cas i expected v =
     Sched.wait t.sched lat.meta_write_ns;
     let meta = t.meta in
-    if meta.(i) = expected then begin
-      meta.(i) <- v;
+    let off = meta_offset meta i in
+    if Int32.to_int (get32u meta.slots off) = expected then begin
+      meta_store meta i off v;
       true
     end
     else false
@@ -685,8 +744,9 @@ let make_meta t =
   let fetch_add i delta =
     Sched.wait t.sched lat.meta_write_ns;
     let meta = t.meta in
-    let old = meta.(i) in
-    meta.(i) <- old + delta;
+    let off = meta_offset meta i in
+    let old = Int32.to_int (get32u meta.slots off) in
+    meta_store meta i off (old + delta);
     old
   in
   (get, set, cas, fetch_add)

@@ -39,18 +39,26 @@ val machine : t -> Machine.t
     simulated threads (between [spawn] and the end of [run]).  Every
     facade of one [t] shares one volatile metadata space, built zeroed
     by the first call: it reuses the calling domain's idle buffer when
-    there is one (see {!release}), else allocates. *)
+    there is one (see {!release}), else allocates.  Each metadata word
+    is held in 32 bits: a [meta_set], [meta_cas] or [meta_fetch_add]
+    whose stored value would fall outside [\[-2{^31}, 2{^31})] raises
+    [Invalid_argument] and leaves the word unchanged.
+    @raise Invalid_argument once [t] has been {!release}d. *)
 
 val release : t -> unit
-(** Hand [t]'s metadata space back for reuse: zero it and keep it as
-    the calling domain's idle buffer (at most one per domain: it
-    replaces an idle buffer of another size, and one of the same size
-    leaves it to the GC).  Call it once the owner is done with [t]'s
-    machine — after reading stats, never while threads run.  A meta
-    operation on a facade taken before the release then raises
-    [Invalid_argument]; heap access, stats and {!reboot} keep working.
-    Releasing twice does nothing.  {!reboot} releases the machine it
-    reboots. *)
+(** Hand [t]'s metadata space back for reuse: zero the pages its
+    machine wrote and keep it as the calling domain's idle buffer (at
+    most one per domain: it replaces an idle buffer of another size,
+    and one of the same size leaves it to the GC).  Call it once the
+    owner is done with [t]'s machine — after reading stats, never while
+    threads run.  A meta operation on a facade taken before the release
+    then raises [Invalid_argument], and so does a later {!machine}
+    call; heap access, stats and {!reboot} keep working.  Releasing
+    twice does nothing.  {!reboot} releases the machine it reboots. *)
+
+val with_ : t -> (t -> 'a) -> 'a
+(** [with_ t f] is [f t], with [t] {!release}d when [f] returns or
+    raises: the bracket for a scope that owns [t]. *)
 
 val enable_trace : ?capacity:int -> t -> Trace.t
 (** Start recording machine events into a fresh ring buffer (see

@@ -29,7 +29,7 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
   let cfg =
     Memsim.Config.make ?lat ?nvm_channels ~heap_words:spec.heap_words ~track_media:false model
   in
-  let sim = Memsim.Sim.create cfg in
+  Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
   let m = Memsim.Sim.machine sim in
   (* All of the run's randomness is rooted in [seed]: the per-thread
      workload streams split off [root_rng] below, and the PTM's backoff
@@ -97,9 +97,6 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
   let elapsed_ns = max (Memsim.Sim.now sim) 1 in
   let stats = Pstm.Ptm.Stats.get ptm in
   let sim_stats = Memsim.Sim.Stats.get sim in
-  (* The PTM is dead from here: the next run in this domain reuses its
-     metadata space. *)
-  Memsim.Sim.release sim;
   {
     workload = spec.name;
     model = model.Memsim.Config.model_name;

@@ -625,7 +625,7 @@ let recovery_time ?(quick = false) ?jobs:_ () =
     (fun inserts ->
       let heap_words = max (1 lsl 20) (16 * inserts) in
       let cfg = Memsim.Config.make ~heap_words Config.optane_adr in
-      let sim = Memsim.Sim.create cfg in
+      Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
       let m = Memsim.Sim.machine sim in
       let ptm = Ptm.create m in
       let tree = Pstructs.Bptree.create ptm in
@@ -642,12 +642,11 @@ let recovery_time ?(quick = false) ?jobs:_ () =
                    ignore (Pstructs.Bptree.insert tx tree ~key:(inserts + i) ~value:i))
              done));
       Memsim.Sim.run ~crash_at:100_000 sim;
-      let sim' = Memsim.Sim.reboot sim in
+      Memsim.Sim.with_ (Memsim.Sim.reboot sim) @@ fun sim' ->
       let t0 = Unix.gettimeofday () in
       let ptm' = Ptm.recover (Memsim.Sim.machine sim') in
       let elapsed_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
       let live = List.length (Pmem.Alloc.live_blocks (Ptm.allocator ptm')) in
-      Memsim.Sim.release sim';
       Repro_util.Table.add_row t
         [ string_of_int inserts; string_of_int live; Repro_util.Table.cell_f elapsed_ms ])
     sizes;

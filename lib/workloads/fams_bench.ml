@@ -113,7 +113,7 @@ let run ?(duration_ns = 3_000_000) ?(sync_every = 32) ?(seed = Driver.default_se
     ~granularity spec =
   let heap_words = Fams.required_heap_words ~words:spec.words in
   let cfg = Memsim.Config.make ~heap_words ~track_media:false model in
-  let sim = Memsim.Sim.create cfg in
+  Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
   let m = Memsim.Sim.machine sim in
   let profiler =
     Pstm.Profile.create ~wpq_stall_probe:(fun tid -> Memsim.Sim.wpq_stall_ns_of sim ~tid) m
@@ -165,5 +165,4 @@ let run ?(duration_ns = 3_000_000) ?(sync_every = 32) ?(seed = Driver.default_se
       telemetry = None;
     }
   in
-  Memsim.Sim.release sim;
   { driver; fams = st; profile = profiler }

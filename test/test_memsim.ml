@@ -648,6 +648,19 @@ let test_sim_persist_all_then_adr_crash () =
 
 let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
 
+(* Major words of one metadata buffer: 4 bytes per slot. *)
+let meta_buffer_words meta_words = 4 * meta_words / (Sys.word_size / 8)
+
+(* [f ()] and the major words it allocated.  The runtime posts a
+   direct major allocation to the counters only at a minor collection,
+   so one brackets each reading. *)
+let with_major_words f =
+  Gc.minor ();
+  let g0 = Gc.quick_stat () in
+  let r = f () in
+  Gc.minor ();
+  (r, (Gc.quick_stat ()).Gc.major_words -. g0.Gc.major_words)
+
 (* Every meta word from [lo] up reads 0. *)
 let meta_zero_from ?(lo = 0) (m : Machine.t) =
   let ok = ref true in
@@ -721,12 +734,12 @@ let test_meta_reboot_starts_empty () =
    of allocating a fresh [meta_words] array.  The crash probe builds
    the prepared image, re-runs to the crash, reboots and judges. *)
 let test_meta_released_by_runners () =
-  let meta_words = (Memsim.Config.make Memsim.Config.optane_adr).Memsim.Config.meta_words in
+  let buffer_words =
+    meta_buffer_words (Memsim.Config.make Memsim.Config.optane_adr).Memsim.Config.meta_words
+  in
   let major_words_of_second f =
     f ();
-    let g0 = Gc.quick_stat () in
-    f ();
-    (Gc.quick_stat ()).Gc.major_words -. g0.Gc.major_words
+    snd (with_major_words f)
   in
   let fams () =
     ignore
@@ -752,9 +765,9 @@ let test_meta_released_by_runners () =
     (fun (name, f) ->
       let words = major_words_of_second f in
       Helpers.check_bool
-        (Printf.sprintf "%s: %.0f major words < meta_words %d" name words meta_words)
+        (Printf.sprintf "%s: %.0f major words < buffer words %d" name words buffer_words)
         true
-        (words < float_of_int meta_words))
+        (words < float_of_int buffer_words))
     [
       ("Fams_bench.run", fams);
       ("Difftest.execute", difftest);
@@ -776,16 +789,109 @@ let test_meta_recycled_after_odd_size () =
   ignore (Sim.machine first : Machine.t);
   Sim.release first;
   let second = Sim.create cfg in
-  let g0 = Gc.quick_stat () in
-  ignore (Sim.machine second : Machine.t);
-  let words = (Gc.quick_stat ()).Gc.major_words -. g0.Gc.major_words in
+  let _, words = with_major_words (fun () -> Sim.machine second) in
   Sim.release second;
   Sim.release held;
+  let buffer_words = meta_buffer_words cfg.Config.meta_words in
   Helpers.check_bool
-    (Printf.sprintf "second default machine: %.0f major words < meta_words %d" words
-       cfg.Config.meta_words)
+    (Printf.sprintf "second default machine: %.0f major words < buffer words %d" words
+       buffer_words)
     true
-    (words < float_of_int cfg.Config.meta_words)
+    (words < float_of_int buffer_words)
+
+(* Metadata words are 32-bit: both ends of the range round-trip through
+   every store, and a value outside it raises before anything is
+   stored. *)
+let test_meta_32bit_boundaries () =
+  let sim, m = Helpers.sim_machine () in
+  let lo = -0x8000_0000 and hi = 0x7fff_ffff in
+  List.iter
+    (fun v ->
+      m.Machine.meta_set 7 v;
+      Helpers.check_int "meta_set round-trips" v (m.Machine.meta_get 7);
+      m.Machine.meta_set 7 0;
+      Helpers.check_bool "meta_cas stores" true (m.Machine.meta_cas 7 0 v);
+      Helpers.check_int "meta_cas round-trips" v (m.Machine.meta_get 7);
+      Helpers.check_bool "meta_cas matches" true (m.Machine.meta_cas 7 v 0))
+    [ lo; hi ];
+  m.Machine.meta_set 8 (hi - 1);
+  Helpers.check_int "fetch_add returns the old value" (hi - 1) (m.Machine.meta_fetch_add 8 1);
+  Helpers.check_int "fetch_add reaches 2^31-1" hi (m.Machine.meta_get 8);
+  m.Machine.meta_set 8 (lo + 1);
+  ignore (m.Machine.meta_fetch_add 8 (-1) : int);
+  Helpers.check_int "fetch_add reaches -2^31" lo (m.Machine.meta_get 8);
+  let unchanged name slot expected f =
+    Helpers.check_bool (name ^ " raises") true (raises_invalid f);
+    Helpers.check_int (name ^ " leaves the slot") expected (m.Machine.meta_get slot)
+  in
+  m.Machine.meta_set 9 5;
+  unchanged "meta_set 2^31" 9 5 (fun () -> m.Machine.meta_set 9 (hi + 1));
+  unchanged "meta_set -2^31-1" 9 5 (fun () -> m.Machine.meta_set 9 (lo - 1));
+  unchanged "meta_cas to 2^31" 9 5 (fun () -> m.Machine.meta_cas 9 5 (hi + 1));
+  unchanged "meta_cas to -2^31-1" 9 5 (fun () -> m.Machine.meta_cas 9 5 (lo - 1));
+  m.Machine.meta_set 8 hi;
+  unchanged "fetch_add past 2^31-1" 8 hi (fun () -> m.Machine.meta_fetch_add 8 1);
+  m.Machine.meta_set 8 lo;
+  unchanged "fetch_add past -2^31" 8 lo (fun () -> m.Machine.meta_fetch_add 8 (-1));
+  Sim.release sim
+
+(* [release] zeroes only the pages a machine wrote; the next machine of
+   that size takes the buffer and must still read zeros everywhere,
+   the short last page of an odd-sized space included. *)
+let test_meta_recycled_scattered_pages () =
+  let cfg = Config.make ~meta_words:(4096 + 7) Config.optane_adr in
+  let first = Sim.create cfg in
+  let m = Sim.machine first in
+  let last = cfg.Config.meta_words - 1 in
+  List.iter (fun i -> m.Machine.meta_set i (-1)) [ 0; 511; 512; 1700; 3583; 4096; last ];
+  ignore (m.Machine.meta_fetch_add 2900 (-3) : int);
+  ignore (m.Machine.meta_cas 2100 0 9 : bool);
+  Sim.release first;
+  let second = Sim.create cfg in
+  let m', words = with_major_words (fun () -> Sim.machine second) in
+  let buffer_words = meta_buffer_words cfg.Config.meta_words in
+  Helpers.check_bool
+    (Printf.sprintf "buffer recycled: %.0f major words < buffer words %d" words buffer_words)
+    true
+    (words < float_of_int buffer_words);
+  Helpers.check_bool "recycled space reads zero" true (meta_zero_from m');
+  Sim.release second
+
+let test_meta_machine_after_release () =
+  let sim, _ = Helpers.sim_machine () in
+  Sim.release sim;
+  Helpers.check_bool "machine raises" true (raises_invalid (fun () -> Sim.machine sim));
+  let unused = Sim.create (Config.make Config.optane_adr) in
+  Sim.release unused;
+  Helpers.check_bool "machine of a sim released unused raises" true
+    (raises_invalid (fun () -> Sim.machine unused))
+
+(* [with_] releases on return and on exception: a raising body still
+   leaves its buffer as the spare the next machine takes. *)
+let test_meta_with_releases () =
+  let cfg = Config.make Config.optane_adr in
+  let held, _ = Helpers.sim_machine () in
+  Helpers.check_int "returns the body's value" 3
+    (Sim.with_ (Sim.create cfg) (fun sim -> (Sim.machine sim).Machine.meta_fetch_add 0 3 + 3));
+  let sim = Sim.create cfg in
+  (match
+     Sim.with_ sim (fun sim ->
+         (Sim.machine sim).Machine.meta_set 0 1;
+         failwith "body raised")
+   with
+  | () -> Alcotest.fail "with_ swallowed the exception"
+  | exception Failure _ -> ());
+  Helpers.check_bool "released" true (raises_invalid (fun () -> Sim.machine sim));
+  let next = Sim.create cfg in
+  let m, words = with_major_words (fun () -> Sim.machine next) in
+  let buffer_words = meta_buffer_words cfg.Config.meta_words in
+  Helpers.check_bool
+    (Printf.sprintf "spare taken: %.0f major words < buffer words %d" words buffer_words)
+    true
+    (words < float_of_int buffer_words);
+  Helpers.check_int "and zeroed" 0 (m.Machine.meta_get 0);
+  Sim.release next;
+  Sim.release held
 
 let test_sim_stats_populated () =
   let sim, m = Helpers.sim_machine () in
@@ -914,9 +1020,11 @@ let test_sched_wait_checks_delay () =
    inside a run. *)
 let test_machine_untimed_alloc_free () =
   let _, m = Helpers.sim_machine () in
-  Helpers.check_alloc_free "untimed load/store/meta_get/meta_cas"
+  Helpers.check_alloc_free "untimed load/store/meta_*"
     (Helpers.minor_words_per_iter (fun i ->
          m.Machine.store 64 i;
+         m.Machine.meta_set 6 i;
+         ignore (m.Machine.meta_fetch_add 6 1 : int);
          let v = m.Machine.load 64 + m.Machine.meta_get 5 in
          ignore (m.Machine.meta_cas 5 v (v + 1) : bool)))
 
@@ -1165,6 +1273,14 @@ let suite =
     Alcotest.test_case "meta: reboot starts empty" `Quick test_meta_reboot_starts_empty;
     Alcotest.test_case "meta: fams and difftest runs release theirs" `Quick
       test_meta_released_by_runners;
+    Alcotest.test_case "meta: 32-bit boundaries round-trip, wider values raise" `Quick
+      test_meta_32bit_boundaries;
+    Alcotest.test_case "meta: recycled scattered pages read zero" `Quick
+      test_meta_recycled_scattered_pages;
+    Alcotest.test_case "meta: machine after release raises" `Quick
+      test_meta_machine_after_release;
+    Alcotest.test_case "meta: with_ releases on return and on exception" `Quick
+      test_meta_with_releases;
     Alcotest.test_case "meta: recycling survives an odd-sized sim" `Quick
       test_meta_recycled_after_odd_size;
     Alcotest.test_case "sim: stats populated" `Quick test_sim_stats_populated;
