@@ -42,6 +42,10 @@ let usage () =
     \                 [--trace FILE] [--smoke]";
   exit 2
 
+(* A numeric flag's value: an integer of at least [min], else
+   usage and exit 2. *)
+let int_arg ~min s = match int_of_string_opt s with Some n when n >= min -> n | _ -> usage ()
+
 let rec parse = function
   | [] -> ()
   | "--model" :: name :: rest ->
@@ -51,22 +55,22 @@ let rec parse = function
        exit 2);
     parse rest
   | "--shards" :: n :: rest ->
-    shards := int_of_string n;
+    shards := int_arg ~min:1 n;
     parse rest
   | "--conns" :: n :: rest ->
-    conns := int_of_string n;
+    conns := int_arg ~min:1 n;
     parse rest
   | "--requests" :: n :: rest ->
-    requests := int_of_string n;
+    requests := int_arg ~min:0 n;
     parse rest
   | "--crash-at" :: n :: rest ->
-    crash_at := Some (int_of_string n);
+    crash_at := Some (int_arg ~min:0 n);
     parse rest
   | "--jobs" :: n :: rest ->
-    jobs := Some (int_of_string n);
+    jobs := Some (int_arg ~min:1 n);
     parse rest
   | "--seed" :: n :: rest ->
-    seed := int_of_string n;
+    seed := int_arg ~min:min_int n;
     parse rest
   | "--metrics" :: rest ->
     metrics := true;

@@ -6,7 +6,7 @@
     - {!Config}, {!Sim} — the simulated Optane DC machine and its knobs
     - {!Region}, {!Alloc} — persistent region and recoverable allocator
     - {!Ptm} — the persistent STM (redo "orec-lazy" / undo "orec-eager")
-    - {!Bptree}, {!Phashtable}, {!Plist}, {!Pqueue} — persistent structures
+    - {!Bptree}, {!Phashtable}, {!Pqueue} — persistent structures
     - {!Driver} and the paper's workloads — experiment harness
     - {!Crashtest} — crash-point exploration / durable-linearizability
       oracle over all of the above *)
@@ -26,7 +26,6 @@ module Profile = Pstm.Profile
 module Telemetry = Telemetry
 module Bptree = Pstructs.Bptree
 module Phashtable = Pstructs.Phashtable
-module Plist = Pstructs.Plist
 module Pqueue = Pstructs.Pqueue
 module Pskiplist = Pstructs.Pskiplist
 module Pblob = Pstructs.Pblob

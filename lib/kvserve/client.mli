@@ -7,10 +7,13 @@
     queueing delay are visible, unlike the closed-loop workload in
     [lib/workloads/memcached.ml]).
 
-    Each request is rendered to wire bytes and may be split into two
-    chunks at a seeded byte boundary, so the service's incremental
-    parser is exercised on realistic torn reads.  Everything derives
-    from the seed: equal seeds give byte-identical fleets. *)
+    Each request is written once, by {!Protocol}'s request writer, into
+    one byte buffer reused for the whole fleet (a [set]'s payload by
+    the payload writer behind {!value_of}), and copied out as one
+    chunk, or as two split at a seeded byte boundary, so the service's
+    incremental parser is exercised on realistic torn reads.
+    Everything derives from the seed: equal seeds give byte-identical
+    fleets. *)
 
 type chunk = {
   arrival_ns : int;  (** virtual instant the bytes are on the wire *)
@@ -42,7 +45,10 @@ val counter_of : int -> string
 
 val value_of : rank:int -> version:int -> value_bytes:int -> string
 (** Deterministic payload: identifies (rank, version) and pads to
-    [value_bytes]. *)
+    [value_bytes] with letters that vary by position.  [rank] and
+    [version] are non-negative.  The fleet's [set]s carry the same
+    bytes, written by the same payload writer straight into the
+    request buffer. *)
 
 val generate :
   seed:int ->
@@ -60,4 +66,7 @@ val generate :
 (** Remaining probability mass is [get]s.  [mean_gap_ns] is each
     connection's mean inter-arrival time (uniform on
     [\[1, 2*mean_gap_ns\]]); [theta] is the Zipf skew over item
-    ranks. *)
+    ranks.
+    @raise Invalid_argument naming the parameter if [conns] or
+    [requests_per_conn] is negative, or [items] or [mean_gap_ns] is
+    not positive. *)

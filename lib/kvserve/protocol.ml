@@ -232,13 +232,71 @@ let drain p =
   let rec go acc = match next p with None -> List.rev acc | Some it -> go (it :: acc) in
   go []
 
-let render_request = function
-  | Get keys -> "get " ^ String.concat " " keys ^ "\r\n"
+let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
+
+let decimal_length v = if v >= 0 then digits v else String.length (string_of_int v)
+
+let rec add_decimal b v =
+  if v < 0 then Buffer.add_string b (string_of_int v)
+  else begin
+    if v >= 10 then add_decimal b (v / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
+  end
+
+(* The request writer: each [write_*] appends one request's wire bytes
+   to [b], a buffer the caller reuses across requests. *)
+let rec add_keys b = function
+  | [] -> ()
+  | key :: rest ->
+    Buffer.add_char b ' ';
+    Buffer.add_string b key;
+    add_keys b rest
+
+let write_get b keys =
+  Buffer.add_string b "get ";
+  (match keys with
+  | [] -> ()
+  | key :: rest ->
+    Buffer.add_string b key;
+    add_keys b rest);
+  Buffer.add_string b "\r\n"
+
+let write_set b ~key ~flags ~nbytes data =
+  Buffer.add_string b "set ";
+  Buffer.add_string b key;
+  Buffer.add_char b ' ';
+  add_decimal b flags;
+  Buffer.add_string b " 0 ";
+  add_decimal b nbytes;
+  Buffer.add_string b "\r\n";
+  let start = Buffer.length b in
+  data b;
+  if Buffer.length b - start <> nbytes then
+    invalid_arg "Protocol.write_set: payload length differs from nbytes";
+  Buffer.add_string b "\r\n"
+
+let write_delete b key =
+  Buffer.add_string b "delete ";
+  Buffer.add_string b key;
+  Buffer.add_string b "\r\n"
+
+let write_incr b ~key ~delta =
+  Buffer.add_string b "incr ";
+  Buffer.add_string b key;
+  Buffer.add_char b ' ';
+  add_decimal b delta;
+  Buffer.add_string b "\r\n"
+
+let render_request r =
+  let b = Buffer.create 64 in
+  (match r with
+  | Get keys -> write_get b keys
   | Set { key; flags; data } ->
-    Printf.sprintf "set %s %d 0 %d\r\n%s\r\n" key flags (String.length data) data
-  | Delete key -> Printf.sprintf "delete %s\r\n" key
-  | Incr { key; delta } -> Printf.sprintf "incr %s %d\r\n" key delta
-  | Stats -> "stats\r\n"
+    write_set b ~key ~flags ~nbytes:(String.length data) (fun b -> Buffer.add_string b data)
+  | Delete key -> write_delete b key
+  | Incr { key; delta } -> write_incr b ~key ~delta
+  | Stats -> Buffer.add_string b "stats\r\n");
+  Buffer.contents b
 
 (* A sink with an empty buffer only advances [pos]: the counting pass. *)
 type sink = { mutable out : Bytes.t; mutable pos : int }
@@ -255,8 +313,6 @@ let put_raw sk s =
   let n = String.length s in
   if Bytes.length sk.out > 0 then Bytes.blit_string s 0 sk.out sk.pos n;
   sk.pos <- sk.pos + n
-
-let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
 
 let put_int sk v =
   if v < 0 then put_raw sk (string_of_int v)

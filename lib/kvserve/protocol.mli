@@ -59,11 +59,37 @@ val drain : parser_ -> item list
 val buffered : parser_ -> int
 (** Bytes received but not yet consumed (0 on a quiescent parser). *)
 
-(** {1 Rendering} *)
+(** {1 Rendering}
+
+    {2 Requests}
+
+    The client side of the codec is one request writer: each [write_*]
+    appends one request's wire bytes to a caller-owned buffer, so a
+    fleet renders every request into one reused buffer without building
+    a {!request} value.  [Set] renders with exptime 0. *)
+
+val write_get : Buffer.t -> string list -> unit
+(** [get key...]. *)
+
+val write_set :
+  Buffer.t -> key:string -> flags:int -> nbytes:int -> (Buffer.t -> unit) -> unit
+(** [write_set b ~key ~flags ~nbytes data]: the [set] line, then the
+    payload [data b] writes, then its CRLF.
+    @raise Invalid_argument if [data] wrote other than [nbytes] bytes. *)
+
+val write_delete : Buffer.t -> string -> unit
+
+val write_incr : Buffer.t -> key:string -> delta:int -> unit
 
 val render_request : request -> string
-(** Wire bytes of a request (the client side of the codec).  [Set]
-    renders with exptime 0. *)
+(** Wire bytes of a request: the request writer into a fresh buffer. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** Append [v] in decimal, as [string_of_int v] spells it, without
+    building the string for [v >= 0]. *)
+
+val decimal_length : int -> int
+(** [String.length (string_of_int v)]: the bytes {!add_decimal} adds. *)
 
 (** {2 Replies}
 

@@ -49,7 +49,13 @@ let test_roundtrip () =
         Alcotest.(check string)
           "round-trips" (P.render_request want) (P.render_request r)
       | P.Protocol_error e -> Alcotest.fail ("unexpected protocol error: " ^ e))
-    sample_requests items
+    sample_requests items;
+  (* A payload writer that disagrees with the declared length would
+     tear the frame; the request writer refuses it. *)
+  Alcotest.check_raises "short payload"
+    (Invalid_argument "Protocol.write_set: payload length differs from nbytes") (fun () ->
+      P.write_set (Buffer.create 16) ~key:"k" ~flags:0 ~nbytes:3 (fun b ->
+          Buffer.add_string b "ab"))
 
 (* ---------- codec: reply writer ---------- *)
 
@@ -701,13 +707,15 @@ let test_pinned_output () =
       (true, Some 30_000, "e92532595df8f59918959c29f9e46fd7");
     ]
 
-(* The bench-size fleet ([bench/perf]'s kvserve-adr at seed 1), digested
-   chunk by chunk: pinned to the fleet the global stable sort built. *)
+(* The bench-size fleet: [bench/perf]'s kvserve-adr at seed 1. *)
+let bench_fleet () =
+  Client.generate ~seed:1 ~conns:8 ~requests_per_conn:16_000 ~items:8192 ~value_bytes:64
+    ~set_ratio:0.20 ~delete_ratio:0.02 ~incr_ratio:0.05 ~mean_gap_ns:4000 ~theta:0.8 ()
+
+(* The bench-size fleet, digested chunk by chunk: pinned to the fleet
+   the global stable sort built. *)
 let test_fleet_digest () =
-  let fleet =
-    Client.generate ~seed:1 ~conns:8 ~requests_per_conn:16_000 ~items:8192 ~value_bytes:64
-      ~set_ratio:0.20 ~delete_ratio:0.02 ~incr_ratio:0.05 ~mean_gap_ns:4000 ~theta:0.8 ()
-  in
+  let fleet = bench_fleet () in
   let ctx = Buffer.create (1 lsl 16) in
   let digests = ref [] in
   let flush () =
@@ -731,6 +739,84 @@ let test_fleet_digest () =
   Helpers.check_int "chunks" 191_984 (List.length fleet.Client.chunks);
   Alcotest.(check string) "fleet digest" "35d03c7aebfc0a4bafd876d4a2b7efa7"
     (Digest.to_hex (Digest.string (String.concat "" (List.rev !digests))))
+
+(* The generator against the reference it replaced
+   ([test/client_ref.ml]): equal chunks, request count and trace ids
+   over a seeded matrix of small fleets.  Every ratio is taken at 0 and
+   at 1; [value_bytes] falls below the [r<rank>.v<version>.] stamp
+   (at least 5 bytes) on even configs and above it on odd ones. *)
+let test_client_differential () =
+  let rng = Rng.create 0xD1FF in
+  let mixes =
+    [ (0.0, 0.0, 0.0); (1.0, 0.0, 0.0); (0.0, 1.0, 0.0); (0.0, 0.0, 1.0); (0.2, 0.02, 0.05);
+      (0.3, 0.3, 0.3) ]
+  in
+  List.iter
+    (fun (set_ratio, delete_ratio, incr_ratio) ->
+      List.iter
+        (fun theta ->
+          for i = 0 to 15 do
+            let seed = Rng.next rng
+            and conns = 1 + Rng.int rng 8
+            and requests_per_conn = Rng.int rng 61
+            and items = 1 + Rng.int rng 64
+            and value_bytes = if i mod 2 = 0 then Rng.int rng 5 else 8 + Rng.int rng 120
+            and mean_gap_ns = 1 + Rng.int rng 3000 in
+            let gen f =
+              f ~seed ~conns ~requests_per_conn ~items ~value_bytes ~set_ratio ~delete_ratio
+                ~incr_ratio ~mean_gap_ns ~theta ()
+            in
+            let want : Client.t = gen Client_ref.generate and got = gen Client.generate in
+            let config =
+              Printf.sprintf "seed %d conns %d rpc %d items %d value_bytes %d mix %g/%g/%g theta %g"
+                seed conns requests_per_conn items value_bytes set_ratio delete_ratio incr_ratio
+                theta
+            in
+            Helpers.check_int ("requests, " ^ config) want.Client.requests got.Client.requests;
+            Helpers.check_bool ("chunks, " ^ config) true (want.Client.chunks = got.Client.chunks);
+            Helpers.check_bool ("trace ids, " ^ config) true
+              (want.Client.trace_ids = got.Client.trace_ids)
+          done)
+        [ 0.0; 0.8; 0.99 ])
+    mixes;
+  (* The payload writer behind [value_of] (and so the service's
+     prepopulation) is the reference's payload too. *)
+  List.iter
+    (fun (rank, version, value_bytes) ->
+      Alcotest.(check string) "value_of"
+        (Client_ref.value_of ~rank ~version ~value_bytes)
+        (Client.value_of ~rank ~version ~value_bytes))
+    [ (0, 0, 0); (7, 3, 6); (8191, 0, 64); (25, 12, 1000); (123456, 7, 300) ]
+
+(* Allocation, counted rather than timed: one bench-size fleet must stay
+   within 20 % of the 8.24 M minor words the single-buffer generator
+   took when this test was written (the generator before it took
+   14.5 M). *)
+let test_fleet_allocation () =
+  let before = Gc.minor_words () in
+  let fleet = Sys.opaque_identity (bench_fleet ()) in
+  let words = Gc.minor_words () -. before in
+  Helpers.check_int "requests" 128_000 fleet.Client.requests;
+  let bound = 1.2 *. 8_238_505. in
+  if words > bound then
+    Alcotest.failf "bench fleet took %.0f minor words, bound %.0f" words bound
+
+(* Bad sizes fail at the boundary, naming the parameter. *)
+let test_client_bad_arguments () =
+  let gen ?(conns = 2) ?(requests_per_conn = 3) ?(items = 8) ?(mean_gap_ns = 100) () =
+    ignore
+      (Client.generate ~seed:1 ~conns ~requests_per_conn ~items ~value_bytes:8 ~set_ratio:0.5
+         ~delete_ratio:0.0 ~incr_ratio:0.0 ~mean_gap_ns ~theta:0.8 ())
+  in
+  let rejects msg f = Alcotest.check_raises msg (Invalid_argument ("Client.generate: " ^ msg)) f in
+  rejects "conns = -1" (gen ~conns:(-1));
+  rejects "requests_per_conn = -2" (gen ~requests_per_conn:(-2));
+  rejects "items = 0" (gen ~items:0);
+  rejects "mean_gap_ns = 0" (gen ~mean_gap_ns:0);
+  rejects "mean_gap_ns = -5" (gen ~mean_gap_ns:(-5));
+  (* Empty but well-formed fleets are fine. *)
+  gen ~conns:0 ();
+  gen ~requests_per_conn:0 ()
 
 let suite =
   [
@@ -757,4 +843,7 @@ let suite =
       test_trace_multiget_overlap;
     Alcotest.test_case "service: hostile fleet output pinned" `Slow test_pinned_output;
     Alcotest.test_case "client: bench fleet digest pinned" `Slow test_fleet_digest;
+    Alcotest.test_case "client: generator equals the reference" `Quick test_client_differential;
+    Alcotest.test_case "client: bench fleet minor words bounded" `Slow test_fleet_allocation;
+    Alcotest.test_case "client: bad sizes raise Invalid_argument" `Quick test_client_bad_arguments;
   ]

@@ -206,45 +206,6 @@ let test_hash_concurrent_disjoint () =
       done);
   Helpers.check_int "all present" 1000 (List.length (Phashtable.to_alist h))
 
-(* ---------- sorted list ---------- *)
-
-let test_list_sorted_semantics () =
-  let _, _, ptm = fixture () in
-  let l = Plist.create ptm in
-  Ptm.atomic ptm (fun tx ->
-      List.iter (fun k -> ignore (Plist.insert tx l ~key:k ~value:(k * 3))) [ 5; 1; 9; 3; 7 ]);
-  Alcotest.(check (list (pair int int)))
-    "sorted walk"
-    [ (1, 3); (3, 9); (5, 15); (7, 21); (9, 27) ]
-    (Plist.to_alist l);
-  Ptm.atomic ptm (fun tx ->
-      Alcotest.(check (option int)) "find" (Some 21) (Plist.find tx l 7);
-      Helpers.check_bool "remove middle" true (Plist.remove tx l 5);
-      Helpers.check_int "length" 4 (Plist.length tx l))
-
-let prop_list_matches_map =
-  Helpers.qtest ~count:30 "sorted list behaves like Map"
-    (Helpers.kv_ops_gen ~key_range:100 ~ops:3 ())
-    (fun ops ->
-      let module M = Map.Make (Int) in
-      let _, _, ptm = fixture () in
-      let l = Plist.create ptm in
-      let m = ref M.empty in
-      List.iteri
-        (fun i (key, op) ->
-          Ptm.atomic ptm (fun tx ->
-              match op with
-              | 0 ->
-                ignore (Plist.insert tx l ~key ~value:i);
-                m := M.add key i !m
-              | 1 ->
-                if Plist.find tx l key <> M.find_opt key !m then failwith "find mismatch"
-              | _ ->
-                if Plist.remove tx l key <> M.mem key !m then failwith "remove mismatch";
-                m := M.remove key !m))
-        ops;
-      Plist.to_alist l = M.bindings !m)
-
 (* ---------- queue ---------- *)
 
 let test_queue_fifo () =
@@ -324,8 +285,6 @@ let suite =
     Alcotest.test_case "hash: collision chains" `Quick test_hash_chains_cover_collisions;
     prop_hash_matches_hashtbl;
     Alcotest.test_case "hash: concurrent puts" `Quick test_hash_concurrent_disjoint;
-    Alcotest.test_case "list: sorted semantics" `Quick test_list_sorted_semantics;
-    prop_list_matches_map;
     Alcotest.test_case "queue: FIFO" `Quick test_queue_fifo;
     Alcotest.test_case "queue: concurrent producers" `Quick test_queue_concurrent_producers;
     Alcotest.test_case "queue: crash consistency" `Quick test_queue_crash_consistency;

@@ -71,6 +71,53 @@ let test_zipf_uniform_theta0 () =
     (fun h -> Helpers.check_bool "roughly uniform" true (h > 8_000 && h < 12_000))
     hits
 
+(* [Zipf.rank] (bucket guide table, then a search inside the bucket)
+   against a binary search over the whole CDF, built by the reference
+   sampler in [test/client_ref.ml]: at every bucket edge [b /. g] and
+   the floats either side, at every CDF value and the floats either
+   side, and at 10^5 seeded draws. *)
+let test_zipf_rank_exact () =
+  let full (z : Client_ref.Zipf.t) u =
+    let lo = ref 0 and hi = ref (z.n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if z.cdf.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun theta ->
+          let z = Zipf.create ~theta n and r = Client_ref.Zipf.create ~theta n in
+          let check u =
+            if u >= 0.0 && u < 1.0 && Zipf.rank z u <> full r u then
+              Alcotest.failf "n %d theta %g u %h: rank %d, full search %d" n theta u
+                (Zipf.rank z u) (full r u)
+          in
+          let around u =
+            check (Float.pred u);
+            check u;
+            check (Float.succ u)
+          in
+          let g = max 1 (n / 8) in
+          for b = 0 to g do
+            around (float_of_int b /. float_of_int g)
+          done;
+          Array.iter around r.cdf;
+          let rng = Rng.create (n + int_of_float (100. *. theta)) in
+          for _ = 1 to 100_000 do
+            check (Rng.float rng 1.0)
+          done)
+        [ 0.0; 0.5; 0.8; 0.99; 1.5 ])
+    [ 1; 2; 3; 7; 64; 8192 ]
+
+let test_zipf_bad_n () =
+  Alcotest.check_raises "n = 0" (Invalid_argument "Zipf.create: n = 0, must be positive")
+    (fun () -> ignore (Zipf.create 0));
+  Alcotest.check_raises "n = -3" (Invalid_argument "Zipf.create: n = -3, must be positive")
+    (fun () -> ignore (Zipf.create (-3)))
+
 let test_stats_mean_stddev () =
   let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
   Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean xs);
@@ -478,6 +525,8 @@ let suite =
     Alcotest.test_case "zipf: sample range" `Quick test_zipf_range;
     Alcotest.test_case "zipf: skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf: theta=0 uniform" `Quick test_zipf_uniform_theta0;
+    Alcotest.test_case "zipf: guide table equals a full search" `Quick test_zipf_rank_exact;
+    Alcotest.test_case "zipf: create rejects n <= 0" `Quick test_zipf_bad_n;
     Alcotest.test_case "stats: mean/stddev" `Quick test_stats_mean_stddev;
     Alcotest.test_case "stats: percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats: counter" `Quick test_stats_counter;
