@@ -206,70 +206,6 @@ let test_hash_concurrent_disjoint () =
       done);
   Helpers.check_int "all present" 1000 (List.length (Phashtable.to_alist h))
 
-(* ---------- queue ---------- *)
-
-let test_queue_fifo () =
-  let _, _, ptm = fixture () in
-  let q = Pqueue.create ptm in
-  Ptm.atomic ptm (fun tx ->
-      Helpers.check_bool "empty" true (Pqueue.is_empty tx q);
-      List.iter (Pqueue.enqueue tx q) [ 1; 2; 3 ]);
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (Pqueue.to_list q);
-  Ptm.atomic ptm (fun tx ->
-      Alcotest.(check (option int)) "deq 1" (Some 1) (Pqueue.dequeue tx q);
-      Alcotest.(check (option int)) "deq 2" (Some 2) (Pqueue.dequeue tx q);
-      Pqueue.enqueue tx q 4;
-      Alcotest.(check (option int)) "deq 3" (Some 3) (Pqueue.dequeue tx q);
-      Alcotest.(check (option int)) "deq 4" (Some 4) (Pqueue.dequeue tx q);
-      Alcotest.(check (option int)) "deq empty" None (Pqueue.dequeue tx q);
-      Helpers.check_bool "empty again" true (Pqueue.is_empty tx q))
-
-let test_queue_concurrent_producers () =
-  let sim, _, ptm = fixture () in
-  let q = Pqueue.create ptm in
-  Helpers.run_workers sim 4 (fun tid ->
-      for i = 0 to 49 do
-        Ptm.atomic ptm (fun tx -> Pqueue.enqueue tx q ((tid * 100) + i))
-      done);
-  let all = Pqueue.to_list q in
-  Helpers.check_int "all enqueued" 200 (List.length all);
-  (* Per-producer subsequences must stay FIFO. *)
-  let per_tid tid = List.filter (fun v -> v / 100 = tid) all in
-  for tid = 0 to 3 do
-    let got = per_tid tid in
-    Helpers.check_bool
-      (Printf.sprintf "producer %d order preserved" tid)
-      true
-      (got = List.sort compare got)
-  done
-
-let test_queue_crash_consistency () =
-  let sim, _, ptm = fixture () in
-  let q = Pqueue.create ptm in
-  Ptm.root_set ptm 0 (Pqueue.descriptor q);
-  Sim.persist_all sim;
-  (* One producer, one consumer; every value flows through exactly once. *)
-  Helpers.run_workers sim 2 ~crash_at:200_000 (fun tid ->
-      let rng = Repro_util.Rng.create tid in
-      if tid = 0 then
-        for i = 1 to 10_000 do
-          Ptm.atomic ptm (fun tx -> Pqueue.enqueue tx q i)
-        done
-      else
-        for _ = 1 to 10_000 do
-          ignore (Ptm.atomic ptm (fun tx -> Pqueue.dequeue tx q));
-          ignore (Repro_util.Rng.next rng)
-        done);
-  let _sim', _m', ptm' = Helpers.reboot_and_recover sim in
-  let q' = Pqueue.attach ptm' (Ptm.root_get ptm' 0) in
-  (* Remaining contents are a contiguous ascending run. *)
-  let rest = Pqueue.to_list q' in
-  let rec contiguous = function
-    | a :: (b :: _ as tl) -> b = a + 1 && contiguous tl
-    | _ -> true
-  in
-  Helpers.check_bool "queue survives as contiguous run" true (contiguous rest)
-
 let suite =
   [
     Alcotest.test_case "btree: insert/lookup" `Quick test_btree_insert_lookup;
@@ -285,7 +221,4 @@ let suite =
     Alcotest.test_case "hash: collision chains" `Quick test_hash_chains_cover_collisions;
     prop_hash_matches_hashtbl;
     Alcotest.test_case "hash: concurrent puts" `Quick test_hash_concurrent_disjoint;
-    Alcotest.test_case "queue: FIFO" `Quick test_queue_fifo;
-    Alcotest.test_case "queue: concurrent producers" `Quick test_queue_concurrent_producers;
-    Alcotest.test_case "queue: crash consistency" `Quick test_queue_crash_consistency;
   ]
