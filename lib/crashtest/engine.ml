@@ -59,21 +59,6 @@ type report = {
 
 let ok r = r.failures = []
 
-let pp_report ppf r =
-  Format.fprintf ppf "crashtest %s/%s/%s seed=%d: %d/%d points (T=%dns)" r.scenario r.model
-    r.algorithm r.seed r.tested r.candidates r.final_time;
-  match r.failures with
-  | [] -> Format.fprintf ppf " all pass"
-  | fs ->
-    List.iter
-      (fun f ->
-        Format.fprintf ppf "@.  FAIL at %dns (min %dns): %s@.  replay: %s" f.crash_at
-          f.min_crash_at f.reason f.replay;
-        match f.telemetry_dir with
-        | Some dir -> Format.fprintf ppf "@.  telemetry: %s" dir
-        | None -> ())
-      fs
-
 (* ---------- one matrix cell, whatever the runtime ---------- *)
 
 (* Judges one recovered (or cleanly finished) machine. *)

@@ -97,8 +97,6 @@ type report = {
 val ok : report -> bool
 (** No failures. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 (** The msync subsystem's scenario shape: one mutator instead of a
     thread team, over the {!Fams.t} runtime. *)
 

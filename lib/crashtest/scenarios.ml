@@ -57,10 +57,15 @@ type ('st, 'op, 'res) run = {
    scenarios promise, so dlin judges them alone. *)
 let no_validate ~crashed:_ _ptm = Ok ()
 
-(* The algorithm columns of a logging scenario.  Undo's eager in-place
-   stores are pointless inside a hardware transaction, so HTM-commit
-   sweeps Htm instead. *)
-let logged model = [ Ptm.Redo; (if model == Config.htm_commit then Ptm.Htm else Ptm.Undo) ]
+(* The algorithm columns of a logging scenario: redo everywhere, and
+   undo except where hardware commits are durable (HTM-commit), which
+   sweeps Htm instead — undo's eager in-place stores are pointless
+   inside a hardware transaction.  MOD has its own scenarios. *)
+let logged model =
+  let htm = model.Config.durable_publish in
+  List.filter
+    (function Ptm.Redo -> true | Ptm.Undo -> not htm | Ptm.Htm -> htm | Ptm.Mod -> false)
+    Ptm.algorithms
 
 (* The one constructor of the PTM scenarios.  The name encodes the flush
    discipline, so a replay spec printed for a naive-mode failure
@@ -137,7 +142,7 @@ let random_transfer rng ~accounts ~tid ~op =
      transaction body, so an aliased transfer would net +amount and
      money would no longer be conserved. *)
   let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
-  let amount = 1 + Rng.int rng 5 in
+  let amount = Rng.int_in rng 1 5 in
   { btid = tid; bop = op; src; dst; amount }
 
 let bank ?(threads = 4) ?(ops = 10) ?coalesce () =
@@ -502,7 +507,7 @@ let alloc_churn () =
                   Release { rtid = tid; rslot = slot }
                 end
                 else begin
-                  let words = 2 + Rng.int rng 6 in
+                  let words = Rng.int_in rng 2 7 in
                   owned := j :: !owned;
                   Acquire { atid = tid; aslot = j; words; stamp = ((tid + 1) * 1000) + j }
                 end))

@@ -60,11 +60,6 @@ type granularity = Line | Page
 
 let granularity_name = function Line -> "line" | Page -> "page"
 
-let granularity_of_name = function
-  | "line" -> Some Line
-  | "page" -> Some Page
-  | _ -> None
-
 let unit_words = function Line -> Layout.words_per_line | Page -> Layout.words_per_page
 let granularity_tag = function Line -> 1 | Page -> 2
 

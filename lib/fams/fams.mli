@@ -26,7 +26,6 @@ type t
 type granularity = Line | Page
 
 val granularity_name : granularity -> string
-val granularity_of_name : string -> granularity option
 val unit_words : granularity -> int
 
 (** Injectable protocol bugs for the crashtest oracle: eliding the

@@ -102,10 +102,6 @@ let clean t ~line =
   end
   else false
 
-let resident_dirty t ~line =
-  let found = find_hit t line in
-  found >= 0 && t.dirty.(found)
-
 let dirty_lines (t : t) =
   let acc = ref [] in
   Array.iteri (fun i tag -> if tag >= 0 && t.dirty.(i) then acc := tag :: !acc) t.tags;

@@ -25,8 +25,6 @@ val clean : t -> line:int -> bool
     (clwb, unlike clflush, retains the line).  Returns whether it was
     resident and dirty — i.e. whether a write-back is actually sent. *)
 
-val resident_dirty : t -> line:int -> bool
-
 val dirty_lines : t -> int list
 (** All resident dirty lines — what eADR-class domains flush on a
     power failure. *)

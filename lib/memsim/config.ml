@@ -74,6 +74,9 @@ let transient_cache =
    ADR clwb/sfence discipline (the STM fallback path is unchanged). *)
 let htm_commit = { optane_adr with model_name = "htm-commit"; durable_publish = true }
 
+let needs_flush model =
+  match model.persistence with Adr _ -> true | Eadr | Transient_cache -> false
+
 let all_models =
   [
     dram_adr;

@@ -82,6 +82,10 @@ val htm_commit : model
 (** ADR machine whose HTM commits are durable at publish time; the
     [Ptm.Htm] algorithm runs log-free here despite [needs_flush]. *)
 
+val needs_flush : model -> bool
+(** Whether the domain needs [clwb] for persistence (the ADR family):
+    the machine's [Machine.needs_flush]. *)
+
 val all_models : model list
 
 val model_of_name : string -> model

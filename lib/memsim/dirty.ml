@@ -71,24 +71,6 @@ let[@inline] note t addr =
 
 let lo t = t.lo
 let hi t = t.hi
-let dirty_pages t = t.npages
-
-let dirty_lines t =
-  let n = ref 0 in
-  for k = 0 to t.npages - 1 do
-    let first = t.pages.(k) * lines_per_page in
-    for l = first to first + lines_per_page - 1 do
-      if bit_get t.line_bits l then incr n
-    done
-  done;
-  !n
-
-let page_dirty t page_addr =
-  page_addr >= t.lo && page_addr < t.hi && bit_get t.page_bits ((page_addr - t.lo) / Layout.words_per_page)
-
-let line_dirty t line_addr =
-  line_addr >= t.lo && line_addr < t.hi && bit_get t.line_bits ((line_addr - t.lo) / Layout.words_per_line)
-
 (* Dirty pages in ascending address order (the stack records first-touch
    order; sorting makes journal layout canonical).  [f] receives the
    absolute word address of each dirty page's base. *)

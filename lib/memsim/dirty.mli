@@ -22,20 +22,6 @@ val note : t -> int -> unit
 val lo : t -> int
 val hi : t -> int
 
-val dirty_pages : t -> int
-(** Number of distinct dirty pages since the last {!clear}. *)
-
-val dirty_lines : t -> int
-(** Number of distinct dirty lines (counted over dirty pages only). *)
-
-val page_dirty : t -> int -> bool
-(** [page_dirty t addr]: is the page containing absolute word address
-    [addr] dirty?  False outside the window. *)
-
-val line_dirty : t -> int -> bool
-(** [line_dirty t addr]: is the line containing absolute word address
-    [addr] dirty?  False outside the window. *)
-
 val iter_dirty_pages : t -> (int -> unit) -> unit
 (** Visit each dirty page's base word address, ascending. *)
 

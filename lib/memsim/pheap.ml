@@ -153,9 +153,3 @@ let of_touched ~words pairs =
     pairs;
   t
 
-let to_flat t =
-  let a = Array.make t.words 0 in
-  iter_touched t (fun ci c ->
-      let base = ci * chunk_words in
-      Array.blit c 0 a base (min chunk_words (t.words - base)));
-  a

@@ -58,6 +58,3 @@ val of_touched : words:int -> (int * int array) list -> t
 (** Rebuild an image from serialized (chunk index, payload) pairs;
     payloads are copied.  @raise Invalid_argument on out-of-range
     indices or mis-sized chunks. *)
-
-val to_flat : t -> int array
-(** Dense copy of the whole image — test/debug only. *)

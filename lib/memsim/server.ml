@@ -40,8 +40,6 @@ let acquire_sync t ~now ~latency_ns =
   t.queue_ns <- t.queue_ns + (start - now);
   start + latency_ns
 
-type async = { ready : int; completion : int }
-
 let[@inline] wrap t i = if i >= Array.length t.buf then i - Array.length t.buf else i
 
 let[@inline] pop t =
@@ -80,10 +78,6 @@ let enqueue_fast t ~now =
 
 let last_ready t = t.last_ready
 let last_completion t = t.last_completion
-
-let enqueue_async t ~now =
-  enqueue_fast t ~now;
-  { ready = t.last_ready; completion = t.last_completion }
 
 let reset t =
   t.next_free <- 0;

@@ -17,19 +17,13 @@ val acquire_sync : t -> now:int -> latency_ns:int -> int
     time and returns the completion time the requester must wait for
     ([>= now + latency_ns]; larger under queueing). *)
 
-type async = { ready : int; completion : int }
-
-val enqueue_async : t -> now:int -> async
-(** Asynchronous request (a write-back entering the WPQ).  [ready] is
-    when the issuing thread may proceed ([> now] only when the bounded
-    queue was full — backpressure); [completion] is when the line has
-    drained to media. *)
-
 val enqueue_fast : t -> now:int -> unit
-(** [enqueue_async] without the result record: the outcome is read back
-    through [last_ready]/[last_completion].  Valid until the next
-    enqueue on this server — the simulator hot path consumes both
-    immediately. *)
+(** Asynchronous request (a write-back entering the WPQ).  The outcome
+    is read back through {!last_ready} — when the issuing thread may
+    proceed, [> now] only when the bounded queue was full
+    (backpressure) — and {!last_completion} — when the line has drained
+    to media.  Valid until the next enqueue on this server; the
+    simulator hot path consumes both immediately. *)
 
 val last_ready : t -> int
 val last_completion : t -> int

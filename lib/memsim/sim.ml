@@ -432,8 +432,6 @@ let track_dirty t ~lo ~hi =
   t.dirty <- Some d;
   d
 
-let dirty_tracker t = t.dirty
-
 let fence_wait_ns_of t ~tid =
   if tid >= 0 && tid < Array.length t.fence_wait_by_tid then t.fence_wait_by_tid.(tid) else 0
 
@@ -577,62 +575,91 @@ let surviving_media t =
 (* Sparse image format: only touched chunks are written, so crash
    images of mostly-cold heaps stay small and fast.  Touched pages
    round-trip byte-identically (untouched pages are all-zero by
-   construction on both sides). *)
+   construction on both sides).
+
+   Layout: a header of four 4-byte big-endian ints (magic, heap words,
+   chunk words, chunk count); then each chunk as its index and
+   [chunk_words] words, every one 8 bytes little-endian, in ascending
+   index order; then a 64-bit checksum of everything before it.
+   Nothing follows the checksum, so the length is exact. *)
 let image_magic = 0x50444D53 (* "PDMS" *)
+let image_header = 16
+let image_chunk_bytes = 8 * (1 + Pheap.chunk_words)
+
+(* FNV-1a over 8-byte words: each step is a bijection of the running
+   value, so any change to one word changes the sum. *)
+let image_checksum b len =
+  let h = ref 0xCBF29CE484222325L in
+  for i = 0 to (len / 8) - 1 do
+    h := Int64.mul (Int64.logxor !h (Bytes.get_int64_le b (8 * i))) 0x100000001B3L
+  done;
+  !h
 
 let save_image t path =
   let image = surviving_media t in
-  let pairs = ref [] in
-  Pheap.iter_touched image (fun ci c -> pairs := (ci, c) :: !pairs);
-  let pairs = List.rev !pairs in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_binary_int oc image_magic;
-      output_binary_int oc (Pheap.words image);
-      output_binary_int oc Pheap.chunk_words;
-      output_binary_int oc (List.length pairs);
-      (* Marshal the payload; the header guards against size/format
-         mismatches across runs. *)
-      Marshal.to_channel oc pairs [])
+  let count = ref 0 in
+  Pheap.iter_touched image (fun _ _ -> incr count);
+  let len = image_header + (!count * image_chunk_bytes) in
+  let b = Bytes.create (len + 8) in
+  Bytes.set_int32_be b 0 (Int32.of_int image_magic);
+  Bytes.set_int32_be b 4 (Int32.of_int (Pheap.words image));
+  Bytes.set_int32_be b 8 (Int32.of_int Pheap.chunk_words);
+  Bytes.set_int32_be b 12 (Int32.of_int !count);
+  let pos = ref image_header in
+  let put v =
+    Bytes.set_int64_le b !pos (Int64.of_int v);
+    pos := !pos + 8
+  in
+  Pheap.iter_touched image (fun ci c ->
+      put ci;
+      Array.iter put c);
+  Bytes.set_int64_le b len (image_checksum b len);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
 
 let load_image cfg path =
-  let ic = open_in_bin path in
-  let corrupt msg =
-    raise
-      (Machine.Corrupt_image (Printf.sprintf "Sim.load_image: %s: %s (offset %d)" path msg (pos_in ic)))
+  let b = In_channel.with_open_bin path In_channel.input_all |> Bytes.unsafe_of_string in
+  let corrupt ~at msg =
+    raise (Machine.Corrupt_image (Printf.sprintf "Sim.load_image: %s: %s (offset %d)" path msg at))
   in
+  let total = Bytes.length b in
+  if total < image_header + 8 then corrupt ~at:total "truncated image";
+  let header i = Int32.to_int (Bytes.get_int32_be b (4 * i)) in
+  if header 0 <> image_magic then
+    corrupt ~at:0 (Printf.sprintf "bad magic %#x, expected %#x" (header 0) image_magic);
+  if header 1 <> cfg.Config.heap_words then
+    corrupt ~at:4 (Printf.sprintf "image has %d words, config expects %d" (header 1)
+                     cfg.Config.heap_words);
+  if header 2 <> Pheap.chunk_words then
+    corrupt ~at:8 (Printf.sprintf "image chunk size %d, expected %d" (header 2) Pheap.chunk_words);
+  let nchunks = (cfg.Config.heap_words + Pheap.chunk_words - 1) / Pheap.chunk_words in
+  let count = header 3 in
+  if count < 0 || count > nchunks then
+    corrupt ~at:12 (Printf.sprintf "%d chunks, the heap has %d" count nchunks);
+  let len = image_header + (count * image_chunk_bytes) in
+  if total <> len + 8 then
+    corrupt ~at:(min total len) (Printf.sprintf "%d bytes, %d chunks need %d" total count (len + 8));
+  if Bytes.get_int64_le b len <> image_checksum b len then corrupt ~at:len "checksum mismatch";
+  let word at =
+    let v = Bytes.get_int64_le b at in
+    if Int64.of_int (Int64.to_int v) <> v then corrupt ~at "word out of range";
+    Int64.to_int v
+  in
+  let chunk k =
+    let at = image_header + (k * image_chunk_bytes) in
+    (word at, Array.init Pheap.chunk_words (fun j -> word (at + 8 + (8 * j))))
+  in
+  let pairs = List.init count chunk in
+  (* Ascending indices rule out duplicates; [of_touched] checks the range. *)
+  ignore
+    (List.fold_left
+       (fun prev (ci, _) ->
+         if ci <= prev then corrupt ~at:image_header "chunk indices not ascending";
+         ci)
+       (-1) pairs
+      : int);
   let image =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        (* A short read anywhere in the header or payload means the
-           image was torn mid-write; report it as corruption (with the
-           failing offset), never as a bare [End_of_file]. *)
-        match
-          let magic = input_binary_int ic in
-          if magic <> image_magic then
-            corrupt (Printf.sprintf "bad magic %#x, expected %#x" magic image_magic);
-          let words = input_binary_int ic in
-          if words <> cfg.Config.heap_words then
-            corrupt (Printf.sprintf "image has %d words, config expects %d" words
-                       cfg.Config.heap_words);
-          let chunk_words = input_binary_int ic in
-          if chunk_words <> Pheap.chunk_words then
-            corrupt (Printf.sprintf "image chunk size %d, expected %d" chunk_words
-                       Pheap.chunk_words);
-          let promised = input_binary_int ic in
-          (promised, (Marshal.from_channel ic : (int * int array) list))
-        with
-        | promised, pairs ->
-          if List.length pairs <> promised then
-            corrupt (Printf.sprintf "payload holds %d chunks, header promised %d"
-                       (List.length pairs) promised);
-          (try Pheap.of_touched ~words:cfg.Config.heap_words pairs
-           with Invalid_argument msg -> corrupt ("malformed chunk: " ^ msg))
-        | exception End_of_file -> corrupt "truncated image"
-        | exception Failure msg -> corrupt ("unreadable payload: " ^ msg))
+    try Pheap.of_touched ~words:cfg.Config.heap_words pairs
+    with Invalid_argument msg -> corrupt ~at:image_header ("malformed chunk: " ^ msg)
   in
   let fresh = create cfg in
   Pheap.assign ~src:image ~dst:fresh.heap;
@@ -754,15 +781,15 @@ let make_meta t =
 let machine t : Machine.t =
   ensure_meta t;
   let meta_get, meta_set, meta_cas, meta_fetch_add = make_meta t in
-  let needs_flush, needs_fence =
+  let needs_fence =
     match t.cfg.model.persistence with
-    | Config.Adr { fences } -> (true, fences)
-    | Config.Eadr | Config.Transient_cache -> (false, false)
+    | Config.Adr { fences } -> fences
+    | Config.Eadr | Config.Transient_cache -> false
   in
   {
     Machine.words = t.cfg.heap_words;
     meta_words = t.cfg.meta_words;
-    needs_flush;
+    needs_flush = Config.needs_flush t.cfg.model;
     needs_fence;
     durable_publish = t.cfg.model.durable_publish;
     load = (fun addr -> load t addr);

@@ -81,9 +81,6 @@ val track_dirty : t -> lo:int -> hi:int -> Dirty.t
     any previous tracker; {!reboot} returns an untracked machine.
     [lo] must be page-aligned. *)
 
-val dirty_tracker : t -> Dirty.t option
-(** The currently armed tracker, if any. *)
-
 val fence_wait_ns_of : t -> tid:int -> int
 (** Cumulative sfence drain wait paid by one thread (0 for unknown
     tids).  The per-tid values sum to {!Stats.t.fence_wait_ns}. *)
@@ -116,14 +113,21 @@ val save_image : t -> string -> unit
 (** Write the surviving media image (per the durability domain, as
     {!reboot} would compute it) to a file — the simulated DIMMs become
     actually durable across host processes.  Requires
-    [track_media = true]. *)
+    [track_media = true].  The file is a header of four 4-byte
+    big-endian ints (magic, heap words, chunk words, chunk count), each
+    touched chunk as its index and its words (8 bytes little-endian
+    each), and a 64-bit checksum of all of it; nothing follows.  This
+    format replaced an earlier [Marshal] payload, whose files it does
+    not read; no image file is kept across versions. *)
 
 val load_image : Config.t -> string -> t
 (** Fresh machine whose heap and media are initialized from a file
     written by {!save_image}.
-    @raise Machine.Corrupt_image on a malformed, truncated or
-    mis-sized image (the payload carries the file path and offset);
-    [Sys_error] propagates when the file does not exist — restart code
+    @raise Machine.Corrupt_image on any file {!save_image} did not
+    write for this configuration: wrong size, header or length,
+    checksum mismatch, out-of-range chunk index or word (the payload
+    carries the file path and offset).  No other exception escapes,
+    except [Sys_error] when the file cannot be opened — restart code
     can tell "no image" from "torn image". *)
 
 (** Reserve-power accounting (the paper's §V future work: "we do not

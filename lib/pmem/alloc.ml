@@ -245,18 +245,3 @@ let live_blocks t =
   scan t (fun ~payload ~words ~allocated -> if allocated then acc := (payload, words) :: !acc);
   !acc
 
-let free_words t =
-  let free_list_words =
-    Array.fold_left
-      (fun acc per_thread ->
-        let sum = ref acc in
-        Array.iteri (fun c list -> sum := !sum + (List.length !list * classes.(c))) per_thread;
-        !sum)
-      0 t.free
-  in
-  let large = List.fold_left (fun acc (_, w) -> acc + w) 0 t.large_free in
-  let arena_slack =
-    Array.fold_left (fun acc a -> acc + max 0 (a.limit - a.cur)) 0 t.arenas
-  in
-  let unclaimed = Region.data_end t.region - t.m.Machine.meta_get Meta.alloc_high_water_idx in
-  free_list_words + large + arena_slack + unclaimed

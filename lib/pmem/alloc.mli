@@ -52,7 +52,3 @@ val payload_words : t -> int -> int
 val live_blocks : t -> (int * int) list
 (** [(payload_addr, words)] for every allocated block, by header scan
     (untimed; test oracle). *)
-
-val free_words : t -> int
-(** Total words on volatile free lists plus unused arena space beyond
-    the per-thread bumps (approximate capacity oracle for tests). *)

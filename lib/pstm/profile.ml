@@ -347,7 +347,6 @@ let merged_phase_hist t phase =
   Histogram.merge_list (List.map (fun tid -> phase_hist t ~tid phase) (tids t))
 
 let spans_recorded t = t.sp_next
-let spans_dropped t = max 0 (t.sp_next - t.sp_capacity)
 
 let spans_from t mark =
   let kept = min (min t.sp_next t.sp_capacity) (max 0 (t.sp_next - mark)) in

@@ -123,7 +123,6 @@ val spans : t -> span list
     ["txn-failed"] transaction envelopes). *)
 
 val spans_recorded : t -> int
-val spans_dropped : t -> int
 
 val spans_since : t -> int -> span list
 (** [spans_since t mark] returns the retained spans recorded at or

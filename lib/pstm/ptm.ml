@@ -71,14 +71,18 @@ let fresh_stats () =
 
 let default_rng_seed = 0x5EED
 
+(* HTM is incompatible with explicit flushes: clwb of a speculative
+   line aborts the hardware transaction (the paper's §II point about
+   TSX under ADR).  Only eADR-class domains — or an ADR machine whose
+   HTM commits are themselves durable (durable_publish) — may run it. *)
+let runs_on algorithm ~needs_flush ~durable_publish =
+  algorithm <> Htm || (not needs_flush) || durable_publish
+
 (* Checked before [create] formats or [recover] repairs anything, so a
    rejected configuration leaves the image as it was. *)
 let check_config ~algorithm ~orec_bits m =
-  (* HTM is incompatible with explicit flushes: clwb of a speculative
-     line aborts the hardware transaction (the paper's §II point about
-     TSX under ADR).  Only eADR-class domains — or an ADR machine whose
-     HTM commits are themselves durable (durable_publish) — may run it. *)
-  if algorithm = Htm && m.Machine.needs_flush && not m.Machine.durable_publish then
+  let { Machine.needs_flush; durable_publish; _ } = m in
+  if not (runs_on algorithm ~needs_flush ~durable_publish) then
     invalid_arg "Ptm: the HTM algorithm requires an eADR-class durability domain";
   if Meta.orec_base + (1 lsl orec_bits) > m.Machine.meta_words then
     invalid_arg "Ptm: orec table does not fit in the metadata space"

@@ -62,6 +62,12 @@ val algorithm_name : algorithm -> string
 val algorithm_of_name : string -> algorithm option
 (** Inverse of {!algorithm_name}; [None] for any other string. *)
 
+val runs_on : algorithm -> needs_flush:bool -> durable_publish:bool -> bool
+(** The durability-domain rule {!create} and {!recover} enforce, for a
+    machine with these {!Machine.t} flags: [Htm] needs a domain without
+    flushes, or one whose hardware commits are durable by themselves;
+    every other algorithm runs anywhere. *)
+
 type flush_timing =
   | At_commit  (** flush all redo-log lines in a tight pre-commit loop *)
   | Incremental  (** flush each log line as it fills (§III-B ablation) *)

@@ -72,11 +72,3 @@ let equal_string tx blob s =
     go 0
   end
 
-let raw_get ptm blob =
-  let raw = (Ptm.machine ptm).Machine.raw_read in
-  let len = raw blob in
-  let buf = Bytes.create len in
-  for w = 0 to data_words len - 1 do
-    unpack buf (raw (blob + 1 + w)) w len
-  done;
-  Bytes.unsafe_to_string buf

@@ -33,6 +33,3 @@ val set : Pstm.Ptm.tx -> t -> string -> unit
 val equal_string : Pstm.Ptm.tx -> t -> string -> bool
 (** Compare against a string, short-circuiting on the first
     mismatching word (the memcached key-comparison pattern). *)
-
-val raw_get : Pstm.Ptm.t -> t -> string
-(** Untimed read for tests and recovery oracles. *)

@@ -18,8 +18,6 @@ type metric = {
   labels : (string * string) list;  (* sorted by label name *)
   kind : kind;
   mutable ival : int;
-  mutable fval : float;
-  mutable is_float : bool;
   hist : Histogram.t;
 }
 
@@ -40,8 +38,6 @@ let find_or_add t ~kind ~help ~labels name =
         labels;
         kind;
         ival = 0;
-        fval = 0.0;
-        is_float = false;
         hist = Histogram.create ();
       }
     in
@@ -54,18 +50,11 @@ let histogram t ?(help = "") ?(labels = []) name = find_or_add t ~kind:Hist ~hel
 
 let inc m n = m.ival <- m.ival + n
 
-let set_int m v =
-  m.ival <- v;
-  m.is_float <- false
+let set_int m v = m.ival <- v
 
-let set_float m v =
-  m.fval <- v;
-  m.is_float <- true
-
-let observe m v = Histogram.record m.hist v
 let observe_hist m h = Histogram.merge_into ~src:h ~dst:m.hist
 
-let value m = if m.is_float then m.fval else float_of_int m.ival
+let value m = float_of_int m.ival
 let hist m = m.hist
 
 let metrics t =
@@ -77,7 +66,6 @@ let metrics t =
 (* ---------- rendering ---------- *)
 
 let float_str v = if Float.is_finite v then Printf.sprintf "%.6g" v else "0"
-let scalar_str m = if m.is_float then float_str m.fval else string_of_int m.ival
 
 let label_str labels =
   if labels = [] then ""
@@ -104,7 +92,7 @@ let to_prometheus t =
       end;
       match m.kind with
       | Counter | Gauge ->
-        Buffer.add_string b (Printf.sprintf "%s%s %s\n" m.name (label_str m.labels) (scalar_str m))
+        Buffer.add_string b (Printf.sprintf "%s%s %s\n" m.name (label_str m.labels) (string_of_int m.ival))
       | Hist ->
         let n = Histogram.count m.hist in
         if n > 0 then
@@ -132,7 +120,7 @@ let stats_pairs t =
   List.concat_map
     (fun m ->
       match m.kind with
-      | Counter | Gauge -> [ (flat m [], scalar_str m) ]
+      | Counter | Gauge -> [ (flat m [], string_of_int m.ival) ]
       | Hist ->
         let n = Histogram.count m.hist in
         if n = 0 then [ (flat m [ "count" ], "0") ]
@@ -162,7 +150,7 @@ let jsonl t =
       | Counter | Gauge ->
         Buffer.add_string b
           (Printf.sprintf "{\"kind\":\"metric\",\"name\":\"%s\"%s,\"value\":%s}\n" m.name labels
-             (scalar_str m))
+             (string_of_int m.ival))
       | Hist ->
         let n = Histogram.count m.hist in
         if n = 0 then
@@ -181,12 +169,6 @@ let jsonl t =
   Buffer.contents b
 
 (* ---------- standard publishers ---------- *)
-
-let publish_sim_stats t ?(labels = []) (s : Memsim.Sim.Stats.t) =
-  List.iter
-    (fun (field, v) ->
-      set_int (gauge t ~help:"simulated machine counter" ~labels ("sim_" ^ field)) v)
-    (Memsim.Sim.Stats.fields s)
 
 let publish_ptm_stats t ?(labels = []) (s : Pstm.Ptm.Stats.t) =
   let g name help v = set_int (gauge t ~help ~labels ("ptm_" ^ name)) v in

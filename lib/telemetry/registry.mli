@@ -19,10 +19,6 @@ val histogram : t -> ?help:string -> ?labels:(string * string) list -> string ->
 
 val inc : metric -> int -> unit
 val set_int : metric -> int -> unit
-val set_float : metric -> float -> unit
-
-val observe : metric -> int -> unit
-(** Record one sample into a histogram metric. *)
 
 val observe_hist : metric -> Repro_util.Histogram.t -> unit
 (** Merge an existing histogram's counts into a histogram metric. *)
@@ -46,9 +42,6 @@ val jsonl : t -> string
 (** One [{"kind":"metric",...}] JSON line per metric. *)
 
 (** {1 Standard publishers} *)
-
-val publish_sim_stats : t -> ?labels:(string * string) list -> Memsim.Sim.Stats.t -> unit
-(** Publish every scalar of {!Memsim.Sim.Stats.t} as a [sim_*] gauge. *)
 
 val publish_ptm_stats : t -> ?labels:(string * string) list -> Pstm.Ptm.Stats.t -> unit
 (** Publish {!Pstm.Ptm.Stats.t} as [ptm_*] gauges. *)

@@ -46,8 +46,6 @@ let attach ?(config = default_config) sim ptm =
   in
   { config; sim; ptm; profile; series = Series.create ~capacity:config.series_capacity (); machine_trace }
 
-let detach cap = Pstm.Ptm.set_profiler cap.ptm None
-
 let sample cap = Series.record cap.series cap.sim cap.ptm
 
 let config cap = cap.config

@@ -40,9 +40,6 @@ val attach : ?config:config -> Memsim.Sim.t -> Pstm.Ptm.t -> capture
 (** Install a profiler on [ptm] (and, per [config], a machine trace on
     [sim]).  Call after setup, before spawning workers. *)
 
-val detach : capture -> unit
-(** Remove the profiler from the runtime (streams stay readable). *)
-
 val sample : capture -> unit
 (** Record one series sample; call from a monitor thread. *)
 

@@ -2,15 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then nan else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then nan
@@ -25,14 +16,6 @@ let percentile xs p =
       let frac = rank -. float_of_int lo in
       (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
     end
-  end
-
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then nan
-  else begin
-    let logsum = Array.fold_left (fun acc x -> acc +. log x) 0.0 xs in
-    exp (logsum /. float_of_int n)
   end
 
 type counter = {

@@ -3,15 +3,9 @@
 val mean : float array -> float
 (** Arithmetic mean; [nan] on an empty array. *)
 
-val stddev : float array -> float
-(** Sample standard deviation (n-1 denominator); [0.] for n < 2. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], by linear interpolation over
     a sorted copy.  [nan] on an empty array. *)
-
-val geomean : float array -> float
-(** Geometric mean of positive values; [nan] on an empty array. *)
 
 type counter
 (** Streaming counter: count / sum / min / max without storing samples. *)

@@ -36,6 +36,4 @@ let total ptm =
       done;
       !sum)
 
-let expected_total = accounts * initial_balance
-
 let spec = { Driver.name = "bank"; heap_words = 1 lsl 20; setup; make_op }

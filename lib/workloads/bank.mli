@@ -11,9 +11,8 @@ val accounts : int
 val initial_balance : int
 
 val total : Pstm.Ptm.t -> int
-(** Transactional sum of all balances — equals {!expected_total} at
-    every consistent point (transfers conserve money). *)
-
-val expected_total : int
+(** Transactional sum of all balances — equals
+    [accounts * initial_balance] at every consistent point (transfers
+    conserve money). *)
 
 val spec : Driver.spec

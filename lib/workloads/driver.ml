@@ -113,18 +113,6 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
     telemetry = capture;
   }
 
-let throughput_row r =
-  [
-    r.workload;
-    r.model;
-    r.algorithm;
-    string_of_int r.threads;
-    Repro_util.Table.cell_f (r.txs_per_sec /. 1e6);
-    (* cell_f renders non-finite ratios (no aborts, or no samples at
-       all) as "-". *)
-    Repro_util.Table.cell_f r.commits_per_abort;
-  ]
-
 let run_meta r ~seed ~duration_ns =
   {
     Telemetry.Export.workload = r.workload;

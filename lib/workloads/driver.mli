@@ -64,9 +64,5 @@ val run :
     observes clocks without advancing them: with sampling disabled the
     run's virtual timeline is bit-identical to an uninstrumented run. *)
 
-val throughput_row : result -> string list
-(** [workload; model; algorithm; threads; tx/s; ratio] cells for tables.
-    Non-finite values render as ["-"]. *)
-
 val run_meta : result -> seed:int -> duration_ns:int -> Telemetry.Export.run_meta
 (** Export metadata describing this run, for {!Telemetry.dump}. *)

@@ -100,9 +100,12 @@ let sweep ?jobs ~quick ~title ~series specs =
     extra = [];
   }
 
+(* Throughput vs threads for the six B+Tree/TPCC/Vacation panels,
+   DRAM vs Optane x ADR vs eADR x undo vs redo. *)
 let fig3 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 3" ~series:fig3_series (main_panels ())
 
+(* Fig 3's comparison for TATP. *)
 let fig4 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 4" ~series:fig3_series [ Tatp.spec ]
 
@@ -139,6 +142,8 @@ let ratio_table ?jobs ~quick ~title algorithm =
     rows grid;
   { tables = [ t ]; results = List.concat grid; extra = [] }
 
+(* Commits per abort, TPCC (hash), with redo (Table I) and undo
+   (Table II) logging. *)
 let table1 ?(quick = false) ?jobs () = ratio_table ?jobs ~quick ~title:"Table I" Ptm.Redo
 
 let table2 ?(quick = false) ?jobs () = ratio_table ?jobs ~quick ~title:"Table II" Ptm.Undo
@@ -180,6 +185,8 @@ let table3 ?(quick = false) ?jobs () =
     algorithms grid;
   { tables = [ t ]; results = List.concat grid; extra = [] }
 
+(* Durability-model comparison (DRAM, eADR, PDRAM-R/U, PDRAM-Lite) for
+   the six main panels (Fig 6) and for TATP (Fig 7). *)
 let fig6 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 6" ~series:fig6_series (main_panels ())
 
@@ -211,6 +218,7 @@ let fig8_series =
     ("PDRAM-Lite", Config.pdram_lite, Ptm.Redo);
   ]
 
+(* Memcached throughput vs working-set size, one worker thread. *)
 let fig8 ?(quick = false) ?jobs () =
   let dur = duration quick in
   let sizes = if quick then [ List.nth fig8_sizes 0; List.nth fig8_sizes 1 ] else fig8_sizes in
@@ -235,7 +243,9 @@ let fig8 ?(quick = false) ?jobs () =
   List.iter2 (fun (label, _, _) rs -> Table.add_row t (label :: List.map cell rs)) fig8_series grid;
   { tables = [ t ]; results = List.filter_map Fun.id (List.concat grid); extra = [] }
 
-(* §IV-B: the compactness of redo logs that motivates PDRAM-Lite. *)
+(* §IV-B: the compactness of redo logs that motivates PDRAM-Lite.  The
+   largest persistent redo-log footprint (cache lines) per workload; the
+   paper reports 37 lines for Vacation and 36 for TPCC. *)
 let log_footprint ?(quick = false) ?jobs () =
   let dur = duration quick in
   let t =
@@ -261,7 +271,8 @@ let log_footprint ?(quick = false) ?jobs () =
     rows results;
   { tables = [ t ]; results; extra = [] }
 
-(* §III-B: incremental vs commit-time flushing of the redo log. *)
+(* §III-B: incremental vs commit-time flushing of the redo log (the
+   paper found no noticeable difference). *)
 let flush_timing_ablation ?(quick = false) ?jobs () =
   let dur = duration quick in
   let t =
@@ -434,8 +445,9 @@ let dimm_interleave ?(quick = false) ?jobs () =
     channel_axis grid;
   { tables = [ t ]; results = List.concat grid; extra = [] }
 
-(* Extension: transaction latency distributions (the paper reports
-   only throughput; tail latency is where fences actually hurt). *)
+(* Extension: p50/p95/p99 transaction latency per workload and model
+   (the paper reports only throughput; tail latency is where fences
+   actually hurt). *)
 let latency ?(quick = false) ?jobs () =
   let dur = duration quick in
   let t =
@@ -518,7 +530,10 @@ let add_economy_row t prefix (r : Driver.result) =
    flush/fence discipline when naive; coalesced commits batch the log
    sweep and dedup data lines behind single fences.  Under eADR no
    flushes are issued at all, so the two modes coincide — the hardware
-   already did the optimisation. *)
+   already did the optimisation.  Bank throughput vs threads for
+   {coalesced, naive} x {ADR, eADR} (redo), plus a per-commit
+   flush/fence economy table (actual and saved counts from the
+   profiler's coalescing ledger). *)
 let scaling ?(quick = false) ?jobs () =
   let dur = duration quick in
   let axis = if quick then [ 1; 2; 4 ] else threads_axis in
@@ -579,7 +594,17 @@ let algorithms ?(quick = false) ?jobs () =
   let dur = duration quick in
   let threads = if quick then 2 else 4 in
   let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
-  let algs = [ Ptm.Redo; Ptm.Undo; Ptm.Mod ] in
+  (* Every algorithm that runs under every domain column (not HTM). *)
+  let algs =
+    List.filter
+      (fun a ->
+        List.for_all
+          (fun (_, m) ->
+            Ptm.runs_on a ~needs_flush:(Config.needs_flush m)
+              ~durable_publish:m.Config.durable_publish)
+          domain_columns)
+      Ptm.algorithms
+  in
   let specs = [ Mod_bench.btree; Mod_bench.hash ] in
   let tput =
     Table.create
@@ -772,6 +797,7 @@ let fams_run ?(quick = false) ?jobs () =
   in
   (outcome, cells)
 
+(* {!fams_run}, outcome only: the CLI entry point. *)
 let fams ?quick ?jobs () = fst (fams_run ?quick ?jobs ())
 
 (* kvserve: the Fig 8 working-set sweep through the full service path

@@ -16,8 +16,9 @@
                                                  algorithm, then FAMS scenario x domain x
                                                  {fams-line, fams-page}), each judged by
                                                  the dlin oracle (knobs below)
-   differential  @differential  yes       60 s   12 Difftest seeds leave the identical heap
-                                                 under every configuration; a 4-thread ADR
+   differential  @differential  yes       60 s   12 Difftest seeds, each explained by its
+                                                 Dlin spec under every configuration of
+                                                 Difftest.matrix; a 4-thread ADR
                                                  bank run spends strictly fewer fences and
                                                  clwbs per commit coalesced than naive
    fams          @fams --full   quick    120 s   `fams` grid shape, line write amp below
@@ -157,6 +158,22 @@ let fences_and_flushes p =
 
 (* ---------- crashtest ---------- *)
 
+(* One cell's line: its counts, then each failure with its replay line. *)
+let pp_report ppf (r : Engine.report) =
+  Format.fprintf ppf "crashtest %s/%s/%s seed=%d: %d/%d points (T=%dns)" r.scenario r.model
+    r.algorithm r.seed r.tested r.candidates r.final_time;
+  match r.failures with
+  | [] -> Format.fprintf ppf " all pass"
+  | fs ->
+    List.iter
+      (fun (f : Engine.failure) ->
+        Format.fprintf ppf "@.  FAIL at %dns (min %dns): %s@.  replay: %s" f.crash_at
+          f.min_crash_at f.reason f.replay;
+        match f.telemetry_dir with
+        | Some dir -> Format.fprintf ppf "@.  telemetry: %s" dir
+        | None -> ())
+      fs
+
 let env_int var ~default ~lo =
   match Sys.getenv_opt var with
   | None -> default
@@ -209,7 +226,7 @@ let crashtest ~full:_ =
     List.iter
       (fun cell ->
         let report = Engine.sweep ~points ~seed ~exhaustive cell in
-        Format.printf "%a@." Engine.pp_report report;
+        Format.printf "%a@." pp_report report;
         check
           (Printf.sprintf "cell %s/%s/%s" report.Engine.scenario report.Engine.model
              report.Engine.algorithm)

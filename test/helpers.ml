@@ -55,6 +55,16 @@ let minor_words_per_iter ?(iters = 10_000) f =
 let check_alloc_free name words =
   check_bool (Printf.sprintf "%s: %.3f minor words per iteration" name words) true (words = 0.)
 
+(* A crash sweep passes when it found no violation; a failing check
+   lists each failure's reason and replay line. *)
+let check_sweep (r : Crashtest.Engine.report) =
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s/%s/%s: no violation" r.scenario r.model r.algorithm)
+    []
+    (List.map
+       (fun (f : Crashtest.Engine.failure) -> f.reason ^ "; replay: " ^ f.replay)
+       r.failures)
+
 (* qcheck bridge: register a property as an alcotest case. *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)

@@ -17,9 +17,7 @@ let matrix_models =
 
 let test_cell scenario model algorithm () =
   let report = Engine.explore ~points:50 ~seed ~model ~algorithm scenario in
-  Helpers.check_bool
-    (Format.asprintf "%a" Engine.pp_report report)
-    true (Engine.ok report);
+  Helpers.check_sweep report;
   Helpers.check_bool "probed at least 50 instants" true (report.Engine.tested >= 50)
 
 let matrix_cases =
@@ -29,6 +27,8 @@ let matrix_cases =
   let scenarios =
     [| Scenarios.bank (); Scenarios.counters (); Scenarios.btree (); Scenarios.alloc_churn () |]
   in
+  (* All four sweep the same logging columns. *)
+  let columns = scenarios.(0).Engine.algorithms in
   List.concat
     (List.mapi
        (fun i model ->
@@ -41,7 +41,7 @@ let matrix_cases =
                  (Ptm.algorithm_name algorithm)
              in
              Alcotest.test_case name `Slow (test_cell scenario model algorithm))
-           [ Ptm.Redo; Ptm.Undo ])
+           (columns model))
        matrix_models)
 
 (* ---------- both flush schedules at every crash point ---------- *)
@@ -62,7 +62,7 @@ let coalescing_cases =
               (Ptm.algorithm_name algorithm)
           in
           Alcotest.test_case name `Slow (test_cell scenario Config.optane_adr algorithm))
-        [ Ptm.Redo; Ptm.Undo ])
+        (scenario.Engine.algorithms Config.optane_adr))
     [ Scenarios.bank ~coalesce:false (); Scenarios.btree ~coalesce:false () ]
 
 (* ---------- MOD structures: buffered durability cells ---------- *)

@@ -3,13 +3,16 @@
 
 module E = Workloads.Experiments
 
+(* The registry is the only way to a figure. *)
+let quick name = (List.assoc name E.all) ~quick:true ()
+
 let test_registry_names_unique () =
   let names = List.map fst E.all in
   Helpers.check_int "no duplicate experiment names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
 let test_logsize_experiment () =
-  let outcome = E.log_footprint ~quick:true () in
+  let outcome = quick "logsize" in
   match outcome.E.tables with
   | [ t ] ->
     let csv = Repro_util.Table.to_csv t in
@@ -23,7 +26,7 @@ let test_logsize_experiment () =
 let test_orec_ablation_monotone () =
   (* More orecs can only reduce false conflicts: throughput at 2^20
      must beat 2^10 clearly. *)
-  let outcome = E.orec_ablation ~quick:true () in
+  let outcome = quick "orec-size" in
   let results = outcome.E.results in
   Helpers.check_int "six sizes" 6 (List.length results);
   let first = List.hd results and last = List.nth results 5 in
@@ -31,7 +34,7 @@ let test_orec_ablation_monotone () =
     (last.Workloads.Driver.txs_per_sec > first.Workloads.Driver.txs_per_sec)
 
 let test_recovery_time_experiment () =
-  let outcome = E.recovery_time ~quick:true () in
+  let outcome = quick "recovery-time" in
   match outcome.E.tables with
   | [ t ] ->
     let lines = String.split_on_char '\n' (Repro_util.Table.to_csv t) in
@@ -41,7 +44,7 @@ let test_recovery_time_experiment () =
 
 let test_quick_flag_shrinks_fig8 () =
   (* Quick mode runs a reduced working-set axis. *)
-  let outcome = E.fig8 ~quick:true () in
+  let outcome = quick "fig8" in
   match outcome.E.tables with
   | [ t ] ->
     let header = List.hd (String.split_on_char '\n' (Repro_util.Table.to_csv t)) in

@@ -93,8 +93,8 @@ let dw_lo = Layout.words_per_page
 let dw_hi = dw_lo + (5 * Layout.words_per_page)
 
 (* Replay a store trace into both the bitmap and a Hashtbl reference
-   model, then require identical page/line sets, counts, iteration
-   order and membership answers — including after [clear]. *)
+   model, then require identical page/line sets in iteration order —
+   including after [clear]. *)
 let dirty_matches_model runs =
   let d = Dirty.create ~lo:dw_lo ~hi:dw_hi in
   let pages = Hashtbl.create 16 and lines = Hashtbl.create 64 in
@@ -118,31 +118,11 @@ let dirty_matches_model runs =
   Dirty.iter_dirty_pages d (fun p ->
       Dirty.iter_dirty_lines_of_page d p (fun l -> got_lines := l :: !got_lines));
   let got_lines = List.rev !got_lines in
-  let membership_ok =
-    List.for_all
-      (fun (start, len) ->
-        List.for_all
-          (fun addr ->
-            let in_window = addr >= dw_lo && addr < dw_hi in
-            Dirty.page_dirty d addr
-            = (in_window
-              && Hashtbl.mem pages (addr / Layout.words_per_page * Layout.words_per_page))
-            && Dirty.line_dirty d addr
-               = (in_window
-                 && Hashtbl.mem lines (addr / Layout.words_per_line * Layout.words_per_line)))
-          [ start; start + len - 1; start + (len / 2) ])
-      runs
-  in
-  let populated_ok =
-    Dirty.dirty_pages d = List.length model_pages
-    && Dirty.dirty_lines d = List.length model_lines
-    && got_pages = model_pages && got_lines = model_lines && membership_ok
-  in
+  let populated_ok = got_pages = model_pages && got_lines = model_lines in
   Dirty.clear d;
   let cleared = ref true in
   Dirty.iter_dirty_pages d (fun _ -> cleared := false);
-  populated_ok && Dirty.dirty_pages d = 0 && Dirty.dirty_lines d = 0 && !cleared
-  && not (Dirty.page_dirty d dw_lo)
+  populated_ok && !cleared
 
 (* Runs start anywhere around the window (including outside) and span
    up to 600 words, so they straddle line and page boundaries. *)
@@ -188,7 +168,7 @@ let test_phase_exactness () =
 
 let test_fams_cell cell () =
   let report = Engine.sweep ~points:40 ~seed cell in
-  Helpers.check_bool (Format.asprintf "%a" Engine.pp_report report) true (Engine.ok report);
+  Helpers.check_sweep report;
   Helpers.check_bool "probed at least 40 instants" true (report.Engine.tested >= 40)
 
 let matrix_cases =

@@ -298,7 +298,9 @@ let build_registry () =
   let g = Registry.gauge r ~labels:[ ("shard", "1") ] "ptm_commits" in
   Registry.set_int g 42;
   let h = Registry.histogram r ~labels:[ ("op", "get") ] "kv_latency_ns" in
-  List.iter (Registry.observe h) [ 10; 20; 30 ];
+  let samples = Repro_util.Histogram.create () in
+  List.iter (Repro_util.Histogram.record samples) [ 10; 20; 30 ];
+  Registry.observe_hist h samples;
   r
 
 let test_registry_find_or_create () =

@@ -41,7 +41,11 @@ let test_every_workload_all_models () =
                 (Printf.sprintf "%s/%s/%s runs" spec.Driver.name model.Config.model_name
                    (Ptm.algorithm_name algorithm))
                 true (r.Driver.commits > 0))
-            [ Ptm.Redo; Ptm.Undo ])
+            (List.filter
+               (fun a ->
+                 Ptm.runs_on a ~needs_flush:(Config.needs_flush model)
+                   ~durable_publish:model.Config.durable_publish)
+               Ptm.algorithms))
         [ Config.dram_adr; Config.optane_adr; Config.optane_eadr; Config.pdram;
           Config.pdram_lite ])
     [ Tatp.spec; Tpcc.spec Tpcc.Hash ]
