@@ -13,7 +13,6 @@
 
 module Rng = Repro_util.Rng
 module Zipf = Repro_util.Zipf
-module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Machine = Machine
 module Config = Memsim.Config

@@ -80,8 +80,9 @@ type 'rt target = {
   start : seed:int -> Sim.t -> 'rt -> 'rt judge;
       (** spawn a fresh instance's workers; returns the instance's judge *)
   dump :
-    seed:int -> image:string -> crash_at:int -> dir:string -> Telemetry.Export.run_meta -> unit;
-      (** failure telemetry of a re-run crashing at [crash_at], into [dir] *)
+    seed:int -> prepared:Sim.t -> crash_at:int -> dir:string -> Telemetry.Export.run_meta -> unit;
+      (** failure telemetry of a re-run from [prepared] crashing at
+          [crash_at], into [dir] *)
   drain_windows : Trace.t -> int list;  (** instants always probed, on top of the sample *)
 }
 
@@ -102,22 +103,18 @@ let write_file dir name body =
   let oc = open_out_bin (Filename.concat dir name) in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body)
 
-(* Format the region once, run the population phase, and persist the
-   result to an image file so every crash-point probe reloads identical
-   initial state instead of re-running the population.  Every machine
-   the engine creates is released once judged, so probes share one
-   metadata buffer instead of allocating 4.2 MB each. *)
-let with_image (tg : _ target) f =
-  let sim = Sim.create tg.cfg in
-  tg.populate sim;
-  Sim.persist_all sim;
-  let image = Filename.temp_file "crashtest" ".img" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
-    (fun () ->
-      Sim.save_image sim image;
-      Sim.release sim;
-      f image)
+(* Format the region once, run the population phase and persist it:
+   every crash-point probe boots from this prepared machine with
+   [Sim.reboot], which yields the same image each time, instead of
+   re-running the population.  The first reboot releases the prepared
+   machine's metadata buffer, and every machine the engine boots is
+   released once judged, so probes share one buffer instead of
+   allocating 4.2 MB each. *)
+let with_prepared (tg : _ target) f =
+  Sim.with_ (Sim.create tg.cfg) (fun prepared ->
+      tg.populate prepared;
+      Sim.persist_all prepared;
+      f prepared)
 
 let region_clean stage region =
   let rep = Pmem.Check.run region in
@@ -125,11 +122,11 @@ let region_clean stage region =
   else
     Error (plain_failure (Format.asprintf "%s-recovery corruption:@ %a" stage Pmem.Check.pp rep))
 
-(* Run the workload from the prepared image, optionally crashing, and
+(* Run the workload from the prepared machine, optionally crashing, and
    judge.  Returns the verdict, the final virtual time and the trace
    (when requested). *)
-let run_from_image ?(trace_capacity = 0) (tg : _ target) ~seed ~image ?crash_at () =
-  let sim = Sim.load_image tg.cfg image in
+let run_from ?(trace_capacity = 0) (tg : _ target) ~seed ~prepared ?crash_at () =
+  let sim = Sim.reboot prepared in
   let rt = tg.recover sim in
   let tr =
     if trace_capacity > 0 then Some (Sim.enable_trace ~capacity:trace_capacity sim) else None
@@ -166,7 +163,7 @@ let replay_command (tg : _ target) seed crash_at =
    telemetry attached and the artifacts are dumped next to the replay
    line; the dlin counterexample, when there is one, rides along as
    dlin.jsonl. *)
-let dump_failure_telemetry (tg : _ target) ~seed ~image ~crash_at (fail : oracle_failure) =
+let dump_failure_telemetry (tg : _ target) ~seed ~prepared ~crash_at (fail : oracle_failure) =
   match
     let dir =
       Filename.concat
@@ -176,7 +173,7 @@ let dump_failure_telemetry (tg : _ target) ~seed ~image ~crash_at (fail : oracle
            (match tg.inject_name with None -> "" | Some i -> "-" ^ i))
     in
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    tg.dump ~seed ~image ~crash_at ~dir
+    tg.dump ~seed ~prepared ~crash_at ~dir
       {
         Telemetry.Export.workload = tg.scenario_name;
         model = model_name tg;
@@ -226,13 +223,13 @@ let shrink ~probe ~budget t0 =
   !best
 
 let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) (Cell tg) =
-  with_image tg (fun image ->
+  with_prepared tg (fun prepared ->
       (* Crash-free reference run, traced: yields the final time and
          the interesting instants, and sanity-checks the oracle.  The
          injected bugs only weaken durability, never the cache-visible
          state, so the reference must pass even under injection. *)
       let verdict, final_time, tr =
-        run_from_image ~trace_capacity:(1 lsl 17) tg ~seed ~image ()
+        run_from ~trace_capacity:(1 lsl 17) tg ~seed ~prepared ()
       in
       (match verdict with
       | Ok () -> ()
@@ -260,7 +257,7 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) (Cell tg) =
         end
       in
       let probe t =
-        let v, _, _ = run_from_image tg ~seed ~image ~crash_at:t () in
+        let v, _, _ = run_from tg ~seed ~prepared ~crash_at:t () in
         v
       in
       let tested = ref 0 in
@@ -282,7 +279,7 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) (Cell tg) =
                      reason = fail.fail_reason;
                      replay = replay_command tg seed min_t;
                      telemetry_dir =
-                       dump_failure_telemetry tg ~seed ~image ~crash_at:min_t fail;
+                       dump_failure_telemetry tg ~seed ~prepared ~crash_at:min_t fail;
                    };
                raise Exit)
            chosen
@@ -299,8 +296,8 @@ let sweep ?(points = 64) ?(seed = 1) ?(exhaustive = false) (Cell tg) =
       })
 
 let probe ~seed ~crash_at (Cell tg) =
-  with_image tg (fun image ->
-      let v, _, _ = run_from_image tg ~seed ~image ~crash_at () in
+  with_prepared tg (fun prepared ->
+      let v, _, _ = run_from tg ~seed ~prepared ~crash_at () in
       Result.map_error (fun f -> f.fail_reason) v)
 
 (* ---------- PTM cells ---------- *)
@@ -333,8 +330,8 @@ let ptm_target ?inject ~model ~algorithm (scenario : scenario) =
     done;
     judge inst.oracle inst.validate
   in
-  let dump ~seed ~image ~crash_at ~dir meta =
-    let sim = Sim.load_image cfg image in
+  let dump ~seed ~prepared ~crash_at ~dir meta =
+    let sim = Sim.reboot prepared in
     let ptm = recover sim in
     let cap = Telemetry.attach ~config:failure_telemetry_config sim ptm in
     let _judge = start ~seed sim ptm in
@@ -383,8 +380,8 @@ let heap_snapshot m words = Array.init words (fun i -> m.Machine.raw_read i)
 let recovery_convergence ~model ~algorithm ~seed ~crash_at scenario =
   let tg = ptm_target ~model ~algorithm scenario in
   let recover m = Ptm.recover ~algorithm ~coalesce:scenario.coalesce m in
-  with_image tg (fun image ->
-      let sim = Sim.load_image tg.cfg image in
+  with_prepared tg (fun prepared ->
+      let sim = Sim.reboot prepared in
       let judge = tg.start ~seed sim (tg.recover sim) in
       Sim.run ~crash_at sim;
       (* Only the rebooted machines below are judged. *)
@@ -510,8 +507,8 @@ let fams_target ?inject ~model ~granularity scenario =
   (* The phase profiler (sweep / publish / apply spans) plus the machine
      trace, as profile.jsonl + trace.json.  [Telemetry.attach] is
      PTM-shaped, so the dump is assembled from the exporters directly. *)
-  let dump ~seed ~image ~crash_at ~dir meta =
-    let sim = Sim.load_image cfg image in
+  let dump ~seed ~prepared ~crash_at ~dir meta =
+    let sim = Sim.reboot prepared in
     let profiler =
       Pstm.Profile.create
         ~wpq_stall_probe:(fun tid -> Sim.wpq_stall_ns_of sim ~tid)

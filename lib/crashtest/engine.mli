@@ -5,6 +5,8 @@
     oracle.  For a given {!cell} — (scenario, durability model,
     algorithm column) — and seed it
 
+    + populates one machine, persists it and keeps it in memory as the
+      prepared machine: every run below starts from [Sim.reboot] of it;
     + runs the workload once to completion, recording the final virtual
       time and an event trace;
     + enumerates candidate crash instants from the trace (just before
@@ -121,7 +123,7 @@ type fams_scenario = {
   f_words : int;  (** working-area size *)
   f_prepare : Fams.t -> unit;
       (** raw (untimed) population of the working area; the engine
-          checkpoints afterwards, so the prepared image starts fully
+          checkpoints afterwards, so the prepared machine starts fully
           synced *)
   f_fresh : seed:int -> fams_instance;
 }
@@ -140,7 +142,7 @@ type cell
 val ptm_cell :
   ?inject:Pstm.Ptm.inject -> model:Memsim.Config.model -> algorithm:Pstm.Ptm.algorithm ->
   scenario -> cell
-(** The prepared image is always populated without [inject]. *)
+(** The prepared machine is always populated without [inject]. *)
 
 val fams_cell :
   ?inject:Fams.inject -> model:Memsim.Config.model -> granularity:Fams.granularity ->

@@ -26,7 +26,6 @@ type t
 type granularity = Line | Page
 
 val granularity_name : granularity -> string
-val unit_words : granularity -> int
 
 (** Injectable protocol bugs for the crashtest oracle: eliding the
     journal drain fence before publish, and leaving the last journal
@@ -55,10 +54,6 @@ module Stats : sig
   val fields : t -> (string * int) list
   (** Stable (name, value) export pairs. *)
 end
-
-val snapshot_words_for : words:int -> int
-(** Snapshot-log area sized for the worst-case dirty set of a
-    [words]-word working area (covers both granularities). *)
 
 val required_heap_words : words:int -> int
 (** Minimum simulated heap for a FAMS region with a [words]-word

@@ -13,12 +13,8 @@ type config = {
   heap_words_per_shard : int;
   buckets_per_shard : int;
   log_words_per_thread : int;
-  max_batch : int;
-  debt_line_limit : int;
-  restart_gap_ns : int;
   prepopulate_items : int;
   value_bytes : int;
-  profile : bool;
   trace : bool;
   seed : int;
 }
@@ -30,15 +26,22 @@ let default_config model =
     heap_words_per_shard = 1 lsl 18;
     buckets_per_shard = 1024;
     log_words_per_thread = 8192;
-    max_batch = 8;
-    debt_line_limit = 24;
-    restart_gap_ns = 50_000;
     prepopulate_items = 2048;
     value_bytes = 64;
-    profile = false;
     trace = false;
     seed = 0xCAFE;
   }
+
+(* Admission cap: writes coalesced per commit. *)
+let max_batch = 8
+
+(* Backpressure threshold on WPQ + armed-log lines: at or above it the
+   batch cap drops to 1. *)
+let debt_line_limit = 24
+
+(* Modeled service-restart cost (process start, reattach) between the
+   crash and the replay phase. *)
+let restart_gap_ns = 50_000
 
 type opcode = Op_get | Op_set | Op_delete | Op_incr
 
@@ -255,7 +258,6 @@ type cell = {
   c_batch_sizes : int Col.t;
   c_stats : shard_stats;
   c_recovery : recovery option;
-  c_capture : (int * Telemetry.capture) option;
   c_trace : Trace.t option;
 }
 
@@ -314,7 +316,7 @@ let apply_write tx store (rq : requests) (out : slots) ~r ~sub =
    execution span (commit / read) whose children are the PTM profile
    slices bracketed by the transaction — pure observation, recorded
    from clock values the executor already read. *)
-let executor cfg ~sim ~ptm ~store ~(rq : requests) ~(lane : lane) ~(out : slots) ~positions
+let executor ~sim ~ptm ~store ~(rq : requests) ~(lane : lane) ~(out : slots) ~positions
     ~arrival ~garrival ~offset ~tally ~tracing ~shard () =
   let m = Sim.machine sim in
   let n = Array.length positions in
@@ -361,8 +363,8 @@ let executor cfg ~sim ~ptm ~store ~(rq : requests) ~(lane : lane) ~(out : slots)
     else if is_write p then begin
       (* Debt-driven admission: past the line limit, writes are let in
          one at a time until the WPQ has drained. *)
-      let clamped = Sim.Debt.pending_lines sim >= cfg.debt_line_limit in
-      let cap = if clamped then 1 else cfg.max_batch in
+      let clamped = Sim.Debt.pending_lines sim >= debt_line_limit in
+      let cap = if clamped then 1 else max_batch in
       let j = ref !i in
       while
         !j < n && !j - !i < cap
@@ -482,30 +484,15 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
   Sim.reset_timing sim;
   Ptm.Stats.reset ptm;
   if track then Sim.persist_all sim;
-  let capture =
-    if cfg.profile then
-      let tcfg = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
-      Some (shard, Telemetry.attach ~config:tcfg sim ptm)
-    else None
-  in
   (* Request tracing rides on a phase profiler (observation-only, so
-     enabling it perturbs no virtual time).  When [profile] already
-     attached one via the capture, reuse it — the PTM has a single
-     profiler slot. *)
+     enabling it perturbs no virtual time). *)
   let tracing =
     if not cfg.trace then None
-    else
-      let prof =
-        match capture with
-        | Some (_, cap) -> Telemetry.profile cap
-        | None ->
-          let p =
-            Profile.create ~wpq_stall_probe:(fun tid -> Sim.wpq_stall_ns_of sim ~tid) m
-          in
-          Ptm.set_profiler ptm (Some p);
-          p
-      in
+    else begin
+      let prof = Profile.create ~wpq_stall_probe:(fun tid -> Sim.wpq_stall_ns_of sim ~tid) m in
+      Ptm.set_profiler ptm (Some prof);
       Some (Trace.create (), prof)
+    end
   in
   let tally =
     { batches = 0; batch_sizes = Col.create ~fill:0 (n / 4); max_batch_seen = 0; throttled = 0 }
@@ -513,7 +500,7 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
   if n > 0 then
     ignore
       (Sim.spawn sim
-         (executor cfg ~sim ~ptm ~store ~rq ~lane ~out ~positions:(Array.init n Fun.id) ~arrival
+         (executor ~sim ~ptm ~store ~rq ~lane ~out ~positions:(Array.init n Fun.id) ~arrival
             ~garrival:arrival ~offset:0 ~tally ~tracing ~shard));
   (match crash_at with None -> Sim.run sim | Some at -> Sim.run ~crash_at:at sim);
   let crashed = Sim.crashed sim in
@@ -547,7 +534,7 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
       let marker = Ptm.atomic ptm2 (fun tx -> Store.batch_marker tx store2) in
       let modeled = modeled_recovery_ns sim_cfg ~needs_flush:m2.Machine.needs_flush rr in
       let at = match crash_at with Some at -> at | None -> 0 in
-      let offset = at + modeled + cfg.restart_gap_ns in
+      let offset = at + modeled + restart_gap_ns in
       (* Service-level downtime spans: trace -1 keeps them out of
          per-request accounting but on the Perfetto service track. *)
       (match tracing2 with
@@ -579,7 +566,7 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
       if Array.length replay > 0 then
         ignore
           (Sim.spawn sim2
-             (executor cfg ~sim:sim2 ~ptm:ptm2 ~store:store2 ~rq ~lane ~out ~positions:replay
+             (executor ~sim:sim2 ~ptm:ptm2 ~store:store2 ~rq ~lane ~out ~positions:replay
                 ~arrival:(fun p -> max (arrival p - offset) 0)
                 ~garrival:arrival ~offset ~tally ~tracing:tracing2 ~shard));
       if Array.length replay > 0 then Sim.run sim2;
@@ -636,7 +623,6 @@ let run_shard cfg ~crash_at ~shard (rq : requests) (lane : lane) (out : slots) =
         s_sim = sim_fields;
       };
     c_recovery = recovery;
-    c_capture = capture;
     c_trace = Option.map fst tracing;
   }
 
@@ -659,7 +645,6 @@ type result = {
   shards : shard_stats list;
   recoveries : recovery list;
   crashed : bool;
-  captures : (int * Telemetry.capture) list;
   trace : Trace.t option;
 }
 
@@ -841,7 +826,6 @@ let run ?jobs ?crash_at cfg (fleet : Client.t) =
       shards = List.map (fun c -> c.c_stats) cells;
       recoveries = List.filter_map (fun c -> c.c_recovery) cells;
       crashed = List.exists (fun c -> c.c_recovery <> None) cells;
-      captures = List.filter_map (fun c -> c.c_capture) cells;
       trace;
     }
   in

@@ -21,10 +21,11 @@
       columns in arrival order, batching {e adjacent writes} into one
       transaction — one coalesced commit, one durable fence for the
       whole batch — while reads run as individual read-only
-      transactions.  Admission is debt-driven: when the shard's
-      instantaneous persistence debt ({!Memsim.Sim.Debt}) exceeds
-      [debt_line_limit] lines, the batch cap drops to 1, giving the
-      WPQ time to drain before more log traffic is admitted.  Every
+      transactions, at most 8 writes per batch.  Admission is
+      debt-driven: when the shard's instantaneous persistence debt
+      ({!Memsim.Sim.Debt}, WPQ plus armed-log lines) reaches 24 lines,
+      the batch cap drops to 1, giving the WPQ time to drain before
+      more log traffic is admitted.  Every
       write batch also commits the shard's batch marker
       ({!Store.set_batch_marker}), making the durable prefix of the
       write stream explicit.
@@ -37,7 +38,8 @@
       {!Pstm.Ptm.Recovery_report} counts and the machine's configured
       latencies (log-scan loads at the log medium's latency — DRAM
       under PDRAM-Lite — plus write-back per replayed entry), because
-      the recovery pass itself runs on untimed raw operations.
+      the recovery pass itself runs on untimed raw operations; a
+      modeled 50 µs restart gap (process start, reattach) follows it.
     + {b Assembly} (after every shard has finished): each executor has
       written, for each of its own sub-operations, the completion
       instant, an outcome code and, for a [get] hit, the flags and
@@ -55,17 +57,9 @@ type config = {
   heap_words_per_shard : int;
   buckets_per_shard : int;
   log_words_per_thread : int;
-  max_batch : int;  (** admission cap: writes coalesced per commit *)
-  debt_line_limit : int;
-      (** backpressure threshold on WPQ + armed-log lines; at or above
-          it the batch cap drops to 1 *)
-  restart_gap_ns : int;
-      (** modeled service-restart cost (process start, reattach)
-          added between crash and the replay phase *)
   prepopulate_items : int;
       (** item ranks preloaded untimed before the clock starts *)
   value_bytes : int;  (** payload size of preloaded values *)
-  profile : bool;  (** attach a {!Telemetry.capture} to every shard *)
   trace : bool;
       (** record request spans ({!Telemetry.Trace}) end to end: trace
           context per parsed request, queue/throttle/batch wait and
@@ -130,8 +124,6 @@ type result = {
   shards : shard_stats list;
   recoveries : recovery list;  (** one per shard when the run crashed *)
   crashed : bool;
-  captures : (int * Telemetry.capture) list;
-      (** per-shard telemetry when [config.profile] *)
   trace : Telemetry.Trace.t option;
       (** the service-global span store when [config.trace]: one
           ["request"] root per traced request with wait / execution /

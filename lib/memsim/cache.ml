@@ -14,7 +14,9 @@ let floor_pow2 n =
   let rec go p = if p * 2 <= n then go (p * 2) else p in
   if n <= 1 then 1 else go 1
 
-let create ?(line_bytes = 64) ~bytes ~ways () =
+let line_bytes = 64
+
+let create ~bytes ~ways =
   assert (ways > 0 && bytes >= line_bytes * ways);
   let sets = floor_pow2 (bytes / (line_bytes * ways)) in
   {

@@ -6,9 +6,9 @@
 
 type t
 
-val create : ?line_bytes:int -> bytes:int -> ways:int -> unit -> t
-(** [bytes] total capacity; [ways] associativity.  The number of sets
-    is rounded down to a power of two (at least one). *)
+val create : bytes:int -> ways:int -> t
+(** [bytes] total capacity; [ways] associativity; 64-byte lines.  The
+    number of sets is rounded down to a power of two (at least one). *)
 
 val hit : int
 val miss_clean : int

@@ -10,7 +10,6 @@ type t = {
   mutable inflight : int;
   mutable requests : int;
   mutable stall_ns : int;
-  mutable queue_ns : int;
   (* Out-parameters of [enqueue_fast]; see the mli. *)
   mutable last_ready : int;
   mutable last_completion : int;
@@ -26,7 +25,6 @@ let create ~service_ns ~capacity =
     inflight = 0;
     requests = 0;
     stall_ns = 0;
-    queue_ns = 0;
     last_ready = 0;
     last_completion = 0;
   }
@@ -37,7 +35,6 @@ let acquire_sync t ~now ~latency_ns =
      polymorphic [Stdlib.max], once per memory event. *)
   let start = if now >= t.next_free then now else t.next_free in
   t.next_free <- start + t.service_ns;
-  t.queue_ns <- t.queue_ns + (start - now);
   start + latency_ns
 
 let[@inline] wrap t i = if i >= Array.length t.buf then i - Array.length t.buf else i
@@ -85,7 +82,6 @@ let reset t =
   t.inflight <- 0;
   t.requests <- 0;
   t.stall_ns <- 0;
-  t.queue_ns <- 0;
   t.last_ready <- 0;
   t.last_completion <- 0
 
@@ -98,4 +94,3 @@ let inflight_at t ~now =
 
 let requests t = t.requests
 let stall_ns t = t.stall_ns
-let queue_ns t = t.queue_ns

@@ -36,9 +36,6 @@ val requests : t -> int
 val stall_ns : t -> int
 (** Total backpressure stall time imposed on issuing threads. *)
 
-val queue_ns : t -> int
-(** Total queueing delay (start - arrival) across sync requests. *)
-
 val inflight_at : t -> now:int -> int
 (** Entries of a bounded server still draining at the given instant —
     what a power failure would have to finish on reserve power. *)

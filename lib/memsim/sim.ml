@@ -66,7 +66,7 @@ let create (cfg : Config.t) =
     sched = Sched.create ();
     heap = Pheap.create ~words:cfg.heap_words;
     media = (if cfg.track_media then Some (Pheap.create ~words:cfg.heap_words) else None);
-    l3 = Cache.create ~bytes:cfg.l3_bytes ~ways:cfg.l3_ways ();
+    l3 = Cache.create ~bytes:cfg.l3_bytes ~ways:cfg.l3_ways;
     wpq_nvm =
       Array.init cfg.nvm_channels (fun _ ->
           Server.create ~service_ns:cfg.lat.nvm_wpq_service_ns
@@ -572,6 +572,15 @@ let surviving_media t =
     if t.cfg.model.data_media = Config.Dram then Pheap.fill_zero image;
     image
 
+(* The one boot path: a fresh machine whose heap and media both start
+   as [image].  Log ranges are volatile placement metadata, not media:
+   the region marks them again when it is formatted or attached. *)
+let boot cfg image =
+  let t = create cfg in
+  Pheap.assign ~src:image ~dst:t.heap;
+  Option.iter (fun media -> Pheap.assign ~src:image ~dst:media) t.media;
+  t
+
 (* Sparse image format: only touched chunks are written, so crash
    images of mostly-cold heaps stay small and fast.  Touched pages
    round-trip byte-identically (untouched pages are all-zero by
@@ -661,26 +670,14 @@ let load_image cfg path =
     try Pheap.of_touched ~words:cfg.Config.heap_words pairs
     with Invalid_argument msg -> corrupt ~at:image_header ("malformed chunk: " ^ msg)
   in
-  let fresh = create cfg in
-  Pheap.assign ~src:image ~dst:fresh.heap;
-  (match fresh.media with
-  | Some media -> Pheap.assign ~src:image ~dst:media
-  | None -> ());
-  fresh
+  boot cfg image
 
 let reboot t =
   let image = surviving_media t in
   (* The power failure lost [t]'s volatile metadata: hand its buffer to
      the machine being booted. *)
   release t;
-  let fresh = create t.cfg in
-  Pheap.assign ~src:image ~dst:fresh.heap;
-  (match fresh.media with
-  | Some media -> Pheap.assign ~src:image ~dst:media
-  | None -> ());
-  fresh.log_ranges <- t.log_ranges;
-  rebuild_log_index fresh;
-  fresh
+  boot t.cfg image
 
 (* HTM commit: one indivisible event.  Values land in the heap and
    their lines become (dirty) cache-resident, exactly as a committing

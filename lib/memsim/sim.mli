@@ -92,12 +92,17 @@ val wpq_stall_ns_of : t -> tid:int -> int
 
 val reboot : t -> t
 (** Post-crash (or post-run) machine: fresh scheduler, caches, queues
-    and volatile metadata; heap initialized from the surviving media
-    image according to the durability domain.  Requires
-    [track_media = true].  The power failure loses the old machine's
-    volatile metadata, so [reboot] {!release}s it: the new machine's
-    first {!machine} call reuses that buffer, zeroed.  Rebooting the
-    same [t] again (to replay one crash) stays valid. *)
+    and volatile metadata; heap and media initialized from the
+    surviving media image according to the durability domain — the
+    image {!save_image} would write, booted the way {!load_image}
+    boots a file.  PTM log ranges are volatile too: the new machine has
+    none until the region is attached again ([Pmem.Region.attach],
+    which PTM recovery calls).  Requires [track_media = true].  The
+    power failure loses the old machine's volatile metadata, so
+    [reboot] {!release}s it: the new machine's first {!machine} call
+    reuses that buffer, zeroed.  Rebooting the same [t] again stays
+    valid, to replay one crash or to start many runs from one finished,
+    {!persist_all}ed machine (the crash engine's prepared machine). *)
 
 val reset_timing : t -> unit
 (** Forget timing state accumulated by an untimed setup phase (memory
@@ -122,7 +127,8 @@ val save_image : t -> string -> unit
 
 val load_image : Config.t -> string -> t
 (** Fresh machine whose heap and media are initialized from a file
-    written by {!save_image}.
+    written by {!save_image}: the same boot as {!reboot}, so it has no
+    PTM log ranges until the region is attached.
     @raise Machine.Corrupt_image on any file {!save_image} did not
     write for this configuration: wrong size, header or length,
     checksum mismatch, out-of-range chunk index or word (the payload

@@ -41,8 +41,6 @@ val crash_points : ?halo:int -> t -> int list
     Loads are skipped — crashing around them adds no new
     persistent-state interleavings.  Default [halo] is 1. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val dump : Format.formatter -> t -> unit
 (** Print the retained tail, one event per line. *)
 

@@ -19,8 +19,6 @@ type report = {
   live_words : int;  (** payload words in allocated blocks *)
 }
 
-val severity_name : severity -> string
-
 val run : Region.t -> report
 (** Scan the region.  Corruption findings mean persistent metadata is
     inconsistent (overlapping blocks, headers out of bounds, root

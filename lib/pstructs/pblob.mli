@@ -10,12 +10,6 @@
 type t = int
 (** A blob is identified by its payload address. *)
 
-val max_bytes : int
-(** Largest storable blob (fits the allocator's block-size limit). *)
-
-val words_for : int -> int
-(** Allocator footprint (header + packed data) for a byte length. *)
-
 val alloc : Pstm.Ptm.tx -> string -> t
 (** Allocate and fill a blob from an OCaml string. *)
 

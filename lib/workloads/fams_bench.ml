@@ -109,8 +109,10 @@ type result = {
 
 let series_name granularity = "fams-" ^ Fams.granularity_name granularity
 
-let run ?(duration_ns = 3_000_000) ?(sync_every = 32) ?(seed = Driver.default_seed) ~model
-    ~granularity spec =
+(* Operations between two [msync_atomic]s. *)
+let sync_every = 32
+
+let run ?(duration_ns = 3_000_000) ~model ~granularity spec =
   let heap_words = Fams.required_heap_words ~words:spec.words in
   let cfg = Memsim.Config.make ~heap_words ~track_media:false model in
   Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
@@ -124,7 +126,7 @@ let run ?(duration_ns = 3_000_000) ?(sync_every = 32) ?(seed = Driver.default_se
   Memsim.Sim.reset_timing sim;
   let latency = Repro_util.Histogram.create () in
   let ops = ref 0 in
-  let rng = Rng.create seed in
+  let rng = Rng.create Driver.default_seed in
   ignore
     (Memsim.Sim.spawn sim (fun () ->
          let op = spec.make_op fams ~rng in

@@ -2,7 +2,7 @@
 
     Three mutation shapes over a flat working area — scattered bank
     transfers, open-addressed hash puts, leaf-clustered appends — each
-    synced every [sync_every] operations through
+    synced every 32 operations through
     {!Fams.msync_atomic}.  The runner reports a {!Driver.result}
     (comparable to the PTM rows: one op = one commit) plus the FAMS
     counters the write-amplification tables are built from. *)
@@ -39,12 +39,11 @@ val series_name : Fams.granularity -> string
 
 val run :
   ?duration_ns:int ->
-  ?sync_every:int ->
-  ?seed:int ->
   model:Memsim.Config.model ->
   granularity:Fams.granularity ->
   spec ->
   result
 (** One single-writer cell: populate (untimed), checkpoint, then
-    mutate + sync for [duration_ns] of virtual time.  Deterministic in
-    (spec, model, granularity, seed). *)
+    mutate + sync for [duration_ns] of virtual time, drawing from
+    {!Driver.default_seed}.  Deterministic in (spec, model,
+    granularity). *)

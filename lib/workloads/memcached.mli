@@ -12,12 +12,7 @@
     value; SET overwrites the whole value block — matching the memory
     traffic of the real server. *)
 
-val key_words : int
 val value_words : int
-
-val item_overhead_words : int
-(** Words consumed per item (key + value + index node + headers) —
-    used to size working sets. *)
 
 val spec : items:int -> Driver.spec
 (** A store pre-filled with [items] items. *)

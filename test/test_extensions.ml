@@ -255,6 +255,16 @@ let test_debt_adr_counts_only_wpq () =
   Helpers.check_bool "ADR reserve covers only the WPQ" true
     (e <= float_of_int d.Sim.Debt.wpq_lines *. 100.0)
 
+(* A reboot carries no log ranges over: recovery's [Region.attach]
+   marks them, so one armed log line is counted once, not once per
+   mark. *)
+let test_debt_rebooted_log_counted_once () =
+  let sim, _, _ = Helpers.ptm_fixture ~model:Config.pdram_lite () in
+  Sim.persist_all sim;
+  let sim', m', ptm' = Helpers.reboot_and_recover sim in
+  m'.Machine.raw_write (Pmem.Region.log_base (Ptm.region ptm') ~tid:0) 1;
+  Helpers.check_int "one armed log line" 1 (Sim.Debt.sample sim').Sim.Debt.armed_log_lines
+
 let test_energy_ordering_across_domains () =
   (* The paper's power argument: ADR < eADR <= PDRAM reserve needs. *)
   let max_energy model =
@@ -301,4 +311,6 @@ let suite =
     Alcotest.test_case "energy: debt sampling" `Quick test_debt_sampling;
     Alcotest.test_case "energy: ADR = WPQ only" `Quick test_debt_adr_counts_only_wpq;
     Alcotest.test_case "energy: domain ordering" `Quick test_energy_ordering_across_domains;
+    Alcotest.test_case "energy: a rebooted log line counts once" `Quick
+      test_debt_rebooted_log_counted_once;
   ]

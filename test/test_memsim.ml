@@ -348,7 +348,7 @@ let packed = function
   | Cache_ref.Miss _ -> Cache.miss_clean
 
 (* 2-way, line 64B: sets = 1024/128 = 8.  Lines 0, 8, 16 collide in set 0. *)
-let cache_pair () = (Cache.create ~bytes:1024 ~ways:2 (), Cache_ref.create ~bytes:1024 ~ways:2)
+let cache_pair () = (Cache.create ~bytes:1024 ~ways:2, Cache_ref.create ~bytes:1024 ~ways:2)
 
 (* One access on both caches; the real cache must give the packed form
    of the reference's answer, which is returned for the test to check. *)
@@ -413,7 +413,7 @@ let test_cache_differential =
   let op = QCheck2.Gen.(triple (int_range 0 3) (int_range 0 47) bool) in
   Helpers.qtest ~count:300 "cache: access_fast equals reference model" (QCheck2.Gen.list op)
     (fun ops ->
-      let c = Cache.create ~bytes:1024 ~ways:4 () and r = Cache_ref.create ~bytes:1024 ~ways:4 in
+      let c = Cache.create ~bytes:1024 ~ways:4 and r = Cache_ref.create ~bytes:1024 ~ways:4 in
       List.for_all
         (fun (kind, line, write) ->
           (if kind = 0 then Cache.clean c ~line = Cache_ref.clean r ~line
