@@ -92,7 +92,7 @@ type t = {
   mark_log_range : int -> int -> unit;
       (** [mark_log_range lo hi] declares words [lo, hi) as PTM-log
           space; under PDRAM-Lite the backend maps these pages to
-          battery-backed DRAM *)
+          battery-backed DRAM.  Marking a range again is a no-op. *)
   publish : int array -> int array -> int -> unit;
       (** [publish addrs values n] stores the first [n] (address,
           value) pairs as one indivisible event — the commit of a

@@ -811,10 +811,15 @@ let machine t : Machine.t =
       (fun addr v ->
         check_addr t addr;
         Pheap.set t.heap addr v);
+    (* Attaching a region again (a recovery after a pre-recovery
+       check) marks the same range again: hold it once, so
+       [Debt.armed_log_lines] counts each log once. *)
     mark_log_range =
       (fun lo hi ->
-        t.log_ranges <- (lo, hi) :: t.log_ranges;
-        rebuild_log_index t);
+        if not (List.mem (lo, hi) t.log_ranges) then begin
+          t.log_ranges <- (lo, hi) :: t.log_ranges;
+          rebuild_log_index t
+        end);
     publish = (fun addrs values n -> publish t addrs values n);
   }
 

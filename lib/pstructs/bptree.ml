@@ -6,8 +6,7 @@ module Ptm = Pstm.Ptm
      leaf:     words b+1 .. 2b : values;  word 2b+1 : next-leaf pointer
      internal: words b+1 .. 2b+1 : children (nkeys+1 used)           *)
 
-let fanout = 14
-let b = fanout
+let b = 14 (* maximum keys per node *)
 let node_words = (2 * b) + 2
 
 let off_meta = 0
@@ -194,27 +193,6 @@ let remove tx t key =
       true
     end
     else false
-  end
-
-let min_binding tx t =
-  let root = Ptm.read tx t.desc in
-  if root = 0 then None
-  else begin
-    (* Walk the leftmost spine, then the leaf chain past empty leaves. *)
-    let rec leftmost node =
-      let m = Ptm.read tx (node + off_meta) in
-      if meta_is_leaf m then node else leftmost (Ptm.read tx (node + off_child 0))
-    in
-    let rec first_nonempty leaf =
-      if leaf = 0 then None
-      else begin
-        let m = Ptm.read tx (leaf + off_meta) in
-        if meta_nkeys m > 0 then
-          Some (Ptm.read tx (leaf + off_key 0), Ptm.read tx (leaf + off_val 0))
-        else first_nonempty (Ptm.read tx (leaf + off_next))
-      end
-    in
-    first_nonempty (leftmost root)
   end
 
 let fold_range tx t ~lo ~hi f acc =

@@ -12,9 +12,6 @@
 
 type t
 
-val fanout : int
-(** Maximum keys per node. *)
-
 val create : Pstm.Ptm.t -> t
 (** Allocate an empty tree (runs its own transaction). *)
 
@@ -31,9 +28,6 @@ val lookup : Pstm.Ptm.tx -> t -> int -> int option
 
 val remove : Pstm.Ptm.tx -> t -> int -> bool
 (** [true] when the key was present. *)
-
-val min_binding : Pstm.Ptm.tx -> t -> (int * int) option
-(** Smallest key with its value, via the leftmost leaf. *)
 
 val fold_range : Pstm.Ptm.tx -> t -> lo:int -> hi:int -> ('a -> int -> int -> 'a) -> 'a -> 'a
 (** [fold_range tx t ~lo ~hi f acc] folds [f] over the bindings with

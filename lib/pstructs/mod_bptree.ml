@@ -18,16 +18,10 @@ module Ptm = Pstm.Ptm
    sibling mutable on every split, breaking the shadow discipline.
    Ordered iteration walks the tree instead.
 
-   Reclamation: replaced nodes are retired to a volatile per-handle
-   list stamped with the post-swap clock value; a block is recycled
-   (raw free-list push, no transaction) once [Ptm.min_active_rv]
-   passes its stamp, i.e. no in-flight snapshot can still reach it.
-   A crash drops the volatile lists — those blocks leak, bounded by
-   the retire window, and `Pmem.Check` treats unreachable allocated
-   blocks as benign. *)
+   Reclamation: replaced nodes are retired to the handle's
+   {!Mod_epoch} list and recycled once no snapshot can reach them. *)
 
-let fanout = 14
-let b = fanout
+let b = 14 (* maximum keys per node *)
 let node_words = (2 * b) + 2
 let magic = 0x4D (* 'M' *)
 
@@ -41,24 +35,20 @@ let meta_is_leaf m = (m lsr 16) land 1 = 1
 let meta_nkeys m = m land 0xFFFF
 let meta_ok m = m lsr 20 = magic && meta_nkeys m <= b
 
-type retired = { stamp : int; blocks : int list }
-
 type t = {
   ptm : Ptm.t;
   desc : int; (* one word: the root pointer — the only mutable word *)
-  mutable retired : retired list; (* volatile, oldest last *)
+  epoch : Mod_epoch.t;
 }
 
-let create ptm =
-  let desc =
-    Ptm.atomic ptm (fun tx ->
-        let d = Ptm.alloc tx 1 in
-        Ptm.write tx d 0;
-        d)
-  in
-  { ptm; desc; retired = [] }
+let attach ptm desc = { ptm; desc; epoch = Mod_epoch.create ptm ~root:desc }
 
-let attach ptm desc = { ptm; desc; retired = [] }
+let create ptm =
+  attach ptm
+    (Ptm.atomic ptm (fun tx ->
+         let d = Ptm.alloc tx 1 in
+         Ptm.write tx d 0;
+         d))
 
 let descriptor t = t.desc
 
@@ -83,46 +73,8 @@ let node_meta tx t node =
 
 (* ---------- reclamation ---------- *)
 
-let retired_blocks t = List.fold_left (fun n r -> n + List.length r.blocks) 0 t.retired
-
-(* Reclaiming a block is safe only when (a) no in-flight snapshot can
-   reach it — [min_active_rv] has passed its retire stamp — AND (b) no
-   {e durable} root can: the root swap is published with an unfenced
-   clwb, so the media root may lag the memory root by several versions,
-   and recycling a block an old media root still references would
-   corrupt the crash image.  One clwb+sfence of the root line per
-   reclaim batch closes (b) — the drained root postdates every unlink
-   in the batch — and the batch threshold amortizes it to a fraction of
-   a fence per op, preserving the one-fence-per-update discipline. *)
-let reclaim t =
-  let horizon = Ptm.min_active_rv t.ptm in
-  let live, dead = List.partition (fun r -> r.stamp >= horizon) t.retired in
-  if dead <> [] then begin
-    t.retired <- live;
-    let m = Ptm.machine t.ptm in
-    if m.Machine.needs_flush then begin
-      m.Machine.clwb t.desc;
-      m.Machine.sfence ()
-    end;
-    let raw_ops =
-      {
-        Pmem.Alloc.txr = m.Machine.raw_read;
-        txw = m.Machine.raw_write;
-        on_commit = (fun hook -> hook ());
-        on_abort = ignore;
-      }
-    in
-    let alc = Ptm.allocator t.ptm in
-    List.iter (fun r -> List.iter (Pmem.Alloc.free alc raw_ops) r.blocks) dead
-  end
-
-let reclaim_threshold = 128
-
-let retire tx t blocks =
-  if blocks <> [] then
-    Ptm.on_commit tx (fun () ->
-        t.retired <- { stamp = Ptm.clock t.ptm; blocks } :: t.retired;
-        if retired_blocks t >= reclaim_threshold then reclaim t)
+let retired_blocks t = Mod_epoch.retired_blocks t.epoch
+let reclaim t = Mod_epoch.reclaim t.epoch
 
 (* ---------- functional node builders ---------- *)
 
@@ -275,7 +227,7 @@ let insert tx t ~key ~value =
     end
   in
   Ptm.write tx t.desc nroot;
-  retire tx t !dead;
+  Mod_epoch.retire tx t.epoch !dead;
   added
 
 let remove tx t key =
@@ -309,7 +261,7 @@ let remove tx t key =
     match del root with
     | nroot ->
       Ptm.write tx t.desc nroot;
-      retire tx t !dead;
+      Mod_epoch.retire tx t.epoch !dead;
       true
     | exception Not_found -> false
   end
@@ -378,33 +330,6 @@ let fold_range tx t ~lo ~hi f acc =
       end
     in
     go root acc
-  end
-
-let min_binding tx t =
-  let root = Ptm.read tx t.desc in
-  if root = 0 then None
-  else begin
-    (* Leaves can be empty after deletions (no rebalancing), so walk
-       subtrees left to right until a binding appears. *)
-    let rec go node =
-      let m = node_meta tx t node in
-      let n = meta_nkeys m in
-      if meta_is_leaf m then
-        if n > 0 then Some (Ptm.read tx (node + off_key 0), Ptm.read tx (node + off_val 0))
-        else None
-      else begin
-        let rec try_child i =
-          if i > n then None
-          else begin
-            match go (Ptm.read tx (node + off_child i)) with
-            | Some _ as r -> r
-            | None -> try_child (i + 1)
-          end
-        in
-        try_child 0
-      end
-    in
-    go root
   end
 
 (* ---------- untimed oracles ---------- *)

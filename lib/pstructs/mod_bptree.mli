@@ -21,9 +21,6 @@
 
 type t
 
-val fanout : int
-(** Maximum keys per node. *)
-
 val create : Pstm.Ptm.t -> t
 (** Allocate an empty tree (runs its own transaction); persist the
     {!descriptor} in a root slot to find it after recovery. *)
@@ -43,8 +40,6 @@ val insert : Pstm.Ptm.tx -> t -> key:int -> value:int -> bool
 
 val lookup : Pstm.Ptm.tx -> t -> int -> int option
 val remove : Pstm.Ptm.tx -> t -> int -> bool
-
-val min_binding : Pstm.Ptm.tx -> t -> (int * int) option
 
 val fold_range : Pstm.Ptm.tx -> t -> lo:int -> hi:int -> ('a -> int -> int -> 'a) -> 'a -> 'a
 (** [fold_range tx t ~lo ~hi f acc] folds [f acc key value] over

@@ -24,8 +24,8 @@ module Ptm = Pstm.Ptm
    the modified node (the tail is shared), then swap desc+1 — under
    [Ptm.algorithm = Mod] that is one fence and one 8-byte root store.
 
-   Replaced nodes are retired to a volatile epoch list keyed on
-   [Ptm.min_active_rv], exactly as in {!Mod_bptree}. *)
+   Replaced nodes are retired to the handle's {!Mod_epoch} list, as in
+   {!Mod_bptree}. *)
 
 let magic_dir = 0x4D1
 let magic_node = 0x4D2
@@ -46,19 +46,19 @@ let round_buckets n =
   let rec go cap = if cap >= n then cap else go (cap * dir_fanout) in
   go dir_fanout
 
-type retired = { stamp : int; blocks : int list }
-
 type t = {
   ptm : Ptm.t;
   desc : int;
-  nbuckets : int;
   levels : int;
-  mutable retired : retired list; (* volatile *)
+  epoch : Mod_epoch.t; (* sweeps flush the publish word, desc+1 *)
 }
 
 let levels_for nbuckets =
   let rec go l cap = if cap >= nbuckets then l else go (l + 1) (cap * dir_fanout) in
   go 1 dir_fanout
+
+let handle ptm desc nbuckets =
+  { ptm; desc; levels = levels_for nbuckets; epoch = Mod_epoch.create ptm ~root:(desc + 1) }
 
 let create ptm ~buckets =
   let nbuckets = round_buckets buckets in
@@ -69,14 +69,11 @@ let create ptm ~buckets =
         Ptm.write tx (d + 1) 0;
         d)
   in
-  { ptm; desc; nbuckets; levels = levels_for nbuckets; retired = [] }
+  handle ptm desc nbuckets
 
-let attach ptm desc =
-  let nbuckets = (Ptm.machine ptm).Machine.raw_read desc in
-  { ptm; desc; nbuckets; levels = levels_for nbuckets; retired = [] }
+let attach ptm desc = handle ptm desc ((Ptm.machine ptm).Machine.raw_read desc)
 
 let descriptor t = t.desc
-let buckets t = t.nbuckets
 
 (* Same splitmix finalizer as Phashtable. *)
 let hash key =
@@ -107,40 +104,8 @@ let chain_node tx t node =
 
 (* ---------- reclamation ---------- *)
 
-let retired_blocks t = List.fold_left (fun n r -> n + List.length r.blocks) 0 t.retired
-
-(* See Mod_bptree.reclaim: the clwb+sfence of the root line closes the
-   lagging-media-root hazard before any block is recycled; the batch
-   threshold amortizes it below a fraction of a fence per op. *)
-let reclaim t =
-  let horizon = Ptm.min_active_rv t.ptm in
-  let live, dead = List.partition (fun r -> r.stamp >= horizon) t.retired in
-  if dead <> [] then begin
-    t.retired <- live;
-    let m = Ptm.machine t.ptm in
-    if m.Machine.needs_flush then begin
-      m.Machine.clwb (t.desc + 1);
-      m.Machine.sfence ()
-    end;
-    let raw_ops =
-      {
-        Pmem.Alloc.txr = m.Machine.raw_read;
-        txw = m.Machine.raw_write;
-        on_commit = (fun hook -> hook ());
-        on_abort = ignore;
-      }
-    in
-    let alc = Ptm.allocator t.ptm in
-    List.iter (fun r -> List.iter (Pmem.Alloc.free alc raw_ops) r.blocks) dead
-  end
-
-let reclaim_threshold = 128
-
-let retire tx t blocks =
-  if blocks <> [] then
-    Ptm.on_commit tx (fun () ->
-        t.retired <- { stamp = Ptm.clock t.ptm; blocks } :: t.retired;
-        if retired_blocks t >= reclaim_threshold then reclaim t)
+let retired_blocks t = Mod_epoch.retired_blocks t.epoch
+let reclaim t = Mod_epoch.reclaim t.epoch
 
 (* ---------- node builders ---------- *)
 
@@ -194,7 +159,7 @@ let update_bucket tx t h f =
   | None -> false
   | Some nroot ->
     Ptm.write tx (t.desc + 1) nroot;
-    retire tx t !dead;
+    Mod_epoch.retire tx t.epoch !dead;
     true
 
 let put tx t ~key ~value =
@@ -231,7 +196,7 @@ let put tx t ~key ~value =
     | `Found head' -> Some head'
   in
   ignore (update_bucket tx t (hash key) rebuild);
-  retire tx t !replaced;
+  Mod_epoch.retire tx t.epoch !replaced;
   !added
 
 let get tx t key =
@@ -281,7 +246,7 @@ let remove tx t key =
     match go head with `Missing -> None | `Found head' -> Some head'
   in
   let did = update_bucket tx t (hash key) rebuild in
-  if did then retire tx t !removed;
+  if did then Mod_epoch.retire tx t.epoch !removed;
   did
 
 (* ---------- untimed oracles ---------- *)
@@ -308,14 +273,6 @@ let to_alist t =
   let acc = ref [] in
   iter_raw t (fun _ k v -> acc := (k, v) :: !acc);
   !acc
-
-let chain_lengths t =
-  let lens = Array.make t.nbuckets 0 in
-  iter_raw t (fun b _ _ ->
-      (* [b] is the trie path, whose bit order differs from the flat
-         bucket index; it is still a stable 1:1 bucket id. *)
-      lens.(b land (t.nbuckets - 1)) <- lens.(b land (t.nbuckets - 1)) + 1);
-  lens
 
 let check_invariants t =
   let raw = (Ptm.machine t.ptm).Machine.raw_read in

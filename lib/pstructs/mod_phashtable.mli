@@ -28,7 +28,6 @@ val attach : Pstm.Ptm.t -> int -> t
     starts with an empty retire list. *)
 
 val descriptor : t -> int
-val buckets : t -> int
 
 val put : Pstm.Ptm.tx -> t -> key:int -> value:int -> bool
 (** [put tx t ~key ~value] binds [key] (positive).  [true] = new key,
@@ -50,9 +49,6 @@ val retired_blocks : t -> int
 
 val to_alist : t -> (int * int) list
 (** All bindings, unordered. *)
-
-val chain_lengths : t -> int array
-(** Per-bucket chain lengths (indexed by trie path). *)
 
 val check_invariants : t -> unit
 (** Raises [Failure] on structural violations: node magic/bounds,

@@ -9,8 +9,8 @@
    Recording is pure observation: span instants are values the caller
    already read from the machine's clock, so an enabled trace perturbs
    no virtual time.  Two stores are equal (same digest) iff they hold
-   the same spans in the same order — the determinism currency of the
-   @trace gate.
+   the same spans in the same order — the determinism currency of
+   BENCH_trace.json, which @results holds exactly.
 
    Parent linkage: [root_parent] (-1) marks a span whose parent is the
    root span of its trace.  Per-shard stores record against

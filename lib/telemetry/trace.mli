@@ -51,8 +51,9 @@ val merge_into : src:t -> dst:t -> root_for:(int -> int) -> unit
 
 val digest : t -> string
 (** FNV-1a hash over every span's content (kind by name, not interned
-    id) — equal digests iff equal span sequences.  The @trace gate's
-    determinism check compares digests across runs and pool sizes. *)
+    id) — equal digests iff equal span sequences.  BENCH_trace.json
+    records one per domain, and [@results] requires a fresh run to
+    reproduce them exactly. *)
 
 val latency_hist : t -> Repro_util.Histogram.t
 (** Durations of all root spans (request end-to-end latencies). *)

@@ -56,21 +56,6 @@ val fams_run : ?quick:bool -> ?jobs:int -> unit -> outcome * fams_cell list
     typed per-cell metrics for the FAMS rows (the [@fams] gate asserts
     write-amplification direction on these). *)
 
-val kvserve : ?quick:bool -> ?jobs:int -> unit -> outcome
-(** Fig-8-style working-set sweep through the full service path
-    (codec → router → batch → commit) of {!Kvserve.Service}, plus a
-    per-domain recovery table from a mid-run crash.  No [results]: the
-    per-run metrics, including wall-clock recovery time, which the
-    tables leave out, land in [extra]. *)
-
-val trace : ?quick:bool -> ?jobs:int -> unit -> outcome
-(** Every durability domain served with request tracing on:
-    end-to-end latency percentiles measured from the request spans
-    (with the per-request accounting slack, 0 for the generated
-    fleet) and a tail-band (p95..p100) blame table of exclusive time
-    per span kind.  No [results]; [extra] carries the whole blame
-    vectors and the span-store digest. *)
-
 val speedup : ?quick:bool -> ?jobs:int -> unit -> outcome
 (** The {!fig3_panel} for B+Tree inserts, always serial in the calling
     domain; [extra] carries the GC's minor and major words per

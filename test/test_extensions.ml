@@ -257,13 +257,23 @@ let test_debt_adr_counts_only_wpq () =
 
 (* A reboot carries no log ranges over: recovery's [Region.attach]
    marks them, so one armed log line is counted once, not once per
-   mark. *)
+   mark -- also when the region is attached twice, as the crash engine
+   does (a pre-recovery check, then [Ptm.recover]). *)
 let test_debt_rebooted_log_counted_once () =
   let sim, _, _ = Helpers.ptm_fixture ~model:Config.pdram_lite () in
   Sim.persist_all sim;
-  let sim', m', ptm' = Helpers.reboot_and_recover sim in
-  m'.Machine.raw_write (Pmem.Region.log_base (Ptm.region ptm') ~tid:0) 1;
-  Helpers.check_int "one armed log line" 1 (Sim.Debt.sample sim').Sim.Debt.armed_log_lines
+  let armed_after recover =
+    let sim' = Sim.reboot sim in
+    let m' = Sim.machine sim' in
+    let ptm' = recover m' in
+    m'.Machine.raw_write (Pmem.Region.log_base (Ptm.region ptm') ~tid:0) 1;
+    (Sim.Debt.sample sim').Sim.Debt.armed_log_lines
+  in
+  Helpers.check_int "one armed log line after recovery" 1 (armed_after (fun m -> Ptm.recover m));
+  Helpers.check_int "one armed log line after attach, then recovery" 1
+    (armed_after (fun m ->
+         ignore (Pmem.Region.attach m : Pmem.Region.t);
+         Ptm.recover m))
 
 let test_energy_ordering_across_domains () =
   (* The paper's power argument: ADR < eADR <= PDRAM reserve needs. *)

@@ -40,9 +40,6 @@ let test_btree_basic () =
   Mod_bptree.check_invariants t;
   Helpers.check_int "size" 199 (List.length (Mod_bptree.to_alist t));
   Ptm.atomic ptm (fun tx ->
-      Alcotest.(check (option (pair int int)))
-        "min" (Some (1, 10))
-        (Mod_bptree.min_binding tx t);
       Helpers.check_int "fold_range sum of keys 10..20"
         (List.fold_left ( + ) 0 (List.init 11 (fun i -> 10 + i)))
         (Mod_bptree.fold_range tx t ~lo:10 ~hi:20 (fun acc k _ -> acc + k) 0))

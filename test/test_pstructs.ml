@@ -62,20 +62,6 @@ let test_btree_remove () =
   Bptree.check_invariants t;
   Helpers.check_int "half remain" 100 (List.length (Bptree.to_alist t))
 
-let test_btree_min_binding () =
-  let _, _, ptm = fixture () in
-  let t = Bptree.create ptm in
-  Ptm.atomic ptm (fun tx ->
-      Alcotest.(check (option (pair int int))) "empty" None (Bptree.min_binding tx t));
-  Ptm.atomic ptm (fun tx ->
-      List.iter (fun k -> ignore (Bptree.insert tx t ~key:k ~value:(-k))) [ 42; 7; 99 ]);
-  Ptm.atomic ptm (fun tx ->
-      Alcotest.(check (option (pair int int))) "min" (Some (7, -7)) (Bptree.min_binding tx t));
-  Ptm.atomic ptm (fun tx ->
-      ignore (Bptree.remove tx t 7);
-      Alcotest.(check (option (pair int int)))
-        "min after remove" (Some (42, -42)) (Bptree.min_binding tx t))
-
 let prop_btree_matches_map =
   Helpers.qtest ~count:30 "btree behaves like Map"
     (Helpers.kv_ops_gen ~key_range:500 ~ops:3 ())
@@ -212,7 +198,6 @@ let suite =
     Alcotest.test_case "btree: upsert" `Quick test_btree_update_in_place;
     Alcotest.test_case "btree: splits at scale" `Quick test_btree_many_keys_splits;
     Alcotest.test_case "btree: remove" `Quick test_btree_remove;
-    Alcotest.test_case "btree: min binding" `Quick test_btree_min_binding;
     prop_btree_matches_map;
     Alcotest.test_case "btree: concurrent inserts" `Quick test_btree_concurrent_inserts;
     Alcotest.test_case "btree: crash consistency" `Quick test_btree_crash_consistency;
