@@ -17,6 +17,7 @@ type t = {
   meta_set : int -> int -> unit;
   meta_cas : int -> int -> int -> bool;
   meta_fetch_add : int -> int -> int;
+  exclusive : unit -> bool;
   tid : unit -> int;
   now_ns : unit -> float;
   pause : int -> unit;
@@ -75,6 +76,7 @@ module Native = struct
       meta_set = (fun i v -> Atomic.set meta.(i) v);
       meta_cas = (fun i expected v -> Atomic.compare_and_set meta.(i) expected v);
       meta_fetch_add = (fun i delta -> fetch_add meta.(i) delta);
+      exclusive = (fun () -> false);
       tid = current_tid;
       now_ns = (fun () -> Unix.gettimeofday () *. 1e9);
       pause;

@@ -83,6 +83,20 @@ type t = {
       (** [meta_cas idx expected value] — atomic compare-and-swap *)
   meta_fetch_add : int -> int -> int;
       (** [meta_fetch_add idx delta] returns the previous value *)
+  exclusive : unit -> bool;
+      (** whether the caller provably runs alone on this machine: no
+          other thread can observe or race a metadata word while it
+          holds.  The simulated backend answers [true] exactly outside
+          its scheduler's run (untimed setup, population and recovery,
+          where time does not advance and one host thread drives the
+          machine); {!Native} always answers [false].  The answer
+          cannot change inside one step of the caller that does not
+          start or end a run, so a PTM samples it once per top-level
+          transaction and, when it holds, skips its concurrency
+          control.  It must still perform every heap and clock
+          operation: those are machine state.  A facade
+          [{ m with exclusive = (fun () -> false) }] forces the full
+          protocol on the same machine. *)
   tid : unit -> int;  (** small dense id of the calling thread *)
   now_ns : unit -> float;  (** current (virtual or real) time *)
   pause : int -> unit;  (** back-off for approximately [ns] *)

@@ -798,6 +798,7 @@ let machine t : Machine.t =
     meta_set;
     meta_cas;
     meta_fetch_add;
+    exclusive = (fun () -> not (Sched.running t.sched));
     tid = (fun () -> Sched.tid t.sched);
     now_ns = (fun () -> float_of_int (Sched.now t.sched));
     pause = (fun ns -> Sched.wait t.sched ns);

@@ -15,7 +15,7 @@ let read_cap = 1024
 let fallback_attempts = 4
 
 let read tx addr =
-  if Int_vec.length tx.reads >= 2 * read_cap && not (Int_table.mem tx.wmap addr) then
+  if tx.shared_reads >= read_cap && not (Int_table.mem tx.wmap addr) then
     raise Conflict;
   buffered_read tx addr
 

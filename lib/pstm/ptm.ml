@@ -45,6 +45,7 @@ let fresh_tx t tid =
     tid;
     rng = Repro_util.Rng.create (t.rng_seed + tid);
     depth = 0;
+    serial = false;
     rv = 0;
     attempts = 0;
     wmap = Int_table.create 64;
@@ -52,6 +53,7 @@ let fresh_tx t tid =
     vvals = Int_vec.create ();
     uvec = Int_vec.create ();
     reads = Int_vec.create ~capacity:64 ();
+    shared_reads = 0;
     acquired = Int_vec.create ();
     amap = Int_table.create 16;
     flushed = Int_table.create 64;
@@ -218,6 +220,7 @@ let reset_tx tx =
   Int_vec.clear tx.vvals;
   Int_vec.clear tx.uvec;
   Int_vec.clear tx.reads;
+  tx.shared_reads <- 0;
   Int_vec.clear tx.acquired;
   Int_table.clear tx.amap;
   Int_table.clear tx.flushed;
@@ -323,6 +326,9 @@ let rec atomic : 'a. t -> (tx -> 'a) -> 'a =
     (match t.profiler with Some p -> Profile.txn_begin p | None -> ());
     tx.depth <- 1;
     tx.attempts <- 0;
+    (* Sampled once: a machine exclusive at the begin stays so until
+       the end, retries included. *)
+    tx.serial <- t.m.Machine.exclusive ();
     attempt t tx f
   end
 

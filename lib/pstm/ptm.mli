@@ -202,7 +202,22 @@ val atomic : t -> (tx -> 'a) -> 'a
 (** [atomic t f] runs [f] as a transaction, retrying on conflicts with
     randomized exponential backoff.  An exception raised by [f] aborts
     the transaction and is re-raised.  Nesting is flattened: an inner
-    [atomic] on the same runtime joins the outer transaction. *)
+    [atomic] on the same runtime joins the outer transaction.
+
+    {b Serial transactions.}  A top-level [atomic] samples
+    {!Machine.t}[.exclusive] once.  When the machine is exclusive (a
+    simulated machine outside its scheduler's run: untimed population,
+    recovery and crash judgement), the transaction runs serially and
+    skips concurrency control, but no memory operation: a read outside
+    the write set is one [load], commit-time and eager acquisition only
+    note the orec without reading or CAS-ing it, validation is vacuous,
+    and an abort leaves the orecs alone, because it locked none.  The
+    clock tick, the read-version read and every load, store, clwb,
+    sfence and publish happen in the same order as under the full
+    protocol, and the release writes the same version word, so the
+    heap, cache, WPQ, media, orecs and clock end up exactly as the
+    full protocol leaves them.  HTM's read-capacity rule counts serial
+    reads too. *)
 
 val read : tx -> int -> int
 (** Transactional read of a heap word. *)

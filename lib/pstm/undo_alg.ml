@@ -6,7 +6,10 @@
 
 open Ptm_core
 
-let read tx addr = if owned_by_me tx addr then tx.ptm.m.Machine.load addr else read_shared tx addr
+(* A serial transaction owns no orec, and its shared read is a load. *)
+let read tx addr =
+  if (not tx.serial) && owned_by_me tx addr then tx.ptm.m.Machine.load addr
+  else read_shared tx addr
 
 (* Write back and fence one undo-log line.  Injected ordering bug
    (undo arm of reorder-log-apply): entries are armed without their own

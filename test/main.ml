@@ -8,6 +8,7 @@ let () =
       ("pstm", Test_pstm.suite);
       ("pstm2", Test_pstm2.suite);
       ("ptm-commit", Test_ptm_commit.suite);
+      ("serial", Test_serial.suite);
       ("pstructs", Test_pstructs.suite);
       ("pstructs2", Test_pstructs2.suite);
       ("mod", Test_mod.suite);
