@@ -53,9 +53,11 @@ let hash key =
   let h = h * 0x9E3779B97F4A7C1 in
   h lxor (h lsr 32)
 
-(* Address of the bucket-head word for [key]. *)
+(* Address of the bucket-head word for [key].  The count is a multiple
+   of 512, not always a power of two, so the index reduces modulo it
+   (for a power of two, the same bucket as masking the low bits). *)
 let bucket_addr tx t key =
-  let i = hash key land (t.nbuckets - 1) in
+  let i = (hash key land max_int) mod t.nbuckets in
   let seg = Ptm.read tx (t.desc + 2 + (i / seg_size)) in
   seg + (i mod seg_size)
 
