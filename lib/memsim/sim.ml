@@ -889,9 +889,9 @@ module Debt = struct
   let cache_line_retain_nj = 6.5
   let lines_per_page = Layout.words_per_page / Layout.words_per_line
 
-  let reserve_energy_nj (sim : sim) t =
+  let reserve_energy_nj (model : Config.model) t =
     let wpq = float_of_int t.wpq_lines *. nvm_line_write_nj in
-    match sim.cfg.model.persistence with
+    match model.persistence with
     | Config.Adr _ -> wpq
     | Config.Transient_cache -> wpq +. (float_of_int t.dirty_l3_lines *. cache_line_retain_nj)
     | Config.Eadr ->

@@ -157,11 +157,12 @@ module Debt : sig
   (** [wpq_lines + armed_log_lines] of {!sample}, computed without the
       L3 and page-cache scans: the cheap admission probe. *)
 
-  val reserve_energy_nj : sim -> t -> float
-  (** Energy to retire the debt under this machine's durability
-      domain, using per-line NVM-write and DRAM-read costs documented
-      in DESIGN.md.  ADR pays only for the WPQ; eADR adds the L3 flush;
-      PDRAM adds the DRAM page cache; PDRAM-Lite adds the armed logs. *)
+  val reserve_energy_nj : Config.model -> t -> float
+  (** Energy to retire the debt under [model]'s durability domain (its
+      [persistence] alone decides), using per-line NVM-write and
+      DRAM-read costs documented in DESIGN.md.  ADR pays only for the
+      WPQ; eADR adds the L3 flush; PDRAM adds the DRAM page cache;
+      PDRAM-Lite adds the armed logs. *)
 end
 
 (** Machine-wide counters for reports. *)

@@ -24,7 +24,7 @@ type result = {
 let default_seed = 0xBE5C
 
 let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coalesce = true)
-    ?(seed = default_seed) ?(orec_bits = 20) ?monitor ?telemetry ?lat ?nvm_channels ~model
+    ?(seed = default_seed) ?(orec_bits = 20) ?telemetry ?lat ?nvm_channels ~model
     ~algorithm ~threads spec =
   let cfg =
     Memsim.Config.make ?lat ?nvm_channels ~heap_words:spec.heap_words ~track_media:false model
@@ -68,21 +68,8 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
            in
            loop ()))
   done;
-  (* Optional sampling thread (spawned last, so workers keep the dense
-     thread ids the workloads key home warehouses etc. off): invoked
-     every [interval] of virtual time, e.g. to record persistence debt
-     for the energy model. *)
-  (match monitor with
-  | None -> ()
-  | Some (interval_ns, sample) ->
-    ignore
-      (Memsim.Sim.spawn sim (fun () ->
-           while Memsim.Sim.now sim < duration_ns do
-             m.Machine.pause interval_ns;
-             sample sim
-           done)));
-  (* Telemetry sampler: a second monitor thread, also spawned after the
-     workers (dense worker tids are preserved). *)
+  (* Telemetry sampler, spawned after the workers so that they keep
+     the dense thread ids the workloads key home warehouses etc. off. *)
   (match capture with
   | Some cap when (Telemetry.config cap).Telemetry.sample_interval_ns > 0 ->
     let interval_ns = (Telemetry.config cap).Telemetry.sample_interval_ns in

@@ -42,7 +42,6 @@ val run :
   ?coalesce:bool ->
   ?seed:int ->
   ?orec_bits:int ->
-  ?monitor:int * (Memsim.Sim.t -> unit) ->
   ?telemetry:Telemetry.config ->
   ?lat:Memsim.Config.latency ->
   ?nvm_channels:int ->

@@ -344,30 +344,44 @@ let htm ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Extension — HTM under eADR/PDRAM" ~series
     [ Tpcc.spec Tpcc.Hash; Btree_bench.insert_only; Tatp.spec ]
 
-(* §IV-C's cost argument: PDRAM's mechanics are Memory Mode's; how much
-   performance does persistence cost relative to the non-persistent
-   cache, and where do both sit against eADR? *)
-let memory_mode ?(quick = false) ?jobs () =
+(* The first sample of strictly greatest reserve energy in a run's
+   telemetry series, with that energy in nJ; zero debt and 0 nJ when
+   no sample needs any.  The series must hold every sample. *)
+let reserve_peak (r : Driver.result) =
+  let model = Config.model_of_name r.Driver.model in
   let series =
-    [
-      ("MemoryMode", Config.memory_mode, Ptm.Redo);
-      ("PDRAM", Config.pdram, Ptm.Redo);
-      ("eADR", Config.optane_eadr, Ptm.Redo);
-      ("DRAM", Config.dram_eadr, Ptm.Redo);
-    ]
+    match r.Driver.telemetry with
+    | Some cap -> Telemetry.series cap
+    | None -> invalid_arg "Experiments.reserve_peak: run without telemetry"
   in
-  sweep ?jobs ~quick ~title:"Extension — PDRAM vs Memory Mode" ~series
-    [ Tatp.spec; Tpcc.spec Tpcc.Hash ]
+  assert (Telemetry.Series.dropped series = 0);
+  List.fold_left
+    (fun ((_, peak) as best) (s : Telemetry.Series.sample) ->
+      let d =
+        {
+          Memsim.Sim.Debt.wpq_lines = s.wpq_lines;
+          dirty_l3_lines = s.dirty_l3_lines;
+          dirty_dram_pages = s.dirty_dram_pages;
+          armed_log_lines = s.armed_log_lines;
+        }
+      in
+      let e = Memsim.Sim.Debt.reserve_energy_nj model d in
+      if e > peak then (d, e) else best)
+    ( { Memsim.Sim.Debt.wpq_lines = 0; dirty_l3_lines = 0;
+        dirty_dram_pages = 0; armed_log_lines = 0 },
+      0.0 )
+    (Telemetry.Series.samples series)
 
 (* §V future work: reserve-power requirements per durability domain.
-   A monitor thread samples the persistence debt every 5 us; the table
-   reports the worst case and the derived reserve energy.  The monitor
-   refs live inside each cell, so cells stay shared-nothing. *)
+   The telemetry series samples the persistence debt every 5 us; the
+   table reports the peak sample and its reserve energy. *)
 let reserve_energy ?(quick = false) ?jobs () =
   let dur = duration quick in
+  let telemetry =
+    { Telemetry.default_config with sample_interval_ns = 5_000; machine_trace_capacity = 0 }
+  in
   let t =
-    Repro_util.Table.create
-      ~title:"Extension — reserve-power requirements (TPCC hash, redo, 8 threads)"
+    Table.create ~title:"Extension — reserve-power requirements (TPCC hash, redo, 8 threads)"
       ~header:
         [ "model"; "max WPQ lines"; "max dirty L3"; "max dirty pages"; "max log lines";
           "reserve energy (uJ)" ]
@@ -378,39 +392,26 @@ let reserve_energy ?(quick = false) ?jobs () =
       Config.pdram;
     ]
   in
-  let cells =
+  let results =
     List.concat
       (grid ?jobs models [ () ] (fun model () ->
-           let max_debt = ref { Memsim.Sim.Debt.wpq_lines = 0; dirty_l3_lines = 0;
-                                dirty_dram_pages = 0; armed_log_lines = 0 } in
-           let max_energy = ref 0.0 in
-           let sample sim =
-             let d = Memsim.Sim.Debt.sample sim in
-             let e = Memsim.Sim.Debt.reserve_energy_nj sim d in
-             if e > !max_energy then begin
-               max_energy := e;
-               max_debt := d
-             end
-           in
-           let r =
-             Driver.run ~duration_ns:dur ~monitor:(5_000, sample) ~model ~algorithm:Ptm.Redo
-               ~threads:8 (Tpcc.spec Tpcc.Hash)
-           in
-           (r, !max_debt, !max_energy)))
+           Driver.run ~duration_ns:dur ~telemetry ~model ~algorithm:Ptm.Redo ~threads:8
+             (Tpcc.spec Tpcc.Hash)))
   in
-  List.iter2
-    (fun model (_, d, max_energy) ->
-      Repro_util.Table.add_row t
+  List.iter
+    (fun r ->
+      let d, energy = reserve_peak r in
+      Table.add_row t
         [
-          model.Config.model_name;
+          r.Driver.model;
           string_of_int d.Memsim.Sim.Debt.wpq_lines;
           string_of_int d.Memsim.Sim.Debt.dirty_l3_lines;
           string_of_int d.Memsim.Sim.Debt.dirty_dram_pages;
           string_of_int d.Memsim.Sim.Debt.armed_log_lines;
-          Repro_util.Table.cell_f (max_energy /. 1e3);
+          Table.cell_f (energy /. 1e3);
         ])
-    models cells;
-  { tables = [ t ]; results = List.map (fun (r, _, _) -> r) cells; extra = [] }
+    results;
+  { tables = [ t ]; results; extra = [] }
 
 (* Extension: DIMM interleaving (§III-A: "the Optane memory was split
    across 12 DIMMs, and interleaving was enabled.  This is the
@@ -443,62 +444,6 @@ let dimm_interleave ?(quick = false) ?jobs () =
   List.iter2
     (fun channels rs -> Table.add_row t (string_of_int channels :: List.map mtx_per_s rs))
     channel_axis grid;
-  { tables = [ t ]; results = List.concat grid; extra = [] }
-
-(* Extension: p50/p95/p99 transaction latency per workload and model
-   (the paper reports only throughput; tail latency is where fences
-   actually hurt). *)
-let latency ?(quick = false) ?jobs () =
-  let dur = duration quick in
-  let t =
-    Table.create ~title:"Extension — transaction latency, 8 threads (virtual ns)"
-      ~header:[ "workload"; "model"; "p50"; "p95"; "p99"; "mean" ]
-  in
-  let specs = [ Tatp.spec; Tpcc.spec Tpcc.Hash ] in
-  let models = [ Config.dram_eadr; Config.optane_adr; Config.optane_eadr; Config.pdram ] in
-  let grid =
-    grid ?jobs specs models (fun spec model ->
-        Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:8 spec)
-  in
-  List.iter2
-    (fun spec rs ->
-      List.iter2
-        (fun model r ->
-          let h = r.Driver.latency in
-          Table.add_row t
-            [
-              spec.Driver.name;
-              model.Config.model_name;
-              Table.cell_f (Histogram.percentile h 50.0);
-              Table.cell_f (Histogram.percentile h 95.0);
-              Table.cell_f (Histogram.percentile h 99.0);
-              Table.cell_f (Histogram.mean h);
-            ])
-        models rs)
-    specs grid;
-  { tables = [ t ]; results = List.concat grid; extra = [] }
-
-(* Extension: the YCSB core mixes across the durability models. *)
-let ycsb ?(quick = false) ?jobs () =
-  let dur = duration quick in
-  let mixes = [ Ycsb.A; Ycsb.B; Ycsb.C; Ycsb.D; Ycsb.E; Ycsb.F ] in
-  let series =
-    [
-      ("ADR_R", Config.optane_adr, Ptm.Redo);
-      ("ADR_U", Config.optane_adr, Ptm.Undo);
-      ("eADR_R", Config.optane_eadr, Ptm.Redo);
-      ("PDRAM_R", Config.pdram, Ptm.Redo);
-    ]
-  in
-  let t =
-    Table.create ~title:"Extension — YCSB mixes, 8 threads (M tx/s)"
-      ~header:("series" :: List.map (fun m -> "ycsb-" ^ Ycsb.mix_name m) mixes)
-  in
-  let grid =
-    grid ?jobs series mixes (fun (_, model, algorithm) mix ->
-        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:8 (Ycsb.spec mix))
-  in
-  List.iter2 (fun (label, _, _) rs -> Table.add_row t (label :: List.map mtx_per_s rs)) series grid;
   { tables = [ t ]; results = List.concat grid; extra = [] }
 
 (* One row of a per-commit ordering-economy table: [prefix], then the
@@ -635,47 +580,6 @@ let algorithms ?(quick = false) ?jobs () =
       Table.add_row tput ((spec.Driver.name ^ "/" ^ alg_name) :: List.map mtx_per_s rs))
     rows grid;
   { tables = [ tput; economy ]; results = List.concat grid; extra = [] }
-
-(* Extension: recovery cost.  Crash a run mid-flight and measure the
-   real time Ptm.recover takes as the heap gets fuller.  Stays serial
-   regardless of [jobs]: the metric is wall-clock, and concurrent cells
-   contending for cores would distort it. *)
-let recovery_time ?(quick = false) ?jobs:_ () =
-  let t =
-    Repro_util.Table.create ~title:"Extension — recovery time after a crash (redo, B+Tree)"
-      ~header:[ "pre-crash inserts"; "live blocks"; "recovery (real ms)" ]
-  in
-  let sizes = if quick then [ 1_000; 4_000 ] else [ 1_000; 10_000; 50_000; 200_000 ] in
-  List.iter
-    (fun inserts ->
-      let heap_words = max (1 lsl 20) (16 * inserts) in
-      let cfg = Memsim.Config.make ~heap_words Config.optane_adr in
-      Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
-      let m = Memsim.Sim.machine sim in
-      let ptm = Ptm.create m in
-      let tree = Pstructs.Bptree.create ptm in
-      Ptm.root_set ptm 0 (Pstructs.Bptree.descriptor tree);
-      for i = 1 to inserts do
-        Ptm.atomic ptm (fun tx -> ignore (Pstructs.Bptree.insert tx tree ~key:i ~value:i))
-      done;
-      Memsim.Sim.persist_all sim;
-      (* A short burst of work, then the plug is pulled. *)
-      ignore
-        (Memsim.Sim.spawn sim (fun () ->
-             for i = 1 to 10_000 do
-               Ptm.atomic ptm (fun tx ->
-                   ignore (Pstructs.Bptree.insert tx tree ~key:(inserts + i) ~value:i))
-             done));
-      Memsim.Sim.run ~crash_at:100_000 sim;
-      Memsim.Sim.with_ (Memsim.Sim.reboot sim) @@ fun sim' ->
-      let t0 = Unix.gettimeofday () in
-      let ptm' = Ptm.recover (Memsim.Sim.machine sim') in
-      let elapsed_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-      let live = List.length (Pmem.Alloc.live_blocks (Ptm.allocator ptm')) in
-      Repro_util.Table.add_row t
-        [ string_of_int inserts; string_of_int live; Repro_util.Table.cell_f elapsed_ms ])
-    sizes;
-  { tables = [ t ]; results = []; extra = [] }
 
 (* FAMS: the second crash-consistency API.  Each workload shape runs
    through the PTM (redo, one thread — the honest comparison for
@@ -1158,14 +1062,10 @@ let all =
     ("orec-size", orec_ablation);
     ("htm", htm);
     ("scaling", scaling);
-    ("ycsb", ycsb);
-    ("latency", latency);
     ("dimm-interleave", dimm_interleave);
-    ("memory-mode", memory_mode);
     ("reserve-energy", reserve_energy);
     ("algorithms", algorithms);
     ("fams", fams);
-    ("recovery-time", recovery_time);
     ("kvserve", kvserve);
     ("trace", trace);
     ("telemetry", telemetry);

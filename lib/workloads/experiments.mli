@@ -34,6 +34,13 @@ val fig3_panel : ?quick:bool -> ?jobs:int -> Driver.spec -> outcome
     single workload — the unit the [@parallel] byte-identity gate and
     {!speedup} run. *)
 
+val reserve_peak : Driver.result -> Memsim.Sim.Debt.t * float
+(** A [reserve-energy] cell's peak: the first telemetry series sample
+    of strictly greatest {!Memsim.Sim.Debt.reserve_energy_nj} under the
+    run's model, with that energy in nJ (zero debt and [0.0] when no
+    sample needs any).  The run needs a sampling telemetry capture that
+    dropped no sample. *)
+
 (** One FAMS grid point's exported metrics (also serialised under the
     ["fams_cells"] key of [BENCH_fams.json]). *)
 type fams_cell = {

@@ -1,6 +1,4 @@
-(* The experiment harness itself: registry integrity and the one quick
-   regeneration no gate makes (recovery-time measures host wall-clock,
-   so @results leaves it out). *)
+(* The experiment harness itself: registry integrity. *)
 
 module E = Workloads.Experiments
 
@@ -9,17 +7,7 @@ let test_registry_names_unique () =
   Helpers.check_int "no duplicate experiment names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
-let test_recovery_time_experiment () =
-  let outcome = (List.assoc "recovery-time" E.all) ~quick:true () in
-  match outcome.E.tables with
-  | [ t ] ->
-    let lines = String.split_on_char '\n' (Repro_util.Table.to_csv t) in
-    (* header + 2 sizes + trailing newline *)
-    Helpers.check_int "two data rows" 4 (List.length lines)
-  | _ -> Alcotest.fail "expected one table"
-
 let suite =
   [
     Alcotest.test_case "registry: unique names" `Quick test_registry_names_unique;
-    Alcotest.test_case "recovery-time regenerates" `Slow test_recovery_time_experiment;
   ]
