@@ -104,9 +104,12 @@ type t = {
       (** untimed heap read — initialization, recovery and test oracles only *)
   raw_write : int -> int -> unit;  (** untimed heap write — same restrictions *)
   mark_log_range : int -> int -> unit;
-      (** [mark_log_range lo hi] declares words [lo, hi) as PTM-log
-          space; under PDRAM-Lite the backend maps these pages to
-          battery-backed DRAM.  Marking a range again is a no-op. *)
+      (** [mark_log_range lo hi] declares words [lo, hi) as the
+          machine's PTM-log space; under PDRAM-Lite the backend maps
+          these pages to battery-backed DRAM.  A machine holds one log
+          range (one region, whose header sits at word 0): marking the
+          held range again is a no-op, and marking a different one
+          replaces it. *)
   publish : int array -> int array -> int -> unit;
       (** [publish addrs values n] stores the first [n] (address,
           value) pairs as one indivisible event — the commit of a

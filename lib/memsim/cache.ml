@@ -1,10 +1,11 @@
 type t = {
   sets : int;
   ways : int;
-  tags : int array; (* sets*ways; -1 = invalid; else line number *)
+  (* sets*ways; each set's slots in recency order: slot 0 most recent,
+     the last slot least recent.  -1 = invalid, else line number;
+     invalid slots trail, and only [reset] makes one. *)
+  tags : int array;
   dirty : bool array;
-  stamp : int array; (* LRU recency, global tick *)
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
@@ -24,24 +25,32 @@ let create ~bytes ~ways =
     ways;
     tags = Array.make (sets * ways) (-1);
     dirty = Array.make (sets * ways) false;
-    stamp = Array.make (sets * ways) 0;
-    tick = 0;
     hits = 0;
     misses = 0;
     writebacks = 0;
   }
 
-let set_of t line = line land (t.sets - 1)
+let[@inline] set_base t line = (line land (t.sets - 1)) * t.ways
 
-(* Way index of a resident [line], or -1.  Early-exit scan: victim
-   choice is only needed on a miss. *)
+(* Slot index of a resident [line], or -1.  Early-exit scan. *)
 let find_hit t line =
-  let base = set_of t line * t.ways in
+  let base = set_base t line in
   let limit = base + t.ways in
   let tags = t.tags in
   let i = ref base in
   while !i < limit && Array.unsafe_get tags !i <> line do incr i done;
   if !i < limit then !i else -1
+
+(* Make [line] its set's most recent slot: shift slots [base, i) back
+   by one, dropping slot [i], and write [line] at [base]. *)
+let[@inline] to_front t ~base i ~line ~dirty =
+  let tags = t.tags and d = t.dirty in
+  for j = i downto base + 1 do
+    Array.unsafe_set tags j (Array.unsafe_get tags (j - 1));
+    Array.unsafe_set d j (Array.unsafe_get d (j - 1))
+  done;
+  Array.unsafe_set tags base line;
+  Array.unsafe_set d base dirty
 
 let hit = -1
 let miss_clean = -2
@@ -55,43 +64,26 @@ let miss_clean = -2
    the miss stays out of line in [fill_miss]. *)
 let[@inline never] fill_miss t ~line ~write =
   t.misses <- t.misses + 1;
-  (* Victim: the first invalid way, else the least recent stamp (first
-     minimum). *)
-  let base = set_of t line * t.ways in
-  let victim = ref base in
-  let oldest = ref max_int in
-  for i = base to base + t.ways - 1 do
-    if !oldest >= 0 then
-      if Array.unsafe_get t.tags i = -1 then begin
-        victim := i;
-        oldest := -1
-      end
-      else if Array.unsafe_get t.stamp i < !oldest then begin
-        victim := i;
-        oldest := Array.unsafe_get t.stamp i
-      end
-  done;
-  let v = !victim in
-  let old_tag = t.tags.(v) in
+  (* Victim: the last slot, invalid if any slot is, else the least
+     recent line. *)
+  let base = set_base t line in
+  let v = base + t.ways - 1 in
+  let old_tag = Array.unsafe_get t.tags v in
   let result =
-    if old_tag >= 0 && t.dirty.(v) then begin
+    if old_tag >= 0 && Array.unsafe_get t.dirty v then begin
       t.writebacks <- t.writebacks + 1;
       old_tag
     end
     else miss_clean
   in
-  t.tags.(v) <- line;
-  t.dirty.(v) <- write;
-  t.stamp.(v) <- t.tick;
+  to_front t ~base v ~line ~dirty:write;
   result
 
 let[@inline] access_fast t ~line ~write =
-  t.tick <- t.tick + 1;
   let f = find_hit t line in
   if f >= 0 then begin
     t.hits <- t.hits + 1;
-    t.stamp.(f) <- t.tick;
-    if write then t.dirty.(f) <- true;
+    to_front t ~base:(set_base t line) f ~line ~dirty:(write || Array.unsafe_get t.dirty f);
     hit
   end
   else fill_miss t ~line ~write
@@ -112,8 +104,6 @@ let dirty_lines (t : t) =
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  t.tick <- 0;
   t.hits <- 0;
   t.misses <- 0;
   t.writebacks <- 0

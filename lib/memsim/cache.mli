@@ -2,7 +2,10 @@
 
     Tracks line residency and dirtiness only; data always lives in the
     simulated heap (a line's content is, by construction, the current
-    heap value).  Replacement is LRU within a set. *)
+    heap value).  Replacement is LRU within a set, kept by position:
+    each set holds its ways in recency order, most recent first, so a
+    hit moves its line to the front and a miss evicts the last way.  No
+    per-way timestamp is kept. *)
 
 type t
 
@@ -14,8 +17,9 @@ val hit : int
 val miss_clean : int
 
 val access_fast : t -> line:int -> write:bool -> int
-(** Look up [line]; install it on a miss, evicting the first invalid
-    way else the set's least recently used line; set the dirty bit when
+(** Look up [line] and make it its set's most recent line, installing
+    it on a miss in place of the set's least recently used line (an
+    invalid way while the set is not full); set the dirty bit when
     [write].  Returns [hit] (-1), [miss_clean] (-2: miss with no dirty
     victim), or the evicted dirty line's number (>= 0, write-back
     required).  Allocates nothing. *)
@@ -26,8 +30,8 @@ val clean : t -> line:int -> bool
     resident and dirty — i.e. whether a write-back is actually sent. *)
 
 val dirty_lines : t -> int list
-(** All resident dirty lines — what eADR-class domains flush on a
-    power failure. *)
+(** All resident dirty lines, in no particular order — what eADR-class
+    domains flush on a power failure. *)
 
 val reset : t -> unit
 

@@ -17,7 +17,15 @@ let finished = 3
 
 (* Placeholder for a continuation slot whose thread is not [suspended]:
    a continuation captured once at start-up and never resumed.  Only a
-   [suspended] thread's slot is ever read. *)
+   [suspended] thread's slot is ever read, and a resumed continuation
+   holds no stack, so resetting a slot to [parked] on resume is not
+   needed for correctness.  It paces the minor GC: a slot that holds an
+   old value puts the next suspension's store of a young continuation
+   into the remembered set, and a full remembered set starts a minor
+   collection before the minor heap is used up.  Without the resets,
+   bench/perf's fig3-btree-adr ran faster but touched the whole minor
+   heap, and its peak RSS rose 7.7 % (EXPERIMENTS.md, "Less state in
+   the DES core"). *)
 type _ Effect.t += Park : unit Effect.t
 
 let parked : (unit, unit) Effect.Deep.continuation =

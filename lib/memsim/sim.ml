@@ -33,12 +33,10 @@ type t = {
   rd_nvm : Server.t array;
   rd_dram : Server.t;
   page_cache : Repro_util.Lru.t option; (* PDRAM directory *)
-  mutable log_ranges : (int * int) list; (* [lo, hi) word ranges of PTM logs *)
-  (* Sorted, merged interval index over [log_ranges] for the hot-path
-     membership test (rebuilt on [mark_log_range], rare). *)
-  mutable log_lo : int array;
-  mutable log_hi : int array;
-  mutable log_n : int;
+  (* [log_lo, log_hi): the PTM log range (empty until marked).  One
+     per machine: the region header sits at word 0. *)
+  mutable log_lo : int;
+  mutable log_hi : int;
   mutable fence_target : int array; (* per-tid max completion of own WPQ entries *)
   mutable fence_wait_by_tid : int array; (* per-tid share of fence_wait_ns *)
   mutable wpq_stall_by_tid : int array; (* per-tid WPQ backpressure stalls *)
@@ -81,10 +79,8 @@ let create (cfg : Config.t) =
       (if cfg.model.pdram_cache then
          Some (Repro_util.Lru.create ~capacity:(max 1 (cfg.pdram_cache_bytes / 4096)))
        else None);
-    log_ranges = [];
-    log_lo = [||];
-    log_hi = [||];
-    log_n = 0;
+    log_lo = 0;
+    log_hi = 0;
     fence_target = Array.make 64 0;
     fence_wait_by_tid = Array.make 64 0;
     wpq_stall_by_tid = Array.make 64 0;
@@ -117,37 +113,7 @@ let enable_trace ?capacity t =
    allocation on every load/store even with tracing off. *)
 let trace_record t tr kind = Trace.record tr ~at_ns:(Sched.now t.sched) ~tid:(Sched.tid t.sched) kind
 
-(* Rebuild the sorted interval index: sort by [lo] and merge overlaps,
-   so membership in the union reduces to one binary search. *)
-let rebuild_log_index t =
-  let n = List.length t.log_ranges in
-  let lo = Array.make (max 1 n) 0 in
-  let hi = Array.make (max 1 n) 0 in
-  let k = ref 0 in
-  List.iter
-    (fun (l, h) ->
-      if !k > 0 && l <= hi.(!k - 1) then begin
-        if h > hi.(!k - 1) then hi.(!k - 1) <- h
-      end
-      else begin
-        lo.(!k) <- l;
-        hi.(!k) <- h;
-        incr k
-      end)
-    (List.sort compare t.log_ranges);
-  t.log_lo <- lo;
-  t.log_hi <- hi;
-  t.log_n <- !k
-
-let in_log_range t addr =
-  (* Greatest [lo <= addr]; ranges are merged, so it alone can cover. *)
-  let a = ref 0 in
-  let b = ref t.log_n in
-  while !b > !a do
-    let m = (!a + !b) / 2 in
-    if Array.unsafe_get t.log_lo m <= addr then a := m + 1 else b := m
-  done;
-  !a > 0 && addr < Array.unsafe_get t.log_hi (!a - 1)
+let[@inline] in_log_range t addr = addr >= t.log_lo && addr < t.log_hi
 
 (* Media backing a word under the current placement model. *)
 let media_of t addr : Config.media =
@@ -813,14 +779,12 @@ let machine t : Machine.t =
         check_addr t addr;
         Pheap.set t.heap addr v);
     (* Attaching a region again (a recovery after a pre-recovery
-       check) marks the same range again: hold it once, so
+       check) marks the same range again, which changes nothing, so
        [Debt.armed_log_lines] counts each log once. *)
     mark_log_range =
       (fun lo hi ->
-        if not (List.mem (lo, hi) t.log_ranges) then begin
-          t.log_ranges <- (lo, hi) :: t.log_ranges;
-          rebuild_log_index t
-        end);
+        t.log_lo <- lo;
+        t.log_hi <- hi);
     publish = (fun addrs values n -> publish t addrs values n);
   }
 
@@ -841,18 +805,15 @@ module Debt = struct
   let armed_log_lines (sim : sim) =
     if sim.cfg.model.log_in_dram then
       (* Battery-backed log pages: on failure, armed entries must be
-         written to NVM.  Count lines up to each active log's
+         written to NVM.  Count lines up to the log range's first
          sentinel. *)
-      List.fold_left
-        (fun acc (lo, hi) ->
-          let lines = ref 0 in
-          let pos = ref lo in
-          while !pos < hi && Pheap.get sim.heap !pos <> 0 do
-            incr lines;
-            pos := !pos + Layout.words_per_line
-          done;
-          acc + !lines)
-        0 sim.log_ranges
+      let lines = ref 0 in
+      let pos = ref sim.log_lo in
+      while !pos < sim.log_hi && Pheap.get sim.heap !pos <> 0 do
+        incr lines;
+        pos := !pos + Layout.words_per_line
+      done;
+      !lines
     else 0
 
   let pending_lines sim = wpq_lines sim + armed_log_lines sim

@@ -95,8 +95,8 @@ val reboot : t -> t
     and volatile metadata; heap and media initialized from the
     surviving media image according to the durability domain — the
     image {!save_image} would write, booted the way {!load_image}
-    boots a file.  PTM log ranges are volatile too: the new machine has
-    none until the region is attached again ([Pmem.Region.attach],
+    boots a file.  The PTM log range is volatile too: the new machine
+    has none until the region is attached again ([Pmem.Region.attach],
     which PTM recovery calls).  Requires [track_media = true].  The
     power failure loses the old machine's volatile metadata, so
     [reboot] {!release}s it: the new machine's first {!machine} call
@@ -128,7 +128,7 @@ val save_image : t -> string -> unit
 val load_image : Config.t -> string -> t
 (** Fresh machine whose heap and media are initialized from a file
     written by {!save_image}: the same boot as {!reboot}, so it has no
-    PTM log ranges until the region is attached.
+    PTM log range until the region is attached.
     @raise Machine.Corrupt_image on any file {!save_image} did not
     write for this configuration: wrong size, header or length,
     checksum mismatch, out-of-range chunk index or word (the payload

@@ -24,11 +24,8 @@ type result = {
 let default_seed = 0xBE5C
 
 let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coalesce = true)
-    ?(seed = default_seed) ?(orec_bits = 20) ?telemetry ?lat ?nvm_channels ~model
-    ~algorithm ~threads spec =
-  let cfg =
-    Memsim.Config.make ?lat ?nvm_channels ~heap_words:spec.heap_words ~track_media:false model
-  in
+    ?(seed = default_seed) ?(orec_bits = 20) ?telemetry ~model ~algorithm ~threads spec =
+  let cfg = Memsim.Config.make ~heap_words:spec.heap_words ~track_media:false model in
   Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
   let m = Memsim.Sim.machine sim in
   (* All of the run's randomness is rooted in [seed]: the per-thread

@@ -43,8 +43,6 @@ val run :
   ?seed:int ->
   ?orec_bits:int ->
   ?telemetry:Telemetry.config ->
-  ?lat:Memsim.Config.latency ->
-  ?nvm_channels:int ->
   model:Memsim.Config.model ->
   algorithm:Pstm.Ptm.algorithm ->
   threads:int ->

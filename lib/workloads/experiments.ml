@@ -413,39 +413,6 @@ let reserve_energy ?(quick = false) ?jobs () =
     results;
   { tables = [ t ]; results; extra = [] }
 
-(* Extension: DIMM interleaving (§III-A: "the Optane memory was split
-   across 12 DIMMs, and interleaving was enabled.  This is the
-   recommended configuration for maximizing throughput").  Channels
-   carry per-DIMM service times; aggregate bandwidth grows with the
-   channel count. *)
-let dimm_interleave ?(quick = false) ?jobs () =
-  let dur = duration quick in
-  let channel_axis = [ 1; 2; 3; 6; 12 ] in
-  let thread_points = [ 1; 8; 16; 32 ] in
-  let t =
-    Table.create ~title:"Extension — DIMM interleaving (TPCC hash, redo, ADR, M tx/s)"
-      ~header:("channels" :: List.map string_of_int thread_points)
-  in
-  let base = Config.default_latency in
-  (* Per-DIMM service = 6x the aggregate default (the default
-     calibration folds ~6 interleaved DIMMs into one channel). *)
-  let lat =
-    {
-      base with
-      Config.nvm_wpq_service_ns = base.Config.nvm_wpq_service_ns * 6;
-      nvm_read_service_ns = base.Config.nvm_read_service_ns * 6;
-    }
-  in
-  let grid =
-    grid ?jobs channel_axis thread_points (fun channels threads ->
-        Driver.run ~duration_ns:dur ~lat ~nvm_channels:channels ~model:Config.optane_adr
-          ~algorithm:Ptm.Redo ~threads (Tpcc.spec Tpcc.Hash))
-  in
-  List.iter2
-    (fun channels rs -> Table.add_row t (string_of_int channels :: List.map mtx_per_s rs))
-    channel_axis grid;
-  { tables = [ t ]; results = List.concat grid; extra = [] }
-
 (* One row of a per-commit ordering-economy table: [prefix], then the
    fences and clwbs issued per commit and those flush coalescing saved,
    summed from a passive-telemetry run's profiler.  A run without a
@@ -1062,7 +1029,6 @@ let all =
     ("orec-size", orec_ablation);
     ("htm", htm);
     ("scaling", scaling);
-    ("dimm-interleave", dimm_interleave);
     ("reserve-energy", reserve_energy);
     ("algorithms", algorithms);
     ("fams", fams);

@@ -33,7 +33,9 @@
                                                  (a missing or extra table fails), and the
                                                  same run judged by its row of `judged` (a
                                                  row not in the list fails): orec-size
-                                                 monotone; algorithms and fams claims +
+                                                 monotone; htm's Transient = eADR and
+                                                 eADR HTM > redo at 32 threads;
+                                                 algorithms and fams claims +
                                                  regress vs BENCH_<name>.json; kvserve and
                                                  trace equal BENCH_<name>.json exactly, and
                                                  `ptm_bench regress` bites; scaling's ADR
@@ -473,7 +475,7 @@ let check_csv cell content =
 
      dune exec bin/ptm_bench.exe -- experiment --quick --jobs 1 --csv results/quick \
        table1 table2 table3 fig7 fig8 logsize flush-timing orec-size htm scaling \
-       dimm-interleave reserve-energy algorithms fams telemetry kvserve trace
+       reserve-energy algorithms fams telemetry kvserve trace
 
    and explain the diff in the commit. *)
 let results_dir = "results/quick"
@@ -481,8 +483,7 @@ let results_dir = "results/quick"
 let results_experiments =
   [
     "table1"; "table2"; "table3"; "fig7"; "fig8"; "logsize"; "flush-timing"; "orec-size"; "htm";
-    "scaling"; "dimm-interleave"; "reserve-energy"; "algorithms"; "fams"; "telemetry";
-    "kvserve"; "trace";
+    "scaling"; "reserve-energy"; "algorithms"; "fams"; "telemetry"; "kvserve"; "trace";
   ]
 
 let quick name = (List.assoc name Experiments.all) ~quick:true ~jobs:1 ()
@@ -497,6 +498,34 @@ let orec_monotone results =
          last.Driver.txs_per_sec first.Driver.txs_per_sec)
       (last.Driver.txs_per_sec > first.Driver.txs_per_sec)
   | rs -> check (Printf.sprintf "orec-size: six sizes (got %d)" (List.length rs)) false
+
+(* HTM on the flush-free domains: a transiently persistent cache runs
+   HTM exactly as eADR does, cell for cell, and at 32 threads eADR's
+   HTM beats its redo log on every panel. *)
+let htm_claims results =
+  let series model algorithm =
+    List.filter (fun r -> r.Driver.model = model && r.Driver.algorithm = algorithm) results
+  in
+  let eadr_htm = series "optane-eadr" "htm" and eadr_redo = series "optane-eadr" "redo" in
+  let transient_htm = series "transient-cache" "htm" in
+  let cells = List.length eadr_htm in
+  let paired = cells > 0 && List.length transient_htm = cells && List.length eadr_redo = cells in
+  check (Printf.sprintf "htm: %d eADR_htm cells, as many Transient_htm and eADR_redo" cells) paired;
+  if paired then
+    List.iter2
+      (fun (h, t) r ->
+        let cell = Printf.sprintf "htm: %s, %d threads" h.Driver.workload h.Driver.threads in
+        check
+          (Printf.sprintf "%s: Transient_htm %.4f = eADR_htm %.4f M tx/s" cell
+             (t.Driver.txs_per_sec /. 1e6) (h.Driver.txs_per_sec /. 1e6))
+          (t.Driver.txs_per_sec = h.Driver.txs_per_sec);
+        if h.Driver.threads = 32 then
+          check
+            (Printf.sprintf "%s: eADR_htm %.2f beats eADR_redo %.2f M tx/s" cell
+               (h.Driver.txs_per_sec /. 1e6) (r.Driver.txs_per_sec /. 1e6))
+            (h.Driver.txs_per_sec > r.Driver.txs_per_sec))
+      (List.combine eadr_htm transient_htm)
+      eadr_redo
 
 (* The regression sentinel must bite: `ptm_bench regress` passes a
    trace record against itself and exits 1 once every p99_ns in a copy
@@ -628,6 +657,7 @@ let on_quick name judge = (name, fun () -> let o = quick name in judge o; o)
 let judged =
   [
     on_quick "orec-size" (fun o -> orec_monotone o.Experiments.results);
+    on_quick "htm" (fun o -> htm_claims o.Experiments.results);
     on_quick "algorithms" (fun o ->
         mod_claims o.Experiments.results;
         regress_vs_committed ~experiment:"algorithms" o.Experiments.results);

@@ -275,6 +275,23 @@ let test_debt_rebooted_log_counted_once () =
          ignore (Pmem.Region.attach m : Pmem.Region.t);
          Ptm.recover m))
 
+(* A machine holds one log range: marking a second, different range
+   replaces the first, so only the second's armed lines count, and
+   marking the held range again changes nothing. *)
+let test_debt_one_log_range () =
+  let sim, m = Helpers.sim_machine ~model:Config.pdram_lite () in
+  let line = Machine.Layout.words_per_line in
+  let armed () = (Sim.Debt.sample sim).Sim.Debt.armed_log_lines in
+  m.Machine.mark_log_range 0 (4 * line);
+  m.Machine.raw_write 0 1;
+  Helpers.check_int "first range: one armed line" 1 (armed ());
+  m.Machine.mark_log_range (8 * line) (16 * line);
+  m.Machine.raw_write (8 * line) 1;
+  m.Machine.raw_write (9 * line) 1;
+  Helpers.check_int "second range alone is armed" 2 (armed ());
+  m.Machine.mark_log_range (8 * line) (16 * line);
+  Helpers.check_int "re-marking it changes nothing" 2 (armed ())
+
 (* A telemetry run of TATP redo whose series samples the persistence
    debt every 5 us, as the reserve-energy experiment does. *)
 let reserve_run ?(duration_ns = 300_000) model =
@@ -355,4 +372,5 @@ let suite =
       test_reserve_peak_first_maximum;
     Alcotest.test_case "energy: a rebooted log line counts once" `Quick
       test_debt_rebooted_log_counted_once;
+    Alcotest.test_case "energy: one log range per machine" `Quick test_debt_one_log_range;
   ]

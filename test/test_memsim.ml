@@ -406,14 +406,13 @@ let test_cache_dirty_lines_listing () =
   Alcotest.(check (list int)) "dirty lines" [ 1; 3 ] dirty;
   Alcotest.(check (list int)) "reference agrees" dirty (Cache_ref.dirty_lines r)
 
-(* Random accesses and clwbs over 48 lines in a 4-set, 4-way cache, so
-   most accesses collide and evict.  After every step the answer, the
-   three counters and the dirty set must match the reference. *)
-let test_cache_differential =
-  let op = QCheck2.Gen.(triple (int_range 0 3) (int_range 0 47) bool) in
-  Helpers.qtest ~count:300 "cache: access_fast equals reference model" (QCheck2.Gen.list op)
-    (fun ops ->
-      let c = Cache.create ~bytes:1024 ~ways:4 and r = Cache_ref.create ~bytes:1024 ~ways:4 in
+(* Random accesses and clwbs on a cache and its reference.  After every
+   step the answer, the three counters and the dirty set must match. *)
+let cache_differential ?size ~count name ~bytes ~ways lines =
+  let op = QCheck2.Gen.(triple (int_range 0 3) lines bool) in
+  let ops = match size with None -> QCheck2.Gen.list op | Some n -> QCheck2.Gen.list_size n op in
+  Helpers.qtest ~count name ops (fun ops ->
+      let c = Cache.create ~bytes ~ways and r = Cache_ref.create ~bytes ~ways in
       List.for_all
         (fun (kind, line, write) ->
           (if kind = 0 then Cache.clean c ~line = Cache_ref.clean r ~line
@@ -423,6 +422,23 @@ let test_cache_differential =
           && Cache.writebacks c = r.Cache_ref.writebacks
           && List.sort compare (Cache.dirty_lines c) = Cache_ref.dirty_lines r)
         ops)
+
+(* 48 lines over a 4-set, 4-way cache, so most accesses collide and
+   evict. *)
+let test_cache_differential =
+  cache_differential ~count:300 "cache: access_fast equals reference model" ~bytes:1024 ~ways:4
+    (QCheck2.Gen.int_range 0 47)
+
+(* The L3's own geometry (32 KB, 16 ways: 32 sets), with 24 lines on
+   each of two sets, so a hit can come from any slot of a full set and
+   rotates up to 15 others. *)
+let test_cache_differential_l3 =
+  let cfg = Config.make Config.optane_adr in
+  let sets = cfg.Config.l3_bytes / (64 * cfg.Config.l3_ways) in
+  cache_differential ~count:100 ~size:(QCheck2.Gen.int_range 0 600)
+    "cache: access_fast equals reference model at L3 geometry" ~bytes:cfg.Config.l3_bytes
+    ~ways:cfg.Config.l3_ways
+    QCheck2.Gen.(map (fun (set, k) -> set + (sets * k)) (pair (int_range 0 1) (int_range 0 23)))
 
 (* ---------- the simulated machine ---------- *)
 
@@ -1259,6 +1275,7 @@ let suite =
     Alcotest.test_case "cache: clwb retains line" `Quick test_cache_clwb_keeps_line;
     Alcotest.test_case "cache: dirty listing" `Quick test_cache_dirty_lines_listing;
     test_cache_differential;
+    test_cache_differential_l3;
     Alcotest.test_case "sim: load/store roundtrip" `Quick test_sim_load_store_roundtrip;
     Alcotest.test_case "sim: NVM ~3x DRAM" `Quick test_sim_nvm_slower_than_dram;
     Alcotest.test_case "sim: ADR dearer than eADR" `Quick test_sim_clwb_fence_cost;
