@@ -133,34 +133,16 @@ let print_result (r : Workloads.Driver.result) =
   Format.printf "             fence-wait=%dns wpq-stall=%dns nvm-reads=%d@."
     s.Memsim.Sim.Stats.fence_wait_ns s.Memsim.Sim.Stats.wpq_stall_ns s.Memsim.Sim.Stats.nvm_reads
 
-let print_phase_table (p : Pstm.Profile.t) =
-  let t =
-    Repro_util.Table.create ~title:"phase profile (all threads)"
-      ~header:[ "phase"; "count"; "total ns"; "fences"; "flushes"; "p50 ns"; "p95 ns" ]
-  in
-  let tids = Pstm.Profile.tids p in
-  List.iter
-    (fun phase ->
-      let sum f = List.fold_left (fun acc tid -> acc + f ~tid phase) 0 tids in
-      let count = sum (Pstm.Profile.phase_count p) in
-      if count > 0 then begin
-        let h = Pstm.Profile.merged_phase_hist p phase in
-        Repro_util.Table.add_row t
-          [
-            Pstm.Profile.phase_name phase;
-            string_of_int count;
-            string_of_int (sum (Pstm.Profile.phase_ns p));
-            string_of_int (sum (Pstm.Profile.phase_fences p));
-            string_of_int (sum (Pstm.Profile.phase_flushes p));
-            Repro_util.Table.cell_f (Repro_util.Histogram.percentile h 50.0);
-            Repro_util.Table.cell_f (Repro_util.Histogram.percentile h 95.0);
-          ]
-      end)
-    Pstm.Profile.all_phases;
-  Format.printf "%a" Repro_util.Table.print t;
-  let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 tids in
-  let fences_saved = sum (Pstm.Profile.fences_saved p) in
-  let flushes_saved = sum (Pstm.Profile.flushes_saved p) in
+(* The run's phase table, then what flush coalescing saved. *)
+let print_phase_table (r : Workloads.Driver.result) cap =
+  Format.printf "%a" Repro_util.Table.print
+    (Telemetry.phase_table cap
+       ~title:
+         (Printf.sprintf "phase profile: %s on %s (%s, %d commits)" r.Workloads.Driver.workload
+            r.Workloads.Driver.model r.Workloads.Driver.algorithm r.Workloads.Driver.commits));
+  let p = Telemetry.profile cap in
+  let fences_saved = Pstm.Profile.run_sum p Pstm.Profile.fences_saved in
+  let flushes_saved = Pstm.Profile.run_sum p Pstm.Profile.flushes_saved in
   if fences_saved > 0 || flushes_saved > 0 then
     Format.printf "coalescing : saved %d fences, %d clwbs vs the naive per-entry path@."
       fences_saved flushes_saved
@@ -171,9 +153,10 @@ let telemetry_arg =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"DIR"
         ~doc:
-          "Capture telemetry (phase profile, time series, Chrome trace) and write \
-           $(i,DIR)/profile.jsonl, $(i,DIR)/series.csv and $(i,DIR)/trace.json.  Load the trace \
-           at https://ui.perfetto.dev.  Output is bit-deterministic for a given configuration.")
+          "Capture telemetry (phase profile, time series, Chrome trace): print the run's phase \
+           table and write $(i,DIR)/profile.jsonl (per-thread rows and per-phase slice \
+           percentiles), $(i,DIR)/series.csv and $(i,DIR)/trace.json.  Load the trace at \
+           https://ui.perfetto.dev.  Output is bit-deterministic for a given configuration.")
 
 let run_cmd =
   let run spec model algorithm threads duration_ms no_coalesce telemetry_dir =
@@ -188,7 +171,7 @@ let run_cmd =
     print_result r;
     match (telemetry_dir, r.Workloads.Driver.telemetry) with
     | Some dir, Some cap ->
-      print_phase_table (Telemetry.profile cap);
+      print_phase_table r cap;
       let meta =
         Workloads.Driver.run_meta r ~seed:Workloads.Driver.default_seed ~duration_ns
       in

@@ -7,21 +7,11 @@
      ptm_serve                                   # default run, summary
      ptm_serve --model pdram-lite --shards 8
      ptm_serve --crash-at 100000                 # crash + recover
-     ptm_serve --metrics                         # JSONL service metrics
-     ptm_serve --smoke                           # self-check, exit 0/1
-
-   --smoke runs the end-to-end checks the verify workflow relies on:
-   a crash + restart + recovery pass with every request answered
-   exactly once, and a save-image / load-image round-trip including
-   the torn-image (Corrupt_image) negative path. *)
+     ptm_serve --metrics                         # JSONL service metrics *)
 
 module Config = Memsim.Config
-module Sim = Memsim.Sim
-module Ptm = Pstm.Ptm
 module Service = Kvserve.Service
 module Client = Kvserve.Client
-module Store = Kvserve.Store
-module Protocol = Kvserve.Protocol
 
 let model = ref Config.optane_adr
 let shards = ref 4
@@ -33,13 +23,12 @@ let seed = ref 0x5EED
 let metrics = ref false
 let prometheus = ref false
 let trace_out = ref None
-let smoke = ref false
 
 let usage () =
   prerr_endline
     "usage: ptm_serve [--model NAME] [--shards N] [--conns N] [--requests N]\n\
     \                 [--crash-at NS] [--jobs N] [--seed N] [--metrics] [--prometheus]\n\
-    \                 [--trace FILE] [--smoke]";
+    \                 [--trace FILE]";
   exit 2
 
 (* A numeric flag's value: an integer of at least [min], else
@@ -80,9 +69,6 @@ let rec parse = function
     parse rest
   | "--trace" :: path :: rest ->
     trace_out := Some path;
-    parse rest
-  | "--smoke" :: rest ->
-    smoke := true;
     parse rest
   | _ -> usage ()
 
@@ -144,135 +130,6 @@ let serve () =
       r.Service.recoveries
   end
 
-(* ---------- smoke ---------- *)
-
-let failures = ref 0
-
-let check label ok =
-  if not ok then begin
-    incr failures;
-    Printf.printf "smoke FAIL: %s\n%!" label
-  end
-
-let smoke_service () =
-  let cfg =
-    {
-      (Service.default_config Config.optane_adr) with
-      Service.shards = 2;
-      prepopulate_items = 64;
-      heap_words_per_shard = 1 lsl 17;
-      buckets_per_shard = 256;
-    }
-  in
-  let fl = fleet ~conns:3 ~requests_per_conn:25 ~items:64 in
-  let run () = Service.run ~crash_at:15_000 cfg fl in
-  let a = run () in
-  let b = run () in
-  check "crash observed" a.Service.crashed;
-  check "recovery records present" (a.Service.recoveries <> []);
-  check "every request answered" (a.Service.requests = fl.Client.requests);
-  check "repeat run byte-identical"
-    (Service.metrics_jsonl cfg a = Service.metrics_jsonl cfg b
-    && a.Service.replies = b.Service.replies);
-  (* Exactly-once across the crash: one connection incrementing one
-     counter must end exactly at N, never short (lost commit), never
-     past (double replay). *)
-  let n = 40 in
-  let bytes = Protocol.render_request (Protocol.Incr { key = Client.counter_of 0; delta = 1 }) in
-  let incr_fleet =
-    {
-      Client.chunks =
-        List.init n (fun i -> { Client.arrival_ns = 2_000 * (i + 1); conn = 0; bytes });
-      conns = 1;
-      requests = n;
-      trace_ids = [||];
-    }
-  in
-  let r = Service.run ~crash_at:40_000 cfg incr_fleet in
-  let numbers =
-    List.filter_map int_of_string_opt
-      (List.map String.trim (String.split_on_char '\n' r.Service.replies.(0)))
-  in
-  check "incr: all answered" (List.length numbers = n);
-  check "incr: exactly once" (List.fold_left (fun _ v -> v) 0 numbers = n);
-  (* stats verb: a memcached `stats` line answered from the unified
-     metrics registry — a STAT block naming the request counter. *)
-  let stats_fleet =
-    {
-      Client.chunks =
-        [ { Client.arrival_ns = 1_000; conn = 0; bytes = Protocol.render_request Protocol.Stats } ];
-      conns = 1;
-      requests = 1;
-      trace_ids = [||];
-    }
-  in
-  let sr = Service.run cfg stats_fleet in
-  let reply = sr.Service.replies.(0) in
-  let has_substring hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let ends_with suffix s =
-    let ns = String.length s and nx = String.length suffix in
-    ns >= nx && String.sub s (ns - nx) nx = suffix
-  in
-  check "stats verb: STAT block with END terminator"
-    (has_substring reply "STAT kvserve_requests "
-    && has_substring reply "STAT ptm_commits"
-    && ends_with "END\r\n" reply)
-
-let smoke_image () =
-  let sim_cfg = Config.make ~heap_words:(1 lsl 16) ~track_media:true Config.optane_adr in
-  let sim = Sim.create sim_cfg in
-  let ptm = Ptm.create ~max_threads:1 ~log_words_per_thread:4096 (Sim.machine sim) in
-  let store = Store.create ptm ~buckets:64 in
-  Ptm.atomic ptm (fun tx ->
-      Store.set tx store ~key:"alpha" ~flags:1 "first";
-      Store.set tx store ~key:"beta" ~flags:2 "second");
-  Sim.persist_all sim;
-  let path = Filename.temp_file "ptm_serve_smoke" ".img" in
-  Sim.save_image sim path;
-  (* Round-trip: a fresh host process attaches the image and finds the
-     data. *)
-  let sim2 = Sim.load_image sim_cfg path in
-  let ptm2 = Ptm.recover (Sim.machine sim2) in
-  let store2 = Store.attach ptm2 in
-  let ok =
-    Ptm.atomic ptm2 (fun tx ->
-        Store.get tx store2 "alpha" = Some (1, "first")
-        && Store.get tx store2 "beta" = Some (2, "second"))
-  in
-  check "image round-trip preserves the store" ok;
-  (* Torn image: truncate and expect the typed failure, not garbage. *)
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let payload = really_input_string ic (len / 2) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc payload;
-  close_out oc;
-  (match Sim.load_image sim_cfg path with
-  | _ -> check "truncated image must raise Corrupt_image" false
-  | exception Machine.Corrupt_image _ -> ()
-  | exception _ -> check "truncated image raised the wrong exception" false);
-  Sys.remove path;
-  (* Missing image: restart code distinguishes "no image" from "torn
-     image" by the exception. *)
-  match Sim.load_image sim_cfg path with
-  | _ -> check "missing image must raise Sys_error" false
-  | exception Sys_error _ -> ()
-  | exception _ -> check "missing image raised the wrong exception" false
-
 let () =
   parse (List.tl (Array.to_list Sys.argv));
-  if !smoke then begin
-    smoke_service ();
-    smoke_image ();
-    if !failures = 0 then print_endline "SMOKE OK"
-    else begin
-      Printf.printf "%d smoke check(s) failed\n" !failures;
-      exit 1
-    end
-  end
-  else serve ()
+  serve ()

@@ -271,7 +271,7 @@ let ensure_lines_buf t n =
 let fams_sfence t phase =
   t.stats.Stats.fences <- t.stats.Stats.fences + 1;
   match t.profiler with
-  | Some p -> Profile.leaf_fence_in p phase (fun () -> t.m.Machine.sfence ())
+  | Some p -> Profile.leaf_fence p phase (fun () -> t.m.Machine.sfence ())
   | None -> t.m.Machine.sfence ()
 
 let fams_clwb_lines t phase ~first_line ~nlines =
@@ -283,7 +283,7 @@ let fams_clwb_lines t phase ~first_line ~nlines =
     t.stats.Stats.flushes <- t.stats.Stats.flushes + nlines;
     match t.profiler with
     | Some p ->
-      Profile.leaf_flush_in p phase ~flushes:nlines (fun () ->
+      Profile.leaf_flush p phase ~flushes:nlines (fun () ->
           t.m.Machine.clwb_many t.lines_buf nlines)
     | None -> t.m.Machine.clwb_many t.lines_buf nlines
   end
@@ -399,7 +399,7 @@ let msync_atomic t =
       t.stats.Stats.flushes <- t.stats.Stats.flushes + !flushed;
       (match t.profiler with
       | Some p ->
-        Profile.leaf_flush_in p Profile.Snap_apply ~flushes:!flushed (fun () ->
+        Profile.leaf_flush p Profile.Snap_apply ~flushes:!flushed (fun () ->
             t.m.Machine.clwb_many t.lines_buf !flushed)
       | None -> t.m.Machine.clwb_many t.lines_buf !flushed)
     end;

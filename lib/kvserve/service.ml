@@ -322,6 +322,7 @@ let executor ~sim ~ptm ~store ~(rq : requests) ~(lane : lane) ~(out : slots) ~po
   let n = Array.length positions in
   let now () = Sim.now sim in
   let is_write p = rq.kind.(lane.req.(p)) <> K_get in
+  let armed_log_lines () = Ptm.armed_log_lines ptm in
   let mark () =
     match tracing with Some (_, prof) -> Profile.spans_recorded prof | None -> 0
   in
@@ -363,7 +364,7 @@ let executor ~sim ~ptm ~store ~(rq : requests) ~(lane : lane) ~(out : slots) ~po
     else if is_write p then begin
       (* Debt-driven admission: past the line limit, writes are let in
          one at a time until the WPQ has drained. *)
-      let clamped = Sim.Debt.pending_lines sim >= debt_line_limit in
+      let clamped = Sim.Debt.pending_lines sim ~armed_log_lines >= debt_line_limit in
       let cap = if clamped then 1 else max_batch in
       let j = ref !i in
       while

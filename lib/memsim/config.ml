@@ -144,12 +144,12 @@ type t = {
   track_media : bool;
 }
 
-let make ?(lat = default_latency) ?(nvm_channels = 1) ?(heap_words = 1 lsl 20)
-    ?(meta_words = (1 lsl 20) + 4096) ?(track_media = true) model =
+let make ?(nvm_channels = 1) ?(heap_words = 1 lsl 20) ?(meta_words = (1 lsl 20) + 4096)
+    ?(track_media = true) model =
   assert (nvm_channels > 0);
   {
     model;
-    lat;
+    lat = default_latency;
     nvm_channels;
     heap_words;
     meta_words;

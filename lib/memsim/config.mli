@@ -110,7 +110,7 @@ val default_latency : latency
 
 type t = {
   model : model;
-  lat : latency;
+  lat : latency;  (** {!default_latency} on every machine {!make} builds *)
   nvm_channels : int;
       (** address-interleaved Optane channels; service times are
           per-channel, so aggregate bandwidth scales with the count
@@ -127,7 +127,6 @@ type t = {
 }
 
 val make :
-  ?lat:latency ->
   ?nvm_channels:int ->
   ?heap_words:int ->
   ?meta_words:int ->

@@ -33,8 +33,9 @@ type t = {
   rd_nvm : Server.t array;
   rd_dram : Server.t;
   page_cache : Repro_util.Lru.t option; (* PDRAM directory *)
-  (* [log_lo, log_hi): the PTM log range (empty until marked).  One
-     per machine: the region header sits at word 0. *)
+  (* [log_lo, log_hi): the PTM log range (empty until marked), which
+     PDRAM-Lite places in DRAM.  One per machine: the region header
+     sits at word 0. *)
   mutable log_lo : int;
   mutable log_hi : int;
   mutable fence_target : int array; (* per-tid max completion of own WPQ entries *)
@@ -778,9 +779,9 @@ let machine t : Machine.t =
       (fun addr v ->
         check_addr t addr;
         Pheap.set t.heap addr v);
-    (* Attaching a region again (a recovery after a pre-recovery
-       check) marks the same range again, which changes nothing, so
-       [Debt.armed_log_lines] counts each log once. *)
+    (* The range decides placement only: attaching a region again (a
+       recovery after a pre-recovery check) marks the same range
+       again, which changes nothing. *)
     mark_log_range =
       (fun lo hi ->
         t.log_lo <- lo;
@@ -802,23 +803,16 @@ module Debt = struct
     let now = Sched.now sim.sched in
     Array.fold_left (fun acc s -> acc + Server.inflight_at s ~now) 0 sim.wpq_nvm
 
-  let armed_log_lines (sim : sim) =
-    if sim.cfg.model.log_in_dram then
-      (* Battery-backed log pages: on failure, armed entries must be
-         written to NVM.  Count lines up to the log range's first
-         sentinel. *)
-      let lines = ref 0 in
-      let pos = ref sim.log_lo in
-      while !pos < sim.log_hi && Pheap.get sim.heap !pos <> 0 do
-        incr lines;
-        pos := !pos + Layout.words_per_line
-      done;
-      !lines
-    else 0
+  let zero = { wpq_lines = 0; dirty_l3_lines = 0; dirty_dram_pages = 0; armed_log_lines = 0 }
 
-  let pending_lines sim = wpq_lines sim + armed_log_lines sim
+  (* Battery-backed log pages: on failure, the armed logs must be
+     written to NVM.  The PTM owns the log format and counts them. *)
+  let armed (sim : sim) armed_log_lines =
+    if sim.cfg.model.log_in_dram then armed_log_lines () else 0
 
-  let sample (sim : sim) =
+  let pending_lines sim ~armed_log_lines = wpq_lines sim + armed sim armed_log_lines
+
+  let sample (sim : sim) ~armed_log_lines =
     let persistent = sim.cfg.model.data_media = Config.Nvm in
     let dirty_l3_lines = if persistent then List.length (Cache.dirty_lines sim.l3) else 0 in
     let dirty_dram_pages =
@@ -830,7 +824,7 @@ module Debt = struct
       wpq_lines = wpq_lines sim;
       dirty_l3_lines;
       dirty_dram_pages;
-      armed_log_lines = armed_log_lines sim;
+      armed_log_lines = armed sim armed_log_lines;
     }
 
   (* Per-line energy estimates (nJ): an Optane line write is the

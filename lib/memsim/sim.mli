@@ -147,13 +147,21 @@ module Debt : sig
     wpq_lines : int;  (** lines in flight in the bounded NVM WPQ *)
     dirty_l3_lines : int;  (** persistent-page lines dirty in the L3 *)
     dirty_dram_pages : int;  (** dirty pages in the PDRAM directory *)
-    armed_log_lines : int;  (** active per-thread log lines (PDRAM-Lite) *)
+    armed_log_lines : int;
+        (** lines of the PTM logs recovery would replay or roll back,
+            where the model keeps the log in DRAM (PDRAM-Lite); else 0 *)
   }
 
-  val sample : sim -> t
-  (** Instantaneous debt (callable from a monitor thread mid-run). *)
+  val zero : t
+  (** No debt at all. *)
 
-  val pending_lines : sim -> int
+  val sample : sim -> armed_log_lines:(unit -> int) -> t
+  (** Instantaneous debt (callable from a monitor thread mid-run).
+      [armed_log_lines ()] is the PTM's count of armed log lines
+      ([Pstm.Ptm.armed_log_lines]); the machine reads no PTM log word
+      itself, and calls it only when the model keeps the log in DRAM. *)
+
+  val pending_lines : sim -> armed_log_lines:(unit -> int) -> int
   (** [wpq_lines + armed_log_lines] of {!sample}, computed without the
       L3 and page-cache scans: the cheap admission probe. *)
 

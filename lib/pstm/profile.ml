@@ -214,21 +214,42 @@ let note_saved t ~fences ~flushes =
   pt.fences_saved <- pt.fences_saved + fences;
   pt.flushes_saved <- pt.flushes_saved + flushes
 
-(* ---------- phase scoping ---------- *)
+(* ---------- slices ---------- *)
 
-let with_phase t phase f =
+(* The one slice recorder.  Run [f] as a slice of phase [idx] on the
+   calling thread: the time since the last boundary goes to the
+   enclosing phase, [idx] sits on the phase stack while [f] runs, and
+   the close charges [idx] its exclusive time, one slice, the
+   [fences]/[flushes] the slice issued and its duration, then pushes
+   the span.  A slice that issues flushes, measured by a stall probe,
+   moves its WPQ backpressure share (the probe's delta) to
+   [Wpq_stall]. *)
+let record t idx ~fences ~flushes f =
   let tid = t.cur_tid () in
   let pt = slot t tid in
-  let idx = phase_index phase in
   let start = now t in
   settle pt start;
   pt.stack <- idx :: pt.stack;
-  pt.count.(idx) <- pt.count.(idx) + 1;
+  let probe = if flushes > 0 then t.wpq_stall_probe else None in
+  let s0 = match probe with Some probe -> probe tid | None -> 0 in
   let finish () =
     let stop = now t in
     settle pt stop;
     pt.stack <- (match pt.stack with _ :: rest -> rest | [] -> []);
-    Histogram.record pt.hist.(idx) (stop - start);
+    let stall =
+      match probe with Some probe -> max 0 (min (probe tid - s0) (stop - start)) | None -> 0
+    in
+    pt.ns.(idx) <- pt.ns.(idx) - stall;
+    pt.count.(idx) <- pt.count.(idx) + 1;
+    pt.fences.(idx) <- pt.fences.(idx) + fences;
+    pt.flushes.(idx) <- pt.flushes.(idx) + flushes;
+    Histogram.record pt.hist.(idx) (stop - start - stall);
+    if stall > 0 then begin
+      let wi = phase_index Wpq_stall in
+      pt.ns.(wi) <- pt.ns.(wi) + stall;
+      pt.count.(wi) <- pt.count.(wi) + 1;
+      Histogram.record pt.hist.(wi) stall
+    end;
     push_span t tid idx start stop
   in
   match f () with
@@ -239,71 +260,9 @@ let with_phase t phase f =
     finish ();
     raise e
 
-(* A clwb (or a run of clwbs): the slice splits into WPQ backpressure
-   (measured via the per-tid stall probe delta) charged to [Wpq_stall]
-   and the remainder charged to the issue phase — [Clwb_issue] for
-   plain flushes, [Coalesce] for the batched commit sweep. *)
-let leaf_flush_into t issue_phase ~flushes f =
-  let tid = t.cur_tid () in
-  let pt = slot t tid in
-  let ci = phase_index issue_phase and wi = phase_index Wpq_stall in
-  let start = now t in
-  settle pt start;
-  let s0 = match t.wpq_stall_probe with Some probe -> probe tid | None -> 0 in
-  let finish () =
-    let stop = now t in
-    let dt = stop - start in
-    let stall =
-      match t.wpq_stall_probe with Some probe -> max 0 (min (probe tid - s0) dt) | None -> 0
-    in
-    pt.ns.(ci) <- pt.ns.(ci) + (dt - stall);
-    pt.count.(ci) <- pt.count.(ci) + 1;
-    pt.flushes.(ci) <- pt.flushes.(ci) + flushes;
-    Histogram.record pt.hist.(ci) (dt - stall);
-    if stall > 0 then begin
-      pt.ns.(wi) <- pt.ns.(wi) + stall;
-      pt.count.(wi) <- pt.count.(wi) + 1;
-      Histogram.record pt.hist.(wi) stall
-    end;
-    pt.last_switch_ns <- stop;
-    push_span t tid ci start stop
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
-
-let leaf_flush t ~flushes f = leaf_flush_into t Clwb_issue ~flushes f
-let leaf_coalesce t ~flushes f = leaf_flush_into t Coalesce ~flushes f
-let leaf_flush_in t phase ~flushes f = leaf_flush_into t phase ~flushes f
-
-let leaf_fence_in t phase f =
-  let tid = t.cur_tid () in
-  let pt = slot t tid in
-  let fi = phase_index phase in
-  let start = now t in
-  settle pt start;
-  let finish () =
-    let stop = now t in
-    pt.ns.(fi) <- pt.ns.(fi) + (stop - start);
-    pt.count.(fi) <- pt.count.(fi) + 1;
-    pt.fences.(fi) <- pt.fences.(fi) + 1;
-    Histogram.record pt.hist.(fi) (stop - start);
-    pt.last_switch_ns <- stop;
-    push_span t tid fi start stop
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
-
-let leaf_fence t f = leaf_fence_in t Fence_wait f
+let with_phase t phase f = record t (phase_index phase) ~fences:0 ~flushes:0 f
+let leaf_flush t phase ~flushes f = record t (phase_index phase) ~fences:0 ~flushes f
+let leaf_fence t phase f = record t (phase_index phase) ~fences:1 ~flushes:0 f
 
 (* ---------- read-out ---------- *)
 
@@ -342,6 +301,21 @@ let txn_hist t ~tid =
 
 let total_phase_ns t ~tid =
   match find_slot t tid with None -> 0 | Some pt -> Array.fold_left ( + ) 0 pt.ns
+
+(* ---------- run-level read-out ---------- *)
+
+let run_sum t f = List.fold_left (fun acc tid -> acc + f t ~tid) 0 (tids t)
+
+type run_phase = { count : int; ns : int; fences : int; flushes : int }
+
+let run_phase t phase =
+  let sum f = run_sum t (fun t ~tid -> f t ~tid phase) in
+  {
+    count = sum phase_count;
+    ns = sum phase_ns;
+    fences = sum phase_fences;
+    flushes = sum phase_flushes;
+  }
 
 let merged_phase_hist t phase =
   Histogram.merge_list (List.map (fun tid -> phase_hist t ~tid phase) (tids t))

@@ -65,25 +65,21 @@ val note_saved : t -> fences:int -> flushes:int -> unit
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
 (** Scope [f]'s execution to [phase] (nestable; exception-safe). *)
 
-val leaf_flush : t -> flushes:int -> (unit -> 'a) -> 'a
-(** Run [f] (a clwb or a run of [flushes] clwbs), splitting the slice
-    into {!Wpq_stall} (probe delta) and {!Clwb_issue} (remainder). *)
+(** The two leaf recorders wrap one machine operation each and share
+    {!with_phase}'s close: the slice's time, one slice count, its
+    duration histogram and its span go to the named phase. *)
 
-val leaf_coalesce : t -> flushes:int -> (unit -> 'a) -> 'a
-(** Like {!leaf_flush} but for the batched commit sweep: the issue
-    remainder is charged to {!Coalesce} instead of {!Clwb_issue}. *)
+val leaf_flush : t -> phase -> flushes:int -> (unit -> 'a) -> 'a
+(** Run [f] (a clwb or a run of [flushes] clwbs) as a slice of
+    [phase] — {!Clwb_issue} for a plain flush, {!Coalesce} for the
+    batched commit sweep, a [Snap_*] phase for FAMS.  With a stall
+    probe and [flushes > 0] the slice splits: the probe delta goes to
+    {!Wpq_stall}, the remainder to [phase], which also counts the
+    [flushes]. *)
 
-val leaf_fence : t -> (unit -> 'a) -> 'a
-(** Run [f] (one sfence), charging the slice to {!Fence_wait}. *)
-
-val leaf_flush_in : t -> phase -> flushes:int -> (unit -> 'a) -> 'a
-(** Like {!leaf_flush} with an explicit issue phase — the FAMS sweep
-    and apply flushes charge {!Snap_sweep} / {!Snap_apply} while the
-    backpressure share still lands in {!Wpq_stall}. *)
-
-val leaf_fence_in : t -> phase -> (unit -> 'a) -> 'a
-(** Like {!leaf_fence} with an explicit phase (fence count and drain
-    wait are attributed to it). *)
+val leaf_fence : t -> phase -> (unit -> 'a) -> 'a
+(** Run [f] (one sfence) as a slice of [phase] ({!Fence_wait} for the
+    PTM), charging it the drain wait and one fence. *)
 
 (** {1 Read-out} *)
 
@@ -112,6 +108,18 @@ val flushes_saved : t -> tid:int -> int
 (** Likewise for clwbs elided by line dedup and batching. *)
 
 val txn_hist : t -> tid:int -> Repro_util.Histogram.t
+
+(** {1 Run-level read-out} *)
+
+val run_sum : t -> (t -> tid:int -> int) -> int
+(** [run_sum t f] sums a per-thread counter over {!tids}, e.g.
+    [run_sum t commits] or [run_sum t fences_saved]. *)
+
+type run_phase = { count : int; ns : int; fences : int; flushes : int }
+
+val run_phase : t -> phase -> run_phase
+(** A phase's slice count, ns, fences and flushes summed over
+    threads. *)
 
 val merged_phase_hist : t -> phase -> Repro_util.Histogram.t
 (** All threads' slice histograms for [phase], merged. *)

@@ -166,6 +166,25 @@ let recover_logs m reg =
     entries_rolled_back = !entries_rolled_back;
   }
 
+(* The logs [recover_logs] would replay or roll back, in cache lines:
+   each log whose status word is not idle, from its base through its
+   zero-addr sentinel.  Untimed reads, so a monitor thread may count
+   mid-run. *)
+let armed_log_lines t =
+  let raw = t.m.Machine.raw_read in
+  let lines = ref 0 in
+  for tid = 0 to Pmem.Region.max_threads t.reg - 1 do
+    let base = Pmem.Region.log_base t.reg ~tid in
+    if raw base <> status_idle then begin
+      let pos = ref (base + 2) in
+      while raw !pos <> 0 do
+        pos := !pos + 2
+      done;
+      lines := !lines + Layout.line_of_addr !pos - Layout.line_of_addr base + 1
+    end
+  done;
+  !lines
+
 let recover ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
     ?(rng_seed = default_rng_seed) ?profiler ?inject m =
   check_config ~algorithm ~orec_bits m;

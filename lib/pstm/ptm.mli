@@ -186,6 +186,13 @@ val recover :
     Rejects the configurations {!create} rejects, before touching the
     image. *)
 
+val armed_log_lines : t -> int
+(** Cache lines of the logs {!recover} would replay or roll back now:
+    every thread's log whose status word is not idle, from its base
+    through its sentinel.  Untimed raw reads, so a monitor thread may
+    call it mid-run; the persistence-debt sample counts these under
+    PDRAM-Lite. *)
+
 val region : t -> Pmem.Region.t
 val machine : t -> Machine.t
 val algorithm : t -> algorithm

@@ -151,7 +151,7 @@ let locked_by v tid = v = lock_word tid
 let clwb1 t addr =
   match t.profiler with
   | None -> t.m.Machine.clwb addr
-  | Some p -> Profile.leaf_flush p ~flushes:1 (fun () -> t.m.Machine.clwb addr)
+  | Some p -> Profile.leaf_flush p Profile.Clwb_issue ~flushes:1 (fun () -> t.m.Machine.clwb addr)
 
 let flush t addr = if t.m.Machine.needs_flush then clwb1 t addr
 
@@ -159,7 +159,7 @@ let fence t =
   if t.m.Machine.needs_fence && t.inject <> Some Skip_fence then
     match t.profiler with
     | None -> t.m.Machine.sfence ()
-    | Some p -> Profile.leaf_fence p (fun () -> t.m.Machine.sfence ())
+    | Some p -> Profile.leaf_fence p Profile.Fence_wait (fun () -> t.m.Machine.sfence ())
 
 (* ---------- per-thread log ---------- *)
 
@@ -379,7 +379,7 @@ let clwb_batch t addrs n =
   if n > 0 then
     match t.profiler with
     | None -> t.m.Machine.clwb_many addrs n
-    | Some p -> Profile.leaf_coalesce p ~flushes:n (fun () -> t.m.Machine.clwb_many addrs n)
+    | Some p -> Profile.leaf_flush p Profile.Coalesce ~flushes:n (fun () -> t.m.Machine.clwb_many addrs n)
 
 (* Make a write set's data lines durable.  Coalesced: one vectored
    sweep over the deduplicated dirty lines ordered by a single fence.

@@ -60,15 +60,12 @@ let profile_jsonl ?(extra_thread_fields = fun _ -> []) meta (p : Profile.t) =
   (* Run-level merged rows: the per-thread distributions combined. *)
   List.iter
     (fun phase ->
-      let count = List.fold_left (fun acc tid -> acc + Profile.phase_count p ~tid phase) 0 tids in
-      if count > 0 then
+      let r = Profile.run_phase p phase in
+      if r.count > 0 then
         Buffer.add_string buf
           (Printf.sprintf
              "{\"type\":\"run-phase\",\"phase\":\"%s\",\"count\":%d,\"ns\":%d,\"fences\":%d,\"flushes\":%d%s}\n"
-             (Profile.phase_name phase) count
-             (List.fold_left (fun acc tid -> acc + Profile.phase_ns p ~tid phase) 0 tids)
-             (List.fold_left (fun acc tid -> acc + Profile.phase_fences p ~tid phase) 0 tids)
-             (List.fold_left (fun acc tid -> acc + Profile.phase_flushes p ~tid phase) 0 tids)
+             (Profile.phase_name phase) r.count r.ns r.fences r.flushes
              (hist_fields (Profile.merged_phase_hist p phase))))
     Profile.all_phases;
   (* Per-thread summaries: the sum-to-total invariant is checkable from

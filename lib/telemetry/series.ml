@@ -7,10 +7,7 @@ module Sim = Memsim.Sim
 
 type sample = {
   at_ns : int;
-  wpq_lines : int;
-  dirty_l3_lines : int;
-  dirty_dram_pages : int;
-  armed_log_lines : int;
+  debt : Sim.Debt.t;
   commits : int;
   aborts : int;
   d_commits : int;
@@ -28,10 +25,7 @@ type sample = {
 let zero_sample =
   {
     at_ns = 0;
-    wpq_lines = 0;
-    dirty_l3_lines = 0;
-    dirty_dram_pages = 0;
-    armed_log_lines = 0;
+    debt = Sim.Debt.zero;
     commits = 0;
     aborts = 0;
     d_commits = 0;
@@ -60,15 +54,11 @@ let create ?(capacity = 4096) () =
 
 let record t sim ptm =
   let st = Sim.Stats.get sim in
-  let debt = Sim.Debt.sample sim in
   let ps = Pstm.Ptm.Stats.get ptm in
   let s =
     {
       at_ns = Sim.now sim;
-      wpq_lines = debt.Sim.Debt.wpq_lines;
-      dirty_l3_lines = debt.Sim.Debt.dirty_l3_lines;
-      dirty_dram_pages = debt.Sim.Debt.dirty_dram_pages;
-      armed_log_lines = debt.Sim.Debt.armed_log_lines;
+      debt = Sim.Debt.sample sim ~armed_log_lines:(fun () -> Pstm.Ptm.armed_log_lines ptm);
       commits = ps.Pstm.Ptm.Stats.commits;
       aborts = ps.Pstm.Ptm.Stats.aborts;
       d_commits = ps.Pstm.Ptm.Stats.commits - t.last_commits;
@@ -105,10 +95,11 @@ let to_csv t =
   Buffer.add_char buf '\n';
   List.iter
     (fun s ->
+      let d = s.debt in
       Buffer.add_string buf
         (Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n" s.at_ns
-           s.wpq_lines s.dirty_l3_lines s.dirty_dram_pages s.armed_log_lines s.commits s.aborts
-           s.d_commits s.d_aborts s.loads s.stores s.clwbs s.sfences s.writebacks s.fence_wait_ns
-           s.wpq_stall_ns s.nvm_reads))
+           d.Sim.Debt.wpq_lines d.dirty_l3_lines d.dirty_dram_pages d.armed_log_lines s.commits
+           s.aborts s.d_commits s.d_aborts s.loads s.stores s.clwbs s.sfences s.writebacks
+           s.fence_wait_ns s.wpq_stall_ns s.nvm_reads))
     (samples t);
   Buffer.contents buf

@@ -9,10 +9,7 @@
 
 type sample = {
   at_ns : int;
-  wpq_lines : int;  (** NVM WPQ occupancy at the sample instant *)
-  dirty_l3_lines : int;
-  dirty_dram_pages : int;
-  armed_log_lines : int;
+  debt : Memsim.Sim.Debt.t;  (** the persistence debt at the sample instant *)
   commits : int;  (** cumulative *)
   aborts : int;  (** cumulative *)
   d_commits : int;  (** since previous sample *)

@@ -7,6 +7,8 @@ module Export = Export
 module Trace = Trace
 module Registry = Registry
 module Sim = Memsim.Sim
+module Profile = Pstm.Profile
+module Table = Repro_util.Table
 
 type config = {
   sample_interval_ns : int;
@@ -65,6 +67,28 @@ let profile_jsonl meta cap =
   Export.profile_jsonl ~extra_thread_fields:(machine_thread_fields cap) meta cap.profile
 
 let series_csv cap = Series.to_csv cap.series
+
+let phase_table ~title cap =
+  let p = cap.profile in
+  let total_txn_ns = Profile.run_sum p Profile.txn_ns in
+  let table =
+    Table.create ~title ~header:[ "phase"; "count"; "total ns"; "share %"; "fences"; "flushes" ]
+  in
+  List.iter
+    (fun phase ->
+      let r = Profile.run_phase p phase in
+      if r.count > 0 then
+        Table.add_row table
+          [
+            Profile.phase_name phase;
+            string_of_int r.count;
+            string_of_int r.ns;
+            Table.cell_f (100.0 *. float_of_int r.ns /. float_of_int (max 1 total_txn_ns));
+            string_of_int r.fences;
+            string_of_int r.flushes;
+          ])
+    Profile.all_phases;
+  table
 
 let chrome_trace meta cap = Export.chrome_trace ?machine_trace:cap.machine_trace meta cap.profile
 

@@ -56,6 +56,12 @@ val profile_jsonl : Export.run_meta -> capture -> string
 
 val series_csv : capture -> string
 
+val phase_table : title:string -> capture -> Repro_util.Table.t
+(** The run's phase profile as a table: one row per phase with slices
+    (count, total ns, share of the run's transaction time, fences,
+    flushes), summed over threads.  Per-thread rows and slice-latency
+    percentiles are in {!profile_jsonl}. *)
+
 val chrome_trace : Export.run_meta -> capture -> string
 (** Perfetto-loadable trace: phase spans + machine events. *)
 

@@ -357,19 +357,9 @@ let reserve_peak (r : Driver.result) =
   assert (Telemetry.Series.dropped series = 0);
   List.fold_left
     (fun ((_, peak) as best) (s : Telemetry.Series.sample) ->
-      let d =
-        {
-          Memsim.Sim.Debt.wpq_lines = s.wpq_lines;
-          dirty_l3_lines = s.dirty_l3_lines;
-          dirty_dram_pages = s.dirty_dram_pages;
-          armed_log_lines = s.armed_log_lines;
-        }
-      in
-      let e = Memsim.Sim.Debt.reserve_energy_nj model d in
-      if e > peak then (d, e) else best)
-    ( { Memsim.Sim.Debt.wpq_lines = 0; dirty_l3_lines = 0;
-        dirty_dram_pages = 0; armed_log_lines = 0 },
-      0.0 )
+      let e = Memsim.Sim.Debt.reserve_energy_nj model s.debt in
+      if e > peak then (s.debt, e) else best)
+    (Memsim.Sim.Debt.zero, 0.0)
     (Telemetry.Series.samples series)
 
 (* §V future work: reserve-power requirements per durability domain.
@@ -422,19 +412,22 @@ let add_economy_row t prefix (r : Driver.result) =
   | None -> ()
   | Some cap ->
     let p = Telemetry.profile cap in
-    let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Pstm.Profile.tids p) in
-    let over_phases f =
-      sum (fun ~tid -> List.fold_left (fun acc ph -> acc + f ~tid ph) 0 Pstm.Profile.all_phases)
+    let fences, flushes =
+      List.fold_left
+        (fun (f, c) phase ->
+          let r = Pstm.Profile.run_phase p phase in
+          (f + r.fences, c + r.flushes))
+        (0, 0) Pstm.Profile.all_phases
     in
-    let commits = max 1 (sum (Pstm.Profile.commits p)) in
+    let commits = max 1 (Pstm.Profile.run_sum p Pstm.Profile.commits) in
     let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
     Table.add_row t
       (prefix
       @ [
-          per (over_phases (fun ~tid ph -> Pstm.Profile.phase_fences p ~tid ph));
-          per (over_phases (fun ~tid ph -> Pstm.Profile.phase_flushes p ~tid ph));
-          per (sum (Pstm.Profile.fences_saved p));
-          per (sum (Pstm.Profile.flushes_saved p));
+          per fences;
+          per flushes;
+          per (Pstm.Profile.run_sum p Pstm.Profile.fences_saved);
+          per (Pstm.Profile.run_sum p Pstm.Profile.flushes_saved);
         ])
 
 (* Tentpole extension: what software flush coalescing buys.  The bank
@@ -944,44 +937,21 @@ let telemetry ?(quick = false) ?jobs () =
       ~header:[ "model"; "algorithm"; "fences saved"; "clwbs saved" ]
   in
   let phase_table (r : Driver.result) =
-    let p =
-      match r.Driver.telemetry with
-      | Some cap -> Telemetry.profile cap
-      | None -> failwith "telemetry capture missing"
+    let cap =
+      match r.Driver.telemetry with Some cap -> cap | None -> failwith "telemetry capture missing"
     in
-    let tids = Pstm.Profile.tids p in
-    let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 tids in
-    let total_txn_ns = sum (Pstm.Profile.txn_ns p) in
-    let table =
-      Table.create
-        ~title:
-          (Printf.sprintf "phase profile: bank on %s (%s, %d commits)" r.Driver.model
-             r.Driver.algorithm r.Driver.commits)
-        ~header:[ "phase"; "count"; "total ns"; "share %"; "fences"; "flushes" ]
-    in
-    List.iter
-      (fun phase ->
-        let count = sum (fun ~tid -> Pstm.Profile.phase_count p ~tid phase) in
-        if count > 0 then
-          let ns = sum (fun ~tid -> Pstm.Profile.phase_ns p ~tid phase) in
-          Table.add_row table
-            [
-              Pstm.Profile.phase_name phase;
-              string_of_int count;
-              string_of_int ns;
-              Table.cell_f (100.0 *. float_of_int ns /. float_of_int (max 1 total_txn_ns));
-              string_of_int (sum (fun ~tid -> Pstm.Profile.phase_fences p ~tid phase));
-              string_of_int (sum (fun ~tid -> Pstm.Profile.phase_flushes p ~tid phase));
-            ])
-      Pstm.Profile.all_phases;
+    let p = Telemetry.profile cap in
     Table.add_row saved
       [
         r.Driver.model;
         r.Driver.algorithm;
-        string_of_int (sum (Pstm.Profile.fences_saved p));
-        string_of_int (sum (Pstm.Profile.flushes_saved p));
+        string_of_int (Pstm.Profile.run_sum p Pstm.Profile.fences_saved);
+        string_of_int (Pstm.Profile.run_sum p Pstm.Profile.flushes_saved);
       ];
-    table
+    Telemetry.phase_table cap
+      ~title:
+        (Printf.sprintf "phase profile: bank on %s (%s, %d commits)" r.Driver.model
+           r.Driver.algorithm r.Driver.commits)
   in
   let phase_tables = List.map phase_table results in
   { tables = phase_tables @ [ saved ]; results; extra = [] }

@@ -140,14 +140,13 @@ let capture (r : Driver.result) =
 
 let profile r = Telemetry.profile (capture r)
 
-let sum_over_tids p f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p)
-
+(* Fences and clwbs of a run, over every phase. *)
 let fences_and_flushes p =
-  let over metric =
-    sum_over_tids p (fun ~tid ->
-        List.fold_left (fun acc ph -> acc + metric p ~tid ph) 0 Profile.all_phases)
-  in
-  (over Profile.phase_fences, over Profile.phase_flushes)
+  List.fold_left
+    (fun (f, c) phase ->
+      let r = Profile.run_phase p phase in
+      (f + r.fences, c + r.flushes))
+    (0, 0) Profile.all_phases
 
 (* ---------- crashtest ---------- *)
 
@@ -324,7 +323,7 @@ let fams () =
 let fences_per_commit r =
   let p = profile r in
   let fences, _ = fences_and_flushes p in
-  float_of_int fences /. float_of_int (max 1 (sum_over_tids p (Profile.commits p)))
+  float_of_int fences /. float_of_int (max 1 (Profile.run_sum p Profile.commits))
 
 (* The `algorithms` grid's shape, and MOD's ordering-economy crossover
    (arXiv 1908.11850): at most one fence per update on ADR, fewer than
@@ -581,7 +580,7 @@ let bank_economy results =
     let p = profile r in
     let fences, clwbs = fences_and_flushes p in
     let per x = float_of_int x /. float_of_int (max 1 r.Driver.commits) in
-    (per fences, per clwbs, sum_over_tids p (Profile.fences_saved p))
+    (per fences, per clwbs, Profile.run_sum p Profile.fences_saved)
   in
   List.iteri
     (fun i c ->

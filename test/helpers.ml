@@ -1,7 +1,7 @@
 (* Shared fixtures for the test suites. *)
 
-let sim_machine ?(model = Memsim.Config.optane_adr) ?(heap_words = 1 lsl 16) ?lat () =
-  let cfg = Memsim.Config.make ?lat ~heap_words model in
+let sim_machine ?(model = Memsim.Config.optane_adr) ?(heap_words = 1 lsl 16) () =
+  let cfg = Memsim.Config.make ~heap_words model in
   let sim = Memsim.Sim.create cfg in
   (sim, Memsim.Sim.machine sim)
 
@@ -16,8 +16,8 @@ let run_workers ?crash_at sim threads f =
    Optional arguments mirror [Ptm.create]'s so suites only state what
    they care about. *)
 let ptm_fixture ?model ?algorithm ?flush_timing ?(heap_words = 1 lsl 16)
-    ?(max_threads = 8) ?(log_words_per_thread = 1024) ?lat () =
-  let sim, m = sim_machine ?model ~heap_words ?lat () in
+    ?(max_threads = 8) ?(log_words_per_thread = 1024) () =
+  let sim, m = sim_machine ?model ~heap_words () in
   let ptm = Pstm.Ptm.create ?algorithm ?flush_timing ~max_threads ~log_words_per_thread m in
   (sim, m, ptm)
 

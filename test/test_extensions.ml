@@ -166,6 +166,9 @@ let test_transient_cache_flush_free_ptm () =
   Helpers.check_int "no clwb under transient cache" 0 s.Sim.Stats.clwbs;
   Helpers.check_int "no sfence under transient cache" 0 s.Sim.Stats.sfences
 
+(* The debt of a machine with no PTM attached: no armed log. *)
+let machine_debt sim = Sim.Debt.sample sim ~armed_log_lines:(fun () -> 0)
+
 let test_transient_energy_between_adr_and_eadr () =
   (* Same dirty working set under each persistence mode: ADR's reserve
      covers only the WPQ, the transiently persistent cache pays mere
@@ -178,7 +181,7 @@ let test_transient_energy_between_adr_and_eadr () =
              m.Machine.store (i * 8) 1
            done));
     Sim.run sim;
-    Sim.Debt.reserve_energy_nj model (Sim.Debt.sample sim)
+    Sim.Debt.reserve_energy_nj model (machine_debt sim)
   in
   let adr = energy Config.optane_adr in
   let transient = energy Config.transient_cache in
@@ -235,7 +238,7 @@ let test_debt_sampling () =
            m.Machine.store (i * 8) 1
          done));
   Sim.run sim;
-  let d = Sim.Debt.sample sim in
+  let d = machine_debt sim in
   Helpers.check_bool "dirty lines observed" true (d.Sim.Debt.dirty_l3_lines > 0);
   let e = Sim.Debt.reserve_energy_nj Config.optane_eadr d in
   Helpers.check_bool "positive reserve energy" true (e > 0.0)
@@ -250,15 +253,15 @@ let test_debt_adr_counts_only_wpq () =
          (* dirty lines, nothing flushed: ADR would lose them, so they
             are not part of the reserve-power requirement *)));
   Sim.run sim;
-  let d = Sim.Debt.sample sim in
+  let d = machine_debt sim in
   let e = Sim.Debt.reserve_energy_nj Config.optane_adr d in
   Helpers.check_bool "ADR reserve covers only the WPQ" true
     (e <= float_of_int d.Sim.Debt.wpq_lines *. 100.0)
 
-(* A reboot carries no log ranges over: recovery's [Region.attach]
-   marks them, so one armed log line is counted once, not once per
-   mark -- also when the region is attached twice, as the crash engine
-   does (a pre-recovery check, then [Ptm.recover]). *)
+(* A reboot carries no log ranges over, and a region attached twice
+   (the crash engine's pre-recovery check, then [Ptm.recover]) counts
+   one armed log line once: the count reads the PTM's logs, not the
+   marks. *)
 let test_debt_rebooted_log_counted_once () =
   let sim, _, _ = Helpers.ptm_fixture ~model:Config.pdram_lite () in
   Sim.persist_all sim;
@@ -267,7 +270,8 @@ let test_debt_rebooted_log_counted_once () =
     let m' = Sim.machine sim' in
     let ptm' = recover m' in
     m'.Machine.raw_write (Pmem.Region.log_base (Ptm.region ptm') ~tid:0) 1;
-    (Sim.Debt.sample sim').Sim.Debt.armed_log_lines
+    (Sim.Debt.sample sim' ~armed_log_lines:(fun () -> Ptm.armed_log_lines ptm'))
+      .Sim.Debt.armed_log_lines
   in
   Helpers.check_int "one armed log line after recovery" 1 (armed_after (fun m -> Ptm.recover m));
   Helpers.check_int "one armed log line after attach, then recovery" 1
@@ -275,22 +279,62 @@ let test_debt_rebooted_log_counted_once () =
          ignore (Pmem.Region.attach m : Pmem.Region.t);
          Ptm.recover m))
 
-(* A machine holds one log range: marking a second, different range
-   replaces the first, so only the second's armed lines count, and
-   marking the held range again changes nothing. *)
-let test_debt_one_log_range () =
+(* The greatest armed-log count a monitor sees while thread 0 stays
+   idle and thread 1 commits one 10-write redo transaction. *)
+let peak_armed_lines model =
+  let sim, m, ptm = Helpers.ptm_fixture ~model ~algorithm:Ptm.Redo () in
+  let addrs = Ptm.atomic ptm (fun tx -> Array.init 10 (fun _ -> Ptm.alloc tx 1)) in
+  let committed = ref false and peak = ref 0 in
+  ignore (Sim.spawn sim (fun () -> ()));
+  ignore
+    (Sim.spawn sim (fun () ->
+         Ptm.atomic ptm (fun tx -> Array.iter (fun a -> Ptm.write tx a 1) addrs);
+         committed := true));
+  ignore
+    (Sim.spawn sim (fun () ->
+         while not !committed do
+           let d = Sim.Debt.sample sim ~armed_log_lines:(fun () -> Ptm.armed_log_lines ptm) in
+           peak := max !peak d.Sim.Debt.armed_log_lines;
+           m.Machine.pause 5
+         done));
+  Sim.run sim;
+  !peak
+
+(* Every thread's armed log counts, not thread 0's alone: mid-commit,
+   thread 1's log (status word, 10 entries and the sentinel, words
+   0..22) spans three lines.  Only PDRAM-Lite keeps the log in DRAM;
+   under eADR the same commit arms nothing the reserve must cover. *)
+let test_debt_counts_every_thread_log () =
+  Helpers.check_int "pdram-lite: thread 1's three log lines" 3
+    (peak_armed_lines Config.pdram_lite);
+  Helpers.check_int "eadr: no armed log lines" 0 (peak_armed_lines Config.optane_eadr)
+
+(* The log range decides placement only.  Under PDRAM-Lite a cold load
+   inside the marked range costs DRAM latency and one outside costs
+   NVM latency, and marking a second range replaces the first. *)
+let test_log_range_placement () =
   let sim, m = Helpers.sim_machine ~model:Config.pdram_lite () in
   let line = Machine.Layout.words_per_line in
-  let armed () = (Sim.Debt.sample sim).Sim.Debt.armed_log_lines in
-  m.Machine.mark_log_range 0 (4 * line);
-  m.Machine.raw_write 0 1;
-  Helpers.check_int "first range: one armed line" 1 (armed ());
-  m.Machine.mark_log_range (8 * line) (16 * line);
-  m.Machine.raw_write (8 * line) 1;
-  m.Machine.raw_write (9 * line) 1;
-  Helpers.check_int "second range alone is armed" 2 (armed ());
-  m.Machine.mark_log_range (8 * line) (16 * line);
-  Helpers.check_int "re-marking it changes nothing" 2 (armed ())
+  let costs = ref [] in
+  let cost addr =
+    let t0 = m.Machine.now_ns () in
+    ignore (m.Machine.load addr : int);
+    costs := int_of_float (m.Machine.now_ns () -. t0) :: !costs
+  in
+  ignore
+    (Sim.spawn sim (fun () ->
+         m.Machine.mark_log_range 0 (4 * line);
+         cost line;
+         cost (8 * line);
+         m.Machine.mark_log_range (8 * line) (16 * line);
+         cost (2 * line);
+         cost (9 * line)));
+  Sim.run sim;
+  let lat = Config.default_latency in
+  let dram = lat.Config.dram_load_ns and nvm = lat.Config.nvm_load_ns in
+  Alcotest.(check (list int))
+    "first range: DRAM inside, NVM outside; second range: NVM in the first, DRAM inside"
+    [ dram; nvm; nvm; dram ] (List.rev !costs)
 
 (* A telemetry run of TATP redo whose series samples the persistence
    debt every 5 us, as the reserve-energy experiment does. *)
@@ -315,14 +359,7 @@ let test_energy_ordering_across_domains () =
 
 let test_reserve_peak_first_maximum () =
   let r = reserve_run Config.optane_eadr in
-  let debt (s : Telemetry.Series.sample) =
-    {
-      Sim.Debt.wpq_lines = s.wpq_lines;
-      dirty_l3_lines = s.dirty_l3_lines;
-      dirty_dram_pages = s.dirty_dram_pages;
-      armed_log_lines = s.armed_log_lines;
-    }
-  in
+  let debt (s : Telemetry.Series.sample) = s.debt in
   let samples =
     match r.Workloads.Driver.telemetry with
     | Some cap -> Telemetry.Series.samples (Telemetry.series cap)
@@ -372,5 +409,7 @@ let suite =
       test_reserve_peak_first_maximum;
     Alcotest.test_case "energy: a rebooted log line counts once" `Quick
       test_debt_rebooted_log_counted_once;
-    Alcotest.test_case "energy: one log range per machine" `Quick test_debt_one_log_range;
+    Alcotest.test_case "energy: every thread's armed log counts" `Quick
+      test_debt_counts_every_thread_log;
+    Alcotest.test_case "energy: one log range per machine" `Quick test_log_range_placement;
   ]

@@ -150,19 +150,13 @@ let test_phase_exactness () =
       Helpers.check_bool "sync time positive" true (txn > 0);
       Helpers.check_int "phases partition sync time exactly" txn (Profile.total_phase_ns p ~tid))
     (Profile.tids p);
-  let snap_phases = [ Profile.Snap_sweep; Profile.Snap_publish; Profile.Snap_apply ] in
-  let sum per_phase =
-    List.fold_left
-      (fun acc tid ->
-        List.fold_left (fun acc ph -> acc + per_phase ~tid ph) acc snap_phases)
-      0 (Profile.tids p)
-  in
-  Helpers.check_bool "sweep phase saw time" true
-    (sum (fun ~tid ph -> if ph = Profile.Snap_sweep then Profile.phase_ns p ~tid ph else 0) > 0);
+  let snap = List.map (Profile.run_phase p) Profile.[ Snap_sweep; Snap_publish; Snap_apply ] in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 snap in
+  Helpers.check_bool "sweep phase saw time" true ((List.hd snap).ns > 0);
   Helpers.check_int "profiled fences match FAMS stats" st.Fams.Stats.fences
-    (sum (fun ~tid ph -> Profile.phase_fences p ~tid ph));
+    (sum (fun r -> r.fences));
   Helpers.check_int "profiled flushes match FAMS stats" st.Fams.Stats.flushes
-    (sum (fun ~tid ph -> Profile.phase_flushes p ~tid ph))
+    (sum (fun r -> r.flushes))
 
 (* ---------- the granularity x durability-domain crash matrix ---------- *)
 

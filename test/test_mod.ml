@@ -175,13 +175,11 @@ let profile_fences_flushes model ops =
   Ptm.set_profiler ptm (Some p);
   ops ptm t;
   Ptm.set_profiler ptm None;
-  let sum f =
-    List.fold_left
-      (fun acc tid ->
-        List.fold_left (fun acc ph -> acc + f p ~tid ph) acc Profile.all_phases)
-      0 (Profile.tids p)
-  in
-  (sum Profile.phase_fences, sum Profile.phase_flushes)
+  List.fold_left
+    (fun (f, c) phase ->
+      let r = Profile.run_phase p phase in
+      (f + r.fences, c + r.flushes))
+    (0, 0) Profile.all_phases
 
 let update_ops n ptm t =
   for k = 1 to n do

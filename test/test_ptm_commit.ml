@@ -43,7 +43,7 @@ let bookkeeping ~model ~algorithm ~coalesce =
       Ptm.write tx (base + 12) 7);
   let after = Sim.Stats.get sim in
   let s = Ptm.Stats.get ptm in
-  let saved f = List.fold_left (fun acc tid -> acc + f p ~tid) 0 (Profile.tids p) in
+  let saved = Profile.run_sum p in
   Printf.sprintf
     "commits=%d aborts=%d ro=%d max_ws=%d max_log_lines=%d fences_saved=%d flushes_saved=%d \
      clwbs=%d sfences=%d"

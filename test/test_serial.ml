@@ -45,7 +45,9 @@ let state sim (m : Machine.t) ptm =
       "heap=" ^ digest_words m.Machine.words m.Machine.raw_read;
       "meta=" ^ meta_digest m;
       Printf.sprintf "clock=%d" (m.Machine.meta_get Meta.clock_idx);
-      Printf.sprintf "dirty=%d" (Sim.Debt.sample sim).Sim.Debt.dirty_l3_lines;
+      Printf.sprintf "dirty=%d"
+        (Sim.Debt.sample sim ~armed_log_lines:(fun () -> Ptm.armed_log_lines ptm))
+          .Sim.Debt.dirty_l3_lines;
       Printf.sprintf "commits=%d aborts=%d ro=%d max_ws=%d max_log=%d" s.Ptm.Stats.commits
         s.Ptm.Stats.aborts s.Ptm.Stats.read_only_commits s.Ptm.Stats.max_write_set
         s.Ptm.Stats.max_log_lines;

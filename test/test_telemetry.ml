@@ -74,9 +74,8 @@ let test_phase_sum_to_total () =
 let fence_waits_per_commit algorithm =
   let r = run ~telemetry:passive ~model:Config.optane_adr ~algorithm () in
   let p = Telemetry.profile (capture r) in
-  let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p) in
-  let fences = sum (fun ~tid -> Profile.phase_count p ~tid Profile.Fence_wait) in
-  let commits = sum (Profile.commits p) in
+  let fences = (Profile.run_phase p Profile.Fence_wait).count in
+  let commits = Profile.run_sum p Profile.commits in
   Helpers.check_bool "commits > 0" true (commits > 0);
   float_of_int fences /. float_of_int commits
 
@@ -98,40 +97,100 @@ let test_eadr_no_flush_phases () =
     (fun algorithm ->
       let r = run ~telemetry:passive ~model:Config.optane_eadr ~algorithm () in
       let p = Telemetry.profile (capture r) in
-      let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p) in
-      Helpers.check_int "clwb-issue count" 0
-        (sum (fun ~tid -> Profile.phase_count p ~tid Profile.Clwb_issue));
-      Helpers.check_int "fence-wait count" 0
-        (sum (fun ~tid -> Profile.phase_count p ~tid Profile.Fence_wait));
-      Helpers.check_int "wpq-stall count" 0
-        (sum (fun ~tid -> Profile.phase_count p ~tid Profile.Wpq_stall));
+      let count phase = (Profile.run_phase p phase).count in
+      Helpers.check_int "clwb-issue count" 0 (count Profile.Clwb_issue);
+      Helpers.check_int "fence-wait count" 0 (count Profile.Fence_wait);
+      Helpers.check_int "wpq-stall count" 0 (count Profile.Wpq_stall);
       List.iter
         (fun phase ->
-          Helpers.check_int
-            (Printf.sprintf "%s fences" (Profile.phase_name phase))
-            0
-            (sum (fun ~tid -> Profile.phase_fences p ~tid phase));
-          Helpers.check_int
-            (Printf.sprintf "%s flushes" (Profile.phase_name phase))
-            0
-            (sum (fun ~tid -> Profile.phase_flushes p ~tid phase)))
+          let run = Profile.run_phase p phase in
+          let name = Profile.phase_name phase in
+          Helpers.check_int (name ^ " fences") 0 run.fences;
+          Helpers.check_int (name ^ " flushes") 0 run.flushes)
         Profile.all_phases)
     [ Pstm.Ptm.Redo; Pstm.Ptm.Undo ]
+
+(* ---------- the slice recorder and the run read-out ---------- *)
+
+(* One hand-timed transaction through all three recorders: 10 ns of
+   [Other]; a 150 ns [Validate] slice around a 30 ns fence; a 50 ns
+   3-line flush whose stall probe reports 20 ns of WPQ backpressure. *)
+let test_slice_recorder () =
+  let sim, m = Helpers.sim_machine () in
+  let stall = ref 0 in
+  let p = Profile.create ~wpq_stall_probe:(fun _ -> !stall) m in
+  ignore
+    (Memsim.Sim.spawn sim (fun () ->
+         Profile.txn_begin p;
+         m.Machine.pause 10;
+         Profile.with_phase p Profile.Validate (fun () ->
+             m.Machine.pause 100;
+             Profile.leaf_fence p Profile.Fence_wait (fun () -> m.Machine.pause 30);
+             m.Machine.pause 20);
+         Profile.leaf_flush p Profile.Clwb_issue ~flushes:3 (fun () ->
+             m.Machine.pause 50;
+             stall := !stall + 20);
+         Profile.txn_end p ~committed:true));
+  Memsim.Sim.run sim;
+  let row phase =
+    let h = Profile.phase_hist p ~tid:0 phase in
+    let r = Profile.run_phase p phase in
+    ( Profile.phase_name phase,
+      [ r.count; r.ns; r.fences; r.flushes; Repro_util.Histogram.max_value h ] )
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "count, exclusive ns, fences, flushes, longest slice"
+    [
+      ("other", [ 1; 10; 0; 0; 0 ]);
+      ("validate", [ 1; 120; 0; 0; 150 ]);
+      ("fence-wait", [ 1; 30; 1; 0; 30 ]);
+      ("clwb-issue", [ 1; 30; 0; 3; 30 ]);
+      ("wpq-stall", [ 1; 20; 0; 0; 20 ]);
+    ]
+    (List.map row
+       Profile.[ Other; Validate; Fence_wait; Clwb_issue; Wpq_stall ]);
+  Helpers.check_int "txn time" 210 (Profile.txn_ns p ~tid:0);
+  Helpers.check_int "phases partition it" 210 (Profile.total_phase_ns p ~tid:0);
+  Alcotest.(check (list string)) "spans in close order"
+    [ "fence-wait"; "validate"; "clwb-issue"; "txn" ]
+    (List.map (fun (s : Profile.span) -> s.Profile.label) (Profile.spans p))
+
+(* The run read-out is the per-thread counters summed over threads. *)
+let test_run_readout () =
+  let r = run ~telemetry:passive ~model:Config.optane_adr ~algorithm:Pstm.Ptm.Undo () in
+  let p = Telemetry.profile (capture r) in
+  let sum f = List.fold_left (fun acc tid -> acc + f p ~tid) 0 (Profile.tids p) in
+  Helpers.check_bool "several threads" true (List.length (Profile.tids p) > 1);
+  List.iter
+    (fun phase ->
+      let run = Profile.run_phase p phase in
+      let per f = sum (fun p ~tid -> f p ~tid phase) in
+      Alcotest.(check (list int))
+        (Profile.phase_name phase ^ ": count, ns, fences, flushes")
+        [ per Profile.phase_count; per Profile.phase_ns; per Profile.phase_fences;
+          per Profile.phase_flushes ]
+        [ run.count; run.ns; run.fences; run.flushes ])
+    Profile.all_phases;
+  Helpers.check_int "commits" (sum Profile.commits) (Profile.run_sum p Profile.commits);
+  Helpers.check_int "commits match the driver" r.Driver.commits (Profile.run_sum p Profile.commits)
 
 (* ---------- flush coalescing, as the profiler reports it ---------- *)
 
 let economy ?coalesce ~model algorithm =
   let r = run ~telemetry:passive ?coalesce ~model ~algorithm () in
   let p = Telemetry.profile (capture r) in
-  let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p) in
-  let over metric =
-    sum (fun ~tid -> List.fold_left (fun acc ph -> acc + metric p ~tid ph) 0 Profile.all_phases)
+  let fences, flushes =
+    List.fold_left
+      (fun (f, c) phase ->
+        let run = Profile.run_phase p phase in
+        (f + run.fences, c + run.flushes))
+      (0, 0) Profile.all_phases
   in
-  let commits = sum (Profile.commits p) in
+  let commits = Profile.run_sum p Profile.commits in
   Helpers.check_bool "commits > 0" true (commits > 0);
   let per n = float_of_int n /. float_of_int commits in
-  (per (over Profile.phase_fences), per (over Profile.phase_flushes),
-   sum (Profile.fences_saved p), sum (Profile.flushes_saved p), r)
+  (per fences, per flushes, Profile.run_sum p Profile.fences_saved,
+   Profile.run_sum p Profile.flushes_saved, r)
 
 let test_coalescing_drops_fences_adr () =
   (* The acceptance numbers: the 2-write bank transfer under ADR with
@@ -175,10 +234,7 @@ let test_coalesce_phase_attribution () =
      on the coalesced ADR run, absent on the naive one. *)
   let count ~coalesce =
     let r = run ~telemetry:passive ~coalesce ~model:Config.optane_adr ~algorithm:Pstm.Ptm.Redo () in
-    let p = Telemetry.profile (capture r) in
-    List.fold_left
-      (fun acc tid -> acc + Profile.phase_count p ~tid Profile.Coalesce)
-      0 (Profile.tids p)
+    (Profile.run_phase (Telemetry.profile (capture r)) Profile.Coalesce).count
   in
   Helpers.check_bool "coalesced run records Coalesce phase" true (count ~coalesce:true > 0);
   Helpers.check_int "naive run records no Coalesce phase" 0 (count ~coalesce:false)
@@ -348,6 +404,8 @@ let suite =
     Alcotest.test_case "phase ns sum to txn time" `Quick test_phase_sum_to_total;
     Alcotest.test_case "undo fences exceed redo (ADR)" `Quick test_undo_fences_exceed_redo;
     Alcotest.test_case "eADR: no flush/fence phases" `Quick test_eadr_no_flush_phases;
+    Alcotest.test_case "profile: one slice recorder" `Quick test_slice_recorder;
+    Alcotest.test_case "profile: run read-out sums threads" `Quick test_run_readout;
     Alcotest.test_case "coalescing drops fences (ADR)" `Quick test_coalescing_drops_fences_adr;
     Alcotest.test_case "coalescing is a no-op under eADR" `Quick test_coalescing_noop_under_eadr;
     Alcotest.test_case "coalesce phase attribution" `Quick test_coalesce_phase_attribution;
