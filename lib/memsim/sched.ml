@@ -56,7 +56,10 @@ type t = {
   mutable conts : (unit, unit) Effect.Deep.continuation array; (* valid iff [suspended] *)
   mutable bodies : (unit -> unit) array;
   mutable count : int;
-  ready : Repro_util.Int_heap.t; (* key = wake time, payload = thread id *)
+  mutable ready : int array; (* queued ids, next to run last *)
+  mutable queued : int;
+  mutable due : int; (* wake time of the next queued id; [max_int] = none *)
+  mutable picked : int; (* wake time of the id last taken from [ready] *)
   mutable current : int; (* running thread id; -1 outside a thread *)
   mutable next : int; (* id the last Wait picked to run next; -1 = none *)
   mutable pending_ns : int; (* delay of the in-flight Wait perform *)
@@ -70,6 +73,43 @@ type t = {
 
 let initial_capacity = 8
 
+(* The ready queue holds the ids of queued threads in
+   [ready.(0 .. queued - 1)], sorted by wake time with the next thread
+   to run last.  A thread's key is its own [times.(id)]: only the
+   running thread's clock moves, so a queued thread's key never
+   changes and the order stays exact without re-sorting.  FIFO among
+   equal wake times comes from position: [insert] puts a thread behind
+   every queued thread due no later than it.  The scan starts at the
+   due end, where a thread that waited a few ns lands, so it is short.
+   Every change of the queue updates [due], so the fast path of [wait]
+   reads one field.  Indexing is unchecked: [ready] is as long as
+   [times], and every id in it is spawned. *)
+
+(* Insert [id] into the [n] ids of [ready.(0 .. n - 1)], leaving [n + 1]. *)
+let insert t n id =
+  let ready = t.ready and times = t.times in
+  let time = Array.unsafe_get times id in
+  let j = ref (n - 1) in
+  while !j >= 0 && Array.unsafe_get times (Array.unsafe_get ready !j) <= time do
+    Array.unsafe_set ready (!j + 1) (Array.unsafe_get ready !j);
+    decr j
+  done;
+  Array.unsafe_set ready (!j + 1) id;
+  t.due <- Array.unsafe_get times (Array.unsafe_get ready n)
+
+(* Take the next thread, setting [picked] to its wake time; -1 when
+   none is queued. *)
+let pop t =
+  let n = t.queued - 1 in
+  if n < 0 then -1
+  else begin
+    t.picked <- t.due;
+    t.queued <- n;
+    t.due <-
+      (if n = 0 then max_int else Array.unsafe_get t.times (Array.unsafe_get t.ready (n - 1)));
+    Array.unsafe_get t.ready n
+  end
+
 let create () =
   {
     times = Array.make initial_capacity 0;
@@ -77,7 +117,10 @@ let create () =
     conts = Array.make initial_capacity parked;
     bodies = Array.make initial_capacity ignore;
     count = 0;
-    ready = Repro_util.Int_heap.create ();
+    ready = Array.make initial_capacity 0;
+    queued = 0;
+    due = max_int;
+    picked = max_int;
     current = -1;
     next = -1;
     pending_ns = 0;
@@ -101,12 +144,14 @@ let spawn t f =
     t.times <- grow t.times 0;
     t.status <- grow t.status finished;
     t.conts <- grow t.conts parked;
-    t.bodies <- grow t.bodies ignore
+    t.bodies <- grow t.bodies ignore;
+    t.ready <- grow t.ready 0
   end;
   t.status.(id) <- not_started;
   t.bodies.(id) <- f;
   t.count <- id + 1;
-  Repro_util.Int_heap.push t.ready ~key:0 id;
+  insert t t.queued id;
+  t.queued <- t.queued + 1;
   id
 
 (* [now] and the fast path of [wait] run on every machine operation, so
@@ -125,10 +170,10 @@ let[@inline] tid t = if t.current >= 0 then t.current else 0
    interpose (FIFO tie-break means an *equal* wake time would run
    first, hence the strict [<]).  Advancing the clock inline is then
    observably identical to the full perform/reschedule cycle and costs
-   no continuation, heap operation or handler dispatch.  A wake time at
-   or past the armed crash limit must take the slow path so the crash
-   machinery sees the event.  The fast path inlines into every caller;
-   the suspension stays out of line in [switch]. *)
+   no continuation, queue operation or handler dispatch.  A wake time
+   at or past the armed crash limit must take the slow path so the
+   crash machinery sees the event.  The fast path inlines into every
+   caller; the suspension stays out of line in [switch]. *)
 let[@inline never] switch t ns =
   t.pending_ns <- ns;
   Effect.perform Wait
@@ -138,7 +183,7 @@ let[@inline] wait t ns =
   let cur = t.current in
   if cur >= 0 then begin
     let nt = Array.unsafe_get t.times cur + ns in
-    if nt < t.crash_limit && nt < Repro_util.Int_heap.min_key t.ready then begin
+    if nt < t.crash_limit && nt < t.due then begin
       Array.unsafe_set t.times cur nt;
       if nt > t.max_time then t.max_time <- nt;
       t.advances <- t.advances + 1
@@ -163,15 +208,15 @@ let inline_advances t = t.advances
 let context_switches t = t.switches
 
 (* The id of the thread to run next: the one the last Wait already
-   chose, else the heap minimum.  [Int_heap.last_key] is its wake time
-   either way. *)
+   chose, else the queue's next.  [picked] is its wake time either
+   way. *)
 let take_next t =
   let id = t.next in
   if id >= 0 then begin
     t.next <- -1;
     id
   end
-  else Repro_util.Int_heap.pop t.ready
+  else pop t
 
 let kill t id =
   if t.status.(id) = suspended then begin
@@ -190,18 +235,19 @@ let run ?crash_at t =
   if t.started then invalid_arg "Sched.run: scheduler already ran";
   t.started <- true;
   (match crash_at with Some c -> t.crash_limit <- c | None -> ());
-  (* One context switch: park the caller, pick its successor with a
-     single fused heap operation and, when that successor is a
-     suspended thread due before any crash, resume it right here.  The
-     resume is a tail call, so the handler's frame is gone before the
-     successor runs and the stack stays flat however many switches
-     chain.  Anything else (a thread to start, the crash kill) goes
-     back to the run loop below through [t.next].  The Wait arm is
-     allocated once here, not per perform: [effc] returns the same
-     [Some on_wait] every time.  The cast is safe because
-     [Wait : unit Effect.t] fixes [a = unit].  Like the fast path it
-     indexes unchecked: [current] and every id in [ready] are spawned
-     ids. *)
+  (* One context switch: park the caller, pick its successor (the
+     caller itself when it is due strictly first, else the queue's
+     next, whose slot the caller's insertion scan starts from) and,
+     when that successor is a suspended thread due before any crash,
+     resume it right here.  The resume is a tail call, so the
+     handler's frame is gone before the successor runs and the stack
+     stays flat however many switches chain.  Anything else (a thread
+     to start, the crash kill) goes back to the run loop below through
+     [t.next].  The Wait arm is allocated once here, not per perform:
+     [effc] returns the same [Some on_wait] every time.  The cast is
+     safe because [Wait : unit Effect.t] fixes [a = unit].  Like the
+     fast path it indexes unchecked: [current] and every id in [ready]
+     are spawned ids. *)
   let on_wait (k : (unit, unit) Effect.Deep.continuation) =
     let id = t.current in
     let time = Array.unsafe_get t.times id + t.pending_ns in
@@ -211,11 +257,23 @@ let run ?crash_at t =
     t.switches <- t.switches + 1;
     (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
     if time > t.max_time then t.max_time <- time;
-    let next = Repro_util.Int_heap.push_pop t.ready ~key:time id in
+    let next =
+      if t.queued = 0 || time < t.due then begin
+        t.picked <- time;
+        id
+      end
+      else begin
+        let n = t.queued - 1 in
+        let next = Array.unsafe_get t.ready n in
+        t.picked <- t.due;
+        insert t n id;
+        next
+      end
+    in
     if
       Array.unsafe_get t.status next = suspended
       && (not t.crashed)
-      && Repro_util.Int_heap.last_key t.ready < t.crash_limit
+      && t.picked < t.crash_limit
     then begin
       t.current <- next;
       Array.unsafe_set t.status next in_progress;
@@ -256,7 +314,7 @@ let run ?crash_at t =
   while !id >= 0 do
     let status = t.status.(!id) in
     if status = finished then id := take_next t
-    else if Repro_util.Int_heap.last_key t.ready >= t.crash_limit then begin
+    else if t.picked >= t.crash_limit then begin
       t.crashed <- true;
       kill t !id;
       (* Power is gone: kill everything else too.  A killed thread that

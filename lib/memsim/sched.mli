@@ -15,14 +15,26 @@
 
     Cost: a {!wait} whose new wake time is strictly below every queued
     wake time (and the crash time) advances the clock inline and
-    allocates nothing.  Any other wait is one context switch: the
-    runtime's continuation capture (its only allocation), one fused
-    requeue-and-pick on the event heap, and, when the pick is a
+    allocates nothing: it compares against one cached field, the
+    earliest queued wake time.  Any other wait is one context switch:
+    the runtime's continuation capture (its only allocation), a
+    requeue-and-pick on the ready queue, and, when the pick is a
     suspended thread due before the crash time, a resume of that
     thread straight from the effect handler, without first returning
     to the run loop.  That resume is a tail call, so the stack stays
     flat however many switches chain.  {!inline_advances} and
-    {!context_switches} count the two paths. *)
+    {!context_switches} count the two paths.
+
+    The ready queue is an array of thread ids sorted by wake time,
+    next to run last.  The pick takes the last id, and the caller is
+    inserted by a scan from that due end, O(queued) at worst; a thread
+    that waited a few ns lands near the end, so the scan is short.
+    The order is exact because only the running thread's clock moves.
+    A resumed thread's continuation slot is reset to a placeholder:
+    not for correctness, but because each reset makes the next
+    suspension's store enter the remembered set, which starts minor
+    collections before the minor heap is used up and keeps peak RSS
+    down. *)
 
 type t
 

@@ -317,6 +317,19 @@ let run_phase t phase =
     flushes = sum phase_flushes;
   }
 
+let run_total t =
+  List.fold_left
+    (fun acc phase ->
+      let r = run_phase t phase in
+      {
+        count = acc.count + r.count;
+        ns = acc.ns + r.ns;
+        fences = acc.fences + r.fences;
+        flushes = acc.flushes + r.flushes;
+      })
+    { count = 0; ns = 0; fences = 0; flushes = 0 }
+    all_phases
+
 let merged_phase_hist t phase =
   Histogram.merge_list (List.map (fun tid -> phase_hist t ~tid phase) (tids t))
 

@@ -121,6 +121,10 @@ val run_phase : t -> phase -> run_phase
 (** A phase's slice count, ns, fences and flushes summed over
     threads. *)
 
+val run_total : t -> run_phase
+(** {!run_phase} summed over {!all_phases}: e.g. every fence and
+    flush of the run. *)
+
 val merged_phase_hist : t -> phase -> Repro_util.Histogram.t
 (** All threads' slice histograms for [phase], merged. *)
 

@@ -431,9 +431,11 @@ let commit_read_only tx =
   true
 
 (* A writer committed [n] distinct words; [logged] protocols (redo,
-   undo) also record their persistent log footprint in lines. *)
+   undo) also record their persistent log footprint in lines: the
+   status word, the unused word, [n] pairs and the sentinel, from a
+   line-aligned [log_base]. *)
 let note_commit tx n ~logged =
   let s = tx.ptm.stats.(tx.tid) in
   s.commits <- s.commits + 1;
   s.max_write_set <- max s.max_write_set n;
-  if logged then s.max_log_lines <- max s.max_log_lines (((2 * n) + 1 + 7) / 8)
+  if logged then s.max_log_lines <- max s.max_log_lines (((2 * n) + 3 + 7) / 8)

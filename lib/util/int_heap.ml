@@ -4,21 +4,20 @@
    and the parent at [(p - 3) / 6 * 3].  Sifts move a hole instead of
    swapping: each level copies one slot, and the moving entry is
    written once where it comes to rest.  The comparisons are spelled
-   out inline and the sift loops skip bounds checks, because this is
-   the scheduler's innermost loop: every offset they touch is below
-   [3 * size], and [size] never exceeds the array's capacity. *)
+   out inline and the sift loops skip bounds checks: every offset they
+   touch is below [3 * size], and [size] never exceeds the array's
+   capacity. *)
 
 type t = {
   mutable slots : int array;
   mutable size : int;
   mutable next_seq : int;
-  mutable popped_key : int;
 }
 
 external get : int array -> int -> int = "%array_unsafe_get"
 external set : int array -> int -> int -> unit = "%array_unsafe_set"
 
-let create () = { slots = [||]; size = 0; next_seq = 0; popped_key = max_int }
+let create () = { slots = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
@@ -86,39 +85,8 @@ let pop t =
   else begin
     let a = t.slots in
     let top = a.(2) in
-    t.popped_key <- a.(0);
     t.size <- t.size - 1;
     let last = 3 * t.size in
     if last > 0 then sift_down t 0 a.(last) a.(last + 1) a.(last + 2);
     top
   end
-
-(* The pushed entry takes the newest sequence number, so it precedes
-   the root only on a strictly smaller key (an equal key queues behind
-   the root, FIFO).  It is then its own answer and the heap is
-   untouched; otherwise it takes the root's place and one sift-down
-   restores the order.  The slots may end up arranged differently from
-   [push] then [pop], but (key, seq) is a total order, so every later
-   pop returns the same entry. *)
-let push_pop t ~key value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if t.size = 0 || key < t.slots.(0) then begin
-    t.popped_key <- key;
-    value
-  end
-  else begin
-    let a = t.slots in
-    let top = a.(2) in
-    t.popped_key <- a.(0);
-    sift_down t 0 key seq value;
-    top
-  end
-
-let last_key t = t.popped_key
-
-let[@inline] min_key t = if t.size = 0 then max_int else t.slots.(0)
-
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0

@@ -1,9 +1,14 @@
 (** Array-based binary min-heap specialised to integer keys and integer
-    payloads — the event queue of the discrete-event scheduler.
+    payloads — the merge queue of [Kvserve.Client], which interleaves
+    the request streams of [N] connections by arrival time.  [N] is
+    user-set ([ptm_serve --conns]), so the heap's O(log N) per request
+    matters there; the scheduler keeps its own sorted ready queue
+    ([lib/memsim/sched.ml]) because it queues a few threads and mostly
+    requeues near the front.
 
-    Entries live in one flat [int array], so pushing and popping an event
-    allocates nothing (no entry record, no option, no tuple).  Tie-break
-    order is FIFO among equal keys, which keeps simulations
+    Entries live in one flat [int array], so pushing and popping
+    allocates nothing (no entry record, no option, no tuple).
+    Tie-break order is FIFO among equal keys, which keeps the merge
     deterministic.  A polymorphic reference heap in the test suite
     ([test/min_heap.ml]) is this module's differential oracle:
     [test/test_util.ml] drives both heaps with identical operation
@@ -23,21 +28,4 @@ val push : t -> key:int -> int -> unit
 
 val pop : t -> int
 (** Remove the payload with the smallest key (FIFO among equal keys);
-    [-1] when empty.  The popped entry's key is available as
-    {!last_key} until the next [pop]. *)
-
-val push_pop : t -> key:int -> int -> int
-(** [push] followed by [pop], fused: one sift-down at most, and none
-    when the new entry is itself the minimum (its key strictly below
-    every queued key).  Never grows the array.  Sets {!last_key} like
-    [pop]. *)
-
-val last_key : t -> int
-(** Key of the most recently popped entry.  Unspecified before the
-    first successful [pop]. *)
-
-val min_key : t -> int
-(** Smallest key without removing it; [max_int] when empty — callers
-    compare against it directly, no option allocated. *)
-
-val clear : t -> unit
+    [-1] when empty. *)

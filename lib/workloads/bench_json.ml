@@ -298,6 +298,7 @@ let lower_better name =
   || name = "aborts" || contains name "miss" || contains name "stall"
   || contains name "slack" || contains name "latency" || contains name "imbalance"
   || contains name "words_per_event"
+  || contains name "collections_per_event"
 
 let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current () =
   let findings = ref [] in

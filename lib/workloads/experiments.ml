@@ -412,13 +412,7 @@ let add_economy_row t prefix (r : Driver.result) =
   | None -> ()
   | Some cap ->
     let p = Telemetry.profile cap in
-    let fences, flushes =
-      List.fold_left
-        (fun (f, c) phase ->
-          let r = Pstm.Profile.run_phase p phase in
-          (f + r.fences, c + r.flushes))
-        (0, 0) Pstm.Profile.all_phases
-    in
+    let { Pstm.Profile.fences; flushes; _ } = Pstm.Profile.run_total p in
     let commits = max 1 (Pstm.Profile.run_sum p Pstm.Profile.commits) in
     let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
     Table.add_row t
@@ -960,10 +954,13 @@ let telemetry ?(quick = false) ?jobs () =
    run in the calling domain, with the GC's minor and major words
    per simulated machine event in [extra].  BENCH_speedup.json tracks
    these two counters across commits; on a shared host they are stable
-   where wall clock is not.  Always serial so that every allocated word
-   is counted; [jobs] is accepted and ignored.  [switches_per_event]
-   counts the scheduler's context switches (waits that did not advance
-   the clock inline) per event. *)
+   where wall clock is not.  Beside them, the GC's pacing: minor
+   collections and words promoted per event, which move when a change
+   alters when the minor heap is collected (e.g. how many stores enter
+   the remembered set) at the same words.  Always serial so that every
+   allocated word is counted; [jobs] is accepted and ignored.
+   [switches_per_event] counts the scheduler's context switches (waits
+   that did not advance the clock inline) per event. *)
 let speedup ?(quick = false) ?jobs:_ () =
   let g0 = Gc.quick_stat () in
   let outcome = fig3_panel ~quick ~jobs:1 Btree_bench.insert_only in
@@ -980,6 +977,9 @@ let speedup ?(quick = false) ?jobs:_ () =
       [
         ("minor_words_per_event", per_event (g1.Gc.minor_words -. g0.Gc.minor_words));
         ("major_words_per_event", per_event (g1.Gc.major_words -. g0.Gc.major_words));
+        ( "minor_collections_per_event",
+          per_event (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections)) );
+        ("promoted_words_per_event", per_event (g1.Gc.promoted_words -. g0.Gc.promoted_words));
         ("switches_per_event", per_event (float_of_int switches));
       ];
   }

@@ -25,8 +25,9 @@
                                                  --jobs 1, 2 and 4; quick kvserve sweep
                                                  byte-identical across a rerun and --jobs 2
    speedup       @speedup       yes       60 s   quick Fig 3 btree-insert panel: its cells and
-                                                 minor/major GC words per simulated event
-                                                 regress vs BENCH_speedup.json
+                                                 minor/major GC words, minor collections and
+                                                 promoted words per simulated event regress
+                                                 vs BENCH_speedup.json
    results       @results       yes      120 s   each quick experiment below, run once at
                                                  --jobs 1: its tables byte-identical to the
                                                  committed results/quick/<experiment>-<i>.csv
@@ -139,14 +140,6 @@ let capture (r : Driver.result) =
   match r.Driver.telemetry with Some cap -> cap | None -> failwith "run without telemetry"
 
 let profile r = Telemetry.profile (capture r)
-
-(* Fences and clwbs of a run, over every phase. *)
-let fences_and_flushes p =
-  List.fold_left
-    (fun (f, c) phase ->
-      let r = Profile.run_phase p phase in
-      (f + r.fences, c + r.flushes))
-    (0, 0) Profile.all_phases
 
 (* ---------- crashtest ---------- *)
 
@@ -322,7 +315,7 @@ let fams () =
 
 let fences_per_commit r =
   let p = profile r in
-  let fences, _ = fences_and_flushes p in
+  let fences = (Profile.run_total p).fences in
   float_of_int fences /. float_of_int (max 1 (Profile.run_sum p Profile.commits))
 
 (* The `algorithms` grid's shape, and MOD's ordering-economy crossover
@@ -402,7 +395,7 @@ let parallel () =
 (* ---------- speedup ---------- *)
 
 (* The simulator's own allocation: the quick btree-insert panel's cells
-   and GC words per simulated event against BENCH_speedup.json.  The
+   and GC counters per simulated event against BENCH_speedup.json.  The
    gate runs nothing else, so its process counts the same words as the
    `ptm_bench experiment speedup` run that recorded the baseline. *)
 let speedup () =
@@ -578,7 +571,7 @@ let bank_economy results =
   check "scaling: as many ADR naive rows as coalesced" (n > 0 && List.length adr = 2 * n);
   let economy (r : Driver.result) =
     let p = profile r in
-    let fences, clwbs = fences_and_flushes p in
+    let { Profile.fences; flushes = clwbs; _ } = Profile.run_total p in
     let per x = float_of_int x /. float_of_int (max 1 r.Driver.commits) in
     (per fences, per clwbs, Profile.run_sum p Profile.fences_saved)
   in

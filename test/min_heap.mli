@@ -1,10 +1,10 @@
 (** Array-based binary min-heap with integer keys and polymorphic
     payloads: the easy-to-audit reference implementation that
     [test/test_util.ml] drives in lockstep with
-    [Repro_util.Int_heap], the scheduler's allocation-free event
-    queue.  Ties are broken by insertion order (FIFO), the property the
-    scheduler's determinism rests on.  It has no fused push-and-pop:
-    the oracle for [Int_heap.push_pop] is {!push} then {!pop}. *)
+    [Repro_util.Int_heap], the kvserve client's allocation-free merge
+    queue, and that [test/test_memsim.ml]'s reference scheduler queues
+    threads on.  Ties are broken by insertion order (FIFO), the
+    property the scheduler's determinism rests on. *)
 
 type 'a t
 

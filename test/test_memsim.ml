@@ -153,6 +153,79 @@ let test_sched_differential =
   Helpers.qtest ~count:500 "sched: differential vs reference interleaver" gen
     (fun (threads, crash_at) -> sched_actual ?crash_at threads = sched_reference ?crash_at threads)
 
+(* A second reference, on the test suite's binary heap: every thread
+   is queued at time 0 in spawn order, the minimum (FIFO among ties)
+   runs, and each wait requeues its thread at its wake time.  It logs
+   (tid, clock) at every wait return and, once a popped wake time
+   reaches [crash_at], returns the started threads it would kill, in
+   kill order (a thread never started is dropped silently).  Also
+   returns the threads that ran their whole script. *)
+let heap_reference ?(crash_at = max_int) scripts =
+  let ready = Min_heap.create () in
+  List.iteri (fun tid script -> Min_heap.push ready ~key:0 (tid, script, false)) scripts;
+  let log = ref [] and completed = ref [] and killed = ref [] in
+  let rec run () =
+    match Min_heap.pop ready with
+    | None -> ()
+    | Some (time, (tid, _, started)) when time >= crash_at ->
+      if started then killed := tid :: !killed;
+      run ()
+    | Some (time, (tid, script, started)) ->
+      if started then log := (tid, time) :: !log;
+      (match script with
+      | [] -> completed := tid :: !completed
+      | cost :: rest -> Min_heap.push ready ~key:(time + cost) (tid, rest, true));
+      run ()
+  in
+  run ();
+  (List.rev !log, List.rev !completed, List.rev !killed)
+
+let heap_actual ?crash_at scripts =
+  let s = Sched.create () in
+  let log = ref [] and completed = ref [] and killed = ref [] and waits = ref 0 in
+  List.iter
+    (fun script ->
+      ignore
+        (Sched.spawn s (fun () ->
+             try
+               List.iter
+                 (fun cost ->
+                   incr waits;
+                   Sched.wait s cost;
+                   log := (Sched.tid s, Sched.now s) :: !log)
+                 script;
+               completed := Sched.tid s :: !completed
+             with Machine.Crashed -> killed := Sched.tid s :: !killed)))
+    scripts;
+  Sched.run ?crash_at s;
+  Helpers.check_int "every wait advanced inline or switched" !waits
+    (Sched.inline_advances s + Sched.context_switches s);
+  (List.rev !log, List.rev !completed, List.rev !killed)
+
+(* 1–40 threads whose waits come from a small set with 0 and short
+   costs, so a requeued thread often ties queued ones (and all tie at
+   spawn, at 0) while an 84 or 252 ns wait lands far from the due
+   end of the ready queue. *)
+let heap_scripts =
+  QCheck2.Gen.(
+    int_range 1 40 >>= fun n ->
+    list_repeat n (list_size (int_range 0 12) (oneofl [ 0; 1; 3; 6; 10; 84; 252 ])))
+
+let test_sched_heap_reference =
+  Helpers.qtest ~count:300 "sched: schedule equals the binary-heap reference" heap_scripts
+    (fun scripts ->
+      let waits = List.fold_left (fun n s -> n + List.length s) 0 scripts in
+      let ((log, completed, killed) as got) = heap_actual scripts in
+      List.length log = waits
+      && List.length completed = List.length scripts
+      && killed = []
+      && got = heap_reference scripts)
+
+let test_sched_heap_reference_crash =
+  Helpers.qtest ~count:300 "sched: crash kills what the binary-heap reference kills"
+    QCheck2.Gen.(pair heap_scripts (int_range 0 1_500))
+    (fun (scripts, crash_at) -> heap_actual ~crash_at scripts = heap_reference ~crash_at scripts)
+
 (* Two threads with equal costs switch on every wait: after the first
    round each switch is a handoff from the Wait handler.  Thread 1 is
    resumed that way, raises, and the exception escapes [run]. *)
@@ -1262,6 +1335,8 @@ let suite =
     Alcotest.test_case "sched: ops outside threads" `Quick test_sched_wait_outside_thread_noop;
     Alcotest.test_case "sched: crash bounds time" `Quick test_sched_crash_time_bound;
     test_sched_differential;
+    test_sched_heap_reference;
+    test_sched_heap_reference_crash;
     Alcotest.test_case "sched: escaped exception" `Quick test_sched_escaped_exception;
     Alcotest.test_case "sched: handoff keeps the stack flat" `Quick
       test_sched_handoff_stack_flat;

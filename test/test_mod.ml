@@ -175,11 +175,8 @@ let profile_fences_flushes model ops =
   Ptm.set_profiler ptm (Some p);
   ops ptm t;
   Ptm.set_profiler ptm None;
-  List.fold_left
-    (fun (f, c) phase ->
-      let r = Profile.run_phase p phase in
-      (f + r.fences, c + r.flushes))
-    (0, 0) Profile.all_phases
+  let r = Profile.run_total p in
+  (r.fences, r.flushes)
 
 let update_ops n ptm t =
   for k = 1 to n do

@@ -11,8 +11,10 @@ module Config = Memsim.Config
 (* One fixed single-thread script: a read-only transaction, a 1-word
    transaction, one spanning three cache lines, a user-exception abort,
    a MOD-shaped shadow update (fresh node plus one home word) and a
-   transaction writing two home words (MOD's redo fallback).  Returns
-   the counters the commit pipeline owns, as one comparable line. *)
+   transaction writing two home words.  The three-line and two-word
+   transactions take MOD's redo fallback; the three-line one sets its
+   [max_log_lines] (9 log words, 2 lines).  Returns the counters the
+   commit pipeline owns, as one comparable line. *)
 let bookkeeping ~model ~algorithm ~coalesce =
   let sim, m = Helpers.sim_machine ~model () in
   let ptm = Ptm.create ~algorithm ~coalesce ~max_threads:4 ~log_words_per_thread:1024 m in
@@ -88,17 +90,17 @@ let bookkeeping_cells =
     ( Ptm.Mod,
       adr,
       true,
-      "commits=5 aborts=1 ro=1 max_ws=18 max_log_lines=1 \
+      "commits=5 aborts=1 ro=1 max_ws=18 max_log_lines=2 \
        fences_saved=25 flushes_saved=18 clwbs=17 sfences=10" );
     ( Ptm.Mod,
       adr,
       false,
-      "commits=5 aborts=1 ro=1 max_ws=18 max_log_lines=1 \
+      "commits=5 aborts=1 ro=1 max_ws=18 max_log_lines=2 \
        fences_saved=0 flushes_saved=0 clwbs=35 sfences=18" );
     ( Ptm.Mod,
       eadr,
       true,
-      "commits=5 aborts=1 ro=1 max_ws=18 max_log_lines=1 \
+      "commits=5 aborts=1 ro=1 max_ws=18 max_log_lines=2 \
        fences_saved=0 flushes_saved=0 clwbs=0 sfences=0" );
     ( Ptm.Htm,
       eadr,
@@ -118,6 +120,26 @@ let bookkeeping_cases =
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string) name expected (bookkeeping ~model ~algorithm ~coalesce)))
     bookkeeping_cells
+
+(* A redo log of [n] entries spans, from its line-aligned base, the
+   status word, an unused word, [n] (addr, value) pairs and the
+   zero-addr sentinel: 2n + 3 words, so ceil((2n + 3) / 8) lines.
+   Counting only the pairs and one more word reads n = 3 and n = 7 a
+   line short. *)
+let test_log_lines_reach_the_sentinel () =
+  let lines n =
+    let _, _, ptm = Helpers.ptm_fixture ~algorithm:Ptm.Redo () in
+    let base = Ptm.atomic ptm (fun tx -> Ptm.alloc tx n) in
+    Ptm.Stats.reset ptm;
+    Ptm.atomic ptm (fun tx ->
+        for k = 0 to n - 1 do
+          Ptm.write tx (base + k) (k + 1)
+        done);
+    (Ptm.Stats.get ptm).Ptm.Stats.max_log_lines
+  in
+  Alcotest.(check (list int))
+    "max_log_lines of one commit of n = 1..8 words" [ 1; 1; 2; 2; 2; 2; 3; 3 ]
+    (List.init 8 (fun i -> lines (i + 1)))
 
 (* ---------- configuration checks run first ---------- *)
 
@@ -201,6 +223,7 @@ let test_algorithm_names_round_trip () =
 let suite =
   bookkeeping_cases
   @ [
+      Alcotest.test_case "log lines reach the sentinel" `Quick test_log_lines_reach_the_sentinel;
       Alcotest.test_case "algorithm names round-trip" `Quick test_algorithm_names_round_trip;
       Alcotest.test_case "rejected recover leaves the image untouched" `Quick
         test_rejected_recover_leaves_image;

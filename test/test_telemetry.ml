@@ -179,13 +179,7 @@ let test_run_readout () =
 let economy ?coalesce ~model algorithm =
   let r = run ~telemetry:passive ?coalesce ~model ~algorithm () in
   let p = Telemetry.profile (capture r) in
-  let fences, flushes =
-    List.fold_left
-      (fun (f, c) phase ->
-        let run = Profile.run_phase p phase in
-        (f + run.fences, c + run.flushes))
-      (0, 0) Profile.all_phases
-  in
+  let { Profile.fences; flushes; _ } = Profile.run_total p in
   let commits = Profile.run_sum p Profile.commits in
   Helpers.check_bool "commits > 0" true (commits > 0);
   let per n = float_of_int n /. float_of_int commits in

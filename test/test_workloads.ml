@@ -194,6 +194,25 @@ let test_experiment_registry_complete () =
       Helpers.check_bool (required ^ " registered") true (List.mem required names))
     [ "fig3"; "fig4"; "table1"; "table2"; "table3"; "fig6"; "fig7"; "fig8" ]
 
+(* `speedup`'s GC counters regress like its words: 10 % more minor
+   collections or promoted words per event is a regression, 10 % fewer
+   an improvement. *)
+let test_regress_gates_gc_pacing () =
+  let module J = Workloads.Bench_json in
+  let record scale =
+    J.Obj
+      [ ("minor_collections_per_event", J.Float (6e-05 *. scale));
+        ("promoted_words_per_event", J.Float (0.14 *. scale)) ]
+  in
+  let severities scale =
+    List.map
+      (fun f -> (f.J.f_path, f.J.f_severity = J.Regression))
+      (J.regress ~baseline:(record 1.0) ~current:(record scale) ())
+  in
+  let both r = [ ("minor_collections_per_event", r); ("promoted_words_per_event", r) ] in
+  Alcotest.(check (list (pair string bool))) "10 % more" (both true) (severities 1.1);
+  Alcotest.(check (list (pair string bool))) "10 % fewer" (both false) (severities 0.9)
+
 let test_experiment_shapes () =
   (* A micro version of the headline claims, as a regression guard:
      redo >= undo (TPCC), eADR > ADR, DRAM > Optane. *)
@@ -226,5 +245,6 @@ let suite =
     Alcotest.test_case "ycsb C read-only" `Quick test_ycsb_c_read_only;
     Alcotest.test_case "ycsb D inserts" `Quick test_ycsb_d_inserts_grow_store;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry_complete;
+    Alcotest.test_case "regress gates GC pacing" `Quick test_regress_gates_gc_pacing;
     Alcotest.test_case "headline shapes" `Slow test_experiment_shapes;
   ]
