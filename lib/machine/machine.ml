@@ -9,6 +9,7 @@ type t = {
   needs_fence : bool;
   durable_publish : bool;
   load : int -> int;
+  defer_load : unit -> unit;
   store : int -> int -> unit;
   clwb : int -> unit;
   clwb_many : int array -> int -> unit;
@@ -68,6 +69,7 @@ module Native = struct
       needs_fence = false;
       durable_publish = false;
       load = (fun addr -> heap.(addr));
+      defer_load = ignore;
       store = (fun addr v -> heap.(addr) <- v);
       clwb = (fun _addr -> ());
       clwb_many = (fun _addrs _n -> ());

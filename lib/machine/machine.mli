@@ -59,6 +59,18 @@ type t = {
           the controller hardens a hardware transaction's write set as
           one unit at retirement *)
   load : int -> int;  (** timed read of a heap word *)
+  defer_load : unit -> unit;
+      (** untimed: let the calling thread's next [load] post its
+          latency instead of waiting it out, so the backend may serve
+          that wait together with the thread's next one.  The load's
+          value is then the word's value at issue, not at completion.
+          Only the next timed operation counts: a [load] honours the
+          request, and any other one drops it.  Contract: after
+          the deferred load the caller touches nothing another
+          simulated thread can observe until its next machine call
+          (a TL2 read's orec re-check, which also catches any write
+          that lands while the load is in flight).  A backend may
+          ignore the request; {!Native} does. *)
   store : int -> int -> unit;  (** timed write of a heap word *)
   clwb : int -> unit;
       (** write-back the cache line containing the given word towards

@@ -55,6 +55,7 @@ type t = {
   mutable status : int array;
   mutable conts : (unit, unit) Effect.Deep.continuation array; (* valid iff [suspended] *)
   mutable bodies : (unit -> unit) array;
+  mutable rests : int array; (* wait a suspended thread still owes; -1 = none *)
   mutable count : int;
   mutable ready : int array; (* queued ids, next to run last *)
   mutable queued : int;
@@ -62,13 +63,15 @@ type t = {
   mutable picked : int; (* wake time of the id last taken from [ready] *)
   mutable current : int; (* running thread id; -1 outside a thread *)
   mutable next : int; (* id the last Wait picked to run next; -1 = none *)
-  mutable pending_ns : int; (* delay of the in-flight Wait perform *)
+  mutable pending_ns : int; (* delay of the in-flight Wait perform; -1 = none *)
+  mutable owed : bool; (* the running thread posted a wait it has not served *)
   mutable crash_limit : int; (* armed crash time; [max_int] = none *)
   mutable crashed : bool;
   mutable max_time : int;
   mutable started : bool;
   mutable advances : int; (* waits advanced inline *)
   mutable switches : int; (* waits that suspended their thread *)
+  mutable settled : int; (* owed waits the scheduler requeued without a resume *)
 }
 
 let initial_capacity = 8
@@ -116,6 +119,7 @@ let create () =
     status = Array.make initial_capacity finished;
     conts = Array.make initial_capacity parked;
     bodies = Array.make initial_capacity ignore;
+    rests = Array.make initial_capacity (-1);
     count = 0;
     ready = Array.make initial_capacity 0;
     queued = 0;
@@ -124,12 +128,14 @@ let create () =
     current = -1;
     next = -1;
     pending_ns = 0;
+    owed = false;
     crash_limit = max_int;
     crashed = false;
     max_time = 0;
     started = false;
     advances = 0;
     switches = 0;
+    settled = 0;
   }
 
 let spawn t f =
@@ -145,6 +151,7 @@ let spawn t f =
     t.status <- grow t.status finished;
     t.conts <- grow t.conts parked;
     t.bodies <- grow t.bodies ignore;
+    t.rests <- grow t.rests (-1);
     t.ready <- grow t.ready 0
   end;
   t.status.(id) <- not_started;
@@ -191,11 +198,26 @@ let[@inline] wait t ns =
     else switch t ns
   end
 
-let wait_until t target =
-  if t.current >= 0 then begin
-    let time = t.times.(t.current) in
-    if target > time then wait t (target - time)
+(* [wait], except that a wait that would suspend its thread before the
+   crash limit is deferred: the clock moves and the switch is counted,
+   and the thread keeps running [owed].  Its next wait cannot take the
+   fast path (its clock is already at or past [due]), so [on_wait]
+   suspends it at the posted time and keeps that wait as its rest, which
+   [hand_out] applies once the queue reaches the thread.  A thread
+   already owed just waits: that wait is the rest. *)
+let post t ns =
+  let cur = t.current in
+  let nt = if cur >= 0 then Array.unsafe_get t.times cur + ns else 0 in
+  if cur < 0 || t.owed || nt < t.due || nt >= t.crash_limit then wait t ns
+  else begin
+    assert (ns >= 0);
+    Array.unsafe_set t.times cur nt;
+    if nt > t.max_time then t.max_time <- nt;
+    t.switches <- t.switches + 1;
+    t.owed <- true
   end
+
+let[@inline] settle t = if t.owed then switch t (-1)
 
 let crashed t = t.crashed
 
@@ -207,16 +229,63 @@ let inline_advances t = t.advances
 
 let context_switches t = t.switches
 
+let settled_waits t = t.settled
+
+(* Queue [id], due at [time], and take the thread to run next: [id]
+   itself when it is due strictly first, else the queue's last, whose
+   slot the insertion scan starts from.  [picked] becomes the taken
+   thread's wake time. *)
+let[@inline] requeue t id time =
+  if t.queued = 0 || time < t.due then begin
+    t.picked <- time;
+    id
+  end
+  else begin
+    let n = t.queued - 1 in
+    let next = Array.unsafe_get t.ready n in
+    t.picked <- t.due;
+    insert t n id;
+    next
+  end
+
+(* [id] was just taken from the queue at [picked], its wake time.
+   When it owes a rest, apply that wait here as the resumed thread
+   would have: advance inline when it is still strictly first (the
+   caller then resumes it), else requeue it and hand out the next
+   thread instead.  Never once the crash is due: the kill then finds
+   the thread suspended, as it would have. *)
+let rec hand_out t id =
+  let ns = Array.unsafe_get t.rests id in
+  if ns < 0 || t.crashed || t.picked >= t.crash_limit then id
+  else begin
+    Array.unsafe_set t.rests id (-1);
+    let time = Array.unsafe_get t.times id + ns in
+    Array.unsafe_set t.times id time;
+    if time > t.max_time then t.max_time <- time;
+    if time < t.crash_limit && time < t.due then begin
+      t.advances <- t.advances + 1;
+      t.picked <- time;
+      id
+    end
+    else begin
+      t.switches <- t.switches + 1;
+      t.settled <- t.settled + 1;
+      hand_out t (requeue t id time)
+    end
+  end
+
 (* The id of the thread to run next: the one the last Wait already
-   chose, else the queue's next.  [picked] is its wake time either
-   way. *)
+   chose, else the queue's next, with any rest handed out.  [picked]
+   is its wake time either way. *)
 let take_next t =
   let id = t.next in
   if id >= 0 then begin
     t.next <- -1;
     id
   end
-  else pop t
+  else
+    let id = pop t in
+    if id >= 0 then hand_out t id else id
 
 let kill t id =
   if t.status.(id) = suspended then begin
@@ -235,10 +304,9 @@ let run ?crash_at t =
   if t.started then invalid_arg "Sched.run: scheduler already ran";
   t.started <- true;
   (match crash_at with Some c -> t.crash_limit <- c | None -> ());
-  (* One context switch: park the caller, pick its successor (the
-     caller itself when it is due strictly first, else the queue's
-     next, whose slot the caller's insertion scan starts from) and,
-     when that successor is a suspended thread due before any crash,
+  (* One context switch: park the caller, pick its successor
+     ([requeue], then [hand_out] of any rest it owes) and, when that
+     successor is a suspended thread due before any crash,
      resume it right here.  The resume is a tail call, so the
      handler's frame is gone before the successor runs and the stack
      stays flat however many switches chain.  Anything else (a thread
@@ -250,26 +318,26 @@ let run ?crash_at t =
      are spawned ids. *)
   let on_wait (k : (unit, unit) Effect.Deep.continuation) =
     let id = t.current in
-    let time = Array.unsafe_get t.times id + t.pending_ns in
-    Array.unsafe_set t.times id time;
-    Array.unsafe_set t.status id suspended;
-    Array.unsafe_set t.conts id k;
-    t.switches <- t.switches + 1;
-    (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
-    if time > t.max_time then t.max_time <- time;
-    let next =
-      if t.queued = 0 || time < t.due then begin
-        t.picked <- time;
-        id
+    let time =
+      if t.owed then begin
+        (* [post] already moved the clock and counted the switch; this
+           wait becomes the rest. *)
+        t.owed <- false;
+        Array.unsafe_set t.rests id t.pending_ns;
+        Array.unsafe_get t.times id
       end
       else begin
-        let n = t.queued - 1 in
-        let next = Array.unsafe_get t.ready n in
-        t.picked <- t.due;
-        insert t n id;
-        next
+        let time = Array.unsafe_get t.times id + t.pending_ns in
+        Array.unsafe_set t.times id time;
+        t.switches <- t.switches + 1;
+        (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
+        if time > t.max_time then t.max_time <- time;
+        time
       end
     in
+    Array.unsafe_set t.status id suspended;
+    Array.unsafe_set t.conts id k;
+    let next = hand_out t (requeue t id time) in
     if
       Array.unsafe_get t.status next = suspended
       && (not t.crashed)
@@ -289,6 +357,7 @@ let run ?crash_at t =
       Effect.Deep.retc =
         (fun () ->
           let id = t.current in
+          t.owed <- false;
           t.status.(id) <- finished;
           if t.times.(id) > t.max_time then t.max_time <- t.times.(id));
       (* An exception escaping a thread ends it, and then [run]: leave
@@ -296,6 +365,7 @@ let run ?crash_at t =
          is the untimed no-op again. *)
       exnc =
         (fun exn ->
+          t.owed <- false;
           t.status.(t.current) <- finished;
           t.current <- -1;
           raise exn);

@@ -25,6 +25,23 @@
     flat however many switches chain.  {!inline_advances} and
     {!context_switches} count the two paths.
 
+    A thread that waits twice in a row often switches twice and is
+    resumed in between only to suspend again.  {!post} settles such a
+    pair in one pass: where the first wait would suspend, it moves the
+    clock and counts the switch but leaves the thread running, {e owed}.
+    The thread's next {!wait} (or {!settle}) suspends it at the posted
+    time and stores that wait as the thread's rest.  When the queue
+    reaches the thread, the scheduler applies the rest exactly as the
+    resumed thread would have: it advances inline and resumes the
+    thread when it is still strictly first, and otherwise requeues it
+    at the later time and takes the next thread, so one capture and one
+    resume are saved.  The two waits are not summed.  A thread queued
+    at the later time while the first wait ran must stay ahead of this
+    one (FIFO among ties), and a summed wait, queued at the first
+    moment, would put it behind.  {!settled_waits} counts the rests
+    requeued without a resume, so the resumes are
+    [context_switches - settled_waits].
+
     The ready queue is an array of thread ids sorted by wake time,
     next to run last.  The pick takes the last id, and the caller is
     inserted by a scan from that due end, O(queued) at worst; a thread
@@ -64,9 +81,16 @@ val wait : t -> int -> unit
 (** Advance the calling thread's virtual clock by [ns >= 0].  Must be
     called from within a simulated thread. *)
 
-val wait_until : t -> int -> unit
-(** Advance the calling thread's clock to at least the given absolute
-    time. *)
+val post : t -> int -> unit
+(** [wait], except that where the thread would be suspended it keeps
+    running owed, with its clock already advanced.  Until its next
+    [wait] or [settle] the caller must touch nothing another thread can
+    observe: the other threads have not yet run up to its clock.  A
+    wait due at or past the armed crash time is a plain [wait]. *)
+
+val settle : t -> unit
+(** Serve an owed wait: suspend the calling thread until every thread
+    due before its clock has run.  A no-op unless the caller is owed. *)
 
 val now : t -> int
 (** Virtual clock of the calling thread; after [run] returns, the
@@ -86,7 +110,11 @@ val inline_advances : t -> int
 
 val context_switches : t -> int
 (** Waits so far that suspended their thread: one context switch
-    each. *)
+    each, a posted wait included. *)
+
+val settled_waits : t -> int
+(** Waits so far that the scheduler applied for an owed thread and
+    that requeued it without resuming it. *)
 
 val time_limit : t -> int option
 (** The armed crash time, if any — lets long-running loops bail out

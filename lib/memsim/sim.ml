@@ -56,6 +56,7 @@ type t = {
      [release]. *)
   mutable meta : meta;
   mutable released : bool;
+  mutable defer : int; (* [idle], [requested] or [posted] *)
   c : counters;
 }
 
@@ -90,6 +91,7 @@ let create (cfg : Config.t) =
     dirty = None;
     meta = no_meta;
     released = false;
+    defer = 0;
     c =
       {
         loads = 0;
@@ -115,6 +117,14 @@ let enable_trace ?capacity t =
 let trace_record t tr kind = Trace.record tr ~at_ns:(Sched.now t.sched) ~tid:(Sched.tid t.sched) kind
 
 let[@inline] in_log_range t addr = addr >= t.log_lo && addr < t.log_hi
+
+(* [Machine.defer_load] state.  It is the running thread's: every timed
+   operation resets it to [idle] on entry, before it can suspend, so no
+   other thread sees it.  [requested]: the next load posts its latency.
+   [posted]: a load did, so its thread may owe a wait. *)
+let idle = 0
+let requested = 1
+let posted = 2
 
 (* Media backing a word under the current placement model. *)
 let media_of t addr : Config.media =
@@ -279,8 +289,9 @@ let[@inline] check_addr t addr =
   if addr < 0 || addr >= t.cfg.heap_words then
     invalid_arg (Printf.sprintf "Sim: heap address %d out of bounds" addr)
 
-(* [addr] already validated by the caller. *)
-let access_unchecked t ~addr ~write =
+(* [addr] already validated by the caller.  A deferred access posts
+   its latency instead of waiting it out. *)
+let access_unchecked t ~addr ~write ~defer =
   let now = Sched.now t.sched in
   let line = Layout.line_of_addr addr in
   let r = Cache.access_fast t.l3 ~line ~write in
@@ -291,23 +302,41 @@ let access_unchecked t ~addr ~write =
       stall + miss_latency t ~now:(now + stall) ~addr ~write
     end
   in
-  Sched.wait t.sched cost
+  if defer then begin
+    Sched.post t.sched cost;
+    t.defer <- posted
+  end
+  else Sched.wait t.sched cost
 
+let[@inline never] reset_defer t =
+  t.defer <- idle;
+  Sched.settle t.sched
+
+(* Every timed operation that touches shared state before it waits
+   starts here: it drops a pending request and serves a wait its thread
+   still owes, so it runs at its own virtual time. *)
+let[@inline] enter t = if t.defer <> idle then reset_defer t
+
+(* A deferred load reads the word at issue: the caller's orec re-check
+   catches a write that lands before the load completes. *)
 let load t addr =
+  let defer = t.defer = requested in
+  enter t;
   check_addr t addr;
   t.c.loads <- t.c.loads + 1;
   (match t.trace with None -> () | Some tr -> trace_record t tr (Trace.Load addr));
-  access_unchecked t ~addr ~write:false;
+  access_unchecked t ~addr ~write:false ~defer;
   Pheap.get t.heap addr
 
 let store t addr v =
+  enter t;
   check_addr t addr;
   t.c.stores <- t.c.stores + 1;
   (match t.trace with None -> () | Some tr -> trace_record t tr (Trace.Store addr));
   (* Architectural value changes at issue; latency paid after. *)
   Pheap.set t.heap addr v;
   (match t.dirty with None -> () | Some d -> Dirty.note d addr);
-  access_unchecked t ~addr ~write:true
+  access_unchecked t ~addr ~write:true ~defer:false
 
 (* One write-back's controller-side work, shared by [clwb] and
    [clwb_many]: hand the line to its WPQ if it is dirty in L3, account
@@ -332,6 +361,7 @@ let clwb_issue t ~now ~tid addr =
   else 0
 
 let clwb t addr =
+  enter t;
   t.c.clwbs <- t.c.clwbs + 1;
   (match t.trace with None -> () | Some tr -> trace_record t tr (Trace.Clwb addr));
   let now = Sched.now t.sched in
@@ -346,6 +376,7 @@ let clwb t addr =
    each waiting out the previous clwb's issue latency.  The thread still
    pays every issue slot and every admission stall. *)
 let clwb_many t addrs n =
+  enter t;
   if n > 0 then begin
     let now = Sched.now t.sched in
     let tid = Sched.tid t.sched in
@@ -361,7 +392,10 @@ let clwb_many t addrs n =
     Sched.wait t.sched (!stalls + (n * t.cfg.lat.clwb_ns))
   end
 
+(* The drain and the fence's own cost are two waits: the drain is
+   posted, so the scheduler can serve both in one pass. *)
 let sfence t =
+  enter t;
   t.c.sfences <- t.c.sfences + 1;
   (match t.trace with None -> () | Some tr -> trace_record t tr Trace.Sfence);
   let now = Sched.now t.sched in
@@ -372,7 +406,7 @@ let sfence t =
     t.c.fence_wait_ns <- t.c.fence_wait_ns + (target - now);
     t.fence_wait_by_tid.(tid) <- t.fence_wait_by_tid.(tid) + (target - now)
   end;
-  Sched.wait_until t.sched target;
+  if target > now then Sched.post t.sched (target - now);
   Sched.wait t.sched t.cfg.lat.sfence_ns
 
 let spawn t f = Sched.spawn t.sched f
@@ -652,6 +686,7 @@ let reboot t =
    lines.  Timing: a flat commit cost plus a small per-line charge;
    capacity evictions bill the usual write-back paths. *)
 let publish t addrs values n =
+  enter t;
   (match t.trace with None -> () | Some tr -> trace_record t tr (Trace.Publish n));
   let now = Sched.now t.sched in
   let lines = ref 0 in
@@ -712,17 +747,22 @@ let[@inline] meta_store meta i off v =
    buffer. *)
 let make_meta t =
   let lat = t.cfg.lat in
+  (* Each waits before it touches the space, and that wait serves an
+     owed one: of [enter] they need only the reset. *)
   let get i =
+    if t.defer <> idle then t.defer <- idle;
     Sched.wait t.sched lat.meta_read_ns;
     let meta = t.meta in
     Int32.to_int (get32u meta.slots (meta_offset meta i))
   in
   let set i v =
+    if t.defer <> idle then t.defer <- idle;
     Sched.wait t.sched lat.meta_write_ns;
     let meta = t.meta in
     meta_store meta i (meta_offset meta i) v
   in
   let cas i expected v =
+    if t.defer <> idle then t.defer <- idle;
     Sched.wait t.sched lat.meta_write_ns;
     let meta = t.meta in
     let off = meta_offset meta i in
@@ -733,6 +773,7 @@ let make_meta t =
     else false
   in
   let fetch_add i delta =
+    if t.defer <> idle then t.defer <- idle;
     Sched.wait t.sched lat.meta_write_ns;
     let meta = t.meta in
     let off = meta_offset meta i in
@@ -757,6 +798,7 @@ let machine t : Machine.t =
     needs_fence;
     durable_publish = t.cfg.model.durable_publish;
     load = (fun addr -> load t addr);
+    defer_load = (fun () -> t.defer <- requested);
     store = (fun addr v -> store t addr v);
     clwb = (fun addr -> clwb t addr);
     clwb_many = (fun addrs n -> clwb_many t addrs n);
@@ -768,7 +810,10 @@ let machine t : Machine.t =
     exclusive = (fun () -> not (Sched.running t.sched));
     tid = (fun () -> Sched.tid t.sched);
     now_ns = (fun () -> float_of_int (Sched.now t.sched));
-    pause = (fun ns -> Sched.wait t.sched ns);
+    pause =
+      (fun ns ->
+        if t.defer <> idle then t.defer <- idle;
+        Sched.wait t.sched ns);
     raw_read =
       (fun addr ->
         check_addr t addr;
@@ -880,6 +925,7 @@ module Stats = struct
     pdram_page_misses : int;
     inline_advances : int;
     context_switches : int;
+    settled_waits : int;
   }
 
   let get (sim : sim) =
@@ -903,6 +949,7 @@ module Stats = struct
       pdram_page_misses = sim.c.pdram_page_misses;
       inline_advances = Sched.inline_advances sim.sched;
       context_switches = Sched.context_switches sim.sched;
+      settled_waits = Sched.settled_waits sim.sched;
     }
 
   (* Scalar fields by stable export name — the per-tid arrays are

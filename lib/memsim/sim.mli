@@ -195,6 +195,9 @@ module Stats : sig
     pdram_page_misses : int;
     inline_advances : int;  (** scheduler waits that advanced the clock inline *)
     context_switches : int;  (** scheduler waits that switched threads *)
+    settled_waits : int;
+        (** switches the scheduler applied for a thread that posted the
+            wait before them, requeuing it without a resume *)
   }
 
   val get : sim -> t
@@ -202,6 +205,6 @@ module Stats : sig
   val fields : t -> (string * int) list
   (** Every machine counter as a (stable export name, value) pair, in a
       fixed order — the feed for a metrics registry.  The per-tid
-      arrays and the two scheduler counters (host-side cost, not a
+      arrays and the scheduler counters (host-side cost, not a
       modelled quantity) are excluded. *)
 end

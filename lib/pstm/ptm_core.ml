@@ -279,7 +279,16 @@ let wait_unlocked tx oidx =
   go 6 (orec_get t oidx)
 
 (* TL2-style read of a location not in my write set; a serial
-   transaction has nothing to check it against. *)
+   transaction has nothing to check it against.
+
+   The load may read the word at issue ([defer_load]) when the re-check
+   catches every write that lands while it is in flight.  A writer
+   that locks the orec after the first read changes what the re-check
+   sees, except an undo writer that aborts: it restores the version
+   along with the word.  Without an [extend] the load issues at the
+   instant the orec read unlocked, so no such writer has written yet
+   and the word read is the one restored.  After an [extend] one may
+   have, so an undo transaction's load then waits its latency out. *)
 let read_shared tx addr =
   let t = tx.ptm in
   tx.shared_reads <- tx.shared_reads + 1;
@@ -292,7 +301,9 @@ let read_shared tx addr =
       if locked_by v1 tx.tid then t.m.Machine.load addr else raise Conflict
     end
     else begin
-      if version_of v1 > tx.rv && not (extend tx) then raise Conflict;
+      let current = version_of v1 <= tx.rv in
+      if not (current || extend tx) then raise Conflict;
+      if current || t.alg <> Undo then t.m.Machine.defer_load ();
       let value = t.m.Machine.load addr in
       let v2 = orec_get t oidx in
       if v2 <> v1 then raise Conflict;

@@ -299,6 +299,8 @@ let lower_better name =
   || contains name "slack" || contains name "latency" || contains name "imbalance"
   || contains name "words_per_event"
   || contains name "collections_per_event"
+  || contains name "words_per_collection"
+  || name = "resumes_per_event"
 
 let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current () =
   let findings = ref [] in

@@ -957,30 +957,37 @@ let telemetry ?(quick = false) ?jobs () =
    where wall clock is not.  Beside them, the GC's pacing: minor
    collections and words promoted per event, which move when a change
    alters when the minor heap is collected (e.g. how many stores enter
-   the remembered set) at the same words.  Always serial so that every
-   allocated word is counted; [jobs] is accepted and ignored.
+   the remembered set) at the same words, and the minor words per
+   collection, which rise when collections come later (more of the
+   minor heap touched: the peak RSS risk).  Always serial so that
+   every allocated word is counted; [jobs] is accepted and ignored.
    [switches_per_event] counts the scheduler's context switches (waits
-   that did not advance the clock inline) per event. *)
+   that did not advance the clock inline) per event, and
+   [resumes_per_event] the switches that resumed a thread: all but the
+   waits the scheduler settled for an owed thread. *)
 let speedup ?(quick = false) ?jobs:_ () =
   let g0 = Gc.quick_stat () in
   let outcome = fig3_panel ~quick ~jobs:1 Btree_bench.insert_only in
   let g1 = Gc.quick_stat () in
   let events = List.fold_left (fun acc r -> acc + Bench_json.events r) 0 outcome.results in
   let per_event words = Bench_json.Float (words /. float_of_int (max 1 events)) in
-  let switches =
-    List.fold_left (fun acc r -> acc + r.Driver.sim.Memsim.Sim.Stats.context_switches) 0
-      outcome.results
-  in
+  let total f = List.fold_left (fun acc r -> acc + f r.Driver.sim) 0 outcome.results in
+  let switches = total (fun s -> s.Memsim.Sim.Stats.context_switches) in
+  let settled = total (fun s -> s.Memsim.Sim.Stats.settled_waits) in
+  let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
+  let collections = g1.Gc.minor_collections - g0.Gc.minor_collections in
   {
     outcome with
     extra =
       [
-        ("minor_words_per_event", per_event (g1.Gc.minor_words -. g0.Gc.minor_words));
+        ("minor_words_per_event", per_event minor_words);
         ("major_words_per_event", per_event (g1.Gc.major_words -. g0.Gc.major_words));
-        ( "minor_collections_per_event",
-          per_event (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections)) );
+        ("minor_collections_per_event", per_event (float_of_int collections));
+        ( "minor_words_per_collection",
+          Bench_json.Float (minor_words /. float_of_int (max 1 collections)) );
         ("promoted_words_per_event", per_event (g1.Gc.promoted_words -. g0.Gc.promoted_words));
         ("switches_per_event", per_event (float_of_int switches));
+        ("resumes_per_event", per_event (float_of_int (switches - settled)));
       ];
   }
 

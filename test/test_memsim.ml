@@ -155,44 +155,59 @@ let test_sched_differential =
 
 (* A second reference, on the test suite's binary heap: every thread
    is queued at time 0 in spawn order, the minimum (FIFO among ties)
-   runs, and each wait requeues its thread at its wake time.  It logs
-   (tid, clock) at every wait return and, once a popped wake time
-   reaches [crash_at], returns the started threads it would kill, in
-   kill order (a thread never started is dropped silently).  Also
-   returns the threads that ran their whole script. *)
+   runs, and each wait requeues its thread at its wake time.  A script
+   is a list of (cost, posted) waits.  The reference logs (tid, clock)
+   at the return of every wait that was not posted and, once a popped
+   wake time reaches [crash_at], returns the started threads it would
+   kill, in kill order (a thread never started is dropped silently).
+   Also returns the threads that ran their whole script. *)
 let heap_reference ?(crash_at = max_int) scripts =
   let ready = Min_heap.create () in
-  List.iteri (fun tid script -> Min_heap.push ready ~key:0 (tid, script, false)) scripts;
+  List.iteri (fun tid script -> Min_heap.push ready ~key:0 (tid, script, `Start)) scripts;
   let log = ref [] and completed = ref [] and killed = ref [] in
   let rec run () =
     match Min_heap.pop ready with
     | None -> ()
-    | Some (time, (tid, _, started)) when time >= crash_at ->
-      if started then killed := tid :: !killed;
+    | Some (time, (tid, _, from)) when time >= crash_at ->
+      if from <> `Start then killed := tid :: !killed;
       run ()
-    | Some (time, (tid, script, started)) ->
-      if started then log := (tid, time) :: !log;
+    | Some (time, (tid, script, from)) ->
+      if from = `Wait then log := (tid, time) :: !log;
       (match script with
       | [] -> completed := tid :: !completed
-      | cost :: rest -> Min_heap.push ready ~key:(time + cost) (tid, rest, true));
+      | (cost, posted) :: rest ->
+        Min_heap.push ready ~key:(time + cost) (tid, rest, if posted then `Post else `Wait));
       run ()
   in
   run ();
   (List.rev !log, List.rev !completed, List.rev !killed)
 
+(* Runs the scripts on [Sched], posting the waits marked posted, and
+   returns the reference's triple plus the scheduler's counters.  A
+   posted wait logs nothing: its thread must touch nothing shared
+   until its next wait.  Its clock must have moved all the same. *)
 let heap_actual ?crash_at scripts =
   let s = Sched.create () in
   let log = ref [] and completed = ref [] and killed = ref [] and waits = ref 0 in
+  let posts = ref 0 and post_clock_ok = ref true in
   List.iter
     (fun script ->
       ignore
         (Sched.spawn s (fun () ->
              try
                List.iter
-                 (fun cost ->
+                 (fun (cost, posted) ->
                    incr waits;
-                   Sched.wait s cost;
-                   log := (Sched.tid s, Sched.now s) :: !log)
+                   if posted then begin
+                     incr posts;
+                     let before = Sched.now s in
+                     Sched.post s cost;
+                     if Sched.now s <> before + cost then post_clock_ok := false
+                   end
+                   else begin
+                     Sched.wait s cost;
+                     log := (Sched.tid s, Sched.now s) :: !log
+                   end)
                  script;
                completed := Sched.tid s :: !completed
              with Machine.Crashed -> killed := Sched.tid s :: !killed)))
@@ -200,31 +215,55 @@ let heap_actual ?crash_at scripts =
   Sched.run ?crash_at s;
   Helpers.check_int "every wait advanced inline or switched" !waits
     (Sched.inline_advances s + Sched.context_switches s);
-  (List.rev !log, List.rev !completed, List.rev !killed)
+  Helpers.check_bool "a post moves the clock" true !post_clock_ok;
+  ( (List.rev !log, List.rev !completed, List.rev !killed),
+    (Sched.inline_advances s, Sched.context_switches s),
+    (Sched.settled_waits s, !posts) )
 
 (* 1–40 threads whose waits come from a small set with 0 and short
    costs, so a requeued thread often ties queued ones (and all tie at
    spawn, at 0) while an 84 or 252 ns wait lands far from the due
-   end of the ready queue. *)
+   end of the ready queue.  About a third of the waits are posted;
+   a thread's last wait never is, so a post is always followed by a
+   wait (or another post, which serves the first as a wait would). *)
 let heap_scripts =
   QCheck2.Gen.(
     int_range 1 40 >>= fun n ->
-    list_repeat n (list_size (int_range 0 12) (oneofl [ 0; 1; 3; 6; 10; 84; 252 ])))
+    list_repeat n
+      ( list_size (int_range 0 12)
+          (pair (oneofl [ 0; 1; 3; 6; 10; 84; 252 ]) (oneofl [ false; false; true ]))
+      >|= fun script ->
+        List.mapi (fun i (cost, posted) -> (cost, posted && i < List.length script - 1)) script
+      ))
+
+let unposted = List.map (List.map (fun (cost, _) -> (cost, false)))
+
+(* The posted run must follow the reference, count every wait by the
+   same outcome as the same scripts with nothing posted, and settle at
+   most one wait per post. *)
+let posted_matches ?crash_at scripts =
+  let got, counts, (settled, posts) = heap_actual ?crash_at scripts in
+  let _, plain_counts, (plain_settled, _) = heap_actual ?crash_at (unposted scripts) in
+  got = heap_reference ?crash_at scripts
+  && counts = plain_counts && plain_settled = 0 && settled <= posts
 
 let test_sched_heap_reference =
   Helpers.qtest ~count:300 "sched: schedule equals the binary-heap reference" heap_scripts
     (fun scripts ->
       let waits = List.fold_left (fun n s -> n + List.length s) 0 scripts in
-      let ((log, completed, killed) as got) = heap_actual scripts in
-      List.length log = waits
+      let posts =
+        List.fold_left (fun n s -> n + List.length (List.filter snd s)) 0 scripts
+      in
+      let (log, completed, killed), _, _ = heap_actual scripts in
+      List.length log = waits - posts
       && List.length completed = List.length scripts
       && killed = []
-      && got = heap_reference scripts)
+      && posted_matches scripts)
 
 let test_sched_heap_reference_crash =
   Helpers.qtest ~count:300 "sched: crash kills what the binary-heap reference kills"
     QCheck2.Gen.(pair heap_scripts (int_range 0 1_500))
-    (fun (scripts, crash_at) -> heap_actual ~crash_at scripts = heap_reference ~crash_at scripts)
+    (fun (scripts, crash_at) -> posted_matches ~crash_at scripts)
 
 (* Two threads with equal costs switch on every wait: after the first
    round each switch is a handoff from the Wait handler.  Thread 1 is
@@ -1083,18 +1122,63 @@ let test_config_model_lookup () =
     (Invalid_argument "Config.model_of_name: unknown model \"floppy\"") (fun () ->
       ignore (Config.model_of_name "floppy"))
 
-let test_sched_wait_until () =
+(* Thread 0 posts 10 ns and then waits 5; thread 1 waits 15 from time
+   0.  Both wake at 15, thread 1 first: it queued there at time 0,
+   thread 0 only at 10.  A post summed with the next wait would queue
+   thread 0 at 15 before thread 1 did.  The pair costs one resume: the
+   scheduler settles the second wait without resuming thread 0. *)
+let test_sched_post () =
   let s = Sched.create () in
-  let seen = ref 0 in
+  let log = ref [] and after_post = ref 0 in
   ignore
     (Sched.spawn s (fun () ->
-         Sched.wait_until s 500;
-         seen := Sched.now s;
-         (* waiting for the past is free *)
-         Sched.wait_until s 100;
-         Helpers.check_int "no time travel" 500 (Sched.now s)));
+         Sched.post s 10;
+         after_post := Sched.now s;
+         Sched.wait s 5;
+         log := (0, Sched.now s) :: !log));
+  ignore
+    (Sched.spawn s (fun () ->
+         Sched.wait s 15;
+         log := (1, Sched.now s) :: !log));
   Sched.run s;
-  Helpers.check_int "woke at target" 500 !seen
+  Helpers.check_int "the post moved the clock" 10 !after_post;
+  Alcotest.(check (list (pair int int))) "FIFO at 15" [ (1, 15); (0, 15) ] (List.rev !log);
+  Helpers.check_int "three switches, as with two plain waits" 3 (Sched.context_switches s);
+  Helpers.check_int "one settled without a resume" 1 (Sched.settled_waits s);
+  (* [settle] serves the owed wait: thread 1, due at 5, logs first. *)
+  let s = Sched.create () in
+  let log = ref [] in
+  ignore
+    (Sched.spawn s (fun () ->
+         Sched.post s 10;
+         Sched.settle s;
+         log := (0, Sched.now s) :: !log));
+  ignore
+    (Sched.spawn s (fun () ->
+         Sched.wait s 5;
+         log := (1, Sched.now s) :: !log));
+  Sched.run s;
+  Alcotest.(check (list (pair int int))) "settled first" [ (1, 5); (0, 10) ] (List.rev !log);
+  (* A post due at the crash raises there, as a wait would; a post
+     before it defers, and the crash comes from the wait after it. *)
+  let crashed_in ~crash_at ns =
+    let s = Sched.create () in
+    let where = ref "none" in
+    ignore
+      (Sched.spawn s (fun () ->
+           try
+             where := "post";
+             Sched.post s ns;
+             where := "wait";
+             Sched.wait s 5;
+             where := "none"
+           with Machine.Crashed -> ()));
+    ignore (Sched.spawn s (fun () -> Sched.wait s 1));
+    Sched.run ~crash_at s;
+    !where
+  in
+  Alcotest.(check string) "post past the crash" "post" (crashed_in ~crash_at:12 20);
+  Alcotest.(check string) "post before the crash" "wait" (crashed_in ~crash_at:12 10)
 
 (* Inlining keeps [assert]: a negative wait inside a run still fails. *)
 let test_sched_wait_checks_delay () =
@@ -1137,6 +1221,62 @@ let test_sim_timed_hit_alloc_free () =
                m.Machine.store 64 (i + m.Machine.load 64 + m.Machine.meta_get 5))));
   Sim.run sim;
   Helpers.check_alloc_free "timed hit load/store/meta_get" !words
+
+(* [defer_load] lets only the very next load post its latency.  Thread
+   1 waits 1 ns at a time, so thread 0's cache-missing load and the
+   metadata read after it each switch: the pair is settled in one pass
+   when the load posted, and not at all when a store or a metadata
+   operation came between the request and the load. *)
+let settled_after f =
+  let sim, m = Helpers.sim_machine () in
+  ignore
+    (Sim.spawn sim (fun () ->
+         f m;
+         ignore (m.Machine.load 4096 : int);
+         ignore (m.Machine.meta_get 5 : int)));
+  ignore
+    (Sim.spawn sim (fun () ->
+         for _ = 1 to 2_000 do
+           m.Machine.pause 1
+         done));
+  Sim.run sim;
+  (Sim.Stats.get sim).Sim.Stats.settled_waits
+
+let test_defer_load_next_load_only () =
+  let defer (m : Machine.t) = m.Machine.defer_load () in
+  Helpers.check_int "a load right after defer_load posts" 1 (settled_after defer);
+  Helpers.check_int "without defer_load, none" 0 (settled_after ignore);
+  Helpers.check_int "a store clears the request" 0
+    (settled_after (fun m ->
+         defer m;
+         m.Machine.store 64 1));
+  Helpers.check_int "a meta_get clears the request" 0
+    (settled_after (fun m ->
+         defer m;
+         ignore (m.Machine.meta_get 6 : int)))
+
+(* An operation that touches the machine before it waits serves the
+   owed wait first: after a posted load, thread 0's store lands at the
+   load's completion time, and thread 1, polling every 1 ns, sees it no
+   earlier. *)
+let test_defer_load_store_settles () =
+  let sim, m = Helpers.sim_machine () in
+  let stored_at = ref (-1) and seen_at = ref (-1) in
+  ignore
+    (Sim.spawn sim (fun () ->
+         m.Machine.defer_load ();
+         ignore (m.Machine.load 4096 : int);
+         stored_at := Sim.now sim;
+         m.Machine.store 64 1));
+  ignore
+    (Sim.spawn sim (fun () ->
+         while !seen_at < 0 && Sim.now sim < 5_000 do
+           m.Machine.pause 1;
+           if m.Machine.raw_read 64 = 1 then seen_at := Sim.now sim
+         done));
+  Sim.run sim;
+  Helpers.check_bool "the load missed" true (!stored_at > 100);
+  Helpers.check_bool "the store is seen at or after its time" true (!seen_at >= !stored_at)
 
 let test_trace_records_events () =
   let sim, m = Helpers.sim_machine () in
@@ -1388,12 +1528,15 @@ let suite =
     Alcotest.test_case "sim: exact fence wait" `Quick test_sim_exact_fence_wait;
     Alcotest.test_case "sim: exact cache hit" `Quick test_sim_exact_cache_hit;
     Alcotest.test_case "config: model lookup" `Quick test_config_model_lookup;
-    Alcotest.test_case "sched: wait_until" `Quick test_sched_wait_until;
+    Alcotest.test_case "sched: post" `Quick test_sched_post;
     Alcotest.test_case "sched: wait checks its delay" `Quick test_sched_wait_checks_delay;
     Alcotest.test_case "sched: inline wait allocates nothing" `Quick test_sched_wait_alloc_free;
     Alcotest.test_case "machine: untimed hits allocate nothing" `Quick
       test_machine_untimed_alloc_free;
     Alcotest.test_case "sim: timed hits allocate nothing" `Quick test_sim_timed_hit_alloc_free;
+    Alcotest.test_case "defer_load: only the next load posts" `Quick test_defer_load_next_load_only;
+    Alcotest.test_case "defer_load: a store serves the owed wait" `Quick
+      test_defer_load_store_settles;
     Alcotest.test_case "trace: records events" `Quick test_trace_records_events;
     Alcotest.test_case "trace: ring bounded" `Quick test_trace_ring_bounded;
     Alcotest.test_case "trace: crash marker" `Quick test_trace_marks_crash;
