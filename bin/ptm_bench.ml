@@ -16,30 +16,9 @@
 
 open Cmdliner
 
-let workloads () =
-  [
-    ("bank", Workloads.Bank.spec);
-    ("tatp", Workloads.Tatp.spec);
-    ("tpcc-hash", Workloads.Tpcc.spec Workloads.Tpcc.Hash);
-    ("tpcc-btree", Workloads.Tpcc.spec Workloads.Tpcc.Btree);
-    ("btree-insert", Workloads.Btree_bench.insert_only);
-    ("btree-mixed", Workloads.Btree_bench.mixed);
-    ("vacation-low", Workloads.Vacation.spec Workloads.Vacation.Low);
-    ("vacation-high", Workloads.Vacation.spec Workloads.Vacation.High);
-    ("memcached", Workloads.Memcached.spec ~items:2_000);
-    ("ycsb-a", Workloads.Ycsb.spec Workloads.Ycsb.A);
-    ("ycsb-b", Workloads.Ycsb.spec Workloads.Ycsb.B);
-    ("ycsb-c", Workloads.Ycsb.spec Workloads.Ycsb.C);
-    ("ycsb-d", Workloads.Ycsb.spec Workloads.Ycsb.D);
-    ("ycsb-e", Workloads.Ycsb.spec Workloads.Ycsb.E);
-    ("ycsb-f", Workloads.Ycsb.spec Workloads.Ycsb.F);
-    ("mod-btree", Workloads.Mod_bench.btree);
-    ("mod-hash", Workloads.Mod_bench.hash);
-  ]
-
 let workload_conv =
   let parse s =
-    match List.assoc_opt s (workloads ()) with
+    match List.assoc_opt s (Workloads.Experiments.workloads ()) with
     | Some spec -> Ok spec
     | None -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
   in
@@ -158,50 +137,50 @@ let telemetry_arg =
            percentiles), $(i,DIR)/series.csv and $(i,DIR)/trace.json.  Load the trace at \
            https://ui.perfetto.dev.  Output is bit-deterministic for a given configuration.")
 
-let run_cmd =
-  let run spec model algorithm threads duration_ms no_coalesce telemetry_dir =
+(* The one cell [run] and [sweep] build from their flags; [sweep]
+   takes no thread count and sets one per point. *)
+let cell_term threads =
+  let cell spec model algorithm threads duration_ms no_coalesce =
     let duration_ns = int_of_float (duration_ms *. 1e6) in
-    let telemetry =
-      match telemetry_dir with None -> None | Some _ -> Some Telemetry.default_config
+    { (Workloads.Driver.cell ~duration_ns ~model ~algorithm ~threads spec) with
+      coalesce = not no_coalesce }
+  in
+  Term.(
+    const cell $ workload_arg $ model_arg $ algorithm_arg $ threads $ duration_arg
+    $ no_coalesce_arg)
+
+let run_cmd =
+  let run (c : Workloads.Driver.cell) telemetry_dir =
+    let c =
+      { c with telemetry = Option.map (fun _ -> Telemetry.default_config) telemetry_dir }
     in
-    let r =
-      Workloads.Driver.run ~duration_ns ~coalesce:(not no_coalesce) ?telemetry ~model ~algorithm
-        ~threads spec
-    in
+    let r = Workloads.Driver.run_cell c in
     print_result r;
     match (telemetry_dir, r.Workloads.Driver.telemetry) with
     | Some dir, Some cap ->
       print_phase_table r cap;
-      let meta =
-        Workloads.Driver.run_meta r ~seed:Workloads.Driver.default_seed ~duration_ns
-      in
+      let meta = Workloads.Driver.run_meta c r in
       List.iter (Format.printf "telemetry  : wrote %s@.") (Telemetry.dump ~dir meta cap)
     | _ -> ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one configuration.")
-    Term.(
-      const run $ workload_arg $ model_arg $ algorithm_arg $ threads_arg $ duration_arg
-      $ no_coalesce_arg $ telemetry_arg)
+    Term.(const run $ cell_term threads_arg $ telemetry_arg)
 
 let sweep_cmd =
-  let sweep spec model algorithm duration_ms no_coalesce =
-    let duration_ns = int_of_float (duration_ms *. 1e6) in
+  let sweep (c : Workloads.Driver.cell) =
     let t =
       Repro_util.Table.create
         ~title:
-          (Printf.sprintf "%s on %s (%s%s)" spec.Workloads.Driver.name
-             model.Memsim.Config.model_name
-             (Pstm.Ptm.algorithm_name algorithm)
-             (if no_coalesce then ", naive flushes" else ""))
+          (Printf.sprintf "%s on %s (%s%s)" c.spec.Workloads.Driver.name
+             c.config.Memsim.Config.model.Memsim.Config.model_name
+             (Pstm.Ptm.algorithm_name c.algorithm)
+             (if c.coalesce then "" else ", naive flushes"))
         ~header:[ "threads"; "M tx/s"; "commits/abort" ]
     in
     List.iter
       (fun threads ->
-        let r =
-          Workloads.Driver.run ~duration_ns ~coalesce:(not no_coalesce) ~model ~algorithm
-            ~threads spec
-        in
+        let r = Workloads.Driver.run_cell { c with threads } in
         Repro_util.Table.add_row t
           [
             string_of_int threads;
@@ -213,7 +192,7 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep the paper's thread axis for one configuration.")
-    Term.(const sweep $ workload_arg $ model_arg $ algorithm_arg $ duration_arg $ no_coalesce_arg)
+    Term.(const sweep $ cell_term (const 1))
 
 let experiment_cmd =
   let module E = Workloads.Experiments in
@@ -362,13 +341,22 @@ let regress_cmd =
 let list_cmd =
   let list () =
     Format.printf "workloads:@.";
-    List.iter (fun (n, _) -> Format.printf "  %s@." n) (workloads ());
+    List.iter (fun (n, _) -> Format.printf "  %s@." n) (Workloads.Experiments.workloads ());
     Format.printf "models:@.";
     List.iter
       (fun m -> Format.printf "  %s@." m.Memsim.Config.model_name)
       Memsim.Config.all_models;
-    Format.printf "experiments:@.";
-    List.iter (fun (n, _) -> Format.printf "  %s@." n) Workloads.Experiments.all
+    (* Cells with one setup key populate identically: the count of
+       keys is how many populations a grid needs. *)
+    let cells name quick =
+      let cs = Workloads.Experiments.cells name ~quick in
+      let keys = List.sort_uniq compare (List.map Workloads.Driver.setup_key cs) in
+      Printf.sprintf "%d cells, %d setup keys" (List.length cs) (List.length keys)
+    in
+    Format.printf "experiments (quick; full):@.";
+    List.iter
+      (fun (n, _) -> Format.printf "  %-15s %s; %s@." n (cells n true) (cells n false))
+      Workloads.Experiments.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List workloads, models and experiments.") Term.(const list $ const ())
 

@@ -17,7 +17,8 @@ let () =
   List.iter
     (fun model ->
       let r =
-        Driver.run ~duration_ns:2_000_000 ~model ~algorithm:Ptm.Redo ~threads:8 Tatp.spec
+        Driver.run_cell
+          (Driver.cell ~duration_ns:2_000_000 ~model ~algorithm:Ptm.Redo ~threads:8 Tatp.spec)
       in
       let s = r.Driver.sim in
       Table.add_row table

@@ -25,7 +25,8 @@ let () =
             List.map
               (fun threads ->
                 let r =
-                  Driver.run ~duration_ns:1_500_000 ~model ~algorithm ~threads Tatp.spec
+                  Driver.run_cell
+                    (Driver.cell ~duration_ns:1_500_000 ~model ~algorithm ~threads Tatp.spec)
                 in
                 Table.cell_f (r.Driver.txs_per_sec /. 1e6))
               [ 1; 4; 16; 32 ]

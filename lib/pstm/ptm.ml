@@ -123,67 +123,57 @@ let create ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(c
 
 (* ---------- crash recovery ---------- *)
 
+(* [f] folded over the (addr, value) entries of the log at [base],
+   oldest first, up to its zero-addr sentinel.  The walk is bounded by
+   the log's area and checks every entry address against the heap, so
+   a torn or hostile image fails here instead of running past the area
+   or writing outside the heap. *)
+let fold_log m reg ~base f acc =
+  let raw = m.Machine.raw_read in
+  let limit = base + Pmem.Region.log_words_per_thread reg in
+  let corrupt what pos =
+    raise (Machine.Corrupt_image (Printf.sprintf "Ptm: log at %d: %s at word %d" base what pos))
+  in
+  let rec walk acc pos =
+    if pos >= limit then corrupt "no sentinel in the log's area" pos
+    else
+      let addr = raw pos in
+      if addr = 0 then acc
+      else if addr < 0 || addr >= m.Machine.words then corrupt "entry outside the heap" pos
+      else if pos + 1 >= limit then corrupt "entry crosses the area's end" pos
+      else walk (f acc addr (raw (pos + 1))) (pos + 2)
+  in
+  walk acc (base + 2)
+
 let recover_logs m reg =
-  let raw = m.Machine.raw_read and write = m.Machine.raw_write in
-  let words_scanned = ref 0 in
-  let entries_replayed = ref 0 in
-  let entries_rolled_back = ref 0 in
   let nthreads = Pmem.Region.max_threads reg in
-  for tid = 0 to nthreads - 1 do
-    let base = Pmem.Region.log_base reg ~tid in
-    let status = raw base in
-    incr words_scanned;
-    if status = status_redo_committed then begin
-      (* Replay committed-but-possibly-not-written-back values. *)
-      let pos = ref (base + 2) in
-      while raw !pos <> 0 do
-        write (raw !pos) (raw (!pos + 1));
-        words_scanned := !words_scanned + 2;
-        incr entries_replayed;
-        pos := !pos + 2
-      done;
-      incr words_scanned (* the zero-addr sentinel *)
-    end
-    else if status = status_undo_active then begin
-      (* Roll the in-flight transaction back, newest entry first. *)
-      let entries = ref [] in
-      let pos = ref (base + 2) in
-      while raw !pos <> 0 do
-        entries := (raw !pos, raw (!pos + 1)) :: !entries;
-        words_scanned := !words_scanned + 2;
-        incr entries_rolled_back;
-        pos := !pos + 2
-      done;
-      incr words_scanned;
-      List.iter (fun (addr, old) -> write addr old) !entries
-    end;
-    write base status_idle
-  done;
+  let armed status = status = status_redo_committed || status = status_undo_active in
+  (* Every armed log is walked before any is applied, so a corrupt
+     image raises with nothing written. *)
+  let logs =
+    List.init nthreads (fun tid ->
+        let base = Pmem.Region.log_base reg ~tid in
+        let status = m.Machine.raw_read base in
+        let push entries addr value = (addr, value) :: entries in
+        (base, status, if armed status then fold_log m reg ~base push [] else []))
+  in
+  List.iter
+    (fun (base, status, entries) ->
+      (* Replay committed-but-possibly-not-written-back values; roll an
+         in-flight transaction back, newest entry first. *)
+      let entries = if status = status_redo_committed then List.rev entries else entries in
+      List.iter (fun (addr, value) -> m.Machine.raw_write addr value) entries;
+      m.Machine.raw_write base status_idle)
+    logs;
+  let count p = List.fold_left (fun n (_, s, es) -> if p s then n + List.length es else n) 0 logs in
+  let walked = List.length (List.filter (fun (_, s, _) -> armed s) logs) in
   {
     Recovery_report.logs_scanned = nthreads;
-    words_scanned = !words_scanned;
-    entries_replayed = !entries_replayed;
-    entries_rolled_back = !entries_rolled_back;
+    (* Every status word, then each walked log's entries and sentinel. *)
+    words_scanned = nthreads + (2 * count armed) + walked;
+    entries_replayed = count (( = ) status_redo_committed);
+    entries_rolled_back = count (( = ) status_undo_active);
   }
-
-(* The logs [recover_logs] would replay or roll back, in cache lines:
-   each log whose status word is not idle, from its base through its
-   zero-addr sentinel.  Untimed reads, so a monitor thread may count
-   mid-run. *)
-let armed_log_lines t =
-  let raw = t.m.Machine.raw_read in
-  let lines = ref 0 in
-  for tid = 0 to Pmem.Region.max_threads t.reg - 1 do
-    let base = Pmem.Region.log_base t.reg ~tid in
-    if raw base <> status_idle then begin
-      let pos = ref (base + 2) in
-      while raw !pos <> 0 do
-        pos := !pos + 2
-      done;
-      lines := !lines + Layout.line_of_addr !pos - Layout.line_of_addr base + 1
-    end
-  done;
-  !lines
 
 let recover ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
     ?(rng_seed = default_rng_seed) ?profiler ?inject m =
@@ -405,6 +395,23 @@ and retry : 'a. t -> tx -> (tx -> 'a) -> 'a =
   attempt t tx f
 
 (* ---------- statistics ---------- *)
+
+(* The logs [recover_logs] would replay or roll back, in cache lines:
+   each log whose status word is not idle, from its base through its
+   zero-addr sentinel.  Untimed reads, so a monitor thread may count
+   mid-run. *)
+let armed_log_lines t =
+  let lines = ref 0 in
+  for tid = Pmem.Region.max_threads t.reg - 1 downto 0 do
+    let base = Pmem.Region.log_base t.reg ~tid in
+    if t.m.Machine.raw_read base <> status_idle then begin
+      (* The sentinel follows the status word, the unused word and
+         two words per entry. *)
+      let sentinel = fold_log t.m t.reg ~base (fun pos _ _ -> pos + 2) (base + 2) in
+      lines := !lines + Layout.line_of_addr sentinel - Layout.line_of_addr base + 1
+    end
+  done;
+  !lines
 
 module Stats = struct
   type ptm = t

@@ -184,14 +184,18 @@ val recover :
     again).  When [profiler] is given, recovery is recorded as a
     {!Profile.Recovery} phase and the profiler stays installed.
     Rejects the configurations {!create} rejects, before touching the
-    image. *)
+    image.
+    @raise Machine.Corrupt_image when a replayed or rolled-back log
+    runs to its area's end without a sentinel or holds an entry
+    outside the heap; every log is checked before any is applied. *)
 
 val armed_log_lines : t -> int
 (** Cache lines of the logs {!recover} would replay or roll back now:
     every thread's log whose status word is not idle, from its base
     through its sentinel.  Untimed raw reads, so a monitor thread may
     call it mid-run; the persistence-debt sample counts these under
-    PDRAM-Lite. *)
+    PDRAM-Lite.
+    @raise Machine.Corrupt_image as {!recover} does, on such a log. *)
 
 val region : t -> Pmem.Region.t
 val machine : t -> Machine.t

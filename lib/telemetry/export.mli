@@ -12,6 +12,9 @@ type run_meta = {
   threads : int;
   seed : int;
   duration_ns : int;
+      (** the configured window in virtual ns (a crash dump's crash
+          instant), not the time the run covered, so the header names
+          a run that can be repeated *)
 }
 
 val schema_version : string

@@ -5,6 +5,19 @@ type spec = {
   make_op : Pstm.Ptm.t -> tid:int -> rng:Repro_util.Rng.t -> (unit -> unit);
 }
 
+type cell = {
+  spec : spec;
+  config : Memsim.Config.t;
+  algorithm : Pstm.Ptm.algorithm;
+  threads : int;
+  duration_ns : int;
+  seed : int;
+  flush_timing : Pstm.Ptm.flush_timing;
+  coalesce : bool;
+  orec_bits : int;
+  telemetry : Telemetry.config option;
+}
+
 type result = {
   workload : string;
   model : string;
@@ -23,35 +36,58 @@ type result = {
 
 let default_seed = 0xBE5C
 
-let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coalesce = true)
-    ?(seed = default_seed) ?(orec_bits = 20) ?telemetry ~model ~algorithm ~threads spec =
-  let cfg = Memsim.Config.make ~heap_words:spec.heap_words ~track_media:false model in
-  Memsim.Sim.with_ (Memsim.Sim.create cfg) @@ fun sim ->
-  let m = Memsim.Sim.machine sim in
+let cell ~duration_ns ~model ~algorithm ~threads spec =
+  {
+    spec;
+    config = Memsim.Config.make ~heap_words:spec.heap_words ~track_media:false model;
+    algorithm;
+    threads;
+    duration_ns;
+    seed = default_seed;
+    flush_timing = Pstm.Ptm.At_commit;
+    coalesce = true;
+    orec_bits = 20;
+    telemetry = None;
+  }
+
+let max_threads (c : cell) = max (c.threads + 1) 32
+
+type setup_key =
+  string * Memsim.Config.t * Pstm.Ptm.algorithm * int * Pstm.Ptm.flush_timing * bool * int * int
+
+let setup_key (c : cell) =
+  ( c.spec.name, c.config, c.algorithm, c.seed, c.flush_timing, c.coalesce, c.orec_bits,
+    max_threads c )
+
+let populate (c : cell) f =
+  Memsim.Sim.with_ (Memsim.Sim.create c.config) @@ fun sim ->
   (* All of the run's randomness is rooted in [seed]: the per-thread
-     workload streams split off [root_rng] below, and the PTM's backoff
-     streams derive from the same seed.  No process-global generator is
-     involved, so concurrent runs on other domains cannot perturb this
-     one. *)
+     workload streams split off [root_rng] in [run_cell], and the PTM's
+     backoff streams derive from the same seed.  No process-global
+     generator is involved, so concurrent runs on other domains cannot
+     perturb this one. *)
   let ptm =
-    Pstm.Ptm.create ~algorithm ~flush_timing ~coalesce ~orec_bits
-      ~max_threads:(max (threads + 1) 32) ~rng_seed:seed m
+    Pstm.Ptm.create ~algorithm:c.algorithm ~flush_timing:c.flush_timing ~coalesce:c.coalesce
+      ~orec_bits:c.orec_bits ~max_threads:(max_threads c) ~rng_seed:c.seed (Memsim.Sim.machine sim)
   in
-  spec.setup ptm;
+  c.spec.setup ptm;
+  f sim ptm
+
+let run_cell (c : cell) =
+  populate c @@ fun sim ptm ->
+  let duration_ns = c.duration_ns in
   Memsim.Sim.reset_timing sim;
   Pstm.Ptm.Stats.reset ptm;
   (* Attach telemetry after setup so the streams cover exactly the
      measured phase.  Pure observation: no virtual time is added. *)
-  let capture =
-    match telemetry with None -> None | Some config -> Some (Telemetry.attach ~config sim ptm)
-  in
-  let root_rng = Repro_util.Rng.create seed in
+  let capture = Option.map (fun config -> Telemetry.attach ~config sim ptm) c.telemetry in
+  let root_rng = Repro_util.Rng.create c.seed in
   let latency = Repro_util.Histogram.create () in
-  for tid = 0 to threads - 1 do
+  for tid = 0 to c.threads - 1 do
     let rng = Repro_util.Rng.split root_rng in
     ignore
       (Memsim.Sim.spawn sim (fun () ->
-           let op = spec.make_op ptm ~tid ~rng in
+           let op = c.spec.make_op ptm ~tid ~rng in
            (* [Sim.now] reads the virtual clock as an int; the machine's
               [now_ns] facade returns a float and would box two of them
               per operation. *)
@@ -70,6 +106,7 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
   (match capture with
   | Some cap when (Telemetry.config cap).Telemetry.sample_interval_ns > 0 ->
     let interval_ns = (Telemetry.config cap).Telemetry.sample_interval_ns in
+    let m = Pstm.Ptm.machine ptm in
     ignore
       (Memsim.Sim.spawn sim (fun () ->
            while Memsim.Sim.now sim < duration_ns do
@@ -80,12 +117,11 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
   Memsim.Sim.run sim;
   let elapsed_ns = max (Memsim.Sim.now sim) 1 in
   let stats = Pstm.Ptm.Stats.get ptm in
-  let sim_stats = Memsim.Sim.Stats.get sim in
   {
-    workload = spec.name;
-    model = model.Memsim.Config.model_name;
-    algorithm = Pstm.Ptm.algorithm_name algorithm;
-    threads;
+    workload = c.spec.name;
+    model = c.config.Memsim.Config.model.Memsim.Config.model_name;
+    algorithm = Pstm.Ptm.algorithm_name c.algorithm;
+    threads = c.threads;
     elapsed_ns;
     commits = stats.Pstm.Ptm.Stats.commits;
     aborts = stats.Pstm.Ptm.Stats.aborts;
@@ -93,16 +129,19 @@ let run ?(duration_ns = 3_000_000) ?(flush_timing = Pstm.Ptm.At_commit) ?(coales
     commits_per_abort = Pstm.Ptm.Stats.commits_per_abort stats;
     max_log_lines = stats.Pstm.Ptm.Stats.max_log_lines;
     latency;
-    sim = sim_stats;
+    sim = Memsim.Sim.Stats.get sim;
     telemetry = capture;
   }
 
-let run_meta r ~seed ~duration_ns =
+let run ~duration_ns ~seed ~model ~algorithm ~threads spec =
+  run_cell { (cell ~duration_ns ~model ~algorithm ~threads spec) with seed }
+
+let run_meta (c : cell) (r : result) =
   {
     Telemetry.Export.workload = r.workload;
     model = r.model;
     algorithm = r.algorithm;
     threads = r.threads;
-    seed;
-    duration_ns;
+    seed = c.seed;
+    duration_ns = c.duration_ns;
   }

@@ -17,25 +17,56 @@ let threads_axis = [ 1; 2; 4; 8; 16; 32 ]
 
 let duration quick = if quick then 500_000 else 3_000_000
 
-(* Every pooled experiment is a grid: [grid ?jobs rows cols f] makes
-   one pool task [f row col] per cell — an independent, deterministic
-   simulation — runs them all in one [Pool.run] with up to [jobs]
-   workers, in row-major order, and returns one result list per row.
-   Because the pool reassembles results in submission order, the
-   tables built from the rows are byte-identical to a serial run
+(* A cell measured for the experiment size's window. *)
+let cell ~quick = Driver.cell ~duration_ns:(duration quick)
+
+(* A Driver-backed experiment at one size: its cells in row-major
+   order, and its tables rendered from their results in that order. *)
+type plan = { cells : Driver.cell list; render : Driver.result list -> Table.t list }
+
+(* Every cell is one pool task — an independent, deterministic
+   simulation — and all run in one [Pool.run] with up to [jobs]
+   workers.  The pool returns results in submission order, so the
+   tables rendered from them are byte-identical to a serial run
    regardless of [jobs]. *)
-let grid ?jobs rows cols f =
-  let width = List.length cols in
-  let cells =
-    Array.of_list
-      (Pool.run ?jobs (List.concat_map (fun row -> List.map (fun col () -> f row col) cols) rows))
-  in
-  List.mapi (fun i _ -> List.init width (fun j -> cells.((i * width) + j))) rows
+let grid ?jobs cells = Pool.run ?jobs (List.map (fun c () -> Driver.run_cell c) cells)
+
+let outcome_of ?jobs plan =
+  let results = grid ?jobs plan.cells in
+  { tables = plan.render results; results; extra = [] }
+
+(* [f x y] for every [x] of [xs], then every [y] of [ys]: row-major. *)
+let cross f xs ys = List.concat_map (fun x -> List.map (f x) ys) xs
+
+let take n xs = List.filteri (fun i _ -> i < n) xs
+let drop n xs = List.filteri (fun i _ -> i >= n) xs
 
 (* [xs] cut into consecutive runs of [n]. *)
-let rec runs n = function
-  | [] -> []
-  | xs -> List.filteri (fun i _ -> i < n) xs :: runs n (List.filteri (fun i _ -> i >= n) xs)
+let rec runs n = function [] -> [] | xs -> take n xs :: runs n (drop n xs)
+
+(* A one-table plan: row [x] of [xs] runs the cells [cells_of x] and
+   reads [row x rs] off their results [rs]. *)
+let one_table ~title ~header xs cells_of row =
+  let cells = List.map cells_of xs in
+  let render results =
+    let t = Table.create ~title ~header in
+    let add rs x cs =
+      let n = List.length cs in
+      Table.add_row t (row x (take n rs));
+      drop n rs
+    in
+    ignore (List.fold_left2 add results xs cells);
+    [ t ]
+  in
+  { cells = List.concat cells; render }
+
+(* Plans run as one: their cells in order, then their tables in order. *)
+let concat plans =
+  let render results =
+    let each rs p = (drop (List.length p.cells) rs, p.render (take (List.length p.cells) rs)) in
+    List.concat (snd (List.fold_left_map each results plans))
+  in
+  { cells = List.concat_map (fun p -> p.cells) plans; render }
 
 let mtx_per_s (r : Driver.result) = Table.cell_f (r.Driver.txs_per_sec /. 1e6)
 
@@ -76,102 +107,65 @@ let main_panels () =
   ]
 
 (* One throughput-vs-threads table per workload panel. *)
-let sweep ?jobs ~quick ~title ~series specs =
-  let dur = duration quick in
-  let rows = List.concat_map (fun spec -> List.map (fun s -> (spec, s)) series) specs in
-  let grid =
-    grid ?jobs rows threads_axis (fun (spec, (_, model, algorithm)) threads ->
-        Driver.run ~duration_ns:dur ~model ~algorithm ~threads spec)
-  in
-  let table spec panel =
-    let t =
-      Table.create
-        ~title:(Printf.sprintf "%s — %s (M tx/s by thread count)" title spec.Driver.name)
-        ~header:("series" :: List.map string_of_int threads_axis)
-    in
-    List.iter2
-      (fun (label, _, _) rs -> Table.add_row t (label :: List.map mtx_per_s rs))
-      series panel;
-    t
-  in
-  {
-    tables = List.map2 table specs (runs (List.length series) grid);
-    results = List.concat grid;
-    extra = [];
-  }
+let sweep ~quick ~title ~series specs =
+  concat
+    (List.map
+       (fun spec ->
+         one_table
+           ~title:(Printf.sprintf "%s — %s (M tx/s by thread count)" title spec.Driver.name)
+           ~header:("series" :: List.map string_of_int threads_axis)
+           series
+           (fun (_, model, algorithm) ->
+             List.map (fun threads -> cell ~quick ~model ~algorithm ~threads spec) threads_axis)
+           (fun (label, _, _) rs -> label :: List.map mtx_per_s rs))
+       specs)
 
 (* Throughput vs threads for the six B+Tree/TPCC/Vacation panels,
    DRAM vs Optane x ADR vs eADR x undo vs redo. *)
-let fig3 ?(quick = false) ?jobs () =
-  sweep ?jobs ~quick ~title:"Fig 3" ~series:fig3_series (main_panels ())
+let fig3 ~quick = sweep ~quick ~title:"Fig 3" ~series:fig3_series (main_panels ())
 
 (* Fig 3's comparison for TATP. *)
-let fig4 ?(quick = false) ?jobs () =
-  sweep ?jobs ~quick ~title:"Fig 4" ~series:fig3_series [ Tatp.spec ]
+let fig4 ~quick = sweep ~quick ~title:"Fig 4" ~series:fig3_series [ Tatp.spec ]
 
 (* One panel of Fig 3 — the unit the parallel byte-identity gate and
    the speedup self-benchmark sweep, so they stay quick-sized. *)
-let fig3_panel ?(quick = false) ?jobs spec =
-  sweep ?jobs ~quick ~title:"Fig 3" ~series:fig3_series [ spec ]
+let panel ~quick spec = sweep ~quick ~title:"Fig 3" ~series:fig3_series [ spec ]
+
+let fig3_panel ?(quick = false) ?jobs spec = outcome_of ?jobs (panel ~quick spec)
 
 (* Tables I/II: commits-per-abort for TPCC (hash), one row per
    placement/durability pair, one column per thread count >= 2. *)
-let ratio_table ?jobs ~quick ~title algorithm =
-  let dur = duration quick in
-  let rows =
+let ratio_table ~quick ~title algorithm =
+  let threads = List.filter (fun n -> n > 1) threads_axis in
+  one_table
+    ~title:
+      (Printf.sprintf "%s — commits per abort, TPCC (hash), %s" title
+         (Ptm.algorithm_name algorithm))
+    ~header:("config" :: List.map string_of_int threads)
     [
       ("DRAM_ADR", Config.dram_adr);
       ("DRAM_eADR", Config.dram_eadr);
       ("Optane_ADR", Config.optane_adr);
       ("Optane_eADR", Config.optane_eadr);
     ]
-  in
-  let threads = List.filter (fun n -> n > 1) threads_axis in
-  let t =
-    Table.create
-      ~title:(Printf.sprintf "%s — commits per abort, TPCC (hash), %s" title
-                (Ptm.algorithm_name algorithm))
-      ~header:("config" :: List.map string_of_int threads)
-  in
-  let grid =
-    grid ?jobs rows threads (fun (_, model) n ->
-        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:n (Tpcc.spec Tpcc.Hash))
-  in
-  List.iter2
-    (fun (label, _) rs -> Table.add_row t (label :: List.map commits_per_abort rs))
-    rows grid;
-  { tables = [ t ]; results = List.concat grid; extra = [] }
+    (fun (_, model) ->
+      List.map (fun n -> cell ~quick ~model ~algorithm ~threads:n (Tpcc.spec Tpcc.Hash)) threads)
+    (fun (label, _) rs -> label :: List.map commits_per_abort rs)
 
 (* Commits per abort, TPCC (hash), with redo (Table I) and undo
    (Table II) logging. *)
-let table1 ?(quick = false) ?jobs () = ratio_table ?jobs ~quick ~title:"Table I" Ptm.Redo
+let table1 ~quick = ratio_table ~quick ~title:"Table I" Ptm.Redo
 
-let table2 ?(quick = false) ?jobs () = ratio_table ?jobs ~quick ~title:"Table II" Ptm.Undo
+let table2 ~quick = ratio_table ~quick ~title:"Table II" Ptm.Undo
 
 (* Table III: throughput gain of the (incorrect) flush-without-fence
    variant over correct ADR.  Measured at 4 threads: past the write
    bandwidth saturation point (~4 threads on Optane) both variants are
    WPQ-throughput-bound and the fence gain disappears — the paper's
    machine shows its gains below saturation. *)
-let table3 ?(quick = false) ?jobs () =
-  let dur = duration quick in
+let table3 ~quick =
   let specs =
     [ Tpcc.spec Tpcc.Hash; Tatp.spec; Vacation.spec Vacation.Low; Vacation.spec Vacation.High ]
-  in
-  let t =
-    Table.create ~title:"Table III — speedup from removing fences (ADR, 4 threads)"
-      ~header:("logging" :: List.map (fun s -> s.Driver.name) specs)
-  in
-  let algorithms = [ Ptm.Undo; Ptm.Redo ] in
-  (* Each spec's correct-ADR run, then its fence-free twin. *)
-  let cols =
-    List.concat_map
-      (fun spec -> [ (spec, Config.optane_adr); (spec, Config.optane_adr_nofence) ])
-      specs
-  in
-  let grid =
-    grid ?jobs algorithms cols (fun algorithm (spec, model) ->
-        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:4 spec)
   in
   let gain = function
     | [ base; nofence ] ->
@@ -179,19 +173,21 @@ let table3 ?(quick = false) ?jobs () =
         (100.0 *. ((nofence.Driver.txs_per_sec /. base.Driver.txs_per_sec) -. 1.0))
     | _ -> assert false
   in
-  List.iter2
-    (fun algorithm rs ->
-      Table.add_row t (Ptm.algorithm_name algorithm :: List.map gain (runs 2 rs)))
-    algorithms grid;
-  { tables = [ t ]; results = List.concat grid; extra = [] }
+  one_table ~title:"Table III — speedup from removing fences (ADR, 4 threads)"
+    ~header:("logging" :: List.map (fun s -> s.Driver.name) specs)
+    [ Ptm.Undo; Ptm.Redo ]
+    (* Each spec's correct-ADR run, then its fence-free twin. *)
+    (fun algorithm ->
+      cross
+        (fun spec model -> cell ~quick ~model ~algorithm ~threads:4 spec)
+        specs [ Config.optane_adr; Config.optane_adr_nofence ])
+    (fun algorithm rs -> Ptm.algorithm_name algorithm :: List.map gain (runs 2 rs))
 
 (* Durability-model comparison (DRAM, eADR, PDRAM-R/U, PDRAM-Lite) for
    the six main panels (Fig 6) and for TATP (Fig 7). *)
-let fig6 ?(quick = false) ?jobs () =
-  sweep ?jobs ~quick ~title:"Fig 6" ~series:fig6_series (main_panels ())
+let fig6 ~quick = sweep ~quick ~title:"Fig 6" ~series:fig6_series (main_panels ())
 
-let fig7 ?(quick = false) ?jobs () =
-  sweep ?jobs ~quick ~title:"Fig 7" ~series:fig6_series [ Tatp.spec ]
+let fig7 ~quick = sweep ~quick ~title:"Fig 7" ~series:fig6_series [ Tatp.spec ]
 
 (* Fig 8: memcached, one worker, sweeping the working set across the
    L3 (32 KB) and the PDRAM DRAM-cache (96 MB) boundaries.  Sizes are
@@ -218,117 +214,87 @@ let fig8_series =
     ("PDRAM-Lite", Config.pdram_lite, Ptm.Redo);
   ]
 
-(* Memcached throughput vs working-set size, one worker thread. *)
-let fig8 ?(quick = false) ?jobs () =
-  let dur = duration quick in
+(* Memcached throughput vs working-set size, one worker thread.  The
+   paper cannot run the DRAM baseline beyond DRAM: those points have
+   no cell and render "n/a". *)
+let fig8 ~quick =
   let sizes = if quick then [ List.nth fig8_sizes 0; List.nth fig8_sizes 1 ] else fig8_sizes in
-  let dram_capacity = 96 * 1024 * 1024 in
-  let t =
-    Table.create ~title:"Fig 8 — memcached, 1 worker (k req/s by working set)"
-      ~header:("series" :: List.map fst sizes)
+  let runs_at (model : Config.model) (_, bytes) =
+    model.Config.data_media <> Config.Dram || bytes <= 96 * 1024 * 1024
   in
-  (* The paper cannot run the DRAM baseline beyond DRAM; those cells
-     run nothing and render "n/a". *)
-  let grid =
-    grid ?jobs fig8_series sizes (fun (_, (model : Config.model), algorithm) (_, bytes) ->
-        if model.Config.data_media = Config.Dram && bytes > dram_capacity then None
-        else
-          let spec = Memcached.spec ~items:(Memcached.items_for_bytes bytes) in
-          Some (Driver.run ~duration_ns:dur ~model ~algorithm ~threads:1 spec))
+  let point model rs size =
+    match rs with
+    | r :: rest when runs_at model size -> (rest, Table.cell_f (r.Driver.txs_per_sec /. 1e3))
+    | _ -> (rs, "n/a")
   in
-  let cell = function
-    | None -> "n/a"
-    | Some r -> Table.cell_f (r.Driver.txs_per_sec /. 1e3)
-  in
-  List.iter2 (fun (label, _, _) rs -> Table.add_row t (label :: List.map cell rs)) fig8_series grid;
-  { tables = [ t ]; results = List.filter_map Fun.id (List.concat grid); extra = [] }
+  one_table ~title:"Fig 8 — memcached, 1 worker (k req/s by working set)"
+    ~header:("series" :: List.map fst sizes)
+    fig8_series
+    (fun (_, model, algorithm) ->
+      List.map
+        (fun (_, bytes) ->
+          cell ~quick ~model ~algorithm ~threads:1
+            (Memcached.spec ~items:(Memcached.items_for_bytes bytes)))
+        (List.filter (runs_at model) sizes))
+    (fun (label, model, _) rs -> label :: snd (List.fold_left_map (point model) rs sizes))
 
 (* §IV-B: the compactness of redo logs that motivates PDRAM-Lite.  The
    largest persistent redo-log footprint (cache lines) per workload; the
    paper reports 37 lines for Vacation and 36 for TPCC. *)
-let log_footprint ?(quick = false) ?jobs () =
-  let dur = duration quick in
-  let t =
-    Table.create ~title:"Redo-log footprint (max cache lines per transaction)"
-      ~header:[ "workload"; "max lines"; "paper" ]
-  in
-  let rows =
+let log_footprint ~quick =
+  one_table ~title:"Redo-log footprint (max cache lines per transaction)"
+    ~header:[ "workload"; "max lines"; "paper" ]
     [
       (Vacation.spec Vacation.Low, "37 (\"never more than 37 contiguous lines\")");
       (Tpcc.spec Tpcc.Hash, "36 (\"at most 36 cache lines\")");
       (Tatp.spec, "(small)");
     ]
-  in
-  let results =
-    List.concat
-      (grid ?jobs rows [ () ] (fun (spec, _) () ->
-           Driver.run ~duration_ns:dur ~model:Config.optane_eadr ~algorithm:Ptm.Redo ~threads:8
-             spec))
-  in
-  List.iter2
-    (fun (spec, paper) r ->
-      Table.add_row t [ spec.Driver.name; string_of_int r.Driver.max_log_lines; paper ])
-    rows results;
-  { tables = [ t ]; results; extra = [] }
+    (fun (spec, _) -> [ cell ~quick ~model:Config.optane_eadr ~algorithm:Ptm.Redo ~threads:8 spec ])
+    (fun (spec, paper) rs ->
+      [ spec.Driver.name; string_of_int (List.hd rs).Driver.max_log_lines; paper ])
 
 (* §III-B: incremental vs commit-time flushing of the redo log (the
    paper found no noticeable difference). *)
-let flush_timing_ablation ?(quick = false) ?jobs () =
-  let dur = duration quick in
-  let t =
-    Table.create ~title:"Ablation — clwb timing of the redo log (ADR, M tx/s)"
-      ~header:[ "workload"; "threads"; "at-commit"; "incremental"; "delta" ]
+let flush_timing_ablation ~quick =
+  let delta = function
+    | [ a; b ] ->
+      [
+        mtx_per_s a;
+        mtx_per_s b;
+        Printf.sprintf "%+.1f%%" (100.0 *. ((b.Driver.txs_per_sec /. a.Driver.txs_per_sec) -. 1.0));
+      ]
+    | _ -> assert false
   in
-  let specs = [ Tpcc.spec Tpcc.Hash; Tatp.spec ] in
-  let thread_points = [ 1; 8 ] in
-  let rows = List.concat_map (fun spec -> List.map (fun n -> (spec, n)) thread_points) specs in
-  let grid =
-    grid ?jobs rows [ Ptm.At_commit; Ptm.Incremental ] (fun (spec, threads) flush_timing ->
-        Driver.run ~duration_ns:dur ~flush_timing ~model:Config.optane_adr ~algorithm:Ptm.Redo
-          ~threads spec)
-  in
-  List.iter2
-    (fun (spec, threads) rs ->
-      match rs with
-      | [ a; b ] ->
-        Table.add_row t
-          [
-            spec.Driver.name;
-            string_of_int threads;
-            mtx_per_s a;
-            mtx_per_s b;
-            Printf.sprintf "%+.1f%%"
-              (100.0 *. ((b.Driver.txs_per_sec /. a.Driver.txs_per_sec) -. 1.0));
-          ]
-      | _ -> assert false)
-    rows grid;
-  { tables = [ t ]; results = List.concat grid; extra = [] }
+  one_table ~title:"Ablation — clwb timing of the redo log (ADR, M tx/s)"
+    ~header:[ "workload"; "threads"; "at-commit"; "incremental"; "delta" ]
+    (cross (fun spec n -> (spec, n)) [ Tpcc.spec Tpcc.Hash; Tatp.spec ] [ 1; 8 ])
+    (fun (spec, threads) ->
+      List.map
+        (fun flush_timing ->
+          { (cell ~quick ~model:Config.optane_adr ~algorithm:Ptm.Redo ~threads spec) with
+            flush_timing })
+        [ Ptm.At_commit; Ptm.Incremental ])
+    (fun (spec, threads) rs -> spec.Driver.name :: string_of_int threads :: delta rs)
 
 (* Design-choice ablation: orec-table size vs false conflicts. *)
-let orec_ablation ?(quick = false) ?jobs () =
-  let dur = duration quick in
-  let t =
-    Table.create ~title:"Ablation — ownership-record table size (TPCC hash, redo, 16 threads)"
-      ~header:[ "orec bits"; "M tx/s"; "commits/abort" ]
-  in
-  let sizes = [ 10; 12; 14; 16; 18; 20 ] in
-  let results =
-    List.concat
-      (grid ?jobs sizes [ () ] (fun bits () ->
-           Driver.run ~duration_ns:dur ~orec_bits:bits ~model:Config.optane_eadr
-             ~algorithm:Ptm.Redo ~threads:16 (Tpcc.spec Tpcc.Hash)))
-  in
-  List.iter2
-    (fun bits r -> Table.add_row t [ string_of_int bits; mtx_per_s r; commits_per_abort r ])
-    sizes results;
-  { tables = [ t ]; results; extra = [] }
+let orec_ablation ~quick =
+  one_table ~title:"Ablation — ownership-record table size (TPCC hash, redo, 16 threads)"
+    ~header:[ "orec bits"; "M tx/s"; "commits/abort" ]
+    [ 10; 12; 14; 16; 18; 20 ]
+    (fun orec_bits ->
+      [
+        { (cell ~quick ~model:Config.optane_eadr ~algorithm:Ptm.Redo ~threads:16
+             (Tpcc.spec Tpcc.Hash)) with
+          orec_bits };
+      ])
+    (fun bits rs -> [ string_of_int bits; mtx_per_s (List.hd rs); commits_per_abort (List.hd rs) ])
 
 (* ---------- extensions beyond the paper's evaluation ---------- *)
 
 (* §V future work: "is HTM a viable strategy for accelerating PTM?  It
    might work with eADR and PDRAM."  Compare the TSX-style mode against
    the software paths under the flush-free domains. *)
-let htm ?(quick = false) ?jobs () =
+let htm ~quick =
   let series =
     [
       ("eADR_redo", Config.optane_eadr, Ptm.Redo);
@@ -341,7 +307,7 @@ let htm ?(quick = false) ?jobs () =
       ("HTMcommit_redo", Config.htm_commit, Ptm.Redo);
     ]
   in
-  sweep ?jobs ~quick ~title:"Extension — HTM under eADR/PDRAM" ~series
+  sweep ~quick ~title:"Extension — HTM under eADR/PDRAM" ~series
     [ Tpcc.spec Tpcc.Hash; Btree_bench.insert_only; Tatp.spec ]
 
 (* The first sample of strictly greatest reserve energy in a run's
@@ -365,53 +331,47 @@ let reserve_peak (r : Driver.result) =
 (* §V future work: reserve-power requirements per durability domain.
    The telemetry series samples the persistence debt every 5 us; the
    table reports the peak sample and its reserve energy. *)
-let reserve_energy ?(quick = false) ?jobs () =
-  let dur = duration quick in
+let reserve_energy ~quick =
   let telemetry =
-    { Telemetry.default_config with sample_interval_ns = 5_000; machine_trace_capacity = 0 }
+    Some { Telemetry.default_config with sample_interval_ns = 5_000; machine_trace_capacity = 0 }
   in
-  let t =
-    Table.create ~title:"Extension — reserve-power requirements (TPCC hash, redo, 8 threads)"
-      ~header:
-        [ "model"; "max WPQ lines"; "max dirty L3"; "max dirty pages"; "max log lines";
-          "reserve energy (uJ)" ]
+  let row _ rs =
+    let r = List.hd rs in
+    let d, energy = reserve_peak r in
+    [
+      r.Driver.model;
+      string_of_int d.Memsim.Sim.Debt.wpq_lines;
+      string_of_int d.Memsim.Sim.Debt.dirty_l3_lines;
+      string_of_int d.Memsim.Sim.Debt.dirty_dram_pages;
+      string_of_int d.Memsim.Sim.Debt.armed_log_lines;
+      Table.cell_f (energy /. 1e3);
+    ]
   in
-  let models =
+  one_table ~title:"Extension — reserve-power requirements (TPCC hash, redo, 8 threads)"
+    ~header:
+      [ "model"; "max WPQ lines"; "max dirty L3"; "max dirty pages"; "max log lines";
+        "reserve energy (uJ)" ]
     [
       Config.optane_adr; Config.optane_eadr; Config.transient_cache; Config.pdram_lite;
       Config.pdram;
     ]
-  in
-  let results =
-    List.concat
-      (grid ?jobs models [ () ] (fun model () ->
-           Driver.run ~duration_ns:dur ~telemetry ~model ~algorithm:Ptm.Redo ~threads:8
-             (Tpcc.spec Tpcc.Hash)))
-  in
-  List.iter
-    (fun r ->
-      let d, energy = reserve_peak r in
-      Table.add_row t
-        [
-          r.Driver.model;
-          string_of_int d.Memsim.Sim.Debt.wpq_lines;
-          string_of_int d.Memsim.Sim.Debt.dirty_l3_lines;
-          string_of_int d.Memsim.Sim.Debt.dirty_dram_pages;
-          string_of_int d.Memsim.Sim.Debt.armed_log_lines;
-          Table.cell_f (energy /. 1e3);
-        ])
-    results;
-  { tables = [ t ]; results; extra = [] }
+    (fun model ->
+      [
+        { (cell ~quick ~model ~algorithm:Ptm.Redo ~threads:8 (Tpcc.spec Tpcc.Hash)) with
+          telemetry };
+      ])
+    row
 
-(* One row of a per-commit ordering-economy table: [prefix], then the
-   fences and clwbs issued per commit and those flush coalescing saved,
-   summed from a passive-telemetry run's profiler.  A run without a
-   capture adds no row. *)
-let add_economy_row t prefix (r : Driver.result) =
-  match r.Driver.telemetry with
-  | None -> ()
-  | Some cap ->
-    let p = Telemetry.profile cap in
+let passive = Some { Telemetry.default_config with Telemetry.sample_interval_ns = 0 }
+
+(* [p]'s tables, then a per-commit ordering-economy table with one row
+   per cell: its [prefixes] entry, then the fences and clwbs issued per
+   commit and those flush coalescing saved, summed from the run's
+   passive-telemetry profiler. *)
+let with_economy ~title ~header prefixes p =
+  let header = header @ [ "fences/commit"; "clwbs/commit"; "fences saved"; "clwbs saved" ] in
+  let row t prefix (r : Driver.result) =
+    let p = Telemetry.profile (Option.get r.Driver.telemetry) in
     let { Pstm.Profile.fences; flushes; _ } = Pstm.Profile.run_total p in
     let commits = max 1 (Pstm.Profile.run_sum p Pstm.Profile.commits) in
     let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
@@ -423,6 +383,13 @@ let add_economy_row t prefix (r : Driver.result) =
           per (Pstm.Profile.run_sum p Pstm.Profile.fences_saved);
           per (Pstm.Profile.run_sum p Pstm.Profile.flushes_saved);
         ])
+  in
+  let render results =
+    let t = Table.create ~title ~header in
+    List.iter2 (row t) prefixes results;
+    p.render results @ [ t ]
+  in
+  { p with render }
 
 (* Tentpole extension: what software flush coalescing buys.  The bank
    workload's 2-write transfers under ADR pay the full per-entry
@@ -433,10 +400,8 @@ let add_economy_row t prefix (r : Driver.result) =
    {coalesced, naive} x {ADR, eADR} (redo), plus a per-commit
    flush/fence economy table (actual and saved counts from the
    profiler's coalescing ledger). *)
-let scaling ?(quick = false) ?jobs () =
-  let dur = duration quick in
+let scaling ~quick =
   let axis = if quick then [ 1; 2; 4 ] else threads_axis in
-  let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
   let series =
     [
       ("ADR_coalesced", Config.optane_adr, true);
@@ -445,28 +410,20 @@ let scaling ?(quick = false) ?jobs () =
       ("eADR_naive", Config.optane_eadr, false);
     ]
   in
-  let tput =
-    Table.create ~title:"Scaling — bank, redo: coalesced vs naive (M tx/s by thread count)"
-      ~header:("series" :: List.map string_of_int axis)
-  in
-  let economy =
-    Table.create ~title:"Scaling — flush/fence economy per commit (bank, redo)"
-      ~header:
-        [ "series"; "threads"; "fences/commit"; "clwbs/commit"; "fences saved"; "clwbs saved" ]
-  in
-  let grid =
-    grid ?jobs series axis (fun (_, model, coalesce) threads ->
-        Driver.run ~duration_ns:dur ~coalesce ~telemetry:passive ~model ~algorithm:Ptm.Redo
-          ~threads Bank.spec)
-  in
-  List.iter2
-    (fun (label, _, _) rs ->
-      List.iter2
-        (fun threads r -> add_economy_row economy [ label; string_of_int threads ] r)
-        axis rs;
-      Table.add_row tput (label :: List.map mtx_per_s rs))
-    series grid;
-  { tables = [ tput; economy ]; results = List.concat grid; extra = [] }
+  with_economy ~title:"Scaling — flush/fence economy per commit (bank, redo)"
+    ~header:[ "series"; "threads" ]
+    (cross (fun (label, _, _) n -> [ label; string_of_int n ]) series axis)
+    (one_table ~title:"Scaling — bank, redo: coalesced vs naive (M tx/s by thread count)"
+       ~header:("series" :: List.map string_of_int axis)
+       series
+       (fun (_, model, coalesce) ->
+         List.map
+           (fun threads ->
+             { (cell ~quick ~model ~algorithm:Ptm.Redo ~threads Bank.spec) with
+               coalesce;
+               telemetry = passive })
+           axis)
+       (fun (label, _, _) rs -> label :: List.map mtx_per_s rs))
 
 (* The five durability domains the algorithms and FAMS grids span, one
    table column each. *)
@@ -489,10 +446,8 @@ let domain_columns =
    algorithm's fence count collapses to zero — the crossover where
    MOD keeps paying its path-copying tax but its ordering advantage
    is gone. *)
-let algorithms ?(quick = false) ?jobs () =
-  let dur = duration quick in
+let algorithms ~quick =
   let threads = if quick then 2 else 4 in
-  let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
   (* Every algorithm that runs under every domain column (not HTM). *)
   let algs =
     List.filter
@@ -504,36 +459,24 @@ let algorithms ?(quick = false) ?jobs () =
           domain_columns)
       Ptm.algorithms
   in
-  let specs = [ Mod_bench.btree; Mod_bench.hash ] in
-  let tput =
-    Table.create
-      ~title:
-        (Printf.sprintf "Algorithms — mixed btree/hash throughput, %d threads (M tx/s)" threads)
-      ~header:("workload/algorithm" :: List.map fst domain_columns)
-  in
-  let economy =
-    Table.create ~title:"Algorithms — ordering economy per commit (profiler counters)"
-      ~header:
-        [
-          "workload"; "algorithm"; "model"; "fences/commit"; "clwbs/commit"; "fences saved";
-          "clwbs saved";
-        ]
-  in
-  let rows = List.concat_map (fun spec -> List.map (fun alg -> (spec, alg)) algs) specs in
-  let grid =
-    grid ?jobs rows domain_columns (fun (spec, algorithm) (_, model) ->
-        Driver.run ~duration_ns:dur ~telemetry:passive ~model ~algorithm ~threads spec)
-  in
-  List.iter2
-    (fun (spec, algorithm) rs ->
-      let alg_name = Ptm.algorithm_name algorithm in
-      List.iter2
-        (fun (model_name, _) r ->
-          add_economy_row economy [ spec.Driver.name; alg_name; model_name ] r)
-        domain_columns rs;
-      Table.add_row tput ((spec.Driver.name ^ "/" ^ alg_name) :: List.map mtx_per_s rs))
-    rows grid;
-  { tables = [ tput; economy ]; results = List.concat grid; extra = [] }
+  let rows = cross (fun spec a -> (spec, a)) [ Mod_bench.btree; Mod_bench.hash ] algs in
+  with_economy ~title:"Algorithms — ordering economy per commit (profiler counters)"
+    ~header:[ "workload"; "algorithm"; "model" ]
+    (cross
+       (fun (spec, a) (column, _) -> [ spec.Driver.name; Ptm.algorithm_name a; column ])
+       rows domain_columns)
+    (one_table
+       ~title:
+         (Printf.sprintf "Algorithms — mixed btree/hash throughput, %d threads (M tx/s)" threads)
+       ~header:("workload/algorithm" :: List.map fst domain_columns)
+       rows
+       (fun (spec, algorithm) ->
+         List.map
+           (fun (_, model) ->
+             { (cell ~quick ~model ~algorithm ~threads spec) with telemetry = passive })
+           domain_columns)
+       (fun (spec, a) rs ->
+         (spec.Driver.name ^ "/" ^ Ptm.algorithm_name a) :: List.map mtx_per_s rs))
 
 (* FAMS: the second crash-consistency API.  Each workload shape runs
    through the PTM (redo, one thread — the honest comparison for
@@ -572,21 +515,30 @@ let fams_cell_json c =
       ("syncs", Bench_json.Int c.fc_syncs);
     ]
 
+(* Each FAMS shape next to its PTM twin. *)
+let fams_pairs =
+  [
+    (Fams_bench.bank, Bank.spec);
+    (Fams_bench.kv, Mod_bench.hash);
+    (Fams_bench.btree, Btree_bench.insert_only);
+  ]
+
+(* The ptm-redo row of a pair: its PTM twin, redo, one thread. *)
+let fams_ptm_cell ~quick ptm_spec model =
+  cell ~quick ~model ~algorithm:Ptm.Redo ~threads:1 ptm_spec
+
+(* The grid's Driver cells: the ptm-redo rows, in grid order. *)
+let fams_cells ~quick =
+  cross
+    (fun (_, ptm_spec) (_, model) -> fams_ptm_cell ~quick ptm_spec model)
+    fams_pairs domain_columns
+
 let fams_run ?(quick = false) ?jobs () =
-  let dur = duration quick in
   let series =
     [
       ("ptm-redo", None);
       (Fams_bench.series_name Fams.Line, Some Fams.Line);
       (Fams_bench.series_name Fams.Page, Some Fams.Page);
-    ]
-  in
-  (* Each FAMS shape next to its PTM twin. *)
-  let pairs =
-    [
-      (Fams_bench.bank, Bank.spec);
-      (Fams_bench.kv, Mod_bench.hash);
-      (Fams_bench.btree, Btree_bench.insert_only);
     ]
   in
   let tput =
@@ -601,37 +553,39 @@ let fams_run ?(quick = false) ?jobs () =
           "KiB journaled"; "KiB dirtied";
         ]
   in
-  let rows = List.concat_map (fun pair -> List.map (fun s -> (pair, s)) series) pairs in
-  let grid =
-    grid ?jobs rows domain_columns
-      (fun (((fspec : Fams_bench.spec), ptm_spec), (series_name, g)) (model_name, model) ->
-        match g with
-        | None -> (Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:1 ptm_spec, None)
-        | Some granularity ->
-          let r = Fams_bench.run ~duration_ns:dur ~model ~granularity fspec in
-          let st = r.Fams_bench.fams in
-          let per x = float_of_int x /. float_of_int (max 1 st.Fams.Stats.syncs) in
-          ( r.Fams_bench.driver,
-            Some
-              {
-                fc_workload = fspec.Fams_bench.name;
-                fc_model = model_name;
-                fc_series = series_name;
-                fc_tx_per_sec = r.Fams_bench.driver.Driver.txs_per_sec;
-                fc_write_amp = Fams.Stats.write_amp st;
-                fc_fences_per_sync = per st.Fams.Stats.fences;
-                fc_flushes_per_sync = per st.Fams.Stats.flushes;
-                fc_bytes_journaled = st.Fams.Stats.bytes_journaled;
-                fc_bytes_dirtied = st.Fams.Stats.bytes_dirtied;
-                fc_syncs = st.Fams.Stats.syncs;
-              } ))
+  let rows = cross (fun pair s -> (pair, s)) fams_pairs series in
+  let run (((fspec : Fams_bench.spec), ptm_spec), (series_name, g)) (model_name, model) () =
+    match g with
+    | None -> (Driver.run_cell (fams_ptm_cell ~quick ptm_spec model), None)
+    | Some granularity ->
+      let r = Fams_bench.run ~duration_ns:(duration quick) ~model ~granularity fspec in
+      let st = r.Fams_bench.fams in
+      let per x = float_of_int x /. float_of_int (max 1 st.Fams.Stats.syncs) in
+      ( r.Fams_bench.driver,
+        Some
+          {
+            fc_workload = fspec.Fams_bench.name;
+            fc_model = model_name;
+            fc_series = series_name;
+            fc_tx_per_sec = r.Fams_bench.driver.Driver.txs_per_sec;
+            fc_write_amp = Fams.Stats.write_amp st;
+            fc_fences_per_sync = per st.Fams.Stats.fences;
+            fc_flushes_per_sync = per st.Fams.Stats.flushes;
+            fc_bytes_journaled = st.Fams.Stats.bytes_journaled;
+            fc_bytes_dirtied = st.Fams.Stats.bytes_dirtied;
+            fc_syncs = st.Fams.Stats.syncs;
+          } )
+  in
+  let points =
+    Pool.run ?jobs (cross run rows domain_columns)
   in
   List.iter2
     (fun (((fspec : Fams_bench.spec), _), (series_name, _)) rs ->
       Table.add_row tput
         ((fspec.Fams_bench.name ^ "/" ^ series_name) :: List.map (fun (r, _) -> mtx_per_s r) rs))
-    rows grid;
-  let cells = List.filter_map snd (List.concat grid) in
+    rows
+    (runs (List.length domain_columns) points);
+  let cells = List.filter_map snd points in
   List.iter
     (fun c ->
       Table.add_row economy
@@ -649,14 +603,11 @@ let fams_run ?(quick = false) ?jobs () =
   let outcome =
     {
       tables = [ tput; economy ];
-      results = List.map fst (List.concat grid);
+      results = List.map fst points;
       extra = [ ("fams_cells", Bench_json.List (List.map fams_cell_json cells)) ];
     }
   in
   (outcome, cells)
-
-(* {!fams_run}, outcome only: the CLI entry point. *)
-let fams ?quick ?jobs () = fst (fams_run ?quick ?jobs ())
 
 (* kvserve: the Fig 8 working-set sweep through the full service path
    (memcached codec -> shard router -> write batch -> commit), plus a
@@ -711,7 +662,7 @@ let kv_fleet ~quick ~seed ~items =
     ~items ~value_bytes:kv_value_bytes ~set_ratio:0.20 ~delete_ratio:0.02 ~incr_ratio:0.05
     ~mean_gap_ns:2_000 ~theta:0.8 ()
 
-let kvserve ?(quick = false) ?jobs () =
+let kvserve ~quick ~jobs =
   let sizes = if quick then [ List.nth kv_sizes 0; List.nth kv_sizes 1 ] else kv_sizes in
   let seed = 0x5EED in
   (* -- throughput sweep ------------------------------------------- *)
@@ -773,29 +724,26 @@ let kvserve ?(quick = false) ?jobs () =
       let modeled =
         List.fold_left (fun acc rc -> max acc rc.Service.r_modeled_ns) 0 recs
       in
-      let wall = sum (fun rc -> rc.Service.r_wall_ns) in
-      Table.add_row recovery
+      (* The summed counts, in table-column and JSON-key order. *)
+      let counts =
         [
-          label;
-          Table.cell_f (float_of_int modeled /. 1e3);
-          string_of_int (sum (fun rc -> rc.Service.r_words_scanned));
-          string_of_int (sum (fun rc -> rc.Service.r_entries_replayed));
-          string_of_int (sum (fun rc -> rc.Service.r_entries_rolled_back));
-          string_of_int (sum (fun rc -> rc.Service.r_durable_marker));
-          string_of_int (sum (fun rc -> rc.Service.r_replayed_ops));
-        ];
+          ("words_scanned", sum (fun rc -> rc.Service.r_words_scanned));
+          ("entries_replayed", sum (fun rc -> rc.Service.r_entries_replayed));
+          ("entries_rolled_back", sum (fun rc -> rc.Service.r_entries_rolled_back));
+          ("durable_batches", sum (fun rc -> rc.Service.r_durable_marker));
+          ("replayed_ops", sum (fun rc -> rc.Service.r_replayed_ops));
+        ]
+      in
+      Table.add_row recovery
+        (label
+        :: Table.cell_f (float_of_int modeled /. 1e3)
+        :: List.map (fun (_, n) -> string_of_int n) counts);
       recovery_json :=
         Bench_json.Obj
-          [
-            ("domain", Bench_json.String label);
-            ("modeled_recovery_ns", Bench_json.Int modeled);
-            ("recovery_wall_ns", Bench_json.Int wall);
-            ("words_scanned", Bench_json.Int (sum (fun rc -> rc.Service.r_words_scanned)));
-            ("entries_replayed", Bench_json.Int (sum (fun rc -> rc.Service.r_entries_replayed)));
-            ("entries_rolled_back", Bench_json.Int (sum (fun rc -> rc.Service.r_entries_rolled_back)));
-            ("durable_batches", Bench_json.Int (sum (fun rc -> rc.Service.r_durable_marker)));
-            ("replayed_ops", Bench_json.Int (sum (fun rc -> rc.Service.r_replayed_ops)));
-          ]
+          (("domain", Bench_json.String label)
+          :: ("modeled_recovery_ns", Bench_json.Int modeled)
+          :: ("recovery_wall_ns", Bench_json.Int (sum (fun rc -> rc.Service.r_wall_ns)))
+          :: List.map (fun (k, n) -> (k, Bench_json.Int n)) counts)
         :: !recovery_json)
     kv_recovery_series;
   {
@@ -833,7 +781,7 @@ let blame_json (b : Trace.blame) =
              b.Trace.brows) );
     ]
 
-let trace ?(quick = false) ?jobs () =
+let trace ~quick ~jobs =
   let seed = 0x5EED in
   let items = (512 * 1024) / kv_value_bytes in
   let latency_tbl =
@@ -910,45 +858,45 @@ let trace ?(quick = false) ?jobs () =
    per write, redo defers to commit), then what flush coalescing saved
    against the naive per-entry path.  `ptm_bench run --telemetry DIR`
    dumps the full profile, series and trace files of one such run. *)
-let telemetry ?(quick = false) ?jobs () =
+let telemetry ~quick =
   let duration_ns = if quick then 200_000 else 1_000_000 in
-  let configs =
-    [
-      (Config.optane_adr, Ptm.Redo);
-      (Config.optane_adr, Ptm.Undo);
-      (Config.optane_eadr, Ptm.Redo);
-      (Config.optane_eadr, Ptm.Undo);
-    ]
-  in
-  let results =
-    List.concat
-      (grid ?jobs configs [ () ] (fun (model, algorithm) () ->
-           Driver.run ~duration_ns ~telemetry:Telemetry.default_config ~model ~algorithm
-             ~threads:4 Bank.spec))
-  in
-  let saved =
-    Table.create ~title:"telemetry — coalescing savings vs the naive per-entry path"
-      ~header:[ "model"; "algorithm"; "fences saved"; "clwbs saved" ]
-  in
-  let phase_table (r : Driver.result) =
-    let cap =
-      match r.Driver.telemetry with Some cap -> cap | None -> failwith "telemetry capture missing"
+  let render results =
+    let saved =
+      Table.create ~title:"telemetry — coalescing savings vs the naive per-entry path"
+        ~header:[ "model"; "algorithm"; "fences saved"; "clwbs saved" ]
     in
-    let p = Telemetry.profile cap in
-    Table.add_row saved
-      [
-        r.Driver.model;
-        r.Driver.algorithm;
-        string_of_int (Pstm.Profile.run_sum p Pstm.Profile.fences_saved);
-        string_of_int (Pstm.Profile.run_sum p Pstm.Profile.flushes_saved);
-      ];
-    Telemetry.phase_table cap
-      ~title:
-        (Printf.sprintf "phase profile: bank on %s (%s, %d commits)" r.Driver.model
-           r.Driver.algorithm r.Driver.commits)
+    let phase_table (r : Driver.result) =
+      let cap = Option.get r.Driver.telemetry in
+      let p = Telemetry.profile cap in
+      Table.add_row saved
+        [
+          r.Driver.model;
+          r.Driver.algorithm;
+          string_of_int (Pstm.Profile.run_sum p Pstm.Profile.fences_saved);
+          string_of_int (Pstm.Profile.run_sum p Pstm.Profile.flushes_saved);
+        ];
+      Telemetry.phase_table cap
+        ~title:
+          (Printf.sprintf "phase profile: bank on %s (%s, %d commits)" r.Driver.model
+             r.Driver.algorithm r.Driver.commits)
+    in
+    let phase_tables = List.map phase_table results in
+    phase_tables @ [ saved ]
   in
-  let phase_tables = List.map phase_table results in
-  { tables = phase_tables @ [ saved ]; results; extra = [] }
+  {
+    cells =
+      List.map
+        (fun (model, algorithm) ->
+          { (Driver.cell ~duration_ns ~model ~algorithm ~threads:4 Bank.spec) with
+            telemetry = Some Telemetry.default_config })
+        [
+          (Config.optane_adr, Ptm.Redo);
+          (Config.optane_adr, Ptm.Undo);
+          (Config.optane_eadr, Ptm.Redo);
+          (Config.optane_eadr, Ptm.Undo);
+        ];
+    render;
+  }
 
 (* Host cost of the simulator itself: one Fig 3 btree-insert panel
    run in the calling domain, with the GC's minor and major words
@@ -991,26 +939,62 @@ let speedup ?(quick = false) ?jobs:_ () =
       ];
   }
 
-let all =
+(* Every experiment: the Driver cells it runs at a size, listed without
+   running them, and its run.  kvserve and trace drive the service,
+   not {!Driver}, and list no cell; fams lists its ptm-redo rows. *)
+type experiment = {
+  cells : quick:bool -> Driver.cell list;
+  run : quick:bool -> jobs:int option -> outcome;
+}
+
+let planned (plan : quick:bool -> plan) =
+  {
+    cells = (fun ~quick -> (plan ~quick).cells);
+    run = (fun ~quick ~jobs -> outcome_of ?jobs (plan ~quick));
+  }
+
+let registry =
   [
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("table1", table1);
-    ("table2", table2);
-    ("table3", table3);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("logsize", log_footprint);
-    ("flush-timing", flush_timing_ablation);
-    ("orec-size", orec_ablation);
-    ("htm", htm);
-    ("scaling", scaling);
-    ("reserve-energy", reserve_energy);
-    ("algorithms", algorithms);
-    ("fams", fams);
-    ("kvserve", kvserve);
-    ("trace", trace);
-    ("telemetry", telemetry);
-    ("speedup", speedup);
+    ("fig3", planned fig3);
+    ("fig4", planned fig4);
+    ("table1", planned table1);
+    ("table2", planned table2);
+    ("table3", planned table3);
+    ("fig6", planned fig6);
+    ("fig7", planned fig7);
+    ("fig8", planned fig8);
+    ("logsize", planned log_footprint);
+    ("flush-timing", planned flush_timing_ablation);
+    ("orec-size", planned orec_ablation);
+    ("htm", planned htm);
+    ("scaling", planned scaling);
+    ("reserve-energy", planned reserve_energy);
+    ("algorithms", planned algorithms);
+    ("fams", { cells = fams_cells; run = (fun ~quick ~jobs -> fst (fams_run ~quick ?jobs ())) });
+    ("kvserve", { cells = (fun ~quick:_ -> []); run = kvserve });
+    ("trace", { cells = (fun ~quick:_ -> []); run = trace });
+    ("telemetry", planned telemetry);
+    ( "speedup",
+      {
+        cells = (fun ~quick -> (panel ~quick Btree_bench.insert_only : plan).cells);
+        run = (fun ~quick ~jobs:_ -> speedup ~quick ());
+      } );
   ]
+
+let all =
+  List.map (fun (name, e) -> (name, fun ?(quick = false) ?jobs () -> e.run ~quick ~jobs)) registry
+
+let cells name ~quick = (List.assoc name registry).cells ~quick
+
+(* The named workloads `ptm_bench run` and `sweep` accept: each
+   spec's own name, but memcached's, which carries its item count. *)
+let workloads () =
+  let named = List.map (fun spec -> (spec.Driver.name, spec)) in
+  named
+    [
+      Bank.spec; Tatp.spec; Tpcc.spec Tpcc.Hash; Tpcc.spec Tpcc.Btree; Btree_bench.insert_only;
+      Btree_bench.mixed; Vacation.spec Vacation.Low; Vacation.spec Vacation.High;
+    ]
+  @ [ ("memcached", Memcached.spec ~items:2_000) ]
+  @ named
+      (List.map Ycsb.spec Ycsb.[ A; B; C; D; E; F ] @ [ Mod_bench.btree; Mod_bench.hash ])

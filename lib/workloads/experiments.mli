@@ -5,12 +5,12 @@
     what the paper reports.  [quick] shrinks the virtual measurement
     window (for smoke runs); results remain deterministic either way.
 
-    Most experiments are a grid of rows x columns with one independent
-    simulation per cell.  [jobs] bounds the worker pool that runs all
-    of a grid's cells, one pool task each, across OCaml domains
-    (default: the available cores, {!Parallel.Pool.default_jobs}).
-    Results come back in row-major submission order and are split into
-    rows before any table is built, so the printed tables, CSVs and
+    Most experiments are a list of {!Driver.cell}s in row-major order
+    plus a renderer from their results to tables; {!cells} lists them
+    without running anything.  [jobs] bounds the worker pool that runs
+    all of an experiment's cells, one pool task each, across OCaml
+    domains (default: the available cores, {!Parallel.Pool.default_jobs}).
+    Results come back in cell order, so the printed tables, CSVs and
     [results] are byte-identical for every [jobs] value — parallelism
     buys wall-clock time only, never different numbers.
 
@@ -72,3 +72,12 @@ val speedup : ?quick:bool -> ?jobs:int -> unit -> outcome
 
 val all : (string * (?quick:bool -> ?jobs:int -> unit -> outcome)) list
 (** Every experiment, keyed by its CLI name. *)
+
+val cells : string -> quick:bool -> Driver.cell list
+(** The Driver cells experiment [name] runs at that size, in the order
+    of its [results], without running them.  kvserve and trace drive
+    the service and list none; fams lists its ptm-redo rows only.
+    @raise Not_found for a name not in {!all}. *)
+
+val workloads : unit -> (string * Driver.spec) list
+(** The named workloads of [ptm_bench run] and [sweep]. *)

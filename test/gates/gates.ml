@@ -42,7 +42,9 @@
                                                  `ptm_bench regress` bites; scaling's ADR
                                                  flush economy; reserve-energy's domain
                                                  order; telemetry's artifacts (schema, exact
-                                                 phase sums, a rerun byte-identical); prints
+                                                 phase sums, a rerun byte-identical); each
+                                                 run's Driver results match, in order,
+                                                 the cells Experiments.cells lists; prints
                                                  host seconds and minor words (no check)
 
    Crashtest knobs, all optional:
@@ -608,17 +610,14 @@ let energy_ordering results =
 
 (* Each `telemetry` run commits, its phases sum to its transaction
    time, its artifacts keep their schema, and a rerun of the experiment
-   writes them byte for byte.  The header's duration is the virtual
-   time the run covered. *)
+   writes them byte for byte.  The header names the run's cell: its
+   duration is the cell's configured window. *)
 let telemetry_artifacts (o : Experiments.outcome) =
-  let files r =
-    let meta = Driver.run_meta r ~seed:Driver.default_seed ~duration_ns:r.Driver.elapsed_ns in
-    Telemetry.files meta (capture r)
-  in
+  let files c r = Telemetry.files (Driver.run_meta c r) (capture r) in
   List.iter2
-    (fun r again ->
+    (fun (c, r) again ->
       let cell = Printf.sprintf "telemetry %s/%s" r.Driver.model r.Driver.algorithm in
-      let artifacts = files r in
+      let artifacts = files c r in
       check (cell ^ ": commits") (r.Driver.commits > 0);
       let p = profile r in
       List.iter
@@ -636,8 +635,9 @@ let telemetry_artifacts (o : Experiments.outcome) =
             check (cell ^ " trace.json: a JSON object") (is_object (String.trim content))
           | _ -> check (Printf.sprintf "%s: expected artifact, got %s" cell name) false);
           same_bytes (Printf.sprintf "%s %s rerun" cell name) ~reference:content rerun)
-        artifacts (files again))
-    o.Experiments.results (quick "telemetry").Experiments.results
+        artifacts (files c again))
+    (List.combine (Experiments.cells "telemetry" ~quick:true) o.Experiments.results)
+    (quick "telemetry").Experiments.results
 
 (* The experiments judged beyond their tables.  Each row runs its
    experiment once, checks that outcome and returns it, so `results`
@@ -671,6 +671,25 @@ let judged =
     on_quick "telemetry" telemetry_artifacts;
   ]
 
+(* The listing is the run: [Experiments.cells] names, in order, the
+   workload, model, algorithm and threads of every Driver result the
+   experiment returned.  fams's FAMS rows, whose algorithm is a FAMS
+   series, come from no Driver cell. *)
+let listing_matches name (o : Experiments.outcome) =
+  let of_cell (c : Driver.cell) =
+    ( c.spec.Driver.name,
+      c.config.Memsim.Config.model.Memsim.Config.model_name,
+      Ptm.algorithm_name c.algorithm,
+      c.threads )
+  in
+  let of_result (r : Driver.result) = (r.workload, r.model, r.algorithm, r.threads) in
+  let driver_results =
+    List.filter (fun r -> Ptm.algorithm_of_name r.Driver.algorithm <> None) o.Experiments.results
+  in
+  check
+    (Printf.sprintf "%s: Experiments.cells lists the cells it ran, in order" name)
+    (List.map of_cell (Experiments.cells name ~quick:true) = List.map of_result driver_results)
+
 (* A judged row outside [results_experiments] would never run, and a
    name outside [Experiments.all] cannot: both fail before any run.
    Each experiment's run also prints its host cost (wall seconds and
@@ -697,6 +716,7 @@ let results () =
           Printf.printf "%s: ran in %.2f s host, %.1f M minor words\n%!" name
             (Unix.gettimeofday () -. t0)
             ((Gc.minor_words () -. w0) /. 1e6);
+          listing_matches name outcome;
           List.mapi
             (fun i table -> (Printf.sprintf "%s-%d.csv" name i, Repro_util.Table.to_csv table))
             outcome.Experiments.tables)

@@ -339,10 +339,15 @@ let test_log_range_placement () =
 (* A telemetry run of TATP redo whose series samples the persistence
    debt every 5 us, as the reserve-energy experiment does. *)
 let reserve_run ?(duration_ns = 300_000) model =
-  Workloads.Driver.run ~duration_ns
-    ~telemetry:
-      { Telemetry.default_config with sample_interval_ns = 5_000; machine_trace_capacity = 0 }
-    ~model ~algorithm:Ptm.Redo ~threads:4 Workloads.Tatp.spec
+  Workloads.Driver.run_cell
+    {
+      (Workloads.Driver.cell ~duration_ns ~model ~algorithm:Ptm.Redo ~threads:4
+         Workloads.Tatp.spec)
+      with
+      telemetry =
+        Some
+          { Telemetry.default_config with sample_interval_ns = 5_000; machine_trace_capacity = 0 };
+    }
 
 let test_energy_ordering_across_domains () =
   (* The paper's power argument: ADR < eADR <= PDRAM reserve needs. *)
@@ -379,8 +384,9 @@ let test_reserve_peak_first_maximum () =
     (fun () ->
       ignore
         (Workloads.Experiments.reserve_peak
-           (Workloads.Driver.run ~duration_ns:20_000 ~model:Config.optane_eadr
-              ~algorithm:Ptm.Redo ~threads:1 Workloads.Tatp.spec)))
+           (Workloads.Driver.run_cell
+              (Workloads.Driver.cell ~duration_ns:20_000 ~model:Config.optane_eadr
+                 ~algorithm:Ptm.Redo ~threads:1 Workloads.Tatp.spec))))
 
 let suite =
   [

@@ -350,6 +350,42 @@ let test_recovery_idempotent () =
   let after_second = (m'.Machine.raw_read base, m'.Machine.raw_read (base + 1)) in
   Alcotest.(check (pair int int)) "second recovery is a no-op" after_first after_second
 
+(* A hostile log for thread 0 of a 2-thread region with 64-word logs
+   (each area is rounded up to a 512-word page): status [status] (1
+   redo-committed, 2 undo-active) over entries that fill the whole
+   area with no sentinel, or over one entry whose address lies far
+   outside the heap.  Recovery refuses it as a corrupt image, with
+   nothing written, instead of running on into thread 1's area or
+   escaping as an out-of-bounds write; the armed-line count refuses it
+   too. *)
+let test_hostile_log ~status ~fault () =
+  let _sim, m, ptm = Helpers.ptm_fixture ~max_threads:2 ~log_words_per_thread:64 () in
+  let reg = Ptm.region ptm in
+  let base = Pmem.Region.log_base reg ~tid:0 in
+  let limit = base + Pmem.Region.log_words_per_thread reg in
+  let target = Pmem.Region.data_start reg in
+  m.Machine.raw_write base status;
+  (match fault with
+  | `No_sentinel ->
+    for i = 0 to ((limit - base - 2) / 2) - 1 do
+      m.Machine.raw_write (base + 2 + (2 * i)) target;
+      m.Machine.raw_write (base + 3 + (2 * i)) 7
+    done
+  | `Outside_heap ->
+    m.Machine.raw_write (base + 2) (1 lsl 40);
+    m.Machine.raw_write (base + 3) 7;
+    m.Machine.raw_write (base + 4) 0);
+  let image () = List.map m.Machine.raw_read [ base; target; limit ] in
+  let before = image () in
+  let corrupt label f =
+    match f () with
+    | _ -> Alcotest.fail (label ^ ": accepted a corrupt log")
+    | exception Machine.Corrupt_image _ -> ()
+  in
+  corrupt "recover" (fun () -> ignore (Ptm.recover m));
+  Alcotest.(check (list int)) "nothing written" before (image ());
+  corrupt "armed_log_lines" (fun () -> ignore (Ptm.armed_log_lines ptm))
+
 let suite =
   let both name f =
     [
@@ -383,6 +419,15 @@ let suite =
         prop_crash_any_time;
         Alcotest.test_case "recovery idempotent" `Quick test_recovery_idempotent;
       ];
+      List.concat_map
+        (fun (sname, status) ->
+          List.map
+            (fun (fname, fault) ->
+              Alcotest.test_case
+                (Printf.sprintf "hostile log: %s, %s" sname fname)
+                `Quick (test_hostile_log ~status ~fault))
+            [ ("no sentinel", `No_sentinel); ("entry outside the heap", `Outside_heap) ])
+        [ ("redo-committed", 1); ("undo-active", 2) ];
     ]
 
 let _ = both_algorithms

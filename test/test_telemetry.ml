@@ -8,8 +8,13 @@ module Config = Memsim.Config
 let duration_ns = 300_000
 let threads = 4
 
+let cell ?telemetry ?(coalesce = true) ~model ~algorithm () =
+  { (Driver.cell ~duration_ns ~model ~algorithm ~threads Workloads.Bank.spec) with
+    telemetry;
+    coalesce }
+
 let run ?telemetry ?coalesce ~model ~algorithm () =
-  Driver.run ~duration_ns ?telemetry ?coalesce ~model ~algorithm ~threads Workloads.Bank.spec
+  Driver.run_cell (cell ?telemetry ?coalesce ~model ~algorithm ())
 
 (* Sampler off: no monitor thread, so the interleaving must match an
    uninstrumented run exactly. *)
@@ -19,8 +24,6 @@ let capture (r : Driver.result) =
   match r.Driver.telemetry with
   | Some cap -> cap
   | None -> Alcotest.fail "run started with ?telemetry returned no capture"
-
-let meta (r : Driver.result) = Driver.run_meta r ~seed:Driver.default_seed ~duration_ns
 
 let test_disabled_identical () =
   (* Attaching the profiler + machine trace (no sampler) leaves every
@@ -39,11 +42,12 @@ let test_exports_deterministic () =
   (* Full telemetry (sampler on) twice: byte-identical artifacts. *)
   let model = Config.optane_adr and algorithm = Pstm.Ptm.Redo in
   let go () =
-    let r = run ~telemetry:Telemetry.default_config ~model ~algorithm () in
+    let c = cell ~telemetry:Telemetry.default_config ~model ~algorithm () in
+    let r = Driver.run_cell c in
     let cap = capture r in
-    ( Telemetry.profile_jsonl (meta r) cap,
+    ( Telemetry.profile_jsonl (Driver.run_meta c r) cap,
       Telemetry.series_csv cap,
-      Telemetry.chrome_trace (meta r) cap )
+      Telemetry.chrome_trace (Driver.run_meta c r) cap )
   in
   let j1, c1, t1 = go () in
   let j2, c2, t2 = go () in

@@ -4,7 +4,7 @@ module Config = Memsim.Config
 
 let quick_run ?(model = Config.optane_adr) ?(algorithm = Ptm.Redo) ?(threads = 2)
     ?(duration_ns = 150_000) spec =
-  Driver.run ~duration_ns ~model ~algorithm ~threads spec
+  Driver.run_cell (Driver.cell ~duration_ns ~model ~algorithm ~threads spec)
 
 let all_specs () =
   [
@@ -59,8 +59,10 @@ let test_driver_deterministic () =
 
 let test_driver_seed_changes_run () =
   let with_seed seed =
-    (Driver.run ~duration_ns:150_000 ~seed ~model:Config.optane_adr ~algorithm:Ptm.Redo
-       ~threads:2 Tatp.spec)
+    (Driver.run_cell
+       { (Driver.cell ~duration_ns:150_000 ~model:Config.optane_adr ~algorithm:Ptm.Redo
+            ~threads:2 Tatp.spec) with
+         seed })
       .Driver.commits
   in
   Helpers.check_bool "different seeds differ" true (with_seed 1 <> with_seed 2 || with_seed 3 <> with_seed 4)
@@ -187,6 +189,35 @@ let test_ycsb_d_inserts_grow_store () =
       Helpers.check_bool "inserts advanced the cursor" true
         (m.Machine.raw_read cursor > Ycsb.records + 1))
 
+(* Cells with one setup key populate identically: at 1 and 8 threads
+   the post-setup heap (digest over every raw word) and the machine
+   counters agree.  32 threads widen the PTM's thread table, so that
+   cell's key differs. *)
+let test_setup_key_same_population () =
+  let state c =
+    Driver.populate c (fun sim ptm ->
+        let m = Ptm.machine ptm in
+        let b = Buffer.create (8 * m.Machine.words) in
+        for a = 0 to m.Machine.words - 1 do
+          Buffer.add_int64_le b (Int64.of_int (m.Machine.raw_read a))
+        done;
+        (Digest.to_hex (Digest.string (Buffer.contents b)),
+         Memsim.Sim.Stats.fields (Memsim.Sim.Stats.get sim)))
+  in
+  List.iter
+    (fun spec ->
+      let at threads =
+        Driver.cell ~duration_ns:100_000 ~model:Config.optane_adr ~algorithm:Ptm.Redo ~threads spec
+      in
+      let name = spec.Driver.name in
+      Helpers.check_bool (name ^ ": 1 and 8 threads share a key") true
+        (Driver.setup_key (at 1) = Driver.setup_key (at 8));
+      Alcotest.(check (pair string (list (pair string int))))
+        (name ^ ": same post-setup heap and counters") (state (at 1)) (state (at 8));
+      Helpers.check_bool (name ^ ": 8 and 32 threads do not") false
+        (Driver.setup_key (at 8) = Driver.setup_key (at 32)))
+    [ Bank.spec; Memcached.spec ~items:64 ]
+
 let test_experiment_registry_complete () =
   let names = List.map fst Experiments.all in
   List.iter
@@ -226,7 +257,7 @@ let test_regress_gates_gc_pacing () =
     [ ("minor_collections_per_event", false); ("minor_words_per_collection", true) ]
     (List.map (fun f -> (f.J.f_path, f.J.f_severity = J.Regression)) findings)
 
-(* [Driver.run]'s measured phase on [facade m]: 8 threads for 1 ms.
+(* [Driver.run_cell]'s measured phase on [facade m]: 8 threads for 1 ms.
    Returns everything the run produced but the scheduler's settled
    waits, and those apart. *)
 let run_on_facade ~facade ~model ~algorithm (spec : Driver.spec) =
@@ -286,7 +317,7 @@ let test_experiment_shapes () =
   (* A micro version of the headline claims, as a regression guard:
      redo >= undo (TPCC), eADR > ADR, DRAM > Optane. *)
   let tput ~model ~algorithm =
-    (Driver.run ~duration_ns:400_000 ~model ~algorithm ~threads:4 (Tpcc.spec Tpcc.Hash))
+    (quick_run ~model ~algorithm ~threads:4 ~duration_ns:400_000 (Tpcc.spec Tpcc.Hash))
       .Driver.txs_per_sec
   in
   let dram_r = tput ~model:Config.dram_eadr ~algorithm:Ptm.Redo in
@@ -315,6 +346,7 @@ let suite =
     Alcotest.test_case "ycsb C read-only" `Quick test_ycsb_c_read_only;
     Alcotest.test_case "ycsb D inserts" `Quick test_ycsb_d_inserts_grow_store;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry_complete;
+    Alcotest.test_case "setup key: one population" `Quick test_setup_key_same_population;
     Alcotest.test_case "regress gates GC pacing" `Quick test_regress_gates_gc_pacing;
     Alcotest.test_case "headline shapes" `Slow test_experiment_shapes;
   ]
