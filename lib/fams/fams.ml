@@ -5,14 +5,11 @@
 
      sweep    journal every dirty unit (line or page, per the
               granularity knob) of the working area into the region's
-              snapshot log: [unit addr][unit content], then flush the
+              snapshot log (format: Pmem.Snapshot), then flush the
               journal lines and drain them with one fence;
-     publish  write the commit record — entry count, unit width and a
-              nonzero sequence number, all inside the snapshot area's
-              first cache line — and make it durable with one flush +
-              one fence.  The record is confined to a single line, so
-              under every durability domain it becomes durable
-              atomically: the snapshot is committed iff [seq <> 0];
+     publish  write the one-line commit record and make it durable
+              with one flush + one fence: the snapshot is committed
+              iff [seq <> 0];
      apply    copy the journaled units onto the home image (the
               durable copy readers of the *recovered* region see),
               flush, fence, then retire the snapshot by clearing [seq]
@@ -61,7 +58,6 @@ type granularity = Line | Page
 let granularity_name = function Line -> "line" | Page -> "page"
 
 let unit_words = function Line -> Layout.words_per_line | Page -> Layout.words_per_page
-let granularity_tag = function Line -> 1 | Page -> 2
 
 type inject = Skip_publish_fence | Torn_journal_entry
 
@@ -73,16 +69,6 @@ let inject_of_name = function
   | "skip-publish-fence" -> Some Skip_publish_fence
   | "torn-journal-entry" -> Some Torn_journal_entry
   | _ -> None
-
-(* Snapshot-area header (all within the first cache line, so the
-   commit record publishes atomically; words 5..7 are static
-   configuration written at format time). *)
-let hs_seq = 0 (* nonzero = journal committed, not yet retired *)
-let hs_count = 1 (* committed journal entries *)
-let hs_dwords = 2 (* data words per entry *)
-let hs_words = 5 (* user words in the working area *)
-let hs_gran = 6 (* granularity tag *)
-let journal_off = Layout.words_per_line
 
 module Stats = struct
   type t = {
@@ -125,13 +111,12 @@ end
 type t = {
   m : Machine.t;
   region : Pmem.Region.t;
-  granularity : granularity;
   inject : inject option;
   profiler : Profile.t option;
   dirty : Memsim.Dirty.t;
-  words : int; (* user words in the working area *)
-  work_base : int; (* mutable mapping the application stores into *)
-  home_base : int; (* durable image recovery reads *)
+  (* the working area the application stores into and the durable
+     home image recovery reads *)
+  area : Pmem.Snapshot.area;
   snap_base : int;
   snap_words : int;
   logical : Bytes.t; (* per-word dirty bit since last sync (write-amp denominator) *)
@@ -141,40 +126,25 @@ type t = {
   stats : Stats.t;
 }
 
-let page_align addr =
-  let p = Layout.words_per_page in
-  (addr + p - 1) / p * p
-
-let lines_per_page = Layout.words_per_page / Layout.words_per_line
-
-(* Worst-case journal footprint: every line of every page dirty.  Line
-   entries (1 + 8 words each, 64 per page) outweigh one page entry
-   (1 + 512), so the line bound covers both granularities. *)
-let snapshot_words_for ~words =
-  let npages = (words + Layout.words_per_page - 1) / Layout.words_per_page in
-  page_align (journal_off + (npages * lines_per_page * (1 + Layout.words_per_line)))
-
 let fams_roots = 16
 let fams_log_words = Layout.words_per_page
 let fams_max_threads = 1
 
-(* Heap size needed for a FAMS region with a [words]-word working
-   area — mirrors [Region]'s layout arithmetic so configs can be sized
-   before the machine exists. *)
 let required_heap_words ~words =
-  let log_base = page_align (8 + fams_roots) in
-  let snap_base = page_align (log_base + (fams_max_threads * page_align fams_log_words)) in
-  let data_start = page_align (snap_base + snapshot_words_for ~words) in
-  data_start + (2 * page_align words)
+  Pmem.Region.data_start_for ~roots:fams_roots ~log_words_per_thread:fams_log_words
+    ~max_threads:fams_max_threads
+    ~snapshot_words:(Pmem.Snapshot.size_for ~words)
+  + Pmem.Snapshot.data_words ~words
 
-let area t = (t.work_base, t.words)
-let granularity t = t.granularity
+let area t = (t.area.work_base, t.area.words)
+let granularity t = if t.area.unit_words = unit_words Line then Line else Page
 let stats t = t.stats
 let region t = t.region
 
 let[@inline] check_user_addr t addr =
-  if addr < 0 || addr >= t.words then
-    invalid_arg (Printf.sprintf "Fams: address %d outside working area of %d words" addr t.words)
+  if addr < 0 || addr >= t.area.words then
+    invalid_arg
+      (Printf.sprintf "Fams: address %d outside working area of %d words" addr t.area.words)
 
 let[@inline] mark_logical t addr =
   let byte = addr lsr 3 in
@@ -188,55 +158,43 @@ let[@inline] mark_logical t addr =
 let write t addr v =
   check_user_addr t addr;
   mark_logical t addr;
-  t.m.Machine.store (t.work_base + addr) v
+  t.m.Machine.store (t.area.work_base + addr) v
 
 let read t addr =
   check_user_addr t addr;
-  t.m.Machine.load (t.work_base + addr)
+  t.m.Machine.load (t.area.work_base + addr)
 
 (* Untimed setup access: bypasses the clock, the dirty tracker and the
    logical bitmap.  Callers must follow with {!checkpoint_raw} or the
    next crash discards the writes. *)
 let raw_write t addr v =
   check_user_addr t addr;
-  t.m.Machine.raw_write (t.work_base + addr) v
+  t.m.Machine.raw_write (t.area.work_base + addr) v
 
 let raw_read t addr =
   check_user_addr t addr;
-  t.m.Machine.raw_read (t.work_base + addr)
+  t.m.Machine.raw_read (t.area.work_base + addr)
 
 (* Untimed checkpoint: home := work, dirty state wiped — brings a
    freshly populated region to "everything synced" without paying
    simulated time, mirroring the PTM harnesses' untimed setup phase. *)
 let checkpoint_raw t =
-  for i = 0 to t.words - 1 do
-    t.m.Machine.raw_write (t.home_base + i) (t.m.Machine.raw_read (t.work_base + i))
+  for i = 0 to t.area.words - 1 do
+    t.m.Machine.raw_write (t.area.home_base + i) (t.m.Machine.raw_read (t.area.work_base + i))
   done;
   Memsim.Dirty.clear t.dirty;
   Bytes.fill t.logical 0 (Bytes.length t.logical) '\000';
   t.logical_words <- 0
 
-let make ~sim ~region ~granularity ~inject ~profiler ~words =
-  let m = Pmem.Region.machine region in
-  let work_base = Pmem.Region.data_start region in
-  let area_words = page_align words in
-  let home_base = work_base + area_words in
-  if home_base + area_words > m.Machine.words then
-    failwith
-      (Printf.sprintf "Fams: heap too small: %d words, need %d (use required_heap_words)"
-         m.Machine.words
-         (required_heap_words ~words));
-  let dirty = Memsim.Sim.track_dirty sim ~lo:work_base ~hi:(work_base + words) in
+let make ~sim ~region ~inject ~profiler (area : Pmem.Snapshot.area) =
+  let words = area.words in
   {
-    m;
+    m = Pmem.Region.machine region;
     region;
-    granularity;
     inject;
     profiler;
-    dirty;
-    words;
-    work_base;
-    home_base;
+    dirty = Memsim.Sim.track_dirty sim ~lo:area.work_base ~hi:(area.work_base + words);
+    area;
     snap_base = Pmem.Region.snapshot_base region;
     snap_words = Pmem.Region.snapshot_words region;
     logical = Bytes.make ((words + 7) / 8) '\000';
@@ -248,20 +206,14 @@ let make ~sim ~region ~granularity ~inject ~profiler ~words =
 
 let create ?(granularity = Line) ?inject ?profiler ~words sim =
   if words <= 0 then invalid_arg "Fams.create: words must be positive";
-  let m = Memsim.Sim.machine sim in
   let region =
     Pmem.Region.create ~roots:fams_roots ~log_words_per_thread:fams_log_words
       ~max_threads:fams_max_threads
-      ~snapshot_words:(snapshot_words_for ~words)
-      m
+      ~snapshot_words:(Pmem.Snapshot.size_for ~words)
+      (Memsim.Sim.machine sim)
   in
-  let snap_base = Pmem.Region.snapshot_base region in
-  m.Machine.raw_write (snap_base + hs_seq) 0;
-  m.Machine.raw_write (snap_base + hs_count) 0;
-  m.Machine.raw_write (snap_base + hs_dwords) 0;
-  m.Machine.raw_write (snap_base + hs_words) words;
-  m.Machine.raw_write (snap_base + hs_gran) (granularity_tag granularity);
-  make ~sim ~region ~granularity ~inject ~profiler ~words
+  make ~sim ~region ~inject ~profiler
+    (Pmem.Snapshot.format region ~words ~unit_words:(unit_words granularity))
 
 (* ---------- msync ---------- *)
 
@@ -295,8 +247,8 @@ let journal_unit t ~jpos ~unit_base ~uwords =
   if jpos + 1 + uwords > t.snap_base + t.snap_words then
     failwith "Fams.msync_atomic: journal overflow (snapshot area undersized)";
   let m = t.m in
-  m.Machine.store jpos (unit_base - t.work_base);
-  let len = min uwords (t.words - (unit_base - t.work_base)) in
+  m.Machine.store jpos (unit_base - t.area.work_base);
+  let len = min uwords (t.area.words - (unit_base - t.area.work_base)) in
   for k = 0 to len - 1 do
     m.Machine.store (jpos + 1 + k) (m.Machine.load (unit_base + k))
   done;
@@ -312,14 +264,14 @@ let with_opt_phase t phase f =
 
 let msync_atomic t =
   (match t.profiler with Some p -> Profile.txn_begin p | None -> ());
-  let uwords = unit_words t.granularity in
-  let jbase = t.snap_base + journal_off in
+  let uwords = t.area.unit_words in
+  let jbase = t.snap_base + Pmem.Snapshot.journal_off in
   let dirty_units = ref 0 in
   (* --- sweep: journal the dirty set --- *)
   let jend =
     with_opt_phase t Profile.Snap_sweep (fun () ->
         let jpos = ref jbase in
-        (match t.granularity with
+        (match granularity t with
         | Page ->
           Memsim.Dirty.iter_dirty_pages t.dirty (fun page_base ->
               incr dirty_units;
@@ -359,9 +311,9 @@ let msync_atomic t =
       if t.m.Machine.needs_fence then fams_sfence t Profile.Snap_sweep);
     (* --- publish: one-line commit record, atomic under every domain --- *)
     with_opt_phase t Profile.Snap_publish (fun () ->
-        t.m.Machine.store (t.snap_base + hs_count) n;
-        t.m.Machine.store (t.snap_base + hs_dwords) uwords;
-        t.m.Machine.store (t.snap_base + hs_seq) t.seq);
+        t.m.Machine.store (t.snap_base + Pmem.Snapshot.count) n;
+        t.m.Machine.store (t.snap_base + Pmem.Snapshot.dwords) uwords;
+        t.m.Machine.store (t.snap_base + Pmem.Snapshot.seq) t.seq);
     t.seq <- t.seq + 1;
     if t.m.Machine.needs_flush then
       fams_clwb_lines t Profile.Snap_publish ~first_line:(Layout.line_of_addr t.snap_base)
@@ -372,30 +324,22 @@ let msync_atomic t =
     if t.m.Machine.needs_fence then fams_sfence t Profile.Snap_publish;
     (* --- apply: journal -> home image, then retire the snapshot --- *)
     with_opt_phase t Profile.Snap_apply (fun () ->
-        let pos = ref jbase in
-        for _ = 1 to n do
-          let a = t.m.Machine.load !pos in
-          for k = 0 to uwords - 1 do
-            t.m.Machine.store (t.home_base + a + k) (t.m.Machine.load (!pos + 1 + k))
-          done;
-          pos := !pos + 1 + uwords
-        done);
+        Pmem.Snapshot.iter t.region t.area ~read:t.m.Machine.load n (fun a src ->
+            for k = 0 to uwords - 1 do
+              t.m.Machine.store (t.area.home_base + a + k) (t.m.Machine.load (src + k))
+            done));
     if t.m.Machine.needs_flush then begin
       (* Home units are unit-aligned, so their lines are exactly the
          journaled units' line images shifted into the home area. *)
       let flushed = ref 0 in
-      let pos = ref jbase in
       let nlines_per_unit = (uwords + Layout.words_per_line - 1) / Layout.words_per_line in
       ensure_lines_buf t (n * nlines_per_unit);
-      for _ = 1 to n do
-        let a = t.m.Machine.raw_read !pos in
-        let first = Layout.line_of_addr (t.home_base + a) in
-        for l = 0 to nlines_per_unit - 1 do
-          t.lines_buf.(!flushed) <- Layout.addr_of_line (first + l);
-          incr flushed
-        done;
-        pos := !pos + 1 + uwords
-      done;
+      Pmem.Snapshot.iter t.region t.area ~read:t.m.Machine.raw_read n (fun a _ ->
+          let first = Layout.line_of_addr (t.area.home_base + a) in
+          for l = 0 to nlines_per_unit - 1 do
+            t.lines_buf.(!flushed) <- Layout.addr_of_line (first + l);
+            incr flushed
+          done);
       t.stats.Stats.flushes <- t.stats.Stats.flushes + !flushed;
       (match t.profiler with
       | Some p ->
@@ -405,7 +349,7 @@ let msync_atomic t =
     end;
     if t.m.Machine.needs_fence then fams_sfence t Profile.Snap_apply;
     with_opt_phase t Profile.Snap_apply (fun () ->
-        t.m.Machine.store (t.snap_base + hs_seq) 0);
+        t.m.Machine.store (t.snap_base + Pmem.Snapshot.seq) 0);
     if t.m.Machine.needs_flush then
       fams_clwb_lines t Profile.Snap_apply ~first_line:(Layout.line_of_addr t.snap_base)
         ~nlines:1;
@@ -427,54 +371,28 @@ let msync_atomic t =
 
 (* ---------- recovery ---------- *)
 
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Machine.Corrupt_image ("Fams.recover: " ^ msg))) fmt
-
 let recover ?inject ?profiler sim =
   let m = Memsim.Sim.machine sim in
   let region = Pmem.Region.attach m in
-  let snap_base = Pmem.Region.snapshot_base region in
-  let snap_words = Pmem.Region.snapshot_words region in
-  if snap_words = 0 then corrupt "region has no snapshot area";
-  let words = m.Machine.raw_read (snap_base + hs_words) in
-  if words <= 0 then corrupt "bad working-area size %d" words;
-  let granularity =
-    match m.Machine.raw_read (snap_base + hs_gran) with
-    | 1 -> Line
-    | 2 -> Page
-    | g -> corrupt "bad granularity tag %d" g
-  in
-  let work_base = Pmem.Region.data_start region in
-  let home_base = work_base + page_align words in
-  let seq = m.Machine.raw_read (snap_base + hs_seq) in
-  if seq <> 0 then begin
+  let a = Pmem.Snapshot.decode region in
+  (match Pmem.Snapshot.committed region a with
+  | None -> ()
+  | Some n ->
     (* Committed, unretired snapshot: replay the journal onto the home
        image.  Entries carry absolute content, so replay after a crash
        mid-apply is idempotent.  Structural damage under a committed
        sequence number means the journal was published without being
-       durable first — surface it as corruption rather than guessing. *)
-    let n = m.Machine.raw_read (snap_base + hs_count) in
-    let dwords = m.Machine.raw_read (snap_base + hs_dwords) in
-    if dwords <> unit_words granularity then
-      corrupt "committed journal has %d-word units, granularity says %d" dwords
-        (unit_words granularity);
-    if n < 0 || journal_off + (n * (1 + dwords)) > snap_words then
-      corrupt "committed journal of %d entries exceeds the snapshot area" n;
-    let pos = ref (snap_base + journal_off) in
-    for e = 1 to n do
-      let a = m.Machine.raw_read !pos in
-      if a < 0 || a mod dwords <> 0 || a >= words then
-        corrupt "journal entry %d/%d has invalid unit address %d" e n a;
-      for k = 0 to dwords - 1 do
-        if a + k < words then
-          m.Machine.raw_write (home_base + a + k) (m.Machine.raw_read (!pos + 1 + k))
-      done;
-      pos := !pos + 1 + dwords
-    done;
-    m.Machine.raw_write (snap_base + hs_seq) 0
-  end;
+       durable first: the decoder raises it as corruption rather than
+       guessing. *)
+    Pmem.Snapshot.iter region a ~read:m.Machine.raw_read n (fun unit src ->
+        for k = 0 to a.unit_words - 1 do
+          if unit + k < a.words then
+            m.Machine.raw_write (a.home_base + unit + k) (m.Machine.raw_read (src + k))
+        done);
+    m.Machine.raw_write (Pmem.Region.snapshot_base region + Pmem.Snapshot.seq) 0);
   (* Rebuild the working mapping from the home image — pre-crash
      un-synced stores vanish, exactly the msync contract. *)
-  for i = 0 to words - 1 do
-    m.Machine.raw_write (work_base + i) (m.Machine.raw_read (home_base + i))
+  for i = 0 to a.words - 1 do
+    m.Machine.raw_write (a.work_base + i) (m.Machine.raw_read (a.home_base + i))
   done;
-  make ~sim ~region ~granularity ~inject ~profiler ~words
+  make ~sim ~region ~inject ~profiler a

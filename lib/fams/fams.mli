@@ -77,8 +77,9 @@ val recover : ?inject:inject -> ?profiler:Pstm.Profile.t -> Memsim.Sim.t -> t
     working area from the home image, re-arm dirty tracking.  Untimed.
     [inject] re-arms a protocol bug for subsequent syncs (mutation
     replays); recovery itself is never mutated.
-    @raise Machine.Corrupt_image when a committed commit record points
-    at a structurally invalid journal. *)
+    @raise Machine.Corrupt_image on an image that
+    {!Pmem.Region.attach} or the snapshot-log decoder
+    ({!Pmem.Snapshot}, which lists what it rejects) refuses. *)
 
 val msync_atomic : t -> unit
 (** Timed, from the single mutator thread: sweep the dirty set into

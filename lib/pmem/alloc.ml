@@ -19,10 +19,7 @@ let class_of words =
     invalid_arg (Printf.sprintf "Alloc: bad object size %d" words)
   else go 0
 
-(* Arenas are fixed-size chunks taken from the persistent high-water
-   mark.  Arena header word: kind+magic+size; zero means "never
-   initialized" (the scan then skips one arena — a bounded leak, the
-   price of not needing a log for refills). *)
+(* Arena and block-header encodings; the table is in alloc.mli. *)
 let arena_words = 2048
 let arena_magic = 0xA4E4
 let arena_header kind = (arena_magic lsl 20) lor kind
@@ -32,7 +29,10 @@ let kind_large = 1
 let is_arena_header w = w lsr 20 = arena_magic
 let arena_kind w = w land 0xFFFFF
 
-(* Block header word: magic | allocated bit | payload words. *)
+(* A large block's chunk: header word, block header and payload,
+   rounded up to whole arenas. *)
+let chunk_words words = (words + 2 + arena_words - 1) / arena_words * arena_words
+
 let block_magic = 0xB10C
 
 let mk_header ~allocated words =
@@ -65,11 +65,19 @@ let make region =
     arenas = Array.init nthreads (fun _ -> { cur = 0; limit = 0 });
   }
 
-let persisted_high_water t = t.m.Machine.raw_read Region.high_water_addr
+let high_water region =
+  let hw = (Region.machine region).Machine.raw_read Region.high_water_addr in
+  let data_start = Region.data_start region and data_end = Region.data_end region in
+  if hw < data_start || hw > data_end || (hw - data_start) mod arena_words <> 0 then
+    raise
+      (Machine.Corrupt_image
+         (Printf.sprintf "Alloc: high-water mark %d off the arena grid of the data area [%d, %d)"
+            hw data_start data_end));
+  hw
 
 let create region =
   let t = make region in
-  t.m.Machine.meta_set Meta.alloc_high_water_idx (persisted_high_water t);
+  t.m.Machine.meta_set Meta.alloc_high_water_idx (high_water region);
   t
 
 (* Advance the persistent high-water mark monotonically and make it
@@ -128,8 +136,7 @@ let alloc_large t ops ~words =
     match take [] t.large_free with
     | Some payload -> payload - 1
     | None ->
-      let chunk_words = (words + 2 + arena_words - 1) / arena_words * arena_words in
-      let base = claim_chunk t chunk_words in
+      let base = claim_chunk t (chunk_words words) in
       write_arena_header t base kind_large;
       base + 1
   in
@@ -167,14 +174,6 @@ let alloc t ops ~words =
     header_addr + 1
   end
 
-let header_of_payload t payload =
-  let h = t.m.Machine.raw_read (payload - 1) in
-  if not (is_block_header h) then
-    invalid_arg (Printf.sprintf "Alloc: %d is not a live payload address" payload);
-  h
-
-let payload_words t payload = header_words (header_of_payload t payload)
-
 let free t ops payload =
   let h = ops.txr (payload - 1) in
   if not (is_block_header h && header_allocated h) then
@@ -189,59 +188,67 @@ let free t ops payload =
         list := payload :: !list
       end)
 
-(* Header scan from data_start to the persisted high-water mark.
-   Calls [f ~payload ~words ~allocated] for every decodable block. *)
-let scan t f =
-  let raw = t.m.Machine.raw_read in
-  let hw = persisted_high_water t in
-  let p = ref (Region.data_start t.region) in
-  while !p < hw do
-    let w = raw !p in
-    if is_arena_header w && arena_kind w = kind_large then begin
-      let h = raw (!p + 1) in
-      let span =
-        if is_block_header h then begin
-          f ~payload:(!p + 2) ~words:(header_words h) ~allocated:(header_allocated h);
-          (header_words h + 2 + arena_words - 1) / arena_words * arena_words
-        end
-        else arena_words
-      in
-      p := !p + span
+type event =
+  | Block of { payload : int; words : int; allocated : bool }
+  | Leak of string option
+  | Garbage of string
+  | Corrupt of string
+
+(* The one walk of the arena chain, from data_start to the persisted
+   high-water mark, every arena's block chain bounded by the arena. *)
+let walk region f =
+  let raw = (Region.machine region).Machine.raw_read in
+  let hw = high_water region in
+  let say kind fmt = Printf.ksprintf (fun what -> f (kind what)) fmt in
+  let block payload h =
+    f (Block { payload; words = header_words h; allocated = header_allocated h })
+  in
+  (* A small arena's chain: block headers until a zero or garbage word. *)
+  let rec chain p q =
+    let h = if q < p + arena_words then raw q else 0 in
+    let words = header_words h in
+    if not (is_block_header h) then begin
+      if h <> 0 then say (fun w -> Garbage w) "arena %d: scan stopped at garbage word %d" p q
     end
+    else if words = 0 || q + 1 + words > p + arena_words then
+      say (fun w -> Corrupt w) "block at %d overflows its arena (size %d)" q words
     else begin
-      if is_arena_header w then begin
-        (* Small-object arena: hop block headers until zero/garbage. *)
-        let q = ref (!p + 1) in
-        let continue = ref true in
-        while !continue && !q < !p + arena_words do
-          let h = raw !q in
-          if is_block_header h then begin
-            f ~payload:(!q + 1) ~words:(header_words h) ~allocated:(header_allocated h);
-            q := !q + 1 + header_words h
-          end
-          else continue := false
-        done
-      end;
-      (* Unrecognized arena start: leaked by a crash during refill. *)
-      p := !p + arena_words
+      block (q + 1) h;
+      chain p (q + 1 + words)
     end
-  done
+  in
+  let rec arena p =
+    if p < hw then begin
+      let w = raw p and h = raw (p + 1) in
+      let large = is_arena_header w && arena_kind w = kind_large in
+      if large && is_block_header h then begin
+        let span = chunk_words (header_words h) in
+        if p + span > hw then
+          say (fun w -> Corrupt w) "large block at %d spans past the high-water mark" (p + 1)
+        else block (p + 2) h;
+        arena (p + span)
+      end
+      else begin
+        if large then
+          say (fun w -> Leak (Some w)) "large arena at %d has no block header (crash leak)" p
+        else if is_arena_header w then chain p (p + 1)
+        else if w = 0 then f (Leak None)
+        else say (fun w -> Leak (Some w)) "unrecognized arena start at %d (crash leak)" p;
+        arena (p + arena_words)
+      end
+    end
+  in
+  arena (Region.data_start region)
 
 let recover region =
   let t = make region in
-  t.m.Machine.meta_set Meta.alloc_high_water_idx (persisted_high_water t);
-  scan t (fun ~payload ~words ~allocated ->
-      if not allocated then begin
-        if words > max_object_words then t.large_free <- (payload, words) :: t.large_free
-        else begin
-          let list = t.free.(0).(class_of words) in
-          list := payload :: !list
-        end
-      end);
+  walk region (function
+    | Block { payload; words; allocated = false } ->
+      if words > max_object_words then t.large_free <- (payload, words) :: t.large_free
+      else begin
+        let list = t.free.(0).(class_of words) in
+        list := payload :: !list
+      end
+    | Block _ | Leak _ | Garbage _ | Corrupt _ -> ());
+  t.m.Machine.meta_set Meta.alloc_high_water_idx (high_water region);
   t
-
-let live_blocks t =
-  let acc = ref [] in
-  scan t (fun ~payload ~words ~allocated -> if allocated then acc := (payload, words) :: !acc);
-  !acc
-

@@ -15,112 +15,50 @@ let severity_name = function
   | Warning -> "warning"
   | Corruption -> "CORRUPTION"
 
-(* Mirrors of Alloc's header encodings (kept in sync by the
-   cross-check test that formats a heap and fsck's it). *)
-let arena_words = 2048
-let is_arena_header w = w lsr 20 = 0xA4E4
-let arena_kind w = w land 0xFFFFF
-let is_block_header w = w lsr 24 = 0xB10C
-let header_allocated w = w land (1 lsl 16) <> 0
-let header_words w = w land 0xFFFF
-
+(* A client of the format owners: each reader's rejection becomes a
+   Corruption finding, so an image recovery refuses never checks
+   clean. *)
 let run region =
-  let m = Region.machine region in
-  let raw = m.Machine.raw_read in
   let findings = ref [] in
-  let add severity fmt = Printf.ksprintf (fun what -> findings := { severity; what } :: !findings) fmt in
+  let add severity what = findings := { severity; what } :: !findings in
+  let decoded f = try f () with Machine.Corrupt_image what -> add Corruption what in
   let live = ref 0 and free = ref 0 and leaked = ref 0 and live_words = ref 0 in
   let data_start = Region.data_start region in
   let data_end = Region.data_end region in
-  let hw = raw Region.high_water_addr in
-  if hw < data_start || hw > data_end then
-    add Corruption "high-water mark %d outside data area [%d, %d)" hw data_start data_end;
   (* Root slots must be 0 or point into the data area. *)
   for i = 0 to Region.roots region - 1 do
     let r = Region.root_get region i in
     if r <> 0 && (r < data_start || r >= data_end) then
-      add Corruption "root %d points outside the data area (%d)" i r
+      add Corruption (Printf.sprintf "root %d points outside the data area (%d)" i r)
   done;
-  (* PTM log areas: status must be a known tag; armed entries must
-     reference heap words. *)
   for tid = 0 to Region.max_threads region - 1 do
-    let base = Region.log_base region ~tid in
-    let status = raw base in
-    if status <> 0 && status <> 1 && status <> 2 then
-      add Corruption "log %d has unknown status %d" tid status
-    else if status <> 0 then begin
-      add Info "log %d active (status %d): crash recovery pending" tid status;
-      let pos = ref (base + 2) in
-      let limit = base + Region.log_words_per_thread region - 1 in
-      while raw !pos <> 0 && !pos < limit do
-        let addr = raw !pos in
-        if addr < 0 || addr >= data_end then
-          add Corruption "log %d entry references address %d out of range" tid addr;
-        pos := !pos + 2
-      done
-    end
+    decoded (fun () ->
+        let status = Log.status region ~tid in
+        if status <> Log.idle then begin
+          add Info (Printf.sprintf "log %d active (status %d): crash recovery pending" tid status);
+          Log.fold region ~tid (fun () _ _ -> ()) ()
+        end)
   done;
-  (* Allocator arenas and block chains. *)
-  let hw = min hw data_end in
-  let p = ref data_start in
-  while !p < hw do
-    let w = raw !p in
-    if is_arena_header w && arena_kind w = 1 then begin
-      (* large chunk *)
-      let h = raw (!p + 1) in
-      if is_block_header h then begin
-        let words = header_words h in
-        if header_allocated h then begin
+  if Region.snapshot_words region > 0 then
+    decoded (fun () ->
+        let area = Snapshot.decode region in
+        let read = (Region.machine region).Machine.raw_read in
+        Option.iter
+          (fun n ->
+            add Info (Printf.sprintf "snapshot journal of %d entries committed: recovery pending" n);
+            Snapshot.iter region area ~read n (fun _ _ -> ()))
+          (Snapshot.committed region area));
+  decoded (fun () ->
+      Alloc.walk region (function
+        | Alloc.Block { words; allocated = true; _ } ->
           incr live;
           live_words := !live_words + words
-        end
-        else incr free;
-        let span = (words + 2 + arena_words - 1) / arena_words * arena_words in
-        if !p + span > hw then
-          add Corruption "large block at %d spans past the high-water mark" (!p + 1);
-        p := !p + span
-      end
-      else begin
-        add Warning "large arena at %d has no block header (crash leak)" !p;
-        incr leaked;
-        p := !p + arena_words
-      end
-    end
-    else if is_arena_header w then begin
-      (* small-object arena: walk the block chain *)
-      let q = ref (!p + 1) in
-      let fin = !p + arena_words in
-      let continue = ref true in
-      while !continue && !q < fin do
-        let h = raw !q in
-        if is_block_header h then begin
-          let words = header_words h in
-          if words = 0 || !q + 1 + words > fin then begin
-            add Corruption "block at %d overflows its arena (size %d)" !q words;
-            continue := false
-          end
-          else begin
-            if header_allocated h then begin
-              incr live;
-              live_words := !live_words + words
-            end
-            else incr free;
-            q := !q + 1 + words
-          end
-        end
-        else begin
-          if h <> 0 then add Warning "arena %d: scan stopped at garbage word %d" !p !q;
-          continue := false
-        end
-      done;
-      p := !p + arena_words
-    end
-    else begin
-      if w <> 0 then add Warning "unrecognized arena start at %d (crash leak)" !p;
-      incr leaked;
-      p := !p + arena_words
-    end
-  done;
+        | Block { allocated = false; _ } -> incr free
+        | Leak what ->
+          incr leaked;
+          Option.iter (add Warning) what
+        | Garbage what -> add Warning what
+        | Corrupt what -> add Corruption what));
   {
     findings = List.rev !findings;
     live_blocks = !live;

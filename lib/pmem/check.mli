@@ -1,11 +1,14 @@
 (** Region integrity checker (the `pmempool check` analog).
 
-    Walks a region's persistent metadata — header, root slots, the
-    allocator's arena/block-header chains and the per-thread PTM log
-    areas — and reports everything suspicious.  Read-only and safe to
-    run on any attached region, including one that has just survived a
-    crash (where leaked arenas are expected and reported as such,
-    not as corruption). *)
+    A client of each persistent format's one decoder: the root slots of
+    the {!Region} header, the per-thread PTM logs ({!Log}), the FAMS
+    snapshot log when the region has one ({!Snapshot}) and the
+    allocator's arena chain ({!Alloc.walk}).  A decoder's rejection
+    becomes a [Corruption] finding, so an image that recovery refuses
+    never checks clean.  Read-only and safe to run on any attached
+    region, including one that has just survived a crash (where armed
+    logs and leaked arenas are expected and reported as such, not as
+    corruption). *)
 
 type severity = Info | Warning | Corruption
 
@@ -21,8 +24,8 @@ type report = {
 
 val run : Region.t -> report
 (** Scan the region.  Corruption findings mean persistent metadata is
-    inconsistent (overlapping blocks, headers out of bounds, root
-    pointers outside the data area, log areas with malformed status). *)
+    inconsistent: a root pointer outside the data area, or anything a
+    decoder rejects. *)
 
 val is_clean : report -> bool
 (** No [Corruption] findings. *)

@@ -100,7 +100,7 @@ let build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler ~las
     flush_timing;
     coalesce;
     orec_mask = (1 lsl orec_bits) - 1;
-    log_capacity = (Pmem.Region.log_words_per_thread reg - 3) / 2;
+    log_capacity = Pmem.Log.capacity reg;
     txs = Array.make nthreads None;
     stats = Array.init nthreads (fun _ -> fresh_stats ());
     rng_seed;
@@ -116,73 +116,51 @@ let create ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(c
   let allocator = Pmem.Alloc.create reg in
   (* Log status words must start out durably idle. *)
   for tid = 0 to max_threads - 1 do
-    m.Machine.raw_write (Pmem.Region.log_base reg ~tid) status_idle
+    Pmem.Log.reset reg ~tid
   done;
   build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler:None
     ~last_recovery:None ~inject m reg allocator
 
 (* ---------- crash recovery ---------- *)
 
-(* [f] folded over the (addr, value) entries of the log at [base],
-   oldest first, up to its zero-addr sentinel.  The walk is bounded by
-   the log's area and checks every entry address against the heap, so
-   a torn or hostile image fails here instead of running past the area
-   or writing outside the heap. *)
-let fold_log m reg ~base f acc =
-  let raw = m.Machine.raw_read in
-  let limit = base + Pmem.Region.log_words_per_thread reg in
-  let corrupt what pos =
-    raise (Machine.Corrupt_image (Printf.sprintf "Ptm: log at %d: %s at word %d" base what pos))
-  in
-  let rec walk acc pos =
-    if pos >= limit then corrupt "no sentinel in the log's area" pos
-    else
-      let addr = raw pos in
-      if addr = 0 then acc
-      else if addr < 0 || addr >= m.Machine.words then corrupt "entry outside the heap" pos
-      else if pos + 1 >= limit then corrupt "entry crosses the area's end" pos
-      else walk (f acc addr (raw (pos + 1))) (pos + 2)
-  in
-  walk acc (base + 2)
-
-let recover_logs m reg =
+let recover_logs reg =
   let nthreads = Pmem.Region.max_threads reg in
-  let armed status = status = status_redo_committed || status = status_undo_active in
-  (* Every armed log is walked before any is applied, so a corrupt
-     image raises with nothing written. *)
+  (* Every log is decoded before any is applied, so a corrupt image
+     raises with nothing written. *)
   let logs =
     List.init nthreads (fun tid ->
-        let base = Pmem.Region.log_base reg ~tid in
-        let status = m.Machine.raw_read base in
         let push entries addr value = (addr, value) :: entries in
-        (base, status, if armed status then fold_log m reg ~base push [] else []))
+        (tid, Pmem.Log.status reg ~tid, Pmem.Log.fold reg ~tid push []))
   in
+  let m = Pmem.Region.machine reg in
   List.iter
-    (fun (base, status, entries) ->
+    (fun (tid, status, entries) ->
       (* Replay committed-but-possibly-not-written-back values; roll an
          in-flight transaction back, newest entry first. *)
-      let entries = if status = status_redo_committed then List.rev entries else entries in
+      let entries = if status = Pmem.Log.redo_committed then List.rev entries else entries in
       List.iter (fun (addr, value) -> m.Machine.raw_write addr value) entries;
-      m.Machine.raw_write base status_idle)
+      Pmem.Log.reset reg ~tid)
     logs;
-  let count p = List.fold_left (fun n (_, s, es) -> if p s then n + List.length es else n) 0 logs in
-  let walked = List.length (List.filter (fun (_, s, _) -> armed s) logs) in
+  let sum f = List.fold_left (fun n (_, s, es) -> n + f s (List.length es)) 0 logs in
+  let count status = sum (fun s n -> if s = status then n else 0) in
   {
     Recovery_report.logs_scanned = nthreads;
-    (* Every status word, then each walked log's entries and sentinel. *)
-    words_scanned = nthreads + (2 * count armed) + walked;
-    entries_replayed = count (( = ) status_redo_committed);
-    entries_rolled_back = count (( = ) status_undo_active);
+    words_scanned = sum (fun status n -> Pmem.Log.words_read ~status n);
+    entries_replayed = count Pmem.Log.redo_committed;
+    entries_rolled_back = count Pmem.Log.undo_active;
   }
 
 let recover ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
     ?(rng_seed = default_rng_seed) ?profiler ?inject m =
   check_config ~algorithm ~orec_bits m;
   let reg = Pmem.Region.attach m in
+  (* Checked before any log is applied; a replay cannot write the
+     region header, so [Alloc.recover] meets the same mark. *)
+  ignore (Pmem.Alloc.high_water reg : int);
   let report =
     match profiler with
-    | None -> recover_logs m reg
-    | Some p -> Profile.with_phase p Profile.Recovery (fun () -> recover_logs m reg)
+    | None -> recover_logs reg
+    | Some p -> Profile.with_phase p Profile.Recovery (fun () -> recover_logs reg)
   in
   let allocator = Pmem.Alloc.recover reg in
   build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler
@@ -396,20 +374,13 @@ and retry : 'a. t -> tx -> (tx -> 'a) -> 'a =
 
 (* ---------- statistics ---------- *)
 
-(* The logs [recover_logs] would replay or roll back, in cache lines:
-   each log whose status word is not idle, from its base through its
-   zero-addr sentinel.  Untimed reads, so a monitor thread may count
-   mid-run. *)
+(* The logs [recover_logs] would replay or roll back, in cache lines.
+   Untimed reads, so a monitor thread may count mid-run. *)
 let armed_log_lines t =
   let lines = ref 0 in
   for tid = Pmem.Region.max_threads t.reg - 1 downto 0 do
-    let base = Pmem.Region.log_base t.reg ~tid in
-    if t.m.Machine.raw_read base <> status_idle then begin
-      (* The sentinel follows the status word, the unused word and
-         two words per entry. *)
-      let sentinel = fold_log t.m t.reg ~base (fun pos _ _ -> pos + 2) (base + 2) in
-      lines := !lines + Layout.line_of_addr sentinel - Layout.line_of_addr base + 1
-    end
+    if Pmem.Log.status t.reg ~tid <> Pmem.Log.idle then
+      lines := !lines + Pmem.Log.lines (Pmem.Log.fold t.reg ~tid (fun n _ _ -> n + 1) 0)
   done;
   !lines
 

@@ -185,17 +185,20 @@ val recover :
     {!Profile.Recovery} phase and the profiler stays installed.
     Rejects the configurations {!create} rejects, before touching the
     image.
-    @raise Machine.Corrupt_image when a replayed or rolled-back log
-    runs to its area's end without a sentinel or holds an entry
-    outside the heap; every log is checked before any is applied. *)
+    @raise Machine.Corrupt_image on an image that {!Pmem.Region.attach},
+    the log decoder ({!Pmem.Log}) or the allocator's walk
+    ({!Pmem.Alloc.walk}) rejects; their interfaces list what each
+    rejects.  Every log and the allocator's high-water mark are decoded
+    before any log is applied, so a refused image is left as it was. *)
 
 val armed_log_lines : t -> int
 (** Cache lines of the logs {!recover} would replay or roll back now:
-    every thread's log whose status word is not idle, from its base
-    through its sentinel.  Untimed raw reads, so a monitor thread may
+    every armed log, from its status word through its sentinel
+    ({!Pmem.Log.lines}).  Untimed raw reads, so a monitor thread may
     call it mid-run; the persistence-debt sample counts these under
     PDRAM-Lite.
-    @raise Machine.Corrupt_image as {!recover} does, on such a log. *)
+    @raise Machine.Corrupt_image on a log the decoder ({!Pmem.Log})
+    rejects. *)
 
 val region : t -> Pmem.Region.t
 val machine : t -> Machine.t

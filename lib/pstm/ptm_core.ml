@@ -37,13 +37,6 @@ module Recovery_report = struct
   }
 end
 
-(* Log status words (per-thread, first word of the log area).
-   Entries are (addr, value) pairs starting at log_base+2, terminated
-   by a zero addr sentinel, so recovery never needs a separate count. *)
-let status_idle = 0
-let status_redo_committed = 1
-let status_undo_active = 2
-
 type thread_stats = {
   mutable commits : int;
   mutable aborts : int;
@@ -161,12 +154,10 @@ let fence t =
     | None -> t.m.Machine.sfence ()
     | Some p -> Profile.leaf_fence p Profile.Fence_wait (fun () -> t.m.Machine.sfence ())
 
-(* ---------- per-thread log ---------- *)
+(* ---------- per-thread log (format: Pmem.Log) ---------- *)
 
 let[@inline] log_base tx = Pmem.Region.log_base tx.ptm.reg ~tid:tx.tid
-
-(* Address of log entry [i] (its value word is the next one). *)
-let[@inline] log_entry tx i = log_base tx + 2 + (2 * i)
+let[@inline] log_entry tx i = Pmem.Log.entry ~base:(log_base tx) i
 
 let write_status tx status =
   let t = tx.ptm in
@@ -442,11 +433,9 @@ let commit_read_only tx =
   true
 
 (* A writer committed [n] distinct words; [logged] protocols (redo,
-   undo) also record their persistent log footprint in lines: the
-   status word, the unused word, [n] pairs and the sentinel, from a
-   line-aligned [log_base]. *)
+   undo) also record their persistent log footprint in lines. *)
 let note_commit tx n ~logged =
   let s = tx.ptm.stats.(tx.tid) in
   s.commits <- s.commits + 1;
   s.max_write_set <- max s.max_write_set n;
-  if logged then s.max_log_lines <- max s.max_log_lines (((2 * n) + 3 + 7) / 8)
+  if logged then s.max_log_lines <- max s.max_log_lines (Pmem.Log.lines n)

@@ -104,11 +104,11 @@ let try_commit tx =
            before the log entries are persistent.  A crash in between
            makes recovery replay whatever stale entries the media still
            holds past the status line. *)
-        write_status tx status_redo_committed;
+        write_status tx Pmem.Log.redo_committed;
         persist_log tx n
       | _ ->
         let k = persist_log tx n in
-        write_status tx status_redo_committed;
+        write_status tx Pmem.Log.redo_committed;
         k
     in
     (* 3. Write back to home locations; data durable before the orecs
@@ -119,7 +119,7 @@ let try_commit tx =
     let data_flushes = flush_written_lines tx (fun f -> Int_vec.iter f tx.vaddrs) in
     (* 4. Make the writes visible, then retire the log. *)
     release_acquired_to tx (version_word wv);
-    write_status tx status_idle;
+    write_status tx Pmem.Log.idle;
     (* The naive path issues clwb+fence per log entry, per sentinel and
        per written word, plus the two status updates — (2n+3) of each.
        Coalesced: one log fence, the data fence and two status fences. *)

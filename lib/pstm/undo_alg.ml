@@ -35,7 +35,7 @@ let log_old_value tx addr =
     t.m.Machine.store first 0;
     flush t first;
     fence t;
-    write_status tx status_undo_active
+    write_status tx Pmem.Log.undo_active
   end;
   let idx = Int_vec.length tx.uvec / 2 in
   if idx >= t.log_capacity then raise Log_overflow;
@@ -87,7 +87,7 @@ let abort tx =
   | Some p -> Profile.with_phase p Profile.Write_back (fun () -> restore tx));
   if Int_vec.length tx.uvec > 0 then begin
     ignore (flush_written_lines tx (iter_logged tx) : int);
-    write_status tx status_idle
+    write_status tx Pmem.Log.idle
   end;
   release_acquired_to_previous tx
 
@@ -100,7 +100,7 @@ let try_commit tx =
   && begin
     (* Data durable before the commit point (the status clear). *)
     let data_flushes = flush_written_lines tx (iter_logged tx) in
-    write_status tx status_idle;
+    write_status tx Pmem.Log.idle;
     (* Naive issues clwb+fence per written word; coalesced, one fence. *)
     note_savings tx ~naive:n ~flushes:data_flushes ~fences:1;
     release_acquired_to tx (version_word wv);

@@ -73,8 +73,7 @@ let populate (c : cell) f =
   c.spec.setup ptm;
   f sim ptm
 
-let run_cell (c : cell) =
-  populate c @@ fun sim ptm ->
+let measure (c : cell) sim ptm =
   let duration_ns = c.duration_ns in
   Memsim.Sim.reset_timing sim;
   Pstm.Ptm.Stats.reset ptm;
@@ -132,6 +131,8 @@ let run_cell (c : cell) =
     sim = Memsim.Sim.Stats.get sim;
     telemetry = capture;
   }
+
+let run_cell c = populate c (measure c)
 
 let run ~duration_ns ~seed ~model ~algorithm ~threads spec =
   run_cell { (cell ~duration_ns ~model ~algorithm ~threads spec) with seed }

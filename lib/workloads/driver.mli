@@ -79,9 +79,13 @@ val populate : cell -> (Memsim.Sim.t -> Pstm.Ptm.t -> 'a) -> 'a
     [f] returns or raises.  Cells with equal {!setup_key}s reach the
     same heap and counters here. *)
 
+val measure : cell -> Memsim.Sim.t -> Pstm.Ptm.t -> result
+(** The measured phase on a {!populate}d machine and PTM: timing and
+    statistics reset, then [threads] workers run the spec's operations
+    until [duration_ns] of virtual time. *)
+
 val run_cell : cell -> result
-(** {!populate}, then the measured phase: [threads] workers run the
-    spec's operations until [duration_ns] of virtual time. *)
+(** {!populate}, then {!measure}. *)
 
 val run :
   duration_ns:int ->

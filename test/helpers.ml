@@ -65,9 +65,11 @@ let check_sweep (r : Crashtest.Engine.report) =
        (fun (f : Crashtest.Engine.failure) -> f.reason ^ "; replay: " ^ f.replay)
        r.failures)
 
-(* qcheck bridge: register a property as an alcotest case. *)
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+(* qcheck bridge: register a property as an alcotest case; [seed]
+   fixes the case sequence instead of drawing a fresh one per run. *)
+let qtest ?(count = 200) ?seed name gen prop =
+  let rand = Option.map (fun s -> Random.State.make [| s |]) seed in
+  QCheck_alcotest.to_alcotest ?rand (QCheck2.Test.make ~name ~count gen prop)
 
 (* Key/op traces for the structure-vs-oracle differential properties:
    (key, op-code) pairs with keys in [1, key_range] and op codes in

@@ -269,7 +269,7 @@ let test_debt_rebooted_log_counted_once () =
     let sim' = Sim.reboot sim in
     let m' = Sim.machine sim' in
     let ptm' = recover m' in
-    m'.Machine.raw_write (Pmem.Region.log_base (Ptm.region ptm') ~tid:0) 1;
+    m'.Machine.raw_write (Pmem.Region.log_base (Ptm.region ptm') ~tid:0) Pmem.Log.redo_committed;
     (Sim.Debt.sample sim' ~armed_log_lines:(fun () -> Ptm.armed_log_lines ptm'))
       .Sim.Debt.armed_log_lines
   in

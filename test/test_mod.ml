@@ -264,7 +264,7 @@ let test_reclamation_bounded () =
   done;
   Mod_bptree.reclaim t;
   Helpers.check_int "retire list drained" 0 (Mod_bptree.retired_blocks t);
-  let live = List.length (Pmem.Alloc.live_blocks (Ptm.allocator ptm)) in
+  let live = (Pmem.Check.run (Ptm.region ptm)).Pmem.Check.live_blocks in
   (* 50 keys at fanout 14: a handful of nodes plus descriptor. *)
   Helpers.check_bool (Printf.sprintf "live blocks bounded (%d)" live) true (live < 40)
 
@@ -278,7 +278,7 @@ let test_hash_reclamation_bounded () =
   done;
   Mod_phashtable.reclaim t;
   Helpers.check_int "retire list drained" 0 (Mod_phashtable.retired_blocks t);
-  let live = List.length (Pmem.Alloc.live_blocks (Ptm.allocator ptm)) in
+  let live = (Pmem.Check.run (Ptm.region ptm)).Pmem.Check.live_blocks in
   Helpers.check_bool (Printf.sprintf "live blocks bounded (%d)" live) true (live < 80)
 
 (* ---------- recovery: the root swap is the recovery story ---------- *)

@@ -10,6 +10,15 @@ let direct_ops (m : Machine.t) =
     on_abort = (fun _ -> ());
   }
 
+(* [(payload, words)] of every allocated block, read through the
+   allocator's one arena walk. *)
+let live_blocks reg =
+  let acc = ref [] in
+  Alloc.walk reg (function
+    | Alloc.Block { payload; words; allocated = true } -> acc := (payload, words) :: !acc
+    | _ -> ());
+  !acc
+
 let fixture () =
   let _sim, m = Helpers.sim_machine ~heap_words:(1 lsl 16) () in
   let reg = Region.create ~max_threads:8 ~log_words_per_thread:512 m in
@@ -75,10 +84,10 @@ let test_alloc_free_reuses () =
   Helpers.check_int "freed block is reused" a b
 
 let test_alloc_size_class_rounding () =
-  let m, _, alloc = fixture () in
+  let m, reg, alloc = fixture () in
   let ops = direct_ops m in
   let a = Alloc.alloc alloc ops ~words:5 in
-  Helpers.check_int "5 words rounds to class 6" 6 (Alloc.payload_words alloc a)
+  Helpers.check_int "5 words rounds to class 6" 6 (List.assoc a (live_blocks reg))
 
 let test_alloc_rejects_bad_sizes () =
   let m, _, alloc = fixture () in
@@ -108,12 +117,12 @@ let test_alloc_out_of_memory () =
       done)
 
 let test_alloc_live_blocks_oracle () =
-  let m, _, alloc = fixture () in
+  let m, reg, alloc = fixture () in
   let ops = direct_ops m in
   let a = Alloc.alloc alloc ops ~words:8 in
   let b = Alloc.alloc alloc ops ~words:16 in
   Alloc.free alloc ops a;
-  let live = Alloc.live_blocks alloc in
+  let live = live_blocks reg in
   Helpers.check_bool "b live" true (List.mem_assoc b live);
   Helpers.check_bool "a not live" false (List.mem_assoc a live)
 
@@ -144,7 +153,7 @@ let test_alloc_recover_rebuilds_freelists () =
   Alloc.free alloc ops a;
   (* "Crash": rebuild allocator state from headers alone. *)
   let alloc' = Alloc.recover reg in
-  let live = Alloc.live_blocks alloc' in
+  let live = live_blocks reg in
   Helpers.check_bool "b still live after recovery" true (List.mem_assoc b live);
   Helpers.check_bool "a free after recovery" false (List.mem_assoc a live);
   (* Freed block is reusable post-recovery (recovered lists land on tid 0). *)
@@ -155,7 +164,7 @@ let prop_alloc_free_stress =
   Helpers.qtest ~count:30 "allocator stress keeps blocks disjoint"
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 1 96))
     (fun sizes ->
-      let m, _, alloc = fixture () in
+      let m, reg, alloc = fixture () in
       let ops = direct_ops m in
       let rng = Repro_util.Rng.create 11 in
       let live = Hashtbl.create 64 in
@@ -174,7 +183,7 @@ let prop_alloc_free_stress =
           end)
         sizes;
       (* No two live blocks overlap: check via the header-scan oracle. *)
-      let blocks = List.sort compare (Alloc.live_blocks alloc) in
+      let blocks = List.sort compare (live_blocks reg) in
       let rec disjoint = function
         | (a, wa) :: ((b, _) :: _ as rest) -> a + wa <= b - 1 && disjoint rest
         | _ -> true
@@ -211,7 +220,7 @@ let test_check_counts_match_live_blocks () =
   done;
   let r = Check.run reg in
   Helpers.check_int "agrees with the allocator oracle"
-    (List.length (Alloc.live_blocks alloc))
+    (List.length (live_blocks reg))
     r.Check.live_blocks
 
 let test_check_after_simulated_crash () =
@@ -250,6 +259,131 @@ let test_check_after_simulated_crash () =
        (fun f -> f.Check.severity <> Check.Info)
        after.Check.findings)
 
+(* ---------- decoder fuzzing ---------- *)
+
+(* One seeded property per persistent-format decoder.  Each case boots
+   a copy of a valid prepared image, flips, overwrites or truncates
+   (zeroes to the end) a few words of the decoder's area, then checks
+   the image and recovers it: both must return or raise
+   [Corrupt_image], nothing else, and an image that recovery refuses
+   must not check clean.  Every walk is bounded by its area, so a case
+   cannot hang. *)
+type mutation = Flip of int | Set of int | Truncate
+
+let mutations =
+  let open QCheck2.Gen in
+  let mutation =
+    oneof
+      [
+        map (fun b -> Flip b) (int_range 0 62);
+        map (fun v -> Set v) (oneof [ int; int_range (-4) 70_000 ]);
+        pure Truncate;
+      ]
+  in
+  list_size (int_range 1 4) (pair nat mutation)
+
+(* [prepared ()] is a persisted machine and the addresses of the area
+   to break; [recover sim] recovers a broken copy. *)
+let fuzz_decoder name ~seed prepared recover =
+  let prepared = Lazy.from_fun prepared in
+  Helpers.qtest ~seed name mutations (fun muts ->
+      let image, area = Lazy.force prepared in
+      Memsim.Sim.with_ (Memsim.Sim.reboot image) (fun sim ->
+          let m = Memsim.Sim.machine sim in
+          let n = Array.length area in
+          List.iter
+            (fun (i, mutation) ->
+              let i = i mod n in
+              let a = area.(i) in
+              match mutation with
+              | Flip b -> m.Machine.raw_write a (m.Machine.raw_read a lxor (1 lsl b))
+              | Set v -> m.Machine.raw_write a v
+              | Truncate -> Array.iter (fun a -> m.Machine.raw_write a 0) (Array.sub area i (n - i)))
+            muts;
+          let clean =
+            match Check.run (Region.attach m) with
+            | r -> Check.is_clean r
+            | exception Machine.Corrupt_image _ -> false
+          in
+          match recover sim with () -> true | exception Machine.Corrupt_image _ -> not clean))
+
+let span lo hi = Array.init (hi - lo) (fun i -> lo + i)
+let recover_ptm sim = ignore (Pstm.Ptm.recover (Memsim.Sim.machine sim))
+
+(* A PTM image with allocated and freed blocks (small and large) and
+   two armed logs written by hand: thread 0's committed redo log and
+   thread 1's active undo log. *)
+let ptm_image () =
+  let sim, m, ptm = Helpers.ptm_fixture ~max_threads:2 ~log_words_per_thread:64 () in
+  let blocks =
+    Pstm.Ptm.atomic ptm (fun tx -> List.map (Pstm.Ptm.alloc tx) [ 3; 8; 700; 20; 1500 ])
+  in
+  Pstm.Ptm.atomic ptm (fun tx -> Pstm.Ptm.free tx (List.nth blocks 1));
+  let reg = Pstm.Ptm.region ptm in
+  List.iter
+    (fun (tid, status, entries) ->
+      let base = Region.log_base reg ~tid in
+      m.Machine.raw_write base status;
+      List.iteri
+        (fun i (addr, v) ->
+          m.Machine.raw_write (Log.entry ~base i) addr;
+          m.Machine.raw_write (Log.entry ~base i + 1) v)
+        entries;
+      m.Machine.raw_write (Log.entry ~base (List.length entries)) 0)
+    [
+      (0, Log.redo_committed, List.map (fun b -> (b, 41)) blocks);
+      (1, Log.undo_active, [ (List.hd blocks, 5); (List.nth blocks 2 + 9, 6) ]);
+    ];
+  Memsim.Sim.persist_all sim;
+  (sim, reg)
+
+let fuzz_header =
+  fuzz_decoder "fuzz: region header decoder" ~seed:39
+    (fun () ->
+      let sim, reg = ptm_image () in
+      (sim, span 0 (8 + Region.roots reg)))
+    recover_ptm
+
+let fuzz_log =
+  fuzz_decoder "fuzz: PTM log decoder" ~seed:40
+    (fun () ->
+      let sim, reg = ptm_image () in
+      (sim, span (Region.log_base reg ~tid:0) (Region.snapshot_base reg)))
+    recover_ptm
+
+let fuzz_arenas =
+  fuzz_decoder "fuzz: allocator arena decoder" ~seed:41
+    (fun () ->
+      let sim, reg = ptm_image () in
+      let hw = (Region.machine reg).Machine.raw_read Region.high_water_addr in
+      (sim, Array.append [| Region.high_water_addr |] (span (Region.data_start reg) hw)))
+    recover_ptm
+
+(* A FAMS image after a few syncs whose last journal is marked
+   committed again, so recovery walks it. *)
+let fuzz_snapshot =
+  fuzz_decoder "fuzz: FAMS snapshot decoder" ~seed:42
+    (fun () ->
+      let words = 4096 in
+      let sim, m = Helpers.sim_machine ~heap_words:(Fams.required_heap_words ~words) () in
+      let fams = Fams.create ~words sim in
+      ignore
+        (Memsim.Sim.spawn sim (fun () ->
+             List.iter
+               (fun a ->
+                 Fams.write fams a a;
+                 Fams.write fams (a + 1000) a;
+                 Fams.msync_atomic fams)
+               [ 1; 9; 2000 ]));
+      Memsim.Sim.run sim;
+      let base = Region.snapshot_base (Fams.region fams) in
+      m.Machine.raw_write (base + Snapshot.seq) 1;
+      Memsim.Sim.persist_all sim;
+      let entries = m.Machine.raw_read (base + Snapshot.count) in
+      let journal_end = base + Snapshot.journal_off + (entries * (1 + Machine.Layout.words_per_line)) in
+      (sim, span base journal_end))
+    (fun sim -> ignore (Fams.recover sim))
+
 let suite =
   [
     Alcotest.test_case "region: layout disjoint" `Quick test_region_layout_disjoint;
@@ -271,4 +405,8 @@ let suite =
     Alcotest.test_case "check: bad root flagged" `Quick test_check_flags_bad_root;
     Alcotest.test_case "check: agrees with oracle" `Quick test_check_counts_match_live_blocks;
     Alcotest.test_case "check: crash then recover" `Quick test_check_after_simulated_crash;
+    fuzz_header;
+    fuzz_log;
+    fuzz_arenas;
+    fuzz_snapshot;
   ]

@@ -350,41 +350,101 @@ let test_recovery_idempotent () =
   let after_second = (m'.Machine.raw_read base, m'.Machine.raw_read (base + 1)) in
   Alcotest.(check (pair int int)) "second recovery is a no-op" after_first after_second
 
-(* A hostile log for thread 0 of a 2-thread region with 64-word logs
-   (each area is rounded up to a 512-word page): status [status] (1
-   redo-committed, 2 undo-active) over entries that fill the whole
-   area with no sentinel, or over one entry whose address lies far
-   outside the heap.  Recovery refuses it as a corrupt image, with
-   nothing written, instead of running on into thread 1's area or
-   escaping as an out-of-bounds write; the armed-line count refuses it
-   too. *)
-let test_hostile_log ~status ~fault () =
-  let _sim, m, ptm = Helpers.ptm_fixture ~max_threads:2 ~log_words_per_thread:64 () in
-  let reg = Ptm.region ptm in
+(* Hostile images, one table row each: a fresh image broken in one
+   place, and the entry points that must refuse it as a corrupt image
+   with nothing written.  A hostile log is thread 0's log of a 2-thread
+   region with 64-word logs (each area is rounded up to a 512-word
+   page): status [status] (1 redo-committed, 2 undo-active) over
+   entries that fill the whole area with no sentinel, or over one entry
+   whose address lies far outside the heap.  The other rows break one
+   header word of a PTM or FAMS image; the high-water row also arms a
+   well-formed log, which must not be replayed either.  The checker refuses an image
+   when [Region.attach] does or its report is not clean. *)
+type refuser = Recover | Armed_lines | Check | Fams_recover
+
+let break_log ~status fault (m : Machine.t) reg =
   let base = Pmem.Region.log_base reg ~tid:0 in
   let limit = base + Pmem.Region.log_words_per_thread reg in
   let target = Pmem.Region.data_start reg in
   m.Machine.raw_write base status;
-  (match fault with
+  match fault with
   | `No_sentinel ->
     for i = 0 to ((limit - base - 2) / 2) - 1 do
       m.Machine.raw_write (base + 2 + (2 * i)) target;
       m.Machine.raw_write (base + 3 + (2 * i)) 7
     done
-  | `Outside_heap ->
-    m.Machine.raw_write (base + 2) (1 lsl 40);
+  | (`Outside_heap | `Well_formed) as fault ->
+    m.Machine.raw_write (base + 2) (if fault = `Well_formed then target else 1 lsl 40);
     m.Machine.raw_write (base + 3) 7;
-    m.Machine.raw_write (base + 4) 0);
-  let image () = List.map m.Machine.raw_read [ base; target; limit ] in
+    m.Machine.raw_write (base + 4) 0
+
+let test_hostile ~fams ~break refusers () =
+  let sim, m, ptm =
+    if fams then begin
+      let words = 4096 in
+      let sim, m = Helpers.sim_machine ~heap_words:(Fams.required_heap_words ~words) () in
+      ignore (Fams.create ~words sim);
+      (sim, m, None)
+    end
+    else
+      let sim, m, ptm = Helpers.ptm_fixture ~max_threads:2 ~log_words_per_thread:64 () in
+      (sim, m, Some ptm)
+  in
+  break m (Pmem.Region.attach m);
+  let image () = Array.init m.Machine.words m.Machine.raw_read in
   let before = image () in
-  let corrupt label f =
+  let refuses label f =
     match f () with
-    | _ -> Alcotest.fail (label ^ ": accepted a corrupt log")
+    | true -> ()
+    | false -> Alcotest.fail (label ^ ": accepted a corrupt image")
     | exception Machine.Corrupt_image _ -> ()
   in
-  corrupt "recover" (fun () -> ignore (Ptm.recover m));
-  Alcotest.(check (list int)) "nothing written" before (image ());
-  corrupt "armed_log_lines" (fun () -> ignore (Ptm.armed_log_lines ptm))
+  List.iter
+    (function
+      | Recover -> refuses "recover" (fun () -> ignore (Ptm.recover m); false)
+      | Armed_lines ->
+        refuses "armed_log_lines" (fun () -> ignore (Ptm.armed_log_lines (Option.get ptm)); false)
+      | Check ->
+        refuses "check" (fun () ->
+            not (Pmem.Check.is_clean (Pmem.Check.run (Pmem.Region.attach m))))
+      | Fams_recover -> refuses "Fams.recover" (fun () -> ignore (Fams.recover sim); false))
+    refusers;
+  Helpers.check_bool "nothing written" true (before = image ())
+
+let hostile_cases =
+  let row name ?(fams = false) break refusers =
+    Alcotest.test_case name `Quick (test_hostile ~fams ~break refusers)
+  in
+  let header word value (m : Machine.t) _ = m.Machine.raw_write word (value m) in
+  List.concat_map
+    (fun (sname, status) ->
+      List.map
+        (fun (fname, fault) ->
+          row
+            (Printf.sprintf "hostile log: %s, %s" sname fname)
+            (break_log ~status fault) [ Recover; Armed_lines; Check ])
+        [ ("no sentinel", `No_sentinel); ("entry outside the heap", `Outside_heap) ])
+    [ ("redo-committed", 1); ("undo-active", 2) ]
+  @ [
+      row "hostile log: sentinel-less armed log, checked"
+        (break_log ~status:1 `No_sentinel)
+        [ Check; Recover ];
+      row "hostile image: high-water word past the heap"
+        (fun m reg ->
+          break_log ~status:1 `Well_formed m reg;
+          header Pmem.Region.high_water_addr (fun m -> 2 * m.Machine.words) m reg)
+        [ Recover; Check ];
+      row "hostile image: header max_threads 2^30"
+        (header 2 (fun _ -> 1 lsl 30))
+        [ Recover; Check ];
+      row "hostile image: log size -64" (header 3 (fun _ -> -64)) [ Recover; Check ];
+      row "hostile image: data_start past the heap"
+        (header 4 (fun m -> m.Machine.words + 512))
+        [ Recover; Check ];
+      row "hostile image: FAMS working-area size 2^24" ~fams:true
+        (fun m reg -> m.Machine.raw_write (Pmem.Region.snapshot_base reg + 5) (1 lsl 24))
+        [ Fams_recover; Check ];
+    ]
 
 let suite =
   let both name f =
@@ -419,15 +479,7 @@ let suite =
         prop_crash_any_time;
         Alcotest.test_case "recovery idempotent" `Quick test_recovery_idempotent;
       ];
-      List.concat_map
-        (fun (sname, status) ->
-          List.map
-            (fun (fname, fault) ->
-              Alcotest.test_case
-                (Printf.sprintf "hostile log: %s, %s" sname fname)
-                `Quick (test_hostile_log ~status ~fault))
-            [ ("no sentinel", `No_sentinel); ("entry outside the heap", `Outside_heap) ])
-        [ ("redo-committed", 1); ("undo-active", 2) ];
+      hostile_cases;
     ]
 
 let _ = both_algorithms

@@ -145,9 +145,6 @@ let test_log_lines_reach_the_sentinel () =
 
 let heap_snapshot (m : Machine.t) = Array.init m.Machine.words m.Machine.raw_read
 
-(* Undo-active log status, as recovery reads it. *)
-let status_undo_active = 2
-
 (* A rejected [recover] must leave the crashed image exactly as it
    found it: no log replay, no rollback, no allocator rebuild. *)
 let test_rejected_recover_leaves_image () =
@@ -167,7 +164,7 @@ let test_rejected_recover_leaves_image () =
   let reg = Pmem.Region.attach m' in
   let active =
     List.filter
-      (fun tid -> m'.Machine.raw_read (Pmem.Region.log_base reg ~tid) = status_undo_active)
+      (fun tid -> Pmem.Log.status reg ~tid = Pmem.Log.undo_active)
       (List.init (Pmem.Region.max_threads reg) Fun.id)
   in
   Helpers.check_bool "precondition: an undo log is active" true (active <> []);

@@ -73,29 +73,13 @@ let test_threads_increase_throughput () =
   in
   Helpers.check_bool "4 threads beat 1" true (tput 4 > 1.5 *. tput 1)
 
-(* Manual replica of the driver so oracles can inspect the heap. *)
+(* The driver's measured run, with [oracle] reading the heap before
+   the machine is released. *)
 let run_with_oracle spec ~threads ~duration_ns oracle =
-  let cfg =
-    Memsim.Config.make ~heap_words:spec.Driver.heap_words ~track_media:false Config.optane_adr
-  in
-  let sim = Memsim.Sim.create cfg in
-  let m = Memsim.Sim.machine sim in
-  let ptm = Ptm.create ~max_threads:32 m in
-  spec.Driver.setup ptm;
-  Memsim.Sim.reset_timing sim;
-  Ptm.Stats.reset ptm;
-  let rng0 = Repro_util.Rng.create 99 in
-  for tid = 0 to threads - 1 do
-    let rng = Repro_util.Rng.split rng0 in
-    ignore
-      (Memsim.Sim.spawn sim (fun () ->
-           let op = spec.Driver.make_op ptm ~tid ~rng in
-           while int_of_float (m.Machine.now_ns ()) < duration_ns do
-             op ()
-           done))
-  done;
-  Memsim.Sim.run sim;
-  oracle ptm m
+  let c = Driver.cell ~duration_ns ~model:Config.optane_adr ~algorithm:Ptm.Redo ~threads spec in
+  Driver.populate c (fun sim ptm ->
+      ignore (Driver.measure c sim ptm : Driver.result);
+      oracle ptm (Ptm.machine ptm))
 
 let test_tpcc_district_oracle () =
   (* Every committed new-order bumps exactly one district counter: the
