@@ -9,15 +9,18 @@ type _ Effect.t += Wait : unit Effect.t
 
 (* Thread status codes.  Ints, not a variant carrying the continuation:
    suspending then boxes nothing, and the run loop tests a status with
-   one integer compare. *)
+   one integer compare.  [programmed]: suspended, with the rest of its
+   machine operation still to run as a program (see [hand_out]). *)
 let not_started = 0
 let suspended = 1
 let in_progress = 2
 let finished = 3
+let programmed = 4
 
-(* Placeholder for a continuation slot whose thread is not [suspended]:
-   a continuation captured once at start-up and never resumed.  Only a
-   [suspended] thread's slot is ever read, and a resumed continuation
+(* Placeholder for a continuation slot whose thread is not suspended
+   ([suspended] or [programmed]): a continuation captured once at
+   start-up and never resumed.  Only a suspended thread's slot is ever
+   read, and a resumed continuation
    holds no stack, so resetting a slot to [parked] on resume is not
    needed for correctness.  It paces the minor GC: a slot that holds an
    old value puts the next suspension's store of a young continuation
@@ -53,9 +56,9 @@ let parked : (unit, unit) Effect.Deep.continuation =
 type t = {
   mutable times : int array; (* virtual clock *)
   mutable status : int array;
-  mutable conts : (unit, unit) Effect.Deep.continuation array; (* valid iff [suspended] *)
+  mutable conts : (unit, unit) Effect.Deep.continuation array; (* valid iff [suspended] or [programmed] *)
   mutable bodies : (unit -> unit) array;
-  mutable rests : int array; (* wait a suspended thread still owes; -1 = none *)
+  mutable step : int -> int; (* runs a [programmed] thread's next step *)
   mutable count : int;
   mutable ready : int array; (* queued ids, next to run last *)
   mutable queued : int;
@@ -63,15 +66,14 @@ type t = {
   mutable picked : int; (* wake time of the id last taken from [ready] *)
   mutable current : int; (* running thread id; -1 outside a thread *)
   mutable next : int; (* id the last Wait picked to run next; -1 = none *)
-  mutable pending_ns : int; (* delay of the in-flight Wait perform; -1 = none *)
-  mutable owed : bool; (* the running thread posted a wait it has not served *)
+  mutable pending_ns : int; (* delay of the in-flight Wait perform *)
   mutable crash_limit : int; (* armed crash time; [max_int] = none *)
   mutable crashed : bool;
   mutable max_time : int;
   mutable started : bool;
   mutable advances : int; (* waits advanced inline *)
   mutable switches : int; (* waits that suspended their thread *)
-  mutable settled : int; (* owed waits the scheduler requeued without a resume *)
+  mutable settled : int; (* program waits the scheduler requeued without a resume *)
 }
 
 let initial_capacity = 8
@@ -119,7 +121,7 @@ let create () =
     status = Array.make initial_capacity finished;
     conts = Array.make initial_capacity parked;
     bodies = Array.make initial_capacity ignore;
-    rests = Array.make initial_capacity (-1);
+    step = (fun _ -> -1);
     count = 0;
     ready = Array.make initial_capacity 0;
     queued = 0;
@@ -128,7 +130,6 @@ let create () =
     current = -1;
     next = -1;
     pending_ns = 0;
-    owed = false;
     crash_limit = max_int;
     crashed = false;
     max_time = 0;
@@ -151,7 +152,6 @@ let spawn t f =
     t.status <- grow t.status finished;
     t.conts <- grow t.conts parked;
     t.bodies <- grow t.bodies ignore;
-    t.rests <- grow t.rests (-1);
     t.ready <- grow t.ready 0
   end;
   t.status.(id) <- not_started;
@@ -180,8 +180,10 @@ let[@inline] tid t = if t.current >= 0 then t.current else 0
    no continuation, queue operation or handler dispatch.  A wake time
    at or past the armed crash limit must take the slow path so the
    crash machinery sees the event.  The fast path inlines into every
-   caller; the suspension stays out of line in [switch]. *)
+   caller; the suspension stays out of line in [switch], which sets the
+   caller's status before the perform ([suspend] sets [programmed]). *)
 let[@inline never] switch t ns =
+  Array.unsafe_set t.status t.current suspended;
   t.pending_ns <- ns;
   Effect.perform Wait
 
@@ -198,26 +200,35 @@ let[@inline] wait t ns =
     else switch t ns
   end
 
-(* [wait], except that a wait that would suspend its thread before the
-   crash limit is deferred: the clock moves and the switch is counted,
-   and the thread keeps running [owed].  Its next wait cannot take the
-   fast path (its clock is already at or past [due]), so [on_wait]
-   suspends it at the posted time and keeps that wait as its rest, which
-   [hand_out] applies once the queue reaches the thread.  A thread
-   already owed just waits: that wait is the rest. *)
-let post t ns =
+(* [wait]'s fast path alone.  Not [wait]'s building block: ocamlopt
+   would materialize the answer and test it again on every wait. *)
+let[@inline] advance t ns =
+  assert (ns >= 0);
   let cur = t.current in
-  let nt = if cur >= 0 then Array.unsafe_get t.times cur + ns else 0 in
-  if cur < 0 || t.owed || nt < t.due || nt >= t.crash_limit then wait t ns
+  if cur < 0 then true
   else begin
-    assert (ns >= 0);
-    Array.unsafe_set t.times cur nt;
-    if nt > t.max_time then t.max_time <- nt;
-    t.switches <- t.switches + 1;
-    t.owed <- true
+    let nt = Array.unsafe_get t.times cur + ns in
+    if nt < t.crash_limit && nt < t.due then begin
+      Array.unsafe_set t.times cur nt;
+      if nt > t.max_time then t.max_time <- nt;
+      t.advances <- t.advances + 1;
+      true
+    end
+    else false
   end
 
-let[@inline] settle t = if t.owed then switch t (-1)
+(* The thread resumes only once [step] has run its program to the end. *)
+let[@inline never] suspend t ns =
+  assert (t.current >= 0);
+  Array.unsafe_set t.status t.current programmed;
+  t.pending_ns <- ns;
+  Effect.perform Wait
+
+let set_program t step = t.step <- step
+
+(* From a step: its thread is plain [suspended] again, so the pick
+   after the step's wait resumes it without another step. *)
+let finish t = Array.unsafe_set t.status t.current suspended
 
 let crashed t = t.crashed
 
@@ -249,28 +260,38 @@ let[@inline] requeue t id time =
   end
 
 (* [id] was just taken from the queue at [picked], its wake time.
-   When it owes a rest, apply that wait here as the resumed thread
-   would have: advance inline when it is still strictly first (the
-   caller then resumes it), else requeue it and hand out the next
-   thread instead.  Never once the crash is due: the kill then finds
-   the thread suspended, as it would have. *)
+   When it is [programmed], run its program here, step by step at its
+   own clock, as the resumed thread would have run the same code: each
+   step's wait advances inline when the thread is still strictly
+   first, and otherwise requeues it and hands out the next thread
+   instead.  A program that ends leaves the thread [suspended], for
+   the caller to resume.  Never once the crash is due: the kill then
+   finds the thread suspended where the plain sequence would have. *)
 let rec hand_out t id =
-  let ns = Array.unsafe_get t.rests id in
-  if ns < 0 || t.crashed || t.picked >= t.crash_limit then id
+  if Array.unsafe_get t.status id <> programmed || t.crashed || t.picked >= t.crash_limit then id
   else begin
-    Array.unsafe_set t.rests id (-1);
-    let time = Array.unsafe_get t.times id + ns in
-    Array.unsafe_set t.times id time;
-    if time > t.max_time then t.max_time <- time;
-    if time < t.crash_limit && time < t.due then begin
-      t.advances <- t.advances + 1;
-      t.picked <- time;
+    let cur = t.current in
+    t.current <- id;
+    let ns = t.step id in
+    t.current <- cur;
+    if ns < 0 then begin
+      Array.unsafe_set t.status id suspended;
       id
     end
     else begin
-      t.switches <- t.switches + 1;
-      t.settled <- t.settled + 1;
-      hand_out t (requeue t id time)
+      let time = Array.unsafe_get t.times id + ns in
+      Array.unsafe_set t.times id time;
+      if time > t.max_time then t.max_time <- time;
+      if time < t.crash_limit && time < t.due then begin
+        t.advances <- t.advances + 1;
+        t.picked <- time;
+        hand_out t id
+      end
+      else begin
+        t.switches <- t.switches + 1;
+        t.settled <- t.settled + 1;
+        hand_out t (requeue t id time)
+      end
     end
   end
 
@@ -288,7 +309,8 @@ let take_next t =
     if id >= 0 then hand_out t id else id
 
 let kill t id =
-  if t.status.(id) = suspended then begin
+  let status = t.status.(id) in
+  if status = suspended || status = programmed then begin
     let k = t.conts.(id) in
     t.conts.(id) <- parked;
     t.status.(id) <- finished;
@@ -305,7 +327,7 @@ let run ?crash_at t =
   t.started <- true;
   (match crash_at with Some c -> t.crash_limit <- c | None -> ());
   (* One context switch: park the caller, pick its successor
-     ([requeue], then [hand_out] of any rest it owes) and, when that
+     ([requeue], then [hand_out] of any program) and, when that
      successor is a suspended thread due before any crash,
      resume it right here.  The resume is a tail call, so the
      handler's frame is gone before the successor runs and the stack
@@ -318,24 +340,11 @@ let run ?crash_at t =
      are spawned ids. *)
   let on_wait (k : (unit, unit) Effect.Deep.continuation) =
     let id = t.current in
-    let time =
-      if t.owed then begin
-        (* [post] already moved the clock and counted the switch; this
-           wait becomes the rest. *)
-        t.owed <- false;
-        Array.unsafe_set t.rests id t.pending_ns;
-        Array.unsafe_get t.times id
-      end
-      else begin
-        let time = Array.unsafe_get t.times id + t.pending_ns in
-        Array.unsafe_set t.times id time;
-        t.switches <- t.switches + 1;
-        (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
-        if time > t.max_time then t.max_time <- time;
-        time
-      end
-    in
-    Array.unsafe_set t.status id suspended;
+    let time = Array.unsafe_get t.times id + t.pending_ns in
+    Array.unsafe_set t.times id time;
+    t.switches <- t.switches + 1;
+    (* Not [max]: on ints that calls the polymorphic [Stdlib.max]. *)
+    if time > t.max_time then t.max_time <- time;
     Array.unsafe_set t.conts id k;
     let next = hand_out t (requeue t id time) in
     if
@@ -357,7 +366,6 @@ let run ?crash_at t =
       Effect.Deep.retc =
         (fun () ->
           let id = t.current in
-          t.owed <- false;
           t.status.(id) <- finished;
           if t.times.(id) > t.max_time then t.max_time <- t.times.(id));
       (* An exception escaping a thread ends it, and then [run]: leave
@@ -365,7 +373,6 @@ let run ?crash_at t =
          is the untimed no-op again. *)
       exnc =
         (fun exn ->
-          t.owed <- false;
           t.status.(t.current) <- finished;
           t.current <- -1;
           raise exn);

@@ -25,21 +25,27 @@
     flat however many switches chain.  {!inline_advances} and
     {!context_switches} count the two paths.
 
-    A thread that waits twice in a row often switches twice and is
-    resumed in between only to suspend again.  {!post} settles such a
-    pair in one pass: where the first wait would suspend, it moves the
-    clock and counts the switch but leaves the thread running, {e owed}.
-    The thread's next {!wait} (or {!settle}) suspends it at the posted
-    time and stores that wait as the thread's rest.  When the queue
-    reaches the thread, the scheduler applies the rest exactly as the
-    resumed thread would have: it advances inline and resumes the
-    thread when it is still strictly first, and otherwise requeues it
-    at the later time and takes the next thread, so one capture and one
-    resume are saved.  The two waits are not summed.  A thread queued
-    at the later time while the first wait ran must stay ahead of this
-    one (FIFO among ties), and a summed wait, queued at the first
-    moment, would put it behind.  {!settled_waits} counts the rests
-    requeued without a resume, so the resumes are
+    A machine operation that waits more than once (a TL2 read's
+    orec read, load and orec re-check; an sfence's drain and fence)
+    would be resumed after each wait only to run a few accesses and
+    suspend again.  Such an operation suspends its thread with a
+    {e program} instead ({!suspend}): the rest of the operation, as
+    steps that each run some accesses and return the wait before the
+    next step.  Whenever the queue reaches a programmed thread, the
+    scheduler runs its next step right there, at the thread's clock,
+    exactly where the resumed thread would have run the same code
+    ({!set_program}'s [step]); the step's wait advances inline while
+    the thread is still strictly first, and otherwise requeues it at
+    the later time and takes the next thread.  A step runs on past
+    the waits {!advance} takes inline, so a program that never has to
+    requeue is one step.  The thread is resumed once, when its program
+    ends or, when a step {!finish}es it, once the wait that step
+    returned is served: a last wait followed by no access costs no
+    step of its own.  The waits are not summed: a thread
+    queued at a later step's time while an earlier step ran must stay
+    ahead of this one (FIFO among ties), and a summed wait, queued at
+    the first moment, would put it behind.  {!settled_waits} counts
+    the program waits requeued without a resume, so the resumes are
     [context_switches - settled_waits].
 
     The ready queue is an array of thread ids sorted by wake time,
@@ -81,16 +87,33 @@ val wait : t -> int -> unit
 (** Advance the calling thread's virtual clock by [ns >= 0].  Must be
     called from within a simulated thread. *)
 
-val post : t -> int -> unit
-(** [wait], except that where the thread would be suspended it keeps
-    running owed, with its clock already advanced.  Until its next
-    [wait] or [settle] the caller must touch nothing another thread can
-    observe: the other threads have not yet run up to its clock.  A
-    wait due at or past the armed crash time is a plain [wait]. *)
+val advance : t -> int -> bool
+(** [wait], when it advances the clock inline: [true] when it did (or
+    outside [run], where time does not advance), [false] with nothing
+    changed when the wait would suspend the calling thread. *)
 
-val settle : t -> unit
-(** Serve an owed wait: suspend the calling thread until every thread
-    due before its clock has run.  A no-op unless the caller is owed. *)
+val suspend : t -> int -> unit
+(** [wait] as the first wait of the calling thread's program: the
+    thread is suspended, the scheduler runs its program through
+    {!set_program}'s [step], and the thread returns from [suspend]
+    only once the program has ended, at the clock it ended at.
+    Counted as a context switch even when the thread could have
+    advanced inline, so callers try {!advance} first.  A crash due
+    before the program ends raises {!Crashed} here. *)
+
+val set_program : t -> (int -> int) -> unit
+(** [set_program t step] installs the runner of every programmed
+    thread's next step: [step id] runs the step of thread [id], with
+    {!now} and {!tid} answering for [id], and returns the wait before
+    its next step, or a negative number when the program ends.  A step
+    may touch machine state and run on past waits that {!advance}
+    takes inline, but must not call {!wait} or {!suspend}.  Call
+    before {!run}; without it a program ends at its first pick. *)
+
+val finish : t -> unit
+(** Called from a step: the wait that step returns is the program's
+    last, and the thread resumes once it is picked after that wait,
+    without another step. *)
 
 val now : t -> int
 (** Virtual clock of the calling thread; after [run] returns, the
@@ -109,12 +132,13 @@ val inline_advances : t -> int
 (** Waits so far that advanced the clock inline, without a switch. *)
 
 val context_switches : t -> int
-(** Waits so far that suspended their thread: one context switch
-    each, a posted wait included. *)
+(** Waits so far that suspended their thread or requeued a programmed
+    one: one context switch each. *)
 
 val settled_waits : t -> int
-(** Waits so far that the scheduler applied for an owed thread and
-    that requeued it without resuming it. *)
+(** Program waits so far that requeued their thread without resuming
+    it; [inline_advances] also counts a program's waits that advanced
+    inline. *)
 
 val time_limit : t -> int option
 (** The armed crash time, if any — lets long-running loops bail out

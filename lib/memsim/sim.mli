@@ -196,8 +196,10 @@ module Stats : sig
     inline_advances : int;  (** scheduler waits that advanced the clock inline *)
     context_switches : int;  (** scheduler waits that switched threads *)
     settled_waits : int;
-        (** switches the scheduler applied for a thread that posted the
-            wait before them, requeuing it without a resume *)
+        (** switches the scheduler made inside a suspended thread's
+            program (a validated load's later waits, an sfence's fence
+            cost), requeuing it without a resume: the resumes are
+            [context_switches - settled_waits] *)
   }
 
   val get : sim -> t

@@ -37,8 +37,10 @@ module _ : ALGORITHM = Undo_alg
 module _ : ALGORITHM = Htm_alg
 module _ : ALGORITHM = Mod_alg
 
-(* ---------- construction ---------- *)
+(* ---------- transactions ---------- *)
 
+(* First in the file, ahead of construction and recovery, so that an
+   edit there leaves the per-transaction code where it was. *)
 let fresh_tx t tid =
   {
     ptm = t;
@@ -58,6 +60,7 @@ let fresh_tx t tid =
     amap = Int_table.create 16;
     flushed = Int_table.create 64;
     lscratch = Array.make 16 0;
+    pair = Array.make 2 0;
     commit_hooks = [];
     abort_hooks = [];
     log_flushed_upto = 0;
@@ -67,130 +70,6 @@ let fresh_tx t tid =
     pub_addr = -1;
     in_alloc = false;
   }
-
-let fresh_stats () =
-  { commits = 0; aborts = 0; read_only_commits = 0; max_write_set = 0; max_log_lines = 0 }
-
-let default_rng_seed = 0x5EED
-
-(* HTM is incompatible with explicit flushes: clwb of a speculative
-   line aborts the hardware transaction (the paper's §II point about
-   TSX under ADR).  Only eADR-class domains — or an ADR machine whose
-   HTM commits are themselves durable (durable_publish) — may run it. *)
-let runs_on algorithm ~needs_flush ~durable_publish =
-  algorithm <> Htm || (not needs_flush) || durable_publish
-
-(* Checked before [create] formats or [recover] repairs anything, so a
-   rejected configuration leaves the image as it was. *)
-let check_config ~algorithm ~orec_bits m =
-  let { Machine.needs_flush; durable_publish; _ } = m in
-  if not (runs_on algorithm ~needs_flush ~durable_publish) then
-    invalid_arg "Ptm: the HTM algorithm requires an eADR-class durability domain";
-  if Meta.orec_base + (1 lsl orec_bits) > m.Machine.meta_words then
-    invalid_arg "Ptm: orec table does not fit in the metadata space"
-
-let build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler ~last_recovery
-    ~inject m reg allocator =
-  let nthreads = Pmem.Region.max_threads reg in
-  {
-    m;
-    reg;
-    allocator;
-    alg = algorithm;
-    flush_timing;
-    coalesce;
-    orec_mask = (1 lsl orec_bits) - 1;
-    log_capacity = Pmem.Log.capacity reg;
-    txs = Array.make nthreads None;
-    stats = Array.init nthreads (fun _ -> fresh_stats ());
-    rng_seed;
-    profiler;
-    last_recovery;
-    inject;
-  }
-
-let create ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
-    ?(max_threads = 32) ?(log_words_per_thread = 8192) ?(rng_seed = default_rng_seed) ?inject m =
-  check_config ~algorithm ~orec_bits m;
-  let reg = Pmem.Region.create ~max_threads ~log_words_per_thread m in
-  let allocator = Pmem.Alloc.create reg in
-  (* Log status words must start out durably idle. *)
-  for tid = 0 to max_threads - 1 do
-    Pmem.Log.reset reg ~tid
-  done;
-  build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler:None
-    ~last_recovery:None ~inject m reg allocator
-
-(* ---------- crash recovery ---------- *)
-
-let recover_logs reg =
-  let nthreads = Pmem.Region.max_threads reg in
-  (* Every log is decoded before any is applied, so a corrupt image
-     raises with nothing written. *)
-  let logs =
-    List.init nthreads (fun tid ->
-        let push entries addr value = (addr, value) :: entries in
-        (tid, Pmem.Log.status reg ~tid, Pmem.Log.fold reg ~tid push []))
-  in
-  let m = Pmem.Region.machine reg in
-  List.iter
-    (fun (tid, status, entries) ->
-      (* Replay committed-but-possibly-not-written-back values; roll an
-         in-flight transaction back, newest entry first. *)
-      let entries = if status = Pmem.Log.redo_committed then List.rev entries else entries in
-      List.iter (fun (addr, value) -> m.Machine.raw_write addr value) entries;
-      Pmem.Log.reset reg ~tid)
-    logs;
-  let sum f = List.fold_left (fun n (_, s, es) -> n + f s (List.length es)) 0 logs in
-  let count status = sum (fun s n -> if s = status then n else 0) in
-  {
-    Recovery_report.logs_scanned = nthreads;
-    words_scanned = sum (fun status n -> Pmem.Log.words_read ~status n);
-    entries_replayed = count Pmem.Log.redo_committed;
-    entries_rolled_back = count Pmem.Log.undo_active;
-  }
-
-let recover ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
-    ?(rng_seed = default_rng_seed) ?profiler ?inject m =
-  check_config ~algorithm ~orec_bits m;
-  let reg = Pmem.Region.attach m in
-  (* Checked before any log is applied; a replay cannot write the
-     region header, so [Alloc.recover] meets the same mark. *)
-  ignore (Pmem.Alloc.high_water reg : int);
-  let report =
-    match profiler with
-    | None -> recover_logs reg
-    | Some p -> Profile.with_phase p Profile.Recovery (fun () -> recover_logs reg)
-  in
-  let allocator = Pmem.Alloc.recover reg in
-  build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler
-    ~last_recovery:(Some report) ~inject m reg allocator
-
-let region t = t.reg
-let machine t = t.m
-let algorithm t = t.alg
-let coalescing t = t.coalesce
-let allocator t = t.allocator
-let set_profiler t p = t.profiler <- p
-let profiler t = t.profiler
-let last_recovery t = t.last_recovery
-
-let root_get t i = Pmem.Region.root_get t.reg i
-let root_set t i v = Pmem.Region.root_set t.reg i v
-
-let clock t = clock_read t
-
-(* Smallest read-version among transactions currently executing — the
-   reclamation horizon for MOD's epoch free-lists.  A node retired when
-   the clock read [wv] can only be referenced by a transaction whose
-   snapshot predates the root swap, i.e. one with [rv < wv]; once every
-   in-flight transaction has [rv >= wv] the node is unreachable. *)
-let min_active_rv t =
-  let m = ref max_int in
-  Array.iter
-    (function Some tx when tx.depth > 0 -> if tx.rv < !m then m := tx.rv | _ -> ())
-    t.txs;
-  !m
 
 let tx_for t =
   let tid = t.m.Machine.tid () in
@@ -371,6 +250,132 @@ and retry : 'a. t -> tx -> (tx -> 'a) -> 'a =
   tx.attempts <- tx.attempts + 1;
   backoff tx;
   attempt t tx f
+
+(* ---------- construction ---------- *)
+
+let fresh_stats () =
+  { commits = 0; aborts = 0; read_only_commits = 0; max_write_set = 0; max_log_lines = 0 }
+
+let default_rng_seed = 0x5EED
+
+(* HTM is incompatible with explicit flushes: clwb of a speculative
+   line aborts the hardware transaction (the paper's §II point about
+   TSX under ADR).  Only eADR-class domains — or an ADR machine whose
+   HTM commits are themselves durable (durable_publish) — may run it. *)
+let runs_on algorithm ~needs_flush ~durable_publish =
+  algorithm <> Htm || (not needs_flush) || durable_publish
+
+(* Checked before [create] formats or [recover] repairs anything, so a
+   rejected configuration leaves the image as it was. *)
+let check_config ~algorithm ~orec_bits m =
+  let { Machine.needs_flush; durable_publish; _ } = m in
+  if not (runs_on algorithm ~needs_flush ~durable_publish) then
+    invalid_arg "Ptm: the HTM algorithm requires an eADR-class durability domain";
+  if Meta.orec_base + (1 lsl orec_bits) > m.Machine.meta_words then
+    invalid_arg "Ptm: orec table does not fit in the metadata space"
+
+let build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler ~last_recovery
+    ~inject m reg allocator =
+  let nthreads = Pmem.Region.max_threads reg in
+  {
+    m;
+    reg;
+    allocator;
+    alg = algorithm;
+    flush_timing;
+    coalesce;
+    orec_mask = (1 lsl orec_bits) - 1;
+    log_capacity = Pmem.Log.capacity reg;
+    txs = Array.make nthreads None;
+    stats = Array.init nthreads (fun _ -> fresh_stats ());
+    rng_seed;
+    profiler;
+    last_recovery;
+    inject;
+  }
+
+let create ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
+    ?(max_threads = 32) ?(log_words_per_thread = 8192) ?(rng_seed = default_rng_seed) ?inject m =
+  check_config ~algorithm ~orec_bits m;
+  let reg = Pmem.Region.create ~max_threads ~log_words_per_thread m in
+  let allocator = Pmem.Alloc.create reg in
+  (* Log status words must start out durably idle. *)
+  for tid = 0 to max_threads - 1 do
+    Pmem.Log.reset reg ~tid
+  done;
+  build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler:None
+    ~last_recovery:None ~inject m reg allocator
+
+(* ---------- crash recovery ---------- *)
+
+let recover_logs reg =
+  let nthreads = Pmem.Region.max_threads reg in
+  (* Every log is decoded before any is applied, so a corrupt image
+     raises with nothing written. *)
+  let logs =
+    List.init nthreads (fun tid ->
+        let push entries addr value = (addr, value) :: entries in
+        (tid, Pmem.Log.status reg ~tid, Pmem.Log.fold reg ~tid push []))
+  in
+  let m = Pmem.Region.machine reg in
+  List.iter
+    (fun (tid, status, entries) ->
+      (* Replay committed-but-possibly-not-written-back values; roll an
+         in-flight transaction back, newest entry first. *)
+      let entries = if status = Pmem.Log.redo_committed then List.rev entries else entries in
+      List.iter (fun (addr, value) -> m.Machine.raw_write addr value) entries;
+      Pmem.Log.reset reg ~tid)
+    logs;
+  let sum f = List.fold_left (fun n (_, s, es) -> n + f s (List.length es)) 0 logs in
+  let count status = sum (fun s n -> if s = status then n else 0) in
+  {
+    Recovery_report.logs_scanned = nthreads;
+    words_scanned = sum (fun status n -> Pmem.Log.words_read ~status n);
+    entries_replayed = count Pmem.Log.redo_committed;
+    entries_rolled_back = count Pmem.Log.undo_active;
+  }
+
+let recover ?(algorithm = Redo) ?(orec_bits = 20) ?(flush_timing = At_commit) ?(coalesce = true)
+    ?(rng_seed = default_rng_seed) ?profiler ?inject m =
+  check_config ~algorithm ~orec_bits m;
+  let reg = Pmem.Region.attach m in
+  (* Checked before any log is applied; a replay cannot write the
+     region header, so [Alloc.recover] meets the same mark. *)
+  ignore (Pmem.Alloc.high_water reg : int);
+  let report =
+    match profiler with
+    | None -> recover_logs reg
+    | Some p -> Profile.with_phase p Profile.Recovery (fun () -> recover_logs reg)
+  in
+  let allocator = Pmem.Alloc.recover reg in
+  build ~algorithm ~orec_bits ~flush_timing ~coalesce ~rng_seed ~profiler
+    ~last_recovery:(Some report) ~inject m reg allocator
+
+let region t = t.reg
+let machine t = t.m
+let algorithm t = t.alg
+let coalescing t = t.coalesce
+let allocator t = t.allocator
+let set_profiler t p = t.profiler <- p
+let profiler t = t.profiler
+let last_recovery t = t.last_recovery
+
+let root_get t i = Pmem.Region.root_get t.reg i
+let root_set t i v = Pmem.Region.root_set t.reg i v
+
+let clock t = clock_read t
+
+(* Smallest read-version among transactions currently executing — the
+   reclamation horizon for MOD's epoch free-lists.  A node retired when
+   the clock read [wv] can only be referenced by a transaction whose
+   snapshot predates the root swap, i.e. one with [rv < wv]; once every
+   in-flight transaction has [rv >= wv] the node is unreachable. *)
+let min_active_rv t =
+  let m = ref max_int in
+  Array.iter
+    (function Some tx when tx.depth > 0 -> if tx.rv < !m then m := tx.rv | _ -> ())
+    t.txs;
+  !m
 
 (* ---------- statistics ---------- *)
 

@@ -65,6 +65,7 @@ type tx = {
   uvec : Int_vec.t; (* undo: (addr, old) pairs in append order *)
   reads : Int_vec.t; (* (oidx, observed version) pairs; empty when serial *)
   mutable shared_reads : int; (* [read_shared] calls this attempt (HTM capacity) *)
+  pair : int array; (* [Machine.validated_load]'s orec word and value *)
   acquired : Int_vec.t; (* oidxs I hold locked; serial: oidxs to publish wv to *)
   amap : Int_table.t; (* oidx -> version before I locked it *)
   flushed : Int_table.t; (* line dedup for bulk flushes (set) *)
@@ -254,54 +255,86 @@ let acquire_orec_eager tx addr =
     let v = orec_get t oidx in
     if not (locked_by v tx.tid) then lock_orec tx oidx v
 
+(* A validated read of orec [oidx] joins the read set. *)
+let accept tx oidx =
+  Int_vec.push tx.reads oidx;
+  Int_vec.push tx.reads (Array.unsafe_get tx.pair 0);
+  Array.unsafe_get tx.pair 1
+
+(* Whether the validated load went on past orec word [v] (unlocked and
+   current): then only its re-check can have stopped it. *)
+let rechecked tx v = (not (locked v)) && version_of v <= tx.rv
+
+(* Orec word [v] is locked, or unlocked but newer than [rv].  Locked
+   by me: the word is mine to read.  Newer: extend, then a plain load,
+   whose value is the word's at completion, and the re-check.  Under
+   redo, HTM and MOD writers the value at issue would read the same
+   whenever the re-check holds.  An aborting undo writer restores the
+   version along with the word, and after an [extend] it may have
+   written before the load issued, so the load waits its latency out. *)
+let read_unvalidated tx oidx addr v =
+  let t = tx.ptm in
+  if locked v then begin
+    if locked_by v tx.tid then t.m.Machine.load addr else raise Conflict
+  end
+  else begin
+    if not (extend tx) then raise Conflict;
+    let value = t.m.Machine.load addr in
+    if orec_get t oidx <> v then raise Conflict;
+    Int_vec.push tx.reads oidx;
+    Int_vec.push tx.reads v;
+    value
+  end
+
 (* Bounded politeness: give a committing writer a moment to release
    its orec before declaring a conflict (readers of a commit-locked
    orec would otherwise always abort, which is brutal under ADR's long
-   flush-laden commits). *)
-let wait_unlocked tx oidx =
+   flush-laden commits).  The orec is read again at once, then after
+   each of up to [tries] pauses; a read that finds it unlocked and
+   current completes there. *)
+let rec wait_unlocked tx oidx addr tries =
   let t = tx.ptm in
-  let rec go tries v =
-    if tries = 0 || not (locked v) then v
+  if t.m.Machine.validated_load (Meta.orec_base + oidx) (version_word tx.rv) addr tx.pair then
+    accept tx oidx
+  else begin
+    let v = tx.pair.(0) in
+    if rechecked tx v then raise Conflict
+    else if tries = 0 || not (locked v) then read_unvalidated tx oidx addr v
     else begin
       t.m.Machine.pause 150;
-      go (tries - 1) (orec_get t oidx)
+      wait_unlocked tx oidx addr (tries - 1)
     end
-  in
-  go 6 (orec_get t oidx)
+  end
+
+(* The validated load stopped at the orec word [tx.pair.(0)]: locked,
+   or newer than [rv]; or the re-check saw it change, a conflict. *)
+let[@inline never] read_slow tx oidx addr =
+  let v = tx.pair.(0) in
+  if rechecked tx v then raise Conflict
+  else if locked v && not (locked_by v tx.tid) then wait_unlocked tx oidx addr 6
+  else read_unvalidated tx oidx addr v
 
 (* TL2-style read of a location not in my write set; a serial
    transaction has nothing to check it against.
 
-   The load may read the word at issue ([defer_load]) when the re-check
-   catches every write that lands while it is in flight.  A writer
-   that locks the orec after the first read changes what the re-check
-   sees, except an undo writer that aborts: it restores the version
-   along with the word.  Without an [extend] the load issues at the
-   instant the orec read unlocked, so no such writer has written yet
-   and the word read is the one restored.  After an [extend] one may
-   have, so an undo transaction's load then waits its latency out. *)
+   The fast path is one [validated_load]: the orec word, unlocked and
+   no newer than [rv], then the load, then the re-check.  Its value is
+   the word's at issue, which the re-check vouches for.  A writer that
+   locks the orec after the first read changes what the re-check sees,
+   except an undo writer that aborts: it restores the version along
+   with the word.  But the load issues at the instant the orec read
+   unlocked, so no such writer has written yet and the word read is
+   the one restored.  Everything else is [read_slow], which keeps the
+   operations of the plain read in their order. *)
 let read_shared tx addr =
   let t = tx.ptm in
   tx.shared_reads <- tx.shared_reads + 1;
   if tx.serial then t.m.Machine.load addr
   else begin
     let oidx = orec_of t addr in
-    let v1 = orec_get t oidx in
-    let v1 = if locked v1 && not (locked_by v1 tx.tid) then wait_unlocked tx oidx else v1 in
-    if locked v1 then begin
-      if locked_by v1 tx.tid then t.m.Machine.load addr else raise Conflict
-    end
-    else begin
-      let current = version_of v1 <= tx.rv in
-      if not (current || extend tx) then raise Conflict;
-      if current || t.alg <> Undo then t.m.Machine.defer_load ();
-      let value = t.m.Machine.load addr in
-      let v2 = orec_get t oidx in
-      if v2 <> v1 then raise Conflict;
-      Int_vec.push tx.reads oidx;
-      Int_vec.push tx.reads v1;
-      value
-    end
+    if t.m.Machine.validated_load (Meta.orec_base + oidx) (version_word tx.rv) addr tx.pair then
+      accept tx oidx
+    else read_slow tx oidx addr
   end
 
 (* ---------- the volatile write buffer (redo index, HTM, MOD) ---------- *)
