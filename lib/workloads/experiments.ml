@@ -912,7 +912,7 @@ let telemetry ~quick =
    [switches_per_event] counts the scheduler's context switches (waits
    that did not advance the clock inline) per event, and
    [resumes_per_event] the switches that resumed a thread: all but the
-   waits the scheduler settled for an owed thread. *)
+   program waits the scheduler requeued without a resume. *)
 let speedup ?(quick = false) ?jobs:_ () =
   let g0 = Gc.quick_stat () in
   let outcome = fig3_panel ~quick ~jobs:1 Btree_bench.insert_only in
